@@ -862,12 +862,15 @@ and fleet_suite () =
     |> String.concat "\n"
   in
   (* solo baseline (journaled): all K jobs are identical, so one solo run
-     stands in for all three *)
+     stands in for all three. It runs at the jobs' worker count, which the
+     journal header records — the host's default would make the header
+     differ on any machine with spare cores. *)
   let solo_dir = Filename.concat tmp "solo" in
   Unix.mkdir solo_dir 0o755;
   let solo =
     timed "funarc solo (journaled)" (fun () ->
-        Core.Tuner.run_delta_debug ~config ~journal:solo_dir Models.Registry.funarc)
+        Core.Tuner.run_delta_debug ~config ~workers:spec.Service.Job.sp_workers
+          ~journal:solo_dir Models.Registry.funarc)
   in
   let solo_misses = solo.Core.Tuner.trace_stats.Search.Trace.misses in
   let solo_journal = slurp (Persist.Journal.file ~dir:solo_dir) in

@@ -182,7 +182,9 @@ diff -u "$VDIR/solo2_cmp.json" "$VDIR/j002_cmp.json"
 # must match solo modulo the "trace" line, and the trailing job must
 # account a nonzero cumulative shared counter (the leader, at
 # --priority 2, stays ahead, so the follower is served almost entirely
-# from the fleet).
+# from the fleet). The server prepares the shared space once: exactly one
+# slice line of this server's lifetime says "prepared".
+FLEET_LOG_START=$(wc -l < "$VDIR/serve.log")
 _build/default/bin/prose.exe serve --root "$VDIR" --slots 2 --slice 4 \
   >> "$VDIR/serve.log" 2>&1 &
 SERVE_PID=$!
@@ -212,4 +214,6 @@ diff -u "$VDIR/solo3_cmp.json" "$VDIR/j004_cmp.json"
 # and the server log accounted at least one memo-served slice
 grep 'fleet dedup:' "$VDIR/j004_show.txt" > /dev/null
 grep -E ', [1-9][0-9]* memo-shared\)' "$VDIR/serve.log" > /dev/null
+tail -n +"$((FLEET_LOG_START + 1))" "$VDIR/serve.log" > "$VDIR/fleet.log"
+test "$(grep -c '^slice j00[34]: .*, prepared$' "$VDIR/fleet.log")" -eq 1
 rm -rf "$VDIR"

@@ -119,6 +119,12 @@ let share_create st =
     sh_misses = Atomic.make 0;
   }
 
+(* An empty table over the same static analysis: the key scopes and the
+   inert set are functions of the baseline program alone. *)
+let share_fresh sh =
+  { sh with sh_lock = Mutex.create (); sh_tbl = Hashtbl.create 256; sh_hits = Atomic.make 0;
+            sh_misses = Atomic.make 0 }
+
 type prepared = {
   model : Models.Registry.t;
   config : Config.t;
@@ -1130,10 +1136,56 @@ let record_of_entry atoms (e : Persist.Journal.entry) : Variant.record =
     meas = e.Persist.Journal.e_meas;
   }
 
+(* The journal must describe the campaign [p] and [algo] would run: the
+   same model, result-affecting configuration, search space and search. *)
+let check_header p ~algo (h : Persist.Journal.header) =
+  if p.model.Models.Registry.name <> h.Persist.Journal.model then
+    resume_fail "resume: journal is for model %S, not %S" h.Persist.Journal.model
+      p.model.Models.Registry.name;
+  if Config.digest p.config <> h.Persist.Journal.config_digest then
+    resume_fail
+      "resume: configuration digest mismatch (journal %s, offered %s) — the journaled \
+       campaign ran under different tuning settings"
+      h.Persist.Journal.config_digest (Config.digest p.config);
+  if List.length p.atoms <> h.Persist.Journal.atoms then
+    resume_fail "resume: model has %d FP atoms but the journal recorded %d"
+      (List.length p.atoms) h.Persist.Journal.atoms;
+  if algo_name algo <> h.Persist.Journal.algo then
+    resume_fail "resume: journal runs %s, not %s" h.Persist.Journal.algo (algo_name algo)
+
+(* Start the journaled campaign in [dir], or continue it when a journal is
+   already there. The header is checked before the journal is touched. *)
+let journaled ?workers ?shards ?pool ?faults ?checkpoint ?memo ~algo ~dir p =
+  if Sys.file_exists (Persist.Journal.file ~dir) then begin
+    let loaded, jw = Persist.Journal.reopen ~check:(check_header p ~algo) ~dir () in
+    let preloaded = List.map (record_of_entry p.atoms) loaded.Persist.Journal.l_entries in
+    execute p ~algo ?workers ?shards ?pool ~journal:(dir, jw) ?faults ?checkpoint ?memo
+      ~preloaded ()
+  end
+  else
+    execute p ~algo ?workers ?shards ?pool
+      ~journal:(start_journal p ~algo ~workers dir)
+      ?faults ?checkpoint ?memo ~preloaded:[] ()
+
+(* The per-campaign state [prepare] allocated, afresh: caches, batch-reuse
+   table and eval timing. Everything else in [p] is read-only. *)
+let fresh_state p =
+  {
+    p with
+    cache = Option.map (fun _ -> Runtime.Lower.Cache.create ()) p.cache;
+    ccache = Option.map (fun _ -> Runtime.Compile.Cache.create ()) p.ccache;
+    share = Option.map share_fresh p.share;
+    eval_stats = eval_stats_create ();
+  }
+
+let run_prepared ?workers ?pool ?faults ?checkpoint ?memo ~algo ~journal p =
+  (* brute force runs sequentially; its journals record 0 workers *)
+  let workers = match algo with Brute_force_algo -> Some 0 | _ -> workers in
+  journaled ?workers ?pool ?faults ?checkpoint ?memo ~algo ~dir:journal (fresh_state p)
+
 let resume ?(config = Config.default) ?workers ?shards ?pool ?faults ?checkpoint ?memo ?model
     ~journal:dir () =
-  let loaded, jw = Persist.Journal.reopen ~dir () in
-  let h = loaded.Persist.Journal.l_header in
+  let h = (Persist.Journal.load ~dir).Persist.Journal.l_header in
   let model =
     match model with
     | Some m -> m
@@ -1143,9 +1195,6 @@ let resume ?(config = Config.default) ?workers ?shards ?pool ?faults ?checkpoint
       | exception _ ->
         resume_fail "resume: journal is for unknown model %S" h.Persist.Journal.model)
   in
-  if model.Models.Registry.name <> h.Persist.Journal.model then
-    resume_fail "resume: journal is for model %S, not %S" h.Persist.Journal.model
-      model.Models.Registry.name;
   let algo =
     match algo_of_name h.Persist.Journal.algo with
     | Some a -> a
@@ -1154,17 +1203,4 @@ let resume ?(config = Config.default) ?workers ?shards ?pool ?faults ?checkpoint
   (* the journal's seed is authoritative: the campaign being continued was
      run with it, and a different seed would change every measurement *)
   let config = { config with Config.seed = h.Persist.Journal.seed } in
-  if Config.digest config <> h.Persist.Journal.config_digest then
-    resume_fail
-      "resume: configuration digest mismatch (journal %s, offered %s) — the journaled \
-       campaign ran under different tuning settings"
-      h.Persist.Journal.config_digest (Config.digest config);
-  let p = prepare ~config model in
-  if List.length p.atoms <> h.Persist.Journal.atoms then
-    resume_fail "resume: model has %d FP atoms but the journal recorded %d"
-      (List.length p.atoms) h.Persist.Journal.atoms;
-  let preloaded =
-    List.map (record_of_entry p.atoms) loaded.Persist.Journal.l_entries
-  in
-  execute p ~algo ?workers ?shards ?pool ~journal:(dir, jw) ?faults ?checkpoint ?memo
-    ~preloaded ()
+  journaled ?workers ?shards ?pool ?faults ?checkpoint ?memo ~algo ~dir (prepare ~config model)

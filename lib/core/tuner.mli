@@ -49,7 +49,9 @@ type prepared = {
   cache : Runtime.Lower.Cache.t option;
       (** the campaign's per-procedure lowering cache ([None] when
           {!Config.t.proc_cache} is off); domain-safe, shared by pool
-          workers *)
+          workers. This field, [ccache], [share] and [eval_stats] are the
+          per-campaign state {!run_prepared} allocates afresh for every
+          campaign it runs. *)
   ccache : Runtime.Compile.Cache.t option;
       (** the campaign's compiled-procedure cache, keyed by the same
           precision-signature scheme as [cache] ([None] when
@@ -293,6 +295,42 @@ val run_hierarchical :
 exception Resume_mismatch of string
 (** The offered model/configuration disagrees with the journal header. *)
 
+val run_prepared :
+  ?workers:int ->
+  ?pool:Search.Pool.t ->
+  ?faults:Cluster.Faults.spec ->
+  ?checkpoint:(progress -> unit) ->
+  ?memo:memo_hooks ->
+  algo:algo ->
+  journal:string ->
+  prepared ->
+  campaign
+(** Start the journaled [algo] campaign in directory [journal] over an
+    already prepared evaluation space, or continue it when the directory
+    already holds a journal — the one entry a multiplexing caller needs
+    for every slice of every job. A fresh journal gets the header a solo
+    run would write ({!run_brute_force} records 0 workers). An existing
+    one is checked first: its model name, {!Config.digest}, atom count
+    and algorithm must match [prepared] and [algo], or {!Resume_mismatch}
+    is raised before anything is written, a torn tail included. It is
+    then continued as {!resume} would, with zero re-evaluation of the
+    journaled prefix; its seed is not adopted (it is part of the digest,
+    so [prepared] must have been built with it). [workers], [pool],
+    [faults], [checkpoint] and [memo] as in {!run_delta_debug}.
+
+    {b Sharing a [prepared].} Each call runs on fresh per-campaign state
+    — empty lowering and compile caches, an empty batch-reuse table,
+    zeroed eval timing — and only reads the rest of [prepared] (program,
+    search space, baseline books, threshold, scorer). One [prepared] may
+    therefore serve any number of campaigns, in turn or concurrently,
+    with records identical to solo runs (outcomes never depend on cache
+    contents) and no cache outliving its call. Hand it only campaigns of
+    the space it was built for: the same model source, the same
+    {!Config.digest}, and the same {!Config.t.proc_cache}, [compile],
+    [batch_reuse] and [verify_roundtrip] switches, which the digest
+    leaves out but {!prepare} reads. The header check catches a
+    mismatched model, digest or search-space size. *)
+
 val resume :
   ?config:Config.t ->
   ?workers:int ->
@@ -315,7 +353,8 @@ val resume :
     evaluations — and the finished campaign is record-for-record and
     summary-bit-identical to one that was never interrupted. The cluster
     accounting (and the fault layer's preemption clock) continues from
-    the hours the journaled prefix consumed.
+    the hours the journaled prefix consumed. The journal is left
+    untouched when the header check fails.
 
     [model] overrides the registry lookup of the header's model name —
     for campaigns over custom-built model instances (tests, scaled-down

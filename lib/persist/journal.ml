@@ -171,12 +171,6 @@ let entry_of_json j =
 
 type writer = { oc : out_channel; w_fsync : bool }
 
-let rec mkdir_p dir =
-  if dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let sync w =
   flush w.oc;
   if w.w_fsync then Unix.fsync (Unix.descr_of_out_channel w.oc)
@@ -187,10 +181,12 @@ let write_line w json =
   sync w
 
 let create ?(fsync = true) ~dir h =
-  mkdir_p dir;
+  Durable.mkdir_p dir;
   let oc = open_out_gen [ Open_wronly; Open_creat; Open_excl ] 0o644 (file ~dir) in
   let w = { oc; w_fsync = fsync } in
   write_line w (header_json { h with version = current_version });
+  (* the new journal's directory entry must outlive a crash too *)
+  if fsync then Durable.fsync_dir dir;
   w
 
 let append w e = write_line w (entry_json e)
@@ -305,8 +301,9 @@ let find_campaigns ?(max_depth = 3) ~root () =
   go 0 root;
   List.rev !out
 
-let reopen ?(fsync = true) ~dir () =
+let reopen ?(fsync = true) ?(check = fun (_ : header) -> ()) ~dir () =
   let l = load ~dir in
+  check l.l_header;
   let path = file ~dir in
   if l.l_torn then begin
     let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in

@@ -78,7 +78,8 @@ val create : ?fsync:bool -> dir:string -> header -> writer
 (** Creates [dir] (and parents) if needed and the journal file with the
     header line. Fails with [Sys_error] if a journal already exists there
     — resuming must go through {!reopen}. [fsync] (default [true]) syncs
-    after every line. *)
+    after every line, and syncs [dir] once the file exists so its
+    directory entry survives a crash ({!Durable.fsync_dir}). *)
 
 val append : writer -> entry -> unit
 (** Write one record line, flush, and (by default) fsync. *)
@@ -102,9 +103,12 @@ val load : dir:string -> loaded
 (** Raises {!Corrupt} on a missing or malformed journal; a torn final
     line only sets [l_torn]. *)
 
-val reopen : ?fsync:bool -> dir:string -> unit -> loaded * writer
+val reopen :
+  ?fsync:bool -> ?check:(header -> unit) -> dir:string -> unit -> loaded * writer
 (** {!load}, then truncate the file to [l_valid_bytes] (dropping any torn
-    tail) and reopen it for appending. *)
+    tail) and reopen it for appending. [check] sees the header before the
+    file is touched; an exception it raises propagates with the journal
+    unchanged, torn tail included. *)
 
 val find_campaigns : ?max_depth:int -> root:string -> unit -> string list
 (** Every directory at or below [root] (descending at most [max_depth]

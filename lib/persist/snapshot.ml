@@ -38,25 +38,9 @@ let of_json j =
                               s_finished;
                             }))))))
 
-let rec mkdir_p dir =
-  if dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let write ~dir s =
-  mkdir_p dir;
-  let path = file ~dir in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string (to_json s));
-      output_char oc '\n';
-      flush oc;
-      Unix.fsync (Unix.descr_of_out_channel oc));
-  Sys.rename tmp path
+  Durable.mkdir_p dir;
+  Durable.atomic_write ~path:(file ~dir) (Json.to_string (to_json s) ^ "\n")
 
 let read ~dir =
   match open_in_bin (file ~dir) with

@@ -22,8 +22,9 @@ val file : dir:string -> string
 (** [dir ^ "/snapshot.json"]. *)
 
 val write : dir:string -> t -> unit
-(** Atomic: writes [snapshot.json.tmp], fsyncs, renames over
-    [snapshot.json]. *)
+(** Atomic and durable ({!Durable.atomic_write}): writes
+    [snapshot.json.tmp], fsyncs, renames over [snapshot.json], fsyncs
+    [dir]. Creates [dir] if needed. *)
 
 val read : dir:string -> t option
 (** [None] when absent or unreadable (a snapshot is advisory; the journal

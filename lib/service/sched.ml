@@ -10,7 +10,13 @@
    jobs this way can only change *when* their work happens — each job's
    journal, minimal set and summary are byte-identical to the same
    campaign run solo through `prose tune`. Determinism is inherited, not
-   re-proven: the scheduler never touches what gets recorded. *)
+   re-proven: the scheduler never touches what gets recorded.
+
+   The one-time preprocessing (Tuner.prepare: parse, baseline profiling,
+   threshold) is paid once per evaluation space, not once per slice: the
+   scheduler keeps one prepared value per space while some runnable job
+   maps to it, and every slice runs on fresh per-campaign caches over
+   it (Tuner.run_prepared). *)
 
 type event = {
   ev_job : string;
@@ -30,6 +36,7 @@ type slice_result =
       si_fresh : int;
       si_new_records : int;
       si_shared : int;
+      si_prepared : bool;
     }
 
 (* Pure weighted-deficit round-robin cursor arithmetic, shared by the
@@ -96,6 +103,27 @@ module Fair = struct
   let simulate ~slices = simulate_weighted ~slices:(List.map (fun (id, n) -> (id, n, 1)) slices)
 end
 
+(* What [Tuner.prepare]'s output is a function of: the evaluation space
+   as the memo keys it (model name and source, Config.digest) plus the
+   execution strategies the digest leaves out but prepare reads — they
+   pick the caches it allocates and the summary's "backend" block. *)
+type space = {
+  memo_space : string;  (* Memo.space_key *)
+  proc_cache : bool;
+  compile : bool;
+  batch_reuse : bool;
+  verify_roundtrip : bool;
+}
+
+let space_of ~model ~(config : Core.Config.t) =
+  {
+    memo_space = Memo.space_key ~model ~config;
+    proc_cache = config.Core.Config.proc_cache;
+    compile = config.Core.Config.compile;
+    batch_reuse = config.Core.Config.batch_reuse;
+    verify_roundtrip = config.Core.Config.verify_roundtrip;
+  }
+
 type t = {
   store : Store.t;
   slice_records : int;
@@ -103,6 +131,8 @@ type t = {
   memo : Memo.t option;  (* fleet-wide evaluation memo; None = dedup off *)
   find_model : string -> Models.Registry.t;
   on_event : event -> unit;
+  prepared : (space, Core.Tuner.prepared) Hashtbl.t;
+      (* at most one per space, kept while some runnable job maps to it *)
   mutable cursor : Fair.cursor;
   mutable draining : bool;
 }
@@ -110,8 +140,8 @@ type t = {
 let create ?(slice_records = 8) ?pool ?memo ?(find_model = Models.Registry.find)
     ?(on_event = fun (_ : event) -> ()) store =
   if slice_records < 1 then invalid_arg "Sched.create: slice_records < 1";
-  { store; slice_records; pool; memo; find_model; on_event; cursor = Fair.start;
-    draining = false }
+  { store; slice_records; pool; memo; find_model; on_event; prepared = Hashtbl.create 4;
+    cursor = Fair.start; draining = false }
 
 let store t = t.store
 let find_model t = t.find_model
@@ -180,12 +210,13 @@ let run_slice t (job0 : Job.t) =
     | Some s when pg.Core.Tuner.pg_records - s >= t.slice_records -> raise Core.Tuner.Paused
     | Some _ | None -> ()
   in
+  let prepared_now = ref false in
   let finish (job : Job.t) ~detail ~fresh ~new_records ~slice_shared =
     Store.update t.store job;
     t.on_event (event_of_job job ~detail);
     Sliced
       { si_job = id; si_state = job.Job.state; si_fresh = fresh; si_new_records = new_records;
-        si_shared = slice_shared }
+        si_shared = slice_shared; si_prepared = !prepared_now }
   in
   match
     let model =
@@ -200,25 +231,23 @@ let run_slice t (job0 : Job.t) =
       | Some a -> a
       | None -> failwith ("unknown algorithm " ^ spec.Job.sp_algo)
     in
-    (* one evaluation space per (model source, config digest): only jobs
-       whose measurements are interchangeable ever share *)
-    let memo =
-      Option.map (fun m -> Memo.hooks m ~space:(Memo.space_key ~model ~config) ~job:id) t.memo
+    let space = space_of ~model ~config in
+    let p =
+      match Hashtbl.find_opt t.prepared space with
+      | Some p -> p
+      | None ->
+        let p = Core.Tuner.prepare ~config model in
+        Hashtbl.replace t.prepared space p;
+        prepared_now := true;
+        p
     in
-    if Sys.file_exists (Persist.Journal.file ~dir) then
-      Core.Tuner.resume ~config ~workers:spec.Job.sp_workers ?pool:t.pool ?faults ~checkpoint
-        ?memo ~model ~journal:dir ()
-    else begin
-      match algo with
-      | Core.Tuner.Brute_force_algo ->
-        Core.Tuner.run_brute_force ~config ~journal:dir ?faults ~checkpoint ?memo model
-      | Core.Tuner.Delta_debug_algo ->
-        Core.Tuner.run_delta_debug ~config ~workers:spec.Job.sp_workers ?pool:t.pool
-          ~journal:dir ?faults ~checkpoint ?memo model
-      | Core.Tuner.Hierarchical_algo ->
-        Core.Tuner.run_hierarchical ~config ~workers:spec.Job.sp_workers ?pool:t.pool
-          ~journal:dir ?faults ~checkpoint ?memo model
-    end
+    (* one memo space per (model source, config digest): only jobs whose
+       measurements are interchangeable ever share *)
+    let memo =
+      Option.map (fun m -> Memo.hooks m ~space:space.memo_space ~job:id) t.memo
+    in
+    Core.Tuner.run_prepared ~workers:spec.Job.sp_workers ?pool:t.pool ?faults ~checkpoint ?memo
+      ~algo ~journal:dir p
   with
   | campaign ->
     let pg = !last in
@@ -262,10 +291,25 @@ let run_slice t (job0 : Job.t) =
     finish { job with Job.state = Job.Failed msg } ~detail:"error" ~fresh:0 ~new_records:0
       ~slice_shared:0
 
+(* Drop every prepared value no runnable job maps to any more: a space's
+   prepared lives from its first slice until its last job is terminal. *)
+let evict t runnable =
+  let live =
+    List.filter_map
+      (fun (j : Job.t) ->
+        match t.find_model j.Job.spec.Job.sp_model with
+        | model -> Some (space_of ~model ~config:(Job.config_of_spec j.Job.spec))
+        | exception Not_found -> None)
+      runnable
+  in
+  Hashtbl.filter_map_inplace (fun space p -> if List.mem space live then Some p else None)
+    t.prepared
+
 let step t =
   if t.draining then Idle
   else
     let runnable = List.filter (fun j -> Job.runnable j.Job.state) (Store.list t.store) in
+    evict t runnable;
     let weight id =
       match List.find_opt (fun (j : Job.t) -> j.Job.id = id) runnable with
       | Some j -> j.Job.spec.Job.sp_priority

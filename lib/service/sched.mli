@@ -2,8 +2,8 @@
     runnable jobs over one shared evaluation substrate.
 
     A time slice is a journaled run/resume segment of one job's campaign:
-    the scheduler starts (fresh directory) or {!Core.Tuner.resume}s the
-    job with a checkpoint hook that raises {!Core.Tuner.Paused} after
+    the scheduler starts (fresh directory) or resumes the job with a
+    checkpoint hook that raises {!Core.Tuner.Paused} after
     [slice_records] fresh durable records — or earlier, when the job's
     quota is reached or a drain was requested. Slice boundaries therefore
     always sit on durable records, and PR 4's resume invariant (resumed ≡
@@ -13,6 +13,16 @@
     byte-identical to the same campaign run solo via [prose tune]. The
     scheduler multiplexes on a single thread and only decides {e when}
     work happens, never {e what} gets recorded.
+
+    The one-time preprocessing ({!Core.Tuner.prepare}) runs once per
+    evaluation space, not once per slice. The scheduler keeps one
+    prepared value per space — keyed by {!Memo.space_key} plus the
+    execution-strategy switches [proc_cache], [compile], [batch_reuse]
+    and [verify_roundtrip], which {!Core.Config.digest} leaves out but
+    [prepare] reads — and runs every slice of every job in that space on
+    it through {!Core.Tuner.run_prepared}, which gives each slice fresh
+    caches. An entry is dropped at the first {!step} that finds no
+    runnable job mapping to it.
 
     Quota enforcement reuses the preemption arithmetic: a job whose
     accumulated simulated hours (the journal context's books, fault
@@ -41,6 +51,9 @@ type slice_result =
       si_fresh : int;  (** fresh dynamic evaluations this slice (trace misses) *)
       si_new_records : int;  (** records committed beyond the resumed prefix *)
       si_shared : int;  (** records served by the fleet memo this slice *)
+      si_prepared : bool;
+          (** this slice ran {!Core.Tuner.prepare}: the scheduler held
+              no prepared value for the job's evaluation space *)
     }
 
 (** Pure weighted-deficit round-robin cursor arithmetic, shared by the

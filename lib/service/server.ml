@@ -176,10 +176,12 @@ let run ?(slice_records = 8) ?(shared_memo = true) ?(find_model = Models.Registr
           accept_pending t sock;
           if not t.stop then begin
             match Sched.step sched with
-            | Sched.Sliced { si_job; si_state; si_fresh; si_new_records; si_shared } ->
+            | Sched.Sliced { si_job; si_state; si_fresh; si_new_records; si_shared; si_prepared }
+              ->
               log
-                (Printf.sprintf "slice %s: +%d records (%d fresh, %d memo-shared) -> %s"
-                   si_job si_new_records si_fresh si_shared (Job.state_name si_state))
+                (Printf.sprintf "slice %s: +%d records (%d fresh, %d memo-shared) -> %s%s"
+                   si_job si_new_records si_fresh si_shared (Job.state_name si_state)
+                   (if si_prepared then ", prepared" else ""))
             | Sched.Idle -> wait_activity sock
           end
         done;

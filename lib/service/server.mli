@@ -29,6 +29,9 @@ val run :
     cross-campaign evaluation memo ({!Memo}): concurrent jobs in the
     same evaluation space evaluate each variant once fleet-wide, with
     memo-served records journaled normally plus a provenance line; job
-    results never depend on it. A stale socket (no listener behind it)
-    is replaced; [Error _] is returned when another server is actually
-    listening. *)
+    results never depend on it. [log] gets one line per slice,
+    [slice ID: +N records (F fresh, S memo-shared) -> STATE], with
+    [", prepared"] appended when the slice ran {!Core.Tuner.prepare}
+    (the first slice of an evaluation space; {!Sched}). A stale socket
+    (no listener behind it) is replaced; [Error _] is returned when
+    another server is actually listening. *)

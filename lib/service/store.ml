@@ -14,12 +14,6 @@ open Persist
 
 type t = { root : string }
 
-let rec mkdir_p dir =
-  if dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let jobs_dir t = Filename.concat t.root "jobs"
 let job_dir t id = Filename.concat (jobs_dir t) id
 let job_file t id = Filename.concat (job_dir t id) "job.json"
@@ -29,24 +23,13 @@ let minimal_file t id = Filename.concat (job_dir t id) "minimal.txt"
 
 let open_ ~root =
   let t = { root } in
-  mkdir_p (jobs_dir t);
+  Durable.mkdir_p (jobs_dir t);
   t
 
 let root t = t.root
 
-let atomic_write path text =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc text;
-      output_char oc '\n';
-      flush oc;
-      Unix.fsync (Unix.descr_of_out_channel oc));
-  Sys.rename tmp path
-
-let update t (job : Job.t) = atomic_write (job_file t job.Job.id) (Json.to_string (Job.to_json job))
+let update t (job : Job.t) =
+  Durable.atomic_write ~path:(job_file t job.Job.id) (Json.to_string (Job.to_json job) ^ "\n")
 
 let load t id =
   match open_in_bin (job_file t id) with
@@ -94,7 +77,7 @@ let submit t ~find_model spec =
   | Error _ as e -> e
   | Ok () ->
     let id = next_id t in
-    mkdir_p (job_dir t id);
+    Durable.mkdir_p (job_dir t id);
     let job = Job.make ~id spec in
     update t job;
     Ok job

@@ -3,8 +3,9 @@
     Layout: [ROOT/jobs/<id>/] holds [job.json] (the {!Job.t}), the job's
     [campaign/] journal directory, and — once the campaign completes —
     [summary.json] and [minimal.txt]. Every [job.json] write goes through
-    [.tmp]+rename (fsynced before the rename), so state transitions are
-    atomic: a crash leaves the old or the new state, never a torn file.
+    {!Persist.Durable.atomic_write} ([.tmp], fsync, rename, directory
+    fsync), so state transitions are atomic and durable: a crash leaves
+    the old or the new state, never a torn file.
     Foreign files and directories anywhere under the root are ignored. *)
 
 type t

@@ -193,6 +193,25 @@ let journal_tests =
               (compare (Persist.Snapshot.read ~dir) (Some s) = 0);
             Alcotest.(check bool) "no temp left behind" false
               (Sys.file_exists (Persist.Snapshot.file ~dir ^ ".tmp"))));
+    t "atomic writes are exact, leave no .tmp and replace a stale one" (fun () ->
+        with_dir (fun root ->
+            let dir = Filename.concat (Filename.concat root "a") "b" in
+            Persist.Durable.mkdir_p dir;
+            Persist.Durable.mkdir_p dir;
+            Alcotest.(check bool) "nested directories created" true (Sys.is_directory dir);
+            let path = Filename.concat dir "state.json" in
+            let tmp = path ^ ".tmp" in
+            Persist.Durable.atomic_write ~path "first\n";
+            Alcotest.(check string) "content exact" "first\n" (Harness.slurp path);
+            Alcotest.(check bool) "no .tmp left" false (Sys.file_exists tmp);
+            (* a writer that crashed before its rename left a longer .tmp *)
+            let oc = open_out_bin tmp in
+            output_string oc (String.make 4096 'x');
+            close_out oc;
+            Persist.Durable.atomic_write ~path "{\"second\": true}";
+            Alcotest.(check string) "stale .tmp replaced, content exact" "{\"second\": true}"
+              (Harness.slurp path);
+            Alcotest.(check bool) "no .tmp left after the stale one" false (Sys.file_exists tmp)));
     t "assignment signatures round-trip through of_signature" (fun () ->
         let p = Core.Tuner.prepare small_funarc in
         let atoms = p.Core.Tuner.atoms in
@@ -286,6 +305,67 @@ let resume_tests =
             match Core.Tuner.resume ~config:other ~model:small_funarc ~journal:dir () with
             | _ -> Alcotest.fail "resumed under a different configuration"
             | exception Core.Tuner.Resume_mismatch _ -> ()));
+    t "run_prepared refuses a journal of another space and commits nothing" (fun () ->
+        with_dir (fun dir ->
+            let p = Core.Tuner.prepare ~config:funarc_config small_funarc in
+            let brute q =
+              Core.Tuner.run_prepared ~algo:Core.Tuner.Brute_force_algo ~journal:dir q
+            in
+            let base = brute p in
+            truncate_journal dir 0.5;
+            let journal = Harness.slurp (Persist.Journal.file ~dir) in
+            let snapshot = Harness.slurp (Persist.Snapshot.file ~dir) in
+            let refuses name run =
+              (match run () with
+              | _ -> Alcotest.failf "%s: continued the journal" name
+              | exception Core.Tuner.Resume_mismatch _ -> ());
+              Alcotest.(check string) (name ^ ": journal untouched, torn tail included") journal
+                (Harness.slurp (Persist.Journal.file ~dir));
+              Alcotest.(check string) (name ^ ": snapshot untouched") snapshot
+                (Harness.slurp (Persist.Snapshot.file ~dir))
+            in
+            let prepare_with ?(config = funarc_config) model () =
+              brute (Core.Tuner.prepare ~config model)
+            in
+            refuses "another model"
+              (prepare_with { small_funarc with Models.Registry.name = "funarc_copy" });
+            refuses "another config digest"
+              (prepare_with ~config:{ funarc_config with Core.Config.static_filter = true }
+                 small_funarc);
+            let first = List.hd p.Core.Tuner.atoms in
+            refuses "another atom count"
+              (prepare_with
+                 {
+                   small_funarc with
+                   Models.Registry.exclude_atoms =
+                     first.Transform.Assignment.a_name
+                     :: small_funarc.Models.Registry.exclude_atoms;
+                 });
+            refuses "another algorithm" (fun () ->
+                Core.Tuner.run_prepared ~algo:Core.Tuner.Delta_debug_algo ~journal:dir p);
+            (* the prepared it was started over continues it *)
+            let resumed = brute p in
+            check_same_campaign "matching prepared" base resumed;
+            check_no_reeval "matching prepared" resumed));
+    t "one prepared serves many campaigns, each on fresh caches" (fun () ->
+        with_dir2 (fun solo_dir dir ->
+            let solo =
+              Core.Tuner.run_brute_force ~config:funarc_config ~journal:solo_dir small_funarc
+            in
+            let p = Core.Tuner.prepare ~config:funarc_config small_funarc in
+            for i = 1 to 2 do
+              let d = Filename.concat dir (string_of_int i) in
+              let c = Core.Tuner.run_prepared ~algo:Core.Tuner.Brute_force_algo ~journal:d p in
+              Alcotest.(check string) "journal byte-identical to solo"
+                (Harness.slurp (Persist.Journal.file ~dir:solo_dir))
+                (Harness.slurp (Persist.Journal.file ~dir:d));
+              Alcotest.(check string) "summary identical to solo"
+                (Core.Export.summary_json solo) (Core.Export.summary_json c);
+              let own a b = match (a, b) with Some a, Some b -> a != b | _ -> false in
+              Alcotest.(check bool) "caches are the campaign's own" true
+                (own c.Core.Tuner.prepared.Core.Tuner.cache p.Core.Tuner.cache
+                && own c.Core.Tuner.prepared.Core.Tuner.ccache p.Core.Tuner.ccache)
+            done));
     t "resume adopts the journal's seed" (fun () ->
         with_dir (fun dir ->
             let seeded = { funarc_config with Core.Config.seed = 7 } in

@@ -362,7 +362,7 @@ let drive sched =
   let rec go acc =
     match Service.Sched.step sched with
     | Service.Sched.Idle -> List.rev acc
-    | Service.Sched.Sliced { si_job; si_state; si_fresh; si_new_records; si_shared } ->
+    | Service.Sched.Sliced { si_job; si_state; si_fresh; si_new_records; si_shared; _ } ->
       go ((si_job, si_state, si_fresh, si_shared, si_new_records) :: acc)
   in
   go []
@@ -719,6 +719,80 @@ let cancel_test () =
   Alcotest.(check bool) "cancelled job never runs again" true
     (Service.Sched.step sched = Service.Sched.Idle)
 
+(* each slice as (job, whether it ran Tuner.prepare) *)
+let drive_prepares sched =
+  let rec go acc =
+    match Service.Sched.step sched with
+    | Service.Sched.Idle -> List.rev acc
+    | Service.Sched.Sliced { si_job; si_prepared; _ } -> go ((si_job, si_prepared) :: acc)
+  in
+  go []
+
+let prepares slices = List.length (List.filter snd slices)
+
+(* three jobs in one evaluation space and one on another model prepare
+   each space once, however many slices they take, and every job still
+   equals its solo run *)
+let one_prepare_per_space_test () =
+  Harness.with_dir2 @@ fun root solo_dir ->
+  let store = Service.Store.open_ ~root in
+  let spec_mom6 = { spec_dd with Service.Job.sp_model = "mom6"; sp_max_variants = Some 6 } in
+  List.iter (fun s -> ignore (submit_or_die store s)) [ spec_dd; spec_dd; spec_dd; spec_mom6 ];
+  let sched =
+    Service.Sched.create ~slice_records:3 ~memo:(Service.Memo.create ()) ~find_model store
+  in
+  let slices = drive_prepares sched in
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (id ^ " took several slices") true
+        (List.length (List.filter (fun (j, _) -> j = id) slices) >= 2))
+    [ "j001"; "j002"; "j003"; "j004" ];
+  Alcotest.(check int) "prepare ran once per space" 2 (prepares slices);
+  Alcotest.(check (list string)) "each space prepared by its first slice" [ "j001"; "j004" ]
+    (List.map fst (List.filter snd slices));
+  let solo = solo_dd ~journal:solo_dir in
+  ignore (solo : Core.Tuner.campaign);
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (id ^ " done") true (state_of store id = Service.Job.Done);
+      Alcotest.(check string)
+        (id ^ " journal (sans provenance) byte-identical to solo")
+        (Harness.slurp (Persist.Journal.file ~dir:solo_dir))
+        (strip_shared (job_journal store id)))
+    [ "j001"; "j002"; "j003" ];
+  Alcotest.(check bool) "j004 done" true (state_of store "j004" = Service.Job.Done)
+
+(* a space's prepared value is dropped once no runnable job maps to it:
+   a job submitted after the space's last job finished, or after it was
+   cancelled, prepares again *)
+let eviction_test () =
+  Harness.with_dir @@ fun root ->
+  let store = Service.Store.open_ ~root in
+  let sched = Service.Sched.create ~slice_records:3 ~find_model store in
+  ignore (submit_or_die store spec_dd);
+  let first = drive_prepares sched in
+  Alcotest.(check int) "first job prepares once" 1 (prepares first);
+  Alcotest.(check bool) "first job done" true (state_of store "j001" = Service.Job.Done);
+  ignore (submit_or_die store spec_dd);
+  (match drive_prepares sched with
+  | ("j002", true) :: rest ->
+    Alcotest.(check int) "later slices reuse it" 0 (prepares rest)
+  | _ -> Alcotest.fail "the job after a finished space did not prepare first");
+  ignore (submit_or_die store spec_dd);
+  (match Service.Sched.step sched with
+  | Service.Sched.Sliced { si_job = "j003"; si_prepared = true; _ } -> ()
+  | _ -> Alcotest.fail "j003's first slice did not prepare");
+  (match Service.Sched.cancel sched "j003" with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "cancel failed: %s" m);
+  (* the step that finds nothing runnable is the one that drops it *)
+  Alcotest.(check bool) "idle after the cancel" true
+    (Service.Sched.step sched = Service.Sched.Idle);
+  ignore (submit_or_die store spec_dd);
+  match Service.Sched.step sched with
+  | Service.Sched.Sliced { si_job = "j004"; si_prepared = true; _ } -> ()
+  | _ -> Alcotest.fail "the job after a cancelled space did not prepare"
+
 let sched_tests =
   [
     Alcotest.test_case "3 concurrent jobs = 3 solo runs, byte for byte (sequential)" `Quick
@@ -738,6 +812,8 @@ let sched_tests =
     t "mid-slice drain pauses durably and resumes bit-identically" drain_test;
     t "SIGKILL-torn journal: restart re-evaluates nothing, results identical" sigkill_test;
     t "cancel is terminal and unschedulable" cancel_test;
+    t "one prepare per evaluation space across all slices" one_prepare_per_space_test;
+    t "a space's prepared is dropped with its last runnable job" eviction_test;
   ]
 
 (* ------------------------------------------------------------------ *)
