@@ -30,6 +30,11 @@ dune exec bin/prose.exe -- tune mpas --max-variants 15 --workers 0 \
 # violation is minimized, written to test/corpus/, and fails the run.
 dune exec bin/prose.exe -- fuzz --cases 300 --seed 42
 
+# The error-amplification mirror's soundness at a second seed: 1000 cases
+# of the sensitivity oracle alone (every finite static bound must cover
+# the measured single-atom demotion error, sample by sample).
+dune exec bin/prose.exe -- fuzz --oracle sensitivity --cases 1000 --seed 7
+
 # Sharded-scheduler gate: one joint multi-hotspot campaign (the atm_srk3
 # driver inside the search space) at shards=2/workers=2 with fault
 # injection on, diffed record-for-record (CSV) and summary-for-summary

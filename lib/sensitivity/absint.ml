@@ -2,12 +2,12 @@
 
    One abstract pass executes the ORIGINAL (all-64-bit) program with the
    interpreter's exact concrete semantics — same values, same traps, same
-   control flow — and augments every real value with a sparse per-atom map
-   of absolute-error bounds: [err a] bounds |x_a - x| where x_a is the
-   value this expression would take in the program variant that demotes
-   precisely atom [a] to 32-bit (declarations rewritten, boundary wrappers
-   inserted by [Transform]).  All singleton-demotion bounds are computed
-   simultaneously in a single run.
+   control flow — and augments every real value with a per-atom error
+   vector ({!Errvec}) of absolute-error bounds: [err a] bounds |x_a - x|
+   where x_a is the value this expression would take in the program
+   variant that demotes precisely atom [a] to 32-bit (declarations
+   rewritten, boundary wrappers inserted by [Transform]).  All
+   singleton-demotion bounds are computed simultaneously in a single run.
 
    The error algebra (DESIGN.md §13):
    - reading a binding owned by atom [a] marks the value kind-tainted by
@@ -24,6 +24,13 @@
      POISONED — its sound bound becomes infinite, while the finite err
      accumulation continues as a ranking heuristic.
 
+   Everything that is a pure function of (procedure, name) — the Symtab
+   declaration a name resolves to, the atom owning the binding, the
+   global or parameter it denotes outside the frame — is resolved the
+   first time the name is used in that procedure ([name_info]), and a
+   procedure's dummies and locals live in a flat slot array laid out once
+   per procedure.
+
    Costs, timers, vectorization modes and the cost budget are not
    mirrored: they affect when a variant times out, never which values it
    computes, and a timed-out variant is a failed variant anyway. *)
@@ -31,12 +38,11 @@
 open Fortran
 module Value = Runtime.Value
 module Fp32 = Runtime.Fp32
-module IMap = Map.Make (Int)
-module ISet = Set.Make (Int)
+module E = Errvec
 
 type status = Finished | Stopped of string | Runtime_error of string
 
-type sample = { s_key : string; s_value : float; s_err : float IMap.t }
+type sample = { s_key : string; s_value : float; s_err : Errvec.t }
 
 type result = {
   r_status : status;
@@ -56,43 +62,62 @@ exception Trap of string
 
 let trap fmt = Format.kasprintf (fun m -> raise (Trap m)) fmt
 
-(* one f32 ulp at 1.0 (the interpreter's epsilon(kind=4)), doubled in the
-   rounding update so double roundings and directed modes are absorbed *)
-let eps32 = 1.1920928955078125e-07
-let eps64 = epsilon_float
-
-(* smallest positive subnormal at each kind: the relative model
-   [err <= 2 eps |v|] is vacuous once |v| sinks under the normal range —
-   rounding tiny(kind=8) to f32 flushes it to zero, an absolute error of
-   ~2.2e-308 that no multiple of eps32*|v| covers.  An absolute floor of
-   one subnormal ulp restores the bound (for normal |v| the relative term
-   already dominates it). *)
-let sub32 = 0x1p-149
-let sub64 = 0x1p-1074
-
 (* ------------------------------------------------------------------ *)
 (* Abstract values                                                     *)
 
 type av = {
   c : Value.v;  (* the concrete (baseline) value, bit-exact vs Interp *)
-  err : float IMap.t;  (* per-atom absolute-error bound *)
-  kt : ISet.t;  (* atoms whose demotion may change this value's kind *)
+  err : E.t;  (* per-atom absolute-error bound *)
+  kt : E.atoms;  (* atoms whose demotion may change this value's kind *)
 }
 
-let pure c = { c; err = IMap.empty; kt = ISet.empty }
+let pure c = { c; err = E.empty; kt = E.no_atoms }
 
 type cell =
   | Scalar of av ref  (* kt is never stored: it is a property of the binding *)
   | Real_array of {
       kind : Ast.real_kind;
       data : float array;
-      errs : float IMap.t array;
+      errs : E.t array;
       dims : int array;
     }
   | Int_array of { data : int array; dims : int array }
   | Log_array of { data : bool array; dims : int array }
 
-type frame = { proc : string option; vars : (string, cell) Hashtbl.t }
+(* the content of a frame slot whose variable is not bound (yet) *)
+let unbound = Log_array { data = [||]; dims = [||] }
+
+(* What [name] denotes as seen from one procedure (or from the main
+   program), resolved on first use: every field is a pure function of
+   (procedure, name).  A procedure's frames all hold the same dummies and
+   locals, and [param_value]'s temporary frame (no slots) resolves a
+   procedure-scope name to the same declaration through the symtab. *)
+type name_info = {
+  decl : Symtab.var_info option;  (* Symtab.lookup_var from the procedure *)
+  atom : int option;  (* the atom owning the binding *)
+  taint : E.atoms;  (* [atom] as a kind-taint set *)
+  slot : int;  (* index into the frame's cells, -1 when not a frame variable *)
+  intrinsic : bool;  (* undeclared, and an intrinsic function name *)
+  mutable outer : [ `Cell of cell | `Param of av ] option;
+      (* the resolution outside the frame, memoized once it succeeded
+         (a trap is raised again on every use) *)
+}
+
+type env = {
+  proc : string option;
+  slots : (string, int) Hashtbl.t;  (* frame layout: dummies, then locals *)
+  names : (string, name_info) Hashtbl.t;
+}
+
+type frame = { env : env; cells : cell array }
+
+(* a procedure as the call path needs it, built on its first call *)
+type callee = {
+  c_proc : Ast.proc;
+  c_env : env;
+  c_vars : (Symtab.var_info * int) list;  (* declarations of the scope, with slots *)
+  c_nslots : int;
+}
 
 type ctx = {
   st : Symtab.t;
@@ -109,6 +134,8 @@ type ctx = {
   max_steps : int;
   globals : (string, cell) Hashtbl.t;
   params : (string, av) Hashtbl.t;
+  callees : (string, callee) Hashtbl.t;
+  scope_envs : (string option, env) Hashtbl.t;  (* slotless: main, globals, parameters *)
   mutable samples : sample list;  (* reversed *)
   mutable depth : int;
 }
@@ -118,6 +145,41 @@ let poison ctx a = ctx.poisoned.(a) <- true
 let step ctx =
   ctx.steps <- ctx.steps + 1;
   if ctx.steps > ctx.max_steps then raise Step_limit
+
+let lookup ctx env name =
+  match Hashtbl.find env.names name with
+  | ni -> ni
+  | exception Not_found ->
+    let decl = Symtab.lookup_var ctx.st ~in_proc:env.proc name in
+    let atom =
+      match decl with
+      | Some info -> ctx.atom_of (info.Symtab.v_scope, info.Symtab.v_name)
+      | None -> None
+    in
+    let ni =
+      {
+        decl;
+        atom;
+        taint = (match atom with Some a -> [| a |] | None -> E.no_atoms);
+        slot = Option.value ~default:(-1) (Hashtbl.find_opt env.slots name);
+        intrinsic = Option.is_none decl && Builtins.is_intrinsic_function name;
+        outer = None;
+      }
+    in
+    Hashtbl.replace env.names name ni;
+    ni
+
+let frame_cell frame ni = if ni.slot < 0 then unbound else frame.cells.(ni.slot)
+
+let scope_env ctx proc =
+  match Hashtbl.find_opt ctx.scope_envs proc with
+  | Some env -> env
+  | None ->
+    let env = { proc; slots = Hashtbl.create 1; names = Hashtbl.create 16 } in
+    Hashtbl.replace ctx.scope_envs proc env;
+    env
+
+let scope_frame ctx proc = { env = scope_env ctx proc; cells = [||] }
 
 (* ------------------------------------------------------------------ *)
 (* Value helpers (mirroring Interp's, plus interval checks)            *)
@@ -156,7 +218,9 @@ let int_stable f v e = e = 0.0 || (Float.is_finite e && f (v -. e) = f (v +. e))
 let as_int_conv ctx f (v : av) =
   (match v.c with
   | Value.Vreal (x, _) ->
-    IMap.iter (fun a e -> if not (int_stable f x e) then poison ctx a) v.err
+    for i = 0 to E.length v.err - 1 do
+      if not (int_stable f x v.err.E.vals.(i)) then poison ctx v.err.E.keys.(i)
+    done
   | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> ());
   match v.c with
   | Value.Vint i -> i
@@ -168,43 +232,15 @@ let as_int ctx v = as_int_conv ctx (fun x -> int_of_float x) v
 (* ------------------------------------------------------------------ *)
 (* The error algebra                                                   *)
 
-let get a m = Option.value ~default:0.0 (IMap.find_opt a m)
-
-(* drop exact-zero entries so maps stay sparse *)
-let put a e m = if e = 0.0 then m else IMap.add a e m
-
-(* rounding update at epsilon [eps] for a result of magnitude |v|;
-   overflow past [cap] means the demoted run may trap where the baseline
-   did not — poison and keep a finite heuristic *)
-let round_entry ctx ~eps ~cap a v e =
-  let sub = if eps = eps32 then sub32 else sub64 in
-  let m = Float.abs v +. e in
-  let round = if m = 0.0 then 0.0 else Float.max (2.0 *. eps *. m) sub in
-  let e' = (e *. (1.0 +. (2.0 *. eps))) +. round in
-  if (not (Float.is_finite e')) || Float.abs v +. e' >= cap then begin
-    poison ctx a;
-    if Float.is_finite e' then e' else Float.abs v +. cap
-  end
-  else e'
-
-let f32_cap = Fp32.max_finite
-let f64_cap = max_float
-
 (* apply the post-operation rounding at baseline kind [k] to every entry,
    plus an extra f32 rounding for kind-tainted atoms when the baseline
    computed in 64-bit (their run may compute this operation in 32-bit) *)
 let round_err ctx k v err kt =
-  match k with
-  | Ast.K4 ->
-    IMap.mapi (fun a e -> round_entry ctx ~eps:eps32 ~cap:f32_cap a v e) err
-  | Ast.K8 ->
-    let err = IMap.mapi (fun a e -> round_entry ctx ~eps:eps64 ~cap:f64_cap a v e) err in
-    ISet.fold
-      (fun a err -> put a (round_entry ctx ~eps:eps32 ~cap:f32_cap a v (get a err)) err)
-      kt err
+  E.round ~poisoned:ctx.poisoned ~f32:(match k with Ast.K4 -> true | Ast.K8 -> false)
+    ~taint:kt v err
 
 (* mirror of Interp.mk_real: round the concrete value at kind [k], trap on
-   NaN/overflow, and attach the rounded error map *)
+   NaN/overflow, and attach the rounded error vector *)
 let mk_areal ctx k x err kt =
   let x' = Fp32.of_kind k x in
   if not (Float.is_finite x') then
@@ -213,40 +249,19 @@ let mk_areal ctx k x err kt =
     else trap "overflow in real(kind=%d) arithmetic" (Token.int_of_kind k);
   { c = Value.Vreal (x', k); err = round_err ctx k x' err kt; kt }
 
-let merge_err f ex ey =
-  IMap.merge
-    (fun _ a b -> Some (f (Option.value ~default:0.0 a) (Option.value ~default:0.0 b)))
-    ex ey
-
-(* |x'y' - xy| <= |y| ex + |x| ey + ex ey *)
-let mul_err x y = merge_err (fun ex ey -> (Float.abs y *. ex) +. (Float.abs x *. ey) +. (ex *. ey))
-
-(* |x'/y' - x/y| <= (|y| ex + |x| ey + ex ey) / (|y| (|y| - ey));
-   a divisor interval reaching zero is a trap/Inf divergence: poison *)
-let div_err ctx x y ex ey =
-  merge_err
-    (fun ex ey ->
-      let ay = Float.abs y in
-      let denom = ay -. ey in
-      let num = (ay *. ex) +. (Float.abs x *. ey) +. (ex *. ey) in
-      if denom <= 0.0 then num /. Float.max (ay *. ay) 1e-300 (* finite heuristic *)
-      else num /. (ay *. denom))
-    ex ey
-  |> fun merged ->
-  (* the merge closure cannot see which atom it serves: a divisor interval
-     reaching zero is poisoned here, with atom identities in hand *)
-  IMap.iter
-    (fun a ey_a -> if ey_a > 0.0 && Float.abs y -. ey_a <= 0.0 then poison ctx a)
-    ey;
-  merged
-
 (* comparison stability: if atom [a]'s joint interval can bridge the gap
    between x and y, run-a may take the other branch *)
-let compare_guard ctx x y ex ey =
+let compare_guard ctx x y (ex : E.t) (ey : E.t) =
   let gap = Float.abs (x -. y) in
   let check a e = if e > 0.0 && e >= gap then poison ctx a in
-  IMap.iter (fun a e -> check a (e +. get a ey)) ex;
-  IMap.iter (fun a e -> check a (e +. get a ex)) ey
+  for i = 0 to E.length ex - 1 do
+    let a = ex.E.keys.(i) in
+    check a (ex.E.vals.(i) +. E.get a ey)
+  done;
+  for i = 0 to E.length ey - 1 do
+    let a = ey.E.keys.(i) in
+    check a (ey.E.vals.(i) +. E.get a ex)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Storage                                                             *)
@@ -268,21 +283,9 @@ let alloc_cell (base : Ast.base_type) (extents : int list) : cell =
     if n < 0 || n > 50_000_000 then trap "array allocation of %d elements refused" n;
     (match base with
     | Ast.Treal kind ->
-      Real_array { kind; data = Array.make n 0.0; errs = Array.make n IMap.empty; dims }
+      Real_array { kind; data = Array.make n 0.0; errs = Array.make n E.empty; dims }
     | Ast.Tinteger -> Int_array { data = Array.make n 0; dims }
     | Ast.Tlogical -> Log_array { data = Array.make n false; dims })
-
-(* the atom owning a binding as named in [frame] (dummies and locals live
-   in the procedure scope; everything else resolves through the symtab) *)
-let binding_atom ctx frame name =
-  if Hashtbl.mem frame.vars name then
-    match frame.proc with
-    | Some p -> ctx.atom_of (Symtab.Proc_scope p, name)
-    | None -> None
-  else
-    match Symtab.lookup_var ctx.st ~in_proc:frame.proc name with
-    | Some info -> ctx.atom_of (info.Symtab.v_scope, info.Symtab.v_name)
-    | None -> None
 
 (* Aliasing hazard at a by-reference binding: in the baseline the dummy
    shares the actual's cell, but demoting either end makes their kinds
@@ -290,14 +293,15 @@ let binding_atom ctx frame name =
    sharing is gone. If the callee can also reach the actual (a module
    variable) by name, the two access paths now denote DIFFERENT storage
    and the copy-out can clobber or resurrect values in ways no interval
-   bounds: poison both ends' atoms. *)
-let alias_guard ctx frame ~callee ~dummy name =
-  if not (Hashtbl.mem frame.vars name) then
-    match Symtab.lookup_var ctx.st ~in_proc:frame.proc name with
+   bounds: poison both ends' atoms. [ni] is the actual's name in the
+   caller, [dummy] the dummy's in the callee. *)
+let alias_guard ctx frame ~callee ~(dummy : name_info) ni =
+  if frame_cell frame ni == unbound then
+    match ni.decl with
     | Some { Symtab.v_scope = Symtab.Unit_scope u; v_name; _ }
       when ctx.callee_touches callee (u, v_name) ->
-      Option.iter (poison ctx) (ctx.atom_of (Symtab.Unit_scope u, v_name));
-      Option.iter (poison ctx) (ctx.atom_of (Symtab.Proc_scope callee, dummy))
+      Option.iter (poison ctx) ni.atom;
+      Option.iter (poison ctx) dummy.atom
     | Some _ | None -> ()
 
 (* By-reference hazards of the kind-mismatch wrapper, charged at binding
@@ -323,25 +327,53 @@ let wrapper_hazard ~(dinfo : Symtab.var_info) atoms v err =
     let charge =
       match intent with
       | Some Ast.Out -> x
-      | _ -> if x = 0.0 then 0.0 else Float.max (2.0 *. eps32 *. x) sub32
+      | _ -> if x = 0.0 then 0.0 else Float.max (2.0 *. E.eps32 *. x) E.sub32
     in
     if charge = 0.0 then err
-    else List.fold_left (fun err a -> put a (Float.max charge (get a err)) err) err atoms
+    else List.fold_left (fun err a -> E.put a (Float.max charge (E.get a err)) err) err atoms
 
 (* reading through a binding owned by atom [a]: the value is kind-tainted
    by [a] and has been (or will be, at a wrapper boundary) f32-rounded *)
-let read_view ctx frame name (v : av) =
-  match v.c with
-  | Value.Vreal (x, _) -> (
-    match binding_atom ctx frame name with
-    | Some a ->
+let read_view ctx ni (v : av) =
+  match (v.c, ni.atom) with
+  | Value.Vreal (x, _), Some a ->
+    { v with err = E.round_one ~poisoned:ctx.poisoned a x v.err; kt = ni.taint }
+  | (Value.Vreal _ | Value.Vint _ | Value.Vlog _ | Value.Vstr _), _ ->
+    if Array.length v.kt = 0 then v else { v with kt = E.no_atoms }
+
+let find_callee ctx name =
+  match Hashtbl.find ctx.callees name with
+  | c -> c
+  | exception Not_found ->
+    let p =
+      match Symtab.find_proc ctx.st name with
+      | Some p -> p
+      | None -> trap "unknown procedure %s" name
+    in
+    (* the frame holds exactly the dummies and the non-parameter locals *)
+    let slots = Hashtbl.create 16 in
+    let add_slot v =
+      if not (Hashtbl.mem slots v) then Hashtbl.replace slots v (Hashtbl.length slots)
+    in
+    List.iter add_slot p.Ast.params;
+    let vars = Symtab.vars_of_scope ctx.st (Symtab.Proc_scope name) in
+    List.iter
+      (fun (info : Symtab.var_info) -> if not info.v_parameter then add_slot info.v_name)
+      vars;
+    let c =
       {
-        v with
-        err = put a (round_entry ctx ~eps:eps32 ~cap:f32_cap a x (get a v.err)) v.err;
-        kt = ISet.singleton a;
+        c_proc = p;
+        c_env = { proc = Some name; slots; names = Hashtbl.create 16 };
+        c_vars =
+          List.map
+            (fun (info : Symtab.var_info) ->
+              (info, Option.value ~default:(-1) (Hashtbl.find_opt slots info.v_name)))
+            vars;
+        c_nslots = Hashtbl.length slots;
       }
-    | None -> { v with kt = ISet.empty })
-  | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> { v with kt = ISet.empty }
+    in
+    Hashtbl.replace ctx.callees name c;
+    c
 
 (* ------------------------------------------------------------------ *)
 (* The mirror interpreter                                              *)
@@ -364,8 +396,7 @@ let rec param_value ctx (info : Symtab.var_info) =
       | Some e -> e
       | None -> trap "parameter %s has no initializer" info.v_name
     in
-    let frame = { proc = in_proc; vars = Hashtbl.create 1 } in
-    let v = eval_expr ctx frame init in
+    let v = eval_expr ctx (scope_frame ctx in_proc) init in
     let v =
       match (info.v_base, v.c) with
       | Ast.Treal k, _ ->
@@ -374,35 +405,42 @@ let rec param_value ctx (info : Symtab.var_info) =
         let err, kt =
           match ctx.atom_of (info.v_scope, info.v_name) with
           | Some a when k = Ast.K8 ->
-            (put a (Float.abs (Fp32.round x -. x) +. get a v.err) v.err, ISet.singleton a)
-          | Some _ | None -> (v.err, ISet.empty)
+            (E.put a (Float.abs (Fp32.round x -. x) +. E.get a v.err) v.err, [| a |])
+          | Some _ | None -> (v.err, E.no_atoms)
         in
-        { c = Value.Vreal (x, k); err = round_err ctx k x err ISet.empty; kt }
+        { c = Value.Vreal (x, k); err = round_err ctx k x err E.no_atoms; kt }
       | Ast.Tinteger, _ -> pure (Value.Vint (as_int ctx v))
       | Ast.Tlogical, _ -> pure (Value.Vlog (as_bool v.c))
     in
     Hashtbl.replace ctx.params key v;
     v
 
-and resolve ctx frame name : [ `Cell of cell | `Param of av ] =
-  match Hashtbl.find_opt frame.vars name with
-  | Some cell -> `Cell cell
-  | None -> (
-    match Symtab.lookup_var ctx.st ~in_proc:frame.proc name with
-    | None -> trap "undeclared variable %s" name
-    | Some info ->
-      if info.v_parameter then `Param (param_value ctx info)
-      else (
-        match info.v_scope with
-        | Symtab.Unit_scope u -> (
-          match Hashtbl.find_opt ctx.globals (global_key u name) with
-          | Some cell -> `Cell cell
-          | None -> trap "global %s.%s not allocated" u name)
-        | Symtab.Proc_scope p ->
-          trap "variable %s local to %s referenced out of scope" name p))
+and resolve ctx frame ni name : [ `Cell of cell | `Param of av ] =
+  let cell = frame_cell frame ni in
+  if cell != unbound then `Cell cell
+  else
+    match ni.outer with
+    | Some r -> r
+    | None ->
+      let r =
+        match ni.decl with
+        | None -> trap "undeclared variable %s" name
+        | Some info -> (
+          if info.v_parameter then `Param (param_value ctx info)
+          else
+            match info.v_scope with
+            | Symtab.Unit_scope u -> (
+              match Hashtbl.find_opt ctx.globals (global_key u name) with
+              | Some cell -> `Cell cell
+              | None -> trap "global %s.%s not allocated" u name)
+            | Symtab.Proc_scope p ->
+              trap "variable %s local to %s referenced out of scope" name p)
+      in
+      ni.outer <- Some r;
+      r
 
-and scalar_ref ctx frame name =
-  match resolve ctx frame name with
+and scalar_ref ctx frame ni name =
+  match resolve ctx frame ni name with
   | `Cell (Scalar r) -> r
   | `Cell (Real_array _ | Int_array _ | Log_array _) -> trap "array %s used as a scalar" name
   | `Param _ -> trap "parameter %s cannot be assigned" name
@@ -415,9 +453,10 @@ and eval_expr ctx frame (e : Ast.expr) : av =
   | Ast.Logical_lit b -> pure (Value.Vlog b)
   | Ast.Str_lit s -> pure (Value.Vstr s)
   | Ast.Var name -> (
-    match resolve ctx frame name with
+    let ni = lookup ctx frame.env name in
+    match resolve ctx frame ni name with
     | `Param v -> v
-    | `Cell (Scalar r) -> read_view ctx frame name !r
+    | `Cell (Scalar r) -> read_view ctx ni !r
     | `Cell (Real_array _ | Int_array _ | Log_array _) ->
       trap "whole array %s used as a value" name)
   | Ast.Unop (Ast.Neg, e1) -> (
@@ -429,21 +468,22 @@ and eval_expr ctx frame (e : Ast.expr) : av =
   | Ast.Unop (Ast.Not, e1) -> pure (Value.Vlog (not (as_bool (eval_expr ctx frame e1).c)))
   | Ast.Binop (op, a, b) -> eval_binop ctx frame op a b
   | Ast.Index (name, args) -> (
-    match Hashtbl.find_opt frame.vars name with
-    | Some cell -> array_load ctx frame name cell args
-    | None -> (
-      match Symtab.lookup_var ctx.st ~in_proc:frame.proc name with
-      | Some info when info.v_dims <> [] -> (
-        match resolve ctx frame name with
-        | `Cell cell -> array_load ctx frame name cell args
+    let ni = lookup ctx frame.env name in
+    let cell = frame_cell frame ni in
+    if cell != unbound then array_load ctx frame ni name cell args
+    else
+      match ni.decl with
+      | Some { v_dims = _ :: _; _ } -> (
+        match resolve ctx frame ni name with
+        | `Cell cell -> array_load ctx frame ni name cell args
         | `Param _ -> trap "array parameter %s unsupported" name)
       | Some _ -> trap "scalar %s subscripted" name
       | None ->
-        if Builtins.is_intrinsic_function name then eval_intrinsic ctx frame name args
+        if ni.intrinsic then eval_intrinsic ctx frame name args
         else (
           match call_user ctx frame name args with
           | Some v -> v
-          | None -> trap "subroutine %s called as a function" name)))
+          | None -> trap "subroutine %s called as a function" name))
 
 and eval_binop ctx frame op a b =
   match op with
@@ -460,7 +500,7 @@ and eval_binop ctx frame op a b =
     let vb = eval_expr ctx frame b in
     let ka = value_kind va.c in
     let kb = value_kind vb.c in
-    let kt = ISet.union va.kt vb.kt in
+    let kt = E.atoms_union va.kt vb.kt in
     match (va.c, vb.c, op) with
     | Value.Vint x, Value.Vint y, (Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Pow) ->
       pure
@@ -484,9 +524,9 @@ and eval_binop ctx frame op a b =
       let x = as_float va.c and y = as_float vb.c in
       let err =
         match op with
-        | Ast.Add | Ast.Sub -> merge_err ( +. ) va.err vb.err
-        | Ast.Mul -> mul_err x y va.err vb.err
-        | Ast.Div -> div_err ctx x y va.err vb.err
+        | Ast.Add | Ast.Sub -> E.add va.err vb.err
+        | Ast.Mul -> E.mul ~x ~y va.err vb.err
+        | Ast.Div -> E.div ~poisoned:ctx.poisoned ~x ~y va.err vb.err
         | _ -> assert false
       in
       mk_areal ctx k
@@ -509,11 +549,11 @@ and eval_binop ctx frame op a b =
            times; the exponent is an exact int (err-free by construction) *)
         let rec pow (acc, eacc) i =
           if i = 0 then (acc, eacc)
-          else pow (acc *. x, mul_err acc x eacc va.err) (i - 1)
+          else pow (acc *. x, E.mul ~x:acc ~y:x eacc va.err) (i - 1)
         in
-        let v, err = pow (1.0, IMap.empty) (abs n) in
+        let v, err = pow (1.0, E.empty) (abs n) in
         if n < 0 then
-          let err = div_err ctx 1.0 v IMap.empty err in
+          let err = E.div ~poisoned:ctx.poisoned ~x:1.0 ~y:v E.empty err in
           mk_areal ctx k (1.0 /. v) err kt
         else mk_areal ctx k v err kt
       | _ ->
@@ -523,7 +563,7 @@ and eval_binop ctx frame op a b =
            error rectangle is at a corner; an interval reaching x <= 0 can
            go complex (NaN trap divergence) *)
         let err =
-          merge_err
+          E.union
             (fun ex ey ->
               if ex = 0.0 && ey = 0.0 then 0.0
               else if x -. ex <= 0.0 then Float.abs raw +. 1.0
@@ -537,13 +577,13 @@ and eval_binop ctx frame op a b =
                   [ (ex, ey); (ex, -.ey); (-.ex, ey); (-.ex, -.ey) ])
             va.err vb.err
         in
-        IMap.iter
+        E.iter
           (fun a e ->
             if e > 0.0 then
-              let ex = get a va.err in
+              let ex = E.get a va.err in
               if x -. ex <= 0.0 || not (Float.is_finite e) then poison ctx a)
           err;
-        let err = IMap.map (fun e -> if Float.is_finite e then e else Float.abs raw +. 1.0) err in
+        let err = E.map (fun e -> if Float.is_finite e then e else Float.abs raw +. 1.0) err in
         mk_areal ctx k raw err kt)
     | _, _, (Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) -> (
       match (va.c, vb.c) with
@@ -572,12 +612,12 @@ and eval_binop ctx frame op a b =
 and eval_indices ctx frame args =
   List.map (fun a -> as_int ctx (eval_expr ctx frame a)) args
 
-and array_load ctx frame name cell args =
+and array_load ctx frame ni name cell args =
   let indices = eval_indices ctx frame args in
   match cell with
   | Real_array { kind; data; errs; dims } ->
     let o = Value.offset ~name ~dims indices in
-    read_view ctx frame name { c = Value.Vreal (data.(o), kind); err = errs.(o); kt = ISet.empty }
+    read_view ctx ni { c = Value.Vreal (data.(o), kind); err = errs.(o); kt = E.no_atoms }
   | Int_array { data; dims } -> pure (Value.Vint (data.(Value.offset ~name ~dims indices)))
   | Log_array { data; dims } -> pure (Value.Vlog (data.(Value.offset ~name ~dims indices)))
   | Scalar _ -> trap "scalar %s subscripted" name
@@ -586,22 +626,22 @@ and array_load ctx frame name cell args =
    binding [name]: round the concrete exactly as the interpreter does
    (trapping non-finite), round every error entry at the declared kind,
    and charge the extra f32 rounding to the binding's atom *)
-and store_real ctx frame name kind (v : av) =
+and store_real ctx ni name kind (v : av) =
   let x = Fp32.of_kind kind (as_float v.c) in
   if not (Float.is_finite x) then
     trap "non-finite value stored to %s (real(kind=%d))" name (Token.int_of_kind kind);
   let kt =
-    match binding_atom ctx frame name with
-    | Some a -> ISet.add a v.kt
+    match ni.atom with
+    | Some a -> E.atoms_add a v.kt
     | None -> v.kt
   in
   (x, round_err ctx kind x v.err kt)
 
-and array_store ctx frame name cell args v =
+and array_store ctx frame ni name cell args v =
   let indices = eval_indices ctx frame args in
   match cell with
   | Real_array { kind; data; errs; dims } ->
-    let x, err = store_real ctx frame name kind v in
+    let x, err = store_real ctx ni name kind v in
     let o = Value.offset ~name ~dims indices in
     data.(o) <- x;
     errs.(o) <- err
@@ -609,14 +649,14 @@ and array_store ctx frame name cell args v =
   | Log_array { data; dims } -> data.(Value.offset ~name ~dims indices) <- as_bool v.c
   | Scalar _ -> trap "scalar %s subscripted" name
 
-and scalar_store ctx frame name r (v : av) =
+and scalar_store ctx ni name r (v : av) =
   match !r.c with
   | Value.Vreal (_, k) ->
-    let x, err = store_real ctx frame name k v in
-    r := { c = Value.Vreal (x, k); err; kt = ISet.empty }
+    let x, err = store_real ctx ni name k v in
+    r := { c = Value.Vreal (x, k); err; kt = E.no_atoms }
   | Value.Vint _ -> r := pure (Value.Vint (as_int ctx v))
   | Value.Vlog _ -> r := pure (Value.Vlog (as_bool v.c))
-  | Value.Vstr _ -> r := { v with kt = ISet.empty }
+  | Value.Vstr _ -> r := { v with kt = E.no_atoms }
 
 (* ------------------------------------------------------------------ *)
 (* Intrinsics                                                          *)
@@ -691,7 +731,7 @@ and eval_intrinsic ctx frame name args =
           | _ -> assert false
       in
       let err =
-        IMap.mapi
+        E.mapi
           (fun a e ->
             match lip e with
             | Some e' -> e'
@@ -718,10 +758,8 @@ and eval_intrinsic ctx frame name args =
         List.fold_left (if name = "min" then Float.min else Float.max) (List.hd fs) (List.tl fs)
       in
       (* |min_i x'_i - min_i x_i| <= max_i |x'_i - x_i| *)
-      let err =
-        List.fold_left (fun acc v -> merge_err Float.max acc v.err) IMap.empty vs
-      in
-      let kt = List.fold_left (fun acc v -> ISet.union acc v.kt) ISet.empty vs in
+      let err = List.fold_left (fun acc v -> E.union Float.max acc v.err) E.empty vs in
+      let kt = List.fold_left (fun acc v -> E.atoms_union acc v.kt) E.no_atoms vs in
       mk_areal ctx k f err kt)
   | "mod" -> (
     match args with
@@ -747,15 +785,15 @@ and eval_intrinsic ctx frame name args =
           if q = 0.0 then 0.0 else Float.min (Float.abs r) (q -. Float.abs r)
         in
         let err =
-          merge_err
+          E.union
             (fun ex ey ->
               if ey > 0.0 then ex +. ey +. Float.abs y
               else if ex >= boundary_dist then ex +. Float.abs y
               else ex)
             va.err vb.err
         in
-        IMap.iter (fun a ey -> if ey > 0.0 then poison ctx a) vb.err;
-        mk_areal ctx k r err (ISet.union va.kt vb.kt))
+        E.iter (fun a ey -> if ey > 0.0 then poison ctx a) vb.err;
+        mk_areal ctx k r err (E.atoms_union va.kt vb.kt))
     | _ -> trap "mod expects two arguments")
   | "atan2" -> (
     match args with
@@ -769,14 +807,14 @@ and eval_intrinsic ctx frame name args =
         (* gradient magnitude is 1/r; the range is (-pi, pi], so 2*pi
            always bounds the jump across the branch cut *)
         let err =
-          merge_err
+          E.union
             (fun ey ex ->
               let m = r -. (ey +. ex) in
               if m <= 0.0 then 2.0 *. Float.pi
               else Float.min ((ey +. ex) /. m) (2.0 *. Float.pi))
             va.err vb.err
         in
-        mk_areal ctx k (Float.atan2 y x) err (ISet.union va.kt vb.kt)
+        mk_areal ctx k (Float.atan2 y x) err (E.atoms_union va.kt vb.kt)
       | None -> trap "atan2 of non-real values")
     | _ -> trap "atan2 expects two arguments")
   | "sign" -> (
@@ -789,13 +827,13 @@ and eval_intrinsic ctx frame name args =
         let xf = as_float x.c and yf = as_float y.c in
         let m = Float.abs xf in
         let err =
-          merge_err
+          E.union
             (fun ex ey ->
               (* a flippable sign of y doubles the magnitude swing *)
               if ey > 0.0 && Float.abs yf <= ey then ex +. (2.0 *. (m +. ex)) else ex)
             x.err y.err
         in
-        mk_areal ctx k (if yf >= 0.0 then m else -.m) err (ISet.union x.kt y.kt)
+        mk_areal ctx k (if yf >= 0.0 then m else -.m) err (E.atoms_union x.kt y.kt)
       | None ->
         let m = abs (as_int ctx x) in
         pure (Value.Vint (if as_int ctx y >= 0 then m else -m)))
@@ -809,19 +847,20 @@ and eval_intrinsic ctx frame name args =
          error survives one f32 rounding (real() does not trap non-finite,
          mirroring the interpreter; an overflowing entry poisons inside
          round_err) *)
-      { c = Value.Vreal (x, Ast.K4); err = round_err ctx Ast.K4 x v.err ISet.empty;
-        kt = ISet.empty }
+      { c = Value.Vreal (x, Ast.K4); err = round_err ctx Ast.K4 x v.err E.no_atoms;
+        kt = E.no_atoms }
     | [ a; Ast.Int_lit k ] -> (
       let v = eval_expr ctx frame a in
       match Token.kind_of_int k with
       | Some kk ->
         let x = Fp32.of_kind kk (as_float v.c) in
-        { c = Value.Vreal (x, kk); err = round_err ctx kk x v.err ISet.empty; kt = ISet.empty }
+        { c = Value.Vreal (x, kk); err = round_err ctx kk x v.err E.no_atoms;
+          kt = E.no_atoms }
       | None -> trap "real(): unsupported kind %d" k)
     | _ -> trap "real() expects (x) or (x, kind)")
   | "dble" ->
     let v = unary () in
-    { c = Value.Vreal (as_float v.c, Ast.K8); err = v.err; kt = ISet.empty }
+    { c = Value.Vreal (as_float v.c, Ast.K8); err = v.err; kt = E.no_atoms }
   | "int" -> pure (Value.Vint (as_int_conv ctx (fun x -> int_of_float x) (unary ())))
   | "nint" ->
     pure (Value.Vint (as_int_conv ctx (fun x -> int_of_float (Float.round x)) (unary ())))
@@ -830,25 +869,25 @@ and eval_intrinsic ctx frame name args =
   | "dot_product" -> (
     match args with
     | [ Ast.Var a; Ast.Var b ] -> (
-      match (resolve ctx frame a, resolve ctx frame b) with
+      let nia = lookup ctx frame.env a and nib = lookup ctx frame.env b in
+      match (resolve ctx frame nia a, resolve ctx frame nib b) with
       | ( `Cell (Real_array { kind = ka; data = da; errs = ea; _ }),
           `Cell (Real_array { kind = kb; data = db; errs = eb; _ }) ) ->
         let n = min (Array.length da) (Array.length db) in
         let kind = if ka = Ast.K8 || kb = Ast.K8 then Ast.K8 else Ast.K4 in
-        let kt =
-          ISet.union
-            (match binding_atom ctx frame a with Some i -> ISet.singleton i | None -> ISet.empty)
-            (match binding_atom ctx frame b with Some i -> ISet.singleton i | None -> ISet.empty)
-        in
-        let s = ref 0.0 and serr = ref IMap.empty in
+        let kt = E.atoms_union nia.taint nib.taint in
+        let elem ni x k err = read_view ctx ni { c = Value.Vreal (x, k); err; kt = E.no_atoms } in
+        let s = ref 0.0 and serr = ref E.empty in
         for i = 0 to n - 1 do
-          let xa = read_view ctx frame a { c = Value.Vreal (da.(i), ka); err = ea.(i); kt = ISet.empty } in
-          let xb = read_view ctx frame b { c = Value.Vreal (db.(i), kb); err = eb.(i); kt = ISet.empty } in
+          let xa = elem nia da.(i) ka ea.(i) in
+          let xb = elem nib db.(i) kb eb.(i) in
           let p = da.(i) *. db.(i) in
-          let perr = round_err ctx kind (Fp32.of_kind kind p) (mul_err da.(i) db.(i) xa.err xb.err) kt in
+          let perr =
+            round_err ctx kind (Fp32.of_kind kind p) (E.mul ~x:da.(i) ~y:db.(i) xa.err xb.err) kt
+          in
           let p = Fp32.of_kind kind p in
           let s' = Fp32.of_kind kind (!s +. p) in
-          serr := round_err ctx kind s' (merge_err ( +. ) !serr perr) kt;
+          serr := round_err ctx kind s' (E.add !serr perr) kt;
           s := s'
         done;
         mk_areal ctx kind !s !serr kt
@@ -857,25 +896,21 @@ and eval_intrinsic ctx frame name args =
   | "sum" | "maxval" | "minval" -> (
     match args with
     | [ Ast.Var arr ] -> (
-      match resolve ctx frame arr with
+      let ni = lookup ctx frame.env arr in
+      match resolve ctx frame ni arr with
       | `Cell (Real_array { kind; data; errs; _ }) ->
         let n = Array.length data in
-        let kt =
-          match binding_atom ctx frame arr with
-          | Some i -> ISet.singleton i
-          | None -> ISet.empty
-        in
+        let kt = ni.taint in
         let elem i =
-          read_view ctx frame arr
-            { c = Value.Vreal (data.(i), kind); err = errs.(i); kt = ISet.empty }
+          read_view ctx ni { c = Value.Vreal (data.(i), kind); err = errs.(i); kt = E.no_atoms }
         in
         (match name with
         | "sum" ->
-          let s = ref 0.0 and serr = ref IMap.empty in
+          let s = ref 0.0 and serr = ref E.empty in
           for i = 0 to n - 1 do
             let x = elem i in
             let s' = Fp32.of_kind kind (!s +. data.(i)) in
-            serr := round_err ctx kind s' (merge_err ( +. ) !serr x.err) kt;
+            serr := round_err ctx kind s' (E.add !serr x.err) kt;
             s := s'
           done;
           mk_areal ctx kind !s !serr kt
@@ -887,7 +922,7 @@ and eval_intrinsic ctx frame name args =
             for i = 1 to n - 1 do
               let x = elem i in
               v := fold !v data.(i);
-              err := merge_err Float.max !err x.err
+              err := E.union Float.max !err x.err
             done;
             mk_areal ctx kind !v !err kt
           end
@@ -903,14 +938,14 @@ and eval_intrinsic ctx frame name args =
   | "size" -> (
     match args with
     | [ Ast.Var arr ] -> (
-      match resolve ctx frame arr with
+      match resolve ctx frame (lookup ctx frame.env arr) arr with
       | `Cell (Real_array { dims; _ }) -> pure (Value.Vint (Value.elements dims))
       | `Cell (Int_array { dims; _ }) -> pure (Value.Vint (Value.elements dims))
       | `Cell (Log_array { dims; _ }) -> pure (Value.Vint (Value.elements dims))
       | `Cell (Scalar _) | `Param _ -> trap "size of non-array")
     | [ Ast.Var arr; d ] -> (
       let dim = as_int ctx (eval_expr ctx frame d) in
-      match resolve ctx frame arr with
+      match resolve ctx frame (lookup ctx frame.env arr) arr with
       | `Cell (Real_array { dims; _ })
       | `Cell (Int_array { dims; _ })
       | `Cell (Log_array { dims; _ }) ->
@@ -936,7 +971,7 @@ and eval_intrinsic ctx frame name args =
          demoted run: the error is the full distance between the kinds *)
       let gap = Float.abs (model name Ast.K4 -. model name Ast.K8) in
       let err =
-        if k = Ast.K8 then ISet.fold (fun a m -> put a gap m) kt IMap.empty else IMap.empty
+        if k = Ast.K8 then Array.fold_left (fun m a -> E.put a gap m) E.empty kt else E.empty
       in
       { c = Value.Vreal (v, k); err; kt }
     | _ -> trap "%s of non-real value" name)
@@ -946,44 +981,43 @@ and eval_intrinsic ctx frame name args =
 (* Procedure calls                                                     *)
 
 and call_user ctx frame name arg_exprs : av option =
-  let p =
-    match Symtab.find_proc ctx.st name with
-    | Some p -> p
-    | None -> trap "unknown procedure %s" name
-  in
+  let callee = find_callee ctx name in
+  let p = callee.c_proc in
   ctx.depth <- ctx.depth + 1;
   if ctx.depth > 200 then trap "call depth limit exceeded at %s" name;
   if List.length arg_exprs <> List.length p.Ast.params then
     trap "procedure %s expects %d arguments, got %d" name (List.length p.Ast.params)
       (List.length arg_exprs);
-  let callee_frame = { proc = Some name; vars = Hashtbl.create 16 } in
+  let callee_frame = { env = callee.c_env; cells = Array.make callee.c_nslots unbound } in
   let copy_out = ref [] in
   List.iter2
     (fun dummy actual ->
+      (* Symtab.build guarantees every dummy is declared in the procedure
+         scope, so its name_info's atom is the dummy's own *)
+      let dni = lookup ctx callee.c_env dummy in
       let dinfo =
-        match Symtab.lookup_var ctx.st ~in_proc:(Some name) dummy with
+        match dni.decl with
         | Some i -> i
         | None -> trap "dummy %s of %s undeclared" dummy name
       in
+      let bind cell = callee_frame.cells.(dni.slot) <- cell in
       if dinfo.v_dims <> [] then begin
         match actual with
         | Ast.Var a -> (
-          match resolve ctx frame a with
+          let ani = lookup ctx frame.env a in
+          match resolve ctx frame ani a with
           | `Cell (Real_array { kind; _ } as cell) -> (
             match dinfo.v_base with
             | Ast.Treal dk when dk = kind ->
-              alias_guard ctx frame ~callee:name ~dummy a;
+              alias_guard ctx frame ~callee:name ~dummy:dni ani;
               (match cell with
               | Real_array { data; errs; _ } ->
-                let atoms =
-                  List.filter_map Fun.id
-                    [ ctx.atom_of (Symtab.Proc_scope name, dummy); binding_atom ctx frame a ]
-                in
+                let atoms = List.filter_map Fun.id [ dni.atom; ani.atom ] in
                 Array.iteri
                   (fun i e -> errs.(i) <- wrapper_hazard ~dinfo atoms data.(i) e)
                   errs
               | Scalar _ | Int_array _ | Log_array _ -> ());
-              Hashtbl.replace callee_frame.vars dummy cell
+              bind cell
             | Ast.Treal dk ->
               trap
                 "argument %s of %s: real(kind=%d) array passed to real(kind=%d) dummy %s — \
@@ -992,11 +1026,11 @@ and call_user ctx frame name arg_exprs : av option =
             | Ast.Tinteger | Ast.Tlogical -> trap "array type mismatch for %s of %s" dummy name)
           | `Cell (Int_array _ as cell) -> (
             match dinfo.v_base with
-            | Ast.Tinteger -> Hashtbl.replace callee_frame.vars dummy cell
+            | Ast.Tinteger -> bind cell
             | Ast.Treal _ | Ast.Tlogical -> trap "array type mismatch for %s of %s" dummy name)
           | `Cell (Log_array _ as cell) -> (
             match dinfo.v_base with
-            | Ast.Tlogical -> Hashtbl.replace callee_frame.vars dummy cell
+            | Ast.Tlogical -> bind cell
             | Ast.Treal _ | Ast.Tinteger -> trap "array type mismatch for %s of %s" dummy name)
           | `Cell (Scalar _) -> trap "scalar %s passed to array dummy %s of %s" a dummy name
           | `Param _ -> trap "parameter %s passed to array dummy" a)
@@ -1005,61 +1039,60 @@ and call_user ctx frame name arg_exprs : av option =
       else begin
         match (actual, dinfo.v_base) with
         | Ast.Var a, _ -> (
-          match resolve ctx frame a with
+          let ani = lookup ctx frame.env a in
+          match resolve ctx frame ani a with
           | `Cell (Scalar r as cell) -> (
             match (!r.c, dinfo.v_base) with
             | Value.Vreal (_, ak), Ast.Treal dk ->
               if ak = dk then begin
-                alias_guard ctx frame ~callee:name ~dummy a;
-                let atoms =
-                  List.filter_map Fun.id
-                    [ ctx.atom_of (Symtab.Proc_scope name, dummy); binding_atom ctx frame a ]
-                in
+                alias_guard ctx frame ~callee:name ~dummy:dni ani;
+                let atoms = List.filter_map Fun.id [ dni.atom; ani.atom ] in
                 r := { !r with err = wrapper_hazard ~dinfo atoms (as_float !r.c) !r.err };
-                Hashtbl.replace callee_frame.vars dummy cell
+                bind cell
               end
               else
                 trap
                   "argument %s of %s: real(kind=%d) passed to real(kind=%d) dummy %s — wrapper \
                    required"
                   a name (Token.int_of_kind ak) (Token.int_of_kind dk) dummy
-            | Value.Vint _, Ast.Tinteger | Value.Vlog _, Ast.Tlogical ->
-              Hashtbl.replace callee_frame.vars dummy cell
+            | Value.Vint _, Ast.Tinteger | Value.Vlog _, Ast.Tlogical -> bind cell
             | _ -> trap "type mismatch binding %s to dummy %s of %s" a dummy name)
-          | `Param v -> bind_by_value ctx callee_frame ~callee:name ~dummy ~dinfo ~actual v
+          | `Param v -> bind_by_value ctx callee_frame ~callee:name ~dummy ~dni ~dinfo ~actual v
           | `Cell (Real_array _ | Int_array _ | Log_array _) ->
             trap "array %s passed to scalar dummy %s of %s" a dummy name)
         | _, _ ->
           let v = eval_expr ctx frame actual in
-          bind_by_value ctx callee_frame ~callee:name ~dummy ~dinfo ~actual v;
+          bind_by_value ctx callee_frame ~callee:name ~dummy ~dni ~dinfo ~actual v;
           (match (actual, dinfo.v_intent) with
           | Ast.Index (arr_name, idx), (Some Ast.Out | Some Ast.Inout | None) -> (
-            match Symtab.lookup_var ctx.st ~in_proc:frame.proc arr_name with
+            let ani = lookup ctx frame.env arr_name in
+            match ani.decl with
             | Some { v_dims = _ :: _; v_parameter = false; _ } ->
-              copy_out := (arr_name, idx, dummy) :: !copy_out
+              copy_out := (ani, arr_name, idx, dni) :: !copy_out
             | Some _ | None -> ())
           | _ -> ())
       end)
     p.Ast.params arg_exprs;
   List.iter
-    (fun (info : Symtab.var_info) ->
-      if (not (Hashtbl.mem callee_frame.vars info.v_name)) && not info.v_parameter then begin
+    (fun ((info : Symtab.var_info), slot) ->
+      if (not info.v_parameter) && callee_frame.cells.(slot) == unbound then begin
         let extents =
           List.map (fun d -> as_int ctx (eval_expr ctx callee_frame d)) info.v_dims
         in
-        Hashtbl.replace callee_frame.vars info.v_name (alloc_cell info.v_base extents)
+        callee_frame.cells.(slot) <- alloc_cell info.v_base extents
       end)
-    (Symtab.vars_of_scope ctx.st (Symtab.Proc_scope name));
+    callee.c_vars;
   List.iter
-    (fun (info : Symtab.var_info) ->
+    (fun ((info : Symtab.var_info), slot) ->
       match info.v_init with
       | Some e when not info.v_parameter -> (
         let v = eval_expr ctx callee_frame e in
-        match Hashtbl.find_opt callee_frame.vars info.v_name with
-        | Some (Scalar r) -> scalar_store ctx callee_frame info.v_name r v
-        | Some _ | None -> trap "initializer on array %s unsupported" info.v_name)
+        match callee_frame.cells.(slot) with
+        | Scalar r -> scalar_store ctx (lookup ctx callee.c_env info.v_name) info.v_name r v
+        | Real_array _ | Int_array _ | Log_array _ ->
+          trap "initializer on array %s unsupported" info.v_name)
       | Some _ | None -> ())
-    (Symtab.vars_of_scope ctx.st (Symtab.Proc_scope name));
+    callee.c_vars;
   let finish () = ctx.depth <- ctx.depth - 1 in
   (match exec_block ctx callee_frame p.Ast.proc_body with
   | () -> ()
@@ -1069,24 +1102,25 @@ and call_user ctx frame name arg_exprs : av option =
     raise e);
   finish ();
   List.iter
-    (fun (arr_name, idx, dummy) ->
-      match Hashtbl.find_opt callee_frame.vars dummy with
-      | Some (Scalar r) -> (
-        match resolve ctx frame arr_name with
-        | `Cell cell ->
-          array_store ctx frame arr_name cell idx (read_view ctx callee_frame dummy !r)
+    (fun (ani, arr_name, idx, dni) ->
+      match frame_cell callee_frame dni with
+      | Scalar r -> (
+        match resolve ctx frame ani arr_name with
+        | `Cell cell -> array_store ctx frame ani arr_name cell idx (read_view ctx dni !r)
         | `Param _ -> ())
-      | Some _ | None -> ())
+      | Real_array _ | Int_array _ | Log_array _ -> ())
     !copy_out;
   match p.Ast.proc_kind with
   | Ast.Subroutine -> None
   | Ast.Function { result } -> (
-    match Hashtbl.find_opt callee_frame.vars result with
-    | Some (Scalar r) -> Some (read_view ctx callee_frame result !r)
-    | Some _ -> trap "array-valued function %s unsupported" name
-    | None -> trap "function %s has no result cell" name)
+    let rni = lookup ctx callee.c_env result in
+    match frame_cell callee_frame rni with
+    | Scalar r -> Some (read_view ctx rni !r)
+    | cell when cell == unbound -> trap "function %s has no result cell" name
+    | Real_array _ | Int_array _ | Log_array _ -> trap "array-valued function %s unsupported" name)
 
-and bind_by_value ctx callee_frame ~callee ~dummy ~dinfo ~actual (v : av) =
+and bind_by_value ctx callee_frame ~callee ~dummy ~dni ~dinfo ~actual (v : av) =
+  let bind cell = callee_frame.cells.(dni.slot) <- cell in
   match (dinfo.Symtab.v_base, v.c) with
   | Ast.Treal dk, Value.Vreal (_, ak) ->
     if ak <> dk then begin
@@ -1097,32 +1131,27 @@ and bind_by_value ctx callee_frame ~callee ~dummy ~dinfo ~actual (v : av) =
            per-atom bound is attributable — give up on the whole program *)
         if dinfo.v_intent = Some Ast.Out then
           Array.iteri (fun a _ -> poison ctx a) ctx.poisoned;
-        Hashtbl.replace callee_frame.vars dummy
-          (Scalar (ref (pure (Value.Vreal (Fp32.of_kind dk (as_float v.c), dk)))))
+        bind (Scalar (ref (pure (Value.Vreal (Fp32.of_kind dk (as_float v.c), dk)))))
       end
       else
-        trap
-          "argument %d-ish of %s: real(kind=%d) value passed to real(kind=%d) dummy %s — \
-           wrapper required"
-          0 callee (Token.int_of_kind ak) (Token.int_of_kind dk) dummy
+        trap "real(kind=%d) value passed to real(kind=%d) dummy %s of %s — wrapper required"
+          (Token.int_of_kind ak) (Token.int_of_kind dk) dummy callee
     end
     else begin
       (* by-value copy: the store into the dummy cell rounds at [dk] *)
       let x = Fp32.of_kind dk (as_float v.c) in
       let kt =
-        match ctx.atom_of (Symtab.Proc_scope callee, dummy) with
-        | Some a -> ISet.add a v.kt
+        match dni.atom with
+        | Some a -> E.atoms_add a v.kt
         | None -> v.kt
       in
-      let err = wrapper_hazard ~dinfo (ISet.elements kt) x (round_err ctx dk x v.err kt) in
-      Hashtbl.replace callee_frame.vars dummy
-        (Scalar (ref { c = Value.Vreal (x, dk); err; kt = ISet.empty }))
+      let err = wrapper_hazard ~dinfo (Array.to_list kt) x (round_err ctx dk x v.err kt) in
+      bind (Scalar (ref { c = Value.Vreal (x, dk); err; kt = E.no_atoms }))
     end
   | Ast.Treal dk, Value.Vint i ->
-    Hashtbl.replace callee_frame.vars dummy
-      (Scalar (ref (pure (Value.Vreal (Fp32.of_kind dk (float_of_int i), dk)))))
+    bind (Scalar (ref (pure (Value.Vreal (Fp32.of_kind dk (float_of_int i), dk)))))
   | Ast.Tinteger, Value.Vint _ | Ast.Tlogical, Value.Vlog _ ->
-    Hashtbl.replace callee_frame.vars dummy (Scalar (ref { v with kt = ISet.empty }))
+    bind (Scalar (ref { v with kt = E.no_atoms }))
   | _ -> trap "type mismatch binding value to dummy %s of %s" dummy callee
 
 (* ------------------------------------------------------------------ *)
@@ -1137,13 +1166,15 @@ and exec_stmt ctx frame (s : Ast.stmt) =
     let v = eval_expr ctx frame rhs in
     match lhs with
     | Ast.Lvar name -> (
-      match resolve ctx frame name with
-      | `Cell (Scalar r) -> scalar_store ctx frame name r v
+      let ni = lookup ctx frame.env name in
+      match resolve ctx frame ni name with
+      | `Cell (Scalar r) -> scalar_store ctx ni name r v
       | `Cell _ -> trap "assignment to whole array %s unsupported" name
       | `Param _ -> trap "assignment to parameter %s" name)
     | Ast.Lindex (name, idx) -> (
-      match resolve ctx frame name with
-      | `Cell cell -> array_store ctx frame name cell idx v
+      let ni = lookup ctx frame.env name in
+      match resolve ctx frame ni name with
+      | `Cell cell -> array_store ctx frame ni name cell idx v
       | `Param _ -> trap "assignment to parameter %s" name))
   | Ast.Call (name, args) ->
     if Builtins.is_intrinsic_subroutine name then exec_builtin_call ctx frame name args
@@ -1156,7 +1187,7 @@ and exec_stmt ctx frame (s : Ast.stmt) =
     in
     go arms
   | Ast.Do { var; from_; to_; step = stp_e; body; _ } ->
-    let r = scalar_ref ctx frame var in
+    let r = scalar_ref ctx frame (lookup ctx frame.env var) var in
     let lo = as_int ctx (eval_expr ctx frame from_) in
     let hi = as_int ctx (eval_expr ctx frame to_) in
     let stp = match stp_e with Some e -> as_int ctx (eval_expr ctx frame e) | None -> 1 in
@@ -1218,7 +1249,7 @@ and exec_stmt ctx frame (s : Ast.stmt) =
             ctx.samples <- { s_key = key; s_value = x; s_err = v.err } :: ctx.samples
           | Value.Vint i ->
             ctx.samples <-
-              { s_key = key; s_value = float_of_int i; s_err = IMap.empty } :: ctx.samples
+              { s_key = key; s_value = float_of_int i; s_err = E.empty } :: ctx.samples
           | Value.Vlog _ | Value.Vstr _ -> ())
         rest
     | _ -> ())
@@ -1230,8 +1261,9 @@ and exec_builtin_call ctx frame name args =
     (match op with
     | "sum" | "max" | "min" -> ()
     | _ -> trap "mpi_allreduce: unknown op %s" op);
-    let r = scalar_ref ctx frame recv in
-    scalar_store ctx frame recv r v
+    let ni = lookup ctx frame.env recv in
+    let r = scalar_ref ctx frame ni recv in
+    scalar_store ctx ni recv r v
   | "mpi_allreduce", _ -> trap "mpi_allreduce expects (send, recv, 'op')"
   | "mpi_barrier", [] -> ()
   | "mpi_barrier", _ -> trap "mpi_barrier takes no arguments"
@@ -1268,10 +1300,11 @@ let prepare_globals ctx =
         (fun (info : Symtab.var_info) ->
           match info.v_init with
           | Some e when not info.v_parameter -> (
-            let frame = { proc = None; vars = Hashtbl.create 1 } in
+            let frame = scope_frame ctx None in
             let v = eval_expr ctx frame e in
             match Hashtbl.find_opt ctx.globals (global_key uname info.v_name) with
-            | Some (Scalar r) -> scalar_store ctx frame info.v_name r v
+            | Some (Scalar r) ->
+              scalar_store ctx (lookup ctx frame.env info.v_name) info.v_name r v
             | Some _ | None -> trap "initializer on module array %s unsupported" info.v_name)
           | Some _ | None -> ())
         (Symtab.vars_of_scope ctx.st (Symtab.Unit_scope uname)))
@@ -1338,35 +1371,34 @@ let analyze ?(max_steps = 20_000_000) ~atoms st =
       max_steps;
       globals = Hashtbl.create 64;
       params = Hashtbl.create 64;
+      callees = Hashtbl.create 32;
+      scope_envs = Hashtbl.create 8;
       samples = [];
       depth = 0;
     }
   in
-  match
-    prepare_globals ctx;
-    match Ast.main_of (Symtab.program st) with
-    | None -> trap "program has no main unit"
-    | Some m ->
-      let frame = { proc = None; vars = Hashtbl.create 16 } in
-      exec_block ctx frame m.Ast.main_body
-  with
-  | () ->
-    Some
-      {
-        r_status = Finished;
-        r_samples = List.rev ctx.samples;
-        r_poisoned = ctx.poisoned;
-        r_steps = ctx.steps;
-      }
-  | exception Stop_signal m ->
-    Some
-      {
-        r_status = Stopped m;
-        r_samples = List.rev ctx.samples;
-        r_poisoned = ctx.poisoned;
-        r_steps = ctx.steps;
-      }
-  | exception (Trap _ | Value.Bounds _ | Return_signal | Exit_signal | Cycle_signal) -> None
-  | exception Step_limit -> None
+  let status =
+    match
+      prepare_globals ctx;
+      match Ast.main_of (Symtab.program st) with
+      | None -> trap "program has no main unit"
+      | Some m -> exec_block ctx (scope_frame ctx None) m.Ast.main_body
+    with
+    | () -> Finished
+    | exception Stop_signal m -> Stopped m
+    | exception Trap m -> Runtime_error m
+    | exception Value.Bounds m -> Runtime_error m
+    | exception Return_signal -> Finished
+    | exception Exit_signal -> Runtime_error "exit outside a loop"
+    | exception Cycle_signal -> Runtime_error "cycle outside a loop"
+    | exception Step_limit ->
+      Runtime_error (Printf.sprintf "analysis step limit (%d) exceeded" max_steps)
+  in
+  {
+    r_status = status;
+    r_samples = List.rev ctx.samples;
+    r_poisoned = ctx.poisoned;
+    r_steps = ctx.steps;
+  }
 
 let atom_indices atoms = fst (index_atoms atoms)

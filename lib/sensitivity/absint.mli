@@ -2,11 +2,12 @@
 
     One abstract execution of the ORIGINAL (all-64-bit) program follows the
     interpreter's concrete semantics bit-exactly (same values, same traps,
-    same control flow) while every real value additionally carries a sparse
-    per-atom map of absolute-error bounds: entry [a] bounds the deviation
-    this expression can show in the program variant that demotes precisely
-    atom [a] to 32-bit.  All singleton-demotion bounds for every demotable
-    atom are computed simultaneously in a single pass.
+    same control flow) while every real value additionally carries a
+    per-atom error vector of absolute-error bounds ({!Errvec.t}): entry
+    [a] bounds the deviation this expression can show in the program
+    variant that demotes precisely atom [a] to 32-bit.  All
+    singleton-demotion bounds for every demotable atom are computed
+    simultaneously in a single pass.
 
     Where a demoted run could diverge in a way intervals cannot bound —
     a comparison the error interval can flip, an integer conversion that
@@ -16,14 +17,16 @@
     anything), while its finite error accumulation keeps going and remains
     usable as a ranking heuristic.  See DESIGN.md §13. *)
 
-module IMap : Map.S with type key = int
-
 type status = Finished | Stopped of string | Runtime_error of string
 
 type sample = {
   s_key : string;  (** the [print 'key', ...] series key *)
   s_value : float;  (** the concrete (baseline) sample, bit-exact vs Interp *)
-  s_err : float IMap.t;  (** per-atom absolute-error bound on this sample *)
+  s_err : Errvec.t;
+      (** per-atom absolute-error bound on this sample: sorted atom indices
+          with their bounds in an unboxed array.  An atom without an entry
+          never touched the sample (bound 0); an entry may be an explicit
+          [0.0], which is not the same support. *)
 }
 
 type result = {
@@ -34,13 +37,16 @@ type result = {
 }
 
 val analyze :
-  ?max_steps:int -> atoms:Transform.Assignment.atom list -> Fortran.Symtab.t -> result option
+  ?max_steps:int -> atoms:Transform.Assignment.atom list -> Fortran.Symtab.t -> result
 (** Run the mirror on the original program. [atoms] fixes the atom
     indexing: the demotable (declared 64-bit) atoms are numbered 0.. in
     list order; already-32-bit atoms are skipped (demoting them is the
-    identity).  Returns [None] when the analysis cannot produce a usable
-    answer: the baseline itself traps, or the mirror exceeds [max_steps]
-    (default 20M). *)
+    identity).  The status says how the run ended, as the interpreter's
+    would: [Stopped] at a [stop], [Runtime_error] with the trap, bounds
+    error or stray [exit]/[cycle] message, or — with its own message —
+    when the mirror exceeds [max_steps] (default 20M).  Only a [Finished]
+    result is a usable analysis; the samples and poisoned flags of any
+    other are those reached before it ended. *)
 
 val atom_indices :
   Transform.Assignment.atom list -> (Fortran.Symtab.scope * string, int) Hashtbl.t

@@ -73,67 +73,65 @@ let mean_trip st =
   | cs -> Float.max 1.0 (List.fold_left ( +. ) 0.0 cs /. float_of_int (List.length cs))
 
 let create ~st ~atoms ~metric_key ~baseline_metric ~threshold ~margin =
-  match Absint.analyze ~atoms st with
-  | None -> None
-  | Some r ->
-    if r.Absint.r_status <> Absint.Finished then None
+  let r = Absint.analyze ~atoms st in
+  if r.Absint.r_status <> Absint.Finished then None
+  else begin
+    let series =
+      List.filter (fun s -> s.Absint.s_key = metric_key) r.Absint.r_samples
+    in
+    let concrete = List.map (fun s -> s.Absint.s_value) series in
+    (* fidelity gate: the mirror must reproduce the interpreter's
+       baseline series bit-for-bit, or every bound is untrustworthy *)
+    let faithful =
+      List.length concrete = List.length baseline_metric
+      && List.for_all2 (fun a b -> bits a = bits b) concrete baseline_metric
+    in
+    if not faithful then None
     else begin
-      let series =
-        List.filter (fun s -> s.Absint.s_key = metric_key) r.Absint.r_samples
+      let n = Array.length r.Absint.r_poisoned in
+      (* per-atom l2 relative error over the series, mirroring
+         Metrics.Error.series_rel_error_l2's per-sample rule *)
+      let amp = Array.make n 0.0 in
+      List.iter
+        (fun (s : Absint.sample) ->
+          Errvec.iter
+            (fun a e ->
+              if a >= 0 && a < n then begin
+                let b = Float.abs s.Absint.s_value in
+                let rel = if b = 0.0 then e else e /. b in
+                (* overflow-proof l2 combine: saturated entries sit near
+                   max_float, and squaring them would collapse every
+                   poisoned atom's amp to the same [infinity] — clamp and
+                   hypot keep the pre-saturation magnitudes ordered, which
+                   is all the ranking needs *)
+                let rel = Float.min rel 1e300 in
+                amp.(a) <- Float.hypot amp.(a) rel
+              end)
+            s.Absint.s_err)
+        series;
+      let rel_bound =
+        Array.init n (fun a -> if r.Absint.r_poisoned.(a) then infinity else amp.(a))
       in
-      let concrete = List.map (fun s -> s.Absint.s_value) series in
-      (* fidelity gate: the mirror must reproduce the interpreter's
-         baseline series bit-for-bit, or every bound is untrustworthy *)
-      let faithful =
-        List.length concrete = List.length baseline_metric
-        && List.for_all2 (fun a b -> bits a = bits b) concrete baseline_metric
-      in
-      if not faithful then None
-      else begin
-        let n = Array.length r.Absint.r_poisoned in
-        (* per-atom l2 relative error over the series, mirroring
-           Metrics.Error.series_rel_error_l2's per-sample rule *)
-        let amp = Array.make n 0.0 in
-        List.iter
-          (fun (s : Absint.sample) ->
-            Absint.IMap.iter
-              (fun a e ->
-                if a >= 0 && a < n then begin
-                  let b = Float.abs s.Absint.s_value in
-                  let rel = if b = 0.0 then e else e /. b in
-                  (* overflow-proof l2 combine: saturated entries sit near
-                     max_float, and squaring them would collapse every
-                     poisoned atom's amp to the same [infinity] — clamp and
-                     hypot keep the pre-saturation magnitudes ordered, which
-                     is all the ranking needs *)
-                  let rel = Float.min rel 1e300 in
-                  amp.(a) <- Float.hypot amp.(a) rel
-                end)
-              s.Absint.s_err)
-          series;
-        let rel_bound =
-          Array.init n (fun a -> if r.Absint.r_poisoned.(a) then infinity else amp.(a))
-        in
-        let index_of = Absint.atom_indices atoms in
-        let trip = mean_trip st in
-        let defuse = Analysis.Defuse.analyze st in
-        let weight = Array.make n 1.0 in
-        Hashtbl.iter
-          (fun (scope, name) a ->
-            match Analysis.Defuse.for_var defuse ~scope name with
-            | Some s ->
-              let occ acc (o : Analysis.Defuse.occurrence) =
-                acc +. (trip ** float_of_int o.Analysis.Defuse.o_loop_depth)
-              in
-              weight.(a) <-
-                List.fold_left occ (List.fold_left occ 1.0 s.Analysis.Defuse.defs)
-                  s.Analysis.Defuse.uses
-            | None -> ())
-          index_of;
-        let total_weight = Float.max 1.0 (Array.fold_left ( +. ) 0.0 weight) in
-        Some { rel_bound; amp; weight; total_weight; threshold; margin; index_of }
-      end
+      let index_of = Absint.atom_indices atoms in
+      let trip = mean_trip st in
+      let defuse = Analysis.Defuse.analyze st in
+      let weight = Array.make n 1.0 in
+      Hashtbl.iter
+        (fun (scope, name) a ->
+          match Analysis.Defuse.for_var defuse ~scope name with
+          | Some s ->
+            let occ acc (o : Analysis.Defuse.occurrence) =
+              acc +. (trip ** float_of_int o.Analysis.Defuse.o_loop_depth)
+            in
+            weight.(a) <-
+              List.fold_left occ (List.fold_left occ 1.0 s.Analysis.Defuse.defs)
+                s.Analysis.Defuse.uses
+          | None -> ())
+        index_of;
+      let total_weight = Float.max 1.0 (Array.fold_left ( +. ) 0.0 weight) in
+      Some { rel_bound; amp; weight; total_weight; threshold; margin; index_of }
     end
+  end
 
 let indices t asg =
   List.filter_map
@@ -173,3 +171,6 @@ let prune t asg =
 
 let atom_bound t (a : A.atom) =
   Option.map (fun i -> t.rel_bound.(i)) (Hashtbl.find_opt t.index_of (a.A.a_scope, a.A.a_name))
+
+let atom_amp t (a : A.atom) =
+  Option.map (fun i -> t.amp.(i)) (Hashtbl.find_opt t.index_of (a.A.a_scope, a.A.a_name))

@@ -50,3 +50,7 @@ val prune : t -> Transform.Assignment.t -> bool
 val atom_bound : t -> Transform.Assignment.atom -> float option
 (** The singleton bound for one atom ([None] for atoms outside the
     demotable index, i.e. already 32-bit). *)
+
+val atom_amp : t -> Transform.Assignment.atom -> float option
+(** The finite ranking-grade amplification of one atom's singleton
+    demotion ([None] outside the demotable index). *)

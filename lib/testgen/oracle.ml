@@ -213,23 +213,23 @@ let check_sensitivity (c : Gen.case) =
   let base_out = Runtime.Lower.run ~budget (Runtime.Lower.lower ~machine st) in
   if base_out.Runtime.Interp.status <> Runtime.Interp.Finished then []
   else
-    match Sensitivity.Absint.analyze ~atoms st with
-    | None ->
+    let r = Sensitivity.Absint.analyze ~atoms st in
+    match r.Sensitivity.Absint.r_status with
+    | Sensitivity.Absint.Runtime_error m ->
       [
         {
           oracle = Sensitivity;
-          detail = "mirror analysis failed on a program the interpreter finishes";
+          detail = "mirror failed on a program the interpreter finishes: " ^ m;
         };
       ]
-    | Some r when r.Sensitivity.Absint.r_status <> Sensitivity.Absint.Finished ->
+    | Sensitivity.Absint.Stopped m ->
       [
         {
           oracle = Sensitivity;
-          detail =
-            "mirror did not finish on a program the interpreter finishes";
+          detail = Printf.sprintf "mirror stopped (%S) on a program the interpreter finishes" m;
         };
       ]
-    | Some r ->
+    | Sensitivity.Absint.Finished ->
       let base_records = base_out.Runtime.Interp.records in
       let samples = r.Sensitivity.Absint.r_samples in
       if
@@ -286,10 +286,7 @@ let check_sensitivity (c : Gen.case) =
                   List.concat
                     (List.map2
                        (fun (s : Sensitivity.Absint.sample) (k, v') ->
-                         let bound =
-                           Option.value ~default:0.0
-                             (Sensitivity.Absint.IMap.find_opt i s.Sensitivity.Absint.s_err)
-                         in
+                         let bound = Sensitivity.Errvec.get i s.Sensitivity.Absint.s_err in
                          let dev = Float.abs (v' -. s.Sensitivity.Absint.s_value) in
                          if
                            String.equal s.Sensitivity.Absint.s_key k

@@ -75,6 +75,280 @@ let scorer_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Mirror output bits                                                  *)
+
+(* Every bit the mirror computes on a registered model, in one digest:
+   status, step count, poisoned flags, every sample key, value and error
+   entry, and the scorer's per-atom bound and amplification, floats in
+   [%h].  The constants were recorded before the error maps changed
+   representation; any drift in an entry, in the support of a map (an
+   absent entry is not an explicit zero), or in the step count shows. *)
+let mirror_digest (model : Models.Registry.t) =
+  let st =
+    Fortran.Symtab.build
+      (Fortran.Parser.parse ~file:(model.Models.Registry.name ^ ".f90")
+         model.Models.Registry.source)
+  in
+  Fortran.Typecheck.check_program st;
+  let atoms =
+    Transform.Assignment.atoms_of_target st ~module_:model.Models.Registry.target_module
+      ~procs:(Some model.Models.Registry.target_procs)
+      ~exclude:model.Models.Registry.exclude_atoms
+  in
+  let buf = Buffer.create 4096 in
+  let pf fmt = Printf.bprintf buf fmt in
+  let r = Sensitivity.Absint.analyze ~atoms st in
+  (match r.Sensitivity.Absint.r_status with
+  | Sensitivity.Absint.Finished -> pf "finished"
+  | Sensitivity.Absint.Stopped m -> pf "stopped %S" m
+  | Sensitivity.Absint.Runtime_error m -> pf "error %S" m);
+  pf " steps=%d poisoned=" r.Sensitivity.Absint.r_steps;
+  Array.iter (fun b -> pf "%c" (if b then '1' else '0')) r.Sensitivity.Absint.r_poisoned;
+  pf "\n";
+  List.iter
+    (fun (s : Sensitivity.Absint.sample) ->
+      pf "%s %h" s.Sensitivity.Absint.s_key s.Sensitivity.Absint.s_value;
+      Sensitivity.Errvec.iter (fun a e -> pf " %d:%h" a e) s.Sensitivity.Absint.s_err;
+      pf "\n")
+    r.Sensitivity.Absint.r_samples;
+  let out = Runtime.Lower.run (Runtime.Lower.lower ~machine:Runtime.Machine.default st) in
+  let baseline_metric = Runtime.Interp.series out model.Models.Registry.metric_key in
+  (match
+     Sensitivity.Score.create ~st ~atoms ~metric_key:model.Models.Registry.metric_key
+       ~baseline_metric ~threshold:1e-3 ~margin:1e6
+   with
+  | None -> pf "no scorer\n"
+  | Some sc ->
+    let opt = function Some x -> Printf.sprintf "%h" x | None -> "-" in
+    List.iter
+      (fun a ->
+        pf "%s %s %s\n" (Transform.Assignment.atom_id a)
+          (opt (Sensitivity.Score.atom_bound sc a))
+          (opt (Sensitivity.Score.atom_amp sc a)))
+      atoms);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let mirror_bits_tests =
+  List.map
+    (fun (name, expected) ->
+      t (Printf.sprintf "pinned on %s" name) (fun () ->
+          Alcotest.(check string) "digest" expected
+            (mirror_digest (Models.Registry.find name))))
+    [
+      ("funarc", "90672d9eedf3a2a102df8fa8d57bede0");
+      ("mpas", "06d6eca804c5d33b0c759a334fe99844");
+      ("adcirc", "a221fa7cbe02c9655a4a1ca8ee5e0c62");
+      ("mom6", "1626efef6dfa9d2fc3c2fcf96b661d28");
+      ("lulesh", "c273b6d155b3473609f9c3b9980b2711");
+      ("mpas_joint", "39d770a3e9f523b14b15336c7d141c28");
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Error vectors against a tree-map reference                          *)
+
+(* The reference is the error algebra as a sparse [float Map.Make(Int).t]
+   with [merge]/[mapi]/[add]: the representation the vectors replaced. *)
+module R = Map.Make (Int)
+
+let r_get a m = Option.value ~default:0.0 (R.find_opt a m)
+let r_put a e m = if e = 0.0 then m else R.add a e m
+
+let r_merge f ex ey =
+  R.merge (fun _ a b -> Some (f (Option.value ~default:0.0 a) (Option.value ~default:0.0 b))) ex ey
+
+let r_round_entry poisoned ~eps a v e =
+  let sub = if eps = Sensitivity.Errvec.eps32 then 0x1p-149 else 0x1p-1074 in
+  let cap = if eps = Sensitivity.Errvec.eps32 then Runtime.Fp32.max_finite else max_float in
+  let m = Float.abs v +. e in
+  let round = if m = 0.0 then 0.0 else Float.max (2.0 *. eps *. m) sub in
+  let e' = (e *. (1.0 +. (2.0 *. eps))) +. round in
+  if (not (Float.is_finite e')) || Float.abs v +. e' >= cap then begin
+    poisoned.(a) <- true;
+    if Float.is_finite e' then e' else Float.abs v +. cap
+  end
+  else e'
+
+let r_round poisoned ~f32 ~taint v err =
+  let e32 = Sensitivity.Errvec.eps32 in
+  if f32 then R.mapi (fun a e -> r_round_entry poisoned ~eps:e32 a v e) err
+  else
+    let err = R.mapi (fun a e -> r_round_entry poisoned ~eps:epsilon_float a v e) err in
+    List.fold_left
+      (fun err a -> r_put a (r_round_entry poisoned ~eps:e32 a v (r_get a err)) err)
+      err taint
+
+let r_div poisoned x y ex ey =
+  let merged =
+    r_merge
+      (fun ex ey ->
+        let ay = Float.abs y in
+        let denom = ay -. ey in
+        let num = (ay *. ex) +. (Float.abs x *. ey) +. (ex *. ey) in
+        if denom <= 0.0 then num /. Float.max (ay *. ay) 1e-300 else num /. (ay *. denom))
+      ex ey
+  in
+  R.iter (fun a e -> if e > 0.0 && Float.abs y -. e <= 0.0 then poisoned.(a) <- true) ey;
+  merged
+
+type ev_op =
+  | Add
+  | Mul of float * float
+  | Div of float * float
+  | Max
+  | Map
+  | Put of int * float
+  | Round of bool * float * int list
+  | Round_one of int * float
+
+let n_keys = 12
+
+let ev_gen =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [
+        (3, return 0.0);
+        (4, float_bound_inclusive 2.0);
+        (1, map (fun x -> x *. 1e-310) (float_bound_inclusive 1.0));
+        (1, map (fun x -> x *. 3.4e38) (float_bound_inclusive 1.0));
+        (1, return 1e308);
+      ]
+  in
+  let scalar = oneof [ value; map Float.neg value; return (-0.0) ] in
+  let keys = map (List.sort_uniq compare) (list_size (int_bound 8) (int_bound (n_keys - 1))) in
+  let related kx =
+    keys >>= fun kr ->
+    oneofl
+      [
+        kx;
+        List.filteri (fun i _ -> i mod 2 = 0) kx;
+        List.sort_uniq compare (kx @ kr);
+        List.filter (fun k -> not (List.mem k kx)) kr;
+        kr;
+      ]
+  in
+  let bindings ks = flatten_l (List.map (fun k -> map (fun v -> (k, v)) value) ks) in
+  let op =
+    frequency
+      [
+        (2, return Add);
+        (2, map2 (fun x y -> Mul (x, y)) scalar scalar);
+        (2, map2 (fun x y -> Div (x, y)) scalar scalar);
+        (1, return Max);
+        (1, return Map);
+        (1, map2 (fun a e -> Put (a, e)) (int_bound (n_keys - 1)) value);
+        (3, map3 (fun f v t -> Round (f, v, t)) bool scalar keys);
+        (1, map2 (fun a v -> Round_one (a, v)) (int_bound (n_keys - 1)) scalar);
+      ]
+  in
+  keys >>= fun kx ->
+  related kx >>= fun ky ->
+  map3 (fun bx by ops -> (bx, by, ops)) (bindings kx) (bindings ky) (list_size (int_range 1 6) op)
+
+let ev_property =
+  QCheck.Test.make ~name:"kernels match a tree-map reference" ~count:2000
+    (QCheck.make ev_gen)
+    (fun (bx, by, ops) ->
+      let module V = Sensitivity.Errvec in
+      let bits_of l = List.map (fun (a, e) -> (a, Int64.bits_of_float e)) l in
+      let same v m = bits_of (V.to_list v) = bits_of (R.bindings m) in
+      let pv = Array.make n_keys false and pr = Array.make n_keys false in
+      let y = V.of_list by and ry = R.of_seq (List.to_seq by) in
+      let step (x, rx) op =
+        match op with
+        | Add -> (V.add x y, r_merge ( +. ) rx ry)
+        | Mul (a, b) ->
+          ( V.mul ~x:a ~y:b x y,
+            r_merge (fun ex ey -> (Float.abs b *. ex) +. (Float.abs a *. ey) +. (ex *. ey)) rx ry )
+        | Div (a, b) -> (V.div ~poisoned:pv ~x:a ~y:b x y, r_div pr a b rx ry)
+        | Max -> (V.union Float.max x y, r_merge Float.max rx ry)
+        | Map ->
+          let f e = if e > 1.0 then 0.0 else e *. 3.0 in
+          (V.map f x, R.map f rx)
+        | Put (a, e) -> (V.put a e x, r_put a e rx)
+        | Round (f32, v, taint) ->
+          ( V.round ~poisoned:pv ~f32 ~taint:(Array.of_list taint) v x,
+            r_round pr ~f32 ~taint v rx )
+        | Round_one (a, v) ->
+          ( V.round_one ~poisoned:pv a v x,
+            r_put a (r_round_entry pr ~eps:V.eps32 a v (r_get a rx)) rx )
+      in
+      let x0 = (V.of_list bx, R.of_seq (List.to_seq bx)) in
+      same (fst x0) (snd x0)
+      && same y ry
+      && fst
+           (List.fold_left
+              (fun (ok, st) op ->
+                let (x, rx) as st = step st op in
+                (ok && same x rx && pv = pr, st))
+              (true, x0) ops))
+
+let errvec_tests =
+  [
+    QCheck_alcotest.to_alcotest ev_property;
+    t "explicit zeros vs absent entries" (fun () ->
+        let module V = Sensitivity.Errvec in
+        let poisoned = Array.make 4 false in
+        let x = V.of_list [ (1, 0.0) ] in
+        Alcotest.(check (list int)) "a kept zero" [ 1 ] (List.map fst (V.to_list (V.put 1 0.0 x)));
+        Alcotest.(check (list int)) "put drops a fresh zero" [ 1 ]
+          (List.map fst (V.to_list (V.put 2 0.0 x)));
+        let r = V.round ~poisoned ~f32:false ~taint:[| 3 |] 1.0 x in
+        Alcotest.(check bool) "an explicit zero grows a bound" true (V.get 1 r > 0.0);
+        Alcotest.(check (list int)) "taint adds its entry" [ 1; 3 ] (List.map fst (V.to_list r));
+        let r0 = V.round ~poisoned ~f32:false ~taint:[| 3 |] 0.0 V.empty in
+        Alcotest.(check int) "at v = 0 a taint-only entry stays absent" 0 (V.length r0));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Why the mirror declined                                             *)
+
+let mirror_of src =
+  let st = Fortran.Symtab.build (Fortran.Parser.parse src) in
+  let atoms = Transform.Assignment.atoms_of_module st "m" in
+  (st, Sensitivity.Absint.analyze ~atoms st)
+
+let status_tests =
+  [
+    t "trap text is the interpreter's" (fun () ->
+        let st, r =
+          mirror_of
+            "module m\n implicit none\ncontains\n subroutine fill(v, n)\n  integer :: n, i\n  \
+             real(kind=8), dimension(3) :: v\n  do i = 1, n\n   v(i) = 1.0d0\n  end do\n end \
+             subroutine fill\nend module m\nprogram p\n use m\n implicit none\n real(kind=8), \
+             dimension(3) :: a\n print *, 'v', 2.0d0\n call fill(a, 5)\n print *, 'v', a(1)\nend \
+             program p\n"
+        in
+        let out = Runtime.Interp.run st in
+        match (out.Runtime.Interp.status, r.Sensitivity.Absint.r_status) with
+        | Runtime.Interp.Runtime_error m, Sensitivity.Absint.Runtime_error m' ->
+          Alcotest.(check string) "same trap message" m m';
+          Alcotest.(check int) "samples up to the trap" 1
+            (List.length r.Sensitivity.Absint.r_samples)
+        | _ -> Alcotest.fail "expected a runtime error from both");
+    t "by-value kind mismatch names dummy" (fun () ->
+        let _, r =
+          mirror_of
+            "module m\n implicit none\ncontains\n subroutine s(a)\n  real(kind=8), intent(in) :: \
+             a\n  print *, 'v', a\n end subroutine s\nend module m\nprogram p\n use m\n implicit \
+             none\n real(kind=4) :: x\n x = 1.0\n call s(x * 2.0)\nend program p\n"
+        in
+        Alcotest.(check string) "message"
+          "real(kind=4) value passed to real(kind=8) dummy a of s — wrapper required"
+          (match r.Sensitivity.Absint.r_status with
+          | Sensitivity.Absint.Runtime_error m -> m
+          | _ -> "no runtime error"));
+    t "the step limit has its own message" (fun () ->
+        let model = Models.Registry.funarc in
+        let st = Fortran.Symtab.build (Fortran.Parser.parse model.Models.Registry.source) in
+        let atoms = Transform.Assignment.atoms_of_module st model.Models.Registry.target_module in
+        let r = Sensitivity.Absint.analyze ~max_steps:1000 ~atoms st in
+        Alcotest.(check bool) "step limit" true
+          (r.Sensitivity.Absint.r_status
+          = Sensitivity.Absint.Runtime_error "analysis step limit (1000) exceeded"));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* The evidence engine                                                 *)
 
 let rank_engine_tests =
@@ -379,6 +653,9 @@ let () =
   Alcotest.run "sensitivity"
     [
       ("scorer", scorer_tests);
+      ("mirror bits", mirror_bits_tests);
+      ("errvec", errvec_tests);
+      ("status", status_tests);
       ("rank engine", rank_engine_tests);
       ("campaigns", campaign_tests);
       ("holdout", holdout_tests);
