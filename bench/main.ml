@@ -11,9 +11,10 @@
      main.exe --ablation      only the ablations
      main.exe --bechamel      only the micro-benchmarks
      main.exe --quick         small workloads everywhere (CI mode)
-     main.exe --workers N     evaluation worker domains (0 = sequential;
-                              default: cores - 1); results are identical
-                              across N, only wall clock changes
+     main.exe --workers N     evaluation helper domains beside the
+                              submitting one (0 = sequential; default:
+                              cores - 1); results are identical across
+                              N, only wall clock changes
      main.exe --seed N        base seed for the injected run-to-run noise
                               (default 42); printed in the header and in
                               any regression-guard failure so every run
@@ -180,74 +181,37 @@ let want_figure sel n = sel.all || List.mem n sel.figures
 (* Bench-regression guard: compare per-campaign wall clock and
    per-evaluation mean against a committed BENCH_*.json baseline.      *)
 
-(* minimal scan for the {"name": ..., "wall_seconds": ..., ...,
-   "eval_ms_mean": ...} triples written by [Core.Export.bench_json];
-   no JSON dependency needed.  eval_ms_mean is optional so baselines
-   recorded before it existed still parse, and a malformed entry is
-   skipped (reported by name when one was read) rather than aborting
-   the whole guard.  The scan keys on those three substrings only, so
-   baselines gain new fields (e.g. the summary trace line's "shared"
-   counter, or a "fleet" section) without breaking older readers. *)
+(* The (name, (wall_seconds, eval_ms_mean)) entries of a
+   [Core.Export.bench_json] baseline's "campaigns" array, plus the names
+   of entries without a numeric wall clock (they predate the bench_json
+   format or are damaged, and are skipped rather than aborting the whole
+   guard). eval_ms_mean is optional so baselines recorded before it
+   existed still load, and other fields are ignored, so baselines gain
+   new ones (e.g. a "fleet" section) without breaking older readers. An
+   unreadable or unparseable file yields no entries. *)
 let baseline_walls path =
-  let s =
-    try
-      let ic = open_in path in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with Sys_error msg ->
-      pf "bench-regression guard: cannot read baseline %s (%s); skipping the guard\n%!" path msg;
-      ""
+  let module J = Persist.Json in
+  let skip_guard why =
+    pf "bench-regression guard: cannot read baseline %s (%s); skipping the guard\n%!" path why;
+    []
   in
-  let find pat from =
-    let n = String.length s and m = String.length pat in
-    let rec go i = if i + m > n then None else if String.sub s i m = pat then Some (i + m) else go (i + 1) in
-    go from
+  let campaigns =
+    match J.parse (In_channel.with_open_bin path In_channel.input_all) with
+    | doc -> Option.value ~default:[] (Option.bind (J.member "campaigns" doc) J.to_list)
+    | exception Sys_error msg -> skip_guard msg
+    | exception J.Parse_error msg -> skip_guard msg
   in
-  let number from =
-    let l = ref from in
-    while !l < String.length s && String.contains "0123456789.eE+-" s.[!l] do incr l done;
-    if !l = from then None
-    else
-      match float_of_string_opt (String.sub s from (!l - from)) with
-      | Some v -> Some (v, !l)
-      | None -> None
+  let entries, malformed =
+    List.fold_left
+      (fun (entries, malformed) c ->
+        let num key = Option.bind (J.member key c) J.to_float in
+        match (Option.bind (J.member "name" c) J.to_str, num "wall_seconds") with
+        | Some name, Some wall -> ((name, (wall, num "eval_ms_mean")) :: entries, malformed)
+        | Some name, None -> (entries, name :: malformed)
+        | None, _ -> (entries, malformed))
+      ([], []) campaigns
   in
-  let rec scan from acc malformed =
-    match find "{\"name\": \"" from with
-    | None -> (List.rev acc, List.rev malformed)
-    | Some i -> (
-      match String.index_from_opt s i '"' with
-      | None -> (List.rev acc, List.rev malformed)
-      | Some j -> (
-        let name = String.sub s i (j - i) in
-        (* stay inside this entry: the next {"name": ... opens the next one *)
-        let bound =
-          match find "{\"name\": \"" j with Some b -> b | None -> String.length s
-        in
-        match
-          Option.bind (find "\"wall_seconds\": " j) (fun k ->
-              if k < bound then number k else None)
-        with
-        | None ->
-          (* an entry without a parseable wall clock predates the
-             bench_json format (or is damaged): skip it, keep scanning *)
-          scan (max j (bound - 10)) acc (name :: malformed)
-        | Some (wall, l) ->
-          (* eval_ms_mean precedes the embedded summary, so the first
-             occurrence after wall_seconds — if it lies before the next
-             entry — belongs to this campaign *)
-          let eval_ms, l =
-            match find "\"eval_ms_mean\": " l with
-            | Some k when k < bound -> (
-              match number k with
-              | Some (v, l') -> (Some v, l')
-              | None -> (None, l) (* "null" *))
-            | _ -> (None, l)
-          in
-          scan l ((name, (wall, eval_ms)) :: acc) malformed))
-  in
-  scan 0 [] []
+  (List.rev entries, List.rev malformed)
 
 let check_against ~seed path entries =
   let baseline, malformed = baseline_walls path in

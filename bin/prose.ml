@@ -7,7 +7,7 @@
      prose tune MODEL [...]     run a tuning campaign and report
      prose reduce MODEL         taint-based program reduction (Sec. III-C)
      prose report               regenerate every table/figure/checklist
-     prose serve                multiplex queued campaigns over one pool
+     prose serve                multiplex queued campaigns over one scheduler
      prose submit MODEL [...]   queue a campaign with the service
      prose watch JOB            stream a job's status events
      prose jobs ls|show|cancel  inspect the service queue                  *)
@@ -64,8 +64,11 @@ let workers_arg =
     & opt (some int) None
     & info [ "workers" ] ~docv:"N"
         ~doc:
-          "Worker domains for parallel variant evaluation (default: cores - 1; 0 = \
-           sequential). Results are identical for every N; only wall clock changes.")
+          "Helper domains for parallel variant evaluation, beside the submitting domain, \
+           which evaluates too (default: cores - 1; 0 = sequential). Without \
+           $(b,--shards), N >= 1 runs every speculative batch on a one-shard scheduler \
+           of N + 1 slots, with helpers capped by the spare cores. Results are identical \
+           for every N; only wall clock changes.")
 
 let shards_arg =
   Arg.(
@@ -592,7 +595,7 @@ let serve_cmd =
       `S Manpage.s_description;
       `P
         "Runs the campaign service on $(b,--root): admitted jobs are multiplexed over one \
-         shared evaluation pool in fair round-robin time slices, each slice a journaled \
+         shared evaluation scheduler in fair round-robin time slices, each slice a journaled \
          run/resume segment. Every job's journal, minimal set and summary are byte-identical \
          to the same campaign run solo with $(b,prose tune). SIGTERM/SIGINT drain: the \
          in-flight slice pauses at its next durable record and a restarted server resumes \
@@ -604,8 +607,10 @@ let serve_cmd =
       value & opt int 0
       & info [ "slots" ] ~docv:"N"
           ~doc:
-            "Worker domains in the shared evaluation pool lent to every job slice (0 = \
-             strictly sequential). Job results never depend on it.")
+            "Helper domains of the one-shard evaluation scheduler lent to every job slice \
+             with a positive worker count, beside the server's own domain, which \
+             evaluates too; capped by the spare cores (0 = strictly sequential). Job \
+             results never depend on it.")
   in
   let slice_arg =
     Arg.(

@@ -52,6 +52,20 @@ _build/default/bin/prose.exe tune mpas_joint --whole-model --max-variants 40 \
   --csv "$SDIR/sharded.csv" --json "$SDIR/sharded.json" > /dev/null
 diff -u "$SDIR/seq.csv" "$SDIR/sharded.csv"
 diff -u "$SDIR/seq.json" "$SDIR/sharded.json"
+# Plain-workers gate: the same campaign at --workers 1 without --shards
+# runs every speculative batch on a one-shard scheduler (one helper
+# domain plus the submitting one). CSV and summary must match the
+# sequential run byte for byte, and so must the journal past its header
+# line, whose "workers" field records the requested parallelism.
+_build/default/bin/prose.exe tune mpas_joint --whole-model --max-variants 40 \
+  --workers 1 --journal "$SDIR/plain" \
+  --fault-transient 0.02 --fault-seed 7 \
+  --csv "$SDIR/plain.csv" --json "$SDIR/plain.json" > /dev/null
+diff -u "$SDIR/seq.csv" "$SDIR/plain.csv"
+diff -u "$SDIR/seq.json" "$SDIR/plain.json"
+tail -n +2 "$SDIR/seq/journal.jsonl" > "$SDIR/seq_records.jsonl"
+tail -n +2 "$SDIR/plain/journal.jsonl" > "$SDIR/plain_records.jsonl"
+diff "$SDIR/seq_records.jsonl" "$SDIR/plain_records.jsonl"
 rm -rf "$SDIR"
 
 # Predictive-search gate, part 1: rank ordering must steer the mpas

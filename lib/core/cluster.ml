@@ -110,8 +110,8 @@ module Faults = struct
   (* The measurement a search observes once the injected faults have had
      their say. A node that keeps dying or a transient error that survives
      the retry budget turns the variant into an [Error] record — the
-     campaign accounts it gracefully instead of aborting. Pure: pool
-     workers may speculate through this concurrently. *)
+     campaign accounts it gracefully instead of aborting. Pure: the
+     domains of a speculative batch may call this concurrently. *)
   let perturb spec ~signature (m : Search.Variant.measurement) =
     let lost detail =
       {

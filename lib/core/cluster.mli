@@ -80,7 +80,7 @@ module Faults : sig
   (** What the search observes for this variant once faults are applied:
       unchanged when the retry budget absorbs every injected failure,
       otherwise an [Error] measurement with a ["fault: ..."] detail. Pure
-      and deterministic — safe for speculative pool evaluation. *)
+      and deterministic — safe for speculative batch evaluation. *)
 
   val lost_seconds :
     spec ->

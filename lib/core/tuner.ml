@@ -1,7 +1,7 @@
 open Search
 
-(* Per-campaign evaluation wall-clock accounting, shared by pool worker
-   domains. *)
+(* Per-campaign evaluation wall-clock accounting, shared by every domain
+   that evaluates a batch. *)
 type eval_stats = {
   es_lock : Mutex.t;
   mutable es_count : int;
@@ -677,20 +677,22 @@ let max_variants_of p =
   | Some _ as v -> v
   | None -> p.model.Models.Registry.max_variants
 
-let default_workers = Pool.default_workers
+let default_workers = Shard.default_workers
 
-(* [workers]: None = one per spare core, 0 = sequential. Without a
-   borrowed [pool] the pool lives for exactly one campaign; a caller that
-   multiplexes several campaigns over one substrate lends its own pool,
-   which is used whenever the effective worker count is positive and is
-   never shut down here. *)
-let with_pool_opt ?pool workers f =
+(* [workers]: None = one per spare core, 0 = sequential. [w] workers are
+   [w] helper domains beside the submitting one, which evaluates too: a
+   one-shard scheduler of [w + 1] slots, with no yield hook and no
+   reported stats. Without a borrowed [shard] it lives for exactly one
+   campaign; a caller that multiplexes several campaigns over one
+   substrate lends its own, which is used whenever the effective worker
+   count is positive and is never shut down here. *)
+let with_one_shard ?shard workers f =
   let w = match workers with Some w -> w | None -> default_workers () in
   if w <= 0 then f None
   else
-    match pool with
+    match shard with
     | Some _ as borrowed -> f borrowed
-    | None -> Pool.with_pool ~workers:w (fun pool -> f (Some pool))
+    | None -> Shard.with_shards ~shards:1 ~workers:(w + 1) (fun sh -> f (Some sh))
 
 (* Atoms grouped by connected components of the interprocedural FP flow
    graph: variables linked by parameter passing move together in the
@@ -858,7 +860,7 @@ type memo_hooks = {
   memo_publish : signature:string -> Variant.measurement -> unit;
 }
 
-let execute p ~algo ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo ~preloaded () =
+let execute p ~algo ?workers ?shards ?shard ?journal ?faults ?checkpoint ?memo ~preloaded () =
   let fstate = Option.map Cluster.Faults.create faults in
   let jctx =
     Option.map
@@ -948,7 +950,7 @@ let execute p ~algo ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo ~p
         h.memo_publish ~signature m;
         apply_faults faults ~signature m
   in
-  (* schedule effectively-identical candidates on one pool worker so the
+  (* schedule effectively-identical candidates on one slot so the
      batch-reuse table is hit instead of raced *)
   let affinity = Option.map (fun sh asg -> share_key p sh asg) p.share in
   (* simulated node-seconds of one evaluation, for the shard scheduler's
@@ -977,8 +979,8 @@ let execute p ~algo ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo ~p
           sched_serial = s.Shard.serial_tasks;
         }
   in
-  (* [shards] replaces the pool with a work-stealing shard scheduler;
-     its stats are harvested even when a preemption aborts the search *)
+  (* [shards] runs the search on a work-stealing grid whose stats are
+     harvested even when a preemption aborts the search *)
   (* between-batch yield: a second look for the checkpoint hook, so a
      multiplexing caller can pause even a stretch served entirely from
      the memo cache (which commits no fresh records and hence never
@@ -990,11 +992,11 @@ let execute p ~algo ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo ~p
   in
   let with_sched f =
     match shards with
-    | None -> with_pool_opt ?pool workers (fun pool -> f pool None)
+    | None -> with_one_shard ?shard workers f
     | Some s ->
       let w = max 0 (match workers with Some w -> w | None -> default_workers ()) in
       Shard.with_shards ?yield ~shards:(max 1 s) ~workers:w (fun sh ->
-          Fun.protect ~finally:(fun () -> note_sched sh) (fun () -> f None (Some sh)))
+          Fun.protect ~finally:(fun () -> note_sched sh) (fun () -> f (Some sh)))
   in
   let dd_config = { Delta_debug.error_threshold = p.threshold; perf_floor = p.perf_floor } in
   (* rank (and prune, which implies rank) demotes predicted-fail ddmin
@@ -1054,13 +1056,13 @@ let execute p ~algo ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo ~p
         None
       | Delta_debug_algo ->
         Some
-          (with_sched (fun pool shard ->
-               Delta_debug.search ?pool ?shard ~cost ?affinity ?ranker ~atoms:p.atoms ~trace
+          (with_sched (fun shard ->
+               Delta_debug.search ?shard ~cost ?affinity ?ranker ~atoms:p.atoms ~trace
                  ~evaluate:eval dd_config))
       | Hierarchical_algo ->
         Some
-          (with_sched (fun pool shard ->
-               Hierarchical.search ?pool ?shard ~cost ?affinity ?ranker ~atoms:p.atoms
+          (with_sched (fun shard ->
+               Hierarchical.search ?shard ~cost ?affinity ?ranker ~atoms:p.atoms
                  ~groups:(flow_groups p) ~trace ~evaluate:eval dd_config))
     with Cluster.Faults.Preempted _ | Paused ->
       interrupted := true;
@@ -1094,21 +1096,21 @@ let journal_header p ~algo ~workers =
 let start_journal p ~algo ~workers dir =
   (dir, Persist.Journal.create ~dir (journal_header p ~algo ~workers))
 
-let run_algo ~algo ?config ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo model =
+let run_algo ~algo ?config ?workers ?shards ?journal ?faults ?checkpoint ?memo model =
   let p = prepare ?config model in
   let journal = Option.map (start_journal p ~algo ~workers) journal in
-  execute p ~algo ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo ~preloaded:[] ()
+  execute p ~algo ?workers ?shards ?journal ?faults ?checkpoint ?memo ~preloaded:[] ()
 
-let run_delta_debug ?config ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo model =
-  run_algo ~algo:Delta_debug_algo ?config ?workers ?shards ?pool ?journal ?faults
-    ?checkpoint ?memo model
+let run_delta_debug ?config ?workers ?shards ?journal ?faults ?checkpoint ?memo model =
+  run_algo ~algo:Delta_debug_algo ?config ?workers ?shards ?journal ?faults ?checkpoint
+    ?memo model
 
 let run_brute_force ?config ?journal ?faults ?checkpoint ?memo model =
   run_algo ~algo:Brute_force_algo ~workers:0 ?config ?journal ?faults ?checkpoint ?memo model
 
-let run_hierarchical ?config ?workers ?shards ?pool ?journal ?faults ?checkpoint ?memo model =
-  run_algo ~algo:Hierarchical_algo ?config ?workers ?shards ?pool ?journal ?faults
-    ?checkpoint ?memo model
+let run_hierarchical ?config ?workers ?shards ?journal ?faults ?checkpoint ?memo model =
+  run_algo ~algo:Hierarchical_algo ?config ?workers ?shards ?journal ?faults ?checkpoint
+    ?memo model
 
 let run_random ?config ~samples model =
   let p = prepare ?config model in
@@ -1155,15 +1157,15 @@ let check_header p ~algo (h : Persist.Journal.header) =
 
 (* Start the journaled campaign in [dir], or continue it when a journal is
    already there. The header is checked before the journal is touched. *)
-let journaled ?workers ?shards ?pool ?faults ?checkpoint ?memo ~algo ~dir p =
+let journaled ?workers ?shards ?shard ?faults ?checkpoint ?memo ~algo ~dir p =
   if Sys.file_exists (Persist.Journal.file ~dir) then begin
     let loaded, jw = Persist.Journal.reopen ~check:(check_header p ~algo) ~dir () in
     let preloaded = List.map (record_of_entry p.atoms) loaded.Persist.Journal.l_entries in
-    execute p ~algo ?workers ?shards ?pool ~journal:(dir, jw) ?faults ?checkpoint ?memo
+    execute p ~algo ?workers ?shards ?shard ~journal:(dir, jw) ?faults ?checkpoint ?memo
       ~preloaded ()
   end
   else
-    execute p ~algo ?workers ?shards ?pool
+    execute p ~algo ?workers ?shards ?shard
       ~journal:(start_journal p ~algo ~workers dir)
       ?faults ?checkpoint ?memo ~preloaded:[] ()
 
@@ -1178,12 +1180,12 @@ let fresh_state p =
     eval_stats = eval_stats_create ();
   }
 
-let run_prepared ?workers ?pool ?faults ?checkpoint ?memo ~algo ~journal p =
+let run_prepared ?workers ?shard ?faults ?checkpoint ?memo ~algo ~journal p =
   (* brute force runs sequentially; its journals record 0 workers *)
   let workers = match algo with Brute_force_algo -> Some 0 | _ -> workers in
-  journaled ?workers ?pool ?faults ?checkpoint ?memo ~algo ~dir:journal (fresh_state p)
+  journaled ?workers ?shard ?faults ?checkpoint ?memo ~algo ~dir:journal (fresh_state p)
 
-let resume ?(config = Config.default) ?workers ?shards ?pool ?faults ?checkpoint ?memo ?model
+let resume ?(config = Config.default) ?workers ?shards ?faults ?checkpoint ?memo ?model
     ~journal:dir () =
   let h = (Persist.Journal.load ~dir).Persist.Journal.l_header in
   let model =
@@ -1203,4 +1205,4 @@ let resume ?(config = Config.default) ?workers ?shards ?pool ?faults ?checkpoint
   (* the journal's seed is authoritative: the campaign being continued was
      run with it, and a different seed would change every measurement *)
   let config = { config with Config.seed = h.Persist.Journal.seed } in
-  journaled ?workers ?shards ?pool ?faults ?checkpoint ?memo ~algo ~dir (prepare ~config model)
+  journaled ?workers ?shards ?faults ?checkpoint ?memo ~algo ~dir (prepare ~config model)

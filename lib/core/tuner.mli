@@ -13,7 +13,7 @@
 
 type eval_stats
 (** Mutable per-campaign evaluation wall-clock accounting (count, total,
-    max); safe to update from pool worker domains. *)
+    max); safe to update from every domain that evaluates a batch. *)
 
 type share
 (** The batch-reuse table: raw outcomes shared between variants whose
@@ -48,8 +48,8 @@ type prepared = {
           fell back to the unpredicted search *)
   cache : Runtime.Lower.Cache.t option;
       (** the campaign's per-procedure lowering cache ([None] when
-          {!Config.t.proc_cache} is off); domain-safe, shared by pool
-          workers. This field, [ccache], [share] and [eval_stats] are the
+          {!Config.t.proc_cache} is off); domain-safe, shared by every
+          evaluating domain. This field, [ccache], [share] and [eval_stats] are the
           per-campaign state {!run_prepared} allocates afresh for every
           campaign it runs. *)
   ccache : Runtime.Compile.Cache.t option;
@@ -87,7 +87,7 @@ val evaluate : prepared -> Transform.Assignment.t -> Search.Variant.measurement
 
     Re-entrant: each call allocates its own transformation and execution
     state and only reads the shared [prepared] value (the lowering cache
-    is mutex-guarded), so concurrent calls from pool workers are safe. *)
+    is mutex-guarded), so concurrent calls from several domains are safe. *)
 
 type algo = Brute_force_algo | Delta_debug_algo | Hierarchical_algo
 (** The resumable search algorithms. Journals name them so [resume] can
@@ -160,7 +160,8 @@ type campaign = {
 }
 
 val default_workers : unit -> int
-(** The default evaluation parallelism: one worker domain per spare core
+(** The default evaluation parallelism, {!Search.Shard.default_workers}:
+    one helper domain per spare core beside the submitting domain
     ([Domain.recommended_domain_count () - 1], never negative). *)
 
 type progress = {
@@ -201,7 +202,6 @@ val run_delta_debug :
   ?config:Config.t ->
   ?workers:int ->
   ?shards:int ->
-  ?pool:Search.Pool.t ->
   ?journal:string ->
   ?faults:Cluster.Faults.spec ->
   ?checkpoint:(progress -> unit) ->
@@ -212,11 +212,14 @@ val run_delta_debug :
     by the model's variant budget (the simulated 12-hour limit).
 
     [workers] (default {!default_workers}; [0] = sequential) spreads each
-    ddmin round's candidate evaluations over a {!Search.Pool} of domains
-    — the laptop analogue of the paper's one-node-per-variant cluster
-    fan-out. The search trajectory, [records] and the Table-II summary
-    are bit-identical across worker counts; only wall clock changes
-    ([simulated_hours] stays variant-count-based).
+    ddmin round's candidate evaluations over a one-shard
+    {!Search.Shard} scheduler of [workers + 1] slots: [workers] helper
+    domains plus the submitting domain, which evaluates too — the laptop
+    analogue of the paper's one-node-per-variant cluster fan-out. It has
+    no yield hook and reports no [sched] stats. The search trajectory,
+    [records] and the Table-II summary are bit-identical across worker
+    counts; only wall clock changes ([simulated_hours] stays
+    variant-count-based).
 
     [shards] switches the campaign to the {!Search.Shard} work-stealing
     scheduler: each round's candidates are block-partitioned over
@@ -242,13 +245,6 @@ val run_delta_debug :
     bookkeeping and the preemption clock live in the journal's commit
     sink, so [faults] should be combined with [journal]; without it only
     the measurement perturbation applies.
-
-    [pool] lends an externally owned {!Search.Pool} instead of creating
-    one per campaign — the substrate a multiplexing service shares
-    between jobs. It is used whenever the effective worker count is
-    positive and is never shut down by the runner; the journal header
-    still records [workers], so journals stay byte-identical to
-    solo runs.
 
     [checkpoint] is called with the campaign's {!progress} after every
     fresh durable record (from the journal's commit sink, so it only
@@ -280,7 +276,6 @@ val run_hierarchical :
   ?config:Config.t ->
   ?workers:int ->
   ?shards:int ->
-  ?pool:Search.Pool.t ->
   ?journal:string ->
   ?faults:Cluster.Faults.spec ->
   ?checkpoint:(progress -> unit) ->
@@ -289,15 +284,15 @@ val run_hierarchical :
   campaign
 (** The community-structure search ({!Search.Hierarchical}) over the
     flow-graph groups — the clustering approach the paper's Sec. V points
-    to for scaling FPPT. [workers], [shards], [pool], [journal],
-    [faults], [checkpoint] as in {!run_delta_debug}. *)
+    to for scaling FPPT. [workers], [shards], [journal], [faults],
+    [checkpoint] as in {!run_delta_debug}. *)
 
 exception Resume_mismatch of string
 (** The offered model/configuration disagrees with the journal header. *)
 
 val run_prepared :
   ?workers:int ->
-  ?pool:Search.Pool.t ->
+  ?shard:Search.Shard.t ->
   ?faults:Cluster.Faults.spec ->
   ?checkpoint:(progress -> unit) ->
   ?memo:memo_hooks ->
@@ -315,8 +310,15 @@ val run_prepared :
     is raised before anything is written, a torn tail included. It is
     then continued as {!resume} would, with zero re-evaluation of the
     journaled prefix; its seed is not adopted (it is part of the digest,
-    so [prepared] must have been built with it). [workers], [pool],
-    [faults], [checkpoint] and [memo] as in {!run_delta_debug}.
+    so [prepared] must have been built with it). [workers], [faults],
+    [checkpoint] and [memo] as in {!run_delta_debug}.
+
+    [shard] lends an externally owned {!Search.Shard} scheduler instead
+    of creating a one-shard one per campaign — the substrate a
+    multiplexing service shares between jobs. It is used whenever the
+    effective worker count is positive and is never shut down here, and
+    its stats are not reported; the journal header still records
+    [workers], so journals stay byte-identical to solo runs.
 
     {b Sharing a [prepared].} Each call runs on fresh per-campaign state
     — empty lowering and compile caches, an empty batch-reuse table,
@@ -335,7 +337,6 @@ val resume :
   ?config:Config.t ->
   ?workers:int ->
   ?shards:int ->
-  ?pool:Search.Pool.t ->
   ?faults:Cluster.Faults.spec ->
   ?checkpoint:(progress -> unit) ->
   ?memo:memo_hooks ->

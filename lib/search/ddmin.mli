@@ -30,7 +30,7 @@ val minimize :
 (** [prefetch] (default: no-op) receives each round's candidate subsets —
     in exactly the order [test] will try them, after [order] — before the
     first [test] call of the round. A parallel caller evaluates them
-    speculatively ({!Pool.map}) and serves the subsequent [test] calls
+    speculatively ({!Shard.map}) and serves the subsequent [test] calls
     from those results; because consumption stays sequential, the search
     trajectory is bit-identical to a run without [prefetch] — only wall
     clock changes.

@@ -37,12 +37,12 @@ let candidate_order ~variant_of ranker =
       keep @ demoted)
     ranker
 
-let search ?pool ?shard ?cost ?affinity ?ranker ~atoms ~trace ~evaluate cfg =
+let search ?shard ?cost ?affinity ?ranker ~atoms ~trace ~evaluate cfg =
   let module A = Transform.Assignment in
   let diff big small = List.filter (fun a -> not (List.memq a small)) big in
   let variant_of high = A.of_lowered atoms ~lowered:(diff atoms high) in
   let order = candidate_order ~variant_of ranker in
-  let spec = Speculate.create ?pool ?shard ?cost ?affinity ~trace ~evaluate () in
+  let spec = Speculate.create ?shard ?cost ?affinity ~trace ~evaluate () in
   (* best accepted assignment seen so far, for budget-exhausted returns *)
   let best_high = ref atoms in
   let test high =

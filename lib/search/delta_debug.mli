@@ -47,7 +47,6 @@ type ranker = {
 }
 
 val search :
-  ?pool:Pool.t ->
   ?shard:Shard.t ->
   ?cost:(Variant.measurement -> float) ->
   ?affinity:(Transform.Assignment.t -> string) ->
@@ -62,16 +61,13 @@ val search :
     limit. On {!Trace.Budget_exhausted} the best accepted assignment seen
     so far is returned with [finished = false].
 
-    With [pool], each ddmin round's chunk and complement candidates are
-    evaluated speculatively in parallel and consumed in sequential order
-    ({!Speculate}): [records], [minimal] and the budget cut-off are
-    bit-identical to the sequential run — only wall clock changes.
-    [evaluate] must then be re-entrant.
-
-    [shard] runs those rounds on a work-stealing {!Shard} scheduler
-    instead (and advances its simulated cluster clock using [cost]);
-    the same bit-identity argument applies at any shards × workers
-    grid.
+    With a [shard] scheduler of more than one slot, each ddmin round's
+    chunk and complement candidates are evaluated speculatively in
+    parallel and consumed in sequential order ({!Speculate}), and the
+    scheduler's simulated cluster clock advances using [cost]:
+    [records], [minimal] and the budget cut-off are bit-identical to the
+    sequential run at any shards × workers grid — only wall clock
+    changes. [evaluate] must then be re-entrant.
 
     [ranker] steers each merged ddmin round: candidates its [demote]
     predicts will fail are moved (stably) behind the rest, so passing
@@ -80,7 +76,7 @@ val search :
     changes — but a different first passer redirects the recursion, so
     1-minimality is preserved while the particular minimal set found may
     in principle differ ([bench --predict] checks it does not on the
-    registered campaigns). Unlike [pool], [ranker] changes the
+    registered campaigns). Unlike [shard], [ranker] changes the
     exploration order; see {!type:ranker} for the determinism
     contract. *)
 

@@ -1,4 +1,4 @@
-let search ?pool ?shard ?cost ?affinity ?ranker ~atoms ~groups ~trace ~evaluate
+let search ?shard ?cost ?affinity ?ranker ~atoms ~groups ~trace ~evaluate
     (cfg : Delta_debug.config) : Delta_debug.result =
   let module A = Transform.Assignment in
   (* groups must partition the atom list *)
@@ -10,7 +10,7 @@ let search ?pool ?shard ?cost ?affinity ?ranker ~atoms ~groups ~trace ~evaluate
   let diff big small = List.filter (fun a -> not (List.memq a small)) big in
   let variant_of high = A.of_lowered atoms ~lowered:(diff atoms high) in
   let order = Delta_debug.candidate_order ~variant_of ranker in
-  let spec = Speculate.create ?pool ?shard ?cost ?affinity ~trace ~evaluate () in
+  let spec = Speculate.create ?shard ?cost ?affinity ~trace ~evaluate () in
   let best_high = ref atoms in
   let test high =
     let asg = variant_of high in

@@ -25,7 +25,6 @@
     the criteria). *)
 
 val search :
-  ?pool:Pool.t ->
   ?shard:Shard.t ->
   ?cost:(Variant.measurement -> float) ->
   ?affinity:(Transform.Assignment.t -> string) ->
@@ -38,8 +37,8 @@ val search :
   Delta_debug.result
 (** [groups] must partition [atoms] (checked; raises [Invalid_argument]
     otherwise). Budget exhaustion returns the best accepted variant seen,
-    with [finished = false], as in {!Delta_debug.search}. [pool] (or a
-    {!Shard} scheduler via [shard]/[cost]) enables speculative batch
+    with [finished = false], as in {!Delta_debug.search}. A {!Shard}
+    scheduler ([shard], priced by [cost]) enables speculative batch
     evaluation in both phases with a bit-identical trajectory, as in
     {!Delta_debug.search}. [ranker] demotes predicted-fail candidates in
     both the group-phase and the refinement-phase rounds, accruing one

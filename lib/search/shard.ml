@@ -1,9 +1,10 @@
 (* Sharded work-stealing batch scheduler. See shard.mli for the model.
 
    Real execution and the simulated schedule are deliberately decoupled:
-   tasks run on whatever domains the machine offers (all taking through
-   the same atomic deques, so the batch drains as fast as the hardware
-   allows), while the cluster clock comes from a pure list-scheduling
+   tasks run on the submitting domain plus up to [slots - 1] helpers, as
+   many as the machine has spare cores (all taking through the same
+   atomic deques, so the batch drains as fast as the hardware allows),
+   while the cluster clock comes from a pure list-scheduling
    simulation over the caller-supplied costs. Results are collected in
    submission order, so the commit stream the consumer produces is
    independent of both schedules. *)
@@ -115,6 +116,8 @@ type t = {
   mutable s_clock : float;
 }
 
+let default_workers () = max 0 (Domain.recommended_domain_count () - 1)
+
 let shards t = t.n_shards
 let workers t = t.n_workers
 let slots t = if t.n_workers = 0 then 1 else t.n_shards * t.n_workers
@@ -184,11 +187,12 @@ let create ?yield ~shards:n_shards ~workers:n_workers () =
       s_clock = 0.0;
     }
   in
-  (* Helper domains are capped by the machine: simulated slots beyond
-     the spare cores change only the simulated schedule, not real
-     execution. The submitting domain always participates, so zero
-     helpers (a single-core host) still drains every batch. *)
-  let helpers = if slots t <= 1 then 0 else min (slots t) (Pool.default_workers ()) in
+  (* The submitting domain is one of the slots, so a batch runs on at
+     most [slots] domains: [slots - 1] helpers, capped by the machine's
+     spare cores. Simulated slots beyond that change only the simulated
+     schedule, not real execution, and zero helpers (a single-core host)
+     still drain every batch on the submitter. *)
+  let helpers = min (slots t - 1) (default_workers ()) in
   t.domains <-
     Array.init helpers (fun d ->
         Domain.spawn (fun () -> runner_loop t ~home:(d mod n_shards) 0));
@@ -257,8 +261,8 @@ let map t ~cost f xs =
         results
     in
     Mutex.unlock res_lock;
-    (* first exception in submission order wins, as in Pool.map; a
-       failed batch is not accounted on the simulated clock *)
+    (* first exception in submission order wins; a failed batch is not
+       accounted on the simulated clock *)
     Array.iter (function Error e -> raise e | Ok _ -> ()) collected;
     let ok = Array.map (function Ok v -> v | Error _ -> assert false) collected in
     let cost_queues =

@@ -1,20 +1,25 @@
-(** Sharded work-stealing scheduler for whole-model joint campaigns.
+(** Work-stealing batch scheduler: the one execution substrate for every
+    speculative batch.
 
-    The paper's campaigns fan each search round out over 20 dedicated
-    cluster nodes (Sec. IV-A); {!Pool} is the laptop analogue of one such
-    node's worker set. This module simulates the next scale tier: the
-    variant space of a round is block-partitioned over [shards] simulated
-    node-shards, each shard owning a deque of tasks consumed by its
-    [workers] slots, and a shard whose partition drains early steals from
-    its neighbours in cyclic order ("lock-free-ish": deques are plain
-    arrays with an atomic take cursor, so a steal is one
-    [Atomic.fetch_and_add] — no locks on the task path).
+    The paper's campaigns evaluate every variant as an independent cluster
+    job and fan each search round out over 20 dedicated nodes (Sec.
+    IV-A). This module is the laptop analogue: the variant space of a
+    round is block-partitioned over [shards] simulated node-shards, each
+    shard owning a deque of tasks consumed by its [workers] slots, and a
+    shard whose partition drains early steals from its neighbours in
+    cyclic order ("lock-free-ish": deques are plain arrays with an atomic
+    take cursor, so a steal is one [Atomic.fetch_and_add] — no locks on
+    the task path). One shard is a plain domain pool: a campaign at
+    [workers w >= 1] without a shard grid runs on
+    [create ~shards:1 ~workers:(w + 1)], the submitting domain being one
+    of the [w + 1] slots.
 
     Two clocks run per batch:
 
-    - {b real execution}: tasks run on however many domains the machine
-      actually has ([min (slots t) (Pool.default_workers ())], plus the
-      submitting domain), all of them taking through the same deques;
+    - {b real execution}: the submitting domain takes tasks alongside
+      [min (slots t - 1) (default_workers ())] helper domains, all of
+      them through the same deques, so a batch runs on at most
+      [slots t] domains;
     - {b simulated schedule}: a deterministic event-driven list-scheduling
       simulation replays the batch over the full [shards × workers] slot
       grid using the caller-supplied per-task costs, yielding the
@@ -24,10 +29,10 @@
       single-core one.
 
     {!map} preserves submission order in its result list and re-raises
-    the first (by submission order) exception a task threw, exactly like
-    {!Pool.map}: consumers commit results sequentially, so steal order
-    can never reorder the commit stream. Only driven from the domain
-    that created it. *)
+    the first (by submission order) exception a task threw, after the
+    whole batch has drained: consumers commit results sequentially, so
+    steal order can never reorder the commit stream. Only driven from the
+    domain that created it; the mapped function must be re-entrant. *)
 
 type t
 
@@ -35,7 +40,9 @@ val create : ?yield:(unit -> unit) -> shards:int -> workers:int -> unit -> t
 (** [shards >= 1] simulated node-shards of [workers >= 0] evaluation
     slots each. [workers = 0] means a single sequential slot overall
     (the classic no-speculation trajectory); raises [Invalid_argument]
-    on a negative argument or [shards < 1].
+    on a negative argument or [shards < 1]. Spawns
+    [min (slots t - 1) (default_workers ())] helper domains: the
+    submitting domain is a slot too.
 
     [yield] is a cooperative scheduling hook fired at the start of every
     {!map} call — i.e. {e between} batches, never inside one. At that
@@ -50,6 +57,10 @@ val shutdown : t -> unit
 
 val with_shards : ?yield:(unit -> unit) -> shards:int -> workers:int -> (t -> 'a) -> 'a
 (** Fresh scheduler for the call's duration, shut down on exit. *)
+
+val default_workers : unit -> int
+(** [Domain.recommended_domain_count () - 1] (never negative): one helper
+    domain per spare core beside the submitting one. *)
 
 val shards : t -> int
 val workers : t -> int

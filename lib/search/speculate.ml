@@ -1,26 +1,25 @@
 (* Speculative batch evaluation shared by the batched searches.
 
-   A ddmin round announces its candidates via [prefetch]; with a pool
-   (or a sharded scheduler) they are evaluated in parallel into
+   A ddmin round announces its candidates via [prefetch]; with a
+   scheduler of more than one slot they are evaluated in parallel into
    [results] (raw [evaluate] calls, no trace, no budget). The search
    then consumes candidates in the sequential order through [evaluate],
    which commits to the trace with the speculative result when one
    exists — so records, budget accounting and the trajectory are
    identical to a sequential run. Results are kept across rounds:
-   speculation wasted in one round can still pay off later. Only
-   [prefetch]'s workers run concurrently; this table and the trace
-   commits stay on the submitting domain.
+   speculation wasted in one round can still pay off later. Only the
+   batch's tasks run concurrently (the submitting domain among them);
+   this table and the trace commits stay on the submitting domain.
 
-   With a shard scheduler, each affinity group becomes one shard task
-   whose simulated cost is the sum of its members' costs, and on-demand
-   evaluations that bypassed a batch are accounted serially — the
-   sharded cluster clock advances exactly as if the batch had run on
-   the simulated shards×workers grid. A scheduler with a single slot
-   disables speculation entirely: the classic sequential trajectory,
-   with every fresh evaluation accounted serially. *)
+   Each affinity group becomes one shard task whose simulated cost is
+   the sum of its members' costs, and on-demand evaluations that
+   bypassed a batch are accounted serially — the cluster clock advances
+   exactly as if the batch had run on the simulated shards×workers grid.
+   A scheduler with a single slot disables speculation entirely: the
+   classic sequential trajectory, with every fresh evaluation accounted
+   serially. *)
 
 type t = {
-  pool : Pool.t option;
   shard : Shard.t option;
   cost : (Variant.measurement -> float) option;
   trace : Trace.t;
@@ -29,8 +28,8 @@ type t = {
   results : (string, Variant.measurement) Hashtbl.t;
 }
 
-let create ?pool ?shard ?cost ?affinity ~trace ~evaluate () =
-  { pool; shard; cost; trace; evaluate; affinity; results = Hashtbl.create 64 }
+let create ?shard ?cost ?affinity ~trace ~evaluate () =
+  { shard; cost; trace; evaluate; affinity; results = Hashtbl.create 64 }
 
 let cost_of t m = match t.cost with Some c -> c m | None -> 0.0
 
@@ -74,14 +73,9 @@ let groups_of t todo =
   | None -> List.map (fun item -> [ item ]) todo
   | Some aff -> affinity_groups aff todo
 
-let record_group_results groups evaluated t =
-  List.iter2
-    (List.iter2 (fun (key, _) m -> Hashtbl.replace t.results key m))
-    groups evaluated
-
 let prefetch t asgs =
-  match (t.shard, t.pool) with
-  | Some sh, _ when Shard.slots sh > 1 -> (
+  match t.shard with
+  | Some sh when Shard.slots sh > 1 -> (
     match fresh_batch t asgs with
     | [] -> ()
     | todo ->
@@ -92,18 +86,10 @@ let prefetch t asgs =
           (fun group -> List.map (fun (_, asg) -> t.evaluate asg) group)
           groups
       in
-      record_group_results groups evaluated t)
-  | Some _, _ -> ()  (* single simulated slot: no speculation *)
-  | None, Some pool -> (
-    match fresh_batch t asgs with
-    | [] -> ()
-    | todo ->
-      let groups = groups_of t todo in
-      let evaluated =
-        Pool.map pool (fun group -> List.map (fun (_, asg) -> t.evaluate asg) group) groups
-      in
-      record_group_results groups evaluated t)
-  | None, None -> ()
+      List.iter2
+        (List.iter2 (fun (key, _) m -> Hashtbl.replace t.results key m))
+        groups evaluated)
+  | Some _ | None -> ()  (* no scheduler, or a single slot: no speculation *)
 
 let evaluate t asg =
   Trace.evaluate t.trace

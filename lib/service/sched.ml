@@ -127,7 +127,7 @@ let space_of ~model ~(config : Core.Config.t) =
 type t = {
   store : Store.t;
   slice_records : int;
-  pool : Search.Pool.t option;
+  shard : Search.Shard.t option;
   memo : Memo.t option;  (* fleet-wide evaluation memo; None = dedup off *)
   find_model : string -> Models.Registry.t;
   on_event : event -> unit;
@@ -137,10 +137,10 @@ type t = {
   mutable draining : bool;
 }
 
-let create ?(slice_records = 8) ?pool ?memo ?(find_model = Models.Registry.find)
+let create ?(slice_records = 8) ?shard ?memo ?(find_model = Models.Registry.find)
     ?(on_event = fun (_ : event) -> ()) store =
   if slice_records < 1 then invalid_arg "Sched.create: slice_records < 1";
-  { store; slice_records; pool; memo; find_model; on_event; prepared = Hashtbl.create 4;
+  { store; slice_records; shard; memo; find_model; on_event; prepared = Hashtbl.create 4;
     cursor = Fair.start; draining = false }
 
 let store t = t.store
@@ -246,8 +246,8 @@ let run_slice t (job0 : Job.t) =
     let memo =
       Option.map (fun m -> Memo.hooks m ~space:space.memo_space ~job:id) t.memo
     in
-    Core.Tuner.run_prepared ~workers:spec.Job.sp_workers ?pool:t.pool ?faults ~checkpoint ?memo
-      ~algo ~journal:dir p
+    Core.Tuner.run_prepared ~workers:spec.Job.sp_workers ?shard:t.shard ?faults ~checkpoint
+      ?memo ~algo ~journal:dir p
   with
   | campaign ->
     let pg = !last in

@@ -100,7 +100,7 @@ type t
 
 val create :
   ?slice_records:int ->
-  ?pool:Search.Pool.t ->
+  ?shard:Search.Shard.t ->
   ?memo:Memo.t ->
   ?find_model:(string -> Models.Registry.t) ->
   ?on_event:(event -> unit) ->
@@ -108,11 +108,11 @@ val create :
   t
 (** [slice_records] (default 8, >= 1) is the fresh-record budget of one
     slice (memo-served records count too: a fully-shared slice still
-    yields the thread). [pool] is the shared evaluation substrate lent to
-    every slice (jobs with positive [sp_workers]); [None] runs jobs
-    sequentially or on per-slice pools. [memo] is the fleet-wide
-    cross-campaign evaluation memo every slice consults and feeds
-    ({!Memo}); [None] turns dedup off. [find_model] (default
+    yields the thread). [shard] is the shared evaluation scheduler lent
+    to every slice (jobs with positive [sp_workers]); [None] runs jobs
+    sequentially or on per-slice one-shard schedulers. [memo] is the
+    fleet-wide cross-campaign evaluation memo every slice consults and
+    feeds ({!Memo}); [None] turns dedup off. [find_model] (default
     {!Models.Registry.find}, raising [Not_found]) resolves model names —
     tests override it to substitute scaled-down sources. [on_event]
     observes every progress tick and state transition. *)

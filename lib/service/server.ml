@@ -146,10 +146,14 @@ let run ?(slice_records = 8) ?(shared_memo = true) ?(find_model = Models.Registr
     let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.bind sock (Unix.ADDR_UNIX path);
     Unix.listen sock 16;
-    let pool = if slots > 0 then Some (Search.Pool.create ~workers:slots) else None in
+    (* the event loop's own domain evaluates too: [slots] helpers beside
+       it, capped by the machine's spare cores *)
+    let shard =
+      if slots > 0 then Some (Search.Shard.create ~shards:1 ~workers:(slots + 1) ()) else None
+    in
     let memo = if shared_memo then Some (Memo.create ()) else None in
     let sched =
-      Sched.create ~slice_records ?pool ?memo ~find_model ~on_event:(fun ev -> deliver t ev)
+      Sched.create ~slice_records ?shard ?memo ~find_model ~on_event:(fun ev -> deliver t ev)
         store
     in
     t.sched <- Some sched;
@@ -170,7 +174,7 @@ let run ?(slice_records = 8) ?(shared_memo = true) ?(find_model = Models.Registr
         t.watchers <- [];
         (try Unix.close sock with Unix.Unix_error _ -> ());
         (try Sys.remove path with Sys_error _ -> ());
-        Option.iter Search.Pool.shutdown pool)
+        Option.iter Search.Shard.shutdown shard)
       (fun () ->
         while not t.stop do
           accept_pending t sock;

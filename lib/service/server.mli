@@ -22,9 +22,11 @@ val run :
   unit ->
   (unit, string) result
 (** Serve the given store root on [ROOT/prose.sock] until drained.
-    [slots] sizes the shared evaluation pool lent to every job slice
-    ([0] = strictly sequential evaluation); job results never depend on
-    it. [slice_records] (default 8) is the per-slice fresh-record
+    [slots] sizes the one-shard {!Search.Shard} scheduler lent to every
+    job slice whose worker count is positive: [slots] helper domains
+    (capped by the machine's spare cores) beside the server's own
+    domain, which evaluates too ([0] = strictly sequential evaluation);
+    job results never depend on it. [slice_records] (default 8) is the per-slice fresh-record
     budget. [shared_memo] (default [true]) enables the process-wide
     cross-campaign evaluation memo ({!Memo}): concurrent jobs in the
     same evaluation space evaluate each variant once fleet-wide, with

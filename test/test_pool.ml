@@ -1,5 +1,7 @@
-(* Pool tests: submission-order preservation, exception propagation,
-   reuse across batches, lifecycle edge cases. *)
+(* Scheduler tests. The one-shard domain pool: submission-order
+   preservation, exception propagation, reuse across batches, lifecycle
+   edge cases, and the submitting domain as a slot. Then the sharded
+   grid: partitioner, deque, schedule simulation, determinism matrix. *)
 
 open Search
 
@@ -13,38 +15,38 @@ let spin n =
   done;
   Sys.opaque_identity !acc
 
+(* The domain pool every non-sharded parallel campaign runs on: a
+   one-shard scheduler of [w + 1] slots, [w] helper domains beside the
+   caller, which takes tasks too. *)
+let with_one_shard w f = Shard.with_shards ~shards:1 ~workers:(w + 1) f
+let run_batch sh f xs = Shard.map sh ~cost:(fun _ -> 0.0) f xs
+
 let lifecycle_tests =
   [
-    t "create refuses zero workers" (fun () ->
-        match Pool.create ~workers:0 with
-        | _ -> Alcotest.fail "expected Invalid_argument"
-        | exception Invalid_argument _ -> ());
-    t "size reports the worker count" (fun () ->
-        Pool.with_pool ~workers:3 (fun p -> Alcotest.(check int) "3" 3 (Pool.size p)));
     t "shutdown is idempotent" (fun () ->
-        let p = Pool.create ~workers:2 in
-        Pool.shutdown p;
-        Pool.shutdown p);
+        let sh = Shard.create ~shards:1 ~workers:3 () in
+        Shard.shutdown sh;
+        Shard.shutdown sh);
     t "map after shutdown raises" (fun () ->
-        let p = Pool.create ~workers:2 in
-        Pool.shutdown p;
-        match Pool.map p (fun x -> x) [ 1 ] with
+        let sh = Shard.create ~shards:1 ~workers:3 () in
+        Shard.shutdown sh;
+        match run_batch sh (fun x -> x) [ 1 ] with
         | _ -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
     t "default_workers is non-negative" (fun () ->
-        Alcotest.(check bool) ">= 0" true (Pool.default_workers () >= 0));
+        Alcotest.(check bool) ">= 0" true (Shard.default_workers () >= 0));
   ]
 
 let map_tests =
   [
     t "empty batch" (fun () ->
-        Pool.with_pool ~workers:2 (fun p ->
-            Alcotest.(check (list int)) "empty" [] (Pool.map p (fun x -> x) [])));
+        with_one_shard 2 (fun sh ->
+            Alcotest.(check (list int)) "empty" [] (run_batch sh (fun x -> x) [])));
     t "preserves submission order" (fun () ->
-        Pool.with_pool ~workers:4 (fun p ->
+        with_one_shard 4 (fun sh ->
             let xs = List.init 100 (fun i -> i) in
             let ys =
-              Pool.map p
+              run_batch sh
                 (fun i ->
                   (* later submissions do less work, so they tend to finish
                      first — order must still follow submission *)
@@ -54,39 +56,85 @@ let map_tests =
             in
             Alcotest.(check (list int)) "doubled in order" (List.map (fun i -> 2 * i) xs) ys));
     t "more workers than tasks" (fun () ->
-        Pool.with_pool ~workers:8 (fun p ->
+        with_one_shard 8 (fun sh ->
             Alcotest.(check (list int)) "squares" [ 1; 4; 9 ]
-              (Pool.map p (fun x -> x * x) [ 1; 2; 3 ])));
-    t "batch larger than the bounded queue" (fun () ->
-        (* capacity is 2*workers = 2: submissions must block and drain *)
-        Pool.with_pool ~workers:1 (fun p ->
+              (run_batch sh (fun x -> x * x) [ 1; 2; 3 ])));
+    t "50-task batch on one helper" (fun () ->
+        with_one_shard 1 (fun sh ->
             let xs = List.init 50 (fun i -> i) in
-            Alcotest.(check (list int)) "all there" xs (Pool.map p (fun x -> x) xs)));
+            Alcotest.(check (list int)) "all there" xs (run_batch sh (fun x -> x) xs)));
     t "worker exception propagates" (fun () ->
-        Pool.with_pool ~workers:3 (fun p ->
-            match Pool.map p (fun i -> if i = 5 then failwith "boom" else i) (List.init 10 Fun.id) with
+        with_one_shard 3 (fun sh ->
+            match run_batch sh (fun i -> if i = 5 then failwith "boom" else i) (List.init 10 Fun.id) with
             | _ -> Alcotest.fail "expected Failure"
             | exception Failure m -> Alcotest.(check string) "message" "boom" m));
     t "first exception in submission order wins" (fun () ->
-        Pool.with_pool ~workers:4 (fun p ->
+        with_one_shard 4 (fun sh ->
             match
-              Pool.map p
+              run_batch sh
                 (fun i -> if i >= 3 then failwith (Printf.sprintf "boom-%d" i) else i)
                 (List.init 10 Fun.id)
             with
             | _ -> Alcotest.fail "expected Failure"
             | exception Failure m -> Alcotest.(check string) "earliest task" "boom-3" m));
     t "pool survives a failed batch" (fun () ->
-        Pool.with_pool ~workers:2 (fun p ->
-            (try ignore (Pool.map p (fun _ -> failwith "boom") [ 1; 2; 3 ]) with Failure _ -> ());
-            Alcotest.(check (list int)) "still works" [ 2; 4 ] (Pool.map p (fun x -> 2 * x) [ 1; 2 ])));
+        with_one_shard 2 (fun sh ->
+            (try ignore (run_batch sh (fun _ -> failwith "boom") [ 1; 2; 3 ]) with Failure _ -> ());
+            Alcotest.(check (list int)) "still works" [ 2; 4 ] (run_batch sh (fun x -> 2 * x) [ 1; 2 ])));
     t "reusable across many batches" (fun () ->
-        Pool.with_pool ~workers:2 (fun p ->
+        with_one_shard 2 (fun sh ->
             for k = 1 to 20 do
               let xs = List.init k (fun i -> i) in
               Alcotest.(check (list int)) "batch" (List.map (fun i -> i + k) xs)
-                (Pool.map p (fun i -> i + k) xs)
+                (run_batch sh (fun i -> i + k) xs)
             done));
+  ]
+
+(* The submitting domain is one of the slots: it takes tasks beside the
+   helpers instead of waiting for them. *)
+let submitter_tests =
+  [
+    t "the submitting domain is a slot" (fun () ->
+        with_one_shard 1 (fun sh ->
+            let caller = Domain.self () in
+            if Shard.default_workers () >= 1 then begin
+              (* each task waits (at most 5 s) for the other to start, so
+                 the batch completes only if two domains run it at once:
+                 the lone helper and the caller *)
+              let started = Array.init 2 (fun _ -> Atomic.make false) in
+              let rendezvous i =
+                Atomic.set started.(i) true;
+                let deadline = Unix.gettimeofday () +. 5.0 in
+                while not (Atomic.get started.(1 - i)) do
+                  if Unix.gettimeofday () > deadline then
+                    failwith (Printf.sprintf "task %d: its partner never started" i);
+                  Domain.cpu_relax ()
+                done;
+                Domain.self ()
+              in
+              let ran_on = run_batch sh rendezvous [ 0; 1 ] in
+              Alcotest.(check bool) "one task ran on the caller" true (List.mem caller ran_on)
+            end
+            else
+              (* a single-core host spawns no helper: the caller runs all *)
+              List.iter
+                (fun d -> Alcotest.(check bool) "ran on the caller" true (d = caller))
+                (run_batch sh (fun _ -> Domain.self ()) [ 0; 1 ])));
+    t "a 64-task batch runs on at most slots domains" (fun () ->
+        List.iter
+          (fun (s, w) ->
+            Shard.with_shards ~shards:s ~workers:w (fun sh ->
+                let ran_on =
+                  run_batch sh
+                    (fun i ->
+                      ignore (spin (2000 * (i mod 5)));
+                      Domain.self ())
+                    (List.init 64 Fun.id)
+                in
+                let distinct = List.length (List.sort_uniq compare ran_on) in
+                if distinct > Shard.slots sh then
+                  Alcotest.failf "%dx%d: %d domains for %d slots" s w distinct (Shard.slots sh)))
+          [ (1, 0); (3, 0); (1, 1); (1, 2); (2, 1); (1, 3); (3, 2); (4, 4) ]);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -340,6 +388,7 @@ let () =
     [
       ("lifecycle", lifecycle_tests);
       ("map", map_tests);
+      ("submitter", submitter_tests);
       ("shard", shard_unit_tests);
       ("shard-properties", shard_property_tests);
       ("shard-matrix", matrix_tests);

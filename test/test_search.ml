@@ -317,7 +317,9 @@ let hierarchical_tests =
 
 (* Speculative batching must leave the search trajectory bit-identical:
    same records in the same order, same minimal variant, same budget
-   cut-off — only wall clock may differ. *)
+   cut-off — only wall clock may differ. The batches run on a one-shard
+   scheduler of [w + 1] slots: [w] helper domains plus the caller, the
+   substrate of every non-sharded parallel campaign. *)
 let batched_tests =
   let sigs trace =
     List.map
@@ -325,20 +327,21 @@ let batched_tests =
         (r.Variant.index, Transform.Assignment.signature r.Variant.asg, r.Variant.meas))
       (Trace.records trace)
   in
-  let dd ?pool ?max_variants ~critical n =
+  let with_one_shard w f = Shard.with_shards ~shards:1 ~workers:(w + 1) f in
+  let dd ?shard ?max_variants ~critical n =
     let atoms = mk_atoms n in
     let crit = List.filteri (fun i _ -> List.mem i critical) atoms in
     let trace = Trace.create ?max_variants () in
     let r =
-      Delta_debug.search ?pool ~atoms ~trace ~evaluate:(oracle ~critical:crit atoms) dd_config
+      Delta_debug.search ?shard ~atoms ~trace ~evaluate:(oracle ~critical:crit atoms) dd_config
     in
     (r, sigs trace)
   in
   [
     t "delta debugging: pool run identical to sequential" (fun () ->
         let r_seq, t_seq = dd ~critical:[ 2; 9 ] 16 in
-        Pool.with_pool ~workers:4 (fun pool ->
-            let r_par, t_par = dd ~pool ~critical:[ 2; 9 ] 16 in
+        with_one_shard 4 (fun shard ->
+            let r_par, t_par = dd ~shard ~critical:[ 2; 9 ] 16 in
             Alcotest.(check bool) "same records" true (t_seq = t_par);
             Alcotest.(check bool) "same minimal" true
               (r_seq.Delta_debug.minimal = r_par.Delta_debug.minimal);
@@ -348,8 +351,8 @@ let batched_tests =
         (* the batch that crosses the budget must record exactly the
            assignments the sequential run would have evaluated *)
         let r_seq, t_seq = dd ~max_variants:7 ~critical:[ 1; 4; 13 ] 20 in
-        Pool.with_pool ~workers:3 (fun pool ->
-            let r_par, t_par = dd ~pool ~max_variants:7 ~critical:[ 1; 4; 13 ] 20 in
+        with_one_shard 3 (fun shard ->
+            let r_par, t_par = dd ~shard ~max_variants:7 ~critical:[ 1; 4; 13 ] 20 in
             Alcotest.(check bool) "not finished" false r_par.Delta_debug.finished;
             Alcotest.(check bool) "same finished flag" r_seq.Delta_debug.finished
               r_par.Delta_debug.finished;
@@ -360,17 +363,17 @@ let batched_tests =
         let atoms = mk_atoms 18 in
         let crit = List.filteri (fun i _ -> i = 4 || i = 5) atoms in
         let groups = Ddmin.partition 6 atoms in
-        let go pool =
+        let go shard =
           let trace = Trace.create () in
           let r =
-            Hierarchical.search ?pool ~atoms ~groups ~trace
+            Hierarchical.search ?shard ~atoms ~groups ~trace
               ~evaluate:(oracle ~critical:crit atoms) dd_config
           in
           (r, sigs trace)
         in
         let r_seq, t_seq = go None in
-        Pool.with_pool ~workers:4 (fun pool ->
-            let r_par, t_par = go (Some pool) in
+        with_one_shard 4 (fun shard ->
+            let r_par, t_par = go (Some shard) in
             Alcotest.(check bool) "same records" true (t_seq = t_par);
             Alcotest.(check bool) "same high set" true
               (r_seq.Delta_debug.high_set = r_par.Delta_debug.high_set)));
@@ -380,8 +383,8 @@ let batched_tests =
          (fun (n, crit_idx) ->
            let critical = List.sort_uniq compare (List.filter (fun i -> i < n) crit_idx) in
            let _, t_seq = dd ~critical n in
-           Pool.with_pool ~workers:2 (fun pool ->
-               let _, t_par = dd ~pool ~critical n in
+           with_one_shard 2 (fun shard ->
+               let _, t_par = dd ~shard ~critical n in
                t_seq = t_par)));
   ]
 

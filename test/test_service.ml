@@ -431,19 +431,21 @@ let solo_faulted ~journal =
 let solo_brute ~journal =
   Core.Tuner.run_brute_force ~config:(Service.Job.config_of_spec spec_brute) ~journal small_funarc
 
+(* the scheduler [Server.run ~slots:w] lends: [w] helpers beside the
+   driving domain; [w = 0] lends none *)
+let with_shard w f =
+  if w > 0 then Search.Shard.with_shards ~shards:1 ~workers:(w + 1) (fun sh -> f (Some sh))
+  else f None
+
 let matrix_test pool_workers () =
   Harness.with_dir @@ fun root ->
   Harness.with_dir @@ fun d1 ->
   Harness.with_dir2 @@ fun d2 d3 ->
   let store = Service.Store.open_ ~root in
   List.iter (fun s -> ignore (submit_or_die store s)) [ spec_dd; spec_faulted; spec_brute ];
-  let with_pool f =
-    if pool_workers > 0 then Search.Pool.with_pool ~workers:pool_workers (fun p -> f (Some p))
-    else f None
-  in
   let slices =
-    with_pool (fun pool ->
-        let sched = Service.Sched.create ~slice_records:3 ?pool ~find_model store in
+    with_shard pool_workers (fun shard ->
+        let sched = Service.Sched.create ~slice_records:3 ?shard ~find_model store in
         drive sched)
   in
   let name = Printf.sprintf "matrix pool=%d" pool_workers in
@@ -606,14 +608,10 @@ let memo_matrix_test k pool_workers () =
   for _ = 1 to k do
     ignore (submit_or_die store spec_dd)
   done;
-  let with_pool f =
-    if pool_workers > 0 then Search.Pool.with_pool ~workers:pool_workers (fun p -> f (Some p))
-    else f None
-  in
   let slices =
-    with_pool (fun pool ->
+    with_shard pool_workers (fun shard ->
         let sched =
-          Service.Sched.create ~slice_records:3 ?pool ~memo:(Service.Memo.create ())
+          Service.Sched.create ~slice_records:3 ?shard ~memo:(Service.Memo.create ())
             ~find_model store
         in
         drive sched)

@@ -182,6 +182,31 @@ let campaign_tests =
           (c_seq.Core.Tuner.records = c_par.Core.Tuner.records);
         Alcotest.(check bool) "identical minimal" true
           (c_seq.Core.Tuner.minimal = c_par.Core.Tuner.minimal));
+    t "workers=1 journaled campaign leaks nothing of its scheduler" (fun () ->
+        (* the one-shard substrate of a non-sharded parallel campaign
+           shows up only in the journal header's requested workers *)
+        Harness.with_dir2 @@ fun d0 d1 ->
+        let config = { Core.Config.default with Core.Config.max_variants = Some 20 } in
+        let c_seq = Core.Tuner.run_delta_debug ~config ~workers:0 ~journal:d0 small_mpas in
+        let c_par = Core.Tuner.run_delta_debug ~config ~workers:1 ~journal:d1 small_mpas in
+        Alcotest.(check bool) "no sched stats" true (c_par.Core.Tuner.sched = None);
+        let header_and_records dir =
+          let lines = String.split_on_char '\n' (Harness.slurp (Persist.Journal.file ~dir)) in
+          match List.filter (fun l -> l <> "") lines with
+          | header :: records -> (Persist.Json.parse header, records)
+          | [] -> Alcotest.fail "empty journal"
+        in
+        let h_seq, r_seq = header_and_records d0 and h_par, r_par = header_and_records d1 in
+        let workers h = Option.bind (Persist.Json.member "workers" h) Persist.Json.to_int in
+        Alcotest.(check (option int)) "sequential header" (Some 0) (workers h_seq);
+        Alcotest.(check (option int)) "parallel header" (Some 1) (workers h_par);
+        Alcotest.(check int) "one line per record" (List.length c_seq.Core.Tuner.records)
+          (List.length r_seq);
+        Alcotest.(check (list string)) "identical record lines" r_seq r_par;
+        Alcotest.(check bool) "identical summary" true
+          (compare c_seq.Core.Tuner.summary c_par.Core.Tuner.summary = 0);
+        Alcotest.(check bool) "identical backend" true
+          (compare c_seq.Core.Tuner.backend c_par.Core.Tuner.backend = 0));
     t "workers=3 hierarchical bit-identical to sequential" (fun () ->
         let config = { Core.Config.default with Core.Config.max_variants = Some 30 } in
         let c_seq = Core.Tuner.run_hierarchical ~config ~workers:0 small_mpas in
