@@ -28,9 +28,6 @@
                               per-evaluation mean against a committed
                               baseline JSON and exit non-zero on a >2x
                               regression of either (forces the campaigns)
-     main.exe --no-compile    evaluate variants with the IR-walking
-                              evaluator instead of the closure-compiled
-                              backend (results are identical, only slower)
      main.exe --verify-roundtrip
                               cross-check every evaluation's direct-AST
                               fast path against the unparse->reparse
@@ -89,7 +86,6 @@ type selection = {
   mutable json : string option;
   mutable check_against : string option;
   mutable verify_roundtrip : bool;
-  mutable no_compile : bool;
   mutable kill_resume : bool;
   mutable shards : int option;
   mutable scaling : bool;
@@ -101,7 +97,7 @@ let parse_args () =
   let sel =
     { tables = []; figures = []; checks = false; ablation = false; bechamel = false; all = true;
       quick = false; workers = None; seed = Core.Config.default.Core.Config.seed;
-      json = None; check_against = None; verify_roundtrip = false; no_compile = false;
+      json = None; check_against = None; verify_roundtrip = false;
       kill_resume = false; shards = None; scaling = false; predict_check = false;
       fleet = false }
   in
@@ -146,9 +142,6 @@ let parse_args () =
       go rest
     | "--verify-roundtrip" :: rest ->
       sel.verify_roundtrip <- true;
-      go rest
-    | "--no-compile" :: rest ->
-      sel.no_compile <- true;
       go rest
     | "--kill-resume" :: rest ->
       sel.kill_resume <- true;
@@ -293,7 +286,6 @@ let rec main () =
     { c with
       Core.Config.verify_roundtrip = sel.verify_roundtrip;
       seed = sel.seed;
-      compile = not sel.no_compile;
     }
   in
   let workers = sel.workers in

@@ -138,14 +138,6 @@ let verify_roundtrip_arg =
            historical unparse->reparse pipeline and abort if any outcome differs. \
            Slow; intended for CI and debugging the evaluation fast path.")
 
-let no_compile_arg =
-  Arg.(
-    value & flag
-    & info [ "no-compile" ]
-        ~doc:
-          "Evaluate variants with the IR-walking evaluator instead of the closure-compiled \
-           backend. Slower; results are bit-identical either way.")
-
 let no_batch_reuse_arg =
   Arg.(
     value & flag
@@ -241,7 +233,7 @@ let faults_term =
 let tune_cmd =
   let doc = "Run a precision-tuning campaign on a model" in
   let run m seed max_variants whole static predict predict_margin brute hierarchical csv json
-      workers shards verify no_compile no_batch_reuse journal resume faults =
+      workers shards verify no_batch_reuse journal resume faults =
     let config =
       {
         Core.Config.default with
@@ -252,7 +244,6 @@ let tune_cmd =
         predict_margin;
         mode = (if whole then Core.Config.Whole_model_guided else Core.Config.Hotspot_guided);
         verify_roundtrip = verify;
-        compile = not no_compile;
         batch_reuse = not no_batch_reuse;
       }
     in
@@ -357,7 +348,7 @@ let tune_cmd =
     Term.(
       const run $ model_arg $ seed_arg $ max_variants_arg $ whole_model_arg $ static_filter_arg
       $ predict_arg $ predict_margin_arg $ brute_arg $ hierarchical_arg $ csv_arg $ json_arg
-      $ workers_arg $ shards_arg $ verify_roundtrip_arg $ no_compile_arg $ no_batch_reuse_arg
+      $ workers_arg $ shards_arg $ verify_roundtrip_arg $ no_batch_reuse_arg
       $ journal_arg $ resume_arg $ faults_term)
 
 (* ------------------------------------------------------------------ *)
@@ -920,9 +911,11 @@ let fuzz_cmd =
          assignments and checks pipeline invariants on each: unparse/parse \
          fixpoint ($(b,roundtrip)), typecheck stability ($(b,typecheck)), \
          assignment application and wrapper repair ($(b,rewrite)), bit-identical \
-         outcomes between the tree-walking interpreter and the slot-resolved \
-         fast path ($(b,equiv)), and three-way agreement including the \
-         closure-compiled backend ($(b,compiled)). Counterexamples are minimized \
+         outcomes between the tree-walking interpreter on the unparse/reparse \
+         round trip and the direct-lowering fast path ($(b,equiv)), two-way \
+         agreement between that interpreter and the compiled evaluator \
+         ($(b,compiled)), and soundness of the static error bounds \
+         ($(b,sensitivity)). Counterexamples are minimized \
          with ddmin and written to the corpus directory as a replayable \
          $(i,.f90) + assignment pair; $(b,dune runtest) replays the corpus.";
     ]

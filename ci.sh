@@ -24,16 +24,56 @@ dune exec bin/prose.exe -- tune mpas --max-variants 15 --workers 0 \
 
 # Fuzz smoke gate: 300 random well-typed programs through all six
 # oracles (roundtrip, typecheck, rewrite, equiv, compiled, sensitivity)
-# at a fixed seed; "compiled" is the three-way interpreter == lowered IR
-# == closure-compiled check, "sensitivity" checks every finite static
-# error bound against the measured single-atom demotion error. Any
-# violation is minimized, written to test/corpus/, and fails the run.
+# at a fixed seed; "compiled" is the two-way interpreter == compiled
+# evaluator check, "sensitivity" checks every finite static error bound
+# against the measured single-atom demotion error. Any violation is
+# minimized, written to test/corpus/, and fails the run.
 dune exec bin/prose.exe -- fuzz --cases 300 --seed 42
 
 # The error-amplification mirror's soundness at a second seed: 1000 cases
 # of the sensitivity oracle alone (every finite static bound must cover
 # the measured single-atom demotion error, sample by sample).
 dune exec bin/prose.exe -- fuzz --oracle sensitivity --cases 1000 --seed 7
+
+# The compiled evaluator against the interpreter at the same second seed:
+# 1000 cases of the compiled oracle alone.
+dune exec bin/prose.exe -- fuzz --oracle compiled --cases 1000 --seed 7
+
+# Exact-counter gate: one joint_solo repetition (a few seconds) checked
+# against the committed BUDGET_joint_solo.json. Counts are
+# host-independent, so this catches allocation and work regressions that
+# timing noise hides: gc.minor_words may rise at most 2% above the
+# budget; fresh evaluations, evaluations to the 1-minimal variant, live
+# speculative evaluations and simulated hours must match exactly; and the
+# OCaml version must be the one the budget was recorded with.
+dune build ./perfbench/perfbench.exe
+CDIR=$(mktemp -d)
+_build/default/perfbench/perfbench.exe run joint_solo 42 "$CDIR" > "$CDIR/run.json"
+python3 - "$CDIR/run.json" BUDGET_joint_solo.json "$(ocamlfind ocamlopt -version)" <<'PY'
+import json, sys
+run_path, budget_path, ocaml = sys.argv[1:4]
+run = json.loads(open(run_path).read().strip().splitlines()[-1])
+budget = json.load(open(budget_path))
+errors = []
+if ocaml != budget["ocaml"]:
+    errors.append("OCaml %s, but the budget was recorded with OCaml %s" % (ocaml, budget["ocaml"]))
+errors += ["run check failed: %s" % f for f in run.get("failures", [])]
+counts = run["counts"]
+for name, want in budget["counts"].items():
+    got = counts.get(name)
+    if name == "gc.minor_words":
+        limit = want * (1.0 + budget["minor_words_slack"])
+        if got is None or got > limit:
+            errors.append("%s = %s, above the budget %d + %g%%"
+                          % (name, got, want, 100 * budget["minor_words_slack"]))
+    elif got != want:
+        errors.append("%s = %s, budget %s" % (name, got, want))
+if errors:
+    sys.exit("exact-counter gate:\n  " + "\n  ".join(errors))
+print("exact-counter gate: ok (gc.minor_words %d, budget %d)"
+      % (counts["gc.minor_words"], budget["counts"]["gc.minor_words"]))
+PY
+rm -rf "$CDIR"
 
 # Sharded-scheduler gate: one joint multi-hotspot campaign (the atm_srk3
 # driver inside the search space) at shards=2/workers=2 with fault

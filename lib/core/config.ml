@@ -20,7 +20,6 @@ type t = {
   predict_margin : float;
   proc_cache : bool;
   verify_roundtrip : bool;
-  compile : bool;
   batch_reuse : bool;
 }
 
@@ -38,13 +37,12 @@ let default =
     predict_margin = 1e6;
     proc_cache = true;
     verify_roundtrip = false;
-    compile = true;
     batch_reuse = true;
   }
 
 let digest t =
   (* only fields that change campaign results; proc_cache,
-     verify_roundtrip, compile and batch_reuse are execution strategies
+     verify_roundtrip and batch_reuse are execution strategies
      with identical outcomes, so a journaled campaign may be resumed with
      any of those settings *)
   let canonical =

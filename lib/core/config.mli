@@ -56,11 +56,6 @@ type t = {
           unparse→reparse slow path and fail loudly if any outcome bit
           differs; the fast path's correctness oracle (off by default —
           it restores the old per-variant cost, and then some) *)
-  compile : bool;
-      (** evaluate variants through the closure-compiled backend
-          ({!Runtime.Compile}) instead of the IR-walking evaluator; on by
-          default, off ([--no-compile]) falls back to {!Runtime.Lower.run}
-          (results are identical) *)
   batch_reuse : bool;
       (** share whole-run outcomes between variants whose effective
           precision assignment is identical on the reachable program (the
@@ -77,7 +72,7 @@ val digest : t -> string
     seed, baseline runs, static filter + budget, variant budget). The
     campaign journal header stores it, and resume refuses a journal whose
     digest disagrees with the offered configuration. [proc_cache],
-    [verify_roundtrip], [compile] and [batch_reuse] are excluded: they
+    [verify_roundtrip] and [batch_reuse] are excluded: they
     change how variants are evaluated, never what the results are.
     [predict]/[predict_margin] are appended only when predict is not
     [Predict_off], so pre-PR-9 journals keep their digests. *)

@@ -25,38 +25,6 @@ let r_squared m p records =
   let features, targets = samples p records in
   Metrics.Linreg.r_squared m ~features ~targets
 
-(* Fusion of the static error-amplification model with the dynamic OLS
-   speedup predictor: rank = predicted pass-probability (from the sound
-   per-atom bounds of [Sensitivity.Score]) × predicted speedup (the OLS
-   model when enough committed records exist to fit one, the static
-   def-use payoff proxy otherwise).  This is the reporting/benchmark view
-   of the campaign's scorer; the search itself demotes candidates with
-   the [Sensitivity.Rank] evidence engine, whose inputs accrue in
-   committed-record order so trajectories never depend on scheduling. *)
-module Static = struct
-  type nonrec t = { scorer : Sensitivity.Score.t; ols : t option }
-
-  let speedup_model t p asg =
-    match t.ols with
-    | Some m -> Float.max 0.0 (predict m p asg)
-    | None -> Sensitivity.Score.payoff t.scorer asg
-
-  let score t p asg = Sensitivity.Score.pass_probability t.scorer asg *. speedup_model t p asg
-  let bound t asg = Sensitivity.Score.static_bound t.scorer asg
-
-  let create (p : Tuner.prepared) records =
-    match p.Tuner.scorer with
-    | None -> None
-    | Some scorer ->
-      let by_index =
-        List.sort
-          (fun (a : Search.Variant.record) (b : Search.Variant.record) ->
-            compare a.Search.Variant.index b.Search.Variant.index)
-          records
-      in
-      Some { scorer; ols = train p by_index }
-end
-
 let holdout_report p records =
   (* split on committed record order (the variant index), not arrival
      order: sharded and multi-worker runs commit the same records but may

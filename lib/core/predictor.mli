@@ -40,24 +40,3 @@ val holdout_report : Tuner.prepared -> Search.Variant.record list -> (float * fl
     training fails. The benchmark prints this as the E8 prediction
     ablation. The split key is the variant index, not arrival order, so
     sharded and multi-worker runs report identical numbers. *)
-
-(** Fusion of the static error-amplification scorer with the dynamic OLS
-    speedup model: predicted pass-probability × predicted speedup. Built
-    from a campaign's prepared scorer ([None] when the campaign ran with
-    prediction off); used for reporting and the benchmark — the search
-    itself ranks with the purely static {!Sensitivity.Score.score} so
-    trajectories never depend on scheduling. *)
-module Static : sig
-  type t
-
-  val create : Tuner.prepared -> Search.Variant.record list -> t option
-  (** [None] when the prepared campaign has no scorer. The OLS refinement
-      is fitted on the records sorted by variant index (falling back to
-      the static payoff proxy when the fit is degenerate). *)
-
-  val score : t -> Tuner.prepared -> Transform.Assignment.t -> float
-  (** Pass-probability × predicted speedup (OLS-refined when available). *)
-
-  val bound : t -> Transform.Assignment.t -> float
-  (** The sound static error bound of {!Sensitivity.Score.static_bound}. *)
-end

@@ -145,7 +145,7 @@ type prepared = {
          predict is off or the mirror analysis declined to vouch for
          itself (fell back to the unpredicted search) *)
   cache : Runtime.Lower.Cache.t option;  (* per-procedure lowering cache *)
-  ccache : Runtime.Compile.Cache.t option;  (* compiled-procedure cache *)
+  ccache : Runtime.Compile.Cache.t;  (* compiled-procedure cache *)
   share : share option;  (* batch-reuse table; None disables sharing *)
   eval_stats : eval_stats;
 }
@@ -244,9 +244,9 @@ let roundtrip_raw p asg : raw =
          ~wrapper_owner:(Transform.Wrappers.owner_fn w) st')
 
 (* The fast path: rewrite and lower the AST directly — no unparse→reparse
-   round trip — then execute either the closure-compiled form of the
-   slot-resolved IR (default) or the IR itself, reusing lowered and
-   compiled procedures whose precision signature is unchanged. *)
+   round trip — then compile the slot-resolved IR and run it, reusing
+   lowered and compiled procedures whose precision signature is
+   unchanged. *)
 let direct_raw p asg : raw =
   match
     let prog' = Transform.Rewrite.apply p.st asg in
@@ -262,12 +262,8 @@ let direct_raw p asg : raw =
       Runtime.Lower.lower ?cache:p.cache ~machine:p.config.Config.machine
         ~wrapper_owner:(Transform.Wrappers.owner_fn w) st'
     in
-    let out =
-      if p.config.Config.compile then
-        Runtime.Compile.run ~budget:p.budget (Runtime.Compile.compile ?cache:p.ccache ir)
-      else Runtime.Lower.run ~budget:p.budget ir
-    in
-    score_outcome p out
+    score_outcome p
+      (Runtime.Compile.run ~budget:p.budget (Runtime.Compile.compile ~cache:p.ccache ir))
 
 (* Serve the raw outcome from the batch-reuse table when an
    effectively-identical variant already ran; otherwise run and publish,
@@ -389,9 +385,7 @@ let prepare ?(config = Config.default) (model : Models.Registry.t) : prepared =
   let cache =
     if config.Config.proc_cache then Some (Runtime.Lower.Cache.create ()) else None
   in
-  let ccache =
-    if config.Config.compile then Some (Runtime.Compile.Cache.create ()) else None
-  in
+  let ccache = Runtime.Compile.Cache.create () in
   (* sharing is off under verify_roundtrip: the oracle's whole point is to
      actually run both pipelines on every variant *)
   let share =
@@ -400,7 +394,9 @@ let prepare ?(config = Config.default) (model : Models.Registry.t) : prepared =
     else None
   in
   let out =
-    Runtime.Lower.run (Runtime.Lower.lower ?cache ~machine:config.Config.machine st)
+    Runtime.Compile.run
+      (Runtime.Compile.compile ~cache:ccache
+         (Runtime.Lower.lower ?cache ~machine:config.Config.machine st))
   in
   (match out.Runtime.Interp.status with
   | Runtime.Interp.Finished -> ()
@@ -612,7 +608,7 @@ let variant_cache_keys p asg =
    The live cache counters (atomics) keep counting real work, including
    speculation later discarded, which is why they are not reported. *)
 let replay_backend p records =
-  let compile_on = p.ccache <> None && p.cache <> None in
+  let compile_on = p.cache <> None in
   let classes = Hashtbl.create 256 in
   let keys_seen = Hashtbl.create 512 in
   let rh = ref 0 and rm = ref 0 and compiled = ref 0 and chits = ref 0 in
@@ -1175,7 +1171,7 @@ let fresh_state p =
   {
     p with
     cache = Option.map (fun _ -> Runtime.Lower.Cache.create ()) p.cache;
-    ccache = Option.map (fun _ -> Runtime.Compile.Cache.create ()) p.ccache;
+    ccache = Runtime.Compile.Cache.create ();
     share = Option.map share_fresh p.share;
     eval_stats = eval_stats_create ();
   }

@@ -52,10 +52,11 @@ type prepared = {
           evaluating domain. This field, [ccache], [share] and [eval_stats] are the
           per-campaign state {!run_prepared} allocates afresh for every
           campaign it runs. *)
-  ccache : Runtime.Compile.Cache.t option;
+  ccache : Runtime.Compile.Cache.t;
       (** the campaign's compiled-procedure cache, keyed by the same
-          precision-signature scheme as [cache] ([None] when
-          {!Config.t.compile} is off) *)
+          precision-signature scheme as [cache] (unused when [cache] is
+          [None]: procedures lowered uncached carry no key); the baseline
+          run in {!prepare} fills it first *)
   share : share option;
       (** the batch-reuse table ([None] when {!Config.t.batch_reuse} is
           off, or under [verify_roundtrip], whose point is to really run
@@ -328,7 +329,7 @@ val run_prepared :
     with records identical to solo runs (outcomes never depend on cache
     contents) and no cache outliving its call. Hand it only campaigns of
     the space it was built for: the same model source, the same
-    {!Config.digest}, and the same {!Config.t.proc_cache}, [compile],
+    {!Config.digest}, and the same {!Config.t.proc_cache},
     [batch_reuse] and [verify_roundtrip] switches, which the digest
     leaves out but {!prepare} reads. The header check catches a
     mismatched model, digest or search-space size. *)

@@ -1,177 +1,490 @@
-(* Closure-compilation backend over the [Lower] IR.
+(* The evaluator: closure compilation of the slot-resolved IR ([Ir]).
 
-   [Lower]'s evaluator still pattern-matches on IR opcodes at every node
-   visit. This pass translates each lowered procedure ONCE into a tree of
-   OCaml closures: expressions become [cctx -> rframe -> float/int/bool/
-   value] functions with slots, cost sub-tables and static typing
-   decisions pre-bound, statements become [cctx -> rframe -> unit]. The
-   per-evaluation inner loop then runs no dispatch at all — only the
-   closures the program shape already determined.
+   Each lowered procedure is translated ONCE into a tree of OCaml
+   closures: expressions become [ctx -> float/int/bool/value] functions
+   with storage offsets, cost sub-tables and static typing decisions
+   pre-bound, statements become [ctx -> unit]. The per-evaluation inner
+   loop then runs no opcode dispatch at all.
 
-   Observable behavior is bit-identical to [Lower.run] (and therefore to
-   [Interp.run]): every charge in the same order, every trap message,
-   every timer bracket. Two mechanisms guarantee that:
+   Frames. A compiled procedure owns its frame layout, fixed at compile
+   time from its declarations (which the cache key signs):
+   - real scalars live unboxed in a per-run float stack [fs];
+   - integer and logical scalars (logicals as 0/1) in an int stack [is];
+   - arrays are held by reference, as [Value.cell]s, in a cell stack [cs];
+   - a scalar dummy is an [is] slot holding the ABSOLUTE address of its
+     storage: the caller's slot when bound by reference (so the caller
+     and callee share one location, exactly as [Interp] shares a cell),
+     or its own "home" slot in the callee frame when bound by value.
+   Module variables sit at the bottom of the three stacks at addresses
+   fixed per program; a frame is three base offsets into the stacks.
+   No scalar store, argument binding, copy-out or function result
+   allocates.
 
-   - Typed lanes are used only where the declared base type pins the
-     runtime representation. Cell tags always match declarations: cells
-     are allocated from declared bases, [scalar_store] preserves the
-     current tag, and by-reference argument binding traps on any kind
-     mismatch. A slot declared real(k) therefore always holds
-     [Vreal (_, k)], and the compiled float lane is exact.
-   - Anything not statically typable falls back to the generic lane,
-     which is [Lower.eval_expr] / [Lower.exec_stmt] on the original node
-     — the interpreter itself, bit-identical by construction. Cold paths
-     (parameter forcing, global initialization, copy-out stores) stay
-     interpreted.
+   Observable behavior is bit-identical to [Interp.run]: every charge in
+   the same order, every trap message, every timer bracket. Typed lanes
+   are exact because a slot's type never changes: storage is chosen from
+   the declaration, by-reference binding traps on any kind mismatch, and
+   every store converts to the slot's declared type as [Interp]'s
+   [scalar_store] does. Shapes without a typed lane (strings, traps,
+   mixed-lane operators) run on the generic [Value.v] lane below, a
+   transcription of [Interp]'s value-level rules; nothing falls back to
+   an IR-walking evaluator. The one divergence is on programs
+   [Typecheck] rejects: a non-integer [do] variable traps on the first
+   iteration instead of taking an integer value.
 
-   Compiled procedures are cacheable across variants under the same key
-   as [Lower.Cache] ([proc_ir.p_key]): closures never bake procedure
-   indices (callees resolve through [rframe.flinks] at runtime), and
-   every static decision they do bake — cost sub-tables aside from the
-   machine, slot types, callee result types — is a function of the
-   declarations that key signs. *)
+   Compiled procedures are cacheable across variants under the key
+   [Lower] gives them ([proc_ir.p_key]): closures never bake procedure
+   indices (callees resolve through the frame's link table at runtime)
+   and callee frame layouts are read from the callee's own compiled
+   form at call time. *)
 
 open Fortran
-open Lower
+open Ir
 
-(* static type of a slot, derived from its declaration *)
-type sty =
-  | Sreal of Ast.real_kind
-  | Sint
-  | Sbool
-  | Sarr of Ast.base_type
-  | Sunknown
+exception Rreturn
+exception Rexit
+exception Rcycle
+exception Rstop of string
+exception Rtrap of string
+exception Rtimeout
 
-let sty_of_base (b : Ast.base_type) ~is_array =
-  if is_array then Sarr b
-  else
-    match b with
-    | Ast.Treal k -> Sreal k
-    | Ast.Tinteger -> Sint
-    | Ast.Tlogical -> Sbool
+let trap fmt = Format.kasprintf (fun m -> raise (Rtrap m)) fmt
+let trap_s m = raise (Rtrap m)
+let sp = Printf.sprintf
+
+let cat_index =
+  let tbl = Hashtbl.create 8 in
+  List.iteri (fun i c -> Hashtbl.add tbl c i) Machine.categories;
+  fun c -> Hashtbl.find tbl c
+
+let ci_flops = cat_index Machine.Cat_flops
+let ci_memory = cat_index Machine.Cat_memory
+let ci_convert = cat_index Machine.Cat_convert
+let ci_call = cat_index Machine.Cat_call
+let ci_reduction = cat_index Machine.Cat_reduction
+let ci_loop = cat_index Machine.Cat_loop
+
+(* all-float one-field record: stored flat, so updating [fv] allocates
+   nothing (a [mutable float] field of a mixed record boxes per store) *)
+type fbox = { mutable fv : float }
 
 (* ------------------------------------------------------------------ *)
-(* Compiled forms                                                      *)
+(* Storage                                                             *)
 
-type cctx = { rt : rctx; cprocs : cproc array; scratch : fbox }
+(* where a scalar lives, relative to the current frame *)
+type loc =
+  | Own of int  (* frame slot: base + offset *)
+  | Ref of int  (* dummy: the [is] frame slot at this offset holds the absolute address *)
+  | Abs of int  (* module variable: absolute address *)
+
+(* the static view of a name, from its declaration *)
+type var =
+  | Vf of loc * Ast.real_kind  (* real scalar, in [fs] *)
+  | Vi of loc  (* integer scalar, in [is] *)
+  | Vb of loc  (* logical scalar, in [is] as 0/1 *)
+  | Va of loc * Ast.base_type  (* array cell, in [cs] (never [Ref]) *)
+  | Vparam of int
+  | Vunalloc  (* a local not yet allocated where this code runs *)
+  | Vtrap of string  (* resolution failed: trap when touched *)
+
+(* a callee's dummy, as its caller binds it *)
+type dummy_slot =
+  | Dreal of { dn : string; dk : Ast.real_kind; addr : int; home : int; wr : bool }
+  | Dint of { dn : string; logical : bool; addr : int; home : int; wr : bool }
+  | Darr of { dn : string; db : Ast.base_type; slot : int }
+  | Dnone of string  (* undeclared: binding traps *)
+
+type result_slot = Rsub | Rmissing | Rarray | Rscalar of var
+
+(* ------------------------------------------------------------------ *)
+(* Compiled forms and the run context                                  *)
+
+type ctx = {
+  cprocs : cproc array;
+  links : int array array;
+  aux_links : int array;
+  machine : Machine.t;
+  timers : Timers.t;
+  accs : Timers.acc option array;  (* by proc index, resolved on first entry *)
+  cost : Timers.clock;
+  budget : float;  (* infinity when unbudgeted *)
+  params : Value.v option array;
+  pdefs : cparam array;
+  conv : float array;
+  memtab : float array;
+  breakdown : float array;
+  scratch : fbox;
+  mutable fs : float array;
+  mutable is : int array;
+  mutable cs : Value.cell array;
+  mutable fb : int;  (* frame bases *)
+  mutable ib : int;
+  mutable cb : int;
+  mutable fsp : int;  (* stack tops *)
+  mutable isp : int;
+  mutable csp : int;
+  mutable flinks : int array;  (* this body's callee index -> proc index *)
+  mutable vec : int;  (* mode_idx of the active vectorization mode *)
+  mutable i0 : int;  (* evaluated subscripts of the access in progress *)
+  mutable i1 : int;
+  mutable ix : int array;
+  mutable records : (string * float) list;  (* reversed *)
+  mutable printed : string list;  (* reversed *)
+  mutable depth : int;
+  mutable charging : bool;
+  mutable in_wrapper : bool;
+}
 
 and cproc = {
   ir : proc_ir;
-  cbody : cstmt array;
-  clocals : clocal array;
-  cinits : cinit array;
+  nf : int;  (* frame sizes *)
+  ni : int;
+  nc : int;
+  dummies : dummy_slot array;
+  result : result_slot;
+  clocals : clocal array;  (* array locals, in allocation order *)
+  cinits : (ctx -> unit) array;
+  cbody : (ctx -> unit) array;
 }
 
-and cstmt = cctx -> rframe -> unit
-and clocal = { cl_def : local; cl_dims : (cctx -> rframe -> int) array }
-and cinit = { cin_def : initr; cin_rhs : cctx -> rframe -> Value.v }
-
-type ccall = {
-  cc : call_site;  (* names, callee index and arity trap *)
-  cc_args : carg array;
-}
-
-and carg =
-  | CAref of { a : string; ar : ref_ }
-  | CAval of { cv : cctx -> rframe -> Value.v; lit : bool; co : ccopy option }
-
-(* a copy-out destination with its subscripts precompiled: the write-back
-   after the call then runs on the compiled store path instead of
-   re-interpreting the index expressions *)
-and ccopy = { cco : copy_out; cco_idx : (cctx -> rframe -> int) array }
+and clocal = { cl_slot : int; cl_base : Ast.base_type; cl_dims : (ctx -> int) array }
+and cparam = { cp_name : string; cp_base : Ast.base_type; cp_init : (ctx -> Value.v) option }
 
 (* an expression compiles into one of four lanes; the typed lanes carry
-   unboxed results and are used only when the static type is certain.
-   The float lane does NOT return its result: an indirect OCaml call
-   returning [float] boxes on every return, so a float closure instead
-   writes [ct.scratch.fv] (a flat store) as its final action and the
-   consumer reads it back immediately — a return register, in effect.
-   Reads must happen before any further evaluation, since nested
-   compiled code reuses the same scratch cell. *)
+   unboxed results. The float lane does NOT return its result: an
+   indirect OCaml call returning [float] boxes on every return, so a
+   float closure instead writes [ct.scratch.fv] as its final action and
+   the consumer reads it back immediately. Reads must happen before any
+   further evaluation, since nested code reuses the same scratch cell. *)
 type cexpr =
-  | Kf of (cctx -> rframe -> unit) * Ast.real_kind  (* result in scratch *)
-  | Ki of (cctx -> rframe -> int)
-  | Kb of (cctx -> rframe -> bool)
-  | Kv of (cctx -> rframe -> Value.v)
+  | Kf of (ctx -> unit) * Ast.real_kind
+  | Ki of (ctx -> int)
+  | Kb of (ctx -> bool)
+  | Kv of (ctx -> Value.v)
 
 (* ------------------------------------------------------------------ *)
-(* Lane views. Conversions mirror [as_float]/[as_int]/[as_bool]: the
-   operand is always evaluated (with its charges) before any trap.      *)
+(* Charging and value helpers                                          *)
 
-let force = function
-  | Kf (f, k) ->
-    fun ct fr ->
-      f ct fr;
-      Value.Vreal (ct.scratch.fv, k)
-  | Ki f -> fun ct fr -> Value.Vint (f ct fr)
-  | Kb f -> fun ct fr -> Value.Vlog (f ct fr)
-  | Kv f -> f
-
-(* float view: evaluate and leave the float in [ct.scratch.fv] *)
-let fput = function
-  | Kf (f, _) -> f
-  | Ki f -> fun ct fr -> ct.scratch.fv <- float_of_int (f ct fr)
-  | Kb f ->
-    fun ct fr ->
-      ignore (f ct fr : bool);
-      trap_s "numeric value expected"
-  | Kv f -> fun ct fr -> ct.scratch.fv <- as_float (f ct fr)
-
-let iview = function
-  | Ki f -> f
-  | Kf (f, _) ->
-    fun ct fr ->
-      f ct fr;
-      int_of_float ct.scratch.fv
-  | Kb f ->
-    fun ct fr ->
-      ignore (f ct fr : bool);
-      trap_s "integer value expected"
-  | Kv f -> fun ct fr -> as_int (f ct fr)
-
-let bview = function
-  | Kb f -> f
-  | Kf (f, _) ->
-    fun ct fr ->
-      f ct fr;
-      trap_s "logical value expected"
-  | Ki f ->
-    fun ct fr ->
-      ignore (f ct fr : int);
-      trap_s "logical value expected"
-  | Kv f -> fun ct fr -> as_bool (f ct fr)
-
-(* Shadow [Lower.charge]/[Lower.check_budget] with same-module copies of
-   the same bodies: charging runs once per modeled operation, and a
-   cross-module call that fails to inline boxes the float cost argument
-   each time. The timers update is [Timers.charge] spelled out. *)
-let[@inline] charge rt i c =
-  if rt.rcharging then begin
-    rt.rcost.fv <- rt.rcost.fv +. c;
+let[@inline] charge ct i c =
+  if ct.charging then begin
+    ct.cost.Timers.now <- ct.cost.Timers.now +. c;
     (* [i] is always one of the [ci_*] constants, all below the
-       breakdown array's fixed length — skip the bounds check *)
-    Array.unsafe_set rt.rbreakdown i (Array.unsafe_get rt.rbreakdown i +. c);
-    let tm = rt.rtimers in
+       breakdown array's fixed length *)
+    Array.unsafe_set ct.breakdown i (Array.unsafe_get ct.breakdown i +. c);
+    let tm = ct.timers in
     tm.Timers.top.Timers.exclusive <- tm.Timers.top.Timers.exclusive +. c
   end
 
-let[@inline] check_budget rt = if rt.rcost.fv > rt.rbudget then raise Rtimeout
+let[@inline] check_budget ct = if ct.cost.Timers.now > ct.budget then raise Rtimeout
 
-(* cost sub-table for a statically-known kind: indexed by [rt.rvec] *)
+(* timer accumulator of proc [pidx], cached per run. Lazy on purpose:
+   resolving every proc up front would add never-entered procedures to
+   the snapshot. *)
+let proc_acc ct pidx name =
+  match ct.accs.(pidx) with
+  | Some a -> a
+  | None ->
+    let a = Timers.acc_of ct.timers name in
+    ct.accs.(pidx) <- Some a;
+    a
+
+(* local clones of [Fp32.round]/[Fp32.of_kind]: a cross-module call that
+   fails to inline boxes its float argument and result *)
+let[@inline] round32 x = Int32.float_of_bits (Int32.bits_of_float x)
+
+let[@inline] cround (k : Ast.real_kind) x =
+  match k with
+  | Ast.K4 -> round32 x
+  | Ast.K8 -> x
+
+(* cold: called only on a non-finite rounded value; always raises *)
+let bad_real kind x : float =
+  if Float.is_nan x then
+    trap "NaN produced in real(kind=%d) arithmetic" (Token.int_of_kind kind)
+  else trap "overflow in real(kind=%d) arithmetic" (Token.int_of_kind kind)
+
+let[@inline] cmk_realf k x =
+  let y = cround k x in
+  if Float.is_finite y then y else bad_real k y
+
+let mk_real k x = Value.Vreal (cmk_realf k x, k)
+
+let nonfinite_scalar kind =
+  trap "non-finite value stored to real(kind=%d) scalar" (Token.int_of_kind kind)
+
+let nonfinite_elem name kind =
+  trap "non-finite value stored to %s (real(kind=%d))" name (Token.int_of_kind kind)
+
+let as_float = function
+  | Value.Vreal (x, _) -> x
+  | Value.Vint i -> float_of_int i
+  | Value.Vlog _ | Value.Vstr _ -> trap_s "numeric value expected"
+
+let as_int = function
+  | Value.Vint i -> i
+  | Value.Vreal (x, _) -> int_of_float x
+  | Value.Vlog _ | Value.Vstr _ -> trap_s "integer value expected"
+
+let as_bool = function
+  | Value.Vlog b -> b
+  | Value.Vint _ | Value.Vreal _ | Value.Vstr _ -> trap_s "logical value expected"
+
+let value_kind = function
+  | Value.Vreal (_, k) -> Some k
+  | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> None
+
+let promote_kind a b =
+  match a, b with
+  | Some Ast.K8, _ | _, Some Ast.K8 -> Some Ast.K8
+  | Some Ast.K4, _ | _, Some Ast.K4 -> Some Ast.K4
+  | None, None -> None
+
+let kmax k1 k2 = if k1 = Ast.K8 || k2 = Ast.K8 then Ast.K8 else Ast.K4
+
+(* [Vint] blocks are immutable, so the small values can be shared *)
+let vint_cache = Array.init 4097 (fun i -> Value.Vint i)
+let[@inline] vint i = if i >= 0 && i <= 4096 then vint_cache.(i) else Value.Vint i
+
+(* cost sub-table for a statically-known kind: indexed by [ct.vec] *)
 let sub3 costs k =
   let ki = kind_idx k in
   [| costs.(ki); costs.(2 + ki); costs.(4 + ki) |]
 
-(* [eval_indices] compiled: int_op charged before each index evaluates *)
-let eval_cidx (cidx : (cctx -> rframe -> int) array) ct fr : int array =
-  let rt = ct.rt in
-  let n = Array.length cidx in
-  let out = Array.make n 0 in
-  for i = 0 to n - 1 do
-    charge rt ci_flops rt.rmachine.Machine.int_op;
-    out.(i) <- cidx.(i) ct fr
+(* ------------------------------------------------------------------ *)
+(* Stacks                                                              *)
+
+let no_cell = Value.Int_array { data = [||]; dims = [||] }
+
+let grow_f ct need =
+  let a = Array.make (max need (2 * Array.length ct.fs)) 0.0 in
+  Array.blit ct.fs 0 a 0 ct.fsp;
+  ct.fs <- a
+
+let grow_i ct need =
+  let a = Array.make (max need (2 * Array.length ct.is)) 0 in
+  Array.blit ct.is 0 a 0 ct.isp;
+  ct.is <- a
+
+let grow_c ct need =
+  let a = Array.make (max need (2 * Array.length ct.cs)) no_cell in
+  Array.blit ct.cs 0 a 0 ct.csp;
+  ct.cs <- a
+
+(* push a zeroed frame for [cp] above the stack tops; arguments are
+   evaluated (and may call) after this, so their frames land above it.
+   A grown stack is a new array, which is why no code holds [ct.fs] /
+   [ct.is] / [ct.cs] across an evaluation. *)
+let reserve ct (cp : cproc) =
+  let f0 = ct.fsp and i0 = ct.isp in
+  let f1 = f0 + cp.nf and i1 = i0 + cp.ni and c1 = ct.csp + cp.nc in
+  if f1 > Array.length ct.fs then grow_f ct f1;
+  if i1 > Array.length ct.is then grow_i ct i1;
+  if c1 > Array.length ct.cs then grow_c ct c1;
+  let fs = ct.fs in
+  for k = f0 to f1 - 1 do
+    Array.unsafe_set fs k 0.0
   done;
-  out
+  let is = ct.is in
+  for k = i0 to i1 - 1 do
+    Array.unsafe_set is k 0
+  done;
+  ct.fsp <- f1;
+  ct.isp <- i1;
+  ct.csp <- c1
+
+let[@inline] faddr ct = function
+  | Own o -> ct.fb + o
+  | Ref o -> ct.is.(ct.ib + o)
+  | Abs a -> a
+
+let[@inline] iaddr ct = function
+  | Own o -> ct.ib + o
+  | Ref o -> ct.is.(ct.ib + o)
+  | Abs a -> a
+
+let[@inline] cell_at ct = function
+  | Own o -> ct.cs.(ct.cb + o)
+  | Abs a -> ct.cs.(a)
+  | Ref _ -> assert false
+
+(* ------------------------------------------------------------------ *)
+(* Parameters                                                          *)
+
+(* evaluated lazily, uncharged, in an empty frame over the initializer
+   link table. As in [Interp], charging is not restored if the
+   initializer raises; the caller's frame is. *)
+let force_param ct s =
+  match ct.params.(s) with
+  | Some v -> v
+  | None ->
+    let pd = ct.pdefs.(s) in
+    let init =
+      match pd.cp_init with
+      | Some f -> f
+      | None -> trap "parameter %s has no initializer" pd.cp_name
+    in
+    let saved = ct.charging in
+    ct.charging <- false;
+    let links = ct.flinks in
+    ct.flinks <- ct.aux_links;
+    let v =
+      match init ct with
+      | v -> v
+      | exception e ->
+        ct.flinks <- links;
+        raise e
+    in
+    ct.flinks <- links;
+    ct.charging <- saved;
+    let v =
+      match pd.cp_base with
+      | Ast.Treal k -> Value.Vreal (Fp32.of_kind k (as_float v), k)
+      | Ast.Tinteger -> Value.Vint (as_int v)
+      | Ast.Tlogical -> Value.Vlog (as_bool v)
+    in
+    ct.params.(s) <- Some v;
+    v
+
+(* the cell a whole-array reference resolves to; scalars and parameters
+   (forced first) resolve to a sentinel scalar, which every caller
+   rejects with its own message *)
+let sentinel_scalar = Value.Scalar (ref (Value.Vint 0))
+
+let resolve_cell ct = function
+  | Vtrap m -> trap_s m
+  | Vparam s ->
+    ignore (force_param ct s : Value.v);
+    sentinel_scalar
+  | Vf _ | Vi _ | Vb _ -> sentinel_scalar
+  | Va (l, _) -> cell_at ct l
+  | Vunalloc -> assert false
+
+(* ------------------------------------------------------------------ *)
+(* The generic value lane: [Interp]'s value-level rules                *)
+
+let bin_v ct op ~exempt ~costs ~powmul va vb =
+  let ka = value_kind va in
+  let kb = value_kind vb in
+  (match ka, kb with
+  | Some k1, Some k2 when k1 <> k2 -> if not exempt then charge ct ci_convert ct.conv.(ct.vec)
+  | _ -> ());
+  match va, vb, op with
+  | Value.Vint x, Value.Vint y, (Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Pow) ->
+    charge ct ci_flops ct.machine.Machine.int_op;
+    Value.Vint
+      (match op with
+      | Ast.Add -> x + y
+      | Ast.Sub -> x - y
+      | Ast.Mul -> x * y
+      | Ast.Div -> if y = 0 then trap_s "integer division by zero" else x / y
+      | Ast.Pow ->
+        if y < 0 then trap_s "negative integer exponent"
+        else begin
+          let rec pow acc n = if n = 0 then acc else pow (acc * x) (n - 1) in
+          pow 1 y
+        end
+      | _ -> assert false)
+  | _, _, (Ast.Add | Ast.Sub | Ast.Mul | Ast.Div) ->
+    let k =
+      match promote_kind ka kb with Some k -> k | None -> trap_s "numeric operands expected"
+    in
+    charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
+    let x = as_float va and y = as_float vb in
+    mk_real k
+      (match op with
+      | Ast.Add -> x +. y
+      | Ast.Sub -> x -. y
+      | Ast.Mul -> x *. y
+      | Ast.Div -> x /. y
+      | _ -> assert false)
+  | _, _, Ast.Pow -> (
+    let k =
+      match promote_kind ka kb with Some k -> k | None -> trap_s "numeric operands expected"
+    in
+    let x = as_float va in
+    match vb with
+    | Value.Vint n when abs n <= 4 ->
+      charge ct ci_flops (powmul.((ct.vec * 2) + kind_idx k) *. float_of_int (max 1 (abs n - 1)));
+      let rec pow acc i = if i = 0 then acc else pow (acc *. x) (i - 1) in
+      let v = pow 1.0 (abs n) in
+      mk_real k (if n < 0 then 1.0 /. v else v)
+    | _ ->
+      charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
+      mk_real k (Float.pow x (as_float vb)))
+  | _, _, (Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) -> (
+    charge ct ci_flops ct.machine.Machine.compare_cost;
+    match va, vb with
+    | Value.Vlog x, Value.Vlog y ->
+      Value.Vlog
+        (match op with
+        | Ast.Eq -> x = y
+        | Ast.Ne -> x <> y
+        | _ -> trap_s "ordering of logicals")
+    | _ ->
+      let x = as_float va and y = as_float vb in
+      Value.Vlog
+        (match op with
+        | Ast.Eq -> x = y
+        | Ast.Ne -> x <> y
+        | Ast.Lt -> x < y
+        | Ast.Le -> x <= y
+        | Ast.Gt -> x > y
+        | Ast.Ge -> x >= y
+        | _ -> assert false))
+  | _, _, (Ast.And | Ast.Or) -> assert false
+
+(* [scalar_store]: convert [v] to the slot's declared type and store *)
+let store_v ct var ~lit v =
+  match var with
+  | Vf (l, k) ->
+    (match value_kind v with
+    | Some k2 when k2 <> k -> if not lit then charge ct ci_convert ct.conv.(ct.vec)
+    | _ -> ());
+    let x = cround k (as_float v) in
+    if not (Float.is_finite x) then nonfinite_scalar k;
+    ct.fs.(faddr ct l) <- x
+  | Vi l ->
+    let i = as_int v in
+    ct.is.(iaddr ct l) <- i
+  | Vb l ->
+    let b = as_bool v in
+    ct.is.(iaddr ct l) <- Bool.to_int b
+  | Va _ | Vparam _ | Vunalloc | Vtrap _ -> assert false
+
+(* [bind_by_value] into a dummy of the frame based at [fb']/[ib'] *)
+let bind_value ct callee ~lit (d : dummy_slot) fb' ib' v =
+  match d, v with
+  | Dreal { dn; dk; addr; home; _ }, Value.Vreal (x, ak) ->
+    if ak <> dk then begin
+      if lit then ct.fs.(fb' + home) <- cround dk x
+      else
+        trap
+          "argument %d-ish of %s: real(kind=%d) value passed to real(kind=%d) dummy %s — \
+           wrapper required"
+          0 callee (Token.int_of_kind ak) (Token.int_of_kind dk) dn
+    end
+    else ct.fs.(fb' + home) <- x;
+    ct.is.(ib' + addr) <- fb' + home
+  | Dreal { dk; addr; home; _ }, Value.Vint i ->
+    ct.fs.(fb' + home) <- cround dk (float_of_int i);
+    ct.is.(ib' + addr) <- fb' + home
+  | Dint { logical = false; addr; home; _ }, Value.Vint i ->
+    ct.is.(ib' + home) <- i;
+    ct.is.(ib' + addr) <- ib' + home
+  | Dint { logical = true; addr; home; _ }, Value.Vlog b ->
+    ct.is.(ib' + home) <- Bool.to_int b;
+    ct.is.(ib' + addr) <- ib' + home
+  | (Dreal { dn; _ } | Dint { dn; _ }), _ ->
+    trap "type mismatch binding value to dummy %s of %s" dn callee
+  | (Darr _ | Dnone _), _ -> assert false
+
+(* ------------------------------------------------------------------ *)
+(* Subscripts and element access                                       *)
+
+type sub =
+  | S1 of (ctx -> int)
+  | S2 of (ctx -> int) * (ctx -> int)
+  | Sn of (ctx -> int) array
 
 (* [Value.offset] on an int array: same checks, same messages *)
 let offset_arr ~name ~dims (idx : int array) =
@@ -194,68 +507,7 @@ let offset_arr ~name ~dims (idx : int array) =
   done;
   !off
 
-(* kept as a direct call so the floats never box: an indirect arithmetic
-   closure would box both arguments and the result on every operation *)
-let[@inline] arith4 op (x : float) (y : float) =
-  match op with
-  | Ast.Add -> x +. y
-  | Ast.Sub -> x -. y
-  | Ast.Mul -> x *. y
-  | Ast.Div -> x /. y
-  | _ -> assert false
-
-let iarith op x y =
-  match op with
-  | Ast.Add -> x + y
-  | Ast.Sub -> x - y
-  | Ast.Mul -> x * y
-  | Ast.Div -> if y = 0 then trap "integer division by zero" else x / y
-  | Ast.Pow ->
-    if y < 0 then trap "negative integer exponent"
-    else begin
-      let rec pow acc n = if n = 0 then acc else pow (acc * x) (n - 1) in
-      pow 1 y
-    end
-  | _ -> assert false
-
-(* Local clones of [Fp32.round]/[Fp32.of_kind]/[Lower.mk_realf]: those
-   are tiny, but a cross-module call that fails to inline boxes its
-   float argument and result on the hottest paths here. The bit-level
-   computation is identical (same externals, same checks); the cold trap
-   path defers to [mk_realf], which recomputes and raises the same
-   message. *)
-let[@inline] round32 x = Int32.float_of_bits (Int32.bits_of_float x)
-
-let[@inline] cround (k : Ast.real_kind) x =
-  match k with
-  | Ast.K4 -> round32 x
-  | Ast.K8 -> x
-
-let[@inline] cmk_realf k x =
-  let y = cround k x in
-  if Float.is_finite y then y else mk_realf k x
-
-(* small-exponent x**n as the same left-associated chain the generic
-   loop produces (so bit-identical), but inlined: a local recursive
-   helper would allocate its closure and box the accumulator on every
-   call *)
-let[@inline] ipow4 (x : float) (n : int) =
-  match n with
-  | 0 -> 1.0
-  | 1 -> 1.0 *. x
-  | 2 -> 1.0 *. x *. x
-  | 3 -> 1.0 *. x *. x *. x
-  | _ -> 1.0 *. x *. x *. x *. x
-
-(* [Vint] blocks are immutable, so the small values every loop counter
-   passes through can be shared instead of freshly boxed per iteration *)
-let vint_cache = Array.init 4097 (fun i -> Value.Vint i)
-
-let[@inline] vint i = if i >= 0 && i <= 4096 then vint_cache.(i) else Value.Vint i
-
-(* [offset_arr] specialized to one subscript — most accesses in the
-   models are rank-1, and the generic path pays an index-array
-   allocation per access. Same checks, same messages. *)
+(* [offset_arr] specialized to one and two subscripts: no index array *)
 let[@inline] offset1 ~name ~(dims : int array) i =
   if Array.length dims <> 1 then
     raise
@@ -266,8 +518,6 @@ let[@inline] offset1 ~name ~(dims : int array) i =
          (Printf.sprintf "%s: subscript %d of dimension %d out of range [1,%d]" name i 1 dims.(0)));
   i - 1
 
-(* ... and to two subscripts (column-model arrays): same checks in the
-   same order as [offset_arr]'s loop *)
 let[@inline] offset2 ~name ~(dims : int array) i j =
   if Array.length dims <> 2 then
     raise
@@ -282,214 +532,491 @@ let[@inline] offset2 ~name ~(dims : int array) i j =
          (Printf.sprintf "%s: subscript %d of dimension %d out of range [1,%d]" name j 2 dims.(1)));
   i - 1 + ((j - 1) * dims.(0))
 
-let[@inline] cmp_fn op (x : float) (y : float) =
-  match op with
-  | Ast.Eq -> x = y
-  | Ast.Ne -> x <> y
-  | Ast.Lt -> x < y
-  | Ast.Le -> x <= y
-  | Ast.Gt -> x > y
-  | Ast.Ge -> x >= y
-  | _ -> assert false
+(* [eval_indices]: int_op charged before each subscript evaluates *)
+let eval_cidx (cidx : (ctx -> int) array) ct : int array =
+  let n = Array.length cidx in
+  let out = Array.make n 0 in
+  for i = 0 to n - 1 do
+    charge ct ci_flops ct.machine.Machine.int_op;
+    out.(i) <- cidx.(i) ct
+  done;
+  out
 
-(* indexed store with compiled index closures — [store_indexed]'s
-   semantics (same checks, charges and messages), reached from both
-   compiled assignments and the compiled copy-out path *)
-let cstore ct fr name cell cidx ~lit v =
-  if Array.length cidx = 1 then begin
-    (* rank-1: same charge order as [eval_cidx] + the generic arms,
-       minus the index-array allocation *)
-    let rt = ct.rt in
-    charge rt ci_flops rt.rmachine.Machine.int_op;
-    let i = cidx.(0) ct fr in
-    match cell with
-    | Value.Real_array { kind; data; dims } ->
-      charge rt ci_memory rt.rmemtab.((rt.rvec * 2) + kind_idx kind);
-      (match value_kind v with
-      | Some k when k <> kind -> if not lit then charge rt ci_convert rt.rconv.(rt.rvec)
-      | _ -> ());
-      let x = cround kind (as_float v) in
-      if not (Float.is_finite x) then
-        trap "non-finite value stored to %s (real(kind=%d))" name (Token.int_of_kind kind);
-      data.(offset1 ~name ~dims i) <- x
-    | Value.Int_array { data; dims } ->
-      charge rt ci_flops rt.rmachine.Machine.int_op;
-      data.(offset1 ~name ~dims i) <- as_int v
-    | Value.Log_array { data; dims } -> data.(offset1 ~name ~dims i) <- as_bool v
-    | Value.Scalar _ -> trap "scalar %s subscripted" name
-  end
-  else
-  let rt = ct.rt in
-  let ix = eval_cidx cidx ct fr in
+(* evaluate the subscripts into [ct.i0]/[ct.i1]/[ct.ix]; nothing runs
+   between this and the [sub_off] that reads them *)
+let eval_sub ct = function
+  | S1 f ->
+    charge ct ci_flops ct.machine.Machine.int_op;
+    let i = f ct in
+    ct.i0 <- i
+  | S2 (f, g) ->
+    charge ct ci_flops ct.machine.Machine.int_op;
+    let i = f ct in
+    charge ct ci_flops ct.machine.Machine.int_op;
+    let j = g ct in
+    ct.i0 <- i;
+    ct.i1 <- j
+  | Sn fs -> ct.ix <- eval_cidx fs ct
+
+let sub_off ct name dims = function
+  | S1 _ -> offset1 ~name ~dims ct.i0
+  | S2 _ -> offset2 ~name ~dims ct.i0 ct.i1
+  | Sn _ -> offset_arr ~name ~dims ct.ix
+
+(* [store_indexed]'s tail once the subscripts are evaluated, one per
+   value lane; the float operand is in [ct.scratch.fv] with kind [vk] *)
+let put_f ct name cell sub ~lit vk =
   match cell with
   | Value.Real_array { kind; data; dims } ->
-    charge rt ci_memory rt.rmemtab.((rt.rvec * 2) + kind_idx kind);
+    charge ct ci_memory ct.memtab.((ct.vec * 2) + kind_idx kind);
+    if vk <> kind && not lit then charge ct ci_convert ct.conv.(ct.vec);
+    let x = cround kind ct.scratch.fv in
+    if not (Float.is_finite x) then nonfinite_elem name kind;
+    data.(sub_off ct name dims sub) <- x
+  | Value.Int_array { data; dims } ->
+    charge ct ci_flops ct.machine.Machine.int_op;
+    let i = int_of_float ct.scratch.fv in
+    data.(sub_off ct name dims sub) <- i
+  | Value.Log_array _ -> trap_s "logical value expected"
+  | Value.Scalar _ -> trap "scalar %s subscripted" name
+
+let put_i ct name cell sub i =
+  match cell with
+  | Value.Real_array { kind; data; dims } ->
+    charge ct ci_memory ct.memtab.((ct.vec * 2) + kind_idx kind);
+    let x = cround kind (float_of_int i) in
+    if not (Float.is_finite x) then nonfinite_elem name kind;
+    data.(sub_off ct name dims sub) <- x
+  | Value.Int_array { data; dims } ->
+    charge ct ci_flops ct.machine.Machine.int_op;
+    data.(sub_off ct name dims sub) <- i
+  | Value.Log_array _ -> trap_s "logical value expected"
+  | Value.Scalar _ -> trap "scalar %s subscripted" name
+
+let put_b ct name cell sub b =
+  match cell with
+  | Value.Real_array { kind; _ } ->
+    charge ct ci_memory ct.memtab.((ct.vec * 2) + kind_idx kind);
+    trap_s "numeric value expected"
+  | Value.Int_array _ ->
+    charge ct ci_flops ct.machine.Machine.int_op;
+    trap_s "integer value expected"
+  | Value.Log_array { data; dims } -> data.(sub_off ct name dims sub) <- b
+  | Value.Scalar _ -> trap "scalar %s subscripted" name
+
+let put_v ct name cell sub ~lit v =
+  match cell with
+  | Value.Real_array { kind; data; dims } ->
+    charge ct ci_memory ct.memtab.((ct.vec * 2) + kind_idx kind);
     (match value_kind v with
-    | Some k when k <> kind -> if not lit then charge rt ci_convert rt.rconv.(rt.rvec)
+    | Some k when k <> kind -> if not lit then charge ct ci_convert ct.conv.(ct.vec)
     | _ -> ());
     let x = cround kind (as_float v) in
-    if not (Float.is_finite x) then
-      trap "non-finite value stored to %s (real(kind=%d))" name (Token.int_of_kind kind);
-    data.(offset_arr ~name ~dims ix) <- x
+    if not (Float.is_finite x) then nonfinite_elem name kind;
+    data.(sub_off ct name dims sub) <- x
   | Value.Int_array { data; dims } ->
-    charge rt ci_flops rt.rmachine.Machine.int_op;
-    data.(offset_arr ~name ~dims ix) <- as_int v
-  | Value.Log_array { data; dims } -> data.(offset_arr ~name ~dims ix) <- as_bool v
+    charge ct ci_flops ct.machine.Machine.int_op;
+    let i = as_int v in
+    data.(sub_off ct name dims sub) <- i
+  | Value.Log_array { data; dims } ->
+    let b = as_bool v in
+    data.(sub_off ct name dims sub) <- b
   | Value.Scalar _ -> trap "scalar %s subscripted" name
 
 (* ------------------------------------------------------------------ *)
-(* Compiled call protocol — [Lower.exec_call] transcribed, with the
-   argument-binding and result rules shared via [bind_arg_ref] /
-   [bind_by_value], and the callee resolved through [flinks] at runtime
-   so compiled procedures stay cacheable across variants.               *)
+(* Calls                                                               *)
 
-(* a [for] rather than [Array.iter]: the iter closure would capture
-   [ct]/[fr] and so allocate on every block execution — once per loop
-   iteration in the models' innermost loops *)
-let exec_cblock ct fr (blk : cstmt array) =
+type ccall = {
+  cc : call_site;  (* names, callee index and arity trap *)
+  cc_args : carg array;
+  cc_copies : bool;  (* some argument may copy out *)
+}
+
+and carg =
+  | CAref of { a : string; v : var }  (* whole-variable actual *)
+  | CAval of { e : cexpr; lit : bool; co : ccopy option }
+
+(* an array-element actual's copy-out destination, resolved in the
+   caller *)
+and ccopy = { out_name : string; out_var : var; out_sub : sub }
+
+(* a [for] rather than [Array.iter]: the iter closure would capture [ct]
+   and allocate on every block execution *)
+let exec_cblock ct (blk : (ctx -> unit) array) =
   for i = 0 to Array.length blk - 1 do
-    blk.(i) ct fr
+    blk.(i) ct
   done
 
-let rec copy_back ct fr cells = function
-  | [] -> ()
-  | ((cc : ccopy), slot) :: rest ->
-    (match cells.(slot) with
-    | Some (Value.Scalar r) -> (
-      match resolve_g ct.rt fr cc.cco.co_name cc.cco.co_r with
-      | `Cell cell -> cstore ct fr cc.cco.co_name cell cc.cco_idx ~lit:false !r
-      | `Param _ -> ())
-    | Some _ | None -> ());
-    copy_back ct fr cells rest
+let bind_ref ct callee a v (d : dummy_slot) fb' ib' cb' =
+  match d with
+  | Darr { dn; db; slot } -> (
+    match v with
+    | Vtrap m -> trap_s m
+    | Vparam s ->
+      ignore (force_param ct s : Value.v);
+      trap "parameter %s passed to array dummy" a
+    | Vf _ | Vi _ | Vb _ -> trap "scalar %s passed to array dummy %s of %s" a dn callee
+    | Va (l, _) -> (
+      let cell = cell_at ct l in
+      match cell with
+      | Value.Real_array { kind; _ } -> (
+        match db with
+        | Ast.Treal dk when dk = kind -> ct.cs.(cb' + slot) <- cell
+        | Ast.Treal dk ->
+          trap
+            "argument %s of %s: real(kind=%d) array passed to real(kind=%d) dummy %s — \
+             wrapper required"
+            a callee (Token.int_of_kind kind) (Token.int_of_kind dk) dn
+        | Ast.Tinteger | Ast.Tlogical -> trap "array type mismatch for %s of %s" dn callee)
+      | Value.Int_array _ -> (
+        match db with
+        | Ast.Tinteger -> ct.cs.(cb' + slot) <- cell
+        | Ast.Treal _ | Ast.Tlogical -> trap "array type mismatch for %s of %s" dn callee)
+      | Value.Log_array _ -> (
+        match db with
+        | Ast.Tlogical -> ct.cs.(cb' + slot) <- cell
+        | Ast.Treal _ | Ast.Tinteger -> trap "array type mismatch for %s of %s" dn callee)
+      | Value.Scalar _ -> trap "scalar %s passed to array dummy %s of %s" a dn callee)
+    | Vunalloc -> assert false)
+  | Dreal { dn; dk; addr; _ } -> (
+    match v with
+    | Vtrap m -> trap_s m
+    | Vparam s -> bind_value ct callee ~lit:false d fb' ib' (force_param ct s)
+    | Va _ -> trap "array %s passed to scalar dummy %s of %s" a dn callee
+    | Vf (l, ak) ->
+      if ak = dk then ct.is.(ib' + addr) <- faddr ct l
+      else
+        trap
+          "argument %s of %s: real(kind=%d) passed to real(kind=%d) dummy %s — wrapper \
+           required"
+          a callee (Token.int_of_kind ak) (Token.int_of_kind dk) dn
+    | Vi _ | Vb _ -> trap "type mismatch binding %s to dummy %s of %s" a dn callee
+    | Vunalloc -> assert false)
+  | Dint { dn; logical; addr; _ } -> (
+    match v with
+    | Vtrap m -> trap_s m
+    | Vparam s -> bind_value ct callee ~lit:false d fb' ib' (force_param ct s)
+    | Va _ -> trap "array %s passed to scalar dummy %s of %s" a dn callee
+    | Vi l when not logical -> ct.is.(ib' + addr) <- iaddr ct l
+    | Vb l when logical -> ct.is.(ib' + addr) <- iaddr ct l
+    | Vf _ | Vi _ | Vb _ -> trap "type mismatch binding %s to dummy %s of %s" a dn callee
+    | Vunalloc -> assert false)
+  | Dnone _ -> assert false
 
-let rec cdims_from (cl : clocal) ct callee i acc =
-  if i = Array.length cl.cl_dims then List.rev acc
-  else cdims_from cl ct callee (i + 1) (cl.cl_dims.(i) ct callee :: acc)
+let bind_val ct callee (e : cexpr) ~lit (d : dummy_slot) fb' ib' =
+  match e with
+  | Kf (f, ak) -> (
+    f ct;
+    match d with
+    | Dreal { dn; dk; addr; home; _ } ->
+      if ak <> dk then begin
+        if lit then ct.fs.(fb' + home) <- cround dk ct.scratch.fv
+        else
+          trap
+            "argument %d-ish of %s: real(kind=%d) value passed to real(kind=%d) dummy %s — \
+             wrapper required"
+            0 callee (Token.int_of_kind ak) (Token.int_of_kind dk) dn
+      end
+      else ct.fs.(fb' + home) <- ct.scratch.fv;
+      ct.is.(ib' + addr) <- fb' + home
+    | Dint { dn; _ } -> trap "type mismatch binding value to dummy %s of %s" dn callee
+    | Darr _ | Dnone _ -> assert false)
+  | Ki f -> (
+    let i = f ct in
+    match d with
+    | Dreal { dk; addr; home; _ } ->
+      ct.fs.(fb' + home) <- cround dk (float_of_int i);
+      ct.is.(ib' + addr) <- fb' + home
+    | Dint { logical = false; addr; home; _ } ->
+      ct.is.(ib' + home) <- i;
+      ct.is.(ib' + addr) <- ib' + home
+    | Dint { dn; _ } -> trap "type mismatch binding value to dummy %s of %s" dn callee
+    | Darr _ | Dnone _ -> assert false)
+  | Kb f -> (
+    let b = f ct in
+    match d with
+    | Dint { logical = true; addr; home; _ } ->
+      ct.is.(ib' + home) <- Bool.to_int b;
+      ct.is.(ib' + addr) <- ib' + home
+    | Dreal { dn; _ } | Dint { dn; _ } ->
+      trap "type mismatch binding value to dummy %s of %s" dn callee
+    | Darr _ | Dnone _ -> assert false)
+  | Kv f -> bind_value ct callee ~lit d fb' ib' (f ct)
 
-let[@inline] cdims cl ct callee = cdims_from cl ct callee 0 []
+(* write a by-value dummy's final value back to the array element its
+   actual named — in the caller's frame, the callee's still reserved *)
+let copy_out ct (co : ccopy) (d : dummy_slot) fb' ib' =
+  match co.out_var with
+  | Vtrap m -> trap_s m
+  | Vparam s -> ignore (force_param ct s : Value.v)
+  | Vf _ | Vi _ | Vb _ ->
+    eval_sub ct co.out_sub;
+    trap "scalar %s subscripted" co.out_name
+  | Va (l, _) -> (
+    let cell = cell_at ct l in
+    eval_sub ct co.out_sub;
+    match d with
+    | Dreal { dk; home; _ } ->
+      ct.scratch.fv <- ct.fs.(fb' + home);
+      put_f ct co.out_name cell co.out_sub ~lit:false dk
+    | Dint { logical = false; home; _ } -> put_i ct co.out_name cell co.out_sub ct.is.(ib' + home)
+    | Dint { logical = true; home; _ } ->
+      put_b ct co.out_name cell co.out_sub (ct.is.(ib' + home) <> 0)
+    | Darr _ | Dnone _ -> ())
+  | Vunalloc -> assert false
 
-let exec_ccall ct fr (ca : ccall) : Value.v option =
-  let rt = ct.rt in
+let alloc_array (base : Ast.base_type) (dims : int array) : Value.cell =
+  let n = Value.elements dims in
+  if n < 0 || n > 50_000_000 then trap "array allocation of %d elements refused" n;
+  match base with
+  | Ast.Treal kind -> Value.Real_array { kind; data = Array.make n 0.0; dims }
+  | Ast.Tinteger -> Value.Int_array { data = Array.make n 0; dims }
+  | Ast.Tlogical -> Value.Log_array { data = Array.make n false; dims }
+
+(* the function result's storage, encoded [addr lsl 2 lor tag] with tag
+   0/1 = real(4)/real(8) in [fs], 2 = integer, 3 = logical in [is];
+   -1 for a subroutine *)
+let result_code ct name (cp : cproc) fb' ib' =
+  match cp.result with
+  | Rsub -> -1
+  | Rmissing -> trap "function %s has no result cell" name
+  | Rarray -> trap "array-valued function %s unsupported" name
+  | Rscalar (Vf (Own o, k)) -> ((fb' + o) lsl 2) lor kind_idx k
+  | Rscalar (Vi (Own o)) -> ((ib' + o) lsl 2) lor 2
+  | Rscalar (Vb (Own o)) -> ((ib' + o) lsl 2) lor 3
+  | Rscalar (Vf (Ref o, k)) -> (ct.is.(ib' + o) lsl 2) lor kind_idx k
+  | Rscalar (Vi (Ref o)) -> (ct.is.(ib' + o) lsl 2) lor 2
+  | Rscalar (Vb (Ref o)) -> (ct.is.(ib' + o) lsl 2) lor 3
+  | Rscalar _ -> assert false
+
+(* the call protocol: [Interp.call_user] step for step. Returns
+   [result_code]; the popped callee frame stays intact until the next
+   push, so the caller reads the result straight after. *)
+let exec_ccall ct (ca : ccall) : int =
   let cs = ca.cc in
   if cs.cs_callee = -1 then
     (* unknown procedure: the reference traps before the depth increment *)
     trap_s (match cs.cs_arity_trap with Some m -> m | None -> assert false);
   let name = cs.cs_name in
-  rt.rdepth <- rt.rdepth + 1;
-  if rt.rdepth > 200 then trap "call depth limit exceeded at %s" name;
-  check_budget rt;
+  ct.depth <- ct.depth + 1;
+  if ct.depth > 200 then trap "call depth limit exceeded at %s" name;
+  check_budget ct;
   (match cs.cs_arity_trap with Some m -> trap_s m | None -> ());
-  let pidx = fr.flinks.(cs.cs_callee) in
+  let pidx = ct.flinks.(cs.cs_callee) in
   let cp = ct.cprocs.(pidx) in
   let ir = cp.ir in
-  let cells = Array.make ir.p_nslots None in
-  let copy_out = ref [] in
-  let nargs = Array.length ca.cc_args in
-  for i = 0 to nargs - 1 do
-    let d = ir.p_dummies.(i) in
-    if d.d_undeclared then trap "dummy %s of %s undeclared" d.d_name name;
-    match ca.cc_args.(i) with
-    | CAref { a; ar } -> bind_arg_ref rt fr cells ~callee:name ~d a ar
-    | CAval { cv; lit; co } ->
-      if d.d_is_array then
-        trap "array dummy %s of %s requires a whole-array actual argument" d.d_name name
-      else begin
-        let v = cv ct fr in
-        bind_by_value rt cells ~callee:name ~d ~lit v;
-        match co with
-        | Some c when d.d_writable -> copy_out := (c, d.d_slot) :: !copy_out
-        | Some _ | None -> ()
-      end
-  done;
-  let callee = { pname = ir.p_name; cells; flinks = rt.rlinks.(pidx) } in
-  (* plain [for] loops below: [Array.iter]/[List.iter] thunks would
-     capture [ct]/[callee] and allocate on every call *)
-  for li = 0 to Array.length cp.clocals - 1 do
-    let cl = cp.clocals.(li) in
-    cells.(cl.cl_def.l_slot) <- Some (alloc_cell cl.cl_def.l_base (cdims cl ct callee))
-  done;
-  for ii = 0 to Array.length cp.cinits - 1 do
-    let ci = cp.cinits.(ii) in
-    let v = ci.cin_rhs ct callee in
-    match cells.(ci.cin_def.i_slot) with
-    | Some (Value.Scalar r) -> scalar_store rt r v ~lit:ci.cin_def.i_lit
-    | Some _ | None -> trap "initializer on array %s unsupported" ci.cin_def.i_name
-  done;
+  let fb = ct.fb and ib = ct.ib and cb = ct.cb and links = ct.flinks in
+  let fb' = ct.fsp and ib' = ct.isp and cb' = ct.csp in
+  reserve ct cp;
+  (try
+     let args = ca.cc_args in
+     for i = 0 to Array.length args - 1 do
+       let d = cp.dummies.(i) in
+       match d with
+       | Dnone dn -> trap "dummy %s of %s undeclared" dn name
+       | _ -> (
+         match args.(i) with
+         | CAref { a; v } -> bind_ref ct name a v d fb' ib' cb'
+         | CAval { e; lit; _ } -> (
+           match d with
+           | Darr { dn; _ } ->
+             trap "array dummy %s of %s requires a whole-array actual argument" dn name
+           | _ -> bind_val ct name e ~lit d fb' ib'))
+     done;
+     ct.fb <- fb';
+     ct.ib <- ib';
+     ct.cb <- cb';
+     ct.flinks <- ct.links.(pidx);
+     let ls = cp.clocals in
+     for k = 0 to Array.length ls - 1 do
+       let l = ls.(k) in
+       let nd = Array.length l.cl_dims in
+       let dims = Array.make nd 0 in
+       for j = 0 to nd - 1 do
+         dims.(j) <- l.cl_dims.(j) ct
+       done;
+       let cell = alloc_array l.cl_base dims in
+       ct.cs.(cb' + l.cl_slot) <- cell
+     done;
+     exec_cblock ct cp.cinits
+   with e ->
+     ct.fb <- fb;
+     ct.ib <- ib;
+     ct.cb <- cb;
+     ct.flinks <- links;
+     ct.fsp <- fb';
+     ct.isp <- ib';
+     ct.csp <- cb';
+     raise e);
   let is_wrapper = ir.p_is_wrapper in
-  let inl = (not is_wrapper) && (not rt.rin_wrapper) && ir.p_inlinable in
-  if not is_wrapper then
-    Timers.enter_acc rt.rtimers (proc_acc rt pidx ir.p_name) ir.p_name ~now:rt.rcost.fv;
+  let inl = (not is_wrapper) && (not ct.in_wrapper) && ir.p_inlinable in
+  if not is_wrapper then Timers.enter_clock ct.timers (proc_acc ct pidx ir.p_name) ir.p_name ct.cost;
   if not inl then begin
-    charge rt ci_call rt.rmachine.Machine.call_overhead;
-    if is_wrapper then charge rt ci_call rt.rmachine.Machine.wrapper_overhead
+    charge ct ci_call ct.machine.Machine.call_overhead;
+    if is_wrapper then charge ct ci_call ct.machine.Machine.wrapper_overhead
   end;
-  let saved_vec = rt.rvec in
-  let saved_in_wrapper = rt.rin_wrapper in
-  if not inl then rt.rvec <- 0;
-  rt.rin_wrapper <- is_wrapper;
-  (* [finish] spelled out at both exits rather than bound to a closure:
-     it would be allocated per call *)
-  (match exec_cblock ct callee cp.cbody with
+  let saved_vec = ct.vec in
+  let saved_in_wrapper = ct.in_wrapper in
+  if not inl then ct.vec <- 0;
+  ct.in_wrapper <- is_wrapper;
+  (match exec_cblock ct cp.cbody with
   | () -> ()
   | exception Rreturn -> ()
   | exception e ->
-    if not is_wrapper then Timers.exit_ rt.rtimers ~now:rt.rcost.fv;
-    rt.rvec <- saved_vec;
-    rt.rin_wrapper <- saved_in_wrapper;
-    rt.rdepth <- rt.rdepth - 1;
+    if not is_wrapper then Timers.exit_clock ct.timers ct.cost;
+    ct.vec <- saved_vec;
+    ct.in_wrapper <- saved_in_wrapper;
+    ct.depth <- ct.depth - 1;
+    ct.fb <- fb;
+    ct.ib <- ib;
+    ct.cb <- cb;
+    ct.flinks <- links;
+    ct.fsp <- fb';
+    ct.isp <- ib';
+    ct.csp <- cb';
     raise e);
-  if not is_wrapper then Timers.exit_ rt.rtimers ~now:rt.rcost.fv;
-  rt.rvec <- saved_vec;
-  rt.rin_wrapper <- saved_in_wrapper;
-  rt.rdepth <- rt.rdepth - 1;
-  copy_back ct fr cells !copy_out;
-  if not ir.p_is_function then None
-  else if ir.p_result = -2 then trap "function %s has no result cell" name
-  else (
-    match cells.(ir.p_result) with
-    | Some (Value.Scalar r) -> Some !r
-    | Some _ -> trap "array-valued function %s unsupported" name
-    | None -> trap "function %s has no result cell" name)
+  if not is_wrapper then Timers.exit_clock ct.timers ct.cost;
+  ct.vec <- saved_vec;
+  ct.in_wrapper <- saved_in_wrapper;
+  ct.depth <- ct.depth - 1;
+  ct.fb <- fb;
+  ct.ib <- ib;
+  ct.cb <- cb;
+  ct.flinks <- links;
+  if ca.cc_copies then begin
+    (* [Interp] copies out in reverse binding order *)
+    let args = ca.cc_args in
+    try
+      for i = Array.length args - 1 downto 0 do
+        match args.(i), cp.dummies.(i) with
+        | CAval { co = Some co; _ }, ((Dreal { wr = true; _ } | Dint { wr = true; _ }) as d) ->
+          copy_out ct co d fb' ib'
+        | _ -> ()
+      done
+    with e ->
+      ct.fsp <- fb';
+      ct.isp <- ib';
+      ct.csp <- cb';
+      raise e
+  end;
+  ct.fsp <- fb';
+  ct.isp <- ib';
+  ct.csp <- cb';
+  result_code ct name cp fb' ib'
+
+(* a function result as a value, from its [result_code] *)
+let result_value ct name r =
+  if r < 0 then trap "subroutine %s called as a function" name
+  else
+    let a = r lsr 2 in
+    match r land 3 with
+    | 0 -> Value.Vreal (ct.fs.(a), Ast.K4)
+    | 1 -> Value.Vreal (ct.fs.(a), Ast.K8)
+    | 2 -> Value.Vint ct.is.(a)
+    | _ -> Value.Vlog (ct.is.(a) <> 0)
+
+(* ------------------------------------------------------------------ *)
+(* Lane views. Conversions mirror [as_float]/[as_int]/[as_bool]: the
+   operand is always evaluated (with its charges) before any trap.      *)
+
+let force = function
+  | Kf (f, k) ->
+    fun ct ->
+      f ct;
+      Value.Vreal (ct.scratch.fv, k)
+  | Ki f -> fun ct -> vint (f ct)
+  | Kb f -> fun ct -> Value.Vlog (f ct)
+  | Kv f -> f
+
+(* float view: evaluate and leave the float in [ct.scratch.fv] *)
+let fput = function
+  | Kf (f, _) -> f
+  | Ki f -> fun ct -> ct.scratch.fv <- float_of_int (f ct)
+  | Kb f ->
+    fun ct ->
+      ignore (f ct : bool);
+      trap_s "numeric value expected"
+  | Kv f -> fun ct -> ct.scratch.fv <- as_float (f ct)
+
+let iview = function
+  | Ki f -> f
+  | Kf (f, _) ->
+    fun ct ->
+      f ct;
+      int_of_float ct.scratch.fv
+  | Kb f ->
+    fun ct ->
+      ignore (f ct : bool);
+      trap_s "integer value expected"
+  | Kv f -> fun ct -> as_int (f ct)
+
+let bview = function
+  | Kb f -> f
+  | Kf (f, _) ->
+    fun ct ->
+      f ct;
+      trap_s "logical value expected"
+  | Ki f ->
+    fun ct ->
+      ignore (f ct : int);
+      trap_s "logical value expected"
+  | Kv f -> fun ct -> as_bool (f ct)
+
+(* evaluate for effect only *)
+let effect = function
+  | Kf (f, _) -> f
+  | Ki f -> fun ct -> ignore (f ct : int)
+  | Kb f -> fun ct -> ignore (f ct : bool)
+  | Kv f -> fun ct -> ignore (f ct : Value.v)
 
 (* ------------------------------------------------------------------ *)
 (* Compile-time environment                                            *)
 
 type cenv = {
   prog : program;
-  gsty : sty array;  (* by global slot *)
-  psty : sty array;  (* by parameter slot *)
-  fsty : sty array;  (* by frame slot of the procedure being compiled *)
+  gvars : var array;  (* by global slot *)
+  pbase : Ast.base_type array;  (* by parameter slot *)
+  fvars : var array;  (* by frame slot of the body being compiled *)
+  pname : string;  (* for the out-of-scope trap *)
   clinks : int array;  (* this body's callee index -> proc index *)
 }
 
-let sty_of_ref env = function
-  | Rlocal i -> if i >= 0 && i < Array.length env.fsty then env.fsty.(i) else Sunknown
-  | Rglobal i -> if i >= 0 && i < Array.length env.gsty then env.gsty.(i) else Sunknown
-  | Rparam i -> if i >= 0 && i < Array.length env.psty then env.psty.(i) else Sunknown
-  | Rerr _ -> Sunknown
+let var_of env name = function
+  | Rerr m -> Vtrap m
+  | Rparam s -> Vparam s
+  | Rlocal i -> (
+    match env.fvars.(i) with
+    | Vunalloc -> Vtrap (sp "variable %s local to %s referenced out of scope" name env.pname)
+    | v -> v)
+  | Rglobal i -> env.gvars.(i)
 
-(* result type of the function behind a call site, pinned by the cache
-   key: the callee is reachable, so its scope signature signs every real
-   kind this decision depends on *)
-let callee_result_sty env (cs : call_site) : sty =
-  if cs.cs_callee < 0 || cs.cs_callee >= Array.length env.clinks then Sunknown
+let var_of_base (b : Ast.base_type) l =
+  match b with
+  | Ast.Treal k -> Vf (l, k)
+  | Ast.Tinteger -> Vi l
+  | Ast.Tlogical -> Vb l
+
+(* result lane of the function behind a call site, pinned by the cache
+   key: the callee is reachable, so its scope signature signs every
+   real kind this decision depends on *)
+let callee_result env (cs : call_site) =
+  if cs.cs_callee < 0 || cs.cs_callee >= Array.length env.clinks then None
   else
     match env.clinks.(cs.cs_callee) with
-    | -1 -> Sunknown
+    | -1 -> None
     | pidx ->
       let ir = env.prog.procs.(pidx) in
-      if (not ir.p_is_function) || ir.p_result < 0 then Sunknown
+      if (not ir.p_is_function) || ir.p_result < 0 then None
       else begin
-        let found = ref Sunknown in
+        let found = ref None in
         Array.iter
           (fun (l : local) ->
-            if l.l_slot = ir.p_result then
-              found := sty_of_base l.l_base ~is_array:(l.l_dims <> [||]))
+            if l.l_slot = ir.p_result && l.l_dims = [||] then found := Some l.l_base)
           ir.p_locals;
         Array.iter
           (fun (d : dummy) ->
-            if (not d.d_undeclared) && d.d_slot = ir.p_result then
-              found := sty_of_base d.d_base ~is_array:d.d_is_array)
+            if (not d.d_undeclared) && d.d_slot = ir.p_result && not d.d_is_array then
+              found := Some d.d_base)
           ir.p_dummies;
         !found
       end
@@ -497,251 +1024,277 @@ let callee_result_sty env (cs : call_site) : sty =
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                         *)
 
+let read_var env name r : cexpr =
+  match var_of env name r with
+  | Vf (Own o, k) -> Kf ((fun ct -> ct.scratch.fv <- ct.fs.(ct.fb + o)), k)
+  | Vf (Ref o, k) -> Kf ((fun ct -> ct.scratch.fv <- ct.fs.(ct.is.(ct.ib + o))), k)
+  | Vf (Abs a, k) -> Kf ((fun ct -> ct.scratch.fv <- ct.fs.(a)), k)
+  | Vi (Own o) -> Ki (fun ct -> ct.is.(ct.ib + o))
+  | Vi (Ref o) -> Ki (fun ct -> ct.is.(ct.is.(ct.ib + o)))
+  | Vi (Abs a) -> Ki (fun ct -> ct.is.(a))
+  | Vb l -> Kb (fun ct -> ct.is.(iaddr ct l) <> 0)
+  | Va _ -> Kv (fun _ -> trap "whole array %s used as a value" name)
+  | Vparam s -> (
+    match env.pbase.(s) with
+    | Ast.Treal k -> Kf ((fun ct -> ct.scratch.fv <- as_float (force_param ct s)), k)
+    | Ast.Tinteger -> Ki (fun ct -> as_int (force_param ct s))
+    | Ast.Tlogical -> Kb (fun ct -> as_bool (force_param ct s)))
+  | Vtrap m -> Kv (fun _ -> trap_s m)
+  | Vunalloc -> assert false
+
 let rec compile_expr env (e : expr) : cexpr =
-  (* the generic lane: the interpreter itself on the original node *)
-  let gen () = Kv (fun ct fr -> eval_expr ct.rt fr e) in
   match e with
-  | Elit (Value.Vreal (x, k)) -> Kf ((fun ct _ -> ct.scratch.fv <- x), k)
-  | Elit (Value.Vint i) -> Ki (fun _ _ -> i)
-  | Elit (Value.Vlog b) -> Kb (fun _ _ -> b)
-  | Elit (Value.Vstr _ as v) -> Kv (fun _ _ -> v)
-  | Evar { name; r } -> (
-    match r with
-    | Rerr m -> Kv (fun _ _ -> trap_s m)
-    | Rparam s -> (
-      match env.psty.(s) with
-      | Sreal k -> Kf ((fun ct _ -> ct.scratch.fv <- as_float (force_param ct.rt s)), k)
-      | Sint -> Ki (fun ct _ -> as_int (force_param ct.rt s))
-      | Sbool -> Kb (fun ct _ -> as_bool (force_param ct.rt s))
-      | Sarr _ | Sunknown -> Kv (fun ct _ -> force_param ct.rt s))
-    | Rlocal i -> (
-      match sty_of_ref env r with
-      | Sreal k ->
-        Kf
-          ( (fun ct fr ->
-              match fr.cells.(i) with
-              | Some (Value.Scalar sr) -> ct.scratch.fv <- as_float !sr
-              | Some _ -> trap "whole array %s used as a value" name
-              | None -> trap "variable %s local to %s referenced out of scope" name fr.pname),
-            k )
-      | Sint ->
-        Ki
-          (fun _ fr ->
-            match fr.cells.(i) with
-            | Some (Value.Scalar sr) -> as_int !sr
-            | Some _ -> trap "whole array %s used as a value" name
-            | None -> trap "variable %s local to %s referenced out of scope" name fr.pname)
-      | Sbool ->
-        Kb
-          (fun _ fr ->
-            match fr.cells.(i) with
-            | Some (Value.Scalar sr) -> as_bool !sr
-            | Some _ -> trap "whole array %s used as a value" name
-            | None -> trap "variable %s local to %s referenced out of scope" name fr.pname)
-      | Sarr _ | Sunknown -> gen ())
-    | Rglobal i -> (
-      match sty_of_ref env r with
-      | Sreal k ->
-        Kf
-          ( (fun ct _ ->
-              match ct.rt.rglobals.(i) with
-              | Value.Scalar sr -> ct.scratch.fv <- as_float !sr
-              | _ -> trap "whole array %s used as a value" name),
-            k )
-      | Sint ->
-        Ki
-          (fun ct _ ->
-            match ct.rt.rglobals.(i) with
-            | Value.Scalar sr -> as_int !sr
-            | _ -> trap "whole array %s used as a value" name)
-      | Sbool ->
-        Kb
-          (fun ct _ ->
-            match ct.rt.rglobals.(i) with
-            | Value.Scalar sr -> as_bool !sr
-            | _ -> trap "whole array %s used as a value" name)
-      | Sarr _ | Sunknown -> gen ()))
+  | Elit (Value.Vreal (x, k)) -> Kf ((fun ct -> ct.scratch.fv <- x), k)
+  | Elit (Value.Vint i) -> Ki (fun _ -> i)
+  | Elit (Value.Vlog b) -> Kb (fun _ -> b)
+  | Elit (Value.Vstr _ as v) -> Kv (fun _ -> v)
+  | Evar { name; r } -> read_var env name r
   | Eneg { e = e1; costs } -> (
     match compile_expr env e1 with
     | Kf (f, k) ->
       let sub = sub3 costs k in
       Kf
-        ( (fun ct fr ->
-            f ct fr;
+        ( (fun ct ->
+            f ct;
             let x = ct.scratch.fv in
-            let rt = ct.rt in
-            charge rt ci_flops sub.(rt.rvec);
+            charge ct ci_flops sub.(ct.vec);
             ct.scratch.fv <- cmk_realf k (-.x)),
           k )
     | Ki f ->
       Ki
-        (fun ct fr ->
-          let i = f ct fr in
-          let rt = ct.rt in
-          charge rt ci_flops rt.rmachine.Machine.int_op;
+        (fun ct ->
+          let i = f ct in
+          charge ct ci_flops ct.machine.Machine.int_op;
           -i)
-    | Kb f ->
+    | (Kb _ | Kv _) as c ->
+      let f = force c in
       Kv
-        (fun ct fr ->
-          ignore (f ct fr : bool);
-          trap_s "negation of non-numeric value")
-    | Kv f ->
-      Kv
-        (fun ct fr ->
-          let rt = ct.rt in
-          match f ct fr with
+        (fun ct ->
+          match f ct with
           | Value.Vint i ->
-            charge rt ci_flops rt.rmachine.Machine.int_op;
+            charge ct ci_flops ct.machine.Machine.int_op;
             Value.Vint (-i)
           | Value.Vreal (x, k) ->
-            charge rt ci_flops costs.((rt.rvec * 2) + kind_idx k);
+            charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
             mk_real k (-.x)
           | Value.Vlog _ | Value.Vstr _ -> trap_s "negation of non-numeric value"))
   | Enot e1 ->
     let f = bview (compile_expr env e1) in
-    Kb (fun ct fr -> not (f ct fr))
+    Kb (fun ct -> not (f ct))
   | Ebin { op; a; b; exempt; costs; powmul } -> compile_bin env op a b exempt costs powmul
-  | Earr { name; r; idx; mem } -> compile_load env e name r idx mem
+  | Earr { name; r; idx; mem } -> compile_load env name r idx mem
   | Ecall cs -> (
     let ca = compile_call env cs in
-    match callee_result_sty env cs with
-    | Sreal k ->
+    let name = cs.cs_name in
+    match callee_result env cs with
+    | Some (Ast.Treal k) ->
       Kf
-        ( (fun ct fr ->
-            match exec_ccall ct fr ca with
-            | Some v -> ct.scratch.fv <- as_float v
-            | None -> trap "subroutine %s called as a function" cs.cs_name),
+        ( (fun ct ->
+            let r = exec_ccall ct ca in
+            if r < 0 then trap "subroutine %s called as a function" name;
+            ct.scratch.fv <- ct.fs.(r lsr 2)),
           k )
-    | Sint ->
+    | Some Ast.Tinteger ->
       Ki
-        (fun ct fr ->
-          match exec_ccall ct fr ca with
-          | Some v -> as_int v
-          | None -> trap "subroutine %s called as a function" cs.cs_name)
-    | Sbool ->
+        (fun ct ->
+          let r = exec_ccall ct ca in
+          if r < 0 then trap "subroutine %s called as a function" name;
+          ct.is.(r lsr 2))
+    | Some Ast.Tlogical ->
       Kb
-        (fun ct fr ->
-          match exec_ccall ct fr ca with
-          | Some v -> as_bool v
-          | None -> trap "subroutine %s called as a function" cs.cs_name)
-    | Sarr _ | Sunknown ->
-      Kv
-        (fun ct fr ->
-          match exec_ccall ct fr ca with
-          | Some v -> v
-          | None -> trap "subroutine %s called as a function" cs.cs_name))
-  | Eintr it -> compile_intr env e it
-  | Etrap m -> Kv (fun _ _ -> trap_s m)
+        (fun ct ->
+          let r = exec_ccall ct ca in
+          if r < 0 then trap "subroutine %s called as a function" name;
+          ct.is.(r lsr 2) <> 0)
+    | None -> Kv (fun ct -> result_value ct name (exec_ccall ct ca)))
+  | Eintr it -> compile_intr env it
+  | Etrap m -> Kv (fun _ -> trap_s m)
 
 and compile_bin env op a b exempt costs powmul : cexpr =
   let ca = compile_expr env a in
   let cb = compile_expr env b in
-  (* exact fallback: both operands forced, then [Lower.bin_values] *)
+  (* the generic lane: both operands as values, then [bin_v] *)
   let gen_bin () =
     let fa = force ca and fb = force cb in
     Kv
-      (fun ct fr ->
-        let va = fa ct fr in
-        let vb = fb ct fr in
-        bin_values ct.rt op ~exempt ~costs ~powmul va vb)
+      (fun ct ->
+        let va = fa ct in
+        let vb = fb ct in
+        bin_v ct op ~exempt ~costs ~powmul va vb)
   in
   match op with
   | Ast.And ->
     let fa = bview ca and fb = bview cb in
-    Kb (fun ct fr -> if fa ct fr then fb ct fr else false)
+    Kb (fun ct -> if fa ct then fb ct else false)
   | Ast.Or ->
     let fa = bview ca and fb = bview cb in
-    Kb (fun ct fr -> if fa ct fr then true else fb ct fr)
+    Kb (fun ct -> if fa ct then true else fb ct)
   | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div -> (
     match ca, cb with
-    | Ki fa, Ki fb ->
-      Ki
-        (fun ct fr ->
-          let x = fa ct fr in
-          let y = fb ct fr in
-          let rt = ct.rt in
-          charge rt ci_flops rt.rmachine.Machine.int_op;
-          iarith op x y)
+    | Ki fa, Ki fb -> (
+      match op with
+      | Ast.Add ->
+        Ki
+          (fun ct ->
+            let x = fa ct in
+            let y = fb ct in
+            charge ct ci_flops ct.machine.Machine.int_op;
+            x + y)
+      | Ast.Sub ->
+        Ki
+          (fun ct ->
+            let x = fa ct in
+            let y = fb ct in
+            charge ct ci_flops ct.machine.Machine.int_op;
+            x - y)
+      | Ast.Mul ->
+        Ki
+          (fun ct ->
+            let x = fa ct in
+            let y = fb ct in
+            charge ct ci_flops ct.machine.Machine.int_op;
+            x * y)
+      | _ ->
+        Ki
+          (fun ct ->
+            let x = fa ct in
+            let y = fb ct in
+            charge ct ci_flops ct.machine.Machine.int_op;
+            if y = 0 then trap_s "integer division by zero" else x / y))
     | (Kf _ | Ki _), (Kf _ | Ki _) ->
       let k, conv =
         match ca, cb with
-        | Kf (_, k1), Kf (_, k2) ->
-          ((if k1 = Ast.K8 || k2 = Ast.K8 then Ast.K8 else Ast.K4), k1 <> k2 && not exempt)
+        | Kf (_, k1), Kf (_, k2) -> (kmax k1 k2, k1 <> k2 && not exempt)
         | Kf (_, k), _ | _, Kf (_, k) -> (k, false)
         | _ -> assert false
       in
       let sub = sub3 costs k in
       let fa = fput ca and fb = fput cb in
-      Kf
-        ( (fun ct fr ->
-            fa ct fr;
+      let arith =
+        (* one closure per operator: the float never leaves registers *)
+        match op with
+        | Ast.Add ->
+          fun ct ->
+            fa ct;
             let x = ct.scratch.fv in
-            fb ct fr;
+            fb ct;
             let y = ct.scratch.fv in
-            let rt = ct.rt in
-            if conv then charge rt ci_convert rt.rconv.(rt.rvec);
-            charge rt ci_flops sub.(rt.rvec);
-            ct.scratch.fv <- cmk_realf k (arith4 op x y)),
-          k )
+            if conv then charge ct ci_convert ct.conv.(ct.vec);
+            charge ct ci_flops sub.(ct.vec);
+            ct.scratch.fv <- cmk_realf k (x +. y)
+        | Ast.Sub ->
+          fun ct ->
+            fa ct;
+            let x = ct.scratch.fv in
+            fb ct;
+            let y = ct.scratch.fv in
+            if conv then charge ct ci_convert ct.conv.(ct.vec);
+            charge ct ci_flops sub.(ct.vec);
+            ct.scratch.fv <- cmk_realf k (x -. y)
+        | Ast.Mul ->
+          fun ct ->
+            fa ct;
+            let x = ct.scratch.fv in
+            fb ct;
+            let y = ct.scratch.fv in
+            if conv then charge ct ci_convert ct.conv.(ct.vec);
+            charge ct ci_flops sub.(ct.vec);
+            ct.scratch.fv <- cmk_realf k (x *. y)
+        | _ ->
+          fun ct ->
+            fa ct;
+            let x = ct.scratch.fv in
+            fb ct;
+            let y = ct.scratch.fv in
+            if conv then charge ct ci_convert ct.conv.(ct.vec);
+            charge ct ci_flops sub.(ct.vec);
+            ct.scratch.fv <- cmk_realf k (x /. y)
+      in
+      Kf (arith, k)
     | _ -> gen_bin ())
   | Ast.Pow -> (
     match ca, cb with
     | Ki fa, Ki fb ->
       Ki
-        (fun ct fr ->
-          let x = fa ct fr in
-          let y = fb ct fr in
-          let rt = ct.rt in
-          charge rt ci_flops rt.rmachine.Machine.int_op;
-          iarith Ast.Pow x y)
+        (fun ct ->
+          let x = fa ct in
+          let y = fb ct in
+          charge ct ci_flops ct.machine.Machine.int_op;
+          if y < 0 then trap_s "negative integer exponent"
+          else begin
+            let r = ref 1 in
+            for _ = 1 to y do
+              r := !r * x
+            done;
+            !r
+          end)
     | Kf (fa, k), Ki fb ->
-      (* runtime integer exponent: strength-reduced when |n| <= 4 *)
+      (* runtime integer exponent: strength-reduced when |n| <= 4, as the
+         same left-associated product the generic loop forms *)
       let psub = sub3 powmul k and csub = sub3 costs k in
       Kf
-        ( (fun ct fr ->
-            fa ct fr;
+        ( (fun ct ->
+            fa ct;
             let x = ct.scratch.fv in
-            let n = fb ct fr in
-            let rt = ct.rt in
+            let n = fb ct in
             if abs n <= 4 then begin
-              charge rt ci_flops (psub.(rt.rvec) *. float_of_int (max 1 (abs n - 1)));
-              let v = ipow4 x (abs n) in
+              charge ct ci_flops (psub.(ct.vec) *. float_of_int (max 1 (abs n - 1)));
+              let v =
+                match abs n with
+                | 0 -> 1.0
+                | 1 -> 1.0 *. x
+                | 2 -> 1.0 *. x *. x
+                | 3 -> 1.0 *. x *. x *. x
+                | _ -> 1.0 *. x *. x *. x *. x
+              in
               ct.scratch.fv <- cmk_realf k (if n < 0 then 1.0 /. v else v)
             end
             else begin
-              charge rt ci_flops csub.(rt.rvec);
+              charge ct ci_flops csub.(ct.vec);
               ct.scratch.fv <- cmk_realf k (Float.pow x (float_of_int n))
             end),
           k )
     | Kf (fa, k1), Kf (fb, k2) ->
-      let k = if k1 = Ast.K8 || k2 = Ast.K8 then Ast.K8 else Ast.K4 in
+      let k = kmax k1 k2 in
       let conv = k1 <> k2 && not exempt in
       let csub = sub3 costs k in
       Kf
-        ( (fun ct fr ->
-            fa ct fr;
+        ( (fun ct ->
+            fa ct;
             let x = ct.scratch.fv in
-            fb ct fr;
+            fb ct;
             let y = ct.scratch.fv in
-            let rt = ct.rt in
-            if conv then charge rt ci_convert rt.rconv.(rt.rvec);
-            charge rt ci_flops csub.(rt.rvec);
+            if conv then charge ct ci_convert ct.conv.(ct.vec);
+            charge ct ci_flops csub.(ct.vec);
             ct.scratch.fv <- cmk_realf k (Float.pow x y)),
           k )
     | Ki fa, Kf (fb, k) ->
       let csub = sub3 costs k in
       Kf
-        ( (fun ct fr ->
-            let x = float_of_int (fa ct fr) in
-            fb ct fr;
+        ( (fun ct ->
+            let x = float_of_int (fa ct) in
+            fb ct;
             let y = ct.scratch.fv in
-            let rt = ct.rt in
-            charge rt ci_flops csub.(rt.rvec);
+            charge ct ci_flops csub.(ct.vec);
             ct.scratch.fv <- cmk_realf k (Float.pow x y)),
           k )
     | _ -> gen_bin ())
   | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge -> (
     match ca, cb with
+    | Ki fa, Ki fb ->
+      Kb
+        (fun ct ->
+          let x = fa ct in
+          let y = fb ct in
+          charge ct ci_flops ct.machine.Machine.compare_cost;
+          let x = float_of_int x and y = float_of_int y in
+          match op with
+          | Ast.Eq -> x = y
+          | Ast.Ne -> x <> y
+          | Ast.Lt -> x < y
+          | Ast.Le -> x <= y
+          | Ast.Gt -> x > y
+          | _ -> x >= y)
     | (Kf _ | Ki _), (Kf _ | Ki _) ->
       let conv =
         match ca, cb with
@@ -750,792 +1303,834 @@ and compile_bin env op a b exempt costs powmul : cexpr =
       in
       let fa = fput ca and fb = fput cb in
       Kb
-        (fun ct fr ->
-          fa ct fr;
+        (fun ct ->
+          fa ct;
           let x = ct.scratch.fv in
-          fb ct fr;
+          fb ct;
           let y = ct.scratch.fv in
-          let rt = ct.rt in
-          if conv then charge rt ci_convert rt.rconv.(rt.rvec);
-          charge rt ci_flops rt.rmachine.Machine.compare_cost;
-          cmp_fn op x y)
-    | Kb fa, Kb fb ->
-      Kb
-        (fun ct fr ->
-          let x = fa ct fr in
-          let y = fb ct fr in
-          let rt = ct.rt in
-          charge rt ci_flops rt.rmachine.Machine.compare_cost;
+          if conv then charge ct ci_convert ct.conv.(ct.vec);
+          charge ct ci_flops ct.machine.Machine.compare_cost;
           match op with
           | Ast.Eq -> x = y
           | Ast.Ne -> x <> y
-          | _ -> trap "ordering of logicals")
+          | Ast.Lt -> x < y
+          | Ast.Le -> x <= y
+          | Ast.Gt -> x > y
+          | _ -> x >= y)
+    | Kb fa, Kb fb ->
+      Kb
+        (fun ct ->
+          let x = fa ct in
+          let y = fb ct in
+          charge ct ci_flops ct.machine.Machine.compare_cost;
+          match op with
+          | Ast.Eq -> x = y
+          | Ast.Ne -> x <> y
+          | _ -> trap_s "ordering of logicals")
     | _ -> gen_bin ())
 
-and compile_load env (e0 : expr) name r idx mem : cexpr =
-  let gen () = Kv (fun ct fr -> eval_expr ct.rt fr e0) in
-  match r with
-  | Rerr _ | Rparam _ -> gen ()
-  | Rlocal _ | Rglobal _ -> (
-    let resolve : cctx -> rframe -> Value.cell =
-      match r with
-      | Rlocal i ->
-        fun _ fr -> (
-          match fr.cells.(i) with
-          | Some c -> c
-          | None -> trap "variable %s local to %s referenced out of scope" name fr.pname)
-      | Rglobal i -> fun ct _ -> ct.rt.rglobals.(i)
-      | Rparam _ | Rerr _ -> assert false
+(* [Earr]: resolve the cell, evaluate subscripts (charging), then
+   dispatch on the tag. The tag always matches the declaration; the
+   other arms replicate load-then-coerce for completeness. *)
+and compile_load env name r idx mem : cexpr =
+  let cidx = Array.map (fun e -> iview (compile_expr env e)) idx in
+  match var_of env name r with
+  | Vtrap m -> Kv (fun _ -> trap_s m)
+  | Vparam s ->
+    Kv
+      (fun ct ->
+        ignore (force_param ct s : Value.v);
+        trap "array parameter %s unsupported" name)
+  | Vf _ | Vi _ | Vb _ ->
+    Kv
+      (fun ct ->
+        ignore (eval_cidx cidx ct : int array);
+        trap "scalar %s subscripted" name)
+  | Vunalloc -> assert false
+  | Va (l, base) -> (
+    let get = match l with Own o -> fun ct -> ct.cs.(ct.cb + o) | _ -> fun ct -> cell_at ct l in
+    let sub = match cidx with [| a |] -> S1 a | [| a; b |] -> S2 (a, b) | _ -> Sn cidx in
+    let load_v ct cell =
+      (* the tail of [load_indexed], on any tag *)
+      match cell with
+      | Value.Real_array { kind; data; dims } ->
+        charge ct ci_memory mem.((ct.vec * 2) + kind_idx kind);
+        Value.Vreal (data.(sub_off ct name dims sub), kind)
+      | Value.Int_array { data; dims } ->
+        charge ct ci_flops ct.machine.Machine.int_op;
+        Value.Vint data.(sub_off ct name dims sub)
+      | Value.Log_array { data; dims } -> Value.Vlog data.(sub_off ct name dims sub)
+      | Value.Scalar _ -> trap "scalar %s subscripted" name
     in
-    let cidx = Array.map (fun e -> iview (compile_expr env e)) idx in
-    (* resolve the cell, evaluate indices (charging), then dispatch on
-       the tag — the same order as [Earr] + [load_indexed]. Defensive
-       arms replicate load-then-coerce on the (unreachable) mismatched
-       tags. *)
-    match sty_of_ref env r with
-    | Sarr (Ast.Treal k) when Array.length cidx = 1 ->
-      let c0 = cidx.(0) in
+    match base, cidx with
+    | Ast.Treal k, [| c0 |] ->
       Kf
-        ( (fun ct fr ->
-            let rt = ct.rt in
-            let cell = resolve ct fr in
-            charge rt ci_flops rt.rmachine.Machine.int_op;
-            let i = c0 ct fr in
+        ( (fun ct ->
+            let cell = get ct in
+            charge ct ci_flops ct.machine.Machine.int_op;
+            let i = c0 ct in
             match cell with
             | Value.Real_array { kind; data; dims } ->
-              charge rt ci_memory mem.((rt.rvec * 2) + kind_idx kind);
+              charge ct ci_memory mem.((ct.vec * 2) + kind_idx kind);
               ct.scratch.fv <- data.(offset1 ~name ~dims i)
-            | Value.Int_array { data; dims } ->
-              charge rt ci_flops rt.rmachine.Machine.int_op;
-              ct.scratch.fv <- float_of_int data.(offset1 ~name ~dims i)
-            | Value.Log_array { data; dims } ->
-              ct.scratch.fv <- as_float (Value.Vlog data.(offset1 ~name ~dims i))
-            | Value.Scalar _ -> trap "scalar %s subscripted" name),
+            | _ ->
+              ct.i0 <- i;
+              ct.scratch.fv <- as_float (load_v ct cell)),
           k )
-    | Sarr (Ast.Treal k) when Array.length cidx = 2 ->
-      let c0 = cidx.(0) and c1 = cidx.(1) in
+    | Ast.Treal k, [| c0; c1 |] ->
       Kf
-        ( (fun ct fr ->
-            let rt = ct.rt in
-            let cell = resolve ct fr in
-            charge rt ci_flops rt.rmachine.Machine.int_op;
-            let i = c0 ct fr in
-            charge rt ci_flops rt.rmachine.Machine.int_op;
-            let j = c1 ct fr in
+        ( (fun ct ->
+            let cell = get ct in
+            charge ct ci_flops ct.machine.Machine.int_op;
+            let i = c0 ct in
+            charge ct ci_flops ct.machine.Machine.int_op;
+            let j = c1 ct in
             match cell with
             | Value.Real_array { kind; data; dims } ->
-              charge rt ci_memory mem.((rt.rvec * 2) + kind_idx kind);
+              charge ct ci_memory mem.((ct.vec * 2) + kind_idx kind);
               ct.scratch.fv <- data.(offset2 ~name ~dims i j)
-            | Value.Int_array { data; dims } ->
-              charge rt ci_flops rt.rmachine.Machine.int_op;
-              ct.scratch.fv <- float_of_int data.(offset2 ~name ~dims i j)
-            | Value.Log_array { data; dims } ->
-              ct.scratch.fv <- as_float (Value.Vlog data.(offset2 ~name ~dims i j))
-            | Value.Scalar _ -> trap "scalar %s subscripted" name),
+            | _ ->
+              ct.i0 <- i;
+              ct.i1 <- j;
+              ct.scratch.fv <- as_float (load_v ct cell)),
           k )
-    | Sarr (Ast.Treal k) ->
+    | Ast.Treal k, _ ->
       Kf
-        ( (fun ct fr ->
-            let rt = ct.rt in
-            let cell = resolve ct fr in
-            let ix = eval_cidx cidx ct fr in
+        ( (fun ct ->
+            let cell = get ct in
+            eval_sub ct sub;
             match cell with
             | Value.Real_array { kind; data; dims } ->
-              charge rt ci_memory mem.((rt.rvec * 2) + kind_idx kind);
-              ct.scratch.fv <- data.(offset_arr ~name ~dims ix)
-            | Value.Int_array { data; dims } ->
-              charge rt ci_flops rt.rmachine.Machine.int_op;
-              ct.scratch.fv <- float_of_int data.(offset_arr ~name ~dims ix)
-            | Value.Log_array { data; dims } ->
-              ct.scratch.fv <- as_float (Value.Vlog data.(offset_arr ~name ~dims ix))
-            | Value.Scalar _ -> trap "scalar %s subscripted" name),
+              charge ct ci_memory mem.((ct.vec * 2) + kind_idx kind);
+              ct.scratch.fv <- data.(offset_arr ~name ~dims ct.ix)
+            | _ -> ct.scratch.fv <- as_float (load_v ct cell)),
           k )
-    | Sarr Ast.Tinteger when Array.length cidx = 1 ->
-      let c0 = cidx.(0) in
+    | Ast.Tinteger, [| c0 |] ->
       Ki
-        (fun ct fr ->
-          let rt = ct.rt in
-          let cell = resolve ct fr in
-          charge rt ci_flops rt.rmachine.Machine.int_op;
-          let i = c0 ct fr in
+        (fun ct ->
+          let cell = get ct in
+          charge ct ci_flops ct.machine.Machine.int_op;
+          let i = c0 ct in
           match cell with
           | Value.Int_array { data; dims } ->
-            charge rt ci_flops rt.rmachine.Machine.int_op;
+            charge ct ci_flops ct.machine.Machine.int_op;
             data.(offset1 ~name ~dims i)
-          | Value.Real_array { kind; data; dims } ->
-            charge rt ci_memory mem.((rt.rvec * 2) + kind_idx kind);
-            as_int (Value.Vreal (data.(offset1 ~name ~dims i), kind))
-          | Value.Log_array { data; dims } -> as_int (Value.Vlog data.(offset1 ~name ~dims i))
-          | Value.Scalar _ -> trap "scalar %s subscripted" name)
-    | Sarr Ast.Tinteger when Array.length cidx = 2 ->
-      let c0 = cidx.(0) and c1 = cidx.(1) in
+          | _ ->
+            ct.i0 <- i;
+            as_int (load_v ct cell))
+    | Ast.Tinteger, _ ->
       Ki
-        (fun ct fr ->
-          let rt = ct.rt in
-          let cell = resolve ct fr in
-          charge rt ci_flops rt.rmachine.Machine.int_op;
-          let i = c0 ct fr in
-          charge rt ci_flops rt.rmachine.Machine.int_op;
-          let j = c1 ct fr in
+        (fun ct ->
+          let cell = get ct in
+          eval_sub ct sub;
           match cell with
           | Value.Int_array { data; dims } ->
-            charge rt ci_flops rt.rmachine.Machine.int_op;
-            data.(offset2 ~name ~dims i j)
-          | Value.Real_array { kind; data; dims } ->
-            charge rt ci_memory mem.((rt.rvec * 2) + kind_idx kind);
-            as_int (Value.Vreal (data.(offset2 ~name ~dims i j), kind))
-          | Value.Log_array { data; dims } -> as_int (Value.Vlog data.(offset2 ~name ~dims i j))
-          | Value.Scalar _ -> trap "scalar %s subscripted" name)
-    | Sarr Ast.Tinteger ->
-      Ki
-        (fun ct fr ->
-          let rt = ct.rt in
-          let cell = resolve ct fr in
-          let ix = eval_cidx cidx ct fr in
-          match cell with
-          | Value.Int_array { data; dims } ->
-            charge rt ci_flops rt.rmachine.Machine.int_op;
-            data.(offset_arr ~name ~dims ix)
-          | Value.Real_array { kind; data; dims } ->
-            charge rt ci_memory mem.((rt.rvec * 2) + kind_idx kind);
-            as_int (Value.Vreal (data.(offset_arr ~name ~dims ix), kind))
-          | Value.Log_array { data; dims } -> as_int (Value.Vlog data.(offset_arr ~name ~dims ix))
-          | Value.Scalar _ -> trap "scalar %s subscripted" name)
-    | Sarr Ast.Tlogical ->
+            charge ct ci_flops ct.machine.Machine.int_op;
+            data.(sub_off ct name dims sub)
+          | _ -> as_int (load_v ct cell))
+    | Ast.Tlogical, _ ->
       Kb
-        (fun ct fr ->
-          let rt = ct.rt in
-          let cell = resolve ct fr in
-          let ix = eval_cidx cidx ct fr in
+        (fun ct ->
+          let cell = get ct in
+          eval_sub ct sub;
           match cell with
-          | Value.Log_array { data; dims } -> data.(offset_arr ~name ~dims ix)
-          | Value.Real_array { kind; data; dims } ->
-            charge rt ci_memory mem.((rt.rvec * 2) + kind_idx kind);
-            as_bool (Value.Vreal (data.(offset_arr ~name ~dims ix), kind))
-          | Value.Int_array { data; dims } ->
-            charge rt ci_flops rt.rmachine.Machine.int_op;
-            as_bool (Value.Vint data.(offset_arr ~name ~dims ix))
-          | Value.Scalar _ -> trap "scalar %s subscripted" name)
-    | Sreal _ | Sint | Sbool | Sunknown -> gen ())
+          | Value.Log_array { data; dims } -> data.(sub_off ct name dims sub)
+          | _ -> as_bool (load_v ct cell)))
 
-and compile_intr env (e0 : expr) (it : intr) : cexpr =
-  let gen () = Kv (fun ct fr -> eval_expr ct.rt fr e0) in
+and compile_intr env (it : intr) : cexpr =
   match it with
   | Iabs { e; costs } -> (
     match compile_expr env e with
     | Kf (f, k) ->
       let sub = sub3 costs k in
       Kf
-        ( (fun ct fr ->
-            f ct fr;
+        ( (fun ct ->
+            f ct;
             let x = ct.scratch.fv in
-            let rt = ct.rt in
-            charge rt ci_flops sub.(rt.rvec);
+            charge ct ci_flops sub.(ct.vec);
             ct.scratch.fv <- cmk_realf k (Float.abs x)),
           k )
     | Ki f ->
       Ki
-        (fun ct fr ->
-          let i = f ct fr in
-          let rt = ct.rt in
-          charge rt ci_flops rt.rmachine.Machine.int_op;
+        (fun ct ->
+          let i = f ct in
+          charge ct ci_flops ct.machine.Machine.int_op;
           abs i)
-    | Kb _ | Kv _ -> gen ())
+    | (Kb _ | Kv _) as c ->
+      let f = force c in
+      Kv
+        (fun ct ->
+          match f ct with
+          | Value.Vint i ->
+            charge ct ci_flops ct.machine.Machine.int_op;
+            Value.Vint (abs i)
+          | Value.Vreal (x, k) ->
+            charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
+            mk_real k (Float.abs x)
+          | Value.Vlog _ | Value.Vstr _ -> trap_s "abs of non-numeric value"))
   | Ielem { name; fn; e; costs } -> (
     match compile_expr env e with
     | Kf (f, k) -> (
       let sub = sub3 costs k in
-      (* dispatch on the name once at compile time: the branches call the
-         very functions [elem_fn] maps these names to, but directly — an
-         indirect [fn] application boxes argument and result every time,
-         and elementals sit in the models' innermost loops *)
+      (* dispatch on the name once, here: the branches call the very
+         functions [fn] is, but directly — an indirect [fn] application
+         boxes argument and result every time *)
       match name with
       | "sqrt" ->
         Kf
-          ( (fun ct fr ->
-              f ct fr;
+          ( (fun ct ->
+              f ct;
               let x = ct.scratch.fv in
-              let rt = ct.rt in
-              charge rt ci_flops sub.(rt.rvec);
+              charge ct ci_flops sub.(ct.vec);
               ct.scratch.fv <- cmk_realf k (sqrt x)),
             k )
       | "exp" ->
         Kf
-          ( (fun ct fr ->
-              f ct fr;
+          ( (fun ct ->
+              f ct;
               let x = ct.scratch.fv in
-              let rt = ct.rt in
-              charge rt ci_flops sub.(rt.rvec);
+              charge ct ci_flops sub.(ct.vec);
               ct.scratch.fv <- cmk_realf k (exp x)),
             k )
       | "log" ->
         Kf
-          ( (fun ct fr ->
-              f ct fr;
+          ( (fun ct ->
+              f ct;
               let x = ct.scratch.fv in
-              let rt = ct.rt in
-              charge rt ci_flops sub.(rt.rvec);
+              charge ct ci_flops sub.(ct.vec);
               ct.scratch.fv <- cmk_realf k (log x)),
             k )
       | "log10" ->
         Kf
-          ( (fun ct fr ->
-              f ct fr;
+          ( (fun ct ->
+              f ct;
               let x = ct.scratch.fv in
-              let rt = ct.rt in
-              charge rt ci_flops sub.(rt.rvec);
+              charge ct ci_flops sub.(ct.vec);
               ct.scratch.fv <- cmk_realf k (log10 x)),
             k )
       | "sin" ->
         Kf
-          ( (fun ct fr ->
-              f ct fr;
+          ( (fun ct ->
+              f ct;
               let x = ct.scratch.fv in
-              let rt = ct.rt in
-              charge rt ci_flops sub.(rt.rvec);
+              charge ct ci_flops sub.(ct.vec);
               ct.scratch.fv <- cmk_realf k (sin x)),
             k )
       | "cos" ->
         Kf
-          ( (fun ct fr ->
-              f ct fr;
+          ( (fun ct ->
+              f ct;
               let x = ct.scratch.fv in
-              let rt = ct.rt in
-              charge rt ci_flops sub.(rt.rvec);
+              charge ct ci_flops sub.(ct.vec);
               ct.scratch.fv <- cmk_realf k (cos x)),
             k )
       | "tan" ->
         Kf
-          ( (fun ct fr ->
-              f ct fr;
+          ( (fun ct ->
+              f ct;
               let x = ct.scratch.fv in
-              let rt = ct.rt in
-              charge rt ci_flops sub.(rt.rvec);
+              charge ct ci_flops sub.(ct.vec);
               ct.scratch.fv <- cmk_realf k (tan x)),
             k )
       | "atan" ->
         Kf
-          ( (fun ct fr ->
-              f ct fr;
+          ( (fun ct ->
+              f ct;
               let x = ct.scratch.fv in
-              let rt = ct.rt in
-              charge rt ci_flops sub.(rt.rvec);
+              charge ct ci_flops sub.(ct.vec);
               ct.scratch.fv <- cmk_realf k (atan x)),
             k )
       | "asin" ->
         Kf
-          ( (fun ct fr ->
-              f ct fr;
+          ( (fun ct ->
+              f ct;
               let x = ct.scratch.fv in
-              let rt = ct.rt in
-              charge rt ci_flops sub.(rt.rvec);
+              charge ct ci_flops sub.(ct.vec);
               ct.scratch.fv <- cmk_realf k (asin x)),
             k )
       | "acos" ->
         Kf
-          ( (fun ct fr ->
-              f ct fr;
+          ( (fun ct ->
+              f ct;
               let x = ct.scratch.fv in
-              let rt = ct.rt in
-              charge rt ci_flops sub.(rt.rvec);
+              charge ct ci_flops sub.(ct.vec);
               ct.scratch.fv <- cmk_realf k (acos x)),
             k )
       | "sinh" ->
         Kf
-          ( (fun ct fr ->
-              f ct fr;
+          ( (fun ct ->
+              f ct;
               let x = ct.scratch.fv in
-              let rt = ct.rt in
-              charge rt ci_flops sub.(rt.rvec);
+              charge ct ci_flops sub.(ct.vec);
               ct.scratch.fv <- cmk_realf k (sinh x)),
             k )
       | "cosh" ->
         Kf
-          ( (fun ct fr ->
-              f ct fr;
+          ( (fun ct ->
+              f ct;
               let x = ct.scratch.fv in
-              let rt = ct.rt in
-              charge rt ci_flops sub.(rt.rvec);
+              charge ct ci_flops sub.(ct.vec);
               ct.scratch.fv <- cmk_realf k (cosh x)),
             k )
       | "tanh" ->
         Kf
-          ( (fun ct fr ->
-              f ct fr;
+          ( (fun ct ->
+              f ct;
               let x = ct.scratch.fv in
-              let rt = ct.rt in
-              charge rt ci_flops sub.(rt.rvec);
+              charge ct ci_flops sub.(ct.vec);
               ct.scratch.fv <- cmk_realf k (tanh x)),
             k )
       | "aint" ->
         Kf
-          ( (fun ct fr ->
-              f ct fr;
+          ( (fun ct ->
+              f ct;
               let x = ct.scratch.fv in
-              let rt = ct.rt in
-              charge rt ci_flops sub.(rt.rvec);
+              charge ct ci_flops sub.(ct.vec);
               ct.scratch.fv <- cmk_realf k (Float.trunc x)),
             k )
       | "anint" ->
         Kf
-          ( (fun ct fr ->
-              f ct fr;
+          ( (fun ct ->
+              f ct;
               let x = ct.scratch.fv in
-              let rt = ct.rt in
-              charge rt ci_flops sub.(rt.rvec);
+              charge ct ci_flops sub.(ct.vec);
               ct.scratch.fv <- cmk_realf k (Float.round x)),
             k )
       | _ ->
         Kf
-          ( (fun ct fr ->
-              f ct fr;
+          ( (fun ct ->
+              f ct;
               let x = ct.scratch.fv in
-              let rt = ct.rt in
-              charge rt ci_flops sub.(rt.rvec);
+              charge ct ci_flops sub.(ct.vec);
               ct.scratch.fv <- cmk_realf k (fn x)),
             k ))
-    | Ki _ | Kb _ | Kv _ -> gen ())
+    | c ->
+      let f = force c in
+      Kv
+        (fun ct ->
+          match f ct with
+          | Value.Vreal (x, k) ->
+            charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
+            mk_real k (fn x)
+          | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> trap "%s of non-real value" name))
   | Iminmax { name; args; costs } -> (
     let n = Array.length args in
-    if n < 2 then gen ()
-    else
-      let cs = Array.map (compile_expr env) args in
-      let all_int = Array.for_all (function Ki _ -> true | _ -> false) cs in
-      let typed = Array.for_all (function Ki _ | Kf _ -> true | _ -> false) cs in
-      if all_int then begin
-        let fs = Array.map iview cs in
-        let pick : int -> int -> int = if name = "min" then min else max in
-        Ki
-          (fun ct fr ->
-            let rt = ct.rt in
-            let vs = Array.make n 0 in
-            for i = 0 to n - 1 do
-              vs.(i) <- fs.(i) ct fr
-            done;
-            charge rt ci_flops rt.rmachine.Machine.int_op;
-            let acc = ref vs.(0) in
+    let cs = Array.map (compile_expr env) args in
+    let is_min = name = "min" in
+    let all_int = Array.for_all (function Ki _ -> true | _ -> false) cs in
+    let typed = Array.for_all (function Ki _ | Kf _ -> true | _ -> false) cs in
+    if n >= 2 && all_int then begin
+      let fs = Array.map iview cs in
+      (* folding as the operands evaluate is exact: the one charge comes
+         after all of them, and nothing else is observable *)
+      Ki
+        (fun ct ->
+          let acc = ref (fs.(0) ct) in
+          for i = 1 to n - 1 do
+            let v = fs.(i) ct in
+            acc := if is_min then min !acc v else max !acc v
+          done;
+          charge ct ci_flops ct.machine.Machine.int_op;
+          !acc)
+    end
+    else if n > 2 && typed then begin
+      let k = Array.fold_left (fun acc c -> match c with Kf (_, Ast.K8) -> Ast.K8 | _ -> acc) Ast.K4 cs in
+      let sub = sub3 costs k in
+      let fs = Array.map fput cs in
+      Kf
+        ( (fun ct ->
+            fs.(0) ct;
+            let acc = ref ct.scratch.fv in
             for i = 1 to n - 1 do
-              acc := pick !acc vs.(i)
+              fs.(i) ct;
+              let v = ct.scratch.fv in
+              acc := if is_min then Float.min !acc v else Float.max !acc v
             done;
-            !acc)
-      end
-      else if typed then begin
-        (* at least one real operand: the promoted kind is static *)
-        let k =
-          Array.fold_left
-            (fun acc c -> match c with Kf (_, Ast.K8) -> Ast.K8 | _ -> acc)
-            Ast.K4 cs
-        in
-        let sub = sub3 costs k in
-        let fs = Array.map fput cs in
-        if n = 2 then begin
-          (* two-argument min/max dominates; [Float.min]/[Float.max] are
-             stdlib-inlinable, so the pair never boxes *)
-          let f0 = fs.(0) and f1 = fs.(1) in
-          let is_min = name = "min" in
-          Kf
-            ( (fun ct fr ->
-                f0 ct fr;
-                let a = ct.scratch.fv in
-                f1 ct fr;
-                let b = ct.scratch.fv in
-                let rt = ct.rt in
-                charge rt ci_flops sub.(rt.rvec);
-                let z = if is_min then Float.min a b else Float.max a b in
-                ct.scratch.fv <- cmk_realf k z),
-              k )
-        end
-        else begin
-          let pick = if name = "min" then Float.min else Float.max in
-          Kf
-            ( (fun ct fr ->
-                let rt = ct.rt in
-                let vs = Array.make n 0.0 in
-                for i = 0 to n - 1 do
-                  fs.(i) ct fr;
-                  vs.(i) <- ct.scratch.fv
-                done;
-                charge rt ci_flops sub.(rt.rvec);
-                let acc = ref vs.(0) in
-                for i = 1 to n - 1 do
-                  acc := pick !acc vs.(i)
-                done;
-                ct.scratch.fv <- cmk_realf k !acc),
-              k )
-        end
-      end
-      else gen ())
+            charge ct ci_flops sub.(ct.vec);
+            ct.scratch.fv <- cmk_realf k !acc),
+          k )
+    end
+    else if n = 2 && typed then begin
+      (* at least one real operand: the promoted kind is static *)
+      let k = Array.fold_left (fun acc c -> match c with Kf (_, Ast.K8) -> Ast.K8 | _ -> acc) Ast.K4 cs in
+      let sub = sub3 costs k in
+      let f0 = fput cs.(0) and f1 = fput cs.(1) in
+      Kf
+        ( (fun ct ->
+            f0 ct;
+            let a = ct.scratch.fv in
+            f1 ct;
+            let b = ct.scratch.fv in
+            charge ct ci_flops sub.(ct.vec);
+            let z = if is_min then Float.min a b else Float.max a b in
+            ct.scratch.fv <- cmk_realf k z),
+          k )
+    end
+    else
+      let fs = Array.map force cs in
+      Kv
+        (fun ct ->
+          let vs = Array.map (fun f -> f ct) fs in
+          if n < 2 then trap "%s needs at least two arguments" name;
+          let kind = Array.fold_left (fun acc v -> promote_kind acc (value_kind v)) None vs in
+          match kind with
+          | None ->
+            charge ct ci_flops ct.machine.Machine.int_op;
+            let ints = Array.map as_int vs in
+            Value.Vint
+              (Array.fold_left (if is_min then min else max) ints.(0)
+                 (Array.sub ints 1 (n - 1)))
+          | Some k ->
+            charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
+            let fl = Array.map as_float vs in
+            mk_real k
+              (Array.fold_left
+                 (if is_min then Float.min else Float.max)
+                 fl.(0)
+                 (Array.sub fl 1 (n - 1)))))
   | Imod { a; b; costs } -> (
     match compile_expr env a, compile_expr env b with
     | Ki fa, Ki fb ->
       Ki
-        (fun ct fr ->
-          let x = fa ct fr in
-          let y = fb ct fr in
-          let rt = ct.rt in
-          charge rt ci_flops rt.rmachine.Machine.int_op;
-          if y = 0 then trap "mod with zero divisor" else x - (x / y * y))
+        (fun ct ->
+          let x = fa ct in
+          let y = fb ct in
+          charge ct ci_flops ct.machine.Machine.int_op;
+          if y = 0 then trap_s "mod with zero divisor" else x - (x / y * y))
     | ((Kf _ | Ki _) as ca), ((Kf _ | Ki _) as cb) ->
-      let k =
-        match ca, cb with
-        | Kf (_, k1), Kf (_, k2) -> if k1 = Ast.K8 || k2 = Ast.K8 then Ast.K8 else Ast.K4
-        | Kf (_, k), _ | _, Kf (_, k) -> k
-        | _ -> assert false
-      in
-      let sub = sub3 costs k in
-      let fa = fput ca and fb = fput cb in
-      Kf
-        ( (fun ct fr ->
-            fa ct fr;
-            let x = ct.scratch.fv in
-            fb ct fr;
-            let y = ct.scratch.fv in
-            let rt = ct.rt in
-            charge rt ci_flops sub.(rt.rvec);
-            ct.scratch.fv <- cmk_realf k (Float.rem x y)),
-          k )
-    | _ -> gen ())
+      let k = match ca, cb with Kf (_, k1), Kf (_, k2) -> kmax k1 k2 | Kf (_, k), _ | _, Kf (_, k) -> k | _ -> assert false in
+      binary_f ca cb k (sub3 costs k) `Rem
+    | ca, cb ->
+      let fa = force ca and fb = force cb in
+      Kv
+        (fun ct ->
+          let va = fa ct in
+          let vb = fb ct in
+          match va, vb with
+          | Value.Vint x, Value.Vint y ->
+            charge ct ci_flops ct.machine.Machine.int_op;
+            if y = 0 then trap_s "mod with zero divisor" else Value.Vint (x - (x / y * y))
+          | _ ->
+            let k =
+              match promote_kind (value_kind va) (value_kind vb) with
+              | Some k -> k
+              | None -> trap_s "mod of non-numeric"
+            in
+            charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
+            mk_real k (Float.rem (as_float va) (as_float vb))))
   | Iatan2 { a; b; costs } -> (
     match compile_expr env a, compile_expr env b with
-    | ((Kf _ | Ki _) as ca), ((Kf _ | Ki _) as cb)
-      when (match ca, cb with Ki _, Ki _ -> false | _ -> true) ->
-      let k =
-        match ca, cb with
-        | Kf (_, k1), Kf (_, k2) -> if k1 = Ast.K8 || k2 = Ast.K8 then Ast.K8 else Ast.K4
-        | Kf (_, k), _ | _, Kf (_, k) -> k
-        | _ -> assert false
-      in
-      let sub = sub3 costs k in
-      let fa = fput ca and fb = fput cb in
-      Kf
-        ( (fun ct fr ->
-            fa ct fr;
-            let x = ct.scratch.fv in
-            fb ct fr;
-            let y = ct.scratch.fv in
-            let rt = ct.rt in
-            charge rt ci_flops sub.(rt.rvec);
-            ct.scratch.fv <- cmk_realf k (Float.atan2 x y)),
-          k )
-    | _ -> gen ())
+    | (Kf (_, k1) as ca), (Kf (_, k2) as cb) ->
+      let k = kmax k1 k2 in
+      binary_f ca cb k (sub3 costs k) `Atan2
+    | (Kf (_, k) as ca), (Ki _ as cb) | (Ki _ as ca), (Kf (_, k) as cb) ->
+      binary_f ca cb k (sub3 costs k) `Atan2
+    | ca, cb ->
+      let fa = force ca and fb = force cb in
+      Kv
+        (fun ct ->
+          let va = fa ct in
+          let vb = fb ct in
+          match promote_kind (value_kind va) (value_kind vb) with
+          | Some k ->
+            charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
+            mk_real k (Float.atan2 (as_float va) (as_float vb))
+          | None -> trap_s "atan2 of non-real values"))
   | Isign { a; b; costs } -> (
     match compile_expr env a, compile_expr env b with
     | Ki fa, Ki fb ->
       Ki
-        (fun ct fr ->
-          let x = fa ct fr in
-          let y = fb ct fr in
-          let rt = ct.rt in
-          charge rt ci_flops rt.rmachine.Machine.int_op;
+        (fun ct ->
+          let x = fa ct in
+          let y = fb ct in
+          charge ct ci_flops ct.machine.Machine.int_op;
           let m = abs x in
           if y >= 0 then m else -m)
     | ((Kf _ | Ki _) as ca), ((Kf _ | Ki _) as cb) ->
-      let k =
-        match ca, cb with
-        | Kf (_, k1), Kf (_, k2) -> if k1 = Ast.K8 || k2 = Ast.K8 then Ast.K8 else Ast.K4
-        | Kf (_, k), _ | _, Kf (_, k) -> k
-        | _ -> assert false
-      in
-      let sub = sub3 costs k in
-      let fa = fput ca and fb = fput cb in
-      Kf
-        ( (fun ct fr ->
-            fa ct fr;
-            let x = ct.scratch.fv in
-            fb ct fr;
-            let y = ct.scratch.fv in
-            let rt = ct.rt in
-            charge rt ci_flops sub.(rt.rvec);
-            let m = Float.abs x in
-            ct.scratch.fv <- cmk_realf k (if y >= 0.0 then m else -.m)),
-          k )
-    | _ -> gen ())
+      let k = match ca, cb with Kf (_, k1), Kf (_, k2) -> kmax k1 k2 | Kf (_, k), _ | _, Kf (_, k) -> k | _ -> assert false in
+      binary_f ca cb k (sub3 costs k) `Sign
+    | ca, cb ->
+      let fa = force ca and fb = force cb in
+      Kv
+        (fun ct ->
+          let x = fa ct in
+          let y = fb ct in
+          match promote_kind (value_kind x) (value_kind y) with
+          | Some k ->
+            charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
+            let m = Float.abs (as_float x) in
+            mk_real k (if as_float y >= 0.0 then m else -.m)
+          | None ->
+            charge ct ci_flops ct.machine.Machine.int_op;
+            let m = abs (as_int x) in
+            Value.Vint (if as_int y >= 0 then m else -m)))
   | Ireal { e; kind = None } -> (
     match compile_expr env e with
     | Kf (f, Ast.K4) ->
       Kf
-        ( (fun ct fr ->
-            f ct fr;
+        ( (fun ct ->
+            f ct;
             ct.scratch.fv <- round32 ct.scratch.fv),
           Ast.K4 )
     | Kf (f, Ast.K8) ->
       Kf
-        ( (fun ct fr ->
-            f ct fr;
+        ( (fun ct ->
+            f ct;
             let x = ct.scratch.fv in
-            let rt = ct.rt in
-            charge rt ci_convert rt.rconv.(rt.rvec);
+            charge ct ci_convert ct.conv.(ct.vec);
             ct.scratch.fv <- round32 x),
           Ast.K4 )
-    | Ki f -> Kf ((fun ct fr -> ct.scratch.fv <- round32 (float_of_int (f ct fr))), Ast.K4)
-    | Kb _ | Kv _ -> gen ())
+    | Ki f -> Kf ((fun ct -> ct.scratch.fv <- round32 (float_of_int (f ct))), Ast.K4)
+    | (Kb _ | Kv _) as c ->
+      let f = force c in
+      Kv
+        (fun ct ->
+          let v = f ct in
+          if value_kind v = Some Ast.K8 then charge ct ci_convert ct.conv.(ct.vec);
+          Value.Vreal (round32 (as_float v), Ast.K4)))
   | Ireal { e; kind = Some kk } -> (
     match compile_expr env e with
     | Kf (f, k) when k = kk ->
       Kf
-        ( (fun ct fr ->
-            f ct fr;
+        ( (fun ct ->
+            f ct;
             ct.scratch.fv <- cround kk ct.scratch.fv),
           kk )
     | Kf (f, _) ->
       Kf
-        ( (fun ct fr ->
-            f ct fr;
+        ( (fun ct ->
+            f ct;
             let x = ct.scratch.fv in
-            let rt = ct.rt in
-            charge rt ci_convert rt.rconv.(rt.rvec);
+            charge ct ci_convert ct.conv.(ct.vec);
             ct.scratch.fv <- cround kk x),
           kk )
-    | Ki f -> Kf ((fun ct fr -> ct.scratch.fv <- cround kk (float_of_int (f ct fr))), kk)
-    | Kb _ | Kv _ -> gen ())
+    | Ki f -> Kf ((fun ct -> ct.scratch.fv <- cround kk (float_of_int (f ct))), kk)
+    | (Kb _ | Kv _) as c ->
+      let f = force c in
+      Kv
+        (fun ct ->
+          let v = f ct in
+          if value_kind v <> Some kk && value_kind v <> None then
+            charge ct ci_convert ct.conv.(ct.vec);
+          Value.Vreal (cround kk (as_float v), kk)))
+  | Ireal_bad { e; k } ->
+    let f = effect (compile_expr env e) in
+    Kv
+      (fun ct ->
+        f ct;
+        trap "real(): unsupported kind %d" k)
   | Idble e -> (
     match compile_expr env e with
     | Kf (f, Ast.K8) -> Kf (f, Ast.K8)
     | Kf (f, Ast.K4) ->
       Kf
-        ( (fun ct fr ->
-            f ct fr;
-            let rt = ct.rt in
-            charge rt ci_convert rt.rconv.(rt.rvec)),
+        ( (fun ct ->
+            f ct;
+            charge ct ci_convert ct.conv.(ct.vec)),
           Ast.K8 )
-    | Ki f -> Kf ((fun ct fr -> ct.scratch.fv <- float_of_int (f ct fr)), Ast.K8)
-    | Kb _ | Kv _ -> gen ())
-  | Iicvt { which; e } -> (
-    match compile_expr env e with
-    | (Kf _ | Ki _) as c ->
-      (* int_op is charged before the operand evaluates *)
-      let f = fput c in
+    | Ki f -> Kf ((fun ct -> ct.scratch.fv <- float_of_int (f ct)), Ast.K8)
+    | (Kb _ | Kv _) as c ->
+      let f = force c in
+      Kv
+        (fun ct ->
+          let v = f ct in
+          if value_kind v = Some Ast.K4 then charge ct ci_convert ct.conv.(ct.vec);
+          Value.Vreal (as_float v, Ast.K8)))
+  | Iicvt { which; e } ->
+    (* int_op is charged before the operand evaluates *)
+    let f = fput (compile_expr env e) in
+    Ki
+      (fun ct ->
+        charge ct ci_flops ct.machine.Machine.int_op;
+        f ct;
+        let x = ct.scratch.fv in
+        match which with
+        | 0 -> int_of_float x
+        | 1 -> int_of_float (Float.round x)
+        | _ -> int_of_float (Float.floor x))
+  | Idot { an; ar; bn; br } ->
+    let va = var_of env an ar and vb = var_of env bn br in
+    Kv
+      (fun ct ->
+        (* the reference resolves both via a tuple: right-to-left *)
+        let cb = resolve_cell ct vb in
+        let ca = resolve_cell ct va in
+        match ca, cb with
+        | Value.Real_array { kind = ka; data = da; _ }, Value.Real_array { kind = kb; data = db; _ }
+          ->
+          let n = min (Array.length da) (Array.length db) in
+          let kind = kmax ka kb in
+          let l = Machine.lanes ct.machine kind in
+          charge ct ci_flops
+            (2.0 *. float_of_int n *. Machine.op_cost ct.machine ~lanes:l kind Ast.Add);
+          charge ct ci_memory (2.0 *. float_of_int n *. Machine.mem_cost ct.machine ~lanes:l kind);
+          let s = ref 0.0 in
+          for i = 0 to n - 1 do
+            s := Fp32.of_kind kind (!s +. Fp32.of_kind kind (da.(i) *. db.(i)))
+          done;
+          mk_real kind !s
+        | _ -> trap_s "dot_product expects two real arrays")
+  | Ireduce { name; rn; r } ->
+    let v = var_of env rn r in
+    Kv
+      (fun ct ->
+        match resolve_cell ct v with
+        | Value.Real_array { kind; data; _ } -> (
+          let n = Array.length data in
+          let l = Machine.lanes ct.machine kind in
+          charge ct ci_flops (float_of_int n *. Machine.op_cost ct.machine ~lanes:l kind Ast.Add);
+          charge ct ci_memory (float_of_int n *. Machine.mem_cost ct.machine ~lanes:l kind);
+          match name with
+          | "sum" ->
+            let s = ref 0.0 in
+            Array.iter (fun x -> s := Fp32.of_kind kind (!s +. x)) data;
+            mk_real kind !s
+          | "maxval" ->
+            if n = 0 then trap_s "maxval of empty array"
+            else mk_real kind (Array.fold_left Float.max data.(0) data)
+          | "minval" ->
+            if n = 0 then trap_s "minval of empty array"
+            else mk_real kind (Array.fold_left Float.min data.(0) data)
+          | _ -> assert false)
+        | Value.Int_array { data; _ } -> (
+          charge ct ci_flops (float_of_int (Array.length data) *. ct.machine.Machine.int_op);
+          match name with
+          | "sum" -> Value.Vint (Array.fold_left ( + ) 0 data)
+          | "maxval" -> Value.Vint (Array.fold_left max min_int data)
+          | "minval" -> Value.Vint (Array.fold_left min max_int data)
+          | _ -> assert false)
+        | Value.Scalar _ | Value.Log_array _ -> trap "%s of non-array" name)
+  | Isize { rn; r; dim } -> (
+    let v = var_of env rn r in
+    let dims_of ct =
+      match resolve_cell ct v with
+      | Value.Real_array { dims; _ } | Value.Int_array { dims; _ } | Value.Log_array { dims; _ } ->
+        dims
+      | Value.Scalar _ -> trap_s "size of non-array"
+    in
+    match dim with
+    | None -> Ki (fun ct -> Value.elements (dims_of ct))
+    | Some d ->
+      let fd = iview (compile_expr env d) in
       Ki
-        (fun ct fr ->
-          let rt = ct.rt in
-          charge rt ci_flops rt.rmachine.Machine.int_op;
-          f ct fr;
-          let x = ct.scratch.fv in
-          match which with
-          | 0 -> int_of_float x
-          | 1 -> int_of_float (Float.round x)
-          | _ -> int_of_float (Float.floor x))
-    | Kb _ | Kv _ -> gen ())
+        (fun ct ->
+          let dim = fd ct in
+          let dims = dims_of ct in
+          if dim >= 1 && dim <= Array.length dims then dims.(dim - 1)
+          else trap "size: dimension %d out of range" dim))
   | Iinq { name; e } -> (
+    let value k =
+      match name, k with
+      | "epsilon", Ast.K8 -> epsilon_float
+      | "epsilon", Ast.K4 -> 1.1920928955078125e-07
+      | "huge", Ast.K8 -> max_float
+      | "huge", Ast.K4 -> Fp32.max_finite
+      | "tiny", Ast.K8 -> min_float
+      | "tiny", Ast.K4 -> Fp32.min_positive_normal
+      | _ -> assert false
+    in
     match compile_expr env e with
     | Kf (f, k) ->
-      let v =
-        match name, k with
-        | "epsilon", Ast.K8 -> epsilon_float
-        | "epsilon", Ast.K4 -> 1.1920928955078125e-07
-        | "huge", Ast.K8 -> max_float
-        | "huge", Ast.K4 -> Fp32.max_finite
-        | "tiny", Ast.K8 -> min_float
-        | "tiny", Ast.K4 -> Fp32.min_positive_normal
-        | _ -> assert false
-      in
+      let v = value k in
       Kf
-        ( (fun ct fr ->
-            f ct fr;
+        ( (fun ct ->
+            f ct;
             ct.scratch.fv <- v),
           k )
-    | Ki _ | Kb _ | Kv _ -> gen ())
-  | Ireal_bad _ | Idot _ | Ireduce _ | Isize _ -> gen ()
+    | c ->
+      let f = force c in
+      Kv
+        (fun ct ->
+          match f ct with
+          | Value.Vreal (_, k) -> Value.Vreal (value k, k)
+          | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> trap "%s of non-real value" name))
 
-and cco env (co : copy_out option) : ccopy option =
-  match co with
-  | None -> None
-  | Some c ->
-    Some { cco = c; cco_idx = Array.map (fun e -> iview (compile_expr env e)) c.co_idx }
+(* two typed operands (at least one real) into a rounded real of kind
+   [k]: mod, atan2 and sign *)
+and binary_f ca cb k sub which : cexpr =
+  let fa = fput ca and fb = fput cb in
+  match which with
+  | `Rem ->
+    Kf
+      ( (fun ct ->
+          fa ct;
+          let x = ct.scratch.fv in
+          fb ct;
+          let y = ct.scratch.fv in
+          charge ct ci_flops sub.(ct.vec);
+          ct.scratch.fv <- cmk_realf k (Float.rem x y)),
+        k )
+  | `Atan2 ->
+    Kf
+      ( (fun ct ->
+          fa ct;
+          let x = ct.scratch.fv in
+          fb ct;
+          let y = ct.scratch.fv in
+          charge ct ci_flops sub.(ct.vec);
+          ct.scratch.fv <- cmk_realf k (Float.atan2 x y)),
+        k )
+  | `Sign ->
+    Kf
+      ( (fun ct ->
+          fa ct;
+          let x = ct.scratch.fv in
+          fb ct;
+          let y = ct.scratch.fv in
+          charge ct ci_flops sub.(ct.vec);
+          let m = Float.abs x in
+          ct.scratch.fv <- cmk_realf k (if y >= 0.0 then m else -.m)),
+        k )
+
+and compile_sub env idx =
+  match Array.map (fun e -> iview (compile_expr env e)) idx with
+  | [| a |] -> S1 a
+  | [| a; b |] -> S2 (a, b)
+  | c -> Sn c
 
 and compile_call env (cs : call_site) : ccall =
+  let args =
+    Array.map
+      (function
+        | Aref { name; r } -> CAref { a = name; v = var_of env name r }
+        | Aval { e; lit; co } ->
+          CAval
+            {
+              e = compile_expr env e;
+              lit;
+              co =
+                Option.map
+                  (fun c ->
+                    { out_name = c.co_name; out_var = var_of env c.co_name c.co_r;
+                      out_sub = compile_sub env c.co_idx })
+                  co;
+            })
+      cs.cs_args
+  in
   {
     cc = cs;
-    cc_args =
-      Array.map
-        (function
-          | Aref { name; r } -> CAref { a = name; ar = r }
-          (* a literal actual is already a [Value.v]; handing the block
-             out directly is safe (immutable) and skips re-boxing it on
-             every call *)
-          | Aval { e = Elit v; lit; co } -> CAval { cv = (fun _ _ -> v); lit; co = cco env co }
-          | Aval { e; lit; co } ->
-            CAval { cv = force (compile_expr env e); lit; co = cco env co })
-        cs.cs_args;
+    cc_args = args;
+    cc_copies = Array.exists (function CAval { co = Some _; _ } -> true | _ -> false) args;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
 
-(* [store_indexed] with precompiled indices: same order — indices
-   (charging int_op each), then tag dispatch, charges, rounding, finite
-   trap, and the bounds check last *)
-(* target resolvers, with the [Sassign] trap wording *)
-let lsc_ref name r : cctx -> rframe -> Value.v ref =
-  match r with
-  | Rerr m -> fun _ _ -> trap_s m
-  | Rparam s ->
-    fun ct _ ->
-      ignore (force_param ct.rt s : Value.v);
-      trap "assignment to parameter %s" name
-  | Rlocal i ->
-    fun _ fr -> (
-      match fr.cells.(i) with
-      | Some (Value.Scalar sr) -> sr
-      | Some _ -> trap "assignment to whole array %s unsupported" name
-      | None -> trap "variable %s local to %s referenced out of scope" name fr.pname)
-  | Rglobal i ->
-    fun ct _ -> (
-      match ct.rt.rglobals.(i) with
-      | Value.Scalar sr -> sr
-      | _ -> trap "assignment to whole array %s unsupported" name)
+(* store [c]'s value into the scalar [var], converting to its declared
+   type; the rhs evaluates first, as in [Interp] *)
+let compile_store var ~lit (c : cexpr) : ctx -> unit =
+  match var, c with
+  | Vf (l, kind), Kf (f, k) -> (
+    let conv = k <> kind && not lit in
+    match l with
+    | Own o ->
+      fun ct ->
+        f ct;
+        let x = ct.scratch.fv in
+        if conv then charge ct ci_convert ct.conv.(ct.vec);
+        let y = cround kind x in
+        if not (Float.is_finite y) then nonfinite_scalar kind;
+        ct.fs.(ct.fb + o) <- y
+    | _ ->
+      fun ct ->
+        f ct;
+        let x = ct.scratch.fv in
+        if conv then charge ct ci_convert ct.conv.(ct.vec);
+        let y = cround kind x in
+        if not (Float.is_finite y) then nonfinite_scalar kind;
+        ct.fs.(faddr ct l) <- y)
+  | Vf (l, kind), Ki f ->
+    fun ct ->
+      let i = f ct in
+      let y = cround kind (float_of_int i) in
+      if not (Float.is_finite y) then nonfinite_scalar kind;
+      ct.fs.(faddr ct l) <- y
+  | Vi (Own o), Ki f ->
+    fun ct ->
+      let i = f ct in
+      ct.is.(ct.ib + o) <- i
+  | Vi l, Ki f ->
+    fun ct ->
+      let i = f ct in
+      ct.is.(iaddr ct l) <- i
+  | Vi l, Kf (f, _) ->
+    fun ct ->
+      f ct;
+      let i = int_of_float ct.scratch.fv in
+      ct.is.(iaddr ct l) <- i
+  | Vb l, Kb f ->
+    fun ct ->
+      let b = f ct in
+      ct.is.(iaddr ct l) <- Bool.to_int b
+  | (Vf _ | Vi _ | Vb _), _ ->
+    let f = force c in
+    fun ct -> store_v ct var ~lit (f ct)
+  | (Va _ | Vparam _ | Vunalloc | Vtrap _), _ -> assert false
 
-let arr_cell name r : cctx -> rframe -> Value.cell =
-  match r with
-  | Rerr m -> fun _ _ -> trap_s m
-  | Rparam s ->
-    fun ct _ ->
-      ignore (force_param ct.rt s : Value.v);
-      trap "assignment to parameter %s" name
-  | Rlocal i ->
-    fun _ fr -> (
-      match fr.cells.(i) with
-      | Some c -> c
-      | None -> trap "variable %s local to %s referenced out of scope" name fr.pname)
-  | Rglobal i -> fun ct _ -> ct.rt.rglobals.(i)
+(* a scalar assignment target; [on_array]/[on_param] are the traps of
+   the statement kind *)
+let compile_assign env ~name ~r ~lit ~on_array ~on_param rhs : ctx -> unit =
+  let c = compile_expr env rhs in
+  match var_of env name r with
+  | (Vf _ | Vi _ | Vb _) as v -> compile_store v ~lit c
+  | Vtrap m ->
+    let f = effect c in
+    fun ct ->
+      f ct;
+      trap_s m
+  | Vparam s ->
+    let f = effect c in
+    fun ct ->
+      f ct;
+      ignore (force_param ct s : Value.v);
+      trap_s on_param
+  | Va _ ->
+    let f = effect c in
+    fun ct ->
+      f ct;
+      trap_s on_array
+  | Vunalloc -> assert false
 
 type ccase =
-  | CCval of (cctx -> rframe -> Value.v)
-  | CCrange of (cctx -> rframe -> int) option * (cctx -> rframe -> int) option
+  | CCval of (ctx -> Value.v)
+  | CCrange of (ctx -> int) option * (ctx -> int) option
 
-let rec compile_stmt env (s : stmt) : cstmt =
+let rec compile_stmt env (s : stmt) : ctx -> unit =
   match s with
-  | Sassign { tgt = Lsc { name; r; rhs_lit }; rhs } -> (
-    let resolve = lsc_ref name r in
-    let crhs = compile_expr env rhs in
-    (* rhs first, then target resolution, then the store *)
-    match sty_of_ref env r, crhs with
-    | Sreal kind, Kf (f, k) ->
-      let conv = k <> kind && not rhs_lit in
-      fun ct fr ->
-        f ct fr;
-        let x = ct.scratch.fv in
-        let sr = resolve ct fr in
-        let rt = ct.rt in
-        (match !sr with
-        | Value.Vreal _ ->
-          if conv then charge rt ci_convert rt.rconv.(rt.rvec);
-          let y = cround kind x in
-          if not (Float.is_finite y) then
-            trap "non-finite value stored to real(kind=%d) scalar" (Token.int_of_kind kind);
-          sr := Value.Vreal (y, kind)
-        | _ -> scalar_store rt sr (Value.Vreal (x, k)) ~lit:rhs_lit)
-    | Sreal kind, Ki f ->
-      fun ct fr ->
-        let i = f ct fr in
-        let sr = resolve ct fr in
-        let rt = ct.rt in
-        (match !sr with
-        | Value.Vreal _ ->
-          let y = cround kind (float_of_int i) in
-          if not (Float.is_finite y) then
-            trap "non-finite value stored to real(kind=%d) scalar" (Token.int_of_kind kind);
-          sr := Value.Vreal (y, kind)
-        | _ -> scalar_store rt sr (Value.Vint i) ~lit:rhs_lit)
-    | Sint, Ki f ->
-      fun ct fr ->
-        let i = f ct fr in
-        let sr = resolve ct fr in
-        (match !sr with
-        | Value.Vint _ -> sr := vint i
-        | _ -> scalar_store ct.rt sr (Value.Vint i) ~lit:rhs_lit)
-    | Sbool, Kb f ->
-      fun ct fr ->
-        let b = f ct fr in
-        let sr = resolve ct fr in
-        (match !sr with
-        | Value.Vlog _ -> sr := Value.Vlog b
-        | _ -> scalar_store ct.rt sr (Value.Vlog b) ~lit:rhs_lit)
-    | _ ->
-      let fv = force crhs in
-      fun ct fr ->
-        let v = fv ct fr in
-        let sr = resolve ct fr in
-        scalar_store ct.rt sr v ~lit:rhs_lit)
-  | Sassign { tgt = Larr { name; r; idx; rhs_lit }; rhs } -> (
-    let resolve = arr_cell name r in
-    let crhs = compile_expr env rhs in
-    let cidx = Array.map (fun e -> iview (compile_expr env e)) idx in
-    match sty_of_ref env r, crhs with
-    | Sarr (Ast.Treal _), Kf (f, krhs) when Array.length cidx = 1 ->
-      (* hot combination: rank-1 real store with a typed-float rhs; the
-         float stays unboxed from the rhs through the element store *)
-      let c0 = cidx.(0) in
-      fun ct fr ->
-        f ct fr;
-        let xv = ct.scratch.fv in
-        let cell = resolve ct fr in
-        let rt = ct.rt in
-        charge rt ci_flops rt.rmachine.Machine.int_op;
-        let i = c0 ct fr in
-        (match cell with
-        | Value.Real_array { kind; data; dims } ->
-          charge rt ci_memory rt.rmemtab.((rt.rvec * 2) + kind_idx kind);
-          if krhs <> kind && not rhs_lit then charge rt ci_convert rt.rconv.(rt.rvec);
-          let x = cround kind xv in
-          if not (Float.is_finite x) then
-            trap "non-finite value stored to %s (real(kind=%d))" name (Token.int_of_kind kind);
-          data.(offset1 ~name ~dims i) <- x
-        | Value.Int_array { data; dims } ->
-          charge rt ci_flops rt.rmachine.Machine.int_op;
-          data.(offset1 ~name ~dims i) <- as_int (Value.Vreal (xv, krhs))
-        | Value.Log_array { data; dims } ->
-          data.(offset1 ~name ~dims i) <- as_bool (Value.Vreal (xv, krhs))
-        | Value.Scalar _ -> trap "scalar %s subscripted" name)
-    | Sarr (Ast.Treal _), Kf (f, krhs) when Array.length cidx = 2 ->
-      (* same, rank 2 (MOM6's column fields) *)
-      let c0 = cidx.(0) and c1 = cidx.(1) in
-      fun ct fr ->
-        f ct fr;
-        let xv = ct.scratch.fv in
-        let cell = resolve ct fr in
-        let rt = ct.rt in
-        charge rt ci_flops rt.rmachine.Machine.int_op;
-        let i = c0 ct fr in
-        charge rt ci_flops rt.rmachine.Machine.int_op;
-        let j = c1 ct fr in
-        (match cell with
-        | Value.Real_array { kind; data; dims } ->
-          charge rt ci_memory rt.rmemtab.((rt.rvec * 2) + kind_idx kind);
-          if krhs <> kind && not rhs_lit then charge rt ci_convert rt.rconv.(rt.rvec);
-          let x = cround kind xv in
-          if not (Float.is_finite x) then
-            trap "non-finite value stored to %s (real(kind=%d))" name (Token.int_of_kind kind);
-          data.(offset2 ~name ~dims i j) <- x
-        | Value.Int_array { data; dims } ->
-          charge rt ci_flops rt.rmachine.Machine.int_op;
-          data.(offset2 ~name ~dims i j) <- as_int (Value.Vreal (xv, krhs))
-        | Value.Log_array { data; dims } ->
-          data.(offset2 ~name ~dims i j) <- as_bool (Value.Vreal (xv, krhs))
-        | Value.Scalar _ -> trap "scalar %s subscripted" name)
-    | _ ->
-      let fv = force crhs in
-      fun ct fr ->
-        let v = fv ct fr in
-        let cell = resolve ct fr in
-        cstore ct fr name cell cidx ~lit:rhs_lit v)
+  | Sassign { tgt = Lsc { name; r; rhs_lit }; rhs } ->
+    compile_assign env ~name ~r ~lit:rhs_lit
+      ~on_array:(sp "assignment to whole array %s unsupported" name)
+      ~on_param:(sp "assignment to parameter %s" name) rhs
+  | Sassign { tgt = Larr { name; r; idx; rhs_lit }; rhs } -> compile_elem_store env name r idx rhs_lit rhs
   | Scall cs ->
     let ca = compile_call env cs in
-    fun ct fr -> ignore (exec_ccall ct fr ca : Value.v option)
-  | Sallreduce { send; send_lit; rn; recv; op } ->
+    fun ct -> ignore (exec_ccall ct ca : int)
+  | Sallreduce { send; send_lit; rn; recv; op } -> (
     let fsend = force (compile_expr env send) in
     let known_op = op = "sum" || op = "max" || op = "min" in
-    fun ct fr ->
-      let rt = ct.rt in
-      let v = fsend ct fr in
-      charge rt ci_reduction rt.rmachine.Machine.allreduce;
+    let head ct =
+      let v = fsend ct in
+      charge ct ci_reduction ct.machine.Machine.allreduce;
       if not known_op then trap "mpi_allreduce: unknown op %s" op;
-      let r = scalar_ref rt fr rn recv in
-      scalar_store rt r v ~lit:send_lit
-  | Sbarrier ->
-    fun ct _ ->
-      let rt = ct.rt in
-      charge rt ci_reduction (rt.rmachine.Machine.allreduce /. 2.0)
+      v
+    in
+    match var_of env rn recv with
+    | (Vf _ | Vi _ | Vb _) as var -> fun ct -> store_v ct var ~lit:send_lit (head ct)
+    | Vtrap m ->
+      fun ct ->
+        ignore (head ct : Value.v);
+        trap_s m
+    | Vparam s ->
+      fun ct ->
+        ignore (head ct : Value.v);
+        ignore (force_param ct s : Value.v);
+        trap "parameter %s cannot be assigned" rn
+    | Va _ ->
+      fun ct ->
+        ignore (head ct : Value.v);
+        trap "array %s used as a scalar" rn
+    | Vunalloc -> assert false)
+  | Sbarrier -> fun ct -> charge ct ci_reduction (ct.machine.Machine.allreduce /. 2.0)
   | Sif { arms; els } ->
     let carms =
       Array.map (fun (c, blk) -> (bview (compile_expr env c), compile_block env blk)) arms
@@ -1544,64 +2139,91 @@ let rec compile_stmt env (s : stmt) : cstmt =
     let n = Array.length carms in
     (* [go] closes over the compiled arms only, so it is allocated once
        here rather than on every execution of the [if] *)
-    let rec go ct fr i =
-      if i = n then exec_cblock ct fr cels
+    let rec go ct i =
+      if i = n then exec_cblock ct cels
       else
         let cond, blk = carms.(i) in
-        if cond ct fr then exec_cblock ct fr blk else go ct fr (i + 1)
+        if cond ct then exec_cblock ct blk else go ct (i + 1)
     in
-    fun ct fr -> go ct fr 0
-  | Sdo { vn; var; from_; to_; step; mode; iter_overhead; body } ->
+    fun ct -> go ct 0
+  | Sdo { vn; var; from_; to_; step; mode; iter_overhead; body } -> (
     let flo = iview (compile_expr env from_) in
     let fhi = iview (compile_expr env to_) in
     let fstep = Option.map (fun e -> iview (compile_expr env e)) step in
     let cbody = compile_block env body in
     let midx = mode_idx mode in
-    fun ct fr ->
-      let rt = ct.rt in
-      let r = scalar_ref rt fr vn var in
-      let lo = flo ct fr in
-      let hi = fhi ct fr in
-      let stp = match fstep with Some f -> f ct fr | None -> 1 in
-      if stp = 0 then trap "do loop with zero step";
-      let saved_vec = rt.rvec in
-      rt.rvec <- midx;
+    (* the loop proper, given the counter store; [Interp] resolves the
+       variable before evaluating the bounds *)
+    let loop ct set =
+      let lo = flo ct in
+      let hi = fhi ct in
+      let stp = match fstep with Some f -> f ct | None -> 1 in
+      if stp = 0 then trap_s "do loop with zero step";
+      let saved_vec = ct.vec in
+      ct.vec <- midx;
       (try
-         if stp = 1 then
-           for i = lo to hi do
-             r := vint i;
-             charge rt ci_loop iter_overhead;
-             check_budget rt;
-             try exec_cblock ct fr cbody with Rcycle -> ()
-           done
-         else begin
-           let i = ref lo in
-           while (stp > 0 && !i <= hi) || (stp < 0 && !i >= hi) do
-             r := vint !i;
-             charge rt ci_loop iter_overhead;
-             check_budget rt;
-             (try exec_cblock ct fr cbody with Rcycle -> ());
-             i := !i + stp
-           done
-         end
+         let i = ref lo in
+         while (stp > 0 && !i <= hi) || (stp < 0 && !i >= hi) do
+           set ct !i;
+           charge ct ci_loop iter_overhead;
+           check_budget ct;
+           (try exec_cblock ct cbody with Rcycle -> ());
+           i := !i + stp
+         done
        with
       | Rexit -> ()
       | e ->
-        rt.rvec <- saved_vec;
+        ct.vec <- saved_vec;
         raise e);
-      rt.rvec <- saved_vec
+      ct.vec <- saved_vec
+    in
+    match var_of env vn var with
+    | Vi (Own o) when fstep = None ->
+      (* the common shape: unit step, counter in the frame *)
+      fun ct ->
+        let lo = flo ct in
+        let hi = fhi ct in
+        let saved_vec = ct.vec in
+        ct.vec <- midx;
+        (try
+           for i = lo to hi do
+             ct.is.(ct.ib + o) <- i;
+             charge ct ci_loop iter_overhead;
+             check_budget ct;
+             try exec_cblock ct cbody with Rcycle -> ()
+           done
+         with
+        | Rexit -> ()
+        | e ->
+          ct.vec <- saved_vec;
+          raise e);
+        ct.vec <- saved_vec
+    | Vi l ->
+      let set ct i = ct.is.(iaddr ct l) <- i in
+      fun ct -> loop ct set
+    | Vf _ | Vb _ ->
+      (* ill-typed (Typecheck rejects it): [Interp] would store an
+         integer into the variable; fail at that first store *)
+      let set _ _ = trap "do variable %s is not integer" vn in
+      fun ct -> loop ct set
+    | Vtrap m -> fun _ -> trap_s m
+    | Vparam s ->
+      fun ct ->
+        ignore (force_param ct s : Value.v);
+        trap "parameter %s cannot be assigned" vn
+    | Va _ -> fun _ -> trap "array %s used as a scalar" vn
+    | Vunalloc -> assert false)
   | Sdo_while { cond; body } ->
     let fcond = bview (compile_expr env cond) in
     let cbody = compile_block env body in
-    fun ct fr ->
-      let rt = ct.rt in
-      (try
-         while fcond ct fr do
-           charge rt ci_loop rt.rmachine.Machine.loop_overhead;
-           check_budget rt;
-           try exec_cblock ct fr cbody with Rcycle -> ()
-         done
-       with Rexit -> ())
+    fun ct -> (
+      try
+        while fcond ct do
+          charge ct ci_loop ct.machine.Machine.loop_overhead;
+          check_budget ct;
+          try exec_cblock ct cbody with Rcycle -> ()
+        done
+      with Rexit -> ())
   | Sselect { selector; arms; default } ->
     let fsel = force (compile_expr env selector) in
     let carms =
@@ -1620,93 +2242,269 @@ let rec compile_stmt env (s : stmt) : cstmt =
     in
     let cdefault = compile_block env default in
     let n = Array.length carms in
-    (* as with [Sif]: the helpers take all state as arguments so they
-       are built once at compile time, not per execution *)
-    let matches ct fr sel item =
+    let matches ct sel item =
       match item, sel with
       | CCval f, _ -> (
-        match f ct fr, sel with
+        match f ct, sel with
         | Value.Vint a, Value.Vint b -> a = b
         | Value.Vlog a, Value.Vlog b -> a = b
-        | _ -> trap "case value incompatible with selector")
+        | _ -> trap_s "case value incompatible with selector")
       | CCrange (lo, hi), Value.Vint x ->
-        let above = match lo with Some f -> x >= f ct fr | None -> true in
-        let below = match hi with Some f -> x <= f ct fr | None -> true in
+        let above = match lo with Some f -> x >= f ct | None -> true in
+        let below = match hi with Some f -> x <= f ct | None -> true in
         above && below
-      | CCrange _, _ -> trap "case range requires an integer selector"
+      | CCrange _, _ -> trap_s "case range requires an integer selector"
     in
-    let rec matches_any ct fr sel (items : ccase array) j =
-      j < Array.length items
-      && (matches ct fr sel items.(j) || matches_any ct fr sel items (j + 1))
+    let rec matches_any ct sel (items : ccase array) j =
+      j < Array.length items && (matches ct sel items.(j) || matches_any ct sel items (j + 1))
     in
-    let rec go ct fr sel i =
-      if i = n then exec_cblock ct fr cdefault
+    let rec go ct sel i =
+      if i = n then exec_cblock ct cdefault
       else
         let items, blk = carms.(i) in
-        if matches_any ct fr sel items 0 then exec_cblock ct fr blk else go ct fr sel (i + 1)
+        if matches_any ct sel items 0 then exec_cblock ct blk else go ct sel (i + 1)
     in
-    fun ct fr ->
-      let rt = ct.rt in
-      let sel = fsel ct fr in
-      charge rt ci_flops rt.rmachine.Machine.compare_cost;
-      go ct fr sel 0
-  | Sexit -> fun _ _ -> raise Rexit
-  | Scycle -> fun _ _ -> raise Rcycle
-  | Sreturn -> fun _ _ -> raise Rreturn
-  | Sstop m -> fun _ _ -> raise (Rstop m)
+    fun ct ->
+      let sel = fsel ct in
+      charge ct ci_flops ct.machine.Machine.compare_cost;
+      go ct sel 0
+  | Sexit -> fun _ -> raise Rexit
+  | Scycle -> fun _ -> raise Rcycle
+  | Sreturn -> fun _ -> raise Rreturn
+  | Sstop m -> fun _ -> raise (Rstop m)
   | Sprint args ->
     let fs = Array.map (fun e -> force (compile_expr env e)) args in
     let n = Array.length fs in
-    fun ct fr ->
-      let rt = ct.rt in
-      let vs = Array.make n (Value.Vint 0) in
-      for i = 0 to n - 1 do
-        vs.(i) <- fs.(i) ct fr
-      done;
+    fun ct ->
+      let vs = Array.map (fun f -> f ct) fs in
       let line = String.concat " " (List.map Value.to_string (Array.to_list vs)) in
-      rt.rprinted <- line :: rt.rprinted;
+      ct.printed <- line :: ct.printed;
       if n > 0 then (
         match vs.(0) with
         | Value.Vstr key ->
           for i = 1 to n - 1 do
             match vs.(i) with
-            | Value.Vreal (x, _) -> rt.rrecords <- (key, x) :: rt.rrecords
-            | Value.Vint iv -> rt.rrecords <- (key, float_of_int iv) :: rt.rrecords
+            | Value.Vreal (x, _) -> ct.records <- (key, x) :: ct.records
+            | Value.Vint iv -> ct.records <- (key, float_of_int iv) :: ct.records
             | Value.Vlog _ | Value.Vstr _ -> ()
           done
         | _ -> ())
-  | Strap m -> fun _ _ -> trap_s m
+  | Strap m -> fun _ -> trap_s m
 
-and compile_block env (blk : stmt array) : cstmt array = Array.map (compile_stmt env) blk
+(* [Larr]: rhs, then the target cell, then subscripts and the store *)
+and compile_elem_store env name r idx lit rhs : ctx -> unit =
+  let crhs = compile_expr env rhs in
+  let sub = compile_sub env idx in
+  match var_of env name r with
+  | Vtrap m ->
+    let f = effect crhs in
+    fun ct ->
+      f ct;
+      trap_s m
+  | Vparam s ->
+    let f = effect crhs in
+    fun ct ->
+      f ct;
+      ignore (force_param ct s : Value.v);
+      trap "assignment to parameter %s" name
+  | Vf _ | Vi _ | Vb _ ->
+    let f = effect crhs in
+    fun ct ->
+      f ct;
+      eval_sub ct sub;
+      trap "scalar %s subscripted" name
+  | Vunalloc -> assert false
+  | Va (l, _) -> (
+    let get = match l with Own o -> fun ct -> ct.cs.(ct.cb + o) | _ -> fun ct -> cell_at ct l in
+    match crhs, sub with
+    | Kf (f, krhs), S1 c0 ->
+      (* hot combination: rank-1 store of a typed float, unboxed from the
+         rhs through the element store *)
+      fun ct ->
+        f ct;
+        let xv = ct.scratch.fv in
+        let cell = get ct in
+        charge ct ci_flops ct.machine.Machine.int_op;
+        let i = c0 ct in
+        (match cell with
+        | Value.Real_array { kind; data; dims } ->
+          charge ct ci_memory ct.memtab.((ct.vec * 2) + kind_idx kind);
+          if krhs <> kind && not lit then charge ct ci_convert ct.conv.(ct.vec);
+          let x = cround kind xv in
+          if not (Float.is_finite x) then nonfinite_elem name kind;
+          data.(offset1 ~name ~dims i) <- x
+        | _ ->
+          ct.i0 <- i;
+          ct.scratch.fv <- xv;
+          put_f ct name cell sub ~lit krhs)
+    | Kf (f, krhs), S2 (c0, c1) ->
+      fun ct ->
+        f ct;
+        let xv = ct.scratch.fv in
+        let cell = get ct in
+        charge ct ci_flops ct.machine.Machine.int_op;
+        let i = c0 ct in
+        charge ct ci_flops ct.machine.Machine.int_op;
+        let j = c1 ct in
+        (match cell with
+        | Value.Real_array { kind; data; dims } ->
+          charge ct ci_memory ct.memtab.((ct.vec * 2) + kind_idx kind);
+          if krhs <> kind && not lit then charge ct ci_convert ct.conv.(ct.vec);
+          let x = cround kind xv in
+          if not (Float.is_finite x) then nonfinite_elem name kind;
+          data.(offset2 ~name ~dims i j) <- x
+        | _ ->
+          ct.i0 <- i;
+          ct.i1 <- j;
+          ct.scratch.fv <- xv;
+          put_f ct name cell sub ~lit krhs)
+    | Kf (f, krhs), Sn _ ->
+      fun ct ->
+        f ct;
+        let xv = ct.scratch.fv in
+        let cell = get ct in
+        eval_sub ct sub;
+        ct.scratch.fv <- xv;
+        put_f ct name cell sub ~lit krhs
+    | Ki f, _ ->
+      fun ct ->
+        let v = f ct in
+        let cell = get ct in
+        eval_sub ct sub;
+        put_i ct name cell sub v
+    | Kb f, _ ->
+      fun ct ->
+        let v = f ct in
+        let cell = get ct in
+        eval_sub ct sub;
+        put_b ct name cell sub v
+    | Kv f, _ ->
+      fun ct ->
+        let v = f ct in
+        let cell = get ct in
+        eval_sub ct sub;
+        put_v ct name cell sub ~lit v)
+
+and compile_block env (blk : stmt array) = Array.map (compile_stmt env) blk
 
 (* ------------------------------------------------------------------ *)
 (* Whole-program compilation                                           *)
 
-let compile_proc env (ir : proc_ir) : cproc =
+(* a procedure's frame layout, from its declarations *)
+let layout (ir : proc_ir) =
+  let fvars = Array.make ir.p_nslots Vunalloc in
+  let nf = ref 0 and ni = ref 0 and nc = ref 0 in
+  let next r =
+    let v = !r in
+    incr r;
+    v
+  in
+  let dummies =
+    Array.map
+      (fun (d : dummy) ->
+        if d.d_undeclared then Dnone d.d_name
+        else if d.d_is_array then begin
+          let slot = next nc in
+          fvars.(d.d_slot) <- Va (Own slot, d.d_base);
+          Darr { dn = d.d_name; db = d.d_base; slot }
+        end
+        else begin
+          let addr = next ni in
+          match d.d_base with
+          | Ast.Treal dk ->
+            let home = next nf in
+            fvars.(d.d_slot) <- Vf (Ref addr, dk);
+            Dreal { dn = d.d_name; dk; addr; home; wr = d.d_writable }
+          | (Ast.Tinteger | Ast.Tlogical) as b ->
+            let home = next ni in
+            let logical = b = Ast.Tlogical in
+            fvars.(d.d_slot) <- var_of_base b (Ref addr);
+            Dint { dn = d.d_name; logical; addr; home; wr = d.d_writable }
+        end)
+      ir.p_dummies
+  in
+  let arrays =
+    Array.map
+      (fun (l : local) ->
+        if l.l_dims = [||] then begin
+          let loc = match l.l_base with Ast.Treal _ -> Own (next nf) | _ -> Own (next ni) in
+          fvars.(l.l_slot) <- var_of_base l.l_base loc;
+          None
+        end
+        else begin
+          let slot = next nc in
+          fvars.(l.l_slot) <- Va (Own slot, l.l_base);
+          Some slot
+        end)
+      ir.p_locals
+  in
+  let result =
+    if not ir.p_is_function then Rsub
+    else if ir.p_result < 0 then Rmissing
+    else
+      match fvars.(ir.p_result) with
+      | Va _ -> Rarray
+      | (Vf _ | Vi _ | Vb _) as v -> Rscalar v
+      | Vparam _ | Vunalloc | Vtrap _ -> Rmissing
+  in
+  (fvars, dummies, arrays, result, !nf, !ni, !nc)
+
+let compile_proc ~prog ~gvars ~pbase ~clinks (ir : proc_ir) : cproc =
+  let fvars, dummies, arrays, result, nf, ni, nc = layout ir in
+  let env = { prog; gvars; pbase; fvars; pname = ir.p_name; clinks } in
+  let clocals =
+    List.filter_map Fun.id
+      (Array.to_list
+         (Array.mapi
+            (fun j (l : local) ->
+              match arrays.(j) with
+              | None -> None
+              | Some slot ->
+                (* dims run while this local and the ones after it are
+                   unallocated: naming one traps, as in [Interp] *)
+                let unalloc = Array.copy fvars in
+                for k = j to Array.length ir.p_locals - 1 do
+                  unalloc.(ir.p_locals.(k).l_slot) <- Vunalloc
+                done;
+                let denv = { env with fvars = unalloc } in
+                Some
+                  {
+                    cl_slot = slot;
+                    cl_base = l.l_base;
+                    cl_dims = Array.map (fun e -> iview (compile_expr denv e)) l.l_dims;
+                  })
+            ir.p_locals))
+  in
+  let cinits =
+    Array.map
+      (fun (it : initr) ->
+        compile_assign env ~name:it.i_name ~r:(Rlocal it.i_slot) ~lit:it.i_lit
+          ~on_array:(sp "initializer on array %s unsupported" it.i_name)
+          ~on_param:"" it.i_rhs)
+      ir.p_inits
+  in
   {
     ir;
+    nf;
+    ni;
+    nc;
+    dummies;
+    result;
+    clocals = Array.of_list clocals;
+    cinits;
     cbody = compile_block env ir.p_body;
-    clocals =
-      Array.map
-        (fun (l : local) ->
-          { cl_def = l; cl_dims = Array.map (fun e -> iview (compile_expr env e)) l.l_dims })
-        ir.p_locals;
-    cinits =
-      Array.map
-        (fun (it : initr) -> { cin_def = it; cin_rhs = force (compile_expr env it.i_rhs) })
-        ir.p_inits;
   }
 
 module Cache = struct
-  (* Same key discipline and locking protocol as [Lower.Cache]:
-     compiled procedures are pure functions of (IR, machine) and the IR
-     is itself pinned by the key, so entries are shared across variants
-     and domains; a publish race keeps the first-published closure tree. *)
+  (* Same key discipline and locking protocol as [Lower.Cache]: compiled
+     procedures are pure functions of (IR, machine) and the IR is itself
+     pinned by the key, so entries are shared across variants and
+     domains; a publish race keeps the first-published closure tree. *)
   type t = {
     tbl : (string, cproc) Hashtbl.t;
     lock : Mutex.t;
-    (* atomics, as in [Lower.Cache]: domains aggregate traffic without
-       holding [lock] and totals are never torn *)
+    (* atomics: domains aggregate traffic without holding [lock] and
+       totals are never torn *)
     hits : int Atomic.t;
     misses : int Atomic.t;
   }
@@ -1739,33 +2537,48 @@ module Cache = struct
         cp)
 end
 
-type t = { cl : program; cprocs : cproc array; cmain : cstmt array }
+type t = {
+  prog : program;
+  cprocs : cproc array;
+  cmain : (ctx -> unit) array;
+  gvars : var array;
+  gsize : int * int * int;  (* module variables in [fs], [is], [cs] *)
+  ginits : (ctx -> unit) array;  (* by position in [prog.globals] *)
+  pdefs : cparam array;
+  memtab : float array;
+}
+
+(* module variables at fixed addresses at the bottom of the stacks,
+   assigned in canonical-slot order (stable across variants) *)
+let global_layout (p : program) =
+  let gvars = Array.make p.nglobals (Vtrap "module variable not allocated") in
+  let nf = ref 0 and ni = ref 0 and nc = ref 0 in
+  let next r =
+    let v = !r in
+    incr r;
+    v
+  in
+  let by_slot = Array.make p.nglobals None in
+  Array.iter (fun (g : global) -> by_slot.(g.g_slot) <- Some g) p.globals;
+  Array.iteri
+    (fun s g ->
+      match g with
+      | None -> ()
+      | Some (g : global) ->
+        gvars.(s) <-
+          (match g.g_extents with
+          | None -> Vtrap (sp "module array %s.%s has non-constant extent" g.g_unit g.g_name)
+          | Some [||] -> (
+            match g.g_base with
+            | Ast.Treal _ -> var_of_base g.g_base (Abs (next nf))
+            | Ast.Tinteger | Ast.Tlogical -> var_of_base g.g_base (Abs (next ni)))
+          | Some _ -> Va (Abs (next nc), g.g_base)))
+    by_slot;
+  (gvars, (!nf, !ni, !nc))
 
 let compile ?cache (p : program) : t =
-  let gsty = Array.make p.nglobals Sunknown in
-  Array.iter
-    (fun (g : global) ->
-      gsty.(g.g_slot) <-
-        (match g.g_extents with
-        | Some [||] -> sty_of_base g.g_base ~is_array:false
-        | Some _ -> Sarr g.g_base
-        | None -> Sunknown))
-    p.globals;
-  let psty =
-    Array.map (fun (pa : param) -> sty_of_base pa.pa_base ~is_array:false) p.params
-  in
-  let fsty_of (ir : proc_ir) =
-    let fsty = Array.make ir.p_nslots Sunknown in
-    Array.iter
-      (fun (d : dummy) ->
-        if not d.d_undeclared then fsty.(d.d_slot) <- sty_of_base d.d_base ~is_array:d.d_is_array)
-      ir.p_dummies;
-    Array.iter
-      (fun (l : local) ->
-        fsty.(l.l_slot) <- sty_of_base l.l_base ~is_array:(l.l_dims <> [||]))
-      ir.p_locals;
-    fsty
-  in
+  let gvars, gsize = global_layout p in
+  let pbase = Array.map (fun (pa : param) -> pa.pa_base) p.params in
   let cached key f =
     match cache with
     | Some c when key <> "" -> Cache.get_or_compile c key f
@@ -1774,51 +2587,142 @@ let compile ?cache (p : program) : t =
   let cprocs =
     Array.mapi
       (fun i (ir : proc_ir) ->
-        cached ir.p_key (fun () ->
-            compile_proc
-              { prog = p; gsty; psty; fsty = fsty_of ir; clinks = p.links.(i) }
-              ir))
+        cached ir.p_key (fun () -> compile_proc ~prog:p ~gvars ~pbase ~clinks:p.links.(i) ir))
       p.procs
   in
   (* the main body runs in an empty frame: every name it touches is a
-     global or parameter, so [fsty] is empty *)
-  let main_env = { prog = p; gsty; psty; fsty = [||]; clinks = p.main_links } in
-  let cmain =
-    match cache with
-    | Some c when p.main_key <> "" ->
-      let main_ir =
-        {
-          p_name = "";
-          p_key = p.main_key;
-          p_result = -1;
-          p_is_function = false;
-          p_is_wrapper = false;
-          p_inlinable = false;
-          p_nslots = 0;
-          p_dummies = [||];
-          p_locals = [||];
-          p_inits = [||];
-          p_body = p.main_body;
-          p_callees = [||];
-        }
-      in
-      (Cache.get_or_compile c p.main_key (fun () ->
-           {
-             ir = main_ir;
-             cbody = compile_block main_env p.main_body;
-             clocals = [||];
-             cinits = [||];
-           }))
-        .cbody
-    | Some _ | None -> compile_block main_env p.main_body
+     module variable or parameter *)
+  let main_env = { prog = p; gvars; pbase; fvars = [||]; pname = ""; clinks = p.main_links } in
+  let main_ir =
+    {
+      p_name = "";
+      p_key = p.main_key;
+      p_result = -1;
+      p_is_function = false;
+      p_is_wrapper = false;
+      p_inlinable = false;
+      p_nslots = 0;
+      p_dummies = [||];
+      p_locals = [||];
+      p_inits = [||];
+      p_body = p.main_body;
+      p_callees = [||];
+    }
   in
-  { cl = p; cprocs; cmain }
+  let cmain =
+    (cached p.main_key (fun () ->
+         { ir = main_ir; nf = 0; ni = 0; nc = 0; dummies = [||]; result = Rsub; clocals = [||];
+           cinits = [||]; cbody = compile_block main_env p.main_body }))
+      .cbody
+  in
+  let aux_env = { main_env with clinks = p.aux_links } in
+  let ginits =
+    Array.map
+      (fun (g : global) ->
+        match g.g_init with
+        | None -> fun _ -> ()
+        | Some (e, lit) ->
+          compile_assign aux_env ~name:g.g_name ~r:(Rglobal g.g_slot) ~lit
+            ~on_array:(sp "initializer on module array %s unsupported" g.g_name)
+            ~on_param:"" e)
+      p.globals
+  in
+  let pdefs =
+    Array.map
+      (fun (pa : param) ->
+        { cp_name = pa.pa_name; cp_base = pa.pa_base;
+          cp_init = Option.map (fun e -> force (compile_expr aux_env e)) pa.pa_init })
+      p.params
+  in
+  {
+    prog = p;
+    cprocs;
+    cmain;
+    gvars;
+    gsize;
+    ginits;
+    pdefs;
+    memtab = table6 p.machine (fun lanes k -> Machine.mem_cost p.machine ~lanes k);
+  }
+
+(* module arrays, then module initializers, in declaration order *)
+let prepare_globals ct (t : t) =
+  let gs = t.prog.globals in
+  Array.iter
+    (fun (g : global) ->
+      match g.g_extents, t.gvars.(g.g_slot) with
+      | None, _ -> trap "module array %s.%s has non-constant extent" g.g_unit g.g_name
+      | Some ext, Va (Abs a, base) -> ct.cs.(a) <- alloc_array base ext
+      | Some _, _ -> ())
+    gs;
+  exec_cblock ct t.ginits
 
 let run ?budget (t : t) : Interp.outcome =
-  let rt = fresh_rctx ?budget t.cl in
-  let ct = { rt; cprocs = t.cprocs; scratch = { fv = 0.0 } } in
-  run_with rt t.cl ~exec:(fun () ->
-      let fr = { pname = ""; cells = [||]; flinks = t.cl.main_links } in
-      exec_cblock ct fr t.cmain)
-
-
+  let p = t.prog in
+  let nf, ni, nc = t.gsize in
+  let ct =
+    {
+      cprocs = t.cprocs;
+      links = p.links;
+      aux_links = p.aux_links;
+      machine = p.machine;
+      timers = Timers.create ();
+      accs = Array.make (Array.length p.procs) None;
+      cost = { Timers.now = 0.0 };
+      budget = (match budget with Some b -> b | None -> Float.infinity);
+      params = Array.make (Array.length p.params) None;
+      pdefs = t.pdefs;
+      conv = p.conv_costs;
+      memtab = t.memtab;
+      breakdown = Array.make (List.length Machine.categories) 0.0;
+      scratch = { fv = 0.0 };
+      fs = Array.make (nf + 256) 0.0;
+      is = Array.make (ni + 256) 0;
+      cs = Array.make (nc + 64) no_cell;
+      fb = nf;
+      ib = ni;
+      cb = nc;
+      fsp = nf;
+      isp = ni;
+      csp = nc;
+      flinks = p.aux_links;
+      vec = 0;
+      i0 = 0;
+      i1 = 0;
+      ix = [||];
+      records = [];
+      printed = [];
+      depth = 0;
+      charging = true;
+      in_wrapper = false;
+    }
+  in
+  let status =
+    match
+      prepare_globals ct t;
+      if not p.has_main then trap_s "program has no main unit";
+      ct.flinks <- p.main_links;
+      Timers.enter_clock ct.timers (Timers.acc_of ct.timers "<main>") "<main>" ct.cost;
+      (try exec_cblock ct t.cmain
+       with e ->
+         Timers.exit_clock ct.timers ct.cost;
+         raise e);
+      Timers.exit_clock ct.timers ct.cost
+    with
+    | () -> Interp.Finished
+    | exception Rstop m -> Interp.Stopped m
+    | exception Rtrap m -> Interp.Runtime_error m
+    | exception Value.Bounds m -> Interp.Runtime_error m
+    | exception Rtimeout -> Interp.Timed_out
+    | exception Rreturn -> Interp.Finished
+    | exception Rexit -> Interp.Runtime_error "exit outside a loop"
+    | exception Rcycle -> Interp.Runtime_error "cycle outside a loop"
+  in
+  {
+    Interp.status;
+    cost = ct.cost.Timers.now;
+    timers = Timers.snapshot ct.timers;
+    records = List.rev ct.records;
+    printed = List.rev ct.printed;
+    breakdown = List.mapi (fun i c -> (c, ct.breakdown.(i))) Machine.categories;
+  }

@@ -1,27 +1,34 @@
-(** Closure-compilation backend over the [Lower] IR.
+(** The evaluator: closure compilation of the slot-resolved IR.
 
     [compile] translates a lowered program once into a tree of OCaml
-    closures — expressions become [env -> float/int/bool/value]
-    functions with slots, cost tables and static typing decisions
-    pre-bound, statements become [env -> unit] — so the per-evaluation
-    inner loop runs no opcode dispatch at all. [run] executes the
-    compiled tree with observable behavior bit-identical to [Lower.run]
-    (and therefore to [Interp.run]): same status, cost, timers, records,
-    printed lines and breakdown.
+    closures — expressions become [ctx -> float/int/bool/value]
+    functions with storage offsets, cost tables and static typing
+    decisions pre-bound, statements become [ctx -> unit] — so the
+    per-evaluation inner loop runs no opcode dispatch at all. [run]
+    executes the compiled tree with observable behavior bit-identical to
+    [Interp.run]: same status, cost, timers, records, printed lines and
+    breakdown, with every charge in the same order.
 
-    Typed unboxed lanes are used only where a declared base type pins
-    the runtime representation; everything else falls back to
-    [Lower.eval_expr] / [Lower.exec_stmt] on the original IR node, which
-    is exact by construction. *)
+    Compiled procedures own their frame layout, fixed at compile time
+    from their declarations: real scalars live unboxed in a per-run
+    float stack, integers and logicals in an int stack, arrays by
+    reference in a cell stack. A scalar dummy holds the absolute address
+    of its storage — the caller's slot when bound by reference, exactly
+    where [Interp] shares the caller's cell; its own slot when bound by
+    value. No scalar store, argument binding, copy-out or function
+    result allocates. Every IR shape is compiled; there is no fallback
+    to another evaluator. Programs are assumed to pass [Typecheck]; the
+    one consequence is that a non-integer [do] variable traps on the
+    loop's first iteration. *)
 
 type t
 (** A compiled program, ready to [run] any number of times. *)
 
-(** Memoizes compiled procedures across variants under the same
-    precision-signature keys as [Lower.Cache] ([Lower.proc_ir.p_key]).
-    Compiled closures never bake procedure indices — callees resolve
-    through the frame's link table at runtime — so entries are shared
-    across variants and domains. *)
+(** Memoizes compiled procedures across variants under the
+    precision-signature keys of [Lower.Cache] ([Ir.proc_ir.p_key]).
+    Compiled closures never bake procedure indices — callees and their
+    frame layouts resolve through the frame's link table at runtime — so
+    entries are shared across variants and domains. *)
 module Cache : sig
   type t
 
@@ -33,10 +40,10 @@ module Cache : sig
       across worker domains, as in [Lower.Cache.stats]. *)
 end
 
-val compile : ?cache:Cache.t -> Lower.program -> t
+val compile : ?cache:Cache.t -> Ir.program -> t
 (** Procedures lowered through a [Lower.Cache] (non-empty
-    [Lower.proc_ir.p_key]) are compiled at most once per [cache]. *)
+    [Ir.proc_ir.p_key]) are compiled at most once per [cache]. *)
 
 val run : ?budget:float -> t -> Interp.outcome
-(** Execute the compiled program. [budget] bounds the abstract cost
-    exactly as in [Lower.run]. *)
+(** Execute the compiled program. [budget] bounds the abstract cost; the
+    run stops with [Interp.Timed_out] exactly where [Interp.run] does. *)

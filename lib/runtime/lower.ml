@@ -1,4 +1,4 @@
-(* Slot-resolved interpreter IR — the evaluation fast path.
+(* Lowering of a typechecked program to the slot-resolved IR ([Ir]).
 
    [Interp] resolves every variable, parameter and global by *string*
    through per-frame [Hashtbl]s, re-derives vectorization modes, and
@@ -6,11 +6,9 @@
    pass lowers a typechecked program once: names become integer slots into
    per-frame arrays, loop vectorization modes and per-operation SIMD cost
    tables are baked into the nodes, and call/intrinsic dispatch is
-   pre-resolved. The evaluator over the IR reproduces [Interp.run]
-   bit-for-bit — same charges in the same order, same trap messages, same
-   timer enter/exit sequence, same records — it only removes the repeated
-   string-keyed lookups (see DESIGN.md §6 and the [test_lower] QCheck
-   equivalence property).
+   pre-resolved. [Compile] turns the result into closures over its own
+   frame layout; [run] is exactly that, compile then run (see DESIGN.md
+   §6–§7).
 
    Procedures additionally carry a cache key derived from the precision
    signature of every declaration their lowered body can observe (their
@@ -19,169 +17,7 @@
    variants a campaign evaluates. *)
 
 open Fortran
-
-type vmode = Vscalar | Vnarrow | Vfull
-
-let mode_idx = function Vscalar -> 0 | Vnarrow -> 1 | Vfull -> 2
-let kind_idx = function Ast.K4 -> 0 | Ast.K8 -> 1
-
-(* cost tables indexed [mode_idx * 2 + kind_idx]: the (vec mode × kind)
-   grid of Interp's [lanes_of]-dependent charges, precomputed *)
-let table6 (machine : Machine.t) f =
-  let l64 = machine.Machine.lanes_f64 in
-  [|
-    f 1 Ast.K4; f 1 Ast.K8;
-    f l64 Ast.K4; f l64 Ast.K8;
-    f (Machine.lanes machine Ast.K4) Ast.K4; f (Machine.lanes machine Ast.K8) Ast.K8;
-  |]
-
-(* ------------------------------------------------------------------ *)
-(* The IR                                                              *)
-
-type ref_ =
-  | Rlocal of int  (* slot in the current frame *)
-  | Rglobal of int  (* slot in the per-run global store *)
-  | Rparam of int  (* slot in the lazily-evaluated parameter store *)
-  | Rerr of string  (* name resolution failed: trap when touched *)
-
-type expr =
-  | Elit of Value.v  (* literals, with Real_lit folded through Fp32 *)
-  | Evar of { name : string; r : ref_ }
-  | Eneg of { e : expr; costs : float array }  (* Sub table for the real case *)
-  | Enot of expr
-  | Ebin of {
-      op : Ast.binop;
-      a : expr;
-      b : expr;
-      exempt : bool;  (* either operand is a real literal: casting folds *)
-      costs : float array;  (* op table ([||] for compares and logic) *)
-      powmul : float array;  (* Mul table for strength-reduced powers *)
-    }
-  | Earr of {
-      name : string;
-      r : ref_;
-      idx : expr array;
-      mem : float array;  (* mem_cost table *)
-    }
-  | Ecall of call_site  (* user function in expression position *)
-  | Eintr of intr
-  | Etrap of string  (* statically-determined trap *)
-
-and intr =
-  | Iabs of { e : expr; costs : float array }
-  | Ielem of { name : string; fn : float -> float; e : expr; costs : float array }
-  | Iminmax of { name : string; args : expr array; costs : float array }
-  | Imod of { a : expr; b : expr; costs : float array }  (* Div table *)
-  | Iatan2 of { a : expr; b : expr; costs : float array }
-  | Isign of { a : expr; b : expr; costs : float array }
-  | Ireal of { e : expr; kind : Ast.real_kind option }  (* None = real(x) *)
-  | Ireal_bad of { e : expr; k : int }  (* real(x, k) with unsupported k *)
-  | Idble of expr
-  | Iicvt of { which : int; e : expr }  (* 0 = int, 1 = nint, 2 = floor *)
-  | Idot of { an : string; ar : ref_; bn : string; br : ref_ }
-  | Ireduce of { name : string; rn : string; r : ref_ }  (* sum/maxval/minval *)
-  | Isize of { rn : string; r : ref_; dim : expr option }
-  | Iinq of { name : string; e : expr }  (* epsilon/huge/tiny *)
-
-and call_site = {
-  cs_name : string;
-  cs_callee : int;  (* index into the owning body's callee-name table *)
-  cs_args : arg array;
-  cs_arity_trap : string option;  (* wrong arg count: trap after depth/budget *)
-}
-
-and arg =
-  | Aref of { name : string; r : ref_ }  (* actual is a whole variable *)
-  | Aval of { e : expr; lit : bool; co : copy_out option }
-
-and copy_out = { co_name : string; co_r : ref_; co_idx : expr array }
-
-type lhs =
-  | Lsc of { name : string; r : ref_; rhs_lit : bool }
-  | Larr of { name : string; r : ref_; idx : expr array; rhs_lit : bool }
-
-type stmt =
-  | Sassign of { tgt : lhs; rhs : expr }
-  | Scall of call_site
-  | Sallreduce of { send : expr; send_lit : bool; rn : string; recv : ref_; op : string }
-  | Sbarrier
-  | Sif of { arms : (expr * stmt array) array; els : stmt array }
-  | Sdo of {
-      vn : string;
-      var : ref_;
-      from_ : expr;
-      to_ : expr;
-      step : expr option;
-      mode : vmode;  (* baked vectorization decision for this loop *)
-      iter_overhead : float;
-      body : stmt array;
-    }
-  | Sdo_while of { cond : expr; body : stmt array }
-  | Sselect of { selector : expr; arms : (case array * stmt array) array; default : stmt array }
-  | Sexit
-  | Scycle
-  | Sreturn
-  | Sstop of string
-  | Sprint of expr array
-  | Strap of string
-
-and case =
-  | Cval of expr
-  | Crange of expr option * expr option
-
-type dummy = {
-  d_name : string;
-  d_slot : int;
-  d_base : Ast.base_type;
-  d_is_array : bool;
-  d_writable : bool;  (* intent out/inout/none: copy-out registration *)
-  d_undeclared : bool;
-}
-
-type local = { l_slot : int; l_base : Ast.base_type; l_dims : expr array }
-type initr = { i_name : string; i_slot : int; i_rhs : expr; i_lit : bool }
-
-type proc_ir = {
-  p_name : string;
-  p_key : string;  (* cache key when lowered through a [Cache]; "" otherwise *)
-  p_result : int;  (* result slot; -1 = subroutine; -2 = function, no cell *)
-  p_is_function : bool;
-  p_is_wrapper : bool;
-  p_inlinable : bool;
-  p_nslots : int;
-  p_dummies : dummy array;
-  p_locals : local array;  (* allocation order = vars_of_scope order *)
-  p_inits : initr array;
-  p_body : stmt array;
-  p_callees : string array;  (* call_site.cs_callee indexes this *)
-}
-
-(* per-variant global/parameter descriptors (cheap to rebuild, not cached) *)
-type global = {
-  g_slot : int;  (* canonical slot: stable across variants *)
-  g_unit : string;
-  g_name : string;
-  g_base : Ast.base_type;
-  g_extents : int array option;  (* None = non-constant extent: trap *)
-  g_init : (expr * bool) option;  (* lowered initializer, rhs-literal flag *)
-}
-
-type param = { pa_name : string; pa_base : Ast.base_type; pa_init : expr option }
-
-type program = {
-  machine : Machine.t;
-  has_main : bool;
-  procs : proc_ir array;
-  links : int array array;  (* per proc: local callee index -> proc index (-1 unknown) *)
-  main_body : stmt array;
-  main_key : string;  (* cache key of the main pseudo-procedure; "" uncached *)
-  main_links : int array;
-  aux_links : int array;  (* links for global/parameter initializer expressions *)
-  globals : global array;  (* program declaration order *)
-  nglobals : int;
-  params : param array;
-  conv_costs : float array;  (* per mode: convert_cost at Interp's conv_lanes *)
-}
+include Ir
 
 (* ------------------------------------------------------------------ *)
 (* Lowering                                                            *)
@@ -867,912 +703,4 @@ let lower ?cache ?(wrapper_owner = fun _ -> None) ~machine st : program =
       |];
   }
 
-(* ------------------------------------------------------------------ *)
-(* Evaluation over the IR.
-
-   Everything below mirrors [Interp] statement for statement: identical
-   charges in identical order (float accumulation order is observable in
-   [outcome.cost]), identical trap messages, identical timer sequences.
-   Any behavioral edit here must be mirrored in interp.ml and vice versa;
-   the [test_lower] equivalence property is the guard. *)
-
-exception Rreturn
-exception Rexit
-exception Rcycle
-exception Rstop of string
-exception Rtrap of string
-exception Rtimeout
-
-let trap fmt = Format.kasprintf (fun m -> raise (Rtrap m)) fmt
-let trap_s m = raise (Rtrap m)
-
-let cat_index =
-  let tbl = Hashtbl.create 8 in
-  List.iteri (fun i c -> Hashtbl.add tbl c i) Machine.categories;
-  fun c -> Hashtbl.find tbl c
-
-let ci_flops = cat_index Machine.Cat_flops
-let ci_memory = cat_index Machine.Cat_memory
-let ci_convert = cat_index Machine.Cat_convert
-let ci_call = cat_index Machine.Cat_call
-let ci_reduction = cat_index Machine.Cat_reduction
-let ci_loop = cat_index Machine.Cat_loop
-
-type rframe = {
-  pname : string;  (* for the out-of-scope trap message *)
-  cells : Value.cell option array;  (* None = not yet allocated *)
-  flinks : int array;  (* this body's callee index -> proc index *)
-}
-
-(* all-float one-field record: stored flat, in-place float update with
-   no boxing (a [mutable float] field of this mixed record would box on
-   every store — once per charge) *)
-type fbox = { mutable fv : float }
-
-type rctx = {
-  rprocs : proc_ir array;
-  rlinks : int array array;
-  raux : int array;
-  rmachine : Machine.t;
-  rtimers : Timers.t;
-  raccs : Timers.acc option array;  (* by proc index, resolved on first entry *)
-  rcost : fbox;
-  rbudget : float;  (* infinity when unbudgeted *)
-  rglobals : Value.cell array;
-  rparams : Value.v option array;
-  rparam_defs : param array;
-  rconv : float array;
-  rmemtab : float array;
-  mutable rvec : int;  (* mode_idx of the active vectorization mode *)
-  mutable rrecords : (string * float) list;  (* reversed *)
-  mutable rprinted : string list;  (* reversed *)
-  mutable rdepth : int;
-  mutable rcharging : bool;
-  mutable rin_wrapper : bool;
-  rbreakdown : float array;
-}
-
-let[@inline] charge rt i c =
-  if rt.rcharging then begin
-    rt.rcost.fv <- rt.rcost.fv +. c;
-    rt.rbreakdown.(i) <- rt.rbreakdown.(i) +. c;
-    (* [Timers.charge] spelled out so the float stays unboxed here *)
-    let tm = rt.rtimers in
-    tm.Timers.top.Timers.exclusive <- tm.Timers.top.Timers.exclusive +. c
-  end
-
-let[@inline] check_budget rt = if rt.rcost.fv > rt.rbudget then raise Rtimeout
-
-(* timer accumulator of proc [pidx], cached per run. Lazy on purpose:
-   resolving every proc up front would add never-entered procedures to
-   the snapshot. *)
-let proc_acc rt pidx name =
-  match rt.raccs.(pidx) with
-  | Some a -> a
-  | None ->
-    let a = Timers.acc_of rt.rtimers name in
-    rt.raccs.(pidx) <- Some a;
-    a
-
-(* cold: called only on a non-finite rounded value; always raises *)
-let bad_real kind x : float =
-  if Float.is_nan x then
-    trap "NaN produced in real(kind=%d) arithmetic" (Token.int_of_kind kind)
-  else trap "overflow in real(kind=%d) arithmetic" (Token.int_of_kind kind)
-
-(* kept small (trap formatting split into [bad_real]) so the float
-   argument and result stay unboxed at inlined call sites *)
-let[@inline] mk_realf kind x =
-  let x = Fp32.of_kind kind x in
-  if Float.is_finite x then x else bad_real kind x
-
-let mk_real kind x = Value.Vreal (mk_realf kind x, kind)
-
-let as_float = function
-  | Value.Vreal (x, _) -> x
-  | Value.Vint i -> float_of_int i
-  | Value.Vlog _ | Value.Vstr _ -> trap "numeric value expected"
-
-let as_int = function
-  | Value.Vint i -> i
-  | Value.Vreal (x, _) -> int_of_float x
-  | Value.Vlog _ | Value.Vstr _ -> trap "integer value expected"
-
-let as_bool = function
-  | Value.Vlog b -> b
-  | Value.Vint _ | Value.Vreal _ | Value.Vstr _ -> trap "logical value expected"
-
-let value_kind = function
-  | Value.Vreal (_, k) -> Some k
-  | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> None
-
-let promote_kind a b =
-  match a, b with
-  | Some Ast.K8, _ | _, Some Ast.K8 -> Some Ast.K8
-  | Some Ast.K4, _ | _, Some Ast.K4 -> Some Ast.K4
-  | None, None -> None
-
-let zero_of_base (base : Ast.base_type) =
-  match base with
-  | Ast.Treal k -> Value.Vreal (0.0, k)
-  | Ast.Tinteger -> Value.Vint 0
-  | Ast.Tlogical -> Value.Vlog false
-
-let alloc_cell (base : Ast.base_type) (extents : int list) : Value.cell =
-  match extents with
-  | [] -> Value.Scalar (ref (zero_of_base base))
-  | _ ->
-    let dims = Array.of_list extents in
-    let n = Value.elements dims in
-    if n < 0 || n > 50_000_000 then trap "array allocation of %d elements refused" n;
-    (match base with
-    | Ast.Treal kind -> Value.Real_array { kind; data = Array.make n 0.0; dims }
-    | Ast.Tinteger -> Value.Int_array { data = Array.make n 0; dims }
-    | Ast.Tlogical -> Value.Log_array { data = Array.make n false; dims })
-
-let rec force_param rt slot =
-  match rt.rparams.(slot) with
-  | Some v -> v
-  | None ->
-    let pd = rt.rparam_defs.(slot) in
-    let init =
-      match pd.pa_init with
-      | Some e -> e
-      | None -> trap "parameter %s has no initializer" pd.pa_name
-    in
-    let saved = rt.rcharging in
-    rt.rcharging <- false;
-    let frame = { pname = ""; cells = [||]; flinks = rt.raux } in
-    let v = eval_expr rt frame init in
-    rt.rcharging <- saved;
-    let v =
-      match pd.pa_base with
-      | Ast.Treal k -> Value.Vreal (Fp32.of_kind k (as_float v), k)
-      | Ast.Tinteger -> Value.Vint (as_int v)
-      | Ast.Tlogical -> Value.Vlog (as_bool v)
-    in
-    rt.rparams.(slot) <- Some v;
-    v
-
-and resolve_g rt frame name (r : ref_) : [ `Cell of Value.cell | `Param of Value.v ] =
-  match r with
-  | Rerr m -> trap_s m
-  | Rparam s -> `Param (force_param rt s)
-  | Rlocal i -> (
-    match frame.cells.(i) with
-    | Some c -> `Cell c
-    | None -> trap "variable %s local to %s referenced out of scope" name frame.pname)
-  | Rglobal i -> `Cell rt.rglobals.(i)
-
-and scalar_ref rt frame name (r : ref_) =
-  match resolve_g rt frame name r with
-  | `Cell (Value.Scalar sr) -> sr
-  | `Cell (Value.Real_array _ | Value.Int_array _ | Value.Log_array _) ->
-    trap "array %s used as a scalar" name
-  | `Param _ -> trap "parameter %s cannot be assigned" name
-
-and eval_expr rt frame (e : expr) : Value.v =
-  match e with
-  | Elit v -> v
-  | Evar { name; r } -> (
-    match r with
-    | Rerr m -> trap_s m
-    | Rparam s -> force_param rt s
-    | Rlocal i -> (
-      match frame.cells.(i) with
-      | None -> trap "variable %s local to %s referenced out of scope" name frame.pname
-      | Some (Value.Scalar sr) -> !sr
-      | Some (Value.Real_array _ | Value.Int_array _ | Value.Log_array _) ->
-        trap "whole array %s used as a value" name)
-    | Rglobal i -> (
-      match rt.rglobals.(i) with
-      | Value.Scalar sr -> !sr
-      | Value.Real_array _ | Value.Int_array _ | Value.Log_array _ ->
-        trap "whole array %s used as a value" name))
-  | Eneg { e; costs } -> (
-    match eval_expr rt frame e with
-    | Value.Vint i ->
-      charge rt ci_flops rt.rmachine.Machine.int_op;
-      Value.Vint (-i)
-    | Value.Vreal (x, k) ->
-      charge rt ci_flops costs.((rt.rvec * 2) + kind_idx k);
-      mk_real k (-.x)
-    | Value.Vlog _ | Value.Vstr _ -> trap "negation of non-numeric value")
-  | Enot e -> Value.Vlog (not (as_bool (eval_expr rt frame e)))
-  | Ebin { op; a; b; exempt; costs; powmul } -> eval_bin rt frame op a b exempt costs powmul
-  | Earr { name; r; idx; mem } -> (
-    match r with
-    | Rerr m -> trap_s m
-    | Rparam s ->
-      ignore (force_param rt s);
-      trap "array parameter %s unsupported" name
-    | Rlocal i -> (
-      match frame.cells.(i) with
-      | None -> trap "variable %s local to %s referenced out of scope" name frame.pname
-      | Some cell -> load_indexed rt frame name cell idx mem)
-    | Rglobal i -> load_indexed rt frame name rt.rglobals.(i) idx mem)
-  | Ecall cs -> (
-    match exec_call rt frame cs with
-    | Some v -> v
-    | None -> trap "subroutine %s called as a function" cs.cs_name)
-  | Eintr it -> eval_intr rt frame it
-  | Etrap m -> trap_s m
-
-and eval_bin rt frame op a b exempt costs powmul =
-  match op with
-  | Ast.And ->
-    if as_bool (eval_expr rt frame a) then Value.Vlog (as_bool (eval_expr rt frame b))
-    else Value.Vlog false
-  | Ast.Or ->
-    if as_bool (eval_expr rt frame a) then Value.Vlog true
-    else Value.Vlog (as_bool (eval_expr rt frame b))
-  | _ ->
-    let va = eval_expr rt frame a in
-    let vb = eval_expr rt frame b in
-    bin_values rt op ~exempt ~costs ~powmul va vb
-
-(* everything [eval_bin] does once both operands are values: shared with
-   the compiled backend's generic lane *)
-and bin_values rt op ~exempt ~costs ~powmul va vb =
-  let ka = value_kind va in
-    let kb = value_kind vb in
-    (match ka, kb with
-    | Some k1, Some k2 when k1 <> k2 ->
-      if not exempt then charge rt ci_convert rt.rconv.(rt.rvec)
-    | _ -> ());
-    (match va, vb, op with
-    | Value.Vint x, Value.Vint y, (Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Pow) ->
-      charge rt ci_flops rt.rmachine.Machine.int_op;
-      Value.Vint
-        (match op with
-        | Ast.Add -> x + y
-        | Ast.Sub -> x - y
-        | Ast.Mul -> x * y
-        | Ast.Div -> if y = 0 then trap "integer division by zero" else x / y
-        | Ast.Pow ->
-          if y < 0 then trap "negative integer exponent"
-          else begin
-            let rec pow acc n = if n = 0 then acc else pow (acc * x) (n - 1) in
-            pow 1 y
-          end
-        | _ -> assert false)
-    | _, _, (Ast.Add | Ast.Sub | Ast.Mul | Ast.Div) ->
-      let k =
-        match promote_kind ka kb with Some k -> k | None -> trap "numeric operands expected"
-      in
-      charge rt ci_flops costs.((rt.rvec * 2) + kind_idx k);
-      let x = as_float va and y = as_float vb in
-      mk_real k
-        (match op with
-        | Ast.Add -> x +. y
-        | Ast.Sub -> x -. y
-        | Ast.Mul -> x *. y
-        | Ast.Div -> x /. y
-        | _ -> assert false)
-    | _, _, Ast.Pow -> (
-      let k =
-        match promote_kind ka kb with Some k -> k | None -> trap "numeric operands expected"
-      in
-      let x = as_float va in
-      match vb with
-      | Value.Vint n when abs n <= 4 ->
-        charge rt ci_flops
-          (powmul.((rt.rvec * 2) + kind_idx k) *. float_of_int (max 1 (abs n - 1)));
-        let rec pow acc i = if i = 0 then acc else pow (acc *. x) (i - 1) in
-        let v = pow 1.0 (abs n) in
-        mk_real k (if n < 0 then 1.0 /. v else v)
-      | _ ->
-        charge rt ci_flops costs.((rt.rvec * 2) + kind_idx k);
-        mk_real k (Float.pow x (as_float vb)))
-    | _, _, (Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) ->
-      charge rt ci_flops rt.rmachine.Machine.compare_cost;
-      (match va, vb with
-      | Value.Vlog x, Value.Vlog y ->
-        Value.Vlog
-          (match op with
-          | Ast.Eq -> x = y
-          | Ast.Ne -> x <> y
-          | _ -> trap "ordering of logicals")
-      | _ ->
-        let x = as_float va and y = as_float vb in
-        Value.Vlog
-          (match op with
-          | Ast.Eq -> x = y
-          | Ast.Ne -> x <> y
-          | Ast.Lt -> x < y
-          | Ast.Le -> x <= y
-          | Ast.Gt -> x > y
-          | Ast.Ge -> x >= y
-          | _ -> assert false))
-    | _, _, (Ast.And | Ast.Or) -> assert false)
-
-and eval_indices rt frame (idx : expr array) =
-  let n = Array.length idx in
-  let rec go i acc =
-    if i = n then List.rev acc
-    else begin
-      charge rt ci_flops rt.rmachine.Machine.int_op;
-      let v = as_int (eval_expr rt frame idx.(i)) in
-      go (i + 1) (v :: acc)
-    end
-  in
-  go 0 []
-
-and load_indexed rt frame name cell (idx : expr array) (mem : float array) =
-  let indices = eval_indices rt frame idx in
-  match cell with
-  | Value.Real_array { kind; data; dims } ->
-    charge rt ci_memory mem.((rt.rvec * 2) + kind_idx kind);
-    Value.Vreal (data.(Value.offset ~name ~dims indices), kind)
-  | Value.Int_array { data; dims } ->
-    charge rt ci_flops rt.rmachine.Machine.int_op;
-    Value.Vint (data.(Value.offset ~name ~dims indices))
-  | Value.Log_array { data; dims } -> Value.Vlog (data.(Value.offset ~name ~dims indices))
-  | Value.Scalar _ -> trap "scalar %s subscripted" name
-
-and store_indexed rt frame name cell (idx : expr array) ~lit v =
-  let indices = eval_indices rt frame idx in
-  match cell with
-  | Value.Real_array { kind; data; dims } ->
-    charge rt ci_memory rt.rmemtab.((rt.rvec * 2) + kind_idx kind);
-    (match value_kind v with
-    | Some k when k <> kind -> if not lit then charge rt ci_convert rt.rconv.(rt.rvec)
-    | _ -> ());
-    let x = Fp32.of_kind kind (as_float v) in
-    if not (Float.is_finite x) then
-      trap "non-finite value stored to %s (real(kind=%d))" name (Token.int_of_kind kind);
-    data.(Value.offset ~name ~dims indices) <- x
-  | Value.Int_array { data; dims } ->
-    charge rt ci_flops rt.rmachine.Machine.int_op;
-    data.(Value.offset ~name ~dims indices) <- as_int v
-  | Value.Log_array { data; dims } -> data.(Value.offset ~name ~dims indices) <- as_bool v
-  | Value.Scalar _ -> trap "scalar %s subscripted" name
-
-and scalar_store rt r v ~lit =
-  match !r, v with
-  | Value.Vreal (_, k), _ ->
-    (match value_kind v with
-    | Some k2 when k2 <> k -> if not lit then charge rt ci_convert rt.rconv.(rt.rvec)
-    | _ -> ());
-    let x = Fp32.of_kind k (as_float v) in
-    if not (Float.is_finite x) then
-      trap "non-finite value stored to real(kind=%d) scalar" (Token.int_of_kind k);
-    r := Value.Vreal (x, k)
-  | Value.Vint _, _ -> r := Value.Vint (as_int v)
-  | Value.Vlog _, _ -> r := Value.Vlog (as_bool v)
-  | Value.Vstr _, _ -> r := v
-
-and eval_intr rt frame (it : intr) : Value.v =
-  match it with
-  | Iabs { e; costs } -> (
-    match eval_expr rt frame e with
-    | Value.Vint i ->
-      charge rt ci_flops rt.rmachine.Machine.int_op;
-      Value.Vint (abs i)
-    | Value.Vreal (x, k) ->
-      charge rt ci_flops costs.((rt.rvec * 2) + kind_idx k);
-      mk_real k (Float.abs x)
-    | Value.Vlog _ | Value.Vstr _ -> trap "abs of non-numeric value")
-  | Ielem { name; fn; e; costs } -> (
-    match eval_expr rt frame e with
-    | Value.Vreal (x, k) ->
-      charge rt ci_flops costs.((rt.rvec * 2) + kind_idx k);
-      mk_real k (fn x)
-    | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> trap "%s of non-real value" name)
-  | Iminmax { name; args; costs } ->
-    let n = Array.length args in
-    let rec evals i acc =
-      if i = n then List.rev acc else evals (i + 1) (eval_expr rt frame args.(i) :: acc)
-    in
-    let vs = evals 0 [] in
-    if n < 2 then trap "%s needs at least two arguments" name;
-    let kind = List.fold_left (fun acc v -> promote_kind acc (value_kind v)) None vs in
-    (match kind with
-    | None ->
-      charge rt ci_flops rt.rmachine.Machine.int_op;
-      let ints = List.map as_int vs in
-      Value.Vint
-        (List.fold_left (if name = "min" then min else max) (List.hd ints) (List.tl ints))
-    | Some k ->
-      charge rt ci_flops costs.((rt.rvec * 2) + kind_idx k);
-      let fs = List.map as_float vs in
-      let f =
-        List.fold_left (if name = "min" then Float.min else Float.max) (List.hd fs) (List.tl fs)
-      in
-      mk_real k f)
-  | Imod { a; b; costs } -> (
-    let va = eval_expr rt frame a in
-    let vb = eval_expr rt frame b in
-    match va, vb with
-    | Value.Vint x, Value.Vint y ->
-      charge rt ci_flops rt.rmachine.Machine.int_op;
-      if y = 0 then trap "mod with zero divisor" else Value.Vint (x - (x / y * y))
-    | _ ->
-      let k =
-        match promote_kind (value_kind va) (value_kind vb) with
-        | Some k -> k
-        | None -> trap "mod of non-numeric"
-      in
-      charge rt ci_flops costs.((rt.rvec * 2) + kind_idx k);
-      let x = as_float va and y = as_float vb in
-      mk_real k (Float.rem x y))
-  | Iatan2 { a; b; costs } -> (
-    let va = eval_expr rt frame a in
-    let vb = eval_expr rt frame b in
-    match promote_kind (value_kind va) (value_kind vb) with
-    | Some k ->
-      charge rt ci_flops costs.((rt.rvec * 2) + kind_idx k);
-      mk_real k (Float.atan2 (as_float va) (as_float vb))
-    | None -> trap "atan2 of non-real values")
-  | Isign { a; b; costs } -> (
-    let x = eval_expr rt frame a in
-    let y = eval_expr rt frame b in
-    match promote_kind (value_kind x) (value_kind y) with
-    | Some k ->
-      charge rt ci_flops costs.((rt.rvec * 2) + kind_idx k);
-      let m = Float.abs (as_float x) in
-      mk_real k (if as_float y >= 0.0 then m else -.m)
-    | None ->
-      charge rt ci_flops rt.rmachine.Machine.int_op;
-      let m = abs (as_int x) in
-      Value.Vint (if as_int y >= 0 then m else -m))
-  | Ireal { e; kind = None } ->
-    let v = eval_expr rt frame e in
-    (match value_kind v with
-    | Some Ast.K4 | None -> ()
-    | Some Ast.K8 -> charge rt ci_convert rt.rconv.(rt.rvec));
-    Value.Vreal (Fp32.round (as_float v), Ast.K4)
-  | Ireal { e; kind = Some kk } ->
-    let v = eval_expr rt frame e in
-    if value_kind v <> Some kk && value_kind v <> None then
-      charge rt ci_convert rt.rconv.(rt.rvec);
-    Value.Vreal (Fp32.of_kind kk (as_float v), kk)
-  | Ireal_bad { e; k } ->
-    ignore (eval_expr rt frame e);
-    trap "real(): unsupported kind %d" k
-  | Idble e ->
-    let v = eval_expr rt frame e in
-    if value_kind v = Some Ast.K4 then charge rt ci_convert rt.rconv.(rt.rvec);
-    Value.Vreal (as_float v, Ast.K8)
-  | Iicvt { which; e } ->
-    charge rt ci_flops rt.rmachine.Machine.int_op;
-    let x = as_float (eval_expr rt frame e) in
-    Value.Vint
-      (match which with
-      | 0 -> int_of_float x
-      | 1 -> int_of_float (Float.round x)
-      | _ -> int_of_float (Float.floor x))
-  | Idot { an; ar; bn; br } -> (
-    (* the reference resolves both via a tuple: right-to-left *)
-    let rb = resolve_g rt frame bn br in
-    let ra = resolve_g rt frame an ar in
-    match ra, rb with
-    | ( `Cell (Value.Real_array { kind = ka; data = da; _ }),
-        `Cell (Value.Real_array { kind = kb; data = db; _ }) ) ->
-      let n = min (Array.length da) (Array.length db) in
-      let kind = if ka = Ast.K8 || kb = Ast.K8 then Ast.K8 else Ast.K4 in
-      let l = Machine.lanes rt.rmachine kind in
-      charge rt ci_flops
-        (2.0 *. float_of_int n *. Machine.op_cost rt.rmachine ~lanes:l kind Ast.Add);
-      charge rt ci_memory (2.0 *. float_of_int n *. Machine.mem_cost rt.rmachine ~lanes:l kind);
-      let s = ref 0.0 in
-      for i = 0 to n - 1 do
-        s := Fp32.of_kind kind (!s +. Fp32.of_kind kind (da.(i) *. db.(i)))
-      done;
-      mk_real kind !s
-    | _ -> trap "dot_product expects two real arrays")
-  | Ireduce { name; rn; r } -> (
-    match resolve_g rt frame rn r with
-    | `Cell (Value.Real_array { kind; data; _ }) -> (
-      let n = Array.length data in
-      let l = Machine.lanes rt.rmachine kind in
-      charge rt ci_flops (float_of_int n *. Machine.op_cost rt.rmachine ~lanes:l kind Ast.Add);
-      charge rt ci_memory (float_of_int n *. Machine.mem_cost rt.rmachine ~lanes:l kind);
-      match name with
-      | "sum" ->
-        let s = ref 0.0 in
-        Array.iter (fun x -> s := Fp32.of_kind kind (!s +. x)) data;
-        mk_real kind !s
-      | "maxval" ->
-        if n = 0 then trap "maxval of empty array"
-        else mk_real kind (Array.fold_left Float.max data.(0) data)
-      | "minval" ->
-        if n = 0 then trap "minval of empty array"
-        else mk_real kind (Array.fold_left Float.min data.(0) data)
-      | _ -> assert false)
-    | `Cell (Value.Int_array { data; _ }) -> (
-      charge rt ci_flops (float_of_int (Array.length data) *. rt.rmachine.Machine.int_op);
-      match name with
-      | "sum" -> Value.Vint (Array.fold_left ( + ) 0 data)
-      | "maxval" -> Value.Vint (Array.fold_left max min_int data)
-      | "minval" -> Value.Vint (Array.fold_left min max_int data)
-      | _ -> assert false)
-    | `Cell (Value.Scalar _ | Value.Log_array _) | `Param _ -> trap "%s of non-array" name)
-  | Isize { rn; r; dim = None } -> (
-    match resolve_g rt frame rn r with
-    | `Cell (Value.Real_array { dims; _ })
-    | `Cell (Value.Int_array { dims; _ })
-    | `Cell (Value.Log_array { dims; _ }) ->
-      Value.Vint (Value.elements dims)
-    | `Cell (Value.Scalar _) | `Param _ -> trap "size of non-array")
-  | Isize { rn; r; dim = Some d } -> (
-    let dim = as_int (eval_expr rt frame d) in
-    match resolve_g rt frame rn r with
-    | `Cell (Value.Real_array { dims; _ })
-    | `Cell (Value.Int_array { dims; _ })
-    | `Cell (Value.Log_array { dims; _ }) ->
-      if dim >= 1 && dim <= Array.length dims then Value.Vint dims.(dim - 1)
-      else trap "size: dimension %d out of range" dim
-    | `Cell (Value.Scalar _) | `Param _ -> trap "size of non-array")
-  | Iinq { name; e } -> (
-    match eval_expr rt frame e with
-    | Value.Vreal (_, k) ->
-      let v =
-        match name, k with
-        | "epsilon", Ast.K8 -> epsilon_float
-        | "epsilon", Ast.K4 -> 1.1920928955078125e-07
-        | "huge", Ast.K8 -> max_float
-        | "huge", Ast.K4 -> Fp32.max_finite
-        | "tiny", Ast.K8 -> min_float
-        | "tiny", Ast.K4 -> Fp32.min_positive_normal
-        | _ -> assert false
-      in
-      Value.Vreal (v, k)
-    | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> trap "%s of non-real value" name)
-
-and exec_call rt frame (cs : call_site) : Value.v option =
-  if cs.cs_callee = -1 then
-    (* unknown procedure: the reference traps before the depth increment *)
-    trap_s (match cs.cs_arity_trap with Some m -> m | None -> assert false);
-  let name = cs.cs_name in
-  rt.rdepth <- rt.rdepth + 1;
-  if rt.rdepth > 200 then trap "call depth limit exceeded at %s" name;
-  check_budget rt;
-  (match cs.cs_arity_trap with Some m -> trap_s m | None -> ());
-  let pidx = frame.flinks.(cs.cs_callee) in
-  let ir = rt.rprocs.(pidx) in
-  let cells = Array.make ir.p_nslots None in
-  let copy_out = ref [] in
-  let nargs = Array.length cs.cs_args in
-  for i = 0 to nargs - 1 do
-    let d = ir.p_dummies.(i) in
-    if d.d_undeclared then trap "dummy %s of %s undeclared" d.d_name name;
-    match cs.cs_args.(i) with
-    | Aref { name = a; r } -> bind_arg_ref rt frame cells ~callee:name ~d a r
-    | Aval { e; lit; co } ->
-      if d.d_is_array then
-        trap "array dummy %s of %s requires a whole-array actual argument" d.d_name name
-      else begin
-        let v = eval_expr rt frame e in
-        bind_by_value rt cells ~callee:name ~d ~lit v;
-        match co with
-        | Some c when d.d_writable -> copy_out := (c, d.d_slot) :: !copy_out
-        | Some _ | None -> ()
-      end
-  done;
-  let callee = { pname = ir.p_name; cells; flinks = rt.rlinks.(pidx) } in
-  Array.iter
-    (fun (l : local) ->
-      let nd = Array.length l.l_dims in
-      let rec dims i acc =
-        if i = nd then List.rev acc
-        else dims (i + 1) (as_int (eval_expr rt callee l.l_dims.(i)) :: acc)
-      in
-      cells.(l.l_slot) <- Some (alloc_cell l.l_base (dims 0 [])))
-    ir.p_locals;
-  Array.iter
-    (fun (it : initr) ->
-      let v = eval_expr rt callee it.i_rhs in
-      match cells.(it.i_slot) with
-      | Some (Value.Scalar r) -> scalar_store rt r v ~lit:it.i_lit
-      | Some _ | None -> trap "initializer on array %s unsupported" it.i_name)
-    ir.p_inits;
-  let is_wrapper = ir.p_is_wrapper in
-  let inl = (not is_wrapper) && (not rt.rin_wrapper) && ir.p_inlinable in
-  if not is_wrapper then
-    Timers.enter_acc rt.rtimers (proc_acc rt pidx ir.p_name) ir.p_name ~now:rt.rcost.fv;
-  if not inl then begin
-    charge rt ci_call rt.rmachine.Machine.call_overhead;
-    if is_wrapper then charge rt ci_call rt.rmachine.Machine.wrapper_overhead
-  end;
-  let saved_vec = rt.rvec in
-  let saved_in_wrapper = rt.rin_wrapper in
-  if not inl then rt.rvec <- 0;
-  rt.rin_wrapper <- is_wrapper;
-  let finish () =
-    if not is_wrapper then Timers.exit_ rt.rtimers ~now:rt.rcost.fv;
-    rt.rvec <- saved_vec;
-    rt.rin_wrapper <- saved_in_wrapper;
-    rt.rdepth <- rt.rdepth - 1
-  in
-  (match exec_block rt callee ir.p_body with
-  | () -> ()
-  | exception Rreturn -> ()
-  | exception e ->
-    finish ();
-    raise e);
-  finish ();
-  List.iter
-    (fun ((c : copy_out), slot) ->
-      match cells.(slot) with
-      | Some (Value.Scalar r) -> (
-        match resolve_g rt frame c.co_name c.co_r with
-        | `Cell cell -> store_indexed rt frame c.co_name cell c.co_idx ~lit:false !r
-        | `Param _ -> ())
-      | Some _ | None -> ())
-    !copy_out;
-  if not ir.p_is_function then None
-  else if ir.p_result = -2 then trap "function %s has no result cell" name
-  else (
-    match cells.(ir.p_result) with
-    | Some (Value.Scalar r) -> Some !r
-    | Some _ -> trap "array-valued function %s unsupported" name
-    | None -> trap "function %s has no result cell" name)
-
-(* bind a whole-variable actual [a] (resolved through [r]) to dummy [d] of
-   [callee]: by reference when the kinds line up, trapping with the same
-   messages as the tree-walker otherwise. Shared with the compiled backend. *)
-and bind_arg_ref rt frame cells ~callee:name ~(d : dummy) a r =
-  if d.d_is_array then (
-    match resolve_g rt frame a r with
-    | `Cell (Value.Real_array { kind; _ } as cell) -> (
-      match d.d_base with
-      | Ast.Treal dk when dk = kind -> cells.(d.d_slot) <- Some cell
-      | Ast.Treal dk ->
-        trap
-          "argument %s of %s: real(kind=%d) array passed to real(kind=%d) dummy %s — \
-           wrapper required"
-          a name (Token.int_of_kind kind) (Token.int_of_kind dk) d.d_name
-      | Ast.Tinteger | Ast.Tlogical -> trap "array type mismatch for %s of %s" d.d_name name)
-    | `Cell (Value.Int_array _ as cell) -> (
-      match d.d_base with
-      | Ast.Tinteger -> cells.(d.d_slot) <- Some cell
-      | Ast.Treal _ | Ast.Tlogical -> trap "array type mismatch for %s of %s" d.d_name name)
-    | `Cell (Value.Log_array _ as cell) -> (
-      match d.d_base with
-      | Ast.Tlogical -> cells.(d.d_slot) <- Some cell
-      | Ast.Treal _ | Ast.Tinteger -> trap "array type mismatch for %s of %s" d.d_name name)
-    | `Cell (Value.Scalar _) -> trap "scalar %s passed to array dummy %s of %s" a d.d_name name
-    | `Param _ -> trap "parameter %s passed to array dummy" a)
-  else (
-    match resolve_g rt frame a r with
-    | `Cell (Value.Scalar sr as cell) -> (
-      match !sr, d.d_base with
-      | Value.Vreal (_, ak), Ast.Treal dk ->
-        if ak = dk then cells.(d.d_slot) <- Some cell
-        else
-          trap
-            "argument %s of %s: real(kind=%d) passed to real(kind=%d) dummy %s — wrapper \
-             required"
-            a name (Token.int_of_kind ak) (Token.int_of_kind dk) d.d_name
-      | Value.Vint _, Ast.Tinteger | Value.Vlog _, Ast.Tlogical ->
-        cells.(d.d_slot) <- Some cell
-      | _ -> trap "type mismatch binding %s to dummy %s of %s" a d.d_name name)
-    | `Param v -> bind_by_value rt cells ~callee:name ~d ~lit:false v
-    | `Cell (Value.Real_array _ | Value.Int_array _ | Value.Log_array _) ->
-      trap "array %s passed to scalar dummy %s of %s" a d.d_name name)
-
-and bind_by_value rt cells ~callee ~(d : dummy) ~lit v =
-  ignore rt;
-  match d.d_base, v with
-  | Ast.Treal dk, Value.Vreal (_, ak) ->
-    if ak <> dk then begin
-      if lit then
-        (* literal kind conversions fold at compile time *)
-        cells.(d.d_slot) <-
-          Some (Value.Scalar (ref (Value.Vreal (Fp32.of_kind dk (as_float v), dk))))
-      else
-        trap
-          "argument %d-ish of %s: real(kind=%d) value passed to real(kind=%d) dummy %s — \
-           wrapper required"
-          0 callee (Token.int_of_kind ak) (Token.int_of_kind dk) d.d_name
-    end
-    else cells.(d.d_slot) <- Some (Value.Scalar (ref v))
-  | Ast.Treal dk, Value.Vint i ->
-    cells.(d.d_slot) <-
-      Some (Value.Scalar (ref (Value.Vreal (Fp32.of_kind dk (float_of_int i), dk))))
-  | Ast.Tinteger, Value.Vint _ | Ast.Tlogical, Value.Vlog _ ->
-    cells.(d.d_slot) <- Some (Value.Scalar (ref v))
-  | _ -> trap "type mismatch binding value to dummy %s of %s" d.d_name callee
-
-and exec_block rt frame (blk : stmt array) = Array.iter (exec_stmt rt frame) blk
-
-and exec_stmt rt frame (s : stmt) =
-  match s with
-  | Sassign { tgt; rhs } -> (
-    let v = eval_expr rt frame rhs in
-    match tgt with
-    | Lsc { name; r; rhs_lit } -> (
-      match resolve_g rt frame name r with
-      | `Cell (Value.Scalar sr) -> scalar_store rt sr v ~lit:rhs_lit
-      | `Cell (Value.Real_array _ | Value.Int_array _ | Value.Log_array _) ->
-        trap "assignment to whole array %s unsupported" name
-      | `Param _ -> trap "assignment to parameter %s" name)
-    | Larr { name; r; idx; rhs_lit } -> (
-      match resolve_g rt frame name r with
-      | `Cell cell -> store_indexed rt frame name cell idx ~lit:rhs_lit v
-      | `Param _ -> trap "assignment to parameter %s" name))
-  | Scall cs -> ignore (exec_call rt frame cs)
-  | Sallreduce { send; send_lit; rn; recv; op } ->
-    let v = eval_expr rt frame send in
-    charge rt ci_reduction rt.rmachine.Machine.allreduce;
-    (match op with
-    | "sum" | "max" | "min" -> ()
-    | _ -> trap "mpi_allreduce: unknown op %s" op);
-    let r = scalar_ref rt frame rn recv in
-    scalar_store rt r v ~lit:send_lit
-  | Sbarrier -> charge rt ci_reduction (rt.rmachine.Machine.allreduce /. 2.0)
-  | Sif { arms; els } ->
-    let rec go i =
-      if i = Array.length arms then exec_block rt frame els
-      else
-        let cond, blk = arms.(i) in
-        if as_bool (eval_expr rt frame cond) then exec_block rt frame blk else go (i + 1)
-    in
-    go 0
-  | Sdo { vn; var; from_; to_; step; mode; iter_overhead; body } ->
-    let r = scalar_ref rt frame vn var in
-    let lo = as_int (eval_expr rt frame from_) in
-    let hi = as_int (eval_expr rt frame to_) in
-    let stp = match step with Some e -> as_int (eval_expr rt frame e) | None -> 1 in
-    if stp = 0 then trap "do loop with zero step";
-    let saved_vec = rt.rvec in
-    rt.rvec <- mode_idx mode;
-    let restore () = rt.rvec <- saved_vec in
-    (try
-       let i = ref lo in
-       while (stp > 0 && !i <= hi) || (stp < 0 && !i >= hi) do
-         r := Value.Vint !i;
-         charge rt ci_loop iter_overhead;
-         check_budget rt;
-         (try exec_block rt frame body with Rcycle -> ());
-         i := !i + stp
-       done
-     with
-    | Rexit -> ()
-    | e ->
-      restore ();
-      raise e);
-    restore ()
-  | Sdo_while { cond; body } -> (
-    try
-      while as_bool (eval_expr rt frame cond) do
-        charge rt ci_loop rt.rmachine.Machine.loop_overhead;
-        check_budget rt;
-        try exec_block rt frame body with Rcycle -> ()
-      done
-    with Rexit -> ())
-  | Sselect { selector; arms; default } ->
-    let sel = eval_expr rt frame selector in
-    charge rt ci_flops rt.rmachine.Machine.compare_cost;
-    let matches item =
-      match item, sel with
-      | Cval v, _ -> (
-        match eval_expr rt frame v, sel with
-        | Value.Vint a, Value.Vint b -> a = b
-        | Value.Vlog a, Value.Vlog b -> a = b
-        | _ -> trap "case value incompatible with selector")
-      | Crange (lo, hi), Value.Vint x ->
-        let above = match lo with Some e -> x >= as_int (eval_expr rt frame e) | None -> true in
-        let below = match hi with Some e -> x <= as_int (eval_expr rt frame e) | None -> true in
-        above && below
-      | Crange _, _ -> trap "case range requires an integer selector"
-    in
-    let rec go i =
-      if i = Array.length arms then exec_block rt frame default
-      else
-        let items, blk = arms.(i) in
-        if Array.exists matches items then exec_block rt frame blk else go (i + 1)
-    in
-    go 0
-  | Sexit -> raise Rexit
-  | Scycle -> raise Rcycle
-  | Sreturn -> raise Rreturn
-  | Sstop m -> raise (Rstop m)
-  | Sprint args ->
-    let n = Array.length args in
-    let vs = Array.make n (Value.Vint 0) in
-    for i = 0 to n - 1 do
-      vs.(i) <- eval_expr rt frame args.(i)
-    done;
-    let line = String.concat " " (List.map Value.to_string (Array.to_list vs)) in
-    rt.rprinted <- line :: rt.rprinted;
-    if n > 0 then (
-      match vs.(0) with
-      | Value.Vstr key ->
-        for i = 1 to n - 1 do
-          match vs.(i) with
-          | Value.Vreal (x, _) -> rt.rrecords <- (key, x) :: rt.rrecords
-          | Value.Vint iv -> rt.rrecords <- (key, float_of_int iv) :: rt.rrecords
-          | Value.Vlog _ | Value.Vstr _ -> ()
-        done
-      | _ -> ())
-  | Strap m -> trap_s m
-
-(* ------------------------------------------------------------------ *)
-(* Program entry                                                       *)
-
-let prepare_globals rt (p : program) =
-  let n = Array.length p.globals in
-  for i = 0 to n - 1 do
-    let g = p.globals.(i) in
-    match g.g_extents with
-    | None -> trap "module array %s.%s has non-constant extent" g.g_unit g.g_name
-    | Some ext -> rt.rglobals.(g.g_slot) <- alloc_cell g.g_base (Array.to_list ext)
-  done;
-  for i = 0 to n - 1 do
-    let g = p.globals.(i) in
-    match g.g_init with
-    | Some (e, lit) -> (
-      let frame = { pname = ""; cells = [||]; flinks = p.aux_links } in
-      let v = eval_expr rt frame e in
-      match rt.rglobals.(g.g_slot) with
-      | Value.Scalar r -> scalar_store rt r v ~lit
-      | Value.Real_array _ | Value.Int_array _ | Value.Log_array _ ->
-        trap "initializer on module array %s unsupported" g.g_name)
-    | None -> ()
-  done
-
-let fresh_rctx ?budget (p : program) : rctx =
-  {
-    rprocs = p.procs;
-    rlinks = p.links;
-    raux = p.aux_links;
-    rmachine = p.machine;
-    rtimers = Timers.create ();
-    raccs = Array.make (Array.length p.procs) None;
-    rcost = { fv = 0.0 };
-    rbudget = (match budget with Some b -> b | None -> Float.infinity);
-    rglobals = Array.make p.nglobals (Value.Scalar (ref (Value.Vint 0)));
-    rparams = Array.make (Array.length p.params) None;
-    rparam_defs = p.params;
-    rconv = p.conv_costs;
-    rmemtab = table6 p.machine (fun lanes k -> Machine.mem_cost p.machine ~lanes k);
-    rvec = 0;
-    rrecords = [];
-    rprinted = [];
-    rdepth = 0;
-    rcharging = true;
-    rin_wrapper = false;
-    rbreakdown = Array.make (List.length Machine.categories) 0.0;
-  }
-
-(* shared entry/exit protocol of both evaluation backends: globals,
-   the main timer bracket, status classification, outcome assembly.
-   [exec] runs the main body with whatever execution engine the caller
-   chose; charges and records accumulate in [rt]. *)
-let run_with rt (p : program) ~exec : Interp.outcome =
-  let status =
-    match
-      prepare_globals rt p;
-      if not p.has_main then trap "program has no main unit";
-      Timers.enter rt.rtimers "<main>" ~now:rt.rcost.fv;
-      (try exec ()
-       with e ->
-         Timers.exit_ rt.rtimers ~now:rt.rcost.fv;
-         raise e);
-      Timers.exit_ rt.rtimers ~now:rt.rcost.fv
-    with
-    | () -> Interp.Finished
-    | exception Rstop m -> Interp.Stopped m
-    | exception Rtrap m -> Interp.Runtime_error m
-    | exception Value.Bounds m -> Interp.Runtime_error m
-    | exception Rtimeout -> Interp.Timed_out
-    | exception Rreturn -> Interp.Finished
-    | exception Rexit -> Interp.Runtime_error "exit outside a loop"
-    | exception Rcycle -> Interp.Runtime_error "cycle outside a loop"
-  in
-  {
-    Interp.status;
-    cost = rt.rcost.fv;
-    timers = Timers.snapshot rt.rtimers;
-    records = List.rev rt.rrecords;
-    printed = List.rev rt.rprinted;
-    breakdown = List.mapi (fun i c -> (c, rt.rbreakdown.(i))) Machine.categories;
-  }
-
-let run ?budget (p : program) : Interp.outcome =
-  let rt = fresh_rctx ?budget p in
-  run_with rt p ~exec:(fun () ->
-      let frame = { pname = ""; cells = [||]; flinks = p.main_links } in
-      exec_block rt frame p.main_body)
+let run ?budget (p : program) : Interp.outcome = Compile.run ?budget (Compile.compile p)

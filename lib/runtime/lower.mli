@@ -1,12 +1,12 @@
-(** Lowering of a typechecked program to a slot-resolved IR, plus an
-    evaluator over that IR.
+(** Lowering of a typechecked program to the slot-resolved IR ({!Ir}).
 
     [lower] resolves every name once: locals and dummies become integer
-    slots into a per-frame cell array, module globals and parameters
-    become indices into program-wide arrays, callees become indices into
+    slots of their procedure's frame, module globals and parameters
+    become indices into program-wide stores, callees become indices into
     a per-body link table, and per-site cost tables are precomputed for
-    each (vector mode, real kind) pair. [run] then executes the IR with
-    bit-identical observable behavior to [Interp.run] on the
+    each (vector mode, real kind) pair. {!Compile} turns the result into
+    closures over its own frame layout; [run] is compile-then-run, with
+    observable behavior bit-identical to [Interp.run] on the
     unparse→reparse round-trip of the same program: same status, same
     cost (float accumulation order preserved), same timers, records,
     printed lines, and breakdown.
@@ -14,160 +14,15 @@
     The optional [Cache.t] memoizes lowered procedures across variants
     keyed by name + the precision signature of every declaration the
     procedure can observe (its own scope, all module scopes, and all
-    transitively reachable callees). It is domain-safe.
+    transitively reachable callees). It is domain-safe. *)
 
-    The IR, the runtime context and the building blocks of the evaluator
-    are exposed concretely so that [Compile] — the closure-compilation
-    backend — can translate the same IR into pre-dispatched closures
-    while sharing every piece of observable semantics (charges, traps,
-    timers, binding rules) with this evaluator. Anything not needed by
-    [Compile] stays private. *)
+(** {1 The IR}
 
-(** {1 The IR} *)
+    The IR types live in {!Ir}; they are re-exported here unchanged. *)
 
-type vmode = Vscalar | Vnarrow | Vfull
-
-val mode_idx : vmode -> int
-val kind_idx : Fortran.Ast.real_kind -> int
-
-type ref_ =
-  | Rlocal of int  (** slot in the current frame *)
-  | Rglobal of int  (** slot in the per-run global store *)
-  | Rparam of int  (** slot in the lazily-evaluated parameter store *)
-  | Rerr of string  (** name resolution failed: trap when touched *)
-
-type expr =
-  | Elit of Value.v
-  | Evar of { name : string; r : ref_ }
-  | Eneg of { e : expr; costs : float array }
-  | Enot of expr
-  | Ebin of {
-      op : Fortran.Ast.binop;
-      a : expr;
-      b : expr;
-      exempt : bool;  (** either operand is a real literal: casting folds *)
-      costs : float array;  (** op table ([[||]] for compares and logic) *)
-      powmul : float array;  (** Mul table for strength-reduced powers *)
-    }
-  | Earr of { name : string; r : ref_; idx : expr array; mem : float array }
-  | Ecall of call_site
-  | Eintr of intr
-  | Etrap of string
-
-and intr =
-  | Iabs of { e : expr; costs : float array }
-  | Ielem of { name : string; fn : float -> float; e : expr; costs : float array }
-  | Iminmax of { name : string; args : expr array; costs : float array }
-  | Imod of { a : expr; b : expr; costs : float array }
-  | Iatan2 of { a : expr; b : expr; costs : float array }
-  | Isign of { a : expr; b : expr; costs : float array }
-  | Ireal of { e : expr; kind : Fortran.Ast.real_kind option }
-  | Ireal_bad of { e : expr; k : int }
-  | Idble of expr
-  | Iicvt of { which : int; e : expr }
-  | Idot of { an : string; ar : ref_; bn : string; br : ref_ }
-  | Ireduce of { name : string; rn : string; r : ref_ }
-  | Isize of { rn : string; r : ref_; dim : expr option }
-  | Iinq of { name : string; e : expr }
-
-and call_site = {
-  cs_name : string;
-  cs_callee : int;  (** index into the owning body's callee-name table *)
-  cs_args : arg array;
-  cs_arity_trap : string option;
-}
-
-and arg =
-  | Aref of { name : string; r : ref_ }
-  | Aval of { e : expr; lit : bool; co : copy_out option }
-
-and copy_out = { co_name : string; co_r : ref_; co_idx : expr array }
-
-type lhs =
-  | Lsc of { name : string; r : ref_; rhs_lit : bool }
-  | Larr of { name : string; r : ref_; idx : expr array; rhs_lit : bool }
-
-type stmt =
-  | Sassign of { tgt : lhs; rhs : expr }
-  | Scall of call_site
-  | Sallreduce of { send : expr; send_lit : bool; rn : string; recv : ref_; op : string }
-  | Sbarrier
-  | Sif of { arms : (expr * stmt array) array; els : stmt array }
-  | Sdo of {
-      vn : string;
-      var : ref_;
-      from_ : expr;
-      to_ : expr;
-      step : expr option;
-      mode : vmode;
-      iter_overhead : float;
-      body : stmt array;
-    }
-  | Sdo_while of { cond : expr; body : stmt array }
-  | Sselect of { selector : expr; arms : (case array * stmt array) array; default : stmt array }
-  | Sexit
-  | Scycle
-  | Sreturn
-  | Sstop of string
-  | Sprint of expr array
-  | Strap of string
-
-and case =
-  | Cval of expr
-  | Crange of expr option * expr option
-
-type dummy = {
-  d_name : string;
-  d_slot : int;
-  d_base : Fortran.Ast.base_type;
-  d_is_array : bool;
-  d_writable : bool;
-  d_undeclared : bool;
-}
-
-type local = { l_slot : int; l_base : Fortran.Ast.base_type; l_dims : expr array }
-type initr = { i_name : string; i_slot : int; i_rhs : expr; i_lit : bool }
-
-type proc_ir = {
-  p_name : string;
-  p_key : string;  (** cache key when lowered through a [Cache]; [""] otherwise *)
-  p_result : int;  (** result slot; -1 = subroutine; -2 = function, no cell *)
-  p_is_function : bool;
-  p_is_wrapper : bool;
-  p_inlinable : bool;
-  p_nslots : int;
-  p_dummies : dummy array;
-  p_locals : local array;
-  p_inits : initr array;
-  p_body : stmt array;
-  p_callees : string array;
-}
-
-type global = {
-  g_slot : int;
-  g_unit : string;
-  g_name : string;
-  g_base : Fortran.Ast.base_type;
-  g_extents : int array option;
-  g_init : (expr * bool) option;
-}
-
-type param = { pa_name : string; pa_base : Fortran.Ast.base_type; pa_init : expr option }
-
-type program = {
-  machine : Machine.t;
-  has_main : bool;
-  procs : proc_ir array;
-  links : int array array;
-  main_body : stmt array;
-  main_key : string;  (** cache key of the main pseudo-procedure; [""] uncached *)
-  main_links : int array;
-  aux_links : int array;
-  globals : global array;
-  nglobals : int;
-  params : param array;
-  conv_costs : float array;
-}
+include module type of struct
+  include Ir
+end
 
 module Cache : sig
   type t
@@ -202,136 +57,5 @@ val lower :
     [~wrapper_owner]). *)
 
 val run : ?budget:float -> program -> Interp.outcome
-(** Execute the lowered program. [budget] bounds the abstract cost; the
-    run raises an internal timeout into [Interp.Timed_out] exactly as
-    [Interp.run] does. *)
-
-(** {1 Evaluator internals, shared with [Compile]}
-
-    Everything below is the machinery [run] is built from. The compiled
-    backend reuses it wholesale so that both backends trap, charge and
-    record identically by construction. *)
-
-exception Rreturn
-exception Rexit
-exception Rcycle
-exception Rstop of string
-exception Rtrap of string
-exception Rtimeout
-
-val trap : ('a, Format.formatter, unit, 'b) format4 -> 'a
-val trap_s : string -> 'a
-
-val ci_flops : int
-val ci_memory : int
-val ci_convert : int
-val ci_call : int
-val ci_reduction : int
-val ci_loop : int
-
-type rframe = {
-  pname : string;
-  cells : Value.cell option array;
-  flinks : int array;
-}
-
-type fbox = { mutable fv : float }
-(** A single-field all-float record stores its float flat, so updating
-    [fv] in place allocates nothing — unlike a [mutable float] field of
-    a mixed record, which boxes on every store. The cost accumulator is
-    the hottest write in an evaluation. *)
-
-type rctx = {
-  rprocs : proc_ir array;
-  rlinks : int array array;
-  raux : int array;
-  rmachine : Machine.t;
-  rtimers : Timers.t;
-  raccs : Timers.acc option array;
-      (** per-procedure timer accumulators, resolved on first entry *)
-  rcost : fbox;
-  rbudget : float;
-  rglobals : Value.cell array;
-  rparams : Value.v option array;
-  rparam_defs : param array;
-  rconv : float array;
-  rmemtab : float array;
-  mutable rvec : int;
-  mutable rrecords : (string * float) list;  (** reversed *)
-  mutable rprinted : string list;  (** reversed *)
-  mutable rdepth : int;
-  mutable rcharging : bool;
-  mutable rin_wrapper : bool;
-  rbreakdown : float array;
-}
-
-val charge : rctx -> int -> float -> unit
-val check_budget : rctx -> unit
-
-val proc_acc : rctx -> int -> string -> Timers.acc
-(** Timer accumulator of the proc at index [pidx], cached in [raccs]
-    (lazily, so never-entered procedures stay out of the snapshot). *)
-
-val mk_realf : Fortran.Ast.real_kind -> float -> float
-(** Round to [kind], trapping on NaN/overflow with the interpreter's
-    messages; returns the rounded float unboxed. *)
-
-val mk_real : Fortran.Ast.real_kind -> float -> Value.v
-val as_float : Value.v -> float
-val as_int : Value.v -> int
-val as_bool : Value.v -> bool
-val value_kind : Value.v -> Fortran.Ast.real_kind option
-val promote_kind :
-  Fortran.Ast.real_kind option ->
-  Fortran.Ast.real_kind option ->
-  Fortran.Ast.real_kind option
-
-val alloc_cell : Fortran.Ast.base_type -> int list -> Value.cell
-val force_param : rctx -> int -> Value.v
-val resolve_g : rctx -> rframe -> string -> ref_ -> [ `Cell of Value.cell | `Param of Value.v ]
-val scalar_ref : rctx -> rframe -> string -> ref_ -> Value.v ref
-
-val eval_expr : rctx -> rframe -> expr -> Value.v
-
-val bin_values :
-  rctx ->
-  Fortran.Ast.binop ->
-  exempt:bool ->
-  costs:float array ->
-  powmul:float array ->
-  Value.v ->
-  Value.v ->
-  Value.v
-(** The value-level tail of a non-short-circuit binary operation: the
-    conversion charge, the op charge and the computation, given both
-    operand values. *)
-
-val store_indexed :
-  rctx -> rframe -> string -> Value.cell -> expr array -> lit:bool -> Value.v -> unit
-
-val scalar_store : rctx -> Value.v ref -> Value.v -> lit:bool -> unit
-
-val exec_call : rctx -> rframe -> call_site -> Value.v option
-
-val bind_arg_ref :
-  rctx ->
-  rframe ->
-  Value.cell option array ->
-  callee:string ->
-  d:dummy ->
-  string ->
-  ref_ ->
-  unit
-(** Bind a whole-variable actual (its source name and resolved [ref_])
-    to dummy [d] of [callee], by reference when kinds line up, trapping
-    with the tree-walker's messages otherwise. *)
-
-val bind_by_value :
-  rctx -> Value.cell option array -> callee:string -> d:dummy -> lit:bool -> Value.v -> unit
-
-val exec_block : rctx -> rframe -> stmt array -> unit
-val exec_stmt : rctx -> rframe -> stmt -> unit
-
-val fresh_rctx : ?budget:float -> program -> rctx
-
-val run_with : rctx -> program -> exec:(unit -> unit) -> Interp.outcome
+(** [Compile.run ?budget (Compile.compile p)]: execute the lowered
+    program on the one evaluator, uncached. *)

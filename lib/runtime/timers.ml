@@ -55,9 +55,13 @@ let grow t =
   t.marks <- marks;
   t.accs <- accs
 
-(* pre-resolved accumulator: the fast-path evaluators look the acc up
-   once per (run, procedure) and then enter with no hashtable traffic *)
-let enter_acc t (a : acc) name ~now =
+type clock = { mutable now : float }
+
+(* the push and pop behind both entry points; inlined, so the
+   clock-reading ones never box the time (a cross-module call with a
+   float argument does, twice per modeled call on the compiled
+   evaluator's call path) *)
+let[@inline] push t (a : acc) name now =
   a.calls <- a.calls +. 1.0;
   let d = t.depth in
   if d = Array.length t.names then grow t;
@@ -67,15 +71,18 @@ let enter_acc t (a : acc) name ~now =
   t.depth <- d + 1;
   t.top <- a
 
-let enter t name ~now = enter_acc t (acc_of t name) name ~now
-
-let exit_ t ~now =
+let[@inline] pop t now =
   if t.depth = 0 then invalid_arg "Timers.exit_: empty stack";
   let d = t.depth - 1 in
   let a = t.accs.(d) in
   a.inclusive <- a.inclusive +. (now -. t.marks.(d));
   t.depth <- d;
   t.top <- (if d = 0 then t.sentinel else t.accs.(d - 1))
+
+let enter t name ~now = push t (acc_of t name) name now
+let enter_clock t a name (c : clock) = push t a name c.now
+let exit_ t ~now = pop t now
+let exit_clock t (c : clock) = pop t c.now
 
 (* [charge] sits on the interpreter's hottest path (once per charged
    operation): one flat float-field update, no lookup, no allocation.

@@ -20,7 +20,7 @@
 type acc = { mutable calls : float; mutable exclusive : float; mutable inclusive : float }
 (** A procedure's accumulator. All-float so the record is stored flat
     and charging never allocates. Fast-path evaluators resolve it once
-    per (run, procedure) with {!acc_of} and then {!enter_acc} with no
+    per (run, procedure) with {!acc_of} and then {!enter_clock} with no
     hashtable traffic.
 
     The representation (and [t] below) is exposed so the evaluators can
@@ -28,7 +28,7 @@ type acc = { mutable calls : float; mutable exclusive : float; mutable inclusive
     on [top] — instead of paying a cross-module call with a boxed float
     argument on their hottest path. Treat both as read/charge-only
     outside this module: all stack discipline goes through
-    {!enter}/{!enter_acc}/{!exit_}. *)
+    {!enter}/{!enter_clock}/{!exit_}/{!exit_clock}. *)
 
 type t = {
   table : (string, acc) Hashtbl.t;
@@ -58,8 +58,16 @@ val acc_of : t -> string -> acc
 val enter : t -> string -> now:float -> unit
 (** Push procedure [name]; [now] is the global cost accumulator. *)
 
-val enter_acc : t -> acc -> string -> now:float -> unit
-(** {!enter} with the accumulator pre-resolved. *)
+type clock = { mutable now : float }
+(** A cost accumulator stored flat (one float field), so the clock entry
+    points below take the time without boxing it. *)
+
+val enter_clock : t -> acc -> string -> clock -> unit
+(** {!enter} with the accumulator pre-resolved and the time read from
+    [clock]. *)
+
+val exit_clock : t -> clock -> unit
+(** {!exit_} with the time read from [clock]. *)
 
 val exit_ : t -> now:float -> unit
 (** Pop the top procedure, folding [now - entry_mark] into its inclusive

@@ -110,7 +110,6 @@ end
 type space = {
   memo_space : string;  (* Memo.space_key *)
   proc_cache : bool;
-  compile : bool;
   batch_reuse : bool;
   verify_roundtrip : bool;
 }
@@ -119,7 +118,6 @@ let space_of ~model ~(config : Core.Config.t) =
   {
     memo_space = Memo.space_key ~model ~config;
     proc_cache = config.Core.Config.proc_cache;
-    compile = config.Core.Config.compile;
     batch_reuse = config.Core.Config.batch_reuse;
     verify_roundtrip = config.Core.Config.verify_roundtrip;
   }

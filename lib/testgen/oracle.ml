@@ -175,9 +175,9 @@ let check_equiv (c : Gen.case) =
       };
     ]
 
-(* Three-way bit-identity: the tree-walker on the unparse→reparse round
-   trip, the slot-resolved evaluator, and the closure-compiled backend
-   must produce the same outcome on the same wrapped variant. *)
+(* Two-way bit-identity: the tree-walker on the unparse→reparse round
+   trip (the reference) and the compiled evaluator on the direct
+   lowering of the same wrapped variant. *)
 let check_compiled (c : Gen.case) =
   let _, _, _, w = transform c in
   let owner = Transform.Wrappers.owner_fn w in
@@ -186,16 +186,15 @@ let check_compiled (c : Gen.case) =
   let ref_out = Runtime.Interp.run ~machine ~budget ~wrapper_owner:owner st_rt in
   let st_d = Symtab.build w.Transform.Wrappers.program in
   let lowered = Runtime.Lower.lower ~wrapper_owner:owner ~machine st_d in
-  let lower_out = Runtime.Lower.run ~budget lowered in
   let compiled_out = Runtime.Compile.run ~budget (Runtime.Compile.compile lowered) in
-  if compare ref_out lower_out = 0 && compare lower_out compiled_out = 0 then []
+  if compare ref_out compiled_out = 0 then []
   else
     [
       {
         oracle = Compiled;
         detail =
-          Printf.sprintf "interp: %s / lower: %s / compiled: %s" (pp_outcome ref_out)
-            (pp_outcome lower_out) (pp_outcome compiled_out);
+          Printf.sprintf "interp: %s / compiled: %s" (pp_outcome ref_out)
+            (pp_outcome compiled_out);
       };
     ]
 

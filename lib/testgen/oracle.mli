@@ -13,13 +13,12 @@
       exactly its assigned kind, and {!Transform.Wrappers.insert} leaves
       a program with no kind mismatches that typechecks.
     - {b equiv}: {!Runtime.Interp.run} on the unparse→reparse round trip
-      of the wrapped variant and {!Runtime.Lower.run} on its direct
-      lowering produce bit-identical outcomes — status, cost, timers,
+      of the wrapped variant and {!Runtime.Lower.run} (compile then
+      run) on its direct lowering produce bit-identical outcomes — status, cost, timers,
       records, printed lines and breakdown — under a fixed cost budget.
-    - {b compiled}: three-way bit-identity — {!Runtime.Interp.run},
-      {!Runtime.Lower.run} and {!Runtime.Compile.run} (the
-      closure-compiled backend) all agree on the same wrapped variant,
-      outcome for outcome.
+    - {b compiled}: two-way bit-identity — {!Runtime.Interp.run} (the
+      reference) and {!Runtime.Compile.run} (the one fast evaluator)
+      agree on the same wrapped variant, outcome for outcome.
     - {b sensitivity}: {!Sensitivity.Absint} soundness — the mirror
       analysis finishes with a bit-identical output series whenever the
       interpreter finishes, and for every atom it did not poison, the

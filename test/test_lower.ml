@@ -1,9 +1,13 @@
-(* Lower tests: the slot-resolved IR evaluator and the closure-compiled
-   backend must be observably indistinguishable from the string-keyed
-   tree-walker — same status, cost, timers, records, printed lines and
-   breakdown, bit for bit — on baselines and on transformed variants,
-   with and without the per-procedure caches and the batch-reuse table,
-   sequentially and under the worker pool. *)
+(* Lower tests: the slot-resolved IR, run on the compiled evaluator, must
+   be observably indistinguishable from the string-keyed tree-walker —
+   same status, cost, timers, records, printed lines and breakdown, bit
+   for bit — on baselines and on transformed variants, with and without
+   the per-procedure caches and the batch-reuse table, sequentially and
+   under the worker pool. [Lower.run] is compile-then-run, uncached. The
+   compiled evaluator's frames (unboxed scalar slots, dummies that hold
+   the address of the caller's slot) are pinned on the by-reference
+   shapes they could get silently wrong, and its allocation is pinned
+   per loop iteration. *)
 
 open Fortran
 
@@ -131,8 +135,9 @@ let equiv_on_assignment (model : Models.Registry.t) cache ccache st atoms bits =
   let st_rt = Symtab.build (Parser.parse ~file:(model.name ^ "_variant.f90") text) in
   Typecheck.check_program st_rt;
   let ref_out = Runtime.Interp.run ~machine ~wrapper_owner:owner st_rt in
-  (* fast paths: lowered directly from the transformed AST with the
-     shared per-procedure cache, then additionally closure-compiled *)
+  (* fast paths: lowered directly from the transformed AST, run through
+     [Lower.run] (compile-then-run, uncached) and through the shared
+     per-procedure lowering and compile caches *)
   let st_d = Symtab.build w.Transform.Wrappers.program in
   Typecheck.check_program st_d;
   let ir = Runtime.Lower.lower ~cache ~wrapper_owner:owner ~machine st_d in
@@ -269,12 +274,12 @@ let check_campaigns_equal (reference : Core.Tuner.campaign) (candidate : Core.Tu
           candidate.Core.Tuner.minimal)
      = 0)
 
-let run_backend model ~compile ~batch_reuse ~workers ~max_variants =
+let run_backend ?(verify_roundtrip = false) model ~batch_reuse ~workers ~max_variants =
   Core.Tuner.run_delta_debug
     ~config:
       { Core.Config.default with
         Core.Config.max_variants = Some max_variants;
-        compile;
+        verify_roundtrip;
         batch_reuse;
       }
     ~workers model
@@ -304,15 +309,18 @@ let funarc_spares =
 
 let backend_tests =
   [
-    ts "compiled backend == IR evaluator, record for record (workers 0 and 4)" (fun () ->
+    ts "compiled backend == interpreter, record for record (workers 0 and 4)" (fun () ->
+        (* the reference checks every evaluation against the tree-walker
+           on the unparse→reparse round trip, and aborts on any bit of
+           difference *)
         let reference =
-          run_backend small_mpas ~compile:false ~batch_reuse:false ~workers:0
+          run_backend ~verify_roundtrip:true small_mpas ~batch_reuse:false ~workers:0
             ~max_variants:20
         in
         List.iter
           (fun workers ->
             let c =
-              run_backend small_mpas ~compile:true ~batch_reuse:false ~workers
+              run_backend small_mpas ~batch_reuse:false ~workers
                 ~max_variants:20
             in
             Alcotest.(check bool) "procedures were compiled" true
@@ -321,7 +329,7 @@ let backend_tests =
           [ 0; 4 ]);
     ts "batched reuse == unbatched, record for record (workers 0 and 4)" (fun () ->
         let reference =
-          run_backend small_mpas ~compile:true ~batch_reuse:false ~workers:0
+          run_backend small_mpas ~batch_reuse:false ~workers:0
             ~max_variants:20
         in
         Alcotest.(check int) "reuse disabled reports no traffic" 0
@@ -330,7 +338,7 @@ let backend_tests =
         List.iter
           (fun workers ->
             let c =
-              run_backend small_mpas ~compile:true ~batch_reuse:true ~workers
+              run_backend small_mpas ~batch_reuse:true ~workers
                 ~max_variants:20
             in
             check_campaigns_equal reference c)
@@ -357,9 +365,130 @@ let backend_tests =
         check_campaigns_equal reference batched);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* By-reference binding: the shapes an unboxed-slot frame could get
+   silently wrong. Each program's result under copy-in/copy-out binding
+   differs from the reference's, so a frame that copies instead of
+   aliasing fails here. *)
+
+let byref_case name src ~key ~expect =
+  t name (fun () ->
+      let st = build src in
+      let ref_out = interp st in
+      Alcotest.(check (float 0.0)) "reference value" expect (first ref_out key);
+      check_equiv "compiled agrees" ref_out (lower_run st))
+
+let module_src ~decls ~procs ~main =
+  Printf.sprintf
+    "module m\n implicit none\n%scontains\n%send module m\nprogram p\n use m\n implicit none\n%s\nend program p\n"
+    decls procs main
+
+let byref_tests =
+  [
+    byref_case "one variable bound to two dummies aliases both" ~key:"x" ~expect:10.0
+      (module_src ~decls:""
+         ~procs:
+           " subroutine s(a, b)\n  real(kind=8) :: a, b\n  a = 5.0d0\n  b = b + a\n\
+           \ end subroutine s\n"
+         ~main:" real(kind=8) :: x\n x = 1.0d0\n call s(x, x)\n print *, 'x', x");
+    byref_case "module scalar bound by reference sees writes through the module" ~key:"g"
+      ~expect:8.0
+      (module_src ~decls:" real(kind=8) :: g = 1.0d0\n"
+         ~procs:
+           " subroutine s(a)\n  real(kind=8) :: a\n  g = 7.0d0\n  a = a + 1.0d0\n\
+           \ end subroutine s\n"
+         ~main:" call s(g)\n print *, 'g', g");
+    byref_case "array-element copy-out overwrites the callee's direct write" ~key:"v"
+      ~expect:2.0
+      (module_src ~decls:" real(kind=8), dimension(3) :: arr\n"
+         ~procs:
+           " subroutine s(a)\n  real(kind=8) :: a\n  arr(2) = 9.0d0\n  a = a + 1.0d0\n\
+           \ end subroutine s\n"
+         ~main:" arr(2) = 1.0d0\n call s(arr(2))\n print *, 'v', arr(2)");
+    byref_case "by-reference dummy passed on to a further callee" ~key:"x" ~expect:8.0
+      (module_src ~decls:""
+         ~procs:
+           " subroutine inner(c, k)\n  real(kind=8) :: c\n  integer :: k\n  c = c * 3.0d0\n\
+           \  k = k + 5000\n end subroutine inner\n\
+           \ subroutine outer(b, k)\n  real(kind=8) :: b\n  integer :: k\n  call inner(b, k)\n\
+           \  b = b + 2.0d0\n  k = k + 1\n end subroutine outer\n"
+         ~main:
+           " real(kind=8) :: x\n integer :: k\n x = 2.0d0\n k = 0\n call outer(x, k)\n\
+           \ print *, 'x', x\n print *, 'k', k");
+    byref_case "recursion writes through by-reference dummies" ~key:"acc" ~expect:10.0
+      (module_src ~decls:""
+         ~procs:
+           " subroutine r(n, acc, calls)\n  integer :: n, calls\n  real(kind=8) :: acc\n\
+           \  calls = calls + 1\n  if (n > 0) then\n   acc = acc + dble(n)\n\
+           \   call r(n - 1, acc, calls)\n  end if\n end subroutine r\n"
+         ~main:
+           " real(kind=8) :: acc\n integer :: calls\n acc = 0.0d0\n calls = 0\n\
+           \ call r(4, acc, calls)\n print *, 'acc', acc\n print *, 'calls', calls");
+    t "dims naming a local allocated after it trap out of scope" (fun () ->
+        let src =
+          module_src ~decls:""
+            ~procs:
+              " subroutine s()\n  real(kind=8), dimension(n) :: a\n  integer :: n\n\
+              \  n = 2\n  a(1) = 1.0d0\n end subroutine s\n"
+            ~main:" call s()\n print *, 'done', 1"
+        in
+        let st = Symtab.build (Parser.parse src) in
+        let ref_out = interp st in
+        Alcotest.(check bool) "reference traps out of scope" true
+          (ref_out.Runtime.Interp.status
+          = Runtime.Interp.Runtime_error "variable n local to s referenced out of scope");
+        check_equiv "compiled agrees" ref_out (lower_run st));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Allocation per loop iteration, host-speed independent: minor words
+   of [Compile.run] at two trip counts, differenced so that the run's
+   fixed set-up cancels. *)
+
+let words_per_iter body =
+  let src n =
+    Printf.sprintf
+      "module m\n implicit none\ncontains\n\
+      \ real(kind=8) function flux4(q_im2, q_im1, q_i, q_ip1, ua)\n\
+      \  real(kind=8), intent(in) :: q_im2, q_im1, q_i, q_ip1, ua\n\
+      \  flux4 = ua * (7.0d0 * (q_i + q_im1) - (q_ip1 + q_im2)) / 12.0d0\n\
+      \ end function flux4\n\
+      \ subroutine k(a, b, n)\n  integer :: n, i, j, im1, ip1, ip2\n\
+      \  real(kind=8), dimension(n) :: a, b\n  real(kind=8) :: x, ue\n\
+      \  x = 0.5d0\n  ue = 0.25d0\n  j = 0\n\
+      \  do i = 2, n - 2\n   im1 = i - 1\n   ip1 = i + 1\n   ip2 = i + 2\n%s\n  end do\n\
+      \ end subroutine k\nend module m\n\
+       program p\n use m\n implicit none\n integer, parameter :: n = %d\n\
+      \ real(kind=8), dimension(n) :: a, b\n integer :: i\n\
+      \ do i = 1, n\n  b(i) = 1.0d0\n end do\n call k(a, b, n)\nend program p\n"
+      body n
+  in
+  let words n =
+    let code = Runtime.Compile.compile (Runtime.Lower.lower ~machine (build (src n))) in
+    let before = Gc.minor_words () in
+    let out = Runtime.Compile.run code in
+    let after = Gc.minor_words () in
+    Alcotest.(check bool) "finished" true (out.Runtime.Interp.status = Runtime.Interp.Finished);
+    after -. before
+  in
+  (words 25_000 -. words 5_000) /. 20_000.0
+
+let alloc_case name body ~budget =
+  t name (fun () ->
+      let w = words_per_iter body in
+      if w > budget then Alcotest.failf "%s: %.3f words per iteration, budget %.3f" name w budget)
+
+let alloc_tests =
+  [
+    alloc_case "real scalar store allocates nothing" "   x = b(i) * 0.5d0" ~budget:0.0;
+    alloc_case "integer store above 4096 allocates nothing" "   j = i + 5000" ~budget:0.0;
+    alloc_case "flux4-shaped call allocates nothing"
+      "   a(i) = flux4(b(im1), b(i), b(ip1), b(ip2), ue)" ~budget:0.0;
+  ]
+
 let () =
   Alcotest.run "lower"
     [
       ("slots", slot_tests); ("equivalence", equiv_tests); ("cache", cache_tests);
-      ("backends", backend_tests);
+      ("backends", backend_tests); ("byref", byref_tests); ("alloc", alloc_tests);
     ]

@@ -364,7 +364,7 @@ let resume_tests =
               let own a b = match (a, b) with Some a, Some b -> a != b | _ -> false in
               Alcotest.(check bool) "caches are the campaign's own" true
                 (own c.Core.Tuner.prepared.Core.Tuner.cache p.Core.Tuner.cache
-                && own c.Core.Tuner.prepared.Core.Tuner.ccache p.Core.Tuner.ccache)
+                && c.Core.Tuner.prepared.Core.Tuner.ccache != p.Core.Tuner.ccache)
             done));
     t "resume adopts the journal's seed" (fun () ->
         with_dir (fun dir ->
