@@ -45,14 +45,11 @@
                               makespan accounting is added
      main.exe --predict       predictive-search comparison: every
                               delta-debug campaign (five models +
-                              mpas_joint) at --predict off/rank/prune;
+                              mpas_joint) at --predict off/rank;
                               requires rank's minimal set bit-identical
-                              to off's everywhere, >=25% fewer dynamic
-                              evaluations to the minimal set on >=3
-                              campaigns, and (exhaustively, on the
-                              funarc 2^8 space) that prune at the
-                              default margin never skips a variant
-                              that would pass; emitted into --json as
+                              to off's everywhere and >=25% fewer
+                              dynamic evaluations to the minimal set
+                              on >=3 campaigns; emitted into --json as
                               the "predict" section
      main.exe --scaling       shards x workers scaling curve on the
                               whole-model campaign: run the same search
@@ -538,11 +535,9 @@ and kill_resume_suite ~config ?workers () =
 
 (* ------------------------------------------------------------------ *)
 (* Predictive-search comparison: every delta-debug campaign at --predict
-   off / rank / prune.  rank must reproduce off's minimal set bit for
-   bit everywhere (it only reorders the trajectory) and reach it with
-   >= 25% fewer dynamic evaluations on at least 3 of the 6 campaigns;
-   prune, checked exhaustively on the funarc 2^8 space at the default
-   margin, must never skip a variant that would dynamically pass.      *)
+   off / rank.  rank must reproduce off's minimal set bit for bit
+   everywhere (it only reorders the trajectory) and reach it with
+   >= 25% fewer dynamic evaluations on at least 3 of the 6 campaigns. *)
 
 and predict_suite ~config ?workers () =
   pf "PREDICTIVE SEARCH COMPARISON (static error-amplification steering, lib/sensitivity)\n";
@@ -561,21 +556,14 @@ and predict_suite ~config ?workers () =
   let dynamic_evals c =
     List.length (List.filter (fun r -> not (is_static r)) c.Core.Tuner.records)
   in
-  let pruned_count (c : Core.Tuner.campaign) =
-    List.length
-      (List.filter
-         (fun (r : Search.Variant.record) ->
-           let d = r.Search.Variant.meas.Search.Variant.detail in
-           String.length d >= 8 && String.sub d 0 8 = "static: ")
-         c.Core.Tuner.records)
-  in
   let minimal_sig (c : Core.Tuner.campaign) =
     Option.map
       (fun m -> Transform.Assignment.signature m.Search.Delta_debug.minimal)
       c.Core.Tuner.minimal
   in
   (* dynamic evaluations spent before the search first lands on the
-     variant it will declare minimal (statically pruned records are free) *)
+     variant it will declare minimal (statically filtered records are
+     free) *)
   let evals_to_minimal (c : Core.Tuner.campaign) =
     match minimal_sig c with
     | None -> dynamic_evals c
@@ -608,9 +596,6 @@ and predict_suite ~config ?workers () =
         let rank =
           timed (name ^ " predict=rank") (fun () -> run (mode Core.Config.Predict_rank))
         in
-        let prune =
-          timed (name ^ " predict=prune") (fun () -> run (mode Core.Config.Predict_prune))
-        in
         let off_sig = minimal_sig off in
         let point m (c : Core.Tuner.campaign) =
           {
@@ -618,23 +603,21 @@ and predict_suite ~config ?workers () =
             pr_mode = m;
             pr_evals_to_minimal = evals_to_minimal c;
             pr_dynamic_evals = dynamic_evals c;
-            pr_pruned = pruned_count c;
             pr_sim_hours = c.Core.Tuner.simulated_hours;
             pr_sim_hours_saved = off.Core.Tuner.simulated_hours -. c.Core.Tuner.simulated_hours;
             pr_minimal_identical = minimal_sig c = off_sig;
           }
         in
-        let p_off = point "off" off and p_rank = point "rank" rank
-        and p_prune = point "prune" prune in
+        let p_off = point "off" off and p_rank = point "rank" rank in
         List.iter
           (fun p ->
-            pf "  %-10s %-5s %3d evals to minimal / %3d dynamic, %2d pruned, %7.3f sim h \
-                (saved %7.3f), minimal %s\n"
+            pf "  %-10s %-5s %3d evals to minimal / %3d dynamic, %7.3f sim h (saved %7.3f), \
+                minimal %s\n"
               name p.Core.Export.pr_mode p.Core.Export.pr_evals_to_minimal
-              p.Core.Export.pr_dynamic_evals p.Core.Export.pr_pruned p.Core.Export.pr_sim_hours
+              p.Core.Export.pr_dynamic_evals p.Core.Export.pr_sim_hours
               p.Core.Export.pr_sim_hours_saved
               (if p.Core.Export.pr_minimal_identical then "identical" else "DIFFERENT"))
-          [ p_off; p_rank; p_prune ];
+          [ p_off; p_rank ];
         if not p_rank.Core.Export.pr_minimal_identical then begin
           pf "  FAIL %s: rank's minimal set differs from off's\n" name;
           incr failures
@@ -643,7 +626,7 @@ and predict_suite ~config ?workers () =
           float_of_int p_rank.Core.Export.pr_evals_to_minimal
           <= 0.75 *. float_of_int p_off.Core.Export.pr_evals_to_minimal
         then incr improved;
-        [ p_off; p_rank; p_prune ])
+        [ p_off; p_rank ])
       runners
   in
   pf "  rank saved >=25%% of evaluations-to-minimal on %d of %d campaigns\n" !improved
@@ -652,42 +635,6 @@ and predict_suite ~config ?workers () =
     pf "  FAIL: expected >=25%% savings on at least 3 campaigns\n";
     incr failures
   end;
-  (* exhaustive prune-safety check on the funarc 2^8 space: at the default
-     margin, no variant that dynamically passes may be pruned *)
-  let brute =
-    timed "funarc exhaustive prune safety" (fun () ->
-        Core.Tuner.run_brute_force ~config Models.Registry.funarc)
-  in
-  let prepared =
-    Core.Tuner.prepare ~config:{ config with Core.Config.predict = Core.Config.Predict_prune }
-      Models.Registry.funarc
-  in
-  (match prepared.Core.Tuner.scorer with
-  | None ->
-    pf "  FAIL funarc: the static analysis declined the program (no scorer)\n";
-    incr failures
-  | Some sc ->
-    let wrong =
-      List.filter
-        (fun (r : Search.Variant.record) ->
-          r.Search.Variant.meas.Search.Variant.status = Search.Variant.Pass
-          && Sensitivity.Score.prune sc r.Search.Variant.asg)
-        brute.Core.Tuner.records
-    in
-    let passers =
-      List.length
-        (List.filter
-           (fun (r : Search.Variant.record) ->
-             r.Search.Variant.meas.Search.Variant.status = Search.Variant.Pass)
-           brute.Core.Tuner.records)
-    in
-    if wrong = [] then
-      pf "  prune safety: 0 of %d passing variants would be pruned at the default margin\n"
-        passers
-    else begin
-      pf "  FAIL funarc: %d passing variant(s) would be statically pruned\n" (List.length wrong);
-      incr failures
-    end);
   if !failures > 0 then begin
     pf "predictive-search check FAILED (%d)\n%!" !failures;
     exit 1

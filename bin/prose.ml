@@ -103,31 +103,17 @@ let predict_arg =
     value
     & opt
         (enum
-           [
-             ("off", Core.Config.Predict_off);
-             ("rank", Core.Config.Predict_rank);
-             ("prune", Core.Config.Predict_prune);
-           ])
+           [ ("off", Core.Config.Predict_off); ("rank", Core.Config.Predict_rank) ])
         Core.Config.Predict_off
     & info [ "predict" ] ~docv:"MODE"
         ~doc:
           "Steer the search with the static error-amplification analysis (lib/sensitivity). \
            $(b,rank) reorders delta-debugging candidates by predicted score (pass-probability \
-           x payoff) so promising subsets are tried first; $(b,prune) additionally skips \
-           variants whose sound static error bound provably exceeds the threshold, \
-           journaling them as static losses with zero evaluation cost. Falls back to the \
-           unpredicted search when the analysis cannot vouch for the program.")
-
-let predict_margin_arg =
-  Arg.(
-    value & opt float Core.Config.default.Core.Config.predict_margin
-    & info [ "predict-margin" ] ~docv:"M"
-        ~doc:
-          "Safety factor for $(b,--predict prune): only variants whose finite static bound \
-           exceeds $(i,M) x threshold are skipped. The default is deliberately enormous — \
-           sound worst-case bounds overshoot observed error by roughly the square root of \
-           the operation count — so pruning only fires on overwhelming evidence; lower it \
-           explicitly to trade safety for pruning.")
+           x payoff) so promising subsets are tried first; on every registered campaign it \
+           reaches the 1-minimal variant $(b,off) finds. Every variant still runs against the \
+           threshold: the static bound is a first-order upper bound, which cannot prove that a \
+           variant fails. Falls back to the unpredicted search when the analysis cannot vouch \
+           for the program.")
 
 let verify_roundtrip_arg =
   Arg.(
@@ -137,15 +123,6 @@ let verify_roundtrip_arg =
           "Cross-check every variant evaluation: run both the direct-AST fast path and the \
            historical unparse->reparse pipeline and abort if any outcome differs. \
            Slow; intended for CI and debugging the evaluation fast path.")
-
-let no_batch_reuse_arg =
-  Arg.(
-    value & flag
-    & info [ "no-batch-reuse" ]
-        ~doc:
-          "Re-run every variant even when an effectively-identical one (same precision \
-           signature on the reachable program) already ran. Slower; results are \
-           bit-identical either way.")
 
 let csv_arg =
   Arg.(
@@ -232,8 +209,8 @@ let faults_term =
 
 let tune_cmd =
   let doc = "Run a precision-tuning campaign on a model" in
-  let run m seed max_variants whole static predict predict_margin brute hierarchical csv json
-      workers shards verify no_batch_reuse journal resume faults =
+  let run m seed max_variants whole static predict brute hierarchical csv json workers shards
+      verify journal resume faults =
     let config =
       {
         Core.Config.default with
@@ -241,10 +218,8 @@ let tune_cmd =
         max_variants;
         static_filter = static;
         predict;
-        predict_margin;
         mode = (if whole then Core.Config.Whole_model_guided else Core.Config.Hotspot_guided);
         verify_roundtrip = verify;
-        batch_reuse = not no_batch_reuse;
       }
     in
     (* fault bookkeeping and preemption happen in the journal's commit
@@ -298,24 +273,11 @@ let tune_cmd =
       campaign.Core.Tuner.sched;
     (match config.Core.Config.predict with
     | Core.Config.Predict_off -> ()
-    | mode ->
-      let pruned =
-        List.length
-          (List.filter
-             (fun (r : Search.Variant.record) ->
-               let d = r.Search.Variant.meas.Search.Variant.detail in
-               String.length d >= 8 && String.sub d 0 8 = "static: ")
-             campaign.Core.Tuner.records)
-      in
-      pf "predict: %s, %s, %d statically pruned record(s)\n"
-        (match mode with
-        | Core.Config.Predict_rank -> "rank"
-        | Core.Config.Predict_prune -> "prune"
-        | Core.Config.Predict_off -> "off")
+    | Core.Config.Predict_rank ->
+      pf "predict: rank, %s\n"
         (match campaign.Core.Tuner.prepared.Core.Tuner.scorer with
         | Some _ -> "scorer engaged"
-        | None -> "analysis declined — unpredicted search")
-        pruned);
+        | None -> "analysis declined — unpredicted search"));
     if campaign.Core.Tuner.preloaded > 0 then
       pf "resume: %d records replayed from the journal\n" campaign.Core.Tuner.preloaded;
     Option.iter
@@ -347,9 +309,8 @@ let tune_cmd =
   Cmd.v (Cmd.info "tune" ~doc)
     Term.(
       const run $ model_arg $ seed_arg $ max_variants_arg $ whole_model_arg $ static_filter_arg
-      $ predict_arg $ predict_margin_arg $ brute_arg $ hierarchical_arg $ csv_arg $ json_arg
-      $ workers_arg $ shards_arg $ verify_roundtrip_arg $ no_batch_reuse_arg
-      $ journal_arg $ resume_arg $ faults_term)
+      $ predict_arg $ brute_arg $ hierarchical_arg $ csv_arg $ json_arg $ workers_arg
+      $ shards_arg $ verify_roundtrip_arg $ journal_arg $ resume_arg $ faults_term)
 
 (* ------------------------------------------------------------------ *)
 (* prose campaign ls|show|replay — inspect durable campaign journals.  *)
@@ -458,20 +419,9 @@ let campaign_show_cmd =
       List.filter_map (fun (e : Persist.Journal.entry) -> e.Persist.Journal.e_score)
         loaded.Persist.Journal.l_entries
     in
-    let pruned =
-      List.length
-        (List.filter
-           (fun (e : Persist.Journal.entry) ->
-             let d = e.Persist.Journal.e_meas.Search.Variant.detail in
-             String.length d >= 8 && String.sub d 0 8 = "static: ")
-           loaded.Persist.Journal.l_entries)
-    in
-    if scored <> [] || pruned > 0 then
-      pf "predict : %d scored record(s), mean score %.4f, %d statically pruned\n"
-        (List.length scored)
-        (if scored = [] then 0.0
-         else List.fold_left ( +. ) 0.0 scored /. float_of_int (List.length scored))
-        pruned;
+    if scored <> [] then
+      pf "predict : %d scored record(s), mean score %.4f\n" (List.length scored)
+        (List.fold_left ( +. ) 0.0 scored /. float_of_int (List.length scored));
     match Persist.Snapshot.read ~dir with
     | None -> pf "snapshot: none\n"
     | Some s ->

@@ -125,36 +125,34 @@ sed 's/"evaluations": [0-9]*/"evaluations": _/' "$PDIR/rank_min.json" \
   > "$PDIR/rank_cmp.json"
 diff -u "$PDIR/off_cmp.json" "$PDIR/rank_cmp.json"
 
-# Predictive-search gate, part 2: SIGKILL a journaled prune campaign
-# mid-search (margin tuned so ~15% of the space is statically skipped and
-# the rest runs for real), resume it, and require the summary to match an
-# uninterrupted run modulo the "trace" line -- pruning decisions are pure
-# functions of (config digest, variant signature), so the torn journal
-# must replay them bit-identically. A second resume of the now-complete
-# journal must preload every record and evaluate nothing.
-_build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
-  --predict prune --predict-margin 100000 \
-  --json "$PDIR/pbase.json" > /dev/null
-_build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
-  --predict prune --predict-margin 100000 \
-  --journal "$PDIR/pcamp" > /dev/null &
-PKILL_PID=$!
-while [ "$(wc -l < "$PDIR/pcamp/journal.jsonl" 2> /dev/null || echo 0)" -lt 40 ]; do
+# Predictive-search gate, part 2: SIGKILL a journaled rank campaign
+# mid-search, resume it, and require the summary to match an
+# uninterrupted run modulo the "trace" line. Rank's evidence is fed from
+# committed records in order, so the torn journal must replay the steered
+# trajectory bit-identically; mom6 is also where the batch-reuse table
+# hits (its inert duc_w), so the replayed "backend" line covers the
+# table too. A second resume of the now-complete journal must preload
+# every record and evaluate nothing.
+_build/default/bin/prose.exe tune mom6 --workers 0 --predict rank \
+  --json "$PDIR/rbase.json" > /dev/null
+_build/default/bin/prose.exe tune mom6 --workers 0 --predict rank \
+  --journal "$PDIR/rcamp" > /dev/null &
+RKILL_PID=$!
+# fire once the header and >=40 of the 150 records are durable
+while [ "$(wc -l < "$PDIR/rcamp/journal.jsonl" 2> /dev/null || echo 0)" -lt 41 ]; do
   sleep 0.02
 done
-kill -9 "$PKILL_PID" 2> /dev/null || true
-wait "$PKILL_PID" 2> /dev/null || true
-_build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
-  --predict prune --predict-margin 100000 \
-  --journal "$PDIR/pcamp" --resume --json "$PDIR/presumed.json" > /dev/null
-grep -v -e '"trace"' "$PDIR/pbase.json" > "$PDIR/pbase_cmp.json"
-grep -v -e '"trace"' "$PDIR/presumed.json" > "$PDIR/presumed_cmp.json"
-diff -u "$PDIR/pbase_cmp.json" "$PDIR/presumed_cmp.json"
-_build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
-  --predict prune --predict-margin 100000 \
-  --journal "$PDIR/pcamp" --resume --json "$PDIR/preplay.json" > /dev/null
-grep '"misses": 0,' "$PDIR/preplay.json" > /dev/null
-grep '"preloaded": 256' "$PDIR/preplay.json" > /dev/null
+kill -9 "$RKILL_PID" 2> /dev/null || true
+wait "$RKILL_PID" 2> /dev/null || true
+_build/default/bin/prose.exe tune mom6 --workers 0 --predict rank \
+  --journal "$PDIR/rcamp" --resume --json "$PDIR/rresumed.json" > /dev/null
+grep -v -e '"trace"' "$PDIR/rbase.json" > "$PDIR/rbase_cmp.json"
+grep -v -e '"trace"' "$PDIR/rresumed.json" > "$PDIR/rresumed_cmp.json"
+diff -u "$PDIR/rbase_cmp.json" "$PDIR/rresumed_cmp.json"
+_build/default/bin/prose.exe tune mom6 --workers 0 --predict rank \
+  --journal "$PDIR/rcamp" --resume --json "$PDIR/rreplay.json" > /dev/null
+grep '"misses": 0,' "$PDIR/rreplay.json" > /dev/null
+grep '"preloaded": 150' "$PDIR/rreplay.json" > /dev/null
 rm -rf "$PDIR"
 
 # Crash-safety smoke gate: SIGKILL a journaled campaign mid-search, resume

@@ -5,7 +5,6 @@ type mode =
 type predict =
   | Predict_off
   | Predict_rank
-  | Predict_prune
 
 type t = {
   machine : Runtime.Machine.t;
@@ -18,9 +17,7 @@ type t = {
   max_variants : int option;
   predict : predict;
   predict_margin : float;
-  proc_cache : bool;
   verify_roundtrip : bool;
-  batch_reuse : bool;
 }
 
 let default =
@@ -35,16 +32,13 @@ let default =
     max_variants = None;
     predict = Predict_off;
     predict_margin = 1e6;
-    proc_cache = true;
     verify_roundtrip = false;
-    batch_reuse = true;
   }
 
 let digest t =
-  (* only fields that change campaign results; proc_cache,
-     verify_roundtrip and batch_reuse are execution strategies
-     with identical outcomes, so a journaled campaign may be resumed with
-     any of those settings *)
+  (* only fields that change campaign results; verify_roundtrip is an
+     execution strategy with identical outcomes, so a journaled campaign
+     may be resumed with either setting *)
   let canonical =
     String.concat "|"
       [
@@ -64,6 +58,5 @@ let digest t =
     match t.predict with
     | Predict_off -> canonical
     | Predict_rank -> canonical ^ Printf.sprintf "|predict:rank|margin:%h" t.predict_margin
-    | Predict_prune -> canonical ^ Printf.sprintf "|predict:prune|margin:%h" t.predict_margin
   in
   Digest.to_hex (Digest.string canonical)

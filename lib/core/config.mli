@@ -16,12 +16,9 @@ type predict =
       (** reorder ddmin partitions/complements by the static score so
           promising variants are tried first; the minimal set is
           bit-identical to [Predict_off], only the exploration order (and
-          hence evaluations-to-minimal) changes *)
-  | Predict_prune
-      (** [Predict_rank] plus: skip dynamic evaluation of variants whose
-          finite static error bound already exceeds
-          [predict_margin × threshold], journaling them as [static:] loss
-          records *)
+          hence evaluations-to-minimal) changes. Every variant still runs
+          against the threshold: a first-order upper bound on the error
+          cannot prove a failure, so no variant is skipped on its bound *)
 
 type t = {
   machine : Runtime.Machine.t;
@@ -39,28 +36,14 @@ type t = {
   max_variants : int option;  (** overrides the model's default budget *)
   predict : predict;  (** sensitivity-guided search steering (off by default) *)
   predict_margin : float;
-      (** soundness slack for [Predict_prune]: only variants whose static
-          bound exceeds margin × threshold are skipped. The default (1e6)
-          is deliberately enormous: the worst-case rounding model
-          accumulates linearly where real errors random-walk, so sound
-          bounds overshoot observed error by ~sqrt(ops) — measured up to
-          ~1.2e5× threshold on passing funarc variants — and pruning must
-          never skip a variant that would pass. Lower it explicitly to
-          trade safety for pruning. *)
-  proc_cache : bool;
-      (** reuse lowered procedures across variants keyed by precision
-          signature ({!Runtime.Lower.Cache}); on by default, off gives
-          every evaluation a fresh lowering (results are identical) *)
+      (** no effect on the search: it only enters the [Predict_rank]
+          digest (as [|margin:%h], 1e6 by default), which is kept byte for
+          byte so existing rank journals keep resuming *)
   verify_roundtrip : bool;
       (** run every variant through both the direct-AST fast path and the
           unparse→reparse slow path and fail loudly if any outcome bit
           differs; the fast path's correctness oracle (off by default —
           it restores the old per-variant cost, and then some) *)
-  batch_reuse : bool;
-      (** share whole-run outcomes between variants whose effective
-          precision assignment is identical on the reachable program (the
-          raw outcome is a pure function of that signature); on by
-          default, off recomputes every variant (results are identical) *)
 }
 
 val default : t
@@ -71,8 +54,8 @@ val digest : t -> string
 (** Hex digest over the result-affecting fields (machine, mode, floor,
     seed, baseline runs, static filter + budget, variant budget). The
     campaign journal header stores it, and resume refuses a journal whose
-    digest disagrees with the offered configuration. [proc_cache],
-    [verify_roundtrip] and [batch_reuse] are excluded: they
-    change how variants are evaluated, never what the results are.
-    [predict]/[predict_margin] are appended only when predict is not
-    [Predict_off], so pre-PR-9 journals keep their digests. *)
+    digest disagrees with the offered configuration.
+    [verify_roundtrip] is excluded: it changes how variants are
+    evaluated, never what the results are. [predict]/[predict_margin]
+    are appended only when predict is [Predict_rank], so pre-PR-9
+    journals keep their digests. *)

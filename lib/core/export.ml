@@ -124,7 +124,6 @@ type predict_point = {
   pr_mode : string;
   pr_evals_to_minimal : int;
   pr_dynamic_evals : int;
-  pr_pruned : int;
   pr_sim_hours : float;
   pr_sim_hours_saved : float;
   pr_minimal_identical : bool;
@@ -133,10 +132,10 @@ type predict_point = {
 let predict_point_json p =
   Printf.sprintf
     "    {\"campaign\": \"%s\", \"mode\": \"%s\", \"evals_to_minimal\": %d, \
-     \"dynamic_evals\": %d, \"pruned\": %d, \"sim_hours\": %s, \"sim_hours_saved\": %s, \
+     \"dynamic_evals\": %d, \"sim_hours\": %s, \"sim_hours_saved\": %s, \
      \"minimal_identical\": %b}"
     (json_escape p.pr_campaign) (json_escape p.pr_mode) p.pr_evals_to_minimal
-    p.pr_dynamic_evals p.pr_pruned (jfloat p.pr_sim_hours) (jfloat p.pr_sim_hours_saved)
+    p.pr_dynamic_evals (jfloat p.pr_sim_hours) (jfloat p.pr_sim_hours_saved)
     p.pr_minimal_identical
 
 type fleet_point = {

@@ -33,15 +33,14 @@ val summary_json : Tuner.campaign -> string
 
 (** One campaign × predict-mode measurement of the bench predictive-search
     comparison: dynamic evaluations spent reaching the minimal set, total
-    dynamic evaluations, statically pruned records, simulated cluster
-    hours (and the saving vs the [off] mode of the same campaign), and
-    whether the minimal set is bit-identical to the [off] run's. *)
+    dynamic evaluations, simulated cluster hours (and the saving vs the
+    [off] mode of the same campaign), and whether the minimal set is
+    bit-identical to the [off] run's. *)
 type predict_point = {
   pr_campaign : string;
-  pr_mode : string;  (** ["off"], ["rank"] or ["prune"] *)
+  pr_mode : string;  (** ["off"] or ["rank"] *)
   pr_evals_to_minimal : int;
   pr_dynamic_evals : int;
-  pr_pruned : int;
   pr_sim_hours : float;
   pr_sim_hours_saved : float;
   pr_minimal_identical : bool;

@@ -33,97 +33,30 @@ type raw = {
   r_rel_error : float;  (* infinity unless the run finished *)
 }
 
-(* Batch-reuse table: raw outcomes shared between variants whose
-   *effective* precision signature (declared kind overridden by the
-   assignment) agrees on every scope that can influence the run — all
-   unit scopes (global initializers execute, and are charged, before
-   "<main>") plus every procedure reachable from the main program. Two
-   assignments with the same key transform into programs whose reachable
-   code is declaration-for-declaration identical, so the raw outcome —
-   a pure function of that code under the fixed machine, budget and
+(* Batch-reuse table: raw outcomes shared between variants of the
+   prepared search space whose masked signatures agree. Only atoms change
+   kind between such variants, so two of them transform into programs
+   whose reachable code is declaration-for-declaration identical exactly
+   when they agree on every atom the mask leaves in, and the raw outcome
+   — a pure function of that code under the fixed machine, budget and
    wrapper redirection — is bit-identical whoever computes it first.
    First-write-wins under the mutex, so records do not depend on the
    worker count. *)
 type share = {
   sh_lock : Mutex.t;
   sh_tbl : (string, raw) Hashtbl.t;
-  sh_scopes : Fortran.Symtab.scope list;
-  sh_inert : (Fortran.Symtab.scope * string, unit) Hashtbl.t;
-      (* variables whose kind provably cannot influence a run *)
-  (* live traffic counters: atomics aggregated across worker domains
-     (torn-read-free), though speculation still makes them
-     schedule-dependent — the campaign's reported backend stats are
-     replayed from committed records instead, see [replay_backend] *)
-  sh_hits : int Atomic.t;
-  sh_misses : int Atomic.t;
+  sh_masked : int list;  (* signature positions of masked atoms *)
 }
 
-let share_create st =
-  let units = List.map Fortran.Ast.unit_name (Fortran.Symtab.program st) in
-  let cg = Analysis.Callgraph.build st in
-  let roots = List.map fst (Analysis.Callgraph.callees cg None) in
-  let scopes =
-    List.map (fun u -> Fortran.Symtab.Unit_scope u) units
-    @ List.map
-        (fun pr -> Fortran.Symtab.Proc_scope pr)
-        (List.sort_uniq compare (Analysis.Callgraph.reachable cg ~roots))
-  in
-  (* A variable with no defs and no uses (and, checked at key time, no
-     initializer) is dropped from the key: it is never read, written,
-     converted or passed, so its declared kind cannot change the outcome
-     or the charged cost. Dummies and function results stay protected —
-     they take part in argument binding and wrapper conversion even when
-     the body never mentions them. *)
-  let protected = Hashtbl.create 64 in
-  List.iter
-    (fun u ->
-      match u with
-      | Fortran.Ast.Main _ -> ()
-      | Fortran.Ast.Module m ->
-        List.iter
-          (fun (pr : Fortran.Ast.proc) ->
-            let scope = Fortran.Symtab.Proc_scope pr.Fortran.Ast.proc_name in
-            List.iter
-              (fun d -> Hashtbl.replace protected (scope, d) ())
-              pr.Fortran.Ast.params;
-            match pr.Fortran.Ast.proc_kind with
-            | Fortran.Ast.Function { result } -> Hashtbl.replace protected (scope, result) ()
-            | Fortran.Ast.Subroutine -> ())
-          m.Fortran.Ast.mod_procs)
-    (Fortran.Symtab.program st);
-  let touched = Hashtbl.create 64 in
-  List.iter
-    (fun (s : Analysis.Defuse.summary) ->
-      if s.Analysis.Defuse.defs <> [] || s.Analysis.Defuse.uses <> [] then
-        Hashtbl.replace touched (s.Analysis.Defuse.scope, s.Analysis.Defuse.var) ())
-    (Analysis.Defuse.analyze st);
-  let inert = Hashtbl.create 64 in
-  List.iter
-    (fun scope ->
-      List.iter
-        (fun (v : Fortran.Symtab.var_info) ->
-          let key = (scope, v.Fortran.Symtab.v_name) in
-          match v.Fortran.Symtab.v_base with
-          | Fortran.Ast.Treal _
-            when (not (Hashtbl.mem touched key)) && not (Hashtbl.mem protected key) ->
-            Hashtbl.replace inert key ()
-          | _ -> ())
-        (Fortran.Symtab.vars_of_scope st scope))
-    scopes;
+(* The mask is fixed by the baseline program: the atoms whose kind
+   cannot change the outcome or the charged cost (Assignment.inert). *)
+let share_create st atoms =
+  let inert = Transform.Assignment.inert st atoms in
   {
     sh_lock = Mutex.create ();
     sh_tbl = Hashtbl.create 256;
-    sh_scopes = scopes;
-    sh_inert = inert;
-    sh_hits = Atomic.make 0;
-    sh_misses = Atomic.make 0;
+    sh_masked = List.filter (fun i -> inert.(i)) (List.init (Array.length inert) Fun.id);
   }
-
-(* An empty table over the same static analysis: the key scopes and the
-   inert set are functions of the baseline program alone. *)
-let share_fresh sh =
-  { sh with sh_lock = Mutex.create (); sh_tbl = Hashtbl.create 256; sh_hits = Atomic.make 0;
-            sh_misses = Atomic.make 0 }
 
 type prepared = {
   model : Models.Registry.t;
@@ -141,54 +74,26 @@ type prepared = {
   budget : float;
   baseline_static : Analysis.Static_cost.verdict;
   scorer : Sensitivity.Score.t option;
-      (* the error-amplification scorer steering rank/prune; None when
+      (* the error-amplification scorer steering rank; None when
          predict is off or the mirror analysis declined to vouch for
          itself (fell back to the unpredicted search) *)
-  cache : Runtime.Lower.Cache.t option;  (* per-procedure lowering cache *)
+  cache : Runtime.Lower.Cache.t;  (* per-procedure lowering cache *)
   ccache : Runtime.Compile.Cache.t;  (* compiled-procedure cache *)
-  share : share option;  (* batch-reuse table; None disables sharing *)
+  share : share option;  (* batch-reuse table; None under verify_roundtrip *)
   eval_stats : eval_stats;
 }
 
-(* Effective precision signature of the reachable program under [asg]:
-   same shape as [Runtime.Lower]'s cache key, but each real declaration
-   reports the kind the assignment gives it rather than the declared one,
-   so an atom explicitly assigned its declared kind keys identically to
-   one the assignment leaves alone. *)
-let share_key p sh asg =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun scope ->
-      (match scope with
-      | Fortran.Symtab.Unit_scope u -> Buffer.add_string buf u
-      | Fortran.Symtab.Proc_scope pr -> Buffer.add_string buf pr);
-      Buffer.add_char buf ':';
-      let vars =
-        List.sort
-          (fun (a : Fortran.Symtab.var_info) (b : Fortran.Symtab.var_info) ->
-            compare a.Fortran.Symtab.v_name b.Fortran.Symtab.v_name)
-          (Fortran.Symtab.vars_of_scope p.st scope)
-      in
-      List.iter
-        (fun (v : Fortran.Symtab.var_info) ->
-          match v.Fortran.Symtab.v_base with
-          | Fortran.Ast.Treal _
-            when v.Fortran.Symtab.v_init = None
-                 && Hashtbl.mem sh.sh_inert (scope, v.Fortran.Symtab.v_name) ->
-            ()
-          | Fortran.Ast.Treal declared ->
-            let k =
-              match Transform.Assignment.lookup asg ~scope v.Fortran.Symtab.v_name with
-              | Some k -> k
-              | None -> declared
-            in
-            Buffer.add_string buf v.Fortran.Symtab.v_name;
-            Buffer.add_string buf (match k with Fortran.Ast.K4 -> "!4;" | Fortran.Ast.K8 -> "!8;")
-          | Fortran.Ast.Tinteger | Fortran.Ast.Tlogical -> ())
-        vars;
-      Buffer.add_char buf '|')
-    sh.sh_scopes;
-  Buffer.contents buf
+(* The table's key for [asg]: its signature with every masked atom's
+   position blanked. [None] without a table, or off the prepared search
+   space (say, prepare's whole-program uniform-32 run): such variants
+   are evaluated directly. *)
+let share_key p asg =
+  match p.share with
+  | Some sh when Transform.Assignment.atoms asg == p.atoms ->
+    let key = Bytes.of_string (Transform.Assignment.signature asg) in
+    List.iter (fun i -> Bytes.set key i '-') sh.sh_masked;
+    Some (sh, Bytes.unsafe_to_string key)
+  | Some _ | None -> None
 
 let hotspot_time_of procs timers =
   List.fold_left (fun acc p -> acc +. Runtime.Timers.exclusive_of timers p) 0.0 procs
@@ -259,7 +164,7 @@ let direct_raw p asg : raw =
   | exception Fortran.Symtab.Error { message; _ } -> failed_raw ("symtab: " ^ message)
   | st', w ->
     let ir =
-      Runtime.Lower.lower ?cache:p.cache ~machine:p.config.Config.machine
+      Runtime.Lower.lower ~cache:p.cache ~machine:p.config.Config.machine
         ~wrapper_owner:(Transform.Wrappers.owner_fn w) st'
     in
     score_outcome p
@@ -270,14 +175,12 @@ let direct_raw p asg : raw =
    first write wins (a racing worker adopts the published outcome, so the
    table's contents never depend on scheduling). *)
 let shared_raw p asg : raw =
-  match p.share with
+  match share_key p asg with
   | None -> direct_raw p asg
-  | Some sh -> (
-    let key = share_key p sh asg in
+  | Some (sh, key) -> (
     Mutex.lock sh.sh_lock;
     match Hashtbl.find_opt sh.sh_tbl key with
     | Some raw ->
-      Atomic.incr sh.sh_hits;
       Mutex.unlock sh.sh_lock;
       raw
     | None -> (
@@ -286,11 +189,9 @@ let shared_raw p asg : raw =
       Mutex.lock sh.sh_lock;
       match Hashtbl.find_opt sh.sh_tbl key with
       | Some winner ->
-        Atomic.incr sh.sh_hits;
         Mutex.unlock sh.sh_lock;
         winner
       | None ->
-        Atomic.incr sh.sh_misses;
         Hashtbl.replace sh.sh_tbl key raw;
         Mutex.unlock sh.sh_lock;
         raw))
@@ -382,21 +283,15 @@ let prepare ?(config = Config.default) (model : Models.Registry.t) : prepared =
       ~procs:(Some model.target_procs) ~exclude:model.exclude_atoms
   in
   if atoms = [] then invalid_arg ("Tuner.prepare: no FP atoms in " ^ model.target_module);
-  let cache =
-    if config.Config.proc_cache then Some (Runtime.Lower.Cache.create ()) else None
-  in
+  let cache = Runtime.Lower.Cache.create () in
   let ccache = Runtime.Compile.Cache.create () in
   (* sharing is off under verify_roundtrip: the oracle's whole point is to
      actually run both pipelines on every variant *)
-  let share =
-    if config.Config.batch_reuse && not config.Config.verify_roundtrip then
-      Some (share_create st)
-    else None
-  in
+  let share = if config.Config.verify_roundtrip then None else Some (share_create st atoms) in
   let out =
     Runtime.Compile.run
       (Runtime.Compile.compile ~cache:ccache
-         (Runtime.Lower.lower ?cache ~machine:config.Config.machine st))
+         (Runtime.Lower.lower ~cache ~machine:config.Config.machine st))
   in
   (match out.Runtime.Interp.status with
   | Runtime.Interp.Finished -> ()
@@ -476,7 +371,7 @@ let prepare ?(config = Config.default) (model : Models.Registry.t) : prepared =
   let scorer =
     match config.Config.predict with
     | Config.Predict_off -> None
-    | Config.Predict_rank | Config.Predict_prune ->
+    | Config.Predict_rank ->
       Sensitivity.Score.create ~st ~atoms ~metric_key:model.metric_key ~baseline_metric
         ~threshold ~margin:config.Config.predict_margin
   in
@@ -505,25 +400,7 @@ let evaluate p asg : Variant.measurement =
       casting_share = 0.0;
       detail = "static-filter";
     }
-  else
-    match p.scorer with
-    | Some sc
-      when p.config.Config.predict = Config.Predict_prune && Sensitivity.Score.prune sc asg ->
-      (* provably hopeless: the finite static error bound already exceeds
-         margin × threshold. A pure function of (config, signature), so
-         every worker/shard/resume agrees; journaled as a loss record that
-         never reached the cluster. *)
-      {
-        Variant.status = Variant.Fail;
-        speedup = 0.0;
-        rel_error = infinity;
-        hotspot_time = 0.0;
-        model_time = 0.0;
-        proc_stats = [];
-        casting_share = 0.0;
-        detail = Printf.sprintf "static: bound %.6g" (Sensitivity.Score.static_bound sc asg);
-      }
-    | Some _ | None -> measurement_of_raw p asg (transform_and_run p asg)
+  else measurement_of_raw p asg (transform_and_run p asg)
 
 let uniform32_measurement p =
   measurement_of_raw p
@@ -579,13 +456,10 @@ type campaign = {
   fault_stats : Cluster.Faults.stats option;
 }
 
-(* Static-filter and static-prune rejections never reach the cluster, so
-   no fault can touch them and they cost no simulated node time; every
-   fault-accounting site must agree with [faulted_evaluate]. Both detail
-   strings start with "static". *)
-let off_cluster (m : Variant.measurement) =
-  let d = m.Variant.detail in
-  String.length d >= 6 && String.sub d 0 6 = "static"
+(* Static-filter rejections never reach the cluster, so no fault can
+   touch them and they cost no simulated node time; every
+   fault-accounting site must agree with [faulted_evaluate]. *)
+let off_cluster (m : Variant.measurement) = m.Variant.detail = "static-filter"
 
 (* The per-procedure cache keys evaluating [asg] requests from
    [Lower.Cache] and [Compile.Cache], derived statically (rewrite +
@@ -608,33 +482,25 @@ let variant_cache_keys p asg =
    The live cache counters (atomics) keep counting real work, including
    speculation later discarded, which is why they are not reported. *)
 let replay_backend p records =
-  let compile_on = p.cache <> None in
   let classes = Hashtbl.create 256 in
   let keys_seen = Hashtbl.create 512 in
   let rh = ref 0 and rm = ref 0 and compiled = ref 0 and chits = ref 0 in
   List.iter
     (fun (r : Variant.record) ->
-      if not (off_cluster r.Variant.meas) then begin
-        let cls =
-          match p.share with
-          | Some sh -> share_key p sh r.Variant.asg
-          | None -> Transform.Assignment.signature r.Variant.asg
-        in
-        if Hashtbl.mem classes cls then incr rh
-        else begin
-          Hashtbl.add classes cls ();
+      if not (off_cluster r.Variant.meas) then
+        match share_key p r.Variant.asg with
+        | Some (_, cls) when Hashtbl.mem classes cls -> incr rh
+        | key ->
+          Option.iter (fun (_, cls) -> Hashtbl.add classes cls ()) key;
           incr rm;
-          if compile_on then
-            List.iter
-              (fun k ->
-                if Hashtbl.mem keys_seen k then incr chits
-                else begin
-                  Hashtbl.add keys_seen k ();
-                  incr compiled
-                end)
-              (variant_cache_keys p r.Variant.asg)
-        end
-      end)
+          List.iter
+            (fun k ->
+              if Hashtbl.mem keys_seen k then incr chits
+              else begin
+                Hashtbl.add keys_seen k ();
+                incr compiled
+              end)
+            (variant_cache_keys p r.Variant.asg))
     records;
   {
     compiled_procs = !compiled;
@@ -948,7 +814,14 @@ let execute p ~algo ?workers ?shards ?shard ?journal ?faults ?checkpoint ?memo ~
   in
   (* schedule effectively-identical candidates on one slot so the
      batch-reuse table is hit instead of raced *)
-  let affinity = Option.map (fun sh asg -> share_key p sh asg) p.share in
+  let affinity =
+    Option.map
+      (fun _ asg ->
+        match share_key p asg with
+        | Some (_, key) -> key
+        | None -> Transform.Assignment.signature asg)
+      p.share
+  in
   (* simulated node-seconds of one evaluation, for the shard scheduler's
      cluster clock; statically filtered variants never leave the login
      node *)
@@ -995,14 +868,14 @@ let execute p ~algo ?workers ?shards ?shard ?journal ?faults ?checkpoint ?memo ~
           Fun.protect ~finally:(fun () -> note_sched sh) (fun () -> f (Some sh)))
   in
   let dd_config = { Delta_debug.error_threshold = p.threshold; perf_floor = p.perf_floor } in
-  (* rank (and prune, which implies rank) demotes predicted-fail ddmin
-     candidates with the Sensitivity.Rank evidence engine. Evidence is
-     fed from committed records in consumption order — identical at every
-     worker/shard/slice count and under resume — so the steered
-     trajectory is deterministic (DESIGN.md §13) *)
+  (* rank demotes predicted-fail ddmin candidates with the
+     Sensitivity.Rank evidence engine. Evidence is fed from committed
+     records in consumption order — identical at every worker/shard/slice
+     count and under resume — so the steered trajectory is deterministic
+     (DESIGN.md §13) *)
   let ranker =
     match p.scorer with
-    | Some sc when p.config.Config.predict <> Config.Predict_off ->
+    | Some sc ->
       let safe =
         List.filter
           (fun a ->
@@ -1033,7 +906,7 @@ let execute p ~algo ?workers ?shards ?shard ?journal ?faults ?checkpoint ?memo ~
           round = (fun () -> Sensitivity.Rank.round rk);
           demote = (fun asg -> Sensitivity.Rank.demote rk asg);
         }
-    | Some _ | None -> None
+    | None -> None
   in
   let interrupted = ref false in
   let minimal =
@@ -1170,9 +1043,11 @@ let journaled ?workers ?shards ?shard ?faults ?checkpoint ?memo ~algo ~dir p =
 let fresh_state p =
   {
     p with
-    cache = Option.map (fun _ -> Runtime.Lower.Cache.create ()) p.cache;
+    cache = Runtime.Lower.Cache.create ();
     ccache = Runtime.Compile.Cache.create ();
-    share = Option.map share_fresh p.share;
+    share =
+      Option.map (fun sh -> { sh with sh_lock = Mutex.create (); sh_tbl = Hashtbl.create 256 })
+        p.share;
     eval_stats = eval_stats_create ();
   }
 

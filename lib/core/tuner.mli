@@ -16,12 +16,13 @@ type eval_stats
     max); safe to update from every domain that evaluates a batch. *)
 
 type share
-(** The batch-reuse table: raw outcomes shared between variants whose
-    effective precision signature (declared kinds overridden by the
-    assignment) agrees on every scope that can influence the run — all
-    unit scopes plus every procedure reachable from the main program.
-    Mutex-guarded, first write wins, so the records a campaign commits
-    never depend on the worker count. *)
+(** The batch-reuse table: raw outcomes shared between variants of the
+    search space whose signatures agree once a per-atom mask, fixed by
+    the baseline program, blanks the atoms whose kind cannot influence
+    the run — those of procedures unreachable from the main program, and
+    inert reals (no def, no use, no initializer, neither a dummy nor a
+    function result). Mutex-guarded, first write wins, so the records a
+    campaign commits never depend on the worker count. *)
 
 type prepared = {
   model : Models.Registry.t;
@@ -41,26 +42,23 @@ type prepared = {
   budget : float;  (** variant timeout: timeout_factor × baseline cost *)
   baseline_static : Analysis.Static_cost.verdict;
   scorer : Sensitivity.Score.t option;
-      (** the error-amplification scorer steering {!Config.predict}
-          rank/prune; [None] when predict is off, or when the mirror
-          analysis declined to vouch for itself
-          ({!Sensitivity.Score.create} returned [None]) and the campaign
-          fell back to the unpredicted search *)
-  cache : Runtime.Lower.Cache.t option;
-      (** the campaign's per-procedure lowering cache ([None] when
-          {!Config.t.proc_cache} is off); domain-safe, shared by every
-          evaluating domain. This field, [ccache], [share] and [eval_stats] are the
-          per-campaign state {!run_prepared} allocates afresh for every
-          campaign it runs. *)
+      (** the error-amplification scorer steering {!Config.Predict_rank};
+          [None] when predict is off, or when the mirror analysis
+          declined to vouch for itself ({!Sensitivity.Score.create}
+          returned [None]) and the campaign fell back to the unpredicted
+          search *)
+  cache : Runtime.Lower.Cache.t;
+      (** the campaign's per-procedure lowering cache; domain-safe,
+          shared by every evaluating domain. This field, [ccache],
+          [share] and [eval_stats] are the per-campaign state
+          {!run_prepared} allocates afresh for every campaign it runs. *)
   ccache : Runtime.Compile.Cache.t;
       (** the campaign's compiled-procedure cache, keyed by the same
-          precision-signature scheme as [cache] (unused when [cache] is
-          [None]: procedures lowered uncached carry no key); the baseline
-          run in {!prepare} fills it first *)
+          precision-signature scheme as [cache]; the baseline run in
+          {!prepare} fills it first *)
   share : share option;
-      (** the batch-reuse table ([None] when {!Config.t.batch_reuse} is
-          off, or under [verify_roundtrip], whose point is to really run
-          every variant) *)
+      (** the batch-reuse table ([None] under [verify_roundtrip], whose
+          point is to really run every variant) *)
   eval_stats : eval_stats;
 }
 
@@ -86,6 +84,11 @@ val evaluate : prepared -> Transform.Assignment.t -> Search.Variant.measurement
     pipeline and raises [Failure] if any outcome bit differs — the fast
     path's correctness oracle.
 
+    Apart from the static filter, every variant runs, or is served from
+    the batch-reuse table an effectively identical variant filled. None
+    is judged by its static error bound: a first-order upper bound
+    cannot prove a failure.
+
     Re-entrant: each call allocates its own transformation and execution
     state and only reads the shared [prepared] value (the lowering cache
     is mutex-guarded), so concurrent calls from several domains are safe. *)
@@ -109,8 +112,9 @@ type backend_stats = {
           running anything *)
   reuse_misses : int;  (** committed variants that run and publish their outcome *)
 }
-(** Evaluation-backend traffic — all zero when the corresponding
-    {!Config.t} switches are off. Derived by replaying the committed
+(** Evaluation-backend traffic; the reuse counters are zero under
+    {!Config.t.verify_roundtrip}, which runs without the table. Derived
+    by replaying the committed
     record stream in commit order (batch-reuse classes first, then the
     per-procedure cache keys of each fresh class), so the numbers are
     identical at every worker and shard count — speculative evaluations
@@ -329,10 +333,9 @@ val run_prepared :
     with records identical to solo runs (outcomes never depend on cache
     contents) and no cache outliving its call. Hand it only campaigns of
     the space it was built for: the same model source, the same
-    {!Config.digest}, and the same {!Config.t.proc_cache},
-    [batch_reuse] and [verify_roundtrip] switches, which the digest
-    leaves out but {!prepare} reads. The header check catches a
-    mismatched model, digest or search-space size. *)
+    {!Config.digest}, and the same {!Config.t.verify_roundtrip} switch,
+    which the digest leaves out but {!prepare} reads. The header check
+    catches a mismatched model, digest or search-space size. *)
 
 val resume :
   ?config:Config.t ->

@@ -390,15 +390,41 @@ let check_block st ~in_proc blk =
       | Ast.Exit_stmt | Ast.Cycle_stmt | Ast.Return_stmt | Ast.Stop_stmt _ -> ())
     blk
 
+(* [exit] and [cycle] must sit inside a [do] or [do while] of the same
+   body: the evaluators would otherwise let one escape a called
+   procedure into the caller's loop. *)
+let rec check_loop_escapes ~in_proc ~in_loop blk =
+  List.iter
+    (fun (s : Ast.stmt) ->
+      match s.Ast.node with
+      | Ast.Exit_stmt when not in_loop -> error s.Ast.loc "exit outside a do loop%s" (ctx in_proc)
+      | Ast.Cycle_stmt when not in_loop ->
+        error s.Ast.loc "cycle outside a do loop%s" (ctx in_proc)
+      | Ast.Do { body; _ } | Ast.Do_while { body; _ } ->
+        check_loop_escapes ~in_proc ~in_loop:true body
+      | Ast.If (arms, els) ->
+        List.iter (fun (_, b) -> check_loop_escapes ~in_proc ~in_loop b) arms;
+        check_loop_escapes ~in_proc ~in_loop els
+      | Ast.Select { arms; default; _ } ->
+        List.iter (fun (_, b) -> check_loop_escapes ~in_proc ~in_loop b) arms;
+        check_loop_escapes ~in_proc ~in_loop default
+      | Ast.Assign _ | Ast.Call _ | Ast.Print_stmt _ | Ast.Exit_stmt | Ast.Cycle_stmt
+      | Ast.Return_stmt | Ast.Stop_stmt _ -> ())
+    blk
+
 let check_program st =
   let prog = Symtab.program st in
+  let check_body ~in_proc body =
+    check_block st ~in_proc body;
+    check_loop_escapes ~in_proc ~in_loop:false body
+  in
   List.iter
     (fun u ->
       (match u with
-      | Ast.Main m -> check_block st ~in_proc:None m.main_body
+      | Ast.Main m -> check_body ~in_proc:None m.main_body
       | Ast.Module _ -> ());
       List.iter
-        (fun (p : Ast.proc) -> check_block st ~in_proc:(Some p.proc_name) p.proc_body)
+        (fun (p : Ast.proc) -> check_body ~in_proc:(Some p.proc_name) p.proc_body)
         (Ast.procs_of_unit u))
     prog;
   match mismatches st with

@@ -48,9 +48,10 @@ val mismatches : Symtab.t -> mismatch list
 
 val check_program : Symtab.t -> unit
 (** Full program check: infers every expression, validates call arity and
-    argument base types, and raises {!Error} on the first kind mismatch
-    (strict Fortran semantics). Programs emitted by the transformation
-    pipeline must pass this. *)
+    argument base types, rejects an [exit] or [cycle] with no enclosing
+    [do]/[do while] in its own procedure or main body, and raises
+    {!Error} on the first kind mismatch (strict Fortran semantics).
+    Programs emitted by the transformation pipeline must pass this. *)
 
 val static_int : Symtab.t -> in_proc:string option -> Ast.expr -> int option
 (** Constant-folds an integer expression using visible [parameter]

@@ -1,10 +1,15 @@
 (* Accumulators are all-float records on purpose: OCaml stores those
    flat (like a float array), so the per-charge field updates allocate
-   nothing. With an int [calls] field the record would be mixed, every
-   float store would box, and [charge] — the hottest operation in an
-   evaluation — would allocate on each call. Call counts are exact in a
-   float far beyond any reachable count. *)
-type acc = { mutable calls : float; mutable exclusive : float; mutable inclusive : float }
+   nothing. With an int [calls] or [active] field the record would be
+   mixed, every float store would box, and [charge] — the hottest
+   operation in an evaluation — would allocate on each call. Counts are
+   exact in a float far beyond any reachable count. *)
+type acc = {
+  mutable calls : float;
+  mutable exclusive : float;
+  mutable inclusive : float;
+  mutable active : float;  (* activations currently on the stack *)
+}
 
 (* The attribution stack is three parallel arrays (grown on demand)
    rather than a list: [enter]/[exit_] run once per modeled procedure
@@ -24,7 +29,7 @@ type t = {
 type entry = { name : string; calls : int; exclusive : float; inclusive : float }
 
 let create () =
-  let sentinel = { calls = 0.0; exclusive = 0.0; inclusive = 0.0 } in
+  let sentinel = { calls = 0.0; exclusive = 0.0; inclusive = 0.0; active = 0.0 } in
   {
     table = Hashtbl.create 32;
     names = Array.make 64 "";
@@ -39,7 +44,7 @@ let acc_of t name =
   match Hashtbl.find_opt t.table name with
   | Some a -> a
   | None ->
-    let a = { calls = 0.0; exclusive = 0.0; inclusive = 0.0 } in
+    let a = { calls = 0.0; exclusive = 0.0; inclusive = 0.0; active = 0.0 } in
     Hashtbl.add t.table name a;
     a
 
@@ -63,6 +68,7 @@ type clock = { mutable now : float }
    evaluator's call path) *)
 let[@inline] push t (a : acc) name now =
   a.calls <- a.calls +. 1.0;
+  a.active <- a.active +. 1.0;
   let d = t.depth in
   if d = Array.length t.names then grow t;
   t.names.(d) <- name;
@@ -75,7 +81,10 @@ let[@inline] pop t now =
   if t.depth = 0 then invalid_arg "Timers.exit_: empty stack";
   let d = t.depth - 1 in
   let a = t.accs.(d) in
-  a.inclusive <- a.inclusive +. (now -. t.marks.(d));
+  (* as GPTL does, only the outermost activation of a recursion adds its
+     span: the inner spans lie inside it *)
+  a.active <- a.active -. 1.0;
+  if a.active = 0.0 then a.inclusive <- a.inclusive +. (now -. t.marks.(d));
   t.depth <- d;
   t.top <- (if d = 0 then t.sentinel else t.accs.(d - 1))
 

@@ -15,9 +15,16 @@
       only — which is exactly why the whole-model-guided search of
       Sec. IV-C sees slowdowns that hotspot timing does not;
     - inclusive time (callees included) and call counts are kept per
-      procedure; Fig. 6 plots average inclusive time per call. *)
+      procedure; Fig. 6 plots average inclusive time per call. Under
+      recursion, as in GPTL, only a procedure's outermost activation
+      adds inclusive time: the spans of the inner ones lie inside it. *)
 
-type acc = { mutable calls : float; mutable exclusive : float; mutable inclusive : float }
+type acc = {
+  mutable calls : float;
+  mutable exclusive : float;
+  mutable inclusive : float;
+  mutable active : float;  (** activations currently on the stack *)
+}
 (** A procedure's accumulator. All-float so the record is stored flat
     and charging never allocates. Fast-path evaluators resolve it once
     per (run, procedure) with {!acc_of} and then {!enter_clock} with no
@@ -71,7 +78,8 @@ val exit_clock : t -> clock -> unit
 
 val exit_ : t -> now:float -> unit
 (** Pop the top procedure, folding [now - entry_mark] into its inclusive
-    time. Calls must nest properly. *)
+    time when this was its outermost activation. Calls must nest
+    properly. *)
 
 val charge : t -> float -> unit
 (** Attribute cost to the procedure on top (no-op on an empty stack). *)
@@ -80,8 +88,7 @@ val current : t -> string option
 
 val snapshot : t -> entry list
 (** Per-procedure totals, sorted by descending inclusive time. Only valid
-    once the stack has fully unwound (recursion would double-count
-    inclusive time; the models are non-recursive). *)
+    once the stack has fully unwound. *)
 
 val inclusive_of : entry list -> string -> float
 val exclusive_of : entry list -> string -> float

@@ -73,6 +73,8 @@ type t = {
   atoms : A.atom list;
   aidx : (string, int) Hashtbl.t;
   influential : bool array;
+      (* not Assignment.inert: failure evidence is projected onto these,
+         so variants differing only in inert atoms share their evidence *)
   perf_floor : float;
   feat_memo : (string, float array) Hashtbl.t;
   seen : (string, unit) Hashtbl.t;
@@ -81,65 +83,6 @@ type t = {
   mutable samples : (float array * float) list;  (* committed (features, speedup) *)
   mutable perf_fail : float array -> bool;  (* refit by [round] *)
 }
-
-(* Atoms whose lowering cannot influence the checked output: scope not
-   reachable from the main program, or variable never defined/used, never
-   a dummy/result, and without an initializer. Failure evidence is
-   projected onto the influential complement, so two variants differing
-   only in inert atoms share their evidence. (This mirrors the variable
-   set the batch-reuse share key drops.) *)
-let influential_atoms st atoms =
-  let cg = Analysis.Callgraph.build st in
-  let roots = List.map fst (Analysis.Callgraph.callees cg None) in
-  let units = List.map Ast.unit_name (Symtab.program st) in
-  let scopes =
-    List.map (fun u -> Symtab.Unit_scope u) units
-    @ List.map
-        (fun pr -> Symtab.Proc_scope pr)
-        (List.sort_uniq compare (Analysis.Callgraph.reachable cg ~roots))
-  in
-  let touched = Hashtbl.create 64 in
-  List.iter
-    (fun (s : Analysis.Defuse.summary) ->
-      if s.Analysis.Defuse.defs <> [] || s.Analysis.Defuse.uses <> [] then
-        Hashtbl.replace touched (s.Analysis.Defuse.scope, s.Analysis.Defuse.var) ())
-    (Analysis.Defuse.analyze st);
-  let protected = Hashtbl.create 64 in
-  List.iter
-    (fun u ->
-      match u with
-      | Ast.Main _ -> ()
-      | Ast.Module m ->
-        List.iter
-          (fun (pr : Ast.proc) ->
-            let scope = Symtab.Proc_scope pr.Ast.proc_name in
-            List.iter (fun d -> Hashtbl.replace protected (scope, d) ()) pr.Ast.params;
-            match pr.Ast.proc_kind with
-            | Ast.Function { result } -> Hashtbl.replace protected (scope, result) ()
-            | Ast.Subroutine -> ())
-          m.Ast.mod_procs)
-    (Symtab.program st);
-  let arr = Array.make (List.length atoms) true in
-  List.iteri
-    (fun i (a : A.atom) ->
-      let key = (a.A.a_scope, a.A.a_name) in
-      let init =
-        match
-          Symtab.lookup_var st
-            ~in_proc:
-              (match a.A.a_scope with
-              | Symtab.Proc_scope pr -> Some pr
-              | Symtab.Unit_scope _ -> None)
-            a.A.a_name
-        with
-        | Some vi -> vi.Symtab.v_init <> None
-        | None -> true
-      in
-      arr.(i) <-
-        List.mem a.A.a_scope scopes
-        && (Hashtbl.mem touched key || Hashtbl.mem protected key || init))
-    atoms;
-  arr
 
 let create ~st ~atoms ~safe ~perf_floor =
   let aidx = Hashtbl.create 64 in
@@ -151,7 +94,7 @@ let create ~st ~atoms ~safe ~perf_floor =
     st;
     atoms;
     aidx;
-    influential = influential_atoms st atoms;
+    influential = Array.map not (A.inert st atoms);
     perf_floor;
     feat_memo = Hashtbl.create 256;
     seen = Hashtbl.create 256;

@@ -14,7 +14,7 @@
 
    Whole-assignment bounds are first-order: the bound of a variant is the
    sum of its singleton bounds (DESIGN.md §13 gives the argument and its
-   limits; the prune margin absorbs the second-order slack). *)
+   limits). *)
 
 open Fortran
 module A = Transform.Assignment
@@ -25,7 +25,6 @@ type t = {
   weight : float array;
   total_weight : float;
   threshold : float;
-  margin : float;
   index_of : (Symtab.scope * string, int) Hashtbl.t;
 }
 
@@ -72,7 +71,7 @@ let mean_trip st =
   | [] -> 10.0
   | cs -> Float.max 1.0 (List.fold_left ( +. ) 0.0 cs /. float_of_int (List.length cs))
 
-let create ~st ~atoms ~metric_key ~baseline_metric ~threshold ~margin =
+let create ~st ~atoms ~metric_key ~baseline_metric ~threshold ~margin:_ =
   let r = Absint.analyze ~atoms st in
   if r.Absint.r_status <> Absint.Finished then None
   else begin
@@ -129,7 +128,7 @@ let create ~st ~atoms ~metric_key ~baseline_metric ~threshold ~margin =
           | None -> ())
         index_of;
       let total_weight = Float.max 1.0 (Array.fold_left ( +. ) 0.0 weight) in
-      Some { rel_bound; amp; weight; total_weight; threshold; margin; index_of }
+      Some { rel_bound; amp; weight; total_weight; threshold; index_of }
     end
   end
 
@@ -160,14 +159,6 @@ let payoff t asg =
   1.0 +. (lowered_weight /. t.total_weight)
 
 let score t asg = pass_probability t asg *. payoff t asg
-
-(* prune only on a FINITE bound provably past the (margin-scaled)
-   threshold; an infinite bound means "unknown", never "hopeless" *)
-let prune t asg =
-  Float.is_finite t.threshold
-  &&
-  let b = static_bound t asg in
-  Float.is_finite b && b > t.margin *. t.threshold
 
 let atom_bound t (a : A.atom) =
   Option.map (fun i -> t.rel_bound.(i)) (Hashtbl.find_opt t.index_of (a.A.a_scope, a.A.a_name))

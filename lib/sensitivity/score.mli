@@ -2,9 +2,9 @@
 
     A scorer is built once per campaign (from the prepared original
     program, its baseline metric series, and its resolved error threshold)
-    and then queried as a pure function of the assignment — rank order and
-    prune decisions depend only on the program and configuration, never on
-    scheduling, so any worker/shard/slice count agrees on them. *)
+    and then queried as a pure function of the assignment — rank order
+    depends only on the program and configuration, never on scheduling,
+    so any worker/shard/slice count agrees on it. *)
 
 type t
 
@@ -19,7 +19,9 @@ val create :
 (** [None] when the analysis cannot vouch for itself: the mirror fails to
     finish, or its concrete output series is not bit-identical to the
     interpreter's [baseline_metric] (fidelity gate). Callers fall back to
-    the unpredicted search. *)
+    the unpredicted search. [margin] is accepted and ignored: no query
+    reads it ([Core.Config.t.predict_margin] only enters rank's
+    digest). *)
 
 val static_bound : t -> Transform.Assignment.t -> float
 (** Sound first-order bound on the variant's l2 relative output error:
@@ -41,11 +43,6 @@ val score : t -> Transform.Assignment.t -> float
 (** Ranking score: predicted pass-probability × predicted speedup payoff.
     Uses the finite amplification heuristic where the sound bound is
     infinite, so it totally orders all variants. Higher is better. *)
-
-val prune : t -> Transform.Assignment.t -> bool
-(** [true] when the variant is provably hopeless: its FINITE static bound
-    exceeds margin × threshold. An infinite bound is "unknown", never
-    grounds for pruning, so a sound analysis never prunes a passer. *)
 
 val atom_bound : t -> Transform.Assignment.atom -> float option
 (** The singleton bound for one atom ([None] for atoms outside the

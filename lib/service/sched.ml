@@ -103,25 +103,6 @@ module Fair = struct
   let simulate ~slices = simulate_weighted ~slices:(List.map (fun (id, n) -> (id, n, 1)) slices)
 end
 
-(* What [Tuner.prepare]'s output is a function of: the evaluation space
-   as the memo keys it (model name and source, Config.digest) plus the
-   execution strategies the digest leaves out but prepare reads — they
-   pick the caches it allocates and the summary's "backend" block. *)
-type space = {
-  memo_space : string;  (* Memo.space_key *)
-  proc_cache : bool;
-  batch_reuse : bool;
-  verify_roundtrip : bool;
-}
-
-let space_of ~model ~(config : Core.Config.t) =
-  {
-    memo_space = Memo.space_key ~model ~config;
-    proc_cache = config.Core.Config.proc_cache;
-    batch_reuse = config.Core.Config.batch_reuse;
-    verify_roundtrip = config.Core.Config.verify_roundtrip;
-  }
-
 type t = {
   store : Store.t;
   slice_records : int;
@@ -129,8 +110,12 @@ type t = {
   memo : Memo.t option;  (* fleet-wide evaluation memo; None = dedup off *)
   find_model : string -> Models.Registry.t;
   on_event : event -> unit;
-  prepared : (space, Core.Tuner.prepared) Hashtbl.t;
-      (* at most one per space, kept while some runnable job maps to it *)
+  prepared : (string, Core.Tuner.prepared) Hashtbl.t;
+      (* keyed by Memo.space_key (model name and source, Config.digest),
+         which fixes everything Tuner.prepare reads: jobs run
+         Job.config_of_spec, whose one switch outside the digest,
+         verify_roundtrip, is always off. At most one per space, kept
+         while some runnable job maps to it *)
   mutable cursor : Fair.cursor;
   mutable draining : bool;
 }
@@ -229,7 +214,7 @@ let run_slice t (job0 : Job.t) =
       | Some a -> a
       | None -> failwith ("unknown algorithm " ^ spec.Job.sp_algo)
     in
-    let space = space_of ~model ~config in
+    let space = Memo.space_key ~model ~config in
     let p =
       match Hashtbl.find_opt t.prepared space with
       | Some p -> p
@@ -242,7 +227,7 @@ let run_slice t (job0 : Job.t) =
     (* one memo space per (model source, config digest): only jobs whose
        measurements are interchangeable ever share *)
     let memo =
-      Option.map (fun m -> Memo.hooks m ~space:space.memo_space ~job:id) t.memo
+      Option.map (fun m -> Memo.hooks m ~space ~job:id) t.memo
     in
     Core.Tuner.run_prepared ~workers:spec.Job.sp_workers ?shard:t.shard ?faults ~checkpoint
       ?memo ~algo ~journal:dir p
@@ -296,7 +281,7 @@ let evict t runnable =
     List.filter_map
       (fun (j : Job.t) ->
         match t.find_model j.Job.spec.Job.sp_model with
-        | model -> Some (space_of ~model ~config:(Job.config_of_spec j.Job.spec))
+        | model -> Some (Memo.space_key ~model ~config:(Job.config_of_spec j.Job.spec))
         | exception Not_found -> None)
       runnable
   in

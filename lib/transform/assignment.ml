@@ -35,6 +35,43 @@ let atoms_of_target ?(exclude = []) st ~module_ ~procs =
         | Symtab.Proc_scope p -> List.mem p keep)
       all
 
+let inert st atoms =
+  let cg = Analysis.Callgraph.build st in
+  let reachable =
+    Analysis.Callgraph.reachable cg ~roots:(List.map fst (Analysis.Callgraph.callees cg None))
+  in
+  let defuse = Analysis.Defuse.analyze st in
+  let touched scope name =
+    List.exists
+      (fun (s : Analysis.Defuse.summary) ->
+        s.Analysis.Defuse.scope = scope && s.Analysis.Defuse.var = name
+        && (s.Analysis.Defuse.defs <> [] || s.Analysis.Defuse.uses <> []))
+      defuse
+  in
+  let initialized scope name =
+    List.exists
+      (fun (v : Symtab.var_info) -> v.v_name = name && v.v_init <> None)
+      (Symtab.vars_of_scope st scope)
+  in
+  let dummy_or_result proc name =
+    match Symtab.find_proc st proc with
+    | None -> false
+    | Some p -> (
+      List.mem name p.Ast.params
+      ||
+      match p.Ast.proc_kind with
+      | Ast.Function { result } -> result = name
+      | Ast.Subroutine -> false)
+  in
+  Array.of_list
+    (List.map
+       (fun a ->
+         match a.a_scope with
+         | Symtab.Proc_scope p when not (List.mem p reachable) -> true
+         | Symtab.Proc_scope p when dummy_or_result p a.a_name -> false
+         | scope -> not (touched scope a.a_name || initialized scope a.a_name))
+       atoms)
+
 module M = Map.Make (struct
   type t = Symtab.scope * string
 

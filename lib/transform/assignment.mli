@@ -35,6 +35,15 @@ val atoms_of_target :
     MPAS-A targets the work routines of [atm_time_integration], not its
     [atm_srk3] driver. [None] targets the whole module. *)
 
+val inert : Fortran.Symtab.t -> atom list -> bool array
+(** Per atom, in list order: [true] when its kind provably cannot change
+    a run's outcome or charged cost — its procedure is unreachable from
+    the main program, or it has no def, no use and no initializer and is
+    neither a dummy nor a function result (those take part in argument
+    binding and wrapper conversion even when the body never mentions
+    them). The batch-reuse table masks these atoms out of its key, and
+    the rank engine projects failure evidence off them. *)
+
 type t
 
 val uniform : atom list -> Fortran.Ast.real_kind -> t

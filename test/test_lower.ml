@@ -203,39 +203,6 @@ let cache_tests =
         Alcotest.(check int) "no new misses" misses_after_first misses;
         Alcotest.(check bool) "every procedure hit" true (hits >= misses);
         check_equiv "identical outcomes" o1 o2);
-    ts "workers=4 with cache == workers=0 without cache, record for record" (fun () ->
-        let config =
-          { Core.Config.default with Core.Config.max_variants = Some 20 }
-        in
-        let fast =
-          Core.Tuner.run_delta_debug
-            ~config:{ config with Core.Config.proc_cache = true }
-            ~workers:4 small_mpas
-        in
-        let slow =
-          Core.Tuner.run_delta_debug
-            ~config:{ config with Core.Config.proc_cache = false }
-            ~workers:0 small_mpas
-        in
-        Alcotest.(check int) "same variant count"
-          (List.length slow.Core.Tuner.records)
-          (List.length fast.Core.Tuner.records);
-        List.iter2
-          (fun a b ->
-            Alcotest.(check bool)
-              (Printf.sprintf "record %d identical" a.Search.Variant.index)
-              true
-              (compare (record_key a) (record_key b) = 0))
-          slow.Core.Tuner.records fast.Core.Tuner.records;
-        Alcotest.(check bool) "same minimal" true
-          (compare
-             (Option.map
-                (fun (r : Search.Delta_debug.result) -> r.Search.Delta_debug.high_set)
-                slow.Core.Tuner.minimal)
-             (Option.map
-                (fun (r : Search.Delta_debug.result) -> r.Search.Delta_debug.high_set)
-                fast.Core.Tuner.minimal)
-           = 0));
     ts "verify-roundtrip campaign passes" (fun () ->
         let config =
           { Core.Config.default with
@@ -251,7 +218,9 @@ let cache_tests =
 (* ------------------------------------------------------------------ *)
 (* Evaluation backends: the compiled closures and the batch-reuse table
    must leave campaigns record-for-record identical at every worker
-   count                                                               *)
+   count. The reference is a verify_roundtrip campaign: it checks every
+   evaluation against the tree-walker on the unparse→reparse round trip
+   and runs without the table.                                         *)
 
 let check_campaigns_equal (reference : Core.Tuner.campaign) (candidate : Core.Tuner.campaign) =
   Alcotest.(check int) "same variant count"
@@ -274,14 +243,10 @@ let check_campaigns_equal (reference : Core.Tuner.campaign) (candidate : Core.Tu
           candidate.Core.Tuner.minimal)
      = 0)
 
-let run_backend ?(verify_roundtrip = false) model ~batch_reuse ~workers ~max_variants =
+let run_backend ?(verify_roundtrip = false) model ~workers ~max_variants =
   Core.Tuner.run_delta_debug
     ~config:
-      { Core.Config.default with
-        Core.Config.max_variants = Some max_variants;
-        verify_roundtrip;
-        batch_reuse;
-      }
+      { Core.Config.default with Core.Config.max_variants = Some max_variants; verify_roundtrip }
     ~workers model
 
 (* funarc with two never-referenced reals in the search space: variants
@@ -307,59 +272,49 @@ let funarc_spares =
       String.sub src 0 cut ^ insert ^ String.sub src cut (String.length src - cut);
   }
 
+(* the mpas reference and the compiled campaigns at workers 0 and 4,
+   shared by the two record-for-record tests below *)
+let mpas_reference =
+  lazy (run_backend ~verify_roundtrip:true small_mpas ~workers:0 ~max_variants:20)
+
+let mpas_compiled =
+  lazy (List.map (fun workers -> run_backend small_mpas ~workers ~max_variants:20) [ 0; 4 ])
+
 let backend_tests =
   [
     ts "compiled backend == interpreter, record for record (workers 0 and 4)" (fun () ->
-        (* the reference checks every evaluation against the tree-walker
-           on the unparse→reparse round trip, and aborts on any bit of
-           difference *)
-        let reference =
-          run_backend ~verify_roundtrip:true small_mpas ~batch_reuse:false ~workers:0
-            ~max_variants:20
-        in
+        let reference = Lazy.force mpas_reference in
         List.iter
-          (fun workers ->
-            let c =
-              run_backend small_mpas ~batch_reuse:false ~workers
-                ~max_variants:20
-            in
+          (fun c ->
             Alcotest.(check bool) "procedures were compiled" true
               (c.Core.Tuner.backend.Core.Tuner.compiled_procs > 0);
             check_campaigns_equal reference c)
-          [ 0; 4 ]);
+          (Lazy.force mpas_compiled));
     ts "batched reuse == unbatched, record for record (workers 0 and 4)" (fun () ->
-        let reference =
-          run_backend small_mpas ~batch_reuse:false ~workers:0
-            ~max_variants:20
-        in
-        Alcotest.(check int) "reuse disabled reports no traffic" 0
+        let reference = Lazy.force mpas_reference in
+        Alcotest.(check int) "the unshared reference reports no reuse traffic" 0
           (reference.Core.Tuner.backend.Core.Tuner.reuse_hits
           + reference.Core.Tuner.backend.Core.Tuner.reuse_misses);
         List.iter
-          (fun workers ->
-            let c =
-              run_backend small_mpas ~batch_reuse:true ~workers
-                ~max_variants:20
-            in
+          (fun c ->
+            Alcotest.(check bool) "variants went through the table" true
+              (c.Core.Tuner.backend.Core.Tuner.reuse_misses > 0);
             check_campaigns_equal reference c)
-          [ 0; 4 ]);
+          (Lazy.force mpas_compiled));
     ts "batch-reuse table hits on effectively-identical variants" (fun () ->
         (* brute force enumerates atom subsets by counter bits, so with
            the never-referenced spares as the two highest-order atoms,
            every mask >= 256 repeats an earlier variant's effective
            program — the reuse table must serve those without re-running,
            and the records must not change *)
-        let run batch_reuse =
+        let run verify_roundtrip =
           Core.Tuner.run_brute_force
             ~config:
-              { Core.Config.default with
-                Core.Config.max_variants = Some 300;
-                batch_reuse;
-              }
+              { Core.Config.default with Core.Config.max_variants = Some 300; verify_roundtrip }
             funarc_spares
         in
-        let reference = run false in
-        let batched = run true in
+        let reference = run true in
+        let batched = run false in
         Alcotest.(check bool) "reuse table was hit" true
           (batched.Core.Tuner.backend.Core.Tuner.reuse_hits > 0);
         check_campaigns_equal reference batched);

@@ -361,9 +361,8 @@ let resume_tests =
                 (Harness.slurp (Persist.Journal.file ~dir:d));
               Alcotest.(check string) "summary identical to solo"
                 (Core.Export.summary_json solo) (Core.Export.summary_json c);
-              let own a b = match (a, b) with Some a, Some b -> a != b | _ -> false in
               Alcotest.(check bool) "caches are the campaign's own" true
-                (own c.Core.Tuner.prepared.Core.Tuner.cache p.Core.Tuner.cache
+                (c.Core.Tuner.prepared.Core.Tuner.cache != p.Core.Tuner.cache
                 && c.Core.Tuner.prepared.Core.Tuner.ccache != p.Core.Tuner.ccache)
             done));
     t "resume adopts the journal's seed" (fun () ->

@@ -118,6 +118,33 @@ let timer_tests =
         let tm = Runtime.Timers.create () in
         Runtime.Timers.charge tm 5.0;
         Alcotest.(check int) "empty" 0 (List.length (Runtime.Timers.snapshot tm)));
+    t "recursion adds inclusive time at the outermost activation only" (fun () ->
+        (* 21 activations of r: as in GPTL, the inner spans lie inside the
+           outermost one, so r's inclusive time is the whole run's cost *)
+        let src =
+          "module m\n implicit none\ncontains\n subroutine r(n, acc)\n  integer :: n\n\
+          \  real(kind=8) :: acc\n  acc = acc + 1.0d0\n  if (n > 0) then\n\
+          \   call r(n - 1, acc)\n  end if\n end subroutine r\nend module m\nprogram p\n\
+          \ use m\n implicit none\n real(kind=8) :: acc\n acc = 0.0d0\n call r(20, acc)\n\
+          \ print *, 'acc', acc\nend program p\n"
+        in
+        let st = Symtab.build (Parser.parse src) in
+        Typecheck.check_program st;
+        let check name (out : Runtime.Interp.outcome) =
+          let timers = out.Runtime.Interp.timers in
+          Alcotest.(check int) (name ^ ": activations") 21 (Runtime.Timers.calls_of timers "r");
+          Alcotest.(check (float 1e-9)) (name ^ ": run cost") 455.5 out.Runtime.Interp.cost;
+          Alcotest.(check int64) (name ^ ": r inclusive is the run's cost")
+            (Int64.bits_of_float out.Runtime.Interp.cost)
+            (Int64.bits_of_float (Runtime.Timers.inclusive_of timers "r"))
+        in
+        let machine = Runtime.Machine.default in
+        let interp = Runtime.Interp.run ~machine st in
+        let compiled = Runtime.Lower.run (Runtime.Lower.lower ~machine st) in
+        check "interp" interp;
+        check "compiled" compiled;
+        Alcotest.(check bool) "evaluators agree on every timer" true
+          (compare interp.Runtime.Interp.timers compiled.Runtime.Interp.timers = 0));
   ]
 
 (* ------------------------------------------------------------------ *)

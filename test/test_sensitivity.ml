@@ -1,7 +1,7 @@
 (* Predictive-search tests: the error-amplification scorer, the
-   evidence-driven rank engine, prune soundness, scheduler/resume
-   determinism of the steered trajectories, the holdout split's
-   scheduling invariance, and the CSV/journal prediction columns. *)
+   evidence-driven rank engine, scheduler/resume determinism of the
+   steered trajectories, the holdout split's scheduling invariance, and
+   the CSV/journal prediction columns. *)
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -12,8 +12,7 @@ let small_mpas =
   { Models.Registry.mpas with
     Models.Registry.source = Models.Mpas.source ~p:Models.Mpas.small () }
 
-let with_predict ?(margin = Core.Config.default.Core.Config.predict_margin) mode config =
-  { config with Core.Config.predict = mode; predict_margin = margin }
+let with_predict mode config = { config with Core.Config.predict = mode }
 
 let signatures (c : Core.Tuner.campaign) =
   List.map
@@ -53,25 +52,6 @@ let scorer_tests =
     t "scorer is off when predict is off" (fun () ->
         let p = Core.Tuner.prepare small_funarc in
         Alcotest.(check bool) "no scorer" true (p.Core.Tuner.scorer = None));
-    t "prune never skips a passing variant (exhaustive funarc space)" (fun () ->
-        (* the bench asserts this on the registered model; the tier-1 suite
-           keeps a scaled-down copy so the guarantee cannot rot unnoticed *)
-        let config = with_predict Core.Config.Predict_prune Core.Config.default in
-        let p = Core.Tuner.prepare ~config small_funarc in
-        let sc =
-          match p.Core.Tuner.scorer with
-          | Some sc -> sc
-          | None -> Alcotest.fail "no scorer"
-        in
-        let brute = Core.Tuner.run_brute_force small_funarc in
-        let wrongly_pruned =
-          List.filter
-            (fun (r : Search.Variant.record) ->
-              r.Search.Variant.meas.Search.Variant.status = Search.Variant.Pass
-              && Sensitivity.Score.prune sc r.Search.Variant.asg)
-            brute.Core.Tuner.records
-        in
-        Alcotest.(check int) "no passing variant pruned" 0 (List.length wrongly_pruned));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -445,37 +425,9 @@ let campaign_tests =
           (signatures seq = signatures sharded);
         Alcotest.(check bool) "same minimal" true
           (minimal_sig seq = minimal_sig pooled && minimal_sig seq = minimal_sig sharded));
-    t "prune trajectory is identical across workers and shards" (fun () ->
-        (* a margin low enough that pruning actually fires on this space *)
-        let config =
-          with_predict ~margin:1.0 Core.Config.Predict_prune Core.Config.default
-        in
-        let pruned_count c =
-          List.length
-            (List.filter
-               (fun (r : Search.Variant.record) ->
-                 let d = r.Search.Variant.meas.Search.Variant.detail in
-                 String.length d >= 8 && String.sub d 0 8 = "static: ")
-               c.Core.Tuner.records)
-        in
-        let seq = Core.Tuner.run_delta_debug ~config ~workers:0 small_funarc in
-        let pooled = Core.Tuner.run_delta_debug ~config ~workers:4 small_funarc in
-        let sharded = Core.Tuner.run_delta_debug ~config ~shards:2 ~workers:2 small_funarc in
-        Alcotest.(check bool) "workers=4 record-identical" true
-          (signatures seq = signatures pooled);
-        Alcotest.(check bool) "shards=2 record-identical" true
-          (signatures seq = signatures sharded);
-        Alcotest.(check int) "same pruned count" (pruned_count seq) (pruned_count pooled));
-    t "a resumed prune campaign replays without re-evaluating" (fun () ->
-        let config =
-          with_predict ~margin:1.0 Core.Config.Predict_prune Core.Config.default
-        in
-        let dir = Filename.temp_file "sens_resume" "" in
-        Sys.remove dir;
-        Unix.mkdir dir 0o755;
-        Fun.protect
-          ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
-          (fun () ->
+    t "a resumed rank campaign replays without re-evaluating" (fun () ->
+        let config = with_predict Core.Config.Predict_rank Core.Config.default in
+        Harness.with_dir (fun dir ->
             let full =
               Core.Tuner.run_delta_debug ~config ~workers:0 ~journal:dir small_funarc
             in
@@ -491,6 +443,52 @@ let campaign_tests =
               (signatures full = signatures resumed);
             Alcotest.(check bool) "same minimal" true
               (minimal_sig full = minimal_sig resumed)));
+    t "a journal of the removed prune mode resumes under neither off nor rank" (fun () ->
+        (* Config.digest's canonical string, rebuilt here: rank's suffix
+           must stay byte for byte, and the prune suffix it replaced must
+           never match a digest the tuner still mints *)
+        let c = Core.Config.default in
+        let digest suffix =
+          Digest.to_hex
+            (Digest.string
+               (String.concat "|"
+                  [
+                    Digest.to_hex (Digest.string (Marshal.to_string c.Core.Config.machine []));
+                    "hotspot";
+                    Printf.sprintf "%h" c.Core.Config.perf_floor;
+                    string_of_int c.Core.Config.seed;
+                    string_of_int c.Core.Config.baseline_runs;
+                    string_of_bool c.Core.Config.static_filter;
+                    Printf.sprintf "%h" c.Core.Config.static_penalty_budget;
+                    "-";
+                  ]
+               ^ Printf.sprintf suffix c.Core.Config.predict_margin))
+        in
+        let rank = with_predict Core.Config.Predict_rank c in
+        Alcotest.(check string) "rank digest unchanged" (digest "|predict:rank|margin:%h")
+          (Core.Config.digest rank);
+        let prune_digest = digest "|predict:prune|margin:%h" in
+        Harness.with_dir2 (fun src dir ->
+            ignore (Core.Tuner.run_delta_debug ~config:rank ~workers:0 ~journal:src small_funarc);
+            (* the same records under the header a prune campaign wrote *)
+            let loaded = Persist.Journal.load ~dir:src in
+            let jw =
+              Persist.Journal.create ~dir
+                { loaded.Persist.Journal.l_header with
+                  Persist.Journal.config_digest = prune_digest }
+            in
+            List.iter (Persist.Journal.append jw) loaded.Persist.Journal.l_entries;
+            Persist.Journal.close jw;
+            let path = Persist.Journal.file ~dir in
+            let old = Harness.slurp path in
+            List.iter
+              (fun (name, config) ->
+                (match Core.Tuner.resume ~config ~workers:0 ~model:small_funarc ~journal:dir () with
+                | _ -> Alcotest.failf "%s resumed a prune journal" name
+                | exception Core.Tuner.Resume_mismatch _ -> ());
+                Alcotest.(check string) (name ^ ": journal bytes unchanged") old
+                  (Harness.slurp path))
+              [ ("off", c); ("rank", rank) ]));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -216,15 +216,15 @@ let campaign_tests =
         Alcotest.(check bool) "identical minimal" true
           (c_seq.Core.Tuner.minimal = c_par.Core.Tuner.minimal));
     t "batch-reuse fires iff the space has inert atoms (BENCH reuse_hits=0)" (fun () ->
-        (* Every campaign in BENCH_2026-08-09_pr7.json reports
-           reuse_hits = 0 with reuse_misses equal to the dynamic
-           evaluation count: the batcher IS reached on every evaluation,
-           but the share key (the variant's effective program) never
-           repeats, because every atom of the registry models is live —
-           and the trace already dedups identical signatures upstream.
-           That is correct behavior, not a plumbing bug; the table pays
-           off exactly when the search space contains inert atoms. Pin
-           both sides so a regression in either direction is caught. *)
+        (* The table is keyed by the masked signature, and the trace
+           already dedups identical signatures upstream, so it only pays
+           off when the mask blanks some atom: one of an unreachable
+           procedure, or an inert real (no def, no use, no initializer).
+           funarc has none, so every variant runs and reuse_hits stays 0
+           with reuse_misses equal to the dynamic evaluation count; of
+           the registry models only mom6 has one (its declared, never
+           used mom_continuity_ppm::duc_w, pinned below). Pin both sides
+           so a regression in either direction is caught. *)
         let live = Core.Tuner.run_brute_force small_funarc in
         Alcotest.(check int) "live space: no effective-program repeats" 0
           live.Core.Tuner.backend.Core.Tuner.reuse_hits;
@@ -258,6 +258,29 @@ let campaign_tests =
         let c = Core.Tuner.run_brute_force spares in
         Alcotest.(check bool) "inert atom: the reuse table serves repeats" true
           (c.Core.Tuner.backend.Core.Tuner.reuse_hits > 0));
+    t "mom6's backend counters are pinned at rank and hierarchical" (fun () ->
+        (* the only registered campaigns where the table hits, through
+           the inert duc_w; the summary's "backend" object, byte for byte *)
+        let backend c =
+          List.find
+            (String.starts_with ~prefix:"  \"backend\":")
+            (String.split_on_char '\n' (Core.Export.summary_json c))
+        in
+        let mom6 = Models.Registry.find "mom6" in
+        let rank =
+          Core.Tuner.run_delta_debug
+            ~config:{ Core.Config.default with Core.Config.predict = Core.Config.Predict_rank }
+            ~workers:0 mom6
+        in
+        Alcotest.(check string) "rank"
+          "  \"backend\": {\"compiled_procs\": 811, \"compile_hits\": 1016, \"reuse_hits\": 2, \
+           \"reuse_misses\": 148},"
+          (backend rank);
+        let hier = Core.Tuner.run_hierarchical ~workers:0 mom6 in
+        Alcotest.(check string) "hierarchical"
+          "  \"backend\": {\"compiled_procs\": 754, \"compile_hits\": 898, \"reuse_hits\": 8, \
+           \"reuse_misses\": 142},"
+          (backend hier));
     t "same seed reproduces the campaign" (fun () ->
         let config = { Core.Config.default with Core.Config.max_variants = Some 12 } in
         let c1 = Core.Tuner.run_delta_debug ~config small_mpas in

@@ -264,6 +264,14 @@ let expect_message name src expected =
       | exception Typecheck.Error { message; _ } ->
         Alcotest.(check string) "diagnostic" expected message)
 
+let escape_src stmt =
+  Printf.sprintf
+    "module m\n implicit none\n integer :: n\n real(kind=8) :: x\ncontains\n\
+    \ subroutine s()\n  %s\n end subroutine s\nend module m\nprogram p\n use m\n\
+    \ implicit none\n integer :: i\n n = 0\n x = 0.0d0\n do i = 1, 10\n  n = n + 1\n\
+    \  call s()\n  x = x + 1.0d0\n end do\nend program p\n"
+    stmt
+
 let negative_tests =
   [
     expect_message "undeclared name in main program"
@@ -308,6 +316,23 @@ let negative_tests =
       "program p\n implicit none\n real(kind=8) :: x\n if (x) then\n  x = 1.0d0\n end if\n\
        end program p\n"
       "if condition is not logical";
+    (* an escape with no loop of its own would leave the called
+       procedure and end (exit) or skip the rest of (cycle) the caller's
+       loop iteration *)
+    expect_message "exit outside a loop escapes into the caller"
+      (escape_src "exit") "exit outside a do loop in procedure \"s\"";
+    expect_message "cycle outside a loop escapes into the caller"
+      (escape_src "cycle") "cycle outside a do loop in procedure \"s\"";
+    expect_message "exit outside a loop in the main program"
+      "program p\n implicit none\n integer :: n\n n = 0\n if (n == 0) then\n  exit\n end if\n\
+       end program p\n"
+      "exit outside a do loop in main program";
+    t "exit inside an if inside a do is accepted" (fun () ->
+        let src =
+          "program p\n implicit none\n integer :: i, n\n n = 0\n do i = 1, 10\n\
+          \  n = n + 1\n  if (n > 3) then\n   exit\n  end if\n end do\nend program p\n"
+        in
+        Typecheck.check_program (Symtab.build (Parser.parse src)));
     t "intent(inout) dummy assignment is allowed" (fun () ->
         let src =
           "module m\n implicit none\ncontains\n subroutine s(a)\n\
