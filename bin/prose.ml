@@ -862,8 +862,7 @@ let fuzz_cmd =
          fixpoint ($(b,roundtrip)), typecheck stability ($(b,typecheck)), \
          assignment application and wrapper repair ($(b,rewrite)), bit-identical \
          outcomes between the tree-walking interpreter on the unparse/reparse \
-         round trip and the direct-lowering fast path ($(b,equiv)), two-way \
-         agreement between that interpreter and the compiled evaluator \
+         round trip and the compiled evaluator on the direct lowering \
          ($(b,compiled)), and soundness of the static error bounds \
          ($(b,sensitivity)). Counterexamples are minimized \
          with ddmin and written to the corpus directory as a replayable \

@@ -22,9 +22,9 @@ dune exec bench/main.exe -- --quick --workers 0 --scaling --json BENCH_ci_run.js
 dune exec bin/prose.exe -- tune mpas --max-variants 15 --workers 0 \
   --verify-roundtrip > /dev/null
 
-# Fuzz smoke gate: 300 random well-typed programs through all six
-# oracles (roundtrip, typecheck, rewrite, equiv, compiled, sensitivity)
-# at a fixed seed; "compiled" is the two-way interpreter == compiled
+# Fuzz smoke gate: 300 random well-typed programs through all five
+# oracles (roundtrip, typecheck, rewrite, compiled, sensitivity) at a
+# fixed seed; "compiled" is the two-way interpreter == compiled
 # evaluator check, "sensitivity" checks every finite static error bound
 # against the measured single-atom demotion error. Any violation is
 # minimized, written to test/corpus/, and fails the run.
@@ -40,12 +40,18 @@ dune exec bin/prose.exe -- fuzz --oracle sensitivity --cases 1000 --seed 7
 dune exec bin/prose.exe -- fuzz --oracle compiled --cases 1000 --seed 7
 
 # Exact-counter gate: one joint_solo repetition (a few seconds) checked
-# against the committed BUDGET_joint_solo.json. Counts are
-# host-independent, so this catches allocation and work regressions that
-# timing noise hides: gc.minor_words may rise at most 2% above the
-# budget; fresh evaluations, evaluations to the 1-minimal variant, live
+# against the committed BUDGET_joint_solo.json. The counts do not follow
+# timing noise, so this catches allocation and work regressions that
+# timing hides: gc.minor_words may rise at most 2% above the budget;
+# fresh evaluations, evaluations to the 1-minimal variant, live
 # speculative evaluations and simulated hours must match exactly; and the
 # OCaml version must be the one the budget was recorded with.
+# gc.minor_words is exact for one build run from one place: DIR, its
+# length and the working directory do not move it, nor does an empty
+# environment. It can follow the path the executable resolves to: for
+# one build, a byte-identical copy or hard link elsewhere read 64 words
+# fewer (7.5e-6 of the count), for another the same; a symlink reads as
+# its target. The cause is not known; the 2% slack covers it.
 dune build ./perfbench/perfbench.exe
 CDIR=$(mktemp -d)
 _build/default/perfbench/perfbench.exe run joint_solo 42 "$CDIR" > "$CDIR/run.json"

@@ -458,10 +458,8 @@ let bind_value ct callee ~lit (d : dummy_slot) fb' ib' v =
     if ak <> dk then begin
       if lit then ct.fs.(fb' + home) <- cround dk x
       else
-        trap
-          "argument %d-ish of %s: real(kind=%d) value passed to real(kind=%d) dummy %s — \
-           wrapper required"
-          0 callee (Token.int_of_kind ak) (Token.int_of_kind dk) dn
+        trap "real(kind=%d) value passed to real(kind=%d) dummy %s of %s — wrapper required"
+          (Token.int_of_kind ak) (Token.int_of_kind dk) dn callee
     end
     else ct.fs.(fb' + home) <- x;
     ct.is.(ib' + addr) <- fb' + home
@@ -712,10 +710,8 @@ let bind_val ct callee (e : cexpr) ~lit (d : dummy_slot) fb' ib' =
       if ak <> dk then begin
         if lit then ct.fs.(fb' + home) <- cround dk ct.scratch.fv
         else
-          trap
-            "argument %d-ish of %s: real(kind=%d) value passed to real(kind=%d) dummy %s — \
-             wrapper required"
-            0 callee (Token.int_of_kind ak) (Token.int_of_kind dk) dn
+          trap "real(kind=%d) value passed to real(kind=%d) dummy %s of %s — wrapper required"
+            (Token.int_of_kind ak) (Token.int_of_kind dk) dn callee
       end
       else ct.fs.(fb' + home) <- ct.scratch.fv;
       ct.is.(ib' + addr) <- fb' + home

@@ -1,6 +1,9 @@
 (** Tree-walking interpreter with precision-faithful arithmetic and
     cost-model accounting — the "compile and execute on a dedicated node"
-    stage ([T_3]) of the paper's workflow.
+    stage ([T_3]) of the paper's workflow.  It is an instance of the
+    shared traversal ({!Walk.Make}) over plain values; this module keeps
+    only the cost model, the budget, the timers, the wrapper and inlining
+    rules, and the outcome.
 
     Semantics:
     - [real(kind=4)] operations round through IEEE binary32 after every
@@ -18,11 +21,11 @@
 
     Cost accounting follows {!Machine}: SIMD rates apply inside loops that
     {!Analysis.Vectorize} approves and whose static conversion-site ratio
-    is below the machine threshold; calls to inlinable, kind-uniform
+    is below the machine threshold ({!Ir.vec_modes}); calls to inlinable
     procedures are free; other calls pay overhead; generated wrappers pay
     extra and are attributed to the procedure they wrap ({!Timers}). *)
 
-type status =
+type status = Walk.status =
   | Finished
   | Stopped of string  (** a [stop 'msg'] was executed *)
   | Runtime_error of string  (** FP trap, bounds error, kind mismatch, ... *)
@@ -48,13 +51,10 @@ val pp_status : Format.formatter -> status -> unit
 val run :
   ?machine:Machine.t ->
   ?budget:float ->
-  ?loop_reports:Analysis.Vectorize.report list ->
   ?wrapper_owner:(string -> string option) ->
   Fortran.Symtab.t ->
   outcome
-(** Execute the program's main unit. [loop_reports] defaults to running
-    {!Analysis.Vectorize.analyze} on the program; pass them explicitly to
-    avoid recomputation across repeated runs. [wrapper_owner] maps a
+(** Execute the program's main unit. [wrapper_owner] maps a
     generated wrapper procedure to the procedure it wraps, for timer
     attribution and the wrapper call penalty. *)
 

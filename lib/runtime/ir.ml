@@ -15,6 +15,32 @@ type vmode = Vscalar | Vnarrow | Vfull
 let mode_idx = function Vscalar -> 0 | Vnarrow -> 1 | Vfull -> 2
 let kind_idx = function Ast.K4 -> 0 | Ast.K8 -> 1
 
+(* The vectorization mode of a loop, by id, from {!Analysis.Vectorize}'s
+   reports (scalar for a loop without one).  A vectorizable loop
+   runs at each operation's natural width when it converts nothing, at
+   the binary64 width while its static conversion-site ratio stays at or
+   below the machine threshold, and scalar above it. *)
+let vec_modes (machine : Machine.t) st : int -> vmode =
+  let module V = Analysis.Vectorize in
+  let tbl = Hashtbl.create 32 in
+  List.iter
+    (fun (r : V.report) ->
+      let ratio =
+        (* a loop that only converts (e.g. a wrapper copy loop) has nothing
+           to amortize the packed converts against: treat as all-conversion *)
+        if r.V.fp_ops = 0 then if r.V.conv_sites > 0 then infinity else 0.0
+        else float_of_int r.V.conv_sites /. float_of_int r.V.fp_ops
+      in
+      let mode =
+        if not (V.vectorizable r) then Vscalar
+        else if ratio > machine.Machine.conv_ratio_threshold then Vscalar
+        else if ratio > 0.0 then Vnarrow
+        else Vfull
+      in
+      Hashtbl.replace tbl r.V.loop_id mode)
+    (V.analyze ~inline_stmt_limit:machine.Machine.inline_stmt_limit st);
+  fun id -> Option.value ~default:Vscalar (Hashtbl.find_opt tbl id)
+
 (* cost tables indexed [mode_idx * 2 + kind_idx]: the (vec mode × kind)
    grid of Interp's [lanes_of]-dependent charges, precomputed *)
 let table6 (machine : Machine.t) f =

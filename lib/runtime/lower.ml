@@ -65,15 +65,6 @@ let intrtab env name =
   table6 env.machine (fun lanes k -> Machine.intrinsic_cost env.machine ~lanes k name)
 let memtab env = table6 env.machine (fun lanes k -> Machine.mem_cost env.machine ~lanes k)
 
-let is_real_literal = function Ast.Real_lit _ -> true | _ -> false
-
-let elem_fn = function
-  | "sqrt" -> sqrt | "exp" -> exp | "log" -> log | "log10" -> log10
-  | "sin" -> sin | "cos" -> cos | "tan" -> tan | "atan" -> atan
-  | "asin" -> asin | "acos" -> acos | "sinh" -> sinh | "cosh" -> cosh
-  | "tanh" -> tanh | "aint" -> Float.trunc | "anint" -> Float.round
-  | _ -> assert false
-
 let rec lower_expr env (e : Ast.expr) : expr =
   match e with
   | Ast.Int_lit i -> Elit (Value.Vint i)
@@ -93,7 +84,7 @@ let rec lower_expr env (e : Ast.expr) : expr =
         op;
         a = lower_expr env a;
         b = lower_expr env b;
-        exempt = is_real_literal a || is_real_literal b;
+        exempt = Walk.is_real_literal a || Walk.is_real_literal b;
         costs = (if arith then optab env op else [||]);
         powmul = (if op = Ast.Pow then optab env Ast.Mul else [||]);
       }
@@ -123,7 +114,7 @@ and lower_intrinsic env name args : expr =
   | "abs" -> unary (fun e -> Eintr (Iabs { e; costs = intrtab env name }))
   | "sqrt" | "exp" | "log" | "log10" | "sin" | "cos" | "tan" | "atan" | "asin" | "acos"
   | "sinh" | "cosh" | "tanh" | "aint" | "anint" ->
-    unary (fun e -> Eintr (Ielem { name; fn = elem_fn name; e; costs = intrtab env name }))
+    unary (fun e -> Eintr (Ielem { name; fn = Walk.elemental name; e; costs = intrtab env name }))
   | "min" | "max" ->
     Eintr
       (Iminmax
@@ -204,7 +195,7 @@ and lower_call env name args : call_site =
               | Some _ | None -> None)
             | _ -> None
           in
-          Aval { e = lower_expr env actual; lit = is_real_literal actual; co }
+          Aval { e = lower_expr env actual; lit = Walk.is_real_literal actual; co }
       in
       { cs_name = name; cs_callee = env.callee_idx name;
         cs_args = Array.of_list (List.map lower_arg args); cs_arity_trap = None }
@@ -212,7 +203,7 @@ and lower_call env name args : call_site =
 let rec lower_stmt env (s : Ast.stmt) : stmt =
   match s.Ast.node with
   | Ast.Assign (lhs, rhs) ->
-    let rhs_lit = is_real_literal rhs in
+    let rhs_lit = Walk.is_real_literal rhs in
     let tgt =
       match lhs with
       | Ast.Lvar name -> Lsc { name; r = resolve_ref env name; rhs_lit }
@@ -225,7 +216,7 @@ let rec lower_stmt env (s : Ast.stmt) : stmt =
       (match name, args with
       | "mpi_allreduce", [ send; Ast.Var recv; Ast.Str_lit op ] ->
         Sallreduce
-          { send = lower_expr env send; send_lit = is_real_literal send; rn = recv;
+          { send = lower_expr env send; send_lit = Walk.is_real_literal send; rn = recv;
             recv = resolve_ref env recv; op }
       | "mpi_allreduce", _ -> Strap "mpi_allreduce expects (send, recv, 'op')"
       | "mpi_barrier", [] -> Sbarrier
@@ -368,7 +359,7 @@ let lower_proc ~st ~machine ~gslot ~pslot ~vec_mode_of ~is_wrapper ~is_inlinable
                  i_name = i.v_name;
                  i_slot = fst (Hashtbl.find slots i.v_name);
                  i_rhs = lower_expr env e;
-                 i_lit = is_real_literal e;
+                 i_lit = Walk.is_real_literal e;
                }
            | Some _ | None -> None)
     |> Array.of_list
@@ -550,34 +541,8 @@ let lower ?cache ?(wrapper_owner = fun _ -> None) ~machine st : program =
   List.iteri (fun slot info -> Hashtbl.replace ptbl (param_key info) slot) all_params;
   let pslot info = try Hashtbl.find ptbl (param_key info) with Not_found -> assert false in
   (* vectorization facts, forced only when some procedure must be lowered *)
-  let vec_tbl =
-    lazy
-      (let reports =
-         Analysis.Vectorize.analyze ~inline_stmt_limit:machine.Machine.inline_stmt_limit st
-       in
-       let tbl = Hashtbl.create 32 in
-       List.iter
-         (fun (r : Analysis.Vectorize.report) ->
-           let ratio =
-             if r.Analysis.Vectorize.fp_ops = 0 then
-               if r.Analysis.Vectorize.conv_sites > 0 then infinity else 0.0
-             else
-               float_of_int r.Analysis.Vectorize.conv_sites
-               /. float_of_int r.Analysis.Vectorize.fp_ops
-           in
-           let mode =
-             if not (Analysis.Vectorize.vectorizable r) then Vscalar
-             else if ratio > machine.Machine.conv_ratio_threshold then Vscalar
-             else if ratio > 0.0 then Vnarrow
-             else Vfull
-           in
-           Hashtbl.replace tbl r.Analysis.Vectorize.loop_id mode)
-         reports;
-       tbl)
-  in
-  let vec_mode_of id =
-    match Hashtbl.find_opt (Lazy.force vec_tbl) id with Some m -> m | None -> Vscalar
-  in
+  let vec_modes = lazy (vec_modes machine st) in
+  let vec_mode_of id = Lazy.force vec_modes id in
   let cg = lazy (Analysis.Callgraph.build st) in
   let units = List.map Ast.unit_name prog in
   let cached_lower ~roots key_name (f : unit -> proc_ir) =
@@ -660,7 +625,7 @@ let lower ?cache ?(wrapper_owner = fun _ -> None) ~machine st : program =
              g_extents = extents;
              g_init =
                Option.map
-                 (fun e -> (lower_expr (aux_env None) e, is_real_literal e))
+                 (fun e -> (lower_expr (aux_env None) e, Walk.is_real_literal e))
                  info.v_init;
            })
          unit_vars)

@@ -1,8 +1,11 @@
-(** Forward error-amplification analysis — a mirror of {!Runtime.Interp}.
+(** Forward error-amplification analysis — an instance of the shared
+    traversal ({!Runtime.Walk.Make}) whose other instance is
+    {!Runtime.Interp}.
 
     One abstract execution of the ORIGINAL (all-64-bit) program follows the
     interpreter's concrete semantics bit-exactly (same values, same traps,
-    same control flow) while every real value additionally carries a
+    same control flow: the traversal and the concrete value rules are the
+    interpreter's) while every real value additionally carries a
     per-atom error vector of absolute-error bounds ({!Errvec.t}): entry
     [a] bounds the deviation this expression can show in the program
     variant that demotes precisely atom [a] to 32-bit.  All
@@ -31,20 +34,21 @@ type sample = {
 
 type result = {
   r_status : status;
-  r_samples : sample list;  (** mirrored print records, in program order *)
+  r_samples : sample list;  (** the print records, in program order *)
   r_poisoned : bool array;  (** per atom index: sound bound is infinite *)
   r_steps : int;
 }
 
 val analyze :
   ?max_steps:int -> atoms:Transform.Assignment.atom list -> Fortran.Symtab.t -> result
-(** Run the mirror on the original program. [atoms] fixes the atom
+(** Run the analysis on the original program. [atoms] fixes the atom
     indexing: the demotable (declared 64-bit) atoms are numbered 0.. in
     list order; already-32-bit atoms are skipped (demoting them is the
     identity).  The status says how the run ended, as the interpreter's
     would: [Stopped] at a [stop], [Runtime_error] with the trap, bounds
     error or stray [exit]/[cycle] message, or — with its own message —
-    when the mirror exceeds [max_steps] (default 20M).  Only a [Finished]
+    when the analysis exceeds [max_steps] steps (one per expression,
+    statement and loop iteration; default 20M).  Only a [Finished]
     result is a usable analysis; the samples and poisoned flags of any
     other are those reached before it ended. *)
 

@@ -1,4 +1,4 @@
-(* Per-atom error vectors: the value domain of the {!Absint} mirror.
+(* Per-atom error vectors: the value domain of the {!Absint} analysis.
 
    A vector is a sorted array of atom indices and a parallel unboxed
    [float array] of absolute-error bounds.  Every kernel is one flat loop

@@ -1,4 +1,4 @@
-(** Per-atom error vectors: the value domain of the {!Absint} mirror.
+(** Per-atom error vectors: the value domain of the {!Absint} analysis.
 
     A vector maps demotable-atom indices to absolute-error bounds: entry
     [a] bounds how far a value can drift in the program variant that

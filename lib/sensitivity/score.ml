@@ -1,4 +1,4 @@
-(* Fusing the mirror analysis into a search-steering score.
+(* Fusing the error-amplification analysis into a search-steering score.
 
    [create] runs {!Absint} once on the original program and distils, per
    demotable atom:
@@ -79,8 +79,10 @@ let create ~st ~atoms ~metric_key ~baseline_metric ~threshold ~margin:_ =
       List.filter (fun s -> s.Absint.s_key = metric_key) r.Absint.r_samples
     in
     let concrete = List.map (fun s -> s.Absint.s_value) series in
-    (* fidelity gate: the mirror must reproduce the interpreter's
-       baseline series bit-for-bit, or every bound is untrustworthy *)
+    (* fidelity gate: the analysis must reproduce the baseline series
+       (run on Compile) bit-for-bit, or every bound is untrustworthy;
+       the analysis shares Interp's traversal, so this guards against
+       Compile drifting from Interp *)
     let faithful =
       List.length concrete = List.length baseline_metric
       && List.for_all2 (fun a b -> bits a = bits b) concrete baseline_metric

@@ -1,4 +1,5 @@
-(** Search-steering scores fused from the {!Absint} mirror analysis.
+(** Search-steering scores fused from the {!Absint} error-amplification
+    analysis.
 
     A scorer is built once per campaign (from the prepared original
     program, its baseline metric series, and its resolved error threshold)
@@ -16,9 +17,9 @@ val create :
   threshold:float ->
   margin:float ->
   t option
-(** [None] when the analysis cannot vouch for itself: the mirror fails to
+(** [None] when the analysis cannot vouch for itself: it fails to
     finish, or its concrete output series is not bit-identical to the
-    interpreter's [baseline_metric] (fidelity gate). Callers fall back to
+    baseline run's [baseline_metric] (fidelity gate). Callers fall back to
     the unpredicted search. [margin] is accepted and ignored: no query
     reads it ([Core.Config.t.predict_margin] only enters rank's
     digest). *)

@@ -12,7 +12,7 @@
     (see [test/test_corpus.ml]), so a checked-in bug stays fixed. *)
 
 type entry = {
-  name : string;  (** file stem, e.g. [fz_equiv_s42_c17] *)
+  name : string;  (** file stem, e.g. [fz_compiled_s42_c17] *)
   case : Gen.case;
   oracle : string;  (** name of the oracle that failed at capture time *)
   origin : string;  (** provenance, e.g. ["seed=42 case=17"] *)

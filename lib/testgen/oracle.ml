@@ -1,19 +1,18 @@
 open Fortran
 
-type id = Roundtrip | Typecheck | Rewrite | Equiv | Compiled | Sensitivity
+type id = Roundtrip | Typecheck | Rewrite | Compiled | Sensitivity
 
 type violation = {
   oracle : id;
   detail : string;
 }
 
-let all = [ Roundtrip; Typecheck; Rewrite; Equiv; Compiled; Sensitivity ]
+let all = [ Roundtrip; Typecheck; Rewrite; Compiled; Sensitivity ]
 
 let name = function
   | Roundtrip -> "roundtrip"
   | Typecheck -> "typecheck"
   | Rewrite -> "rewrite"
-  | Equiv -> "equiv"
   | Compiled -> "compiled"
   | Sensitivity -> "sensitivity"
 
@@ -22,7 +21,6 @@ let of_name s =
   | "roundtrip" -> Some Roundtrip
   | "typecheck" -> Some Typecheck
   | "rewrite" -> Some Rewrite
-  | "equiv" -> Some Equiv
   | "compiled" -> Some Compiled
   | "sensitivity" -> Some Sensitivity
   | _ -> None
@@ -41,7 +39,7 @@ let first_diff a b =
   in
   go 1 (la, lb)
 
-(* The wrapped variant shared by the rewrite and equiv oracles. *)
+(* The wrapped variant shared by the rewrite and compiled oracles. *)
 let transform (c : Gen.case) =
   let st = Symtab.build (Parser.parse ~file:"fuzz.f90" c.Gen.source) in
   let asg = Gen.assignment_of st c.Gen.lowered in
@@ -153,28 +151,6 @@ let pp_outcome (o : Runtime.Interp.outcome) =
     (List.length o.Runtime.Interp.printed)
     (List.length o.Runtime.Interp.timers)
 
-let check_equiv (c : Gen.case) =
-  let _, _, _, w = transform c in
-  let owner = Transform.Wrappers.owner_fn w in
-  (* reference: the historical unparse→reparse round trip, tree-walked *)
-  let text = Unparse.program w.Transform.Wrappers.program in
-  let st_rt = Symtab.build (Parser.parse ~file:"fuzz_variant.f90" text) in
-  let ref_out = Runtime.Interp.run ~machine ~budget ~wrapper_owner:owner st_rt in
-  (* fast path: lowered directly from the transformed AST *)
-  let st_d = Symtab.build w.Transform.Wrappers.program in
-  let fast_out =
-    Runtime.Lower.run ~budget (Runtime.Lower.lower ~wrapper_owner:owner ~machine st_d)
-  in
-  if compare ref_out fast_out = 0 then []
-  else
-    [
-      {
-        oracle = Equiv;
-        detail =
-          Printf.sprintf "interp: %s / lower: %s" (pp_outcome ref_out) (pp_outcome fast_out);
-      };
-    ]
-
 (* Two-way bit-identity: the tree-walker on the unparse→reparse round
    trip (the reference) and the compiled evaluator on the direct
    lowering of the same wrapped variant. *)
@@ -199,12 +175,12 @@ let check_compiled (c : Gen.case) =
     ]
 
 (* Soundness of the error-amplification analysis: for every demotable
-   atom the mirror did NOT poison, the static per-atom bound must cover
+   atom the analysis did NOT poison, the static per-atom bound must cover
    the observed deviation of that atom's singleton-demotion variant —
    sample by sample, against the actual rewrite→wrapper→run pipeline the
    tuner uses. A poisoned atom makes no claim (its sound bound is
-   infinite); a timed-out variant makes no claim (the mirror does not
-   model cost). The mirror must also finish whenever the interpreter
+   infinite); a timed-out variant makes no claim (the analysis does not
+   model cost). The analysis must also finish whenever the interpreter
    does, with a bit-identical output series. *)
 let check_sensitivity (c : Gen.case) =
   let st = Symtab.build (Parser.parse ~file:"fuzz.f90" c.Gen.source) in
@@ -218,14 +194,14 @@ let check_sensitivity (c : Gen.case) =
       [
         {
           oracle = Sensitivity;
-          detail = "mirror failed on a program the interpreter finishes: " ^ m;
+          detail = "analysis failed on a program the interpreter finishes: " ^ m;
         };
       ]
     | Sensitivity.Absint.Stopped m ->
       [
         {
           oracle = Sensitivity;
-          detail = Printf.sprintf "mirror stopped (%S) on a program the interpreter finishes" m;
+          detail = Printf.sprintf "analysis stopped (%S) on a program the interpreter finishes" m;
         };
       ]
     | Sensitivity.Absint.Finished ->
@@ -243,7 +219,7 @@ let check_sensitivity (c : Gen.case) =
         [
           {
             oracle = Sensitivity;
-            detail = "mirror output series is not bit-identical to the interpreter's";
+            detail = "analysis output series is not bit-identical to the interpreter's";
           };
         ]
       else begin
@@ -338,7 +314,6 @@ let check ~ids c =
         | Roundtrip -> guarded Roundtrip check_roundtrip c
         | Typecheck -> guarded Typecheck check_typecheck c
         | Rewrite -> guarded Rewrite check_rewrite c
-        | Equiv -> guarded Equiv check_equiv c
         | Compiled -> guarded Compiled check_compiled c
         | Sensitivity -> guarded Sensitivity check_sensitivity c)
     all

@@ -1,6 +1,6 @@
 (** Pipeline invariants checked on every generated case.
 
-    Six oracles, each a whole-pipeline differential check:
+    Five oracles, each a whole-pipeline differential check:
 
     - {b roundtrip}: the canonical source is a fixpoint of
       unparse ∘ parse — pretty-printing what the parser read reproduces
@@ -12,14 +12,12 @@
       precision assignment, every search atom's declaration carries
       exactly its assigned kind, and {!Transform.Wrappers.insert} leaves
       a program with no kind mismatches that typechecks.
-    - {b equiv}: {!Runtime.Interp.run} on the unparse→reparse round trip
-      of the wrapped variant and {!Runtime.Lower.run} (compile then
-      run) on its direct lowering produce bit-identical outcomes — status, cost, timers,
+    - {b compiled}: {!Runtime.Interp.run} (the reference) on the
+      unparse→reparse round trip of the wrapped variant and
+      {!Runtime.Compile.run} (the one fast evaluator) on its direct
+      lowering produce bit-identical outcomes — status, cost, timers,
       records, printed lines and breakdown — under a fixed cost budget.
-    - {b compiled}: two-way bit-identity — {!Runtime.Interp.run} (the
-      reference) and {!Runtime.Compile.run} (the one fast evaluator)
-      agree on the same wrapped variant, outcome for outcome.
-    - {b sensitivity}: {!Sensitivity.Absint} soundness — the mirror
+    - {b sensitivity}: {!Sensitivity.Absint} soundness — the
       analysis finishes with a bit-identical output series whenever the
       interpreter finishes, and for every atom it did not poison, the
       static per-atom error bound covers the observed deviation of that
@@ -31,7 +29,7 @@
     agree on the trap), but the frontend and transformer must never
     raise on a well-typed input. *)
 
-type id = Roundtrip | Typecheck | Rewrite | Equiv | Compiled | Sensitivity
+type id = Roundtrip | Typecheck | Rewrite | Compiled | Sensitivity
 
 type violation = {
   oracle : id;
@@ -39,7 +37,7 @@ type violation = {
 }
 
 val all : id list
-(** In pipeline order: roundtrip, typecheck, rewrite, equiv, compiled,
+(** In pipeline order: roundtrip, typecheck, rewrite, compiled,
     sensitivity. *)
 
 val name : id -> string

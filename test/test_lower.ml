@@ -379,6 +379,21 @@ let byref_tests =
          ~main:
            " real(kind=8) :: acc\n integer :: calls\n acc = 0.0d0\n calls = 0\n\
            \ call r(4, acc, calls)\n print *, 'acc', acc\n print *, 'calls', calls");
+    t "by-value kind mismatch traps with one text" (fun () ->
+        let src =
+          module_src ~decls:""
+            ~procs:
+              " subroutine s(a)\n  real(kind=8), intent(in) :: a\n  print *, 'v', a\n\
+              \ end subroutine s\n"
+            ~main:" real(kind=4) :: x\n x = 1.0\n call s(x * 2.0)"
+        in
+        let st = Symtab.build (Parser.parse src) in
+        let ref_out = interp st in
+        Alcotest.(check bool) "reference names the dummy and its procedure" true
+          (ref_out.Runtime.Interp.status
+          = Runtime.Interp.Runtime_error
+              "real(kind=4) value passed to real(kind=8) dummy a of s — wrapper required");
+        check_equiv "compiled agrees" ref_out (lower_run st));
     t "dims naming a local allocated after it trap out of scope" (fun () ->
         let src =
           module_src ~decls:""

@@ -476,6 +476,78 @@ let cost_tests =
         Alcotest.(check bool) "sin cost attributed" true (excl > 50.0 *. 5.0));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Whole outcomes pinned on the registered models                      *)
+
+(* Every bit of [Interp.run]'s outcome, in one digest per model: status,
+   cost in [%h], the category breakdown, every timer entry, every record
+   and every printed line.  Four runs per model: the original program; a
+   budget cut at half its cost; the uniform 32-bit variant of the target
+   atoms; and a variant lowering every other target atom — both variants
+   with boundary wrappers and their owners, so kind conversions, wrapper
+   calls and the inlining rule are all charged.  The constants were
+   recorded before the interpreter moved onto the shared traversal; any
+   drift in a value, a trap text, a charge or its order against a trap
+   shows. *)
+let outcome_digest (model : Models.Registry.t) =
+  let st =
+    Symtab.build
+      (Parser.parse ~file:(model.Models.Registry.name ^ ".f90") model.Models.Registry.source)
+  in
+  Typecheck.check_program st;
+  let atoms =
+    Transform.Assignment.atoms_of_target st ~module_:model.Models.Registry.target_module
+      ~procs:(Some model.Models.Registry.target_procs)
+      ~exclude:model.Models.Registry.exclude_atoms
+  in
+  let buf = Buffer.create 4096 in
+  let pf fmt = Printf.bprintf buf fmt in
+  let dump label (o : Runtime.Interp.outcome) =
+    pf "%s: %s cost=%h\n" label
+      (Format.asprintf "%a" Runtime.Interp.pp_status o.Runtime.Interp.status)
+      o.Runtime.Interp.cost;
+    List.iter
+      (fun (c, x) -> pf "b %s %h\n" (Runtime.Machine.category_name c) x)
+      o.Runtime.Interp.breakdown;
+    List.iter
+      (fun (e : Runtime.Timers.entry) ->
+        pf "t %s %d %h %h\n" e.Runtime.Timers.name e.Runtime.Timers.calls
+          e.Runtime.Timers.exclusive e.Runtime.Timers.inclusive)
+      o.Runtime.Interp.timers;
+    List.iter (fun (k, v) -> pf "r %s %h\n" k v) o.Runtime.Interp.records;
+    List.iter (fun l -> pf "p %s\n" l) o.Runtime.Interp.printed
+  in
+  let variant label asg =
+    let w = Transform.Wrappers.insert (Transform.Rewrite.apply st asg) in
+    let st' = Symtab.build w.Transform.Wrappers.program in
+    Typecheck.check_program st';
+    dump label
+      (Runtime.Interp.run ~wrapper_owner:(Transform.Wrappers.owner_fn w) st')
+  in
+  let base = Runtime.Interp.run st in
+  dump "original" base;
+  dump "budget" (Runtime.Interp.run ~budget:(base.Runtime.Interp.cost /. 2.0) st);
+  variant "uniform32" (Transform.Assignment.uniform atoms Ast.K4);
+  variant "alternate"
+    (Transform.Assignment.of_lowered atoms
+       ~lowered:(List.filteri (fun i _ -> i mod 2 = 0) atoms));
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let outcome_pin_tests =
+  List.map
+    (fun (name, expected) ->
+      t (Printf.sprintf "pinned on %s" name) (fun () ->
+          Alcotest.(check string) "digest" expected
+            (outcome_digest (Models.Registry.find name))))
+    [
+      ("funarc", "1b374192a71b3cc74f553edbd172829e");
+      ("mpas", "a19509fabc7c31702ed5944412aa13eb");
+      ("adcirc", "769fbd0883866ba3422c6374556c51b0");
+      ("mom6", "d54abcc6696dc68cd2f67b2eb932514d");
+      ("lulesh", "c2632972cd73fa7eedd90370c5cad720");
+      ("mpas_joint", "8f6866ab915be5c4d14f2cf4cd229a99");
+    ]
+
 let () =
   Alcotest.run "runtime"
     [
@@ -486,4 +558,5 @@ let () =
       ("calls", call_tests);
       ("failures", failure_tests);
       ("cost model", cost_tests);
+      ("outcomes", outcome_pin_tests);
     ]

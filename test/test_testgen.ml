@@ -124,7 +124,7 @@ let corpus_tests =
           {
             Testgen.Corpus.name = "fz_test_s1_c2";
             case = Testgen.Gen.case_at ~seed:1 ~index:2;
-            oracle = "equiv";
+            oracle = "compiled";
             origin = "seed=1 case=2";
           }
         in
@@ -133,7 +133,7 @@ let corpus_tests =
         (match Testgen.Corpus.load ~dir with
         | [ e ] ->
           Alcotest.(check string) "name" entry.Testgen.Corpus.name e.Testgen.Corpus.name;
-          Alcotest.(check string) "oracle" "equiv" e.Testgen.Corpus.oracle;
+          Alcotest.(check string) "oracle" "compiled" e.Testgen.Corpus.oracle;
           Alcotest.(check string) "origin" "seed=1 case=2" e.Testgen.Corpus.origin;
           Alcotest.(check string) "source"
             entry.Testgen.Corpus.case.Testgen.Gen.source
