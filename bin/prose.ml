@@ -77,11 +77,11 @@ let shards_arg =
     & info [ "shards" ] ~docv:"S"
         ~doc:
           "Run the campaign on the work-stealing shard scheduler: each speculative \
-           round's candidates are block-partitioned over $(i,S) simulated node-shards of \
-           $(b,--workers) slots each, and shards that drain early steal from their \
-           neighbours. Records, the minimal set and the summary are bit-identical at \
-           every shards x workers point; the deterministic simulated makespan is \
-           reported separately.")
+           wave (one candidate per slot, from the one the search asks for) is \
+           block-partitioned over $(i,S) simulated node-shards of $(b,--workers) slots \
+           each, and shards that drain early steal from their neighbours. Records, the \
+           minimal set and the summary are bit-identical at every shards x workers \
+           point; the deterministic simulated makespan is reported separately.")
 
 let whole_model_arg =
   Arg.(
@@ -256,7 +256,7 @@ let tune_cmd =
     let ts = campaign.Core.Tuner.trace_stats in
     pf "\ntrace: %d cache hits, %d fresh evaluations, %d live entries, %d journaled appends\n"
       ts.Search.Trace.hits ts.Search.Trace.misses ts.Search.Trace.live ts.Search.Trace.appends;
-    let bs = campaign.Core.Tuner.backend in
+    let bs = Core.Tuner.backend_stats campaign in
     pf
       "backend: %d procedures compiled, %d compile-cache hits, %d batch-reuse hits, %d \
        batch-reuse misses\n"

@@ -39,23 +39,28 @@ dune exec bin/prose.exe -- fuzz --oracle sensitivity --cases 1000 --seed 7
 # 1000 cases of the compiled oracle alone.
 dune exec bin/prose.exe -- fuzz --oracle compiled --cases 1000 --seed 7
 
-# Exact-counter gate: one joint_solo repetition (a few seconds) checked
-# against the committed BUDGET_joint_solo.json. The counts do not follow
-# timing noise, so this catches allocation and work regressions that
-# timing hides: gc.minor_words may rise at most 2% above the budget;
-# fresh evaluations, evaluations to the 1-minimal variant, live
-# speculative evaluations and simulated hours must match exactly; and the
-# OCaml version must be the one the budget was recorded with.
-# gc.minor_words is exact for one build run from one place: DIR, its
-# length and the working directory do not move it, nor does an empty
-# environment. It can follow the path the executable resolves to: for
-# one build, a byte-identical copy or hard link elsewhere read 64 words
-# fewer (7.5e-6 of the count), for another the same; a symlink reads as
-# its target. The cause is not known; the 2% slack covers it.
+# Exact-counter gate: one joint_solo and one joint_parallel repetition
+# (a few seconds each), each checked against its committed
+# BUDGET_<workload>.json. The counts do not follow timing noise, so this
+# catches allocation and work regressions that timing hides: fresh
+# evaluations, evaluations to the 1-minimal variant, live evaluations
+# (speculative ones included) and simulated hours must match exactly,
+# and the OCaml version must be the one the budget was recorded with.
+# joint_parallel's live evaluations fail the gate when speculation runs
+# ahead of what the search consumes. joint_solo's budget also holds
+# gc.minor_words, which may rise at most 2% above it (joint_parallel
+# has none: a second domain allocates there). gc.minor_words is exact
+# for one build run from one place: DIR, its length and the working
+# directory do not move it, nor does an empty environment. It can follow
+# the path the executable resolves to: for one build, a byte-identical
+# copy or hard link elsewhere read 64 words fewer (7.5e-6 of the count),
+# for another the same; a symlink reads as its target. The cause is not
+# known; the 2% slack covers it.
 dune build ./perfbench/perfbench.exe
+for W in joint_solo joint_parallel; do
 CDIR=$(mktemp -d)
-_build/default/perfbench/perfbench.exe run joint_solo 42 "$CDIR" > "$CDIR/run.json"
-python3 - "$CDIR/run.json" BUDGET_joint_solo.json "$(ocamlfind ocamlopt -version)" <<'PY'
+_build/default/perfbench/perfbench.exe run "$W" 42 "$CDIR" > "$CDIR/run.json"
+python3 - "$CDIR/run.json" "BUDGET_$W.json" "$(ocamlfind ocamlopt -version)" <<'PY'
 import json, sys
 run_path, budget_path, ocaml = sys.argv[1:4]
 run = json.loads(open(run_path).read().strip().splitlines()[-1])
@@ -75,11 +80,12 @@ for name, want in budget["counts"].items():
     elif got != want:
         errors.append("%s = %s, budget %s" % (name, got, want))
 if errors:
-    sys.exit("exact-counter gate:\n  " + "\n  ".join(errors))
-print("exact-counter gate: ok (gc.minor_words %d, budget %d)"
-      % (counts["gc.minor_words"], budget["counts"]["gc.minor_words"]))
+    sys.exit("exact-counter gate (%s):\n  " % budget_path + "\n  ".join(errors))
+print("exact-counter gate: %s ok (%s)"
+      % (budget_path, ", ".join("%s %s" % (k, counts[k]) for k in budget["counts"])))
 PY
 rm -rf "$CDIR"
+done
 
 # Sharded-scheduler gate: one joint multi-hotspot campaign (the atm_srk3
 # driver inside the search space) at shards=2/workers=2 with fault

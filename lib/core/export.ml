@@ -64,6 +64,7 @@ let summary_json (c : Tuner.campaign) =
   let p = c.Tuner.prepared in
   let m = p.Tuner.model in
   let s = c.Tuner.summary in
+  let b = Tuner.backend_stats c in
   let minimal =
     match c.Tuner.minimal with
     | None -> "null"
@@ -107,8 +108,7 @@ let summary_json (c : Tuner.campaign) =
     c.Tuner.trace_stats.Trace.shared
     c.Tuner.trace_stats.Trace.live c.Tuner.trace_stats.Trace.appends
     c.Tuner.preloaded c.Tuner.interrupted
-    c.Tuner.backend.Tuner.compiled_procs c.Tuner.backend.Tuner.compile_hits
-    c.Tuner.backend.Tuner.reuse_hits c.Tuner.backend.Tuner.reuse_misses
+    b.Tuner.compiled_procs b.Tuner.compile_hits b.Tuner.reuse_hits b.Tuner.reuse_misses
     minimal
 
 let sched_json (s : Tuner.sched_stats) =

@@ -449,7 +449,6 @@ type campaign = {
   eval_ms_mean : float;
   eval_ms_max : float;
   trace_stats : Trace.stats;
-  backend : backend_stats;
   sched : sched_stats option;
   preloaded : int;
   interrupted : bool;
@@ -480,8 +479,12 @@ let variant_cache_keys p asg =
    campaign's journaled prefix — charging the compile and reuse traffic
    a sequential, speculation-free run of exactly these records performs.
    The live cache counters (atomics) keep counting real work, including
-   speculation later discarded, which is why they are not reported. *)
-let replay_backend p records =
+   speculation later discarded, which is why they are not reported.
+   Built on demand: the replay re-derives every record's cache keys, and
+   most finished campaigns (every service slice but a job's last) never
+   read it. *)
+let backend_stats (c : campaign) =
+  let p = c.prepared in
   let classes = Hashtbl.create 256 in
   let keys_seen = Hashtbl.create 512 in
   let rh = ref 0 and rm = ref 0 and compiled = ref 0 and chits = ref 0 in
@@ -501,7 +504,7 @@ let replay_backend p records =
                 incr compiled
               end)
             (variant_cache_keys p r.Variant.asg))
-    records;
+    c.records;
   {
     compiled_procs = !compiled;
     compile_hits = !chits;
@@ -527,7 +530,6 @@ let finish_campaign ?(preloaded = 0) ?(interrupted = false) ?fault_stats ?sched 
     eval_ms_mean = (if count = 0 then 0.0 else 1e3 *. total /. float_of_int count);
     eval_ms_max = 1e3 *. max_s;
     trace_stats = Trace.stats trace;
-    backend = replay_backend p records;
     sched;
     preloaded;
     interrupted;

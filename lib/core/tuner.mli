@@ -128,10 +128,10 @@ type sched_stats = {
   sched_workers : int;  (** evaluation slots per shard ([0] = sequential) *)
   sched_slots : int;  (** total simulated slots (1 when workers = 0) *)
   sched_sim_hours : float;
-      (** simulated cluster wall clock: per-round work-stealing makespans
+      (** simulated cluster wall clock: per-wave work-stealing makespans
           plus serially accounted on-demand evaluations *)
   sched_steals : int;  (** tasks a non-home shard slot executed *)
-  sched_rounds : int;  (** speculative batches scheduled *)
+  sched_rounds : int;  (** speculative batches scheduled: one per wave *)
   sched_batched : int;  (** tasks that went through the sharded deques *)
   sched_serial : int;  (** on-demand evaluations accounted serially *)
 }
@@ -153,7 +153,6 @@ type campaign = {
       (** memo-cache traffic; [misses] counts fresh dynamic evaluations,
           so a resumed campaign proves it re-evaluated nothing journaled
           by [misses = length records - preloaded] *)
-  backend : backend_stats;  (** compile and batch-reuse traffic *)
   sched : sched_stats option;  (** [Some] iff the campaign ran with [?shards] *)
   preloaded : int;  (** records replayed from a journal (0 for fresh runs) *)
   interrupted : bool;
@@ -163,6 +162,12 @@ type campaign = {
   fault_stats : Cluster.Faults.stats option;
       (** loss accounting when fault injection was active *)
 }
+
+val backend_stats : campaign -> backend_stats
+(** The campaign's evaluation-backend traffic, replayed from its
+    committed records on every call: each record is rewritten, wrapped
+    and keyed again (a fraction of a millisecond), so callers that
+    report it call this once, after the campaign. *)
 
 val default_workers : unit -> int
 (** The default evaluation parallelism, {!Search.Shard.default_workers}:
@@ -254,7 +259,7 @@ val run_delta_debug :
     [checkpoint] is called with the campaign's {!progress} after every
     fresh durable record (from the journal's commit sink, so it only
     fires on journaled campaigns), once before any fresh work is
-    scheduled, and — under [shards] — between speculative batches. The
+    scheduled, and — under [shards] — between speculative waves. The
     hook may raise {!Paused} to suspend the campaign gracefully at that
     durable point. *)
 

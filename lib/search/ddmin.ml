@@ -46,7 +46,8 @@ let minimize ?(order = fun (candidates : 'a candidate list) -> candidates)
       (* speculative batching: announce the whole round's candidates in
          the exact order the sequential algorithm would test them, before
          the first [test] call — results are then consumed sequentially,
-         so the trajectory is independent of how [prefetch] computes *)
+         so the trajectory is independent of how and when the caller
+         evaluates them *)
       prefetch (List.map subset candidates);
       match List.find_opt (fun c -> test (subset c)) candidates with
       | Some (Chunk chunk) -> if List.length chunk = 1 then chunk else ddmin chunk 2

@@ -29,11 +29,12 @@ val minimize :
   'a list
 (** [prefetch] (default: no-op) receives each round's candidate subsets —
     in exactly the order [test] will try them, after [order] — before the
-    first [test] call of the round. A parallel caller evaluates them
-    speculatively ({!Shard.map}) and serves the subsequent [test] calls
-    from those results; because consumption stays sequential, the search
-    trajectory is bit-identical to a run without [prefetch] — only wall
-    clock changes.
+    first [test] call of the round. A parallel caller speculates on them
+    ({!Speculate}: one {!Shard.map} wave at a time, from the candidate
+    [test] asks for) and serves the subsequent [test] calls from those
+    results; because consumption stays sequential, the search trajectory
+    is bit-identical to a run without [prefetch] — only wall clock
+    changes.
 
     [order] (default: identity) reorders each round's merged candidate
     list (all chunks followed by all eligible complements) — the

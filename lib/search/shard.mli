@@ -3,13 +3,13 @@
 
     The paper's campaigns evaluate every variant as an independent cluster
     job and fan each search round out over 20 dedicated nodes (Sec.
-    IV-A). This module is the laptop analogue: the variant space of a
-    round is block-partitioned over [shards] simulated node-shards, each
-    shard owning a deque of tasks consumed by its [workers] slots, and a
-    shard whose partition drains early steals from its neighbours in
-    cyclic order ("lock-free-ish": deques are plain arrays with an atomic
-    take cursor, so a steal is one [Atomic.fetch_and_add] — no locks on
-    the task path). One shard is a plain domain pool: a campaign at
+    IV-A). This module is the laptop analogue: each batch — one wave of
+    a round's candidates, under {!Speculate} — is block-partitioned over
+    [shards] simulated node-shards, each shard owning a deque of tasks
+    consumed by its [workers] slots, and a shard whose partition drains
+    early steals from its neighbours in cyclic order ("lock-free-ish":
+    deques are plain arrays with an atomic take cursor, so a steal is one
+    [Atomic.fetch_and_add] — no locks on the task path). One shard is a plain domain pool: a campaign at
     [workers w >= 1] without a shard grid runs on
     [create ~shards:1 ~workers:(w + 1)], the submitting domain being one
     of the [w + 1] slots.
@@ -45,11 +45,13 @@ val create : ?yield:(unit -> unit) -> shards:int -> workers:int -> unit -> t
     submitting domain is a slot too.
 
     [yield] is a cooperative scheduling hook fired at the start of every
-    {!map} call — i.e. {e between} batches, never inside one. At that
-    point every record the consumer committed is durable and no task of
-    the next batch has started, so a multiplexing campaign service can
-    use it to pause or interleave campaigns (the hook may raise; the
-    batch is then never scheduled). It runs on the driving domain. *)
+    {!map} call — i.e. {e between} batches, never inside one; under
+    {!Speculate} a batch is one wave, so the hook also fires between
+    the waves of a search round. At that point every record the
+    consumer committed is durable and no task of the next batch has
+    started, so a multiplexing campaign service can use it to pause or
+    interleave campaigns (the hook may raise; the batch is then never
+    scheduled). It runs on the driving domain. *)
 
 val shutdown : t -> unit
 (** Terminates and joins the helper domains. Idempotent; mapping on a
@@ -122,7 +124,7 @@ val serial : t -> float -> unit
     cost. *)
 
 type stats = {
-  rounds : int;  (** batches scheduled *)
+  rounds : int;  (** batches scheduled (waves, under {!Speculate}) *)
   batched : int;  (** tasks that went through the sharded deques *)
   stolen : int;  (** batched tasks a non-home slot executed (simulated) *)
   serial_tasks : int;  (** on-demand evaluations accounted by {!serial} *)

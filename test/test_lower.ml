@@ -287,18 +287,18 @@ let backend_tests =
         List.iter
           (fun c ->
             Alcotest.(check bool) "procedures were compiled" true
-              (c.Core.Tuner.backend.Core.Tuner.compiled_procs > 0);
+              ((Core.Tuner.backend_stats c).Core.Tuner.compiled_procs > 0);
             check_campaigns_equal reference c)
           (Lazy.force mpas_compiled));
     ts "batched reuse == unbatched, record for record (workers 0 and 4)" (fun () ->
         let reference = Lazy.force mpas_reference in
+        let rb = Core.Tuner.backend_stats reference in
         Alcotest.(check int) "the unshared reference reports no reuse traffic" 0
-          (reference.Core.Tuner.backend.Core.Tuner.reuse_hits
-          + reference.Core.Tuner.backend.Core.Tuner.reuse_misses);
+          (rb.Core.Tuner.reuse_hits + rb.Core.Tuner.reuse_misses);
         List.iter
           (fun c ->
             Alcotest.(check bool) "variants went through the table" true
-              (c.Core.Tuner.backend.Core.Tuner.reuse_misses > 0);
+              ((Core.Tuner.backend_stats c).Core.Tuner.reuse_misses > 0);
             check_campaigns_equal reference c)
           (Lazy.force mpas_compiled));
     ts "batch-reuse table hits on effectively-identical variants" (fun () ->
@@ -316,7 +316,7 @@ let backend_tests =
         let reference = run true in
         let batched = run false in
         Alcotest.(check bool) "reuse table was hit" true
-          (batched.Core.Tuner.backend.Core.Tuner.reuse_hits > 0);
+          ((Core.Tuner.backend_stats batched).Core.Tuner.reuse_hits > 0);
         check_campaigns_equal reference batched);
   ]
 

@@ -346,7 +346,7 @@ let matrix_tests =
               c.Core.Tuner.simulated_hours;
             Alcotest.(check bool)
               (label ^ " backend") true
-              (compare reference.Core.Tuner.backend c.Core.Tuner.backend = 0);
+              (compare (Core.Tuner.backend_stats reference) (Core.Tuner.backend_stats c) = 0);
             let st = Option.get c.Core.Tuner.sched in
             Alcotest.(check int) (label ^ " sched shards") s st.Core.Tuner.sched_shards;
             Alcotest.(check int) (label ^ " sched workers") w st.Core.Tuner.sched_workers;
@@ -377,7 +377,7 @@ let matrix_tests =
         Alcotest.(check bool) "summary" true
           (compare base.Core.Tuner.summary resumed.Core.Tuner.summary = 0);
         Alcotest.(check bool) "backend" true
-          (compare base.Core.Tuner.backend resumed.Core.Tuner.backend = 0);
+          (compare (Core.Tuner.backend_stats base) (Core.Tuner.backend_stats resumed) = 0);
         Alcotest.(check int) "zero re-evaluation of the journaled prefix"
           (List.length resumed.Core.Tuner.records - resumed.Core.Tuner.preloaded)
           resumed.Core.Tuner.trace_stats.Search.Trace.misses);

@@ -328,13 +328,16 @@ let batched_tests =
       (Trace.records trace)
   in
   let with_one_shard w f = Shard.with_shards ~shards:1 ~workers:(w + 1) f in
-  let dd ?shard ?max_variants ~critical n =
+  (* [runs] counts the raw evaluations, speculative ones included *)
+  let dd ?shard ?max_variants ?(runs = Atomic.make 0) ~critical n =
     let atoms = mk_atoms n in
     let crit = List.filteri (fun i _ -> List.mem i critical) atoms in
     let trace = Trace.create ?max_variants () in
-    let r =
-      Delta_debug.search ?shard ~atoms ~trace ~evaluate:(oracle ~critical:crit atoms) dd_config
+    let evaluate asg =
+      Atomic.incr runs;
+      oracle ~critical:crit atoms asg
     in
+    let r = Delta_debug.search ?shard ~atoms ~trace ~evaluate dd_config in
     (r, sigs trace)
   in
   [
@@ -386,6 +389,81 @@ let batched_tests =
            with_one_shard 2 (fun shard ->
                let _, t_par = dd ~shard ~critical n in
                t_seq = t_par)));
+    t "a round accepted at its first candidate runs one wave (1x2, 1x4)" (fun () ->
+        (* ddmin leaves a round at its first acceptance: speculation may
+           run the rest of that candidate's wave, never the rest of the
+           round *)
+        let atoms = mk_atoms 8 in
+        let round =
+          List.map (fun a -> Transform.Assignment.of_lowered atoms ~lowered:[ a ]) atoms
+        in
+        List.iter
+          (fun slots ->
+            Shard.with_shards ~shards:1 ~workers:slots (fun shard ->
+                let runs = Atomic.make 0 in
+                let trace = Trace.create () in
+                let evaluate asg =
+                  Atomic.incr runs;
+                  oracle ~critical:[] atoms asg
+                in
+                let spec = Speculate.create ~shard ~trace ~evaluate () in
+                Speculate.prefetch spec round;
+                Alcotest.(check int) "announcing evaluates nothing" 0 (Atomic.get runs);
+                let m = Speculate.evaluate spec (List.hd round) in
+                Alcotest.(check bool) "first candidate accepted" true
+                  (Delta_debug.accepted dd_config m);
+                Alcotest.(check int) (Printf.sprintf "one wave at 1x%d" slots) slots
+                  (Atomic.get runs);
+                Alcotest.(check int) "one record" 1 (Trace.count trace);
+                Alcotest.(check int) "one batch" 1 (Shard.stats shard).Shard.rounds))
+          [ 2; 4 ]);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"speculation wastes at most slots - 1 per wave (random oracles)"
+         ~count:25
+         QCheck.(pair (int_range 4 20) (small_list (int_range 0 19)))
+         (fun (n, crit_idx) ->
+           let critical = List.sort_uniq compare (List.filter (fun i -> i < n) crit_idx) in
+           let _, t_seq = dd ~critical n in
+           List.for_all
+             (fun w ->
+               with_one_shard w (fun shard ->
+                   let runs = Atomic.make 0 in
+                   let _, t_par = dd ~shard ~runs ~critical n in
+                   let waves = (Shard.stats shard).Shard.rounds in
+                   t_par = t_seq
+                   && Atomic.get runs - List.length t_par <= (Shard.slots shard - 1) * waves))
+             [ 1; 3 ]));
+    t "hierarchical: budget cut-off identical under batching" (fun () ->
+        (* the cut-off falls inside a speculated wave: the parallel run
+           must commit exactly the sequential prefix and fall back to the
+           same best-seen high set *)
+        let atoms = mk_atoms 18 in
+        let crit = List.filteri (fun i _ -> i = 4 || i = 5 || i = 13) atoms in
+        let groups = Ddmin.partition 6 atoms in
+        let runs = Atomic.make 0 in
+        let go shard =
+          Atomic.set runs 0;
+          let trace = Trace.create ~max_variants:9 () in
+          let evaluate asg =
+            Atomic.incr runs;
+            oracle ~critical:crit atoms asg
+          in
+          let r = Hierarchical.search ?shard ~atoms ~groups ~trace ~evaluate dd_config in
+          (r, sigs trace)
+        in
+        let r_seq, t_seq = go None in
+        Alcotest.(check bool) "sequential run cut off" false r_seq.Delta_debug.finished;
+        List.iter
+          (fun w ->
+            with_one_shard w (fun shard ->
+                let r_par, t_par = go (Some shard) in
+                Alcotest.(check bool) "the budget cut a speculated wave" true
+                  (Atomic.get runs > List.length t_par);
+                Alcotest.(check bool) "not finished" false r_par.Delta_debug.finished;
+                Alcotest.(check bool) "same records" true (t_seq = t_par);
+                Alcotest.(check bool) "same best-seen fallback" true
+                  (r_seq.Delta_debug.high_set = r_par.Delta_debug.high_set)))
+          [ 1; 3 ]);
   ]
 
 let brute_force_tests =

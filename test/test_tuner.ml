@@ -206,7 +206,7 @@ let campaign_tests =
         Alcotest.(check bool) "identical summary" true
           (compare c_seq.Core.Tuner.summary c_par.Core.Tuner.summary = 0);
         Alcotest.(check bool) "identical backend" true
-          (compare c_seq.Core.Tuner.backend c_par.Core.Tuner.backend = 0));
+          (compare (Core.Tuner.backend_stats c_seq) (Core.Tuner.backend_stats c_par) = 0));
     t "workers=3 hierarchical bit-identical to sequential" (fun () ->
         let config = { Core.Config.default with Core.Config.max_variants = Some 30 } in
         let c_seq = Core.Tuner.run_hierarchical ~config ~workers:0 small_mpas in
@@ -227,9 +227,9 @@ let campaign_tests =
            so a regression in either direction is caught. *)
         let live = Core.Tuner.run_brute_force small_funarc in
         Alcotest.(check int) "live space: no effective-program repeats" 0
-          live.Core.Tuner.backend.Core.Tuner.reuse_hits;
+          (Core.Tuner.backend_stats live).Core.Tuner.reuse_hits;
         Alcotest.(check bool) "live space: the batcher is reached" true
-          (live.Core.Tuner.backend.Core.Tuner.reuse_misses > 0);
+          ((Core.Tuner.backend_stats live).Core.Tuner.reuse_misses > 0);
         (* the same model with a never-referenced spare real in the
            search space: variants differing only in the spare's kind are
            effectively identical, and brute force provably enumerates
@@ -257,7 +257,7 @@ let campaign_tests =
         in
         let c = Core.Tuner.run_brute_force spares in
         Alcotest.(check bool) "inert atom: the reuse table serves repeats" true
-          (c.Core.Tuner.backend.Core.Tuner.reuse_hits > 0));
+          ((Core.Tuner.backend_stats c).Core.Tuner.reuse_hits > 0));
     t "mom6's backend counters are pinned at rank and hierarchical" (fun () ->
         (* the only registered campaigns where the table hits, through
            the inert duc_w; the summary's "backend" object, byte for byte *)
