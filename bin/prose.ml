@@ -147,7 +147,8 @@ let journal_arg =
         ~doc:
           "Make the campaign durable: append every measured variant to \
            $(i,DIR)/journal.jsonl (write-ahead, fsynced) with periodic snapshots, so a \
-           killed campaign continues with $(b,--resume).")
+           killed campaign continues with $(b,--resume). Without $(b,--resume), a \
+           $(i,DIR) that already holds a journal is refused (exit 2).")
 
 let resume_arg =
   Arg.(
@@ -241,10 +242,24 @@ let tune_cmd =
             prerr_endline ("prose tune: " ^ msg);
             exit 1)
       end
-      else if brute then Core.Tuner.run_brute_force ~config ?journal ?faults m
-      else if hierarchical then
-        Core.Tuner.run_hierarchical ~config ?workers ?shards ?journal ?faults m
-      else Core.Tuner.run_delta_debug ~config ?workers ?shards ?journal ?faults m
+      else begin
+        (* a fresh campaign never continues a journal behind the user's
+           back: that takes --resume *)
+        Option.iter
+          (fun dir ->
+            if Sys.file_exists (Persist.Journal.file ~dir) then begin
+              prerr_endline
+                ("prose tune: " ^ dir ^ " already holds a journal; continue it with --resume");
+              exit 2
+            end)
+          journal;
+        let algo =
+          if brute then Core.Tuner.Brute_force_algo
+          else if hierarchical then Core.Tuner.Hierarchical_algo
+          else Core.Tuner.Delta_debug_algo
+        in
+        Core.Tuner.run ?workers ?shards ?journal ?faults ~algo (Core.Tuner.prepare ~config m)
+      end
     in
     print_string (Core.Report.campaign_header campaign);
     print_newline ();

@@ -120,6 +120,29 @@ tail -n +2 "$SDIR/plain/journal.jsonl" > "$SDIR/plain_records.jsonl"
 diff "$SDIR/seq_records.jsonl" "$SDIR/plain_records.jsonl"
 rm -rf "$SDIR"
 
+# Hierarchical gate: the flow-graph group phase, then the atom phase, on
+# mom6 (where the batch-reuse table serves 8 of its 150 variants) at three
+# scheduler set-ups: the sequential 1x0 grid, a 2x2 grid and the
+# one-shard scheduler of --workers 1. CSV, summary and the journal past
+# its header line (whose "workers" field records the requested
+# parallelism) must match the sequential run byte for byte.
+HDIR=$(mktemp -d)
+_build/default/bin/prose.exe tune mom6 --hierarchical --shards 1 --workers 0 \
+  --journal "$HDIR/seq" --csv "$HDIR/seq.csv" --json "$HDIR/seq.json" > /dev/null
+_build/default/bin/prose.exe tune mom6 --hierarchical --shards 2 --workers 2 \
+  --journal "$HDIR/grid" --csv "$HDIR/grid.csv" --json "$HDIR/grid.json" > /dev/null
+_build/default/bin/prose.exe tune mom6 --hierarchical --workers 1 \
+  --journal "$HDIR/plain" --csv "$HDIR/plain.csv" --json "$HDIR/plain.json" > /dev/null
+for RUN in seq grid plain; do
+  tail -n +2 "$HDIR/$RUN/journal.jsonl" > "$HDIR/${RUN}_records.jsonl"
+done
+for RUN in grid plain; do
+  diff -u "$HDIR/seq.csv" "$HDIR/$RUN.csv"
+  diff -u "$HDIR/seq.json" "$HDIR/$RUN.json"
+  diff "$HDIR/seq_records.jsonl" "$HDIR/${RUN}_records.jsonl"
+done
+rm -rf "$HDIR"
+
 # Predictive-search gate, part 1: rank ordering must steer the mpas
 # campaign to the bit-identical 1-minimal variant the unpredicted search
 # finds (fewer evaluations are the point; a different answer is a bug).
@@ -194,6 +217,15 @@ _build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
 grep -v -e '"trace"' "$JDIR/base.json" > "$JDIR/base_cmp.json"
 grep -v -e '"trace"' "$JDIR/resumed.json" > "$JDIR/resumed_cmp.json"
 diff -u "$JDIR/base_cmp.json" "$JDIR/resumed_cmp.json"
+# Continuing a journal takes --resume: the same command without it is
+# refused with exit 2 and a named message, before anything is written.
+cp "$JDIR/campaign/journal.jsonl" "$JDIR/journal_before.jsonl"
+REFUSED=0
+_build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
+  --journal "$JDIR/campaign" > /dev/null 2> "$JDIR/refusal.txt" || REFUSED=$?
+test "$REFUSED" -eq 2
+grep 'already holds a journal; continue it with --resume' "$JDIR/refusal.txt" > /dev/null
+cmp "$JDIR/journal_before.jsonl" "$JDIR/campaign/journal.jsonl"
 rm -rf "$JDIR"
 
 # Service gate: serve two concurrent campaigns (one fault-injected) over a

@@ -23,7 +23,7 @@ val run_suite : ?config:Config.t -> ?workers:int -> ?shards:int -> unit -> suite
     campaign, so a suite is reproducible. [workers] (default: one per
     spare core; [0] = sequential) parallelizes each delta-debug
     campaign's variant evaluations without changing any result — see
-    {!Tuner.run_delta_debug}. [shards] runs the two whole-model
+    {!Tuner.run}. [shards] runs the two whole-model
     campaigns on the {!Search.Shard} work-stealing scheduler, again
     without changing any result. *)
 

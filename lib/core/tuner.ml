@@ -457,7 +457,7 @@ type campaign = {
 
 (* Static-filter rejections never reach the cluster, so no fault can
    touch them and they cost no simulated node time; every
-   fault-accounting site must agree with [faulted_evaluate]. *)
+   fault-accounting site must agree with [apply_faults]. *)
 let off_cluster (m : Variant.measurement) = m.Variant.detail = "static-filter"
 
 (* The per-procedure cache keys evaluating [asg] requests from
@@ -543,20 +543,37 @@ let max_variants_of p =
 
 let default_workers = Shard.default_workers
 
-(* [workers]: None = one per spare core, 0 = sequential. [w] workers are
-   [w] helper domains beside the submitting one, which evaluates too: a
-   one-shard scheduler of [w + 1] slots, with no yield hook and no
-   reported stats. Without a borrowed [shard] it lives for exactly one
-   campaign; a caller that multiplexes several campaigns over one
-   substrate lends its own, which is used whenever the effective worker
-   count is positive and is never shut down here. *)
-let with_one_shard ?shard workers f =
-  let w = match workers with Some w -> w | None -> default_workers () in
-  if w <= 0 then f None
-  else
-    match shard with
-    | Some _ as borrowed -> f borrowed
-    | None -> Shard.with_shards ~shards:1 ~workers:(w + 1) (fun sh -> f (Some sh))
+let sched_stats_of sh =
+  let s = Shard.stats sh in
+  {
+    sched_shards = Shard.shards sh;
+    sched_workers = Shard.workers sh;
+    sched_slots = Shard.slots sh;
+    sched_sim_hours = s.Shard.sim_seconds /. 3600.0;
+    sched_steals = s.Shard.stolen;
+    sched_rounds = s.Shard.rounds;
+    sched_batched = s.Shard.batched;
+    sched_serial = s.Shard.serial_tasks;
+  }
+
+(* The scheduler a ddmin search runs on: [w] workers are [w] helper
+   domains beside the submitting one, which evaluates too, and 0 is
+   sequential. In order of precedence: [shards s] is an [s × w]
+   work-stealing grid whose stats land in [sched], harvested even when a
+   preemption aborts the search; with no worker there is no scheduler; a
+   borrowed [shard] — the substrate a caller multiplexing several
+   campaigns lends — is used and never shut down here; otherwise a
+   one-shard scheduler of [w + 1] slots lives for exactly this search.
+   Only the grid reports stats. *)
+let with_sched ?shard ?shards ~workers ~sched f =
+  let w = max 0 workers in
+  match (shards, shard) with
+  | Some s, _ ->
+    Shard.with_shards ~shards:(max 1 s) ~workers:w (fun sh ->
+        Fun.protect ~finally:(fun () -> sched := Some (sched_stats_of sh)) (fun () -> f (Some sh)))
+  | None, _ when w = 0 -> f None
+  | None, Some _ -> f shard
+  | None, None -> Shard.with_shards ~shards:1 ~workers:(w + 1) (fun sh -> f (Some sh))
 
 (* Atoms grouped by connected components of the interprocedural FP flow
    graph: variables linked by parameter passing move together in the
@@ -663,7 +680,7 @@ let note_record jc ~signature (m : Variant.measurement) =
    caller's checkpoint hook or a configured preemption kill the "job" —
    the record is already durable either way, so interrupting here is
    always resumable with zero re-evaluation. *)
-let journal_sink ?checkpoint ?(shared_pending = fun () -> None) p jc (r : Variant.record) =
+let journal_sink ?checkpoint p jc ~donor (r : Variant.record) =
   let entry = Persist.Journal.entry_of_record r in
   let entry =
     match p.scorer with
@@ -676,13 +693,14 @@ let journal_sink ?checkpoint ?(shared_pending = fun () -> None) p jc (r : Varian
     | None -> entry
   in
   Persist.Journal.append jc.jw entry;
-  (* provenance for a memo-served record, staged by the trace's on_shared
-     hook in the same locked critical section — written right after the
-     record line so a crash between the two loses only the annotation *)
-  (match shared_pending () with
-  | Some sh -> Persist.Journal.append_shared jc.jw sh
-  | None -> ());
   let signature = Transform.Assignment.signature r.Variant.asg in
+  (* provenance of a memo-served record, written right after the record
+     line so a crash between the two loses only the annotation *)
+  Option.iter
+    (fun donor ->
+      Persist.Journal.append_shared jc.jw
+        { Persist.Journal.sh_index = r.Variant.index; sh_signature = signature; sh_donor = donor })
+    donor;
   (match jc.jfaults with
   | Some f when not (off_cluster r.Variant.meas) ->
     ignore
@@ -705,11 +723,6 @@ let apply_faults faults ~signature m =
   | None -> m
   | Some fspec -> if off_cluster m then m else Cluster.Faults.perturb fspec ~signature m
 
-let faulted_evaluate p faults asg =
-  apply_faults faults
-    ~signature:(Transform.Assignment.signature asg)
-    (evaluate p asg)
-
 (* Fleet-wide evaluation memo hooks (the service's cross-campaign memo
    plugs in here; solo campaigns pass none). The memo stores {e pre-fault}
    measurements — a pure function of (model source, config digest,
@@ -717,18 +730,82 @@ let faulted_evaluate p faults asg =
    and each consuming campaign applies its own fault perturbation (a pure
    function of its fault spec and the signature), so a memo-served record
    is bit-identical to the one the campaign would have evaluated itself.
-   [memo_find] returns the measurement plus the donor campaign's id for
-   the journal's provenance annotation. *)
+   [memo_find] returns the measurement plus the donor campaign's id,
+   which travels with the commit to the journal's provenance line. *)
 type memo_hooks = {
   memo_find : signature:string -> (Variant.measurement * string) option;
   memo_publish : signature:string -> Variant.measurement -> unit;
 }
 
-let execute p ~algo ?workers ?shards ?shard ?journal ?faults ?checkpoint ?memo ~preloaded () =
+exception Resume_mismatch of string
+
+let resume_fail fmt = Printf.ksprintf (fun s -> raise (Resume_mismatch s)) fmt
+
+let record_of_entry atoms (e : Persist.Journal.entry) : Variant.record =
+  {
+    Variant.index = e.Persist.Journal.e_index;
+    asg = Transform.Assignment.of_signature atoms e.Persist.Journal.e_signature;
+    meas = e.Persist.Journal.e_meas;
+  }
+
+(* The journal must describe the campaign [p] and [algo] would run: the
+   same model, result-affecting configuration, search space and search. *)
+let check_header p ~algo (h : Persist.Journal.header) =
+  if p.model.Models.Registry.name <> h.Persist.Journal.model then
+    resume_fail "resume: journal is for model %S, not %S" h.Persist.Journal.model
+      p.model.Models.Registry.name;
+  if Config.digest p.config <> h.Persist.Journal.config_digest then
+    resume_fail
+      "resume: configuration digest mismatch (journal %s, offered %s) — the journaled \
+       campaign ran under different tuning settings"
+      h.Persist.Journal.config_digest (Config.digest p.config);
+  if List.length p.atoms <> h.Persist.Journal.atoms then
+    resume_fail "resume: model has %d FP atoms but the journal recorded %d"
+      (List.length p.atoms) h.Persist.Journal.atoms;
+  if algo_name algo <> h.Persist.Journal.algo then
+    resume_fail "resume: journal runs %s, not %s" h.Persist.Journal.algo (algo_name algo)
+
+let journal_header p ~algo ~workers =
+  {
+    Persist.Journal.version = 1;
+    model = p.model.Models.Registry.name;
+    algo = algo_name algo;
+    seed = p.config.Config.seed;
+    config_digest = Config.digest p.config;
+    workers;
+    atoms = List.length p.atoms;
+    (* every journal this writer produces may carry provenance lines, so
+       solo and service headers stay byte-identical *)
+    caps = [ "shared" ];
+  }
+
+(* The one campaign body. A journal is started, or continued when
+   [journal] already holds one: the header is checked before the journal
+   is touched, and the journaled prefix is replayed into the trace's memo
+   cache — zero fresh evaluations — while the (deterministic) search
+   continues beyond it exactly as the uninterrupted campaign would have. *)
+let run ?shard ?workers ?shards ?journal ?faults ?checkpoint ?memo ~algo p =
+  if journal = None && (Option.is_some faults || Option.is_some checkpoint) then
+    invalid_arg "Tuner.run: ?faults and ?checkpoint need a ?journal";
+  (* brute force runs sequentially; its journals record 0 workers *)
+  let workers =
+    match (algo, workers) with
+    | Brute_force_algo, _ -> 0
+    | _, Some w -> w
+    | _, None -> default_workers ()
+  in
   let fstate = Option.map Cluster.Faults.create faults in
-  let jctx =
-    Option.map
-      (fun (jdir, jw) ->
+  let jctx, preloaded =
+    match journal with
+    | None -> (None, [])
+    | Some jdir ->
+      let jw, preloaded =
+        if Sys.file_exists (Persist.Journal.file ~dir:jdir) then
+          let loaded, jw = Persist.Journal.reopen ~check:(check_header p ~algo) ~dir:jdir () in
+          (jw, List.map (record_of_entry p.atoms) loaded.Persist.Journal.l_entries)
+        else (Persist.Journal.create ~dir:jdir (journal_header p ~algo ~workers), [])
+      in
+      let jc =
         {
           jw;
           jdir;
@@ -738,81 +815,40 @@ let execute p ~algo ?workers ?shards ?shard ?journal ?faults ?checkpoint ?memo ~
           jhours = 0.0;
           jrecords = 0;
           jbest = 0.0;
-        })
-      journal
-  in
-  (* the journaled prefix already consumed cluster hours: continue the
-     accounting (and the preemption clock) from there *)
-  Option.iter
-    (fun jc ->
+        }
+      in
+      (* the journaled prefix already consumed cluster hours: continue the
+         accounting (and the preemption clock) from there *)
       List.iter
         (fun (r : Variant.record) ->
-          note_record jc
-            ~signature:(Transform.Assignment.signature r.Variant.asg)
-            r.Variant.meas)
-        preloaded)
-    jctx;
-  (* Fleet memo wiring. [shared_lookup] runs outside the trace lock: it
-     asks the memo for a pre-fault measurement, stashes the donor id
-     keyed by signature, and applies this campaign's own fault
-     perturbation so the trace commits exactly what a live evaluation
-     would have. [on_shared] then fires under the trace lock, immediately
-     before the journal sink, staging the provenance annotation the sink
-     appends right after the record line. *)
-  let donor_lock = Mutex.create () in
-  let donors : (string, string) Hashtbl.t = Hashtbl.create 32 in
-  let pending : Persist.Journal.shared option ref = ref None in
+          note_record jc ~signature:(Transform.Assignment.signature r.Variant.asg) r.Variant.meas)
+        preloaded;
+      (Some jc, preloaded)
+  in
+  (* fleet memo: the lookup runs outside the trace lock and applies this
+     campaign's own fault perturbation to the pre-fault measurement, so
+     the trace commits exactly what a live evaluation would have; the
+     donor id rides along to the journal sink *)
   let shared_lookup =
     Option.map
       (fun h asg ->
         let signature = Transform.Assignment.signature asg in
-        match h.memo_find ~signature with
-        | None -> None
-        | Some (m, donor) ->
-          Mutex.lock donor_lock;
-          Hashtbl.replace donors signature donor;
-          Mutex.unlock donor_lock;
-          Some (apply_faults faults ~signature m))
+        Option.map
+          (fun (m, donor) -> (apply_faults faults ~signature m, donor))
+          (h.memo_find ~signature))
       memo
   in
-  let on_shared =
-    Option.map
-      (fun (_ : memo_hooks) (r : Variant.record) ->
-        let signature = Transform.Assignment.signature r.Variant.asg in
-        let donor =
-          Mutex.lock donor_lock;
-          let d = Hashtbl.find_opt donors signature in
-          Mutex.unlock donor_lock;
-          Option.value ~default:"" d
-        in
-        pending :=
-          Some
-            { Persist.Journal.sh_index = r.Variant.index; sh_signature = signature;
-              sh_donor = donor })
-      memo
-  in
-  let shared_pending () =
-    let sh = !pending in
-    pending := None;
-    sh
-  in
-  let sink = Option.map (fun jc -> journal_sink ?checkpoint ~shared_pending p jc) jctx in
-  let trace =
-    Trace.create ?max_variants:(max_variants_of p) ?shared_lookup ?on_shared ?sink ()
-  in
+  let sink = Option.map (fun jc -> journal_sink ?checkpoint p jc) jctx in
+  let trace = Trace.create ?max_variants:(max_variants_of p) ?shared_lookup ?sink () in
   Trace.preload trace preloaded;
-  let eval =
-    match memo with
-    | None -> faulted_evaluate p faults
-    | Some h ->
-      (* publish the pre-fault measurement of every fresh evaluation;
-         preloaded (journal-replayed) records are not republished — their
-         stored values are post-fault *)
-      fun asg ->
-        let signature = Transform.Assignment.signature asg in
-        let m = evaluate p asg in
-        h.memo_publish ~signature m;
-        apply_faults faults ~signature m
+  (* the memo gets the pre-fault measurement of every live evaluation;
+     preloaded (journal-replayed) records are not republished — their
+     stored values are post-fault *)
+  let eval asg =
+    let signature = Transform.Assignment.signature asg in
+    let m = evaluate p asg in
+    Option.iter (fun h -> h.memo_publish ~signature m) memo;
+    apply_faults faults ~signature m
   in
   (* schedule effectively-identical candidates on one slot so the
      batch-reuse table is hit instead of raced *)
@@ -835,40 +871,6 @@ let execute p ~algo ?workers ?shards ?shard ?journal ?faults ?checkpoint ?memo ~
         ~variant_cost:m.Variant.model_time
   in
   let sched = ref None in
-  let note_sched sh =
-    let s = Shard.stats sh in
-    sched :=
-      Some
-        {
-          sched_shards = Shard.shards sh;
-          sched_workers = Shard.workers sh;
-          sched_slots = Shard.slots sh;
-          sched_sim_hours = s.Shard.sim_seconds /. 3600.0;
-          sched_steals = s.Shard.stolen;
-          sched_rounds = s.Shard.rounds;
-          sched_batched = s.Shard.batched;
-          sched_serial = s.Shard.serial_tasks;
-        }
-  in
-  (* [shards] runs the search on a work-stealing grid whose stats are
-     harvested even when a preemption aborts the search *)
-  (* between-batch yield: a second look for the checkpoint hook, so a
-     multiplexing caller can pause even a stretch served entirely from
-     the memo cache (which commits no fresh records and hence never
-     fires the journal sink) *)
-  let yield =
-    match (jctx, checkpoint) with
-    | Some jc, Some cp -> Some (fun () -> cp (progress_of jc))
-    | _ -> None
-  in
-  let with_sched f =
-    match shards with
-    | None -> with_one_shard ?shard workers f
-    | Some s ->
-      let w = max 0 (match workers with Some w -> w | None -> default_workers ()) in
-      Shard.with_shards ?yield ~shards:(max 1 s) ~workers:w (fun sh ->
-          Fun.protect ~finally:(fun () -> note_sched sh) (fun () -> f (Some sh)))
-  in
   let dd_config = { Delta_debug.error_threshold = p.threshold; perf_floor = p.perf_floor } in
   (* rank demotes predicted-fail ddmin candidates with the
      Sensitivity.Rank evidence engine. Evidence is fed from committed
@@ -925,16 +927,12 @@ let execute p ~algo ?workers ?shards ?shard ?journal ?faults ?checkpoint ?memo ~
         (try ignore (Brute_force.search ~atoms:p.atoms ~trace ~evaluate:eval ())
          with Trace.Budget_exhausted -> ());
         None
-      | Delta_debug_algo ->
+      | Delta_debug_algo | Hierarchical_algo ->
+        let groups = if algo = Hierarchical_algo then Some (flow_groups p) else None in
         Some
-          (with_sched (fun shard ->
-               Delta_debug.search ?shard ~cost ?affinity ?ranker ~atoms:p.atoms ~trace
+          (with_sched ?shard ?shards ~workers ~sched (fun shard ->
+               Delta_debug.search ?shard ~cost ?affinity ?ranker ?groups ~atoms:p.atoms ~trace
                  ~evaluate:eval dd_config))
-      | Hierarchical_algo ->
-        Some
-          (with_sched (fun shard ->
-               Hierarchical.search ?shard ~cost ?affinity ?ranker ~atoms:p.atoms
-                 ~groups:(flow_groups p) ~trace ~evaluate:eval dd_config))
     with Cluster.Faults.Preempted _ | Paused ->
       interrupted := true;
       None
@@ -950,96 +948,6 @@ let execute p ~algo ?workers ?shards ?shard ?journal ?faults ?checkpoint ?memo ~
     ?fault_stats:(Option.map Cluster.Faults.stats fstate)
     ?sched:!sched p trace minimal
 
-let journal_header p ~algo ~workers =
-  {
-    Persist.Journal.version = 1;
-    model = p.model.Models.Registry.name;
-    algo = algo_name algo;
-    seed = p.config.Config.seed;
-    config_digest = Config.digest p.config;
-    workers = (match workers with Some w -> w | None -> default_workers ());
-    atoms = List.length p.atoms;
-    (* every journal this writer produces may carry provenance lines, so
-       solo and service headers stay byte-identical *)
-    caps = [ "shared" ];
-  }
-
-let start_journal p ~algo ~workers dir =
-  (dir, Persist.Journal.create ~dir (journal_header p ~algo ~workers))
-
-let run_algo ~algo ?config ?workers ?shards ?journal ?faults ?checkpoint ?memo model =
-  let p = prepare ?config model in
-  let journal = Option.map (start_journal p ~algo ~workers) journal in
-  execute p ~algo ?workers ?shards ?journal ?faults ?checkpoint ?memo ~preloaded:[] ()
-
-let run_delta_debug ?config ?workers ?shards ?journal ?faults ?checkpoint ?memo model =
-  run_algo ~algo:Delta_debug_algo ?config ?workers ?shards ?journal ?faults ?checkpoint
-    ?memo model
-
-let run_brute_force ?config ?journal ?faults ?checkpoint ?memo model =
-  run_algo ~algo:Brute_force_algo ~workers:0 ?config ?journal ?faults ?checkpoint ?memo model
-
-let run_hierarchical ?config ?workers ?shards ?journal ?faults ?checkpoint ?memo model =
-  run_algo ~algo:Hierarchical_algo ?config ?workers ?shards ?journal ?faults ?checkpoint
-    ?memo model
-
-let run_random ?config ~samples model =
-  let p = prepare ?config model in
-  let trace = Trace.create ?max_variants:(max_variants_of p) () in
-  let _records =
-    Random_walk.search ~atoms:p.atoms ~trace ~evaluate:(evaluate p) ~samples
-      ~seed:p.config.Config.seed ()
-  in
-  finish_campaign p trace None
-
-(* ------------------------------------------------------------------ *)
-(* Resume: replay the journal into the trace's memo cache, then re-run
-   the (deterministic) search. The journaled prefix is served from the
-   cache — zero fresh evaluations — and the search continues beyond it
-   exactly as the uninterrupted campaign would have. *)
-
-exception Resume_mismatch of string
-
-let resume_fail fmt = Printf.ksprintf (fun s -> raise (Resume_mismatch s)) fmt
-
-let record_of_entry atoms (e : Persist.Journal.entry) : Variant.record =
-  {
-    Variant.index = e.Persist.Journal.e_index;
-    asg = Transform.Assignment.of_signature atoms e.Persist.Journal.e_signature;
-    meas = e.Persist.Journal.e_meas;
-  }
-
-(* The journal must describe the campaign [p] and [algo] would run: the
-   same model, result-affecting configuration, search space and search. *)
-let check_header p ~algo (h : Persist.Journal.header) =
-  if p.model.Models.Registry.name <> h.Persist.Journal.model then
-    resume_fail "resume: journal is for model %S, not %S" h.Persist.Journal.model
-      p.model.Models.Registry.name;
-  if Config.digest p.config <> h.Persist.Journal.config_digest then
-    resume_fail
-      "resume: configuration digest mismatch (journal %s, offered %s) — the journaled \
-       campaign ran under different tuning settings"
-      h.Persist.Journal.config_digest (Config.digest p.config);
-  if List.length p.atoms <> h.Persist.Journal.atoms then
-    resume_fail "resume: model has %d FP atoms but the journal recorded %d"
-      (List.length p.atoms) h.Persist.Journal.atoms;
-  if algo_name algo <> h.Persist.Journal.algo then
-    resume_fail "resume: journal runs %s, not %s" h.Persist.Journal.algo (algo_name algo)
-
-(* Start the journaled campaign in [dir], or continue it when a journal is
-   already there. The header is checked before the journal is touched. *)
-let journaled ?workers ?shards ?shard ?faults ?checkpoint ?memo ~algo ~dir p =
-  if Sys.file_exists (Persist.Journal.file ~dir) then begin
-    let loaded, jw = Persist.Journal.reopen ~check:(check_header p ~algo) ~dir () in
-    let preloaded = List.map (record_of_entry p.atoms) loaded.Persist.Journal.l_entries in
-    execute p ~algo ?workers ?shards ?shard ~journal:(dir, jw) ?faults ?checkpoint ?memo
-      ~preloaded ()
-  end
-  else
-    execute p ~algo ?workers ?shards ?shard
-      ~journal:(start_journal p ~algo ~workers dir)
-      ?faults ?checkpoint ?memo ~preloaded:[] ()
-
 (* The per-campaign state [prepare] allocated, afresh: caches, batch-reuse
    table and eval timing. Everything else in [p] is read-only. *)
 let fresh_state p =
@@ -1053,14 +961,24 @@ let fresh_state p =
     eval_stats = eval_stats_create ();
   }
 
-let run_prepared ?workers ?shard ?faults ?checkpoint ?memo ~algo ~journal p =
-  (* brute force runs sequentially; its journals record 0 workers *)
-  let workers = match algo with Brute_force_algo -> Some 0 | _ -> workers in
-  journaled ?workers ?shard ?faults ?checkpoint ?memo ~algo ~dir:journal (fresh_state p)
+(* ------------------------------------------------------------------ *)
+(* The runners: thin constructors over [run].                          *)
 
-let resume ?(config = Config.default) ?workers ?shards ?faults ?checkpoint ?memo ?model
-    ~journal:dir () =
-  let h = (Persist.Journal.load ~dir).Persist.Journal.l_header in
+let run_delta_debug ?config ?workers ?shards ?journal ?faults ?checkpoint ?memo model =
+  run ?workers ?shards ?journal ?faults ?checkpoint ?memo ~algo:Delta_debug_algo
+    (prepare ?config model)
+
+let run_hierarchical ?config ?workers ?journal model =
+  run ?workers ?journal ~algo:Hierarchical_algo (prepare ?config model)
+
+let run_brute_force ?config ?journal ?faults model =
+  run ?journal ?faults ~algo:Brute_force_algo (prepare ?config model)
+
+let run_prepared ?workers ?shard ?faults ?checkpoint ?memo ~algo ~journal p =
+  run ?workers ?shard ~journal ?faults ?checkpoint ?memo ~algo (fresh_state p)
+
+let resume ?(config = Config.default) ?workers ?shards ?faults ?model ~journal () =
+  let h = (Persist.Journal.load ~dir:journal).Persist.Journal.l_header in
   let model =
     match model with
     | Some m -> m
@@ -1078,4 +996,13 @@ let resume ?(config = Config.default) ?workers ?shards ?faults ?checkpoint ?memo
   (* the journal's seed is authoritative: the campaign being continued was
      run with it, and a different seed would change every measurement *)
   let config = { config with Config.seed = h.Persist.Journal.seed } in
-  journaled ?workers ?shards ?faults ?checkpoint ?memo ~algo ~dir (prepare ~config model)
+  run ?workers ?shards ~journal ?faults ~algo (prepare ~config model)
+
+let run_random ?config ~samples model =
+  let p = prepare ?config model in
+  let trace = Trace.create ?max_variants:(max_variants_of p) () in
+  let _records =
+    Random_walk.search ~atoms:p.atoms ~trace ~evaluate:(evaluate p) ~samples
+      ~seed:p.config.Config.seed ()
+  in
+  finish_campaign p trace None

@@ -153,7 +153,7 @@ type campaign = {
       (** memo-cache traffic; [misses] counts fresh dynamic evaluations,
           so a resumed campaign proves it re-evaluated nothing journaled
           by [misses = length records - preloaded] *)
-  sched : sched_stats option;  (** [Some] iff the campaign ran with [?shards] *)
+  sched : sched_stats option;  (** [Some] iff a ddmin campaign ran with [?shards] *)
   preloaded : int;  (** records replayed from a journal (0 for fresh runs) *)
   interrupted : bool;
       (** the campaign was cut short by an injected preemption; the
@@ -193,9 +193,10 @@ type memo_hooks = {
       (** pre-fault measurement for this signature, plus the donor
           campaign id, if some fleet campaign already evaluated it *)
   memo_publish : signature:string -> Search.Variant.measurement -> unit;
-      (** called once per fresh evaluation with its pre-fault measurement *)
+      (** called once per live evaluation, speculative ones included,
+          with its pre-fault measurement *)
 }
-(** Fleet-wide evaluation memo hooks ([?memo] on the runners; the
+(** Fleet-wide evaluation memo hooks ([?memo] on {!run}; the
     service's cross-campaign memo plugs in here, solo campaigns pass
     none). The contract: the memo is keyed by evaluation space — same
     model source and same {!Config.digest} — within which a pre-fault
@@ -208,6 +209,72 @@ type memo_hooks = {
     instead of [misses]. Preloaded (journal-replayed) records are never
     republished: their stored values are post-fault. *)
 
+exception Resume_mismatch of string
+(** The offered model/configuration disagrees with the journal header. *)
+
+val run :
+  ?shard:Search.Shard.t ->
+  ?workers:int ->
+  ?shards:int ->
+  ?journal:string ->
+  ?faults:Cluster.Faults.spec ->
+  ?checkpoint:(progress -> unit) ->
+  ?memo:memo_hooks ->
+  algo:algo ->
+  prepared ->
+  campaign
+(** The campaign: [algo]'s search over the prepared space, bounded by the
+    variant budget (the configured [max_variants], else the model's: the
+    simulated 12-hour limit). [Delta_debug_algo] is the paper's search
+    (Sec. III-B), [Hierarchical_algo] the same search over {!flow_groups}
+    first (the clustering the paper's Sec. V points to),
+    [Brute_force_algo] the exhaustive 2ⁿ exploration of the funarc
+    walkthrough (Sec. II-B), which runs sequentially, ignores [shard],
+    [workers] and [shards], and journals 0 workers. Every runner below is
+    a constructor over this one body.
+
+    Parallelism is an execution strategy, not part of the experiment:
+    records, minimal sets, the summary and the cluster-hours books are
+    bit-identical at every setting, and only the requested [workers]
+    enters the journal header (never {!Config.digest}). [workers]
+    (default {!default_workers}; [0] = sequential) helper domains
+    evaluate each ddmin wave beside the submitting domain — the laptop
+    analogue of the paper's one-node-per-variant fan-out. The scheduler
+    is, in order of precedence: with [shards], a work-stealing grid of
+    [shards] simulated node-shards of [workers] slots each, whose
+    deterministic simulated makespan lands in [sched] (the only
+    scheduler that reports one); with no worker, none; the borrowed
+    [shard], which a multiplexing caller shares between campaigns and
+    which is never shut down here; otherwise a one-shard scheduler of
+    [workers + 1] slots.
+
+    [journal] makes the campaign durable: every committed record is
+    appended (write-ahead, fsynced) to [journal.jsonl] in directory
+    [journal] before the search proceeds, with periodic snapshots of the frontier state. The
+    journal's record lines are byte-identical for every worker count. A
+    directory without a journal starts one. A directory that holds one
+    is continued: its model name, {!Config.digest}, atom count and
+    algorithm must match [prepared] and [algo], or {!Resume_mismatch} is
+    raised before anything is written, a torn tail included; its
+    records are replayed into the trace's memo cache — zero
+    re-evaluation, [trace_stats.misses] counts only fresh evaluations —
+    and the search continues exactly as the uninterrupted campaign
+    would have, cluster accounting and preemption clock included. Its
+    seed is not adopted (it is part of the digest, so [prepared] must
+    have been built with it; {!resume} reads it from the header).
+
+    [faults] injects deterministic seeded cluster faults
+    ({!Cluster.Faults}): lost variants are accounted as [Error] records,
+    a preemption boundary interrupts the campaign gracefully
+    ([interrupted = true]) after the current record is durable.
+    [checkpoint] is called with the campaign's {!progress} once before
+    any fresh work is scheduled and after every durable record; it may
+    raise {!Paused} to suspend the campaign gracefully at that durable
+    point. Both live in the journal's commit sink: either one without
+    [journal] raises [Invalid_argument].
+
+    [memo] plugs in a fleet-wide evaluation memo ({!memo_hooks}). *)
+
 val run_delta_debug :
   ?config:Config.t ->
   ?workers:int ->
@@ -218,87 +285,19 @@ val run_delta_debug :
   ?memo:memo_hooks ->
   Models.Registry.t ->
   campaign
-(** The paper's search (Sec. III-B) on the model's search space, bounded
-    by the model's variant budget (the simulated 12-hour limit).
+(** [prepare ?config model], then {!run} [~algo:Delta_debug_algo]. *)
 
-    [workers] (default {!default_workers}; [0] = sequential) spreads each
-    ddmin round's candidate evaluations over a one-shard
-    {!Search.Shard} scheduler of [workers + 1] slots: [workers] helper
-    domains plus the submitting domain, which evaluates too — the laptop
-    analogue of the paper's one-node-per-variant cluster fan-out. It has
-    no yield hook and reports no [sched] stats. The search trajectory,
-    [records] and the Table-II summary are bit-identical across worker
-    counts; only wall clock changes ([simulated_hours] stays
-    variant-count-based).
-
-    [shards] switches the campaign to the {!Search.Shard} work-stealing
-    scheduler: each round's candidates are block-partitioned over
-    [shards] simulated node-shards of [workers] slots each (so
-    [~shards:s ~workers:0] is the sequential trajectory), shards that
-    drain early steal from their neighbours, and the deterministic
-    simulated makespan lands in [sched]. Records, minimal sets, the
-    summary and the cluster-hours books are bit-identical at every
-    shards × workers point — sharding is an execution strategy, not part
-    of the experiment, which is also why it never enters
-    {!Config.digest} or the journal header.
-
-    [journal] makes the campaign durable: every committed record is
-    appended (write-ahead, fsynced) to [DIR/journal.jsonl] before the
-    search proceeds, with periodic snapshots of the frontier state. The
-    journal's record lines are byte-identical for every worker count. A
-    killed campaign continues with {!resume}.
-
-    [faults] injects deterministic seeded cluster faults
-    ({!Cluster.Faults}): lost variants are accounted as [Error] records,
-    a preemption boundary interrupts the campaign gracefully
-    ([interrupted = true]) after the current record is durable. Fault
-    bookkeeping and the preemption clock live in the journal's commit
-    sink, so [faults] should be combined with [journal]; without it only
-    the measurement perturbation applies.
-
-    [checkpoint] is called with the campaign's {!progress} after every
-    fresh durable record (from the journal's commit sink, so it only
-    fires on journaled campaigns), once before any fresh work is
-    scheduled, and — under [shards] — between speculative waves. The
-    hook may raise {!Paused} to suspend the campaign gracefully at that
-    durable point. *)
+val run_hierarchical :
+  ?config:Config.t -> ?workers:int -> ?journal:string -> Models.Registry.t -> campaign
+(** [prepare ?config model], then {!run} [~algo:Hierarchical_algo]. *)
 
 val run_brute_force :
   ?config:Config.t ->
   ?journal:string ->
   ?faults:Cluster.Faults.spec ->
-  ?checkpoint:(progress -> unit) ->
-  ?memo:memo_hooks ->
   Models.Registry.t ->
   campaign
-(** Exhaustive 2ⁿ exploration — the funarc walkthrough of Sec. II-B.
-    [journal] and [faults] as in {!run_delta_debug}. *)
-
-val run_random : ?config:Config.t -> samples:int -> Models.Registry.t -> campaign
-(** Random-subset baseline for the ablation benchmark. *)
-
-val flow_groups : prepared -> Transform.Assignment.atom list list
-(** The search space partitioned by connected components of the
-    interprocedural FP flow graph: atoms linked by parameter passing land
-    in one group. Singleton groups for unconnected atoms. *)
-
-val run_hierarchical :
-  ?config:Config.t ->
-  ?workers:int ->
-  ?shards:int ->
-  ?journal:string ->
-  ?faults:Cluster.Faults.spec ->
-  ?checkpoint:(progress -> unit) ->
-  ?memo:memo_hooks ->
-  Models.Registry.t ->
-  campaign
-(** The community-structure search ({!Search.Hierarchical}) over the
-    flow-graph groups — the clustering approach the paper's Sec. V points
-    to for scaling FPPT. [workers], [shards], [journal], [faults],
-    [checkpoint] as in {!run_delta_debug}. *)
-
-exception Resume_mismatch of string
-(** The offered model/configuration disagrees with the journal header. *)
+(** [prepare ?config model], then {!run} [~algo:Brute_force_algo]. *)
 
 val run_prepared :
   ?workers:int ->
@@ -310,60 +309,36 @@ val run_prepared :
   journal:string ->
   prepared ->
   campaign
-(** Start the journaled [algo] campaign in directory [journal] over an
-    already prepared evaluation space, or continue it when the directory
-    already holds a journal — the one entry a multiplexing caller needs
-    for every slice of every job. A fresh journal gets the header a solo
-    run would write ({!run_brute_force} records 0 workers). An existing
-    one is checked first: its model name, {!Config.digest}, atom count
-    and algorithm must match [prepared] and [algo], or {!Resume_mismatch}
-    is raised before anything is written, a torn tail included. It is
-    then continued as {!resume} would, with zero re-evaluation of the
-    journaled prefix; its seed is not adopted (it is part of the digest,
-    so [prepared] must have been built with it). [workers], [faults],
-    [checkpoint] and [memo] as in {!run_delta_debug}.
+(** {!run} on fresh per-campaign state — the one entry a multiplexing
+    caller needs for every slice of every job over an already prepared
+    evaluation space.
 
-    [shard] lends an externally owned {!Search.Shard} scheduler instead
-    of creating a one-shard one per campaign — the substrate a
-    multiplexing service shares between jobs. It is used whenever the
-    effective worker count is positive and is never shut down here, and
-    its stats are not reported; the journal header still records
-    [workers], so journals stay byte-identical to solo runs.
-
-    {b Sharing a [prepared].} Each call runs on fresh per-campaign state
-    — empty lowering and compile caches, an empty batch-reuse table,
-    zeroed eval timing — and only reads the rest of [prepared] (program,
-    search space, baseline books, threshold, scorer). One [prepared] may
-    therefore serve any number of campaigns, in turn or concurrently,
-    with records identical to solo runs (outcomes never depend on cache
-    contents) and no cache outliving its call. Hand it only campaigns of
-    the space it was built for: the same model source, the same
-    {!Config.digest}, and the same {!Config.t.verify_roundtrip} switch,
-    which the digest leaves out but {!prepare} reads. The header check
-    catches a mismatched model, digest or search-space size. *)
+    {b Sharing a [prepared].} Each call runs on empty lowering and
+    compile caches, an empty batch-reuse table and zeroed eval timing,
+    and only reads the rest of [prepared] (program, search space,
+    baseline books, threshold, scorer). One [prepared] may therefore
+    serve any number of campaigns, in turn or concurrently, with records
+    identical to solo runs (outcomes never depend on cache contents) and
+    no cache outliving its call. Hand it only campaigns of the space it
+    was built for: the same model source, the same {!Config.digest}, and
+    the same {!Config.t.verify_roundtrip} switch, which the digest leaves
+    out but {!prepare} reads. The header check catches a mismatched
+    model, digest or search-space size. *)
 
 val resume :
   ?config:Config.t ->
   ?workers:int ->
   ?shards:int ->
   ?faults:Cluster.Faults.spec ->
-  ?checkpoint:(progress -> unit) ->
-  ?memo:memo_hooks ->
   ?model:Models.Registry.t ->
   journal:string ->
   unit ->
   campaign
-(** Continue a journaled campaign from [journal:DIR]: load the journal
-    (tolerating a torn final line from a crash mid-append), validate the
-    header against the offered configuration (the journal's seed is
-    adopted; the config digest and the model's atom count must agree),
-    pre-seed the search trace's memo cache with every journaled record,
-    and re-run the deterministic search. The journaled prefix is served
-    from the cache — [trace_stats.misses] counts only post-resume fresh
-    evaluations — and the finished campaign is record-for-record and
-    summary-bit-identical to one that was never interrupted. The cluster
-    accounting (and the fault layer's preemption clock) continues from
-    the hours the journaled prefix consumed. The journal is left
+(** Continue the journaled campaign in [journal:DIR]: read the header's
+    model, algorithm and seed (adopted over [config]'s), [prepare], and
+    {!run} — so the finished campaign is record-for-record and
+    summary-bit-identical to one that was never interrupted. A torn
+    final line from a crash mid-append is tolerated; the journal is left
     untouched when the header check fails.
 
     [model] overrides the registry lookup of the header's model name —
@@ -372,6 +347,14 @@ val resume :
 
     Raises {!Resume_mismatch} on header disagreement,
     {!Persist.Journal.Corrupt} on a damaged journal. *)
+
+val run_random : ?config:Config.t -> samples:int -> Models.Registry.t -> campaign
+(** Random-subset baseline for the ablation benchmark. *)
+
+val flow_groups : prepared -> Transform.Assignment.atom list list
+(** The search space partitioned by connected components of the
+    interprocedural FP flow graph: atoms linked by parameter passing land
+    in one group. Singleton groups for unconnected atoms. *)
 
 val uniform32_measurement : prepared -> Search.Variant.measurement
 (** The uniform 32-bit variant (the "supported single-precision build"

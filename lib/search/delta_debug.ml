@@ -37,8 +37,15 @@ let candidate_order ~variant_of ranker =
       keep @ demoted)
     ranker
 
-let search ?shard ?cost ?affinity ?ranker ~atoms ~trace ~evaluate cfg =
+let search ?shard ?cost ?affinity ?ranker ?groups ~atoms ~trace ~evaluate cfg =
   let module A = Transform.Assignment in
+  (* groups must partition the atom list *)
+  (match groups with
+  | Some gs
+    when List.compare_lengths (List.concat gs) atoms <> 0
+         || not (List.for_all (fun a -> List.exists (List.memq a) gs) atoms) ->
+    invalid_arg "Delta_debug.search: groups must partition the atoms"
+  | Some _ | None -> ());
   let diff big small = List.filter (fun a -> not (List.memq a small)) big in
   let variant_of high = A.of_lowered atoms ~lowered:(diff atoms high) in
   let order = candidate_order ~variant_of ranker in
@@ -54,6 +61,16 @@ let search ?shard ?cost ?affinity ?ranker ~atoms ~trace ~evaluate cfg =
     ok
   in
   let prefetch highs = Speculate.prefetch spec (List.map variant_of highs) in
+  (* group phase: a 1-minimal set of GROUPS kept at 64 bits; the ranker
+     sees the same per-assignment evidence stream in both phases *)
+  let group_phase groups =
+    List.concat
+      (Ddmin.minimize
+         ?order:(candidate_order ~variant_of:(fun gs -> variant_of (List.concat gs)) ranker)
+         ~prefetch:(fun gss -> prefetch (List.map List.concat gss))
+         ~test:(fun gs -> test (List.concat gs))
+         groups)
+  in
   let finished = ref true in
   let final_high =
     try
@@ -61,7 +78,10 @@ let search ?shard ?cost ?affinity ?ranker ~atoms ~trace ~evaluate cfg =
         (* the baseline itself fails the oracle (can happen when the perf
            floor exceeds 1): fall back to reporting it *)
         atoms
-      else Ddmin.minimize ?order ~prefetch ~test atoms
+      else
+        (* atom phase: over every atom, or over the surviving groups' *)
+        Ddmin.minimize ?order ~prefetch ~test
+          (match groups with None -> atoms | Some gs -> group_phase gs)
     with Trace.Budget_exhausted ->
       finished := false;
       !best_high

@@ -14,7 +14,32 @@
     chunks, tries each chunk and each complement, doubles granularity
     when stuck, and stops when [H] is 1-minimal: every single-atom
     removal has been tried and fails. Average-case O(n log n) evaluations,
-    worst-case O(n²). *)
+    worst-case O(n²).
+
+    {b Community structure.} The paper points at clustering as the way to
+    scale FPPT: HiFPTuner "exploits community structure" of variables
+    [6], Yao & Xue cluster search atoms manually [32], and Sec. V
+    recommends using the interprocedural FP flow graph to group variables
+    that must move together. With [groups], the search runs in two
+    phases:
+
+    {ol
+    {- {b group phase}: atoms are partitioned into caller-provided groups
+       (typically connected components of the flow graph — variables
+       linked by parameter passing, which a mixed assignment would split
+       with costly wrappers). Each group is lowered or kept atomically
+       and ddmin finds a 1-minimal set of {e groups} that must stay at
+       64 bits.}
+    {- {b atom phase}: the surviving groups' atoms are refined
+       individually with a second ddmin, everything else staying
+       lowered.}}
+
+    Compared to flat delta debugging over [n] atoms, the group phase
+    explores [g ≪ n] units, and grouped atoms never straddle a precision
+    boundary mid-search — exactly the wrapper-overhead pathology the flow
+    graph predicts. The result is 1-minimal at atom granularity within
+    the reachable set (lowering any single remaining 64-bit atom violates
+    the criteria). *)
 
 type config = {
   error_threshold : float;  (** correctness criterion (model-specific, Sec. IV-A) *)
@@ -51,6 +76,7 @@ val search :
   ?cost:(Variant.measurement -> float) ->
   ?affinity:(Transform.Assignment.t -> string) ->
   ?ranker:ranker ->
+  ?groups:Transform.Assignment.atom list list ->
   atoms:Transform.Assignment.atom list ->
   trace:Trace.t ->
   evaluate:(Transform.Assignment.t -> Variant.measurement) ->
@@ -78,14 +104,13 @@ val search :
     in principle differ ([bench --predict] checks it does not on the
     registered campaigns). Unlike [shard], [ranker] changes the
     exploration order; see {!type:ranker} for the determinism
-    contract. *)
+    contract.
+
+    [groups] adds the group phase before the atom phase (see the
+    community-structure note above). They must partition [atoms]
+    (checked before anything is evaluated; raises [Invalid_argument]
+    otherwise). Speculation, the ranker — one evidence stream across
+    both phases — and the budget cut-off apply to both phases alike. *)
 
 val accepted : config -> Variant.measurement -> bool
 (** The oracle: passes, error within threshold, speedup above the floor. *)
-
-val candidate_order :
-  variant_of:('s list -> Transform.Assignment.t) ->
-  ranker option ->
-  ('s Ddmin.candidate list -> 's Ddmin.candidate list) option
-(** The stable keep/demote reorder a [ranker] induces on a merged ddmin
-    round ([None] = classic order). Shared with {!Hierarchical.search}. *)

@@ -99,7 +99,6 @@ type stats = {
 type t = {
   n_shards : int;
   n_workers : int;
-  yield : (unit -> unit) option;  (* cooperative hook between batches *)
   lock : Mutex.t;
   work : Condition.t;  (* a batch was posted, or shutdown *)
   done_ : Condition.t;  (* the posted batch fully drained *)
@@ -164,14 +163,13 @@ let rec runner_loop t ~home seen =
     runner_loop t ~home g
   end
 
-let create ?yield ~shards:n_shards ~workers:n_workers () =
+let create ~shards:n_shards ~workers:n_workers () =
   if n_shards < 1 then invalid_arg "Shard.create: shards < 1";
   if n_workers < 0 then invalid_arg "Shard.create: workers < 0";
   let t =
     {
       n_shards;
       n_workers;
-      yield;
       lock = Mutex.create ();
       work = Condition.create ();
       done_ = Condition.create ();
@@ -206,17 +204,12 @@ let shutdown t =
   Mutex.unlock t.lock;
   if first then Array.iter Domain.join t.domains
 
-let with_shards ?yield ~shards ~workers f =
-  let t = create ?yield ~shards ~workers () in
+let with_shards ~shards ~workers f =
+  let t = create ~shards ~workers () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let map t ~cost f xs =
   if t.stop then invalid_arg "Shard.map: scheduler is shut down";
-  (* a batch boundary is the scheduler's cooperative yield point: every
-     previously committed record is durable here, and nothing of the next
-     batch has started, so a multiplexing service can pause or interleave
-     campaigns without ever touching what gets recorded *)
-  Option.iter (fun y -> y ()) t.yield;
   match xs with
   | [] -> []
   | _ ->

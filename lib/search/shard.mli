@@ -36,28 +36,19 @@
 
 type t
 
-val create : ?yield:(unit -> unit) -> shards:int -> workers:int -> unit -> t
+val create : shards:int -> workers:int -> unit -> t
 (** [shards >= 1] simulated node-shards of [workers >= 0] evaluation
     slots each. [workers = 0] means a single sequential slot overall
     (the classic no-speculation trajectory); raises [Invalid_argument]
     on a negative argument or [shards < 1]. Spawns
     [min (slots t - 1) (default_workers ())] helper domains: the
-    submitting domain is a slot too.
-
-    [yield] is a cooperative scheduling hook fired at the start of every
-    {!map} call — i.e. {e between} batches, never inside one; under
-    {!Speculate} a batch is one wave, so the hook also fires between
-    the waves of a search round. At that point every record the
-    consumer committed is durable and no task of the next batch has
-    started, so a multiplexing campaign service can use it to pause or
-    interleave campaigns (the hook may raise; the batch is then never
-    scheduled). It runs on the driving domain. *)
+    submitting domain is a slot too. *)
 
 val shutdown : t -> unit
 (** Terminates and joins the helper domains. Idempotent; mapping on a
     shut-down scheduler raises [Invalid_argument]. *)
 
-val with_shards : ?yield:(unit -> unit) -> shards:int -> workers:int -> (t -> 'a) -> 'a
+val with_shards : shards:int -> workers:int -> (t -> 'a) -> 'a
 (** Fresh scheduler for the call's duration, shut down on exit. *)
 
 val default_workers : unit -> int

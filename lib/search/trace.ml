@@ -12,9 +12,8 @@ type t = {
   cache : (string, Variant.measurement) Hashtbl.t;
   max_variants : int option;
   lock : Mutex.t;
-  sink : (Variant.record -> unit) option;
-  shared_lookup : (Transform.Assignment.t -> Variant.measurement option) option;
-  on_shared : (Variant.record -> unit) option;
+  sink : (donor:string option -> Variant.record -> unit) option;
+  shared_lookup : (Transform.Assignment.t -> (Variant.measurement * string) option) option;
   mutable hits : int;  (* evaluate calls served from cache *)
   mutable misses : int;  (* fresh evaluations committed *)
   mutable shared : int;  (* commits served by the external shared lookup *)
@@ -23,7 +22,7 @@ type t = {
 
 exception Budget_exhausted
 
-let create ?max_variants ?shared_lookup ?on_shared ?sink () =
+let create ?max_variants ?shared_lookup ?sink () =
   {
     recs = [];
     n = 0;
@@ -32,7 +31,6 @@ let create ?max_variants ?shared_lookup ?on_shared ?sink () =
     lock = Mutex.create ();
     sink;
     shared_lookup;
-    on_shared;
     hits = 0;
     misses = 0;
     shared = 0;
@@ -57,22 +55,21 @@ let check_budget t =
    lines carry consecutive commit indices in record-list order for every
    worker count. A sink exception (e.g. a simulated job preemption)
    propagates to the caller with the commit already durable. A commit
-   served by the external shared lookup counts as [shared] rather than a
-   miss and additionally fires [on_shared] just before the sink — still
-   under the lock, so a journaling sink can annotate the record's
-   provenance atomically with its append. *)
-let commit ?(shared = false) t key asg m =
+   served by the external shared lookup carries its [donor], counts as
+   [shared] rather than a miss, and hands the donor to the sink, so a
+   journaling sink annotates the record's provenance atomically with its
+   append. *)
+let commit ?donor t key asg m =
   check_budget t;
   t.n <- t.n + 1;
-  if shared then t.shared <- t.shared + 1 else t.misses <- t.misses + 1;
+  if donor = None then t.misses <- t.misses + 1 else t.shared <- t.shared + 1;
   Hashtbl.add t.cache key m;
   let r = { Variant.index = t.n; asg; meas = m } in
   t.recs <- r :: t.recs;
-  if shared then Option.iter (fun f -> f r) t.on_shared;
   (match t.sink with
   | Some f ->
     t.appends <- t.appends + 1;
-    f r
+    f ~donor r
   | None -> ());
   m
 
@@ -95,28 +92,20 @@ let evaluate t ~f asg =
     (* the cross-campaign shared lookup is consulted outside the lock
        (it takes its own mutex); a hit commits as a normal record — the
        books, the budget and the sink all see it — but costs no live
-       evaluation and is classified [shared], not a miss *)
-    let shared_m =
-      match t.shared_lookup with None -> None | Some look -> look asg
+       evaluation and is classified [shared], not a miss. Otherwise [f]
+       runs outside the lock: concurrent callers proceed in parallel. *)
+    let m, donor =
+      match Option.bind t.shared_lookup (fun look -> look asg) with
+      | Some (m, donor) -> (m, Some donor)
+      | None -> (f asg, None)
     in
-    match shared_m with
-    | Some m ->
-      locked t (fun () ->
-          match Hashtbl.find_opt t.cache key with
-          | Some m' ->
-            (* another caller committed the same variant first *)
-            t.hits <- t.hits + 1;
-            m'
-          | None -> commit ~shared:true t key asg m)
-    | None -> (
-      (* run [f] outside the lock: concurrent callers proceed in parallel *)
-      let m = f asg in
-      locked t (fun () ->
-          match Hashtbl.find_opt t.cache key with
-          | Some m' ->
-            t.hits <- t.hits + 1;
-            m'
-          | None -> commit t key asg m)))
+    locked t (fun () ->
+        match Hashtbl.find_opt t.cache key with
+        | Some m' ->
+          (* another caller committed the same variant first *)
+          t.hits <- t.hits + 1;
+          m'
+        | None -> commit ?donor t key asg m))
 
 let preload t records =
   locked t (fun () ->
@@ -137,13 +126,3 @@ let stats t =
   locked t (fun () ->
       { hits = t.hits; misses = t.misses; shared = t.shared; live = Hashtbl.length t.cache;
         appends = t.appends })
-
-let clear t =
-  locked t (fun () ->
-      t.recs <- [];
-      t.n <- 0;
-      t.hits <- 0;
-      t.misses <- 0;
-      t.shared <- 0;
-      t.appends <- 0;
-      Hashtbl.reset t.cache)

@@ -22,14 +22,14 @@
     misses).
 
     {b Cross-campaign sharing.} An optional [shared_lookup] is consulted
-    on every own-cache miss, before [f] runs: a hit commits as a normal
-    record (cache, record list, budget, sink — everything a fresh
+    on every own-cache miss, before [f] runs: a hit answers a measurement
+    and the id of the donor campaign that computed it, and commits as a
+    normal record (cache, record list, budget, sink — everything a fresh
     evaluation would touch) but is counted under [shared] instead of
-    [misses], and fires [on_shared] under the lock just before the sink
-    so the journaling layer can annotate the record's provenance
-    atomically with its append. The service's fleet-wide evaluation memo
-    plugs in here; a solo campaign passes neither hook and behaves
-    exactly as before. *)
+    [misses], and the sink receives its donor, so the journaling layer
+    annotates the record's provenance atomically with its append. The
+    service's fleet-wide evaluation memo plugs in here; a solo campaign
+    passes no lookup and its sink always sees [~donor:None]. *)
 
 type t
 
@@ -45,20 +45,19 @@ type stats = {
 
 val create :
   ?max_variants:int ->
-  ?shared_lookup:(Transform.Assignment.t -> Variant.measurement option) ->
-  ?on_shared:(Variant.record -> unit) ->
-  ?sink:(Variant.record -> unit) ->
+  ?shared_lookup:(Transform.Assignment.t -> (Variant.measurement * string) option) ->
+  ?sink:(donor:string option -> Variant.record -> unit) ->
   unit -> t
 (** [sink] is called synchronously under the trace lock as each record
-    commits (after the cache and record list are updated). An exception
-    raised by the sink propagates out of {!evaluate} with the commit
-    already in place — the simulated job-preemption path.
+    commits (after the cache and record list are updated), with the
+    donor of a shared commit and [None] otherwise. An exception raised
+    by the sink propagates out of {!evaluate} with the commit already in
+    place — the simulated job-preemption path.
 
     [shared_lookup] runs {e outside} the trace lock (it may take its own)
     and must be a pure function of the assignment for the campaign's
-    configuration — its answer is committed verbatim as this campaign's
-    measurement. [on_shared] fires only for shared commits, under the
-    lock, immediately before the sink. *)
+    configuration — its measurement is committed verbatim as this
+    campaign's, its donor id handed to the sink. *)
 
 exception Budget_exhausted
 (** Raised by {!evaluate} when [max_variants] distinct evaluations have
@@ -87,5 +86,3 @@ val records : t -> Variant.record list
 
 val count : t -> int
 val stats : t -> stats
-val clear : t -> unit
-(** Also resets the {!stats} counters. *)

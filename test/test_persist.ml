@@ -278,6 +278,19 @@ let resume_tests =
             Alcotest.(check int) "zero fresh evaluations" 0
               resumed.Core.Tuner.trace_stats.Search.Trace.misses;
             check_same_campaign "finished resume" base resumed));
+    t "a runner over its own finished journal continues it, evaluating nothing" (fun () ->
+        with_dir (fun dir ->
+            let run () =
+              Core.Tuner.run_brute_force ~config:funarc_config ~journal:dir small_funarc
+            in
+            let base = run () in
+            let journal = Harness.slurp (Persist.Journal.file ~dir) in
+            let again = run () in
+            Alcotest.(check int) "zero fresh evaluations" 0
+              again.Core.Tuner.trace_stats.Search.Trace.misses;
+            check_same_campaign "rerun" base again;
+            Alcotest.(check string) "journal byte-unchanged" journal
+              (Harness.slurp (Persist.Journal.file ~dir))));
     t "record lines are byte-identical for workers 0 and 4" (fun () ->
         with_dir2 (fun d0 d4 ->
             let config = Core.Config.default in
@@ -423,6 +436,18 @@ let fault_tests =
                 (List.length losses);
               Alcotest.(check bool) "lost node-seconds accounted" true
                 (fs.Core.Cluster.Faults.lost_node_seconds > 0.0)));
+    t "faults or a checkpoint without a journal are refused" (fun () ->
+        (* both live in the journal's commit sink: without one, faults
+           would only perturb measurements and the checkpoint never fire *)
+        let refused name run =
+          match run () with
+          | (_ : Core.Tuner.campaign) -> Alcotest.failf "%s: ran without a journal" name
+          | exception Invalid_argument _ -> ()
+        in
+        refused "faults" (fun () ->
+            Core.Tuner.run_delta_debug ~config:funarc_config ~faults:fault_spec small_funarc);
+        refused "checkpoint" (fun () ->
+            Core.Tuner.run_delta_debug ~config:funarc_config ~checkpoint:ignore small_funarc));
     t "a preemption chain resumed cleanly equals the uninterrupted run" (fun () ->
         with_dir (fun dir ->
             let base = Core.Tuner.run_brute_force ~config:funarc_config small_funarc in

@@ -258,7 +258,7 @@ let hierarchical_tests =
         let atoms = mk_atoms 4 in
         let trace = Trace.create () in
         match
-          Hierarchical.search ~atoms
+          Delta_debug.search ~atoms
             ~groups:[ List.filteri (fun i _ -> i < 2) atoms ]
             ~trace ~evaluate:(oracle ~critical:[] atoms) dd_config
         with
@@ -270,7 +270,7 @@ let hierarchical_tests =
         let groups = Ddmin.partition 4 atoms in
         let trace = Trace.create () in
         let r =
-          Hierarchical.search ~atoms ~groups ~trace ~evaluate:(oracle ~critical:crit atoms)
+          Delta_debug.search ~atoms ~groups ~trace ~evaluate:(oracle ~critical:crit atoms)
             dd_config
         in
         Alcotest.(check bool) "finished" true r.Delta_debug.finished;
@@ -286,7 +286,7 @@ let hierarchical_tests =
         let groups = Ddmin.partition 6 atoms in
         let t_h = Trace.create () in
         let rh =
-          Hierarchical.search ~atoms ~groups ~trace:t_h ~evaluate:(oracle ~critical:crit atoms)
+          Delta_debug.search ~atoms ~groups ~trace:t_h ~evaluate:(oracle ~critical:crit atoms)
             dd_config
         in
         let t_f = Trace.create () in
@@ -307,7 +307,7 @@ let hierarchical_tests =
            let groups = Ddmin.partition 4 atoms in
            let trace = Trace.create () in
            let r =
-             Hierarchical.search ~atoms ~groups ~trace ~evaluate:(oracle ~critical:crit atoms)
+             Delta_debug.search ~atoms ~groups ~trace ~evaluate:(oracle ~critical:crit atoms)
                dd_config
            in
            r.Delta_debug.finished
@@ -369,7 +369,7 @@ let batched_tests =
         let go shard =
           let trace = Trace.create () in
           let r =
-            Hierarchical.search ?shard ~atoms ~groups ~trace
+            Delta_debug.search ?shard ~atoms ~groups ~trace
               ~evaluate:(oracle ~critical:crit atoms) dd_config
           in
           (r, sigs trace)
@@ -448,7 +448,7 @@ let batched_tests =
             Atomic.incr runs;
             oracle ~critical:crit atoms asg
           in
-          let r = Hierarchical.search ?shard ~atoms ~groups ~trace ~evaluate dd_config in
+          let r = Delta_debug.search ?shard ~atoms ~groups ~trace ~evaluate dd_config in
           (r, sigs trace)
         in
         let r_seq, t_seq = go None in

@@ -598,6 +598,49 @@ let sigkill_test () =
         (String.equal (job_journal store id) (Harness.slurp (Persist.Journal.file ~dir))))
     [ d1; d2 ]
 
+(* Every provenance line of the jobs' journals directly follows the
+   record line whose index and signature it names, and names a donor:
+   another of the jobs, whose journal commits that signature. Returns
+   how many provenance lines were checked. *)
+let check_provenance name store ids =
+  let lines id =
+    String.split_on_char '\n' (job_journal store id)
+    |> List.filter (fun l -> l <> "")
+    |> List.map Persist.Json.parse
+  in
+  let str k j = Option.bind (Persist.Json.member k j) Persist.Json.to_str in
+  let int k j = Option.bind (Persist.Json.member k j) Persist.Json.to_int in
+  let committed id =
+    List.filter_map
+      (fun j -> if str "kind" j = Some "record" then str "sig" j else None)
+      (lines id)
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun id ->
+      ignore
+        (List.fold_left
+           (fun prev j ->
+             if str "kind" j = Some "shared" then begin
+               incr checked;
+               let what =
+                 Printf.sprintf "%s: %s provenance line %s" name id (Persist.Json.to_string j)
+               in
+               (match prev with
+               | Some r when str "kind" r = Some "record" && int "index" r = int "index" j
+                             && str "sig" r = str "sig" j -> ()
+               | _ -> Alcotest.failf "%s does not follow its record line" what);
+               match (str "donor" j, str "sig" j) with
+               | Some donor, Some sg when donor <> id && List.mem donor ids ->
+                 Alcotest.(check bool) (what ^ ": the donor committed it") true
+                   (List.mem sg (committed donor))
+               | _ -> Alcotest.failf "%s names no other job as its donor" what
+             end;
+             Some j)
+           None (lines id)))
+    ids;
+  !checked
+
 (* K identical jobs over the shared evaluation memo: every journal
    (provenance lines stripped), minimal set and summary (trace line
    stripped) byte-identical to the solo run, while the fleet evaluates
@@ -627,6 +670,9 @@ let memo_matrix_test k pool_workers () =
     true
     (fleet_misses < k * solo.Core.Tuner.trace_stats.Search.Trace.misses);
   let solo_journal = Harness.slurp (Persist.Journal.file ~dir:solo_dir) in
+  let ids = List.init k (fun i -> Printf.sprintf "j%03d" (i + 1)) in
+  Alcotest.(check bool) (name ^ ": provenance lines were written") true
+    (check_provenance name store ids > 0);
   List.iter
     (fun id ->
       Alcotest.(check bool) (Printf.sprintf "%s: %s done" name id) true
@@ -646,7 +692,7 @@ let memo_matrix_test k pool_workers () =
           (Service.Sched.minimal_text solo r)
           (Harness.slurp (Service.Store.minimal_file store id))
       | None -> ())
-    (List.init k (fun i -> Printf.sprintf "j%03d" (i + 1)))
+    ids
 
 (* SIGTERM mid-slice with the memo on, then a SIGKILL-style torn journal:
    a fresh server (fresh, empty in-memory memo) resumes every job with

@@ -260,27 +260,39 @@ let campaign_tests =
           ((Core.Tuner.backend_stats c).Core.Tuner.reuse_hits > 0));
     t "mom6's backend counters are pinned at rank and hierarchical" (fun () ->
         (* the only registered campaigns where the table hits, through
-           the inert duc_w; the summary's "backend" object, byte for byte *)
+           the inert duc_w; the summary's "backend" object, byte for byte,
+           and the md5 of each journal's record lines (every line past
+           the header) *)
+        Harness.with_dir2 @@ fun d_rank d_hier ->
         let backend c =
           List.find
             (String.starts_with ~prefix:"  \"backend\":")
             (String.split_on_char '\n' (Core.Export.summary_json c))
         in
+        let records_md5 dir =
+          let s = Harness.slurp (Persist.Journal.file ~dir) in
+          let body = String.index s '\n' + 1 in
+          Digest.to_hex (Digest.string (String.sub s body (String.length s - body)))
+        in
         let mom6 = Models.Registry.find "mom6" in
         let rank =
           Core.Tuner.run_delta_debug
             ~config:{ Core.Config.default with Core.Config.predict = Core.Config.Predict_rank }
-            ~workers:0 mom6
+            ~workers:0 ~journal:d_rank mom6
         in
         Alcotest.(check string) "rank"
           "  \"backend\": {\"compiled_procs\": 811, \"compile_hits\": 1016, \"reuse_hits\": 2, \
            \"reuse_misses\": 148},"
           (backend rank);
-        let hier = Core.Tuner.run_hierarchical ~workers:0 mom6 in
+        Alcotest.(check string) "rank records" "97972da08f56f1bf2eb507a814f7ea18"
+          (records_md5 d_rank);
+        let hier = Core.Tuner.run_hierarchical ~workers:0 ~journal:d_hier mom6 in
         Alcotest.(check string) "hierarchical"
           "  \"backend\": {\"compiled_procs\": 754, \"compile_hits\": 898, \"reuse_hits\": 8, \
            \"reuse_misses\": 142},"
-          (backend hier));
+          (backend hier);
+        Alcotest.(check string) "hierarchical records" "e19c0eb1711aa4b6b4a9d973dfaa17a6"
+          (records_md5 d_hier));
     t "same seed reproduces the campaign" (fun () ->
         let config = { Core.Config.default with Core.Config.max_variants = Some 12 } in
         let c1 = Core.Tuner.run_delta_debug ~config small_mpas in
