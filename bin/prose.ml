@@ -49,8 +49,8 @@ let source_cmd =
 
 (* ------------------------------------------------------------------ *)
 
-let seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Base seed for the injected run-to-run noise.")
+let seed_doc = "Base seed for the injected run-to-run noise."
+let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:seed_doc)
 
 let max_variants_arg =
   Arg.(
@@ -157,7 +157,9 @@ let resume_arg =
         ~doc:
           "Continue the journaled campaign in $(b,--journal) $(i,DIR): replay every \
            journaled record into the evaluation cache (zero re-evaluations) and finish \
-           the search. The result is identical to an uninterrupted run.")
+           the search. The result is identical to an uninterrupted run. The journal names \
+           the search and its seed: $(b,--brute-force), $(b,--hierarchical) or \
+           $(b,--seed) naming another is refused (exit 1) before anything is written.")
 
 let faults_term =
   let fault_seed_arg =
@@ -210,12 +212,23 @@ let faults_term =
 
 let tune_cmd =
   let doc = "Run a precision-tuning campaign on a model" in
+  (* absent is not 42: a resumed campaign takes its journal's seed *)
+  let seed_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "seed" ] ~docv:"INT"
+          ~doc:
+            (seed_doc
+           ^ " Default 42. With $(b,--resume) the journal's seed is used, and a different one \
+              is refused."))
+  in
   let run m seed max_variants whole static predict brute hierarchical csv json workers shards
       verify journal resume faults =
     let config =
       {
         Core.Config.default with
-        Core.Config.seed;
+        Core.Config.seed = Option.value seed ~default:Core.Config.default.Core.Config.seed;
         max_variants;
         static_filter = static;
         predict;
@@ -236,7 +249,14 @@ let tune_cmd =
           prerr_endline "prose tune: --resume requires --journal DIR";
           exit 2
         | Some dir -> (
-          try Core.Tuner.resume ~config ?workers ?shards ?faults ~model:m ~journal:dir ()
+          (* a search flag or seed, when given, must be the journal's *)
+          let algo =
+            if brute then Some Core.Tuner.Brute_force_algo
+            else if hierarchical then Some Core.Tuner.Hierarchical_algo
+            else None
+          in
+          try
+            Core.Tuner.resume ~config ?algo ?seed ?workers ?shards ?faults ~model:m ~journal:dir ()
           with
           | Core.Tuner.Resume_mismatch msg | Persist.Journal.Corrupt msg ->
             prerr_endline ("prose tune: " ^ msg);

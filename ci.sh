@@ -39,9 +39,10 @@ dune exec bin/prose.exe -- fuzz --oracle sensitivity --cases 1000 --seed 7
 # 1000 cases of the compiled oracle alone.
 dune exec bin/prose.exe -- fuzz --oracle compiled --cases 1000 --seed 7
 
-# Exact-counter gate: one joint_solo and one joint_parallel repetition
-# (a few seconds each), each checked against its committed
-# BUDGET_<workload>.json. The counts do not follow timing noise, so this
+# Exact-counter gate: one joint_solo, one joint_parallel (a few seconds
+# each) and one table2_rank repetition (about 10 s: the only workload
+# that runs the sensitivity scorer, at --predict rank), each checked
+# against its committed BUDGET_<workload>.json. The counts do not follow timing noise, so this
 # catches allocation and work regressions that timing hides: fresh
 # evaluations, evaluations to the 1-minimal variant, live evaluations
 # (speculative ones included) and simulated hours must match exactly,
@@ -49,7 +50,8 @@ dune exec bin/prose.exe -- fuzz --oracle compiled --cases 1000 --seed 7
 # joint_parallel's live evaluations fail the gate when speculation runs
 # ahead of what the search consumes. joint_solo's budget also holds
 # gc.minor_words, which may rise at most 2% above it (joint_parallel
-# has none: a second domain allocates there). gc.minor_words is exact
+# has none: a second domain allocates there; table2_rank has none: its
+# count does not repeat to the word). gc.minor_words is exact
 # for one build run from one place: DIR, its length and the working
 # directory do not move it, nor does an empty environment. It can follow
 # the path the executable resolves to: for one build, a byte-identical
@@ -57,7 +59,7 @@ dune exec bin/prose.exe -- fuzz --oracle compiled --cases 1000 --seed 7
 # for another the same; a symlink reads as its target. The cause is not
 # known; the 2% slack covers it.
 dune build ./perfbench/perfbench.exe
-for W in joint_solo joint_parallel; do
+for W in joint_solo joint_parallel table2_rank; do
 CDIR=$(mktemp -d)
 _build/default/perfbench/perfbench.exe run "$W" 42 "$CDIR" > "$CDIR/run.json"
 python3 - "$CDIR/run.json" "BUDGET_$W.json" "$(ocamlfind ocamlopt -version)" <<'PY'
@@ -225,6 +227,20 @@ _build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
   --journal "$JDIR/campaign" > /dev/null 2> "$JDIR/refusal.txt" || REFUSED=$?
 test "$REFUSED" -eq 2
 grep 'already holds a journal; continue it with --resume' "$JDIR/refusal.txt" > /dev/null
+cmp "$JDIR/journal_before.jsonl" "$JDIR/campaign/journal.jsonl"
+# --resume continues the journal's search at the journal's seed: a search
+# flag or seed naming another is refused with exit 1 and a named message,
+# before anything is written.
+REFUSED=0
+_build/default/bin/prose.exe tune funarc --hierarchical --workers 0 \
+  --journal "$JDIR/campaign" --resume > /dev/null 2> "$JDIR/refusal.txt" || REFUSED=$?
+test "$REFUSED" -eq 1
+grep 'resume: journal runs brute_force, not hierarchical' "$JDIR/refusal.txt" > /dev/null
+REFUSED=0
+_build/default/bin/prose.exe tune funarc --brute-force --seed 9 --workers 0 \
+  --journal "$JDIR/campaign" --resume > /dev/null 2> "$JDIR/refusal.txt" || REFUSED=$?
+test "$REFUSED" -eq 1
+grep 'resume: journal was run with seed 42, not 9' "$JDIR/refusal.txt" > /dev/null
 cmp "$JDIR/journal_before.jsonl" "$JDIR/campaign/journal.jsonl"
 rm -rf "$JDIR"
 

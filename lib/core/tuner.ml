@@ -977,8 +977,8 @@ let run_brute_force ?config ?journal ?faults model =
 let run_prepared ?workers ?shard ?faults ?checkpoint ?memo ~algo ~journal p =
   run ?workers ?shard ~journal ?faults ?checkpoint ?memo ~algo (fresh_state p)
 
-let resume ?(config = Config.default) ?workers ?shards ?faults ?model ~journal () =
-  let h = (Persist.Journal.load ~dir:journal).Persist.Journal.l_header in
+let resume ?(config = Config.default) ?algo ?seed ?workers ?shards ?faults ?model ~journal () =
+  let h = Persist.Journal.read_header ~dir:journal in
   let model =
     match model with
     | Some m -> m
@@ -988,15 +988,27 @@ let resume ?(config = Config.default) ?workers ?shards ?faults ?model ~journal (
       | exception _ ->
         resume_fail "resume: journal is for unknown model %S" h.Persist.Journal.model)
   in
-  let algo =
+  let journal_algo =
     match algo_of_name h.Persist.Journal.algo with
     | Some a -> a
     | None -> resume_fail "resume: journal has unknown algorithm %S" h.Persist.Journal.algo
   in
-  (* the journal's seed is authoritative: the campaign being continued was
-     run with it, and a different seed would change every measurement *)
+  (* the journal's search and seed are authoritative: the campaign being
+     continued was run with them, and another seed would change every
+     measurement.  A caller that names either asks for that campaign, and
+     continuing a different one would answer another question. *)
+  Option.iter
+    (fun a ->
+      if a <> journal_algo then
+        resume_fail "resume: journal runs %s, not %s" h.Persist.Journal.algo (algo_name a))
+    algo;
+  Option.iter
+    (fun s ->
+      if s <> h.Persist.Journal.seed then
+        resume_fail "resume: journal was run with seed %d, not %d" h.Persist.Journal.seed s)
+    seed;
   let config = { config with Config.seed = h.Persist.Journal.seed } in
-  run ?workers ?shards ~journal ?faults ~algo (prepare ~config model)
+  run ?workers ?shards ~journal ?faults ~algo:journal_algo (prepare ~config model)
 
 let run_random ?config ~samples model =
   let p = prepare ?config model in

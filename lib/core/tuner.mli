@@ -327,6 +327,8 @@ val run_prepared :
 
 val resume :
   ?config:Config.t ->
+  ?algo:algo ->
+  ?seed:int ->
   ?workers:int ->
   ?shards:int ->
   ?faults:Cluster.Faults.spec ->
@@ -339,7 +341,12 @@ val resume :
     {!run} — so the finished campaign is record-for-record and
     summary-bit-identical to one that was never interrupted. A torn
     final line from a crash mid-append is tolerated; the journal is left
-    untouched when the header check fails.
+    untouched when the header check fails. Only the header is read
+    before [run], which loads the records once.
+
+    [algo] and [seed] name the search and seed the caller expects; one
+    that differs from the header's raises {!Resume_mismatch} before
+    anything is prepared or written. Left out, the header's are taken.
 
     [model] overrides the registry lookup of the header's model name —
     for campaigns over custom-built model instances (tests, scaled-down

@@ -211,6 +211,30 @@ let read_all path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let no_header ~dir = corrupt "journal %s has no header line" (file ~dir)
+
+let header_of_line ~dir line =
+  let h =
+    match Json.parse line with
+    | j when Json.member "kind" j = Some (Json.Str "header") -> header_of_json j
+    | _ -> corrupt "journal %s: first line is not a header" (file ~dir)
+    | exception Json.Parse_error m -> corrupt "journal %s header: %s" (file ~dir) m
+  in
+  if h.version <> current_version then
+    corrupt "journal %s: version %d (supported: %d)" (file ~dir) h.version current_version;
+  h
+
+let read_header ~dir =
+  let ic = try open_in_bin (file ~dir) with Sys_error m -> corrupt "%s" m in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      match input_line ic with
+      (* a line without its newline is torn, as in [load] *)
+      | line when pos_in ic > String.length line -> header_of_line ~dir line
+      | _ -> no_header ~dir
+      | exception End_of_file -> no_header ~dir)
+
 let load ~dir =
   let s = read_all (file ~dir) in
   let n = String.length s in
@@ -224,16 +248,9 @@ let load ~dir =
   in
   let complete, _end_of_complete = lines 0 [] in
   match complete with
-  | [] -> corrupt "journal %s has no header line" (file ~dir)
+  | [] -> no_header ~dir
   | (hline, hend) :: rest ->
-    let h =
-      match Json.parse hline with
-      | j when Json.member "kind" j = Some (Json.Str "header") -> header_of_json j
-      | _ -> corrupt "journal %s: first line is not a header" (file ~dir)
-      | exception Json.Parse_error m -> corrupt "journal %s header: %s" (file ~dir) m
-    in
-    if h.version <> current_version then
-      corrupt "journal %s: version %d (supported: %d)" (file ~dir) h.version current_version;
+    let h = header_of_line ~dir hline in
     (* records: a crash can only tear the FINAL line, so an unparsable last
        line is tolerated (it becomes the torn region that [reopen] truncates);
        damage anywhere earlier means the file was edited or the disk lied,

@@ -103,6 +103,10 @@ val load : dir:string -> loaded
 (** Raises {!Corrupt} on a missing or malformed journal; a torn final
     line only sets [l_torn]. *)
 
+val read_header : dir:string -> header
+(** The header alone, read without the records: {!load}'s [l_header],
+    raising {!Corrupt} where {!load} would for the header. *)
+
 val reopen :
   ?fsync:bool -> ?check:(header -> unit) -> dir:string -> unit -> loaded * writer
 (** {!load}, then truncate the file to [l_valid_bytes] (dropping any torn

@@ -111,11 +111,16 @@ let to_int d v =
 (* ------------------------------------------------------------------ *)
 (* The error algebra                                                   *)
 
+let f32_of = function Ast.K4 -> true | Ast.K8 -> false
+
 (* apply the post-operation rounding at baseline kind [k] to every entry,
    plus an extra f32 rounding for kind-tainted atoms when the baseline
-   computed in 64-bit (their run may compute this operation in 32-bit) *)
-let round_err d k v err kt =
-  E.round ~poisoned:d.poisoned ~f32:(match k with Ast.K4 -> true | Ast.K8 -> false) ~taint:kt v err
+   computed in 64-bit (their run may compute this operation in 32-bit).
+   The hot operations round inside their own kernel instead ([E.add],
+   [E.mul], [E.div], [E.pow], [E.elemental]), after rounding the concrete
+   value first: an operation that traps ends the analysis before its
+   error vector is computed. *)
+let round_err d k v err kt = E.round ~poisoned:d.poisoned ~f32:(f32_of k) ~taint:kt v err
 
 (* round the concrete value at kind [k] as the interpreter does (trapping
    NaN/overflow), and attach the rounded error vector *)
@@ -201,6 +206,22 @@ let stored_err d b kind x (v : av) =
     | None -> v.kt
   in
   round_err d kind x v.err kt
+
+(* the propagation rule of an elemental intrinsic ({!Walk.elemental}) *)
+let elemental_rule : string -> E.elemental = function
+  | "sin" | "cos" -> Sin_cos
+  | "atan" -> Atan
+  | "tanh" -> Tanh
+  | "sqrt" -> Sqrt
+  | "exp" -> Exp
+  | "log" -> Log
+  | "log10" -> Log10
+  | "tan" -> Tan
+  | "asin" | "acos" -> Asin_acos
+  | "sinh" | "cosh" -> Sinh_cosh
+  | "aint" -> Aint
+  | "anint" -> Anint
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* The domain                                                          *)
@@ -326,28 +347,29 @@ module Abstract = struct
     | _, _, (Ast.Add | Ast.Sub | Ast.Mul | Ast.Div) ->
       let k = Walk.promoted va.c vb.c in
       let x = as_float va.c and y = as_float vb.c in
+      let v = Walk.round_real k (Walk.real_arith op x y) in
+      let poisoned = d.poisoned and f32 = f32_of k in
       let err =
         match op with
-        | Ast.Add | Ast.Sub -> E.add va.err vb.err
-        | Ast.Mul -> E.mul ~x ~y va.err vb.err
-        | Ast.Div -> E.div ~poisoned:d.poisoned ~x ~y va.err vb.err
+        | Ast.Add | Ast.Sub -> E.add ~poisoned ~f32 ~taint:kt v va.err vb.err
+        | Ast.Mul -> E.mul ~poisoned ~f32 ~taint:kt ~x ~y v va.err vb.err
+        | Ast.Div -> E.div ~poisoned ~f32 ~taint:kt ~x ~y v va.err vb.err
         | _ -> assert false
       in
-      mk_areal d k (Walk.real_arith op x y) err kt
+      { c = Value.Vreal (v, k); err; kt }
     | _, _, Ast.Pow -> (
       let k = Walk.promoted va.c vb.c in
       let x = as_float va.c in
       match vb.c with
       | Value.Vint n when abs n <= 4 ->
-        (* strength-reduced small integer powers: fold the product rule
-           once per multiplication; the exponent is an exact int
-           (err-free by construction) *)
-        let rec pow (acc, eacc) i =
-          if i = 0 then (acc, eacc) else pow (acc *. x, E.mul ~x:acc ~y:x eacc va.err) (i - 1)
+        (* strength-reduced small integer powers; the exponent is an
+           exact int (err-free by construction) *)
+        let v = Walk.round_real k (Walk.small_pow x n) in
+        let err =
+          if n = 0 then round_err d k v E.empty kt
+          else E.pow ~poisoned:d.poisoned ~f32:(f32_of k) ~taint:kt ~x n v va.err
         in
-        let v, err = pow (1.0, E.empty) (abs n) in
-        let err = if n < 0 then E.div ~poisoned:d.poisoned ~x:1.0 ~y:v E.empty err else err in
-        mk_areal d k (Walk.small_pow x n) err kt
+        { c = Value.Vreal (v, k); err; kt }
       | _ ->
         let y = as_float vb.c in
         let raw = Float.pow x y in
@@ -392,49 +414,13 @@ module Abstract = struct
   let elemental d name v =
     match v with
     | { c = Value.Vreal (x, k); err; kt } ->
-      let f = Walk.elemental name in
-      let lip e =
-        (* per-atom propagated error for |f(x') - f(x)|, x' in [x-e, x+e];
-           a [None] poisons: the demoted run may trap (NaN) where the
-           baseline did not *)
-        if e = 0.0 then Some 0.0
-        else
-          match name with
-          | "sin" | "cos" -> Some (Float.min e 2.0)
-          | "atan" -> Some (Float.min e Float.pi)
-          | "tanh" -> Some (Float.min e 2.0)
-          | "sqrt" ->
-            if x -. e < 0.0 then None
-            else if x -. e = 0.0 then Some (sqrt e)
-            else Some (Float.min (e /. (2.0 *. sqrt (x -. e))) (sqrt e))
-          | "exp" ->
-            let hi = exp (x +. e) in
-            if Float.is_finite hi then Some (hi -. exp x) else None
-          | "log" -> if x -. e <= 0.0 then None else Some (log (x /. (x -. e)))
-          | "log10" -> if x -. e <= 0.0 then None else Some (log (x /. (x -. e)) /. log 10.0)
-          | "tan" ->
-            let m = Float.abs (cos x) -. e in
-            if m <= 0.0 then None else Some (e /. (m *. m))
-          | "asin" | "acos" ->
-            let t = Float.abs x +. e in
-            if t >= 1.0 then None else Some (Float.min (e /. sqrt (1.0 -. (t *. t))) Float.pi)
-          | "sinh" | "cosh" ->
-            let t = Float.abs x +. e in
-            if t > 700.0 then None else Some (e *. cosh t)
-          | "aint" | "anint" -> if f (x -. e) = f (x +. e) then Some 0.0 else Some (e +. 1.0)
-          | _ -> assert false
-      in
+      let fx = Walk.elemental name x in
+      let v = Walk.round_real k fx in
       let err =
-        E.mapi
-          (fun a e ->
-            match lip e with
-            | Some e' -> e'
-            | None ->
-              poison d a;
-              Float.abs (f x) +. e +. 1.0)
+        E.elemental ~poisoned:d.poisoned ~f32:(f32_of k) ~taint:kt (elemental_rule name) ~x ~fx v
           err
       in
-      mk_areal d k (f x) err kt
+      { c = Value.Vreal (v, k); err; kt }
     | _ -> trap "%s of non-real value" name
 
   let minmax d name vs =
@@ -526,14 +512,15 @@ module Abstract = struct
     let kind = Walk.dot_kind ka kb in
     let kt = E.atoms_union ba.taint bb.taint in
     let elem b x k err = read_view d b { c = Value.Vreal (x, k); err; kt = E.no_atoms } in
+    let poisoned = d.poisoned and f32 = f32_of kind in
     let s = ref 0.0 and serr = ref E.empty in
     for i = 0 to n - 1 do
       let xa = elem ba da.(i) ka ea.(i) in
       let xb = elem bb db.(i) kb eb.(i) in
       let p = Fp32.of_kind kind (da.(i) *. db.(i)) in
-      let perr = round_err d kind p (E.mul ~x:da.(i) ~y:db.(i) xa.err xb.err) kt in
+      let perr = E.mul ~poisoned ~f32 ~taint:kt ~x:da.(i) ~y:db.(i) p xa.err xb.err in
       let s' = Walk.dot_step kind !s da.(i) db.(i) in
-      serr := round_err d kind s' (E.add !serr perr) kt;
+      serr := E.add ~poisoned ~f32 ~taint:kt s' !serr perr;
       s := s'
     done;
     mk_areal d kind !s !serr kt
@@ -544,11 +531,12 @@ module Abstract = struct
     let elem i = read_view d b { c = Value.Vreal (data.(i), kind); err = errs.(i); kt = E.no_atoms } in
     match name with
     | "sum" ->
+      let poisoned = d.poisoned and f32 = f32_of kind in
       let s = ref 0.0 and serr = ref E.empty in
       for i = 0 to n - 1 do
         let x = elem i in
         let s' = Fp32.of_kind kind (!s +. data.(i)) in
-        serr := round_err d kind s' (E.add !serr x.err) kt;
+        serr := E.add ~poisoned ~f32 ~taint:kt s' !serr x.err;
         s := s'
       done;
       mk_areal d kind !s !serr kt

@@ -11,7 +11,15 @@
    entry, and the rounding update turns an explicit zero at |v| > 0 into a
    positive bound while an absent entry stays absent.  Each entry is
    computed by the same float expression, in the same association order,
-   as the error algebra of DESIGN.md §13 states it. *)
+   as the error algebra of DESIGN.md §13 states it.
+
+   An abstract operation is its propagation rule followed by the rounding
+   update of its result.  The hot ones — the [+ - * /] rules, small
+   integer powers, the elemental intrinsics, and the rounding update on
+   its own — share one loop, [apply], that computes each entry's rule and
+   rounds it in place, so an operation fills one vector, not two.  The loop
+   switches on the rule, because a rule passed as a closure would box every
+   float. *)
 
 type t = { keys : int array; vals : float array }
 type atoms = int array
@@ -21,33 +29,30 @@ let no_atoms : atoms = [||]
 let length t = Array.length t.keys
 let is_empty t = Array.length t.keys = 0
 
-(* position of [a] in the sorted [keys], or -1 *)
-let index keys a =
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) lsr 1 in
-      let k = Array.unsafe_get keys mid in
-      if k = a then mid else if k < a then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length keys)
+(* the first position of the sorted [keys] whose key is >= [a] *)
+let search keys a =
+  let lo = ref 0 and hi = ref (Array.length keys) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get keys mid < a then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let found keys p a = p < Array.length keys && Array.unsafe_get keys p = a
 
 let get a t =
-  let i = index t.keys a in
-  if i < 0 then 0.0 else Array.unsafe_get t.vals i
+  let p = search t.keys a in
+  if found t.keys p a then Array.unsafe_get t.vals p else 0.0
 
-let set a e t =
-  let i = index t.keys a in
-  if i >= 0 then begin
+(* bind [a] to [e], [p] being [search t.keys a] *)
+let set_at p a e t =
+  if found t.keys p a then begin
     let vals = Array.copy t.vals in
-    vals.(i) <- e;
+    vals.(p) <- e;
     { keys = t.keys; vals }
   end
   else begin
     let n = Array.length t.keys in
-    let p = ref 0 in
-    while !p < n && t.keys.(!p) < a do incr p done;
-    let p = !p in
     let keys = Array.make (n + 1) a and vals = Array.make (n + 1) e in
     Array.blit t.keys 0 keys 0 p;
     Array.blit t.vals 0 vals 0 p;
@@ -56,6 +61,7 @@ let set a e t =
     { keys; vals }
   end
 
+let set a e t = set_at (search t.keys a) a e t
 let put a e t = if e = 0.0 then t else set a e t
 
 let of_list l = List.fold_left (fun t (a, e) -> set a e t) empty l
@@ -67,11 +73,7 @@ let iter f t =
     f (Array.unsafe_get t.keys i) (Array.unsafe_get t.vals i)
   done
 
-let mapi f t =
-  if is_empty t then t
-  else { keys = t.keys; vals = Array.init (length t) (fun i -> f t.keys.(i) t.vals.(i)) }
-
-let map f t = mapi (fun _ e -> f e) t
+let map f t = if is_empty t then t else { keys = t.keys; vals = Array.map f t.vals }
 
 (* ------------------------------------------------------------------ *)
 (* Atom sets                                                           *)
@@ -86,26 +88,24 @@ let union_keys kx ky =
     else if nx = 0 then ky
     else begin
       let i = ref 0 and j = ref 0 and n = ref 0 in
-      while !i < nx || !j < ny do
-        (if !j >= ny then incr i
-         else if !i >= nx then incr j
-         else
-           let a = Array.unsafe_get kx !i and b = Array.unsafe_get ky !j in
-           if a < b then incr i
-           else if b < a then incr j
-           else begin
-             incr i;
-             incr j
-           end);
+      while !i < nx && !j < ny do
+        let a = Array.unsafe_get kx !i and b = Array.unsafe_get ky !j in
+        if a < b then incr i
+        else if b < a then incr j
+        else begin
+          incr i;
+          incr j
+        end;
         incr n
       done;
-      if !n = nx then kx
-      else if !n = ny then ky
+      let n = !n + (nx - !i) + (ny - !j) in
+      if n = nx then kx
+      else if n = ny then ky
       else begin
-        let keys = Array.make !n 0 in
+        let keys = Array.make n 0 in
         i := 0;
         j := 0;
-        for p = 0 to !n - 1 do
+        for p = 0 to n - 1 do
           if !j >= ny || (!i < nx && Array.unsafe_get kx !i < Array.unsafe_get ky !j) then begin
             keys.(p) <- Array.unsafe_get kx !i;
             incr i
@@ -122,66 +122,7 @@ let union_keys kx ky =
     end
 
 let atoms_union = union_keys
-let atoms_add a s = if index s a >= 0 then s else union_keys s [| a |]
-
-(* ------------------------------------------------------------------ *)
-(* Union kernels                                                       *)
-
-type rule = Sum | Product | Quotient
-
-(* One loop serves the three hot rules, so each entry is computed with
-   unboxed floats (a rule passed as a closure would box them).  It walks
-   the union of the supports with one cursor per input; an entry missing
-   from one side reads as 0.0 there. *)
-let combine rule poisoned x y ex_v ey_v =
-  let keys = union_keys ex_v.keys ey_v.keys in
-  let n = Array.length keys in
-  if n = 0 then empty
-  else begin
-    let ax = Float.abs x and ay = Float.abs y in
-    let kx = ex_v.keys and vx = ex_v.vals and ky = ey_v.keys and vy = ey_v.vals in
-    let nx = Array.length kx and ny = Array.length ky in
-    let vals = Array.create_float n in
-    let i = ref 0 and j = ref 0 in
-    for p = 0 to n - 1 do
-      let k = Array.unsafe_get keys p in
-      let ex =
-        if !i < nx && Array.unsafe_get kx !i = k then begin
-          incr i;
-          Array.unsafe_get vx (!i - 1)
-        end
-        else 0.0
-      in
-      let ey =
-        if !j < ny && Array.unsafe_get ky !j = k then begin
-          incr j;
-          Array.unsafe_get vy (!j - 1)
-        end
-        else 0.0
-      in
-      Array.unsafe_set vals p
-        (match rule with
-        | Sum -> ex +. ey
-        | Product -> (ay *. ex) +. (ax *. ey) +. (ex *. ey)
-        | Quotient ->
-          let denom = ay -. ey in
-          let num = (ay *. ex) +. (ax *. ey) +. (ex *. ey) in
-          if ey > 0.0 && denom <= 0.0 then poisoned.(k) <- true;
-          if denom <= 0.0 then num /. Float.max (ay *. ay) 1e-300 (* finite heuristic *)
-          else num /. (ay *. denom))
-    done;
-    { keys; vals }
-  end
-
-let add x y = combine Sum [||] 0.0 0.0 x y
-
-(* |x'y' - xy| <= |y| ex + |x| ey + ex ey *)
-let mul ~x ~y ex ey = combine Product [||] x y ex ey
-
-(* |x'/y' - x/y| <= (|y| ex + |x| ey + ex ey) / (|y| (|y| - ey)); a
-   divisor interval reaching zero is a trap/Inf divergence: the atom is
-   poisoned and keeps a finite heuristic *)
-let div ~poisoned ~x ~y ex ey = combine Quotient poisoned x y ex ey
+let atoms_add a s = if found s (search s a) a then s else union_keys s [| a |]
 
 let union f x y =
   let keys = union_keys x.keys y.keys in
@@ -229,7 +170,14 @@ let f64_cap = max_float
    did not — poison and keep a finite heuristic *)
 let[@inline] round_entry poisoned ~eps ~sub ~cap a v e =
   let m = Float.abs v +. e in
-  let round = if m = 0.0 then 0.0 else Float.max (2.0 *. eps *. m) sub in
+  let round =
+    if m = 0.0 then 0.0
+    else
+      (* [Float.max r sub] without its sign-bit tests, which [sub > 0]
+         makes moot *)
+      let r = 2.0 *. eps *. m in
+      if r > sub || r <> r then r else sub
+  in
   let e' = (e *. (1.0 +. (2.0 *. eps))) +. round in
   if (not (Float.is_finite e')) || Float.abs v +. e' >= cap then begin
     poisoned.(a) <- true;
@@ -238,52 +186,185 @@ let[@inline] round_entry poisoned ~eps ~sub ~cap a v e =
   else e'
 
 let round_one ~poisoned a v t =
-  put a (round_entry poisoned ~eps:eps32 ~sub:sub32 ~cap:f32_cap a v (get a t)) t
+  let p = search t.keys a in
+  let e = if found t.keys p a then Array.unsafe_get t.vals p else 0.0 in
+  let e' = round_entry poisoned ~eps:eps32 ~sub:sub32 ~cap:f32_cap a v e in
+  if e' = 0.0 then t else set_at p a e' t
 
-let round ~poisoned ~f32 ~taint v t =
-  if f32 then
-    if is_empty t then t
-    else begin
-      let n = length t in
-      let vals = Array.create_float n in
-      for i = 0 to n - 1 do
-        Array.unsafe_set vals i
-          (round_entry poisoned ~eps:eps32 ~sub:sub32 ~cap:f32_cap (Array.unsafe_get t.keys i) v
-             (Array.unsafe_get t.vals i))
-      done;
-      { keys = t.keys; vals }
-    end
+(* ------------------------------------------------------------------ *)
+(* Operations: a propagation rule, then the rounding update            *)
+
+type elemental =
+  | Sin_cos
+  | Atan
+  | Tanh
+  | Sqrt
+  | Exp
+  | Log
+  | Log10
+  | Tan
+  | Asin_acos
+  | Sinh_cosh
+  | Aint
+  | Anint
+
+type rule =
+  | Keep  (* the rounding update alone *)
+  | Sum
+  | Product
+  | Quotient
+  | Power of int  (* x ** n, 1 <= |n| <= 4, on the base's entries *)
+  | Elemental of elemental  (* f x, on the argument's entries *)
+
+(* |x'y' - xy| <= |y| ex + |x| ey + ex ey *)
+let[@inline] product ~ax ~ay ex ey = (ay *. ex) +. (ax *. ey) +. (ex *. ey)
+
+(* |x'/y' - x/y| <= (|y| ex + |x| ey + ex ey) / (|y| (|y| - ey)); a
+   divisor interval reaching zero is a trap/Inf divergence: the atom is
+   poisoned and keeps a finite heuristic *)
+let[@inline] quotient poisoned k ~ax ~ay ex ey =
+  let denom = ay -. ey in
+  let num = product ~ax ~ay ex ey in
+  if ey > 0.0 && denom <= 0.0 then poisoned.(k) <- true;
+  if denom <= 0.0 then num /. Float.max (ay *. ay) 1e-300 (* finite heuristic *)
+  else num /. (ay *. denom)
+
+(* strength-reduced x ** n: the product rule once per multiplication,
+   from the exact 1.0; for n < 0 the quotient rule of 1 / x ** |n| *)
+let[@inline] power poisoned k ~x n e =
+  let ay = Float.abs x in
+  let acc = ref 1.0 and ea = ref 0.0 in
+  for _ = 1 to abs n do
+    ea := product ~ax:(Float.abs !acc) ~ay !ea e;
+    acc := !acc *. x
+  done;
+  if n > 0 then !ea else quotient poisoned k ~ax:1.0 ~ay:(Float.abs !acc) 0.0 !ea
+
+(* the demoted run may trap (NaN) where the baseline did not: poison and
+   keep a finite heuristic *)
+let give_up poisoned k fx e =
+  poisoned.(k) <- true;
+  Float.abs fx +. e +. 1.0
+
+(* |f(x') - f(x)| for x' in [x - e, x + e], e > 0, where fx = f x *)
+let[@inline] elemental poisoned k fn ~x ~fx e =
+  match fn with
+  | Sin_cos | Tanh -> Float.min e 2.0
+  | Atan -> Float.min e Float.pi
+  | Sqrt ->
+    if x -. e < 0.0 then give_up poisoned k fx e
+    else if x -. e = 0.0 then sqrt e
+    else Float.min (e /. (2.0 *. sqrt (x -. e))) (sqrt e)
+  | Exp ->
+    let hi = exp (x +. e) in
+    if Float.is_finite hi then hi -. exp x else give_up poisoned k fx e
+  | Log -> if x -. e <= 0.0 then give_up poisoned k fx e else log (x /. (x -. e))
+  | Log10 -> if x -. e <= 0.0 then give_up poisoned k fx e else log (x /. (x -. e)) /. log 10.0
+  | Tan ->
+    let m = Float.abs (cos x) -. e in
+    if m <= 0.0 then give_up poisoned k fx e else e /. (m *. m)
+  | Asin_acos ->
+    let t = Float.abs x +. e in
+    if t >= 1.0 then give_up poisoned k fx e
+    else Float.min (e /. sqrt (1.0 -. (t *. t))) Float.pi
+  | Sinh_cosh ->
+    let t = Float.abs x +. e in
+    if t > 700.0 then give_up poisoned k fx e else e *. cosh t
+  | Aint -> if Float.trunc (x -. e) = Float.trunc (x +. e) then 0.0 else e +. 1.0
+  | Anint -> if Float.round (x -. e) = Float.round (x +. e) then 0.0 else e +. 1.0
+
+(* one entry: [rule] of [ex] and [ey], then the rounding update of the
+   result [v] at the baseline epsilon *)
+let[@inline] entry rule poisoned ~f32 ~x ~y ~ax ~ay k v ex ey =
+  let e =
+    match rule with
+    | Keep -> ex
+    | Sum -> ex +. ey
+    | Product -> product ~ax ~ay ex ey
+    | Quotient -> quotient poisoned k ~ax ~ay ex ey
+    | Power n -> power poisoned k ~x n ex
+    | Elemental fn -> if ex = 0.0 then 0.0 else elemental poisoned k fn ~x ~fx:y ex
+  in
+  if f32 then round_entry poisoned ~eps:eps32 ~sub:sub32 ~cap:f32_cap k v e
+  else round_entry poisoned ~eps:eps64 ~sub:sub64 ~cap:f64_cap k v e
+
+(* [rule] over the union of both supports (an entry missing from one side
+   reads as 0.0 there), then the rounding update of the result [v] at the
+   baseline epsilon ([f32] or 64-bit).  In 64-bit each [taint] atom is
+   then charged one more f32 rounding (its run may compute the operation
+   in 32-bit); a taint atom without an entry gains one unless v = 0,
+   where its f32 rounding is 0.0.  [x] and [y] are the operands (for
+   [Power] the base, for [Elemental] the argument and the result).
+
+   Entries are independent, so the taint charge is applied after the
+   loop, at the few taint positions, and when the union is one input's
+   key array with the other input's or none, the loop indexes both
+   inputs by position. *)
+let apply rule ~poisoned ~f32 ~taint ~x ~y v ex ey =
+  let kx = ex.keys and ky = ey.keys in
+  let kxy = union_keys kx ky in
+  let na = if f32 then 0 else Array.length taint in
+  let keys = if na = 0 || Float.abs v = 0.0 then kxy else union_keys kxy taint in
+  let n = Array.length keys in
+  if n = 0 then empty
   else begin
-    (* a taint-only entry is absent before the update and stays absent
-       when its f32 rounding is 0.0, which happens exactly at v = 0 *)
-    let keys =
-      if Array.length taint = 0 || Float.abs v = 0.0 then t.keys else union_keys t.keys taint
-    in
-    let n = Array.length keys in
-    if n = 0 then empty
+    let vx = ex.vals and vy = ey.vals in
+    let nx = Array.length kx and ny = Array.length ky in
+    let ax = Float.abs x and ay = Float.abs y in
+    let vals = Array.create_float n in
+    if (keys == kx && (ny = 0 || keys == ky)) || (keys == ky && nx = 0) then
+      for p = 0 to n - 1 do
+        let ex = if nx = 0 then 0.0 else Array.unsafe_get vx p in
+        let ey = if ny = 0 then 0.0 else Array.unsafe_get vy p in
+        Array.unsafe_set vals p
+          (entry rule poisoned ~f32 ~x ~y ~ax ~ay (Array.unsafe_get keys p) v ex ey)
+      done
     else begin
-      let kt = t.keys and vt = t.vals in
-      let nt = Array.length kt and na = Array.length taint in
-      let vals = Array.create_float n in
       let i = ref 0 and j = ref 0 in
       for p = 0 to n - 1 do
         let k = Array.unsafe_get keys p in
-        while !j < na && Array.unsafe_get taint !j < k do incr j done;
-        let tainted = !j < na && Array.unsafe_get taint !j = k in
-        let e =
-          if !i < nt && Array.unsafe_get kt !i = k then begin
-            incr i;
-            round_entry poisoned ~eps:eps64 ~sub:sub64 ~cap:f64_cap k v
-              (Array.unsafe_get vt (!i - 1))
-          end
-          else 0.0
-        in
+        let in_x = !i < nx && Array.unsafe_get kx !i = k in
+        let in_y = !j < ny && Array.unsafe_get ky !j = k in
         Array.unsafe_set vals p
-          (if tainted then
-             let e' = round_entry poisoned ~eps:eps32 ~sub:sub32 ~cap:f32_cap k v e in
-             if e' = 0.0 then e else e'
-           else e)
-      done;
-      { keys; vals }
-    end
+          (if in_x || in_y then begin
+             let ex =
+               if in_x then begin
+                 incr i;
+                 Array.unsafe_get vx (!i - 1)
+               end
+               else 0.0
+             in
+             let ey =
+               if in_y then begin
+                 incr j;
+                 Array.unsafe_get vy (!j - 1)
+               end
+               else 0.0
+             in
+             entry rule poisoned ~f32 ~x ~y ~ax ~ay k v ex ey
+           end
+           else 0.0)
+      done
+    end;
+    (* the f32 charge is 0.0 only on an entry of +0.0 (the baseline
+       rounding never leaves -0.0), so storing it keeps that zero *)
+    for t = 0 to na - 1 do
+      let k = Array.unsafe_get taint t in
+      let p = search keys k in
+      if found keys p k then
+        Array.unsafe_set vals p
+          (round_entry poisoned ~eps:eps32 ~sub:sub32 ~cap:f32_cap k v (Array.unsafe_get vals p))
+    done;
+    { keys; vals }
   end
+
+let round ~poisoned ~f32 ~taint v t = apply Keep ~poisoned ~f32 ~taint ~x:0.0 ~y:0.0 v t empty
+let add ~poisoned ~f32 ~taint v ex ey = apply Sum ~poisoned ~f32 ~taint ~x:0.0 ~y:0.0 v ex ey
+let mul ~poisoned ~f32 ~taint ~x ~y v ex ey = apply Product ~poisoned ~f32 ~taint ~x ~y v ex ey
+let div ~poisoned ~f32 ~taint ~x ~y v ex ey = apply Quotient ~poisoned ~f32 ~taint ~x ~y v ex ey
+
+let pow ~poisoned ~f32 ~taint ~x n v ex =
+  apply (Power n) ~poisoned ~f32 ~taint ~x ~y:0.0 v ex empty
+
+let elemental ~poisoned ~f32 ~taint fn ~x ~fx v ex =
+  apply (Elemental fn) ~poisoned ~f32 ~taint ~x ~y:fx v ex empty

@@ -175,6 +175,49 @@ let journal_tests =
             match Persist.Journal.load ~dir with
             | _ -> Alcotest.fail "loaded a corrupt journal"
             | exception Persist.Journal.Corrupt _ -> ()));
+    t "read_header reads the header alone and refuses a bad one" (fun () ->
+        let write dir s =
+          let oc = open_out_bin (Persist.Journal.file ~dir) in
+          output_string oc s;
+          close_out oc
+        in
+        let corrupt what dir =
+          match Persist.Journal.read_header ~dir with
+          | _ -> Alcotest.failf "read a header from %s" what
+          | exception Persist.Journal.Corrupt _ -> ()
+        in
+        with_dir (corrupt "a missing journal");
+        with_dir (fun dir ->
+            let w = Persist.Journal.create ~dir header in
+            Persist.Journal.append w (entry 1 "4488" weird_meas);
+            Persist.Journal.close w;
+            let s = Harness.slurp (Persist.Journal.file ~dir) in
+            let hline = String.sub s 0 (String.index s '\n') in
+            let loaded = Persist.Journal.load ~dir in
+            Alcotest.(check bool) "the header load reads" true
+              (compare (Persist.Journal.read_header ~dir) loaded.Persist.Journal.l_header = 0);
+            (* records are not read: damage past the header is [load]'s *)
+            write dir (hline ^ "\n!garbage\n{}\n");
+            Alcotest.(check bool) "records unread" true
+              (compare (Persist.Journal.read_header ~dir) header = 0);
+            write dir "";
+            corrupt "an empty file" dir;
+            write dir hline;
+            corrupt "a torn header line" dir;
+            let records = String.length hline + 1 in
+            write dir (String.sub s records (String.length s - records));
+            corrupt "a record as the first line" dir;
+            (* the same header at another version *)
+            let at =
+              let rec go i = if String.sub hline i 9 = "\"version\"" then i else go (i + 1) in
+              go 0
+            in
+            let upto = String.index_from hline at ',' in
+            write dir
+              (String.sub hline 0 at ^ "\"version\":99"
+              ^ String.sub hline upto (String.length hline - upto)
+              ^ "\n");
+            corrupt "an unsupported version" dir));
     t "snapshot round-trips atomically" (fun () ->
         with_dir (fun dir ->
             Alcotest.(check bool) "absent -> None" true (Persist.Snapshot.read ~dir = None);
@@ -232,6 +275,30 @@ let journal_tests =
 let check_same_campaign = Harness.check_same_campaign
 let check_no_reeval = Harness.check_no_reeval
 let truncate_journal = Harness.truncate_journal
+
+(* [Tuner.resume ?algo ?seed] over a torn delta-debugging journal (seed
+   42) that names another search or seed: refused with the named message
+   before anything is written, while naming the journal's own continues
+   it *)
+let refuses_on_dd_journal ?algo ?seed expected =
+  with_dir (fun dir ->
+      let base =
+        Core.Tuner.run_delta_debug ~config:funarc_config ~workers:0 ~journal:dir small_funarc
+      in
+      truncate_journal dir 0.5;
+      let journal = Harness.slurp (Persist.Journal.file ~dir) in
+      (match
+         Core.Tuner.resume ~config:funarc_config ?algo ?seed ~model:small_funarc ~journal:dir ()
+       with
+      | _ -> Alcotest.fail "continued the journal"
+      | exception Core.Tuner.Resume_mismatch msg -> Alcotest.(check string) "message" expected msg);
+      Alcotest.(check string) "journal untouched, torn tail included" journal
+        (Harness.slurp (Persist.Journal.file ~dir));
+      let resumed =
+        Core.Tuner.resume ~config:funarc_config ~algo:Core.Tuner.Delta_debug_algo ~seed:42
+          ~workers:0 ~model:small_funarc ~journal:dir ()
+      in
+      check_same_campaign "the journal's own search and seed" base resumed)
 
 let resume_tests =
   let kill_resume_dd workers frac () =
@@ -378,6 +445,14 @@ let resume_tests =
                 (c.Core.Tuner.prepared.Core.Tuner.cache != p.Core.Tuner.cache
                 && c.Core.Tuner.prepared.Core.Tuner.ccache != p.Core.Tuner.ccache)
             done));
+    t "resume refuses --hierarchical on a delta-debugging journal" (fun () ->
+        refuses_on_dd_journal ~algo:Core.Tuner.Hierarchical_algo
+          "resume: journal runs delta_debug, not hierarchical");
+    t "resume refuses --brute-force on a delta-debugging journal" (fun () ->
+        refuses_on_dd_journal ~algo:Core.Tuner.Brute_force_algo
+          "resume: journal runs delta_debug, not brute_force");
+    t "resume refuses a seed other than the journal's" (fun () ->
+        refuses_on_dd_journal ~seed:9 "resume: journal was run with seed 42, not 9");
     t "resume adopts the journal's seed" (fun () ->
         with_dir (fun dir ->
             let seeded = { funarc_config with Core.Config.seed = 7 } in

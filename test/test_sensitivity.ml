@@ -170,14 +170,82 @@ let r_div poisoned x y ex ey =
   R.iter (fun a e -> if e > 0.0 && Float.abs y -. e <= 0.0 then poisoned.(a) <- true) ey;
   merged
 
+let r_mul x y ex ey =
+  r_merge (fun ex ey -> (Float.abs y *. ex) +. (Float.abs x *. ey) +. (ex *. ey)) ex ey
+
+(* x ** n strength-reduced one vector at a time, the formulation
+   [Errvec.pow] fuses: one product-rule vector per multiplication from the
+   exact 1.0, then for n < 0 the quotient rule of 1 / x ** |n| *)
+let r_pow poisoned x n e =
+  let rec go (acc, ea) i = if i = 0 then (acc, ea) else go (acc *. x, r_mul acc x ea e) (i - 1) in
+  let v, ea = go (1.0, R.empty) (abs n) in
+  if n < 0 then r_div poisoned 1.0 v R.empty ea else ea
+
+(* the elemental intrinsics' rules, keyed by the intrinsic's name, as a
+   per-entry closure answering [None] where the demoted run may trap: the
+   formulation [Errvec.elemental] fuses *)
+let r_elemental poisoned name x err =
+  let f = Runtime.Walk.elemental name in
+  let lip e =
+    if e = 0.0 then Some 0.0
+    else
+      match name with
+      | "sin" | "cos" -> Some (Float.min e 2.0)
+      | "atan" -> Some (Float.min e Float.pi)
+      | "tanh" -> Some (Float.min e 2.0)
+      | "sqrt" ->
+        if x -. e < 0.0 then None
+        else if x -. e = 0.0 then Some (sqrt e)
+        else Some (Float.min (e /. (2.0 *. sqrt (x -. e))) (sqrt e))
+      | "exp" ->
+        let hi = exp (x +. e) in
+        if Float.is_finite hi then Some (hi -. exp x) else None
+      | "log" -> if x -. e <= 0.0 then None else Some (log (x /. (x -. e)))
+      | "log10" -> if x -. e <= 0.0 then None else Some (log (x /. (x -. e)) /. log 10.0)
+      | "tan" ->
+        let m = Float.abs (cos x) -. e in
+        if m <= 0.0 then None else Some (e /. (m *. m))
+      | "asin" | "acos" ->
+        let t = Float.abs x +. e in
+        if t >= 1.0 then None else Some (Float.min (e /. sqrt (1.0 -. (t *. t))) Float.pi)
+      | "sinh" | "cosh" ->
+        let t = Float.abs x +. e in
+        if t > 700.0 then None else Some (e *. cosh t)
+      | "aint" | "anint" -> if f (x -. e) = f (x +. e) then Some 0.0 else Some (e +. 1.0)
+      | _ -> assert false
+  in
+  R.mapi
+    (fun a e ->
+      match lip e with
+      | Some e' -> e'
+      | None ->
+        poisoned.(a) <- true;
+        Float.abs (f x) +. e +. 1.0)
+    err
+
+let elementals =
+  let open Sensitivity.Errvec in
+  [
+    ("sin", Sin_cos); ("cos", Sin_cos); ("atan", Atan); ("tanh", Tanh); ("sqrt", Sqrt);
+    ("exp", Exp); ("log", Log); ("log10", Log10); ("tan", Tan); ("asin", Asin_acos);
+    ("acos", Asin_acos); ("sinh", Sinh_cosh); ("cosh", Sinh_cosh); ("aint", Aint);
+    ("anint", Anint);
+  ]
+
+(* the rounding update an operation ends with: baseline kind, result, and
+   kind taint *)
+type rounding = { f32 : bool; v : float; taint : int list }
+
 type ev_op =
-  | Add
-  | Mul of float * float
-  | Div of float * float
+  | Add of rounding
+  | Mul of float * float * rounding
+  | Div of float * float * rounding
+  | Pow of float * int * rounding
+  | Elemental of string * float * rounding
   | Max
   | Map
   | Put of int * float
-  | Round of bool * float * int list
+  | Round of rounding
   | Round_one of int * float
 
 let n_keys = 12
@@ -196,6 +264,7 @@ let ev_gen =
   in
   let scalar = oneof [ value; map Float.neg value; return (-0.0) ] in
   let keys = map (List.sort_uniq compare) (list_size (int_bound 8) (int_bound (n_keys - 1))) in
+  let rounding = map3 (fun f32 v taint -> { f32; v; taint }) bool scalar keys in
   let related kx =
     keys >>= fun kr ->
     oneofl
@@ -211,13 +280,17 @@ let ev_gen =
   let op =
     frequency
       [
-        (2, return Add);
-        (2, map2 (fun x y -> Mul (x, y)) scalar scalar);
-        (2, map2 (fun x y -> Div (x, y)) scalar scalar);
+        (2, map (fun r -> Add r) rounding);
+        (2, map3 (fun x y r -> Mul (x, y, r)) scalar scalar rounding);
+        (2, map3 (fun x y r -> Div (x, y, r)) scalar scalar rounding);
+        ( 1,
+          map3 (fun x n r -> Pow (x, n, r)) scalar (oneofl [ -4; -3; -2; -1; 1; 2; 3; 4 ]) rounding );
+        ( 2,
+          map3 (fun f x r -> Elemental (f, x, r)) (oneofl (List.map fst elementals)) scalar rounding );
         (1, return Max);
         (1, return Map);
         (1, map2 (fun a e -> Put (a, e)) (int_bound (n_keys - 1)) value);
-        (3, map3 (fun f v t -> Round (f, v, t)) bool scalar keys);
+        (3, map (fun r -> Round r) rounding);
         (1, map2 (fun a v -> Round_one (a, v)) (int_bound (n_keys - 1)) scalar);
       ]
   in
@@ -225,6 +298,9 @@ let ev_gen =
   related kx >>= fun ky ->
   map3 (fun bx by ops -> (bx, by, ops)) (bindings kx) (bindings ky) (list_size (int_range 1 6) op)
 
+(* Every kernel against the reference, bit for bit in values, support and
+   poisoned flags.  A fused operation equals the rounding update applied
+   after its rule's merge, as the analysis computed it in two steps. *)
 let ev_property =
   QCheck.Test.make ~name:"kernels match a tree-map reference" ~count:2000
     (QCheck.make ev_gen)
@@ -234,21 +310,33 @@ let ev_property =
       let same v m = bits_of (V.to_list v) = bits_of (R.bindings m) in
       let pv = Array.make n_keys false and pr = Array.make n_keys false in
       let y = V.of_list by and ry = R.of_seq (List.to_seq by) in
+      let rounded { f32; v; taint } merged = r_round pr ~f32 ~taint v merged in
       let step (x, rx) op =
         match op with
-        | Add -> (V.add x y, r_merge ( +. ) rx ry)
-        | Mul (a, b) ->
-          ( V.mul ~x:a ~y:b x y,
-            r_merge (fun ex ey -> (Float.abs b *. ex) +. (Float.abs a *. ey) +. (ex *. ey)) rx ry )
-        | Div (a, b) -> (V.div ~poisoned:pv ~x:a ~y:b x y, r_div pr a b rx ry)
+        | Add ({ f32; v; taint } as r) ->
+          ( V.add ~poisoned:pv ~f32 ~taint:(Array.of_list taint) v x y,
+            rounded r (r_merge ( +. ) rx ry) )
+        | Mul (a, b, ({ f32; v; taint } as r)) ->
+          ( V.mul ~poisoned:pv ~f32 ~taint:(Array.of_list taint) ~x:a ~y:b v x y,
+            rounded r (r_mul a b rx ry) )
+        | Div (a, b, ({ f32; v; taint } as r)) ->
+          ( V.div ~poisoned:pv ~f32 ~taint:(Array.of_list taint) ~x:a ~y:b v x y,
+            rounded r (r_div pr a b rx ry) )
+        | Pow (a, n, ({ f32; v; taint } as r)) ->
+          ( V.pow ~poisoned:pv ~f32 ~taint:(Array.of_list taint) ~x:a n v x,
+            rounded r (r_pow pr a n rx) )
+        | Elemental (name, a, ({ f32; v; taint } as r)) ->
+          let fx = Runtime.Walk.elemental name a in
+          ( V.elemental ~poisoned:pv ~f32 ~taint:(Array.of_list taint) (List.assoc name elementals)
+              ~x:a ~fx v x,
+            rounded r (r_elemental pr name a rx) )
         | Max -> (V.union Float.max x y, r_merge Float.max rx ry)
         | Map ->
           let f e = if e > 1.0 then 0.0 else e *. 3.0 in
           (V.map f x, R.map f rx)
         | Put (a, e) -> (V.put a e x, r_put a e rx)
-        | Round (f32, v, taint) ->
-          ( V.round ~poisoned:pv ~f32 ~taint:(Array.of_list taint) v x,
-            r_round pr ~f32 ~taint v rx )
+        | Round ({ f32; v; taint } as r) ->
+          (V.round ~poisoned:pv ~f32 ~taint:(Array.of_list taint) v x, rounded r rx)
         | Round_one (a, v) ->
           ( V.round_one ~poisoned:pv a v x,
             r_put a (r_round_entry pr ~eps:V.eps32 a v (r_get a rx)) rx )
