@@ -148,7 +148,10 @@ let journal_arg =
           "Make the campaign durable: append every measured variant to \
            $(i,DIR)/journal.jsonl (write-ahead, fsynced) with periodic snapshots, so a \
            killed campaign continues with $(b,--resume). Without $(b,--resume), a \
-           $(i,DIR) that already holds a journal is refused (exit 2).")
+           $(i,DIR) that already holds a journal is refused (exit 2). A journal that \
+           cannot be written (a full disk, a $(i,DIR) that cannot be made) stops the \
+           campaign with exit 1 and $(b,prose tune: journal) $(i,DIR)$(b,:) and the \
+           reason; when $(i,DIR) holds a journal by then, $(b,--resume) continues it.")
 
 let resume_arg =
   Arg.(
@@ -242,7 +245,28 @@ let tune_cmd =
       prerr_endline "prose tune: fault injection (--fault-*/--preempt-hours) requires --journal DIR";
       exit 2
     end;
+    (* a journal write that fails is named, not an internal error; the
+       records that reached the disk resume like a killed campaign's *)
+    let journaled f =
+      match journal with
+      | None -> f ()
+      | Some dir -> (
+        let fail reason =
+          prerr_endline (Printf.sprintf "prose tune: journal %s: %s" dir reason);
+          if Sys.file_exists (Persist.Journal.file ~dir) then
+            prerr_endline
+              ("prose tune: " ^ dir ^ " holds the journal so far; continue it with --resume");
+          exit 1
+        in
+        try f () with
+        | Sys_error m -> fail m
+        | Unix.Unix_error (e, fn, arg) ->
+          fail
+            (Printf.sprintf "%s%s: %s" fn (if arg = "" then "" else " " ^ arg)
+               (Unix.error_message e)))
+    in
     let campaign =
+      journaled @@ fun () ->
       if resume then begin
         match journal with
         | None ->

@@ -35,9 +35,10 @@ dune exec bin/prose.exe -- fuzz --cases 300 --seed 42
 # the measured single-atom demotion error, sample by sample).
 dune exec bin/prose.exe -- fuzz --oracle sensitivity --cases 1000 --seed 7
 
-# The compiled evaluator against the interpreter at the same second seed:
-# 1000 cases of the compiled oracle alone.
+# The compiled evaluator against the interpreter at two seeds: 1000 cases
+# of the compiled oracle alone at each (about 2 s each).
 dune exec bin/prose.exe -- fuzz --oracle compiled --cases 1000 --seed 7
+dune exec bin/prose.exe -- fuzz --oracle compiled --cases 1000 --seed 42
 
 # Exact-counter gate: one joint_solo, one joint_parallel (a few seconds
 # each) and one table2_rank repetition (about 10 s: the only workload
@@ -202,7 +203,7 @@ rm -rf "$PDIR"
 # campaign process itself, tearing the journal mid-line.
 JDIR=$(mktemp -d)
 _build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
-  --json "$JDIR/base.json" > /dev/null
+  --journal "$JDIR/base" --json "$JDIR/base.json" > /dev/null
 _build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
   --journal "$JDIR/campaign" > /dev/null &
 KILL_PID=$!
@@ -242,6 +243,35 @@ _build/default/bin/prose.exe tune funarc --brute-force --seed 9 --workers 0 \
 test "$REFUSED" -eq 1
 grep 'resume: journal was run with seed 42, not 9' "$JDIR/refusal.txt" > /dev/null
 cmp "$JDIR/journal_before.jsonl" "$JDIR/campaign/journal.jsonl"
+# A journal write that fails is named with exit 1, not an internal error.
+# A full disk is injected as a file-size limit with SIGXFSZ ignored, so
+# the write fails with EFBIG (dash's ulimit -f counts 512-byte blocks:
+# 32 is 16 KiB, about 47 of the 257 journal lines). Resumed without the
+# limit, the journal past its header line and the summary minus "trace"
+# must match the uninterrupted run's.
+FAILED=0
+sh -c 'trap "" XFSZ; ulimit -f 32; exec "$@"' sh \
+  _build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
+  --journal "$JDIR/full" > /dev/null 2> "$JDIR/full.txt" || FAILED=$?
+test "$FAILED" -eq 1
+grep "prose tune: journal $JDIR/full: File too large" "$JDIR/full.txt" > /dev/null
+grep 'holds the journal so far; continue it with --resume' "$JDIR/full.txt" > /dev/null
+_build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
+  --journal "$JDIR/full" --resume --json "$JDIR/full.json" > /dev/null
+tail -n +2 "$JDIR/base/journal.jsonl" > "$JDIR/base_records.jsonl"
+tail -n +2 "$JDIR/full/journal.jsonl" > "$JDIR/full_records.jsonl"
+diff "$JDIR/base_records.jsonl" "$JDIR/full_records.jsonl"
+grep -v -e '"trace"' "$JDIR/full.json" > "$JDIR/full_cmp.json"
+diff -u "$JDIR/base_cmp.json" "$JDIR/full_cmp.json"
+# A journal directory that cannot be made (its parent is a regular file)
+# is named with exit 1 too.
+: > "$JDIR/file"
+FAILED=0
+_build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
+  --journal "$JDIR/file/D" > /dev/null 2> "$JDIR/notdir.txt" || FAILED=$?
+test "$FAILED" -eq 1
+grep "prose tune: journal $JDIR/file/D: mkdir $JDIR/file/D: Not a directory" \
+  "$JDIR/notdir.txt" > /dev/null
 rm -rf "$JDIR"
 
 # Service gate: serve two concurrent campaigns (one fault-injected) over a

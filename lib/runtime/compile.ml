@@ -25,12 +25,18 @@
    are exact because a slot's type never changes: storage is chosen from
    the declaration, by-reference binding traps on any kind mismatch, and
    every store converts to the slot's declared type as [Interp]'s
-   [scalar_store] does. Shapes without a typed lane (strings, traps,
-   mixed-lane operators) run on the generic [Value.v] lane below, a
-   transcription of [Interp]'s value-level rules; nothing falls back to
-   an IR-walking evaluator. The one divergence is on programs
-   [Typecheck] rejects: a non-integer [do] variable traps on the first
-   iteration instead of taking an integer value.
+   [scalar_store] does. Shapes without a typed lane run on the generic
+   [Value.v] lane, which applies [Walk]'s value rules (coercions,
+   rounding traps, operators, intrinsics) and charges from this module's
+   cost tables. In the registered models that lane carries the
+   reductions, [mpi_allreduce] stores and by-value parameter actuals;
+   elsewhere strings, traps, mixed-lane operators and intrinsics on
+   logicals. The typed lanes keep their arithmetic inline and call
+   [Walk] only to trap. The control-flow signals and the run status are
+   [Walk]'s as well. Nothing falls back to an IR-walking evaluator. The
+   one divergence is on programs [Typecheck] rejects: a non-integer [do]
+   variable traps on the first iteration instead of taking an integer
+   value.
 
    Compiled procedures are cacheable across variants under the key
    [Lower] gives them ([proc_ir.p_key]): closures never bake procedure
@@ -41,15 +47,8 @@
 open Fortran
 open Ir
 
-exception Rreturn
-exception Rexit
-exception Rcycle
-exception Rstop of string
-exception Rtrap of string
-exception Rtimeout
-
-let trap fmt = Format.kasprintf (fun m -> raise (Rtrap m)) fmt
-let trap_s m = raise (Rtrap m)
+let trap = Walk.trap
+let trap_s m = raise (Walk.Trap m)
 let sp = Printf.sprintf
 
 let cat_index =
@@ -175,7 +174,7 @@ let[@inline] charge ct i c =
     tm.Timers.top.Timers.exclusive <- tm.Timers.top.Timers.exclusive +. c
   end
 
-let[@inline] check_budget ct = if ct.cost.Timers.now > ct.budget then raise Rtimeout
+let[@inline] check_budget ct = if ct.cost.Timers.now > ct.budget then raise Walk.Timeout_signal
 
 (* timer accumulator of proc [pidx], cached per run. Lazy on purpose:
    resolving every proc up front would add never-entered procedures to
@@ -188,8 +187,10 @@ let proc_acc ct pidx name =
     ct.accs.(pidx) <- Some a;
     a
 
-(* local clones of [Fp32.round]/[Fp32.of_kind]: a cross-module call that
-   fails to inline boxes its float argument and result *)
+(* local clones of [Fp32.round]/[Fp32.of_kind] and [Walk.round_real] for
+   the typed lanes: a cross-module call is not inlined (dune's dev profile
+   passes -opaque, and the compiler has no flambda), so it boxes its float
+   argument and result *)
 let[@inline] round32 x = Int32.float_of_bits (Int32.bits_of_float x)
 
 let[@inline] cround (k : Ast.real_kind) x =
@@ -197,47 +198,9 @@ let[@inline] cround (k : Ast.real_kind) x =
   | Ast.K4 -> round32 x
   | Ast.K8 -> x
 
-(* cold: called only on a non-finite rounded value; always raises *)
-let bad_real kind x : float =
-  if Float.is_nan x then
-    trap "NaN produced in real(kind=%d) arithmetic" (Token.int_of_kind kind)
-  else trap "overflow in real(kind=%d) arithmetic" (Token.int_of_kind kind)
-
 let[@inline] cmk_realf k x =
   let y = cround k x in
-  if Float.is_finite y then y else bad_real k y
-
-let mk_real k x = Value.Vreal (cmk_realf k x, k)
-
-let nonfinite_scalar kind =
-  trap "non-finite value stored to real(kind=%d) scalar" (Token.int_of_kind kind)
-
-let nonfinite_elem name kind =
-  trap "non-finite value stored to %s (real(kind=%d))" name (Token.int_of_kind kind)
-
-let as_float = function
-  | Value.Vreal (x, _) -> x
-  | Value.Vint i -> float_of_int i
-  | Value.Vlog _ | Value.Vstr _ -> trap_s "numeric value expected"
-
-let as_int = function
-  | Value.Vint i -> i
-  | Value.Vreal (x, _) -> int_of_float x
-  | Value.Vlog _ | Value.Vstr _ -> trap_s "integer value expected"
-
-let as_bool = function
-  | Value.Vlog b -> b
-  | Value.Vint _ | Value.Vreal _ | Value.Vstr _ -> trap_s "logical value expected"
-
-let value_kind = function
-  | Value.Vreal (_, k) -> Some k
-  | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> None
-
-let promote_kind a b =
-  match a, b with
-  | Some Ast.K8, _ | _, Some Ast.K8 -> Some Ast.K8
-  | Some Ast.K4, _ | _, Some Ast.K4 -> Some Ast.K4
-  | None, None -> None
+  if Float.is_finite y then y else Walk.arith_trap k y
 
 let kmax k1 k2 = if k1 = Ast.K8 || k2 = Ast.K8 then Ast.K8 else Ast.K4
 
@@ -338,9 +301,9 @@ let force_param ct s =
     ct.charging <- saved;
     let v =
       match pd.cp_base with
-      | Ast.Treal k -> Value.Vreal (Fp32.of_kind k (as_float v), k)
-      | Ast.Tinteger -> Value.Vint (as_int v)
-      | Ast.Tlogical -> Value.Vlog (as_bool v)
+      | Ast.Treal k -> Value.Vreal (Fp32.of_kind k (Walk.as_float v), k)
+      | Ast.Tinteger -> Value.Vint (Walk.as_int v)
+      | Ast.Tlogical -> Value.Vlog (Walk.as_bool v)
     in
     ct.params.(s) <- Some v;
     v
@@ -360,94 +323,51 @@ let resolve_cell ct = function
   | Vunalloc -> assert false
 
 (* ------------------------------------------------------------------ *)
-(* The generic value lane: [Interp]'s value-level rules                *)
+(* The generic value lane: [Walk]'s value rules, charged here          *)
 
+(* the binary operators, as [Interp.Concrete.binop] applies them *)
 let bin_v ct op ~exempt ~costs ~powmul va vb =
-  let ka = value_kind va in
-  let kb = value_kind vb in
-  (match ka, kb with
+  (match Walk.value_kind va, Walk.value_kind vb with
   | Some k1, Some k2 when k1 <> k2 -> if not exempt then charge ct ci_convert ct.conv.(ct.vec)
   | _ -> ());
   match va, vb, op with
   | Value.Vint x, Value.Vint y, (Ast.Add | Ast.Sub | Ast.Mul | Ast.Div | Ast.Pow) ->
     charge ct ci_flops ct.machine.Machine.int_op;
-    Value.Vint
-      (match op with
-      | Ast.Add -> x + y
-      | Ast.Sub -> x - y
-      | Ast.Mul -> x * y
-      | Ast.Div -> if y = 0 then trap_s "integer division by zero" else x / y
-      | Ast.Pow ->
-        if y < 0 then trap_s "negative integer exponent"
-        else begin
-          let rec pow acc n = if n = 0 then acc else pow (acc * x) (n - 1) in
-          pow 1 y
-        end
-      | _ -> assert false)
+    Value.Vint (Walk.int_arith op x y)
   | _, _, (Ast.Add | Ast.Sub | Ast.Mul | Ast.Div) ->
-    let k =
-      match promote_kind ka kb with Some k -> k | None -> trap_s "numeric operands expected"
-    in
+    let k = Walk.promoted va vb in
     charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
-    let x = as_float va and y = as_float vb in
-    mk_real k
-      (match op with
-      | Ast.Add -> x +. y
-      | Ast.Sub -> x -. y
-      | Ast.Mul -> x *. y
-      | Ast.Div -> x /. y
-      | _ -> assert false)
+    Walk.mk_real k (Walk.real_arith op (Walk.as_float va) (Walk.as_float vb))
   | _, _, Ast.Pow -> (
-    let k =
-      match promote_kind ka kb with Some k -> k | None -> trap_s "numeric operands expected"
-    in
-    let x = as_float va in
+    let k = Walk.promoted va vb in
+    let x = Walk.as_float va in
     match vb with
     | Value.Vint n when abs n <= 4 ->
       charge ct ci_flops (powmul.((ct.vec * 2) + kind_idx k) *. float_of_int (max 1 (abs n - 1)));
-      let rec pow acc i = if i = 0 then acc else pow (acc *. x) (i - 1) in
-      let v = pow 1.0 (abs n) in
-      mk_real k (if n < 0 then 1.0 /. v else v)
+      Walk.mk_real k (Walk.small_pow x n)
     | _ ->
       charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
-      mk_real k (Float.pow x (as_float vb)))
-  | _, _, (Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) -> (
+      Walk.mk_real k (Float.pow x (Walk.as_float vb)))
+  | _, _, (Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) ->
     charge ct ci_flops ct.machine.Machine.compare_cost;
-    match va, vb with
-    | Value.Vlog x, Value.Vlog y ->
-      Value.Vlog
-        (match op with
-        | Ast.Eq -> x = y
-        | Ast.Ne -> x <> y
-        | _ -> trap_s "ordering of logicals")
-    | _ ->
-      let x = as_float va and y = as_float vb in
-      Value.Vlog
-        (match op with
-        | Ast.Eq -> x = y
-        | Ast.Ne -> x <> y
-        | Ast.Lt -> x < y
-        | Ast.Le -> x <= y
-        | Ast.Gt -> x > y
-        | Ast.Ge -> x >= y
-        | _ -> assert false))
+    Value.Vlog (Walk.compare op va vb)
   | _, _, (Ast.And | Ast.Or) -> assert false
 
 (* [scalar_store]: convert [v] to the slot's declared type and store *)
 let store_v ct var ~lit v =
   match var with
   | Vf (l, k) ->
-    (match value_kind v with
+    (match Walk.value_kind v with
     | Some k2 when k2 <> k -> if not lit then charge ct ci_convert ct.conv.(ct.vec)
     | _ -> ());
-    let x = cround k (as_float v) in
-    if not (Float.is_finite x) then nonfinite_scalar k;
+    let x = cround k (Walk.as_float v) in
+    if not (Float.is_finite x) then Walk.nonfinite_scalar k;
     ct.fs.(faddr ct l) <- x
   | Vi l ->
-    let i = as_int v in
+    let i = Walk.as_int v in
     ct.is.(iaddr ct l) <- i
   | Vb l ->
-    let b = as_bool v in
+    let b = Walk.as_bool v in
     ct.is.(iaddr ct l) <- Bool.to_int b
   | Va _ | Vparam _ | Vunalloc | Vtrap _ -> assert false
 
@@ -569,7 +489,7 @@ let put_f ct name cell sub ~lit vk =
     charge ct ci_memory ct.memtab.((ct.vec * 2) + kind_idx kind);
     if vk <> kind && not lit then charge ct ci_convert ct.conv.(ct.vec);
     let x = cround kind ct.scratch.fv in
-    if not (Float.is_finite x) then nonfinite_elem name kind;
+    if not (Float.is_finite x) then Walk.nonfinite_element name kind;
     data.(sub_off ct name dims sub) <- x
   | Value.Int_array { data; dims } ->
     charge ct ci_flops ct.machine.Machine.int_op;
@@ -583,7 +503,7 @@ let put_i ct name cell sub i =
   | Value.Real_array { kind; data; dims } ->
     charge ct ci_memory ct.memtab.((ct.vec * 2) + kind_idx kind);
     let x = cround kind (float_of_int i) in
-    if not (Float.is_finite x) then nonfinite_elem name kind;
+    if not (Float.is_finite x) then Walk.nonfinite_element name kind;
     data.(sub_off ct name dims sub) <- x
   | Value.Int_array { data; dims } ->
     charge ct ci_flops ct.machine.Machine.int_op;
@@ -606,18 +526,18 @@ let put_v ct name cell sub ~lit v =
   match cell with
   | Value.Real_array { kind; data; dims } ->
     charge ct ci_memory ct.memtab.((ct.vec * 2) + kind_idx kind);
-    (match value_kind v with
+    (match Walk.value_kind v with
     | Some k when k <> kind -> if not lit then charge ct ci_convert ct.conv.(ct.vec)
     | _ -> ());
-    let x = cround kind (as_float v) in
-    if not (Float.is_finite x) then nonfinite_elem name kind;
+    let x = cround kind (Walk.as_float v) in
+    if not (Float.is_finite x) then Walk.nonfinite_element name kind;
     data.(sub_off ct name dims sub) <- x
   | Value.Int_array { data; dims } ->
     charge ct ci_flops ct.machine.Machine.int_op;
-    let i = as_int v in
+    let i = Walk.as_int v in
     data.(sub_off ct name dims sub) <- i
   | Value.Log_array { data; dims } ->
-    let b = as_bool v in
+    let b = Walk.as_bool v in
     data.(sub_off ct name dims sub) <- b
   | Value.Scalar _ -> trap "scalar %s subscripted" name
 
@@ -857,7 +777,7 @@ let exec_ccall ct (ca : ccall) : int =
   ct.in_wrapper <- is_wrapper;
   (match exec_cblock ct cp.cbody with
   | () -> ()
-  | exception Rreturn -> ()
+  | exception Walk.Return_signal -> ()
   | exception e ->
     if not is_wrapper then Timers.exit_clock ct.timers ct.cost;
     ct.vec <- saved_vec;
@@ -912,8 +832,9 @@ let result_value ct name r =
     | _ -> Value.Vlog (ct.is.(a) <> 0)
 
 (* ------------------------------------------------------------------ *)
-(* Lane views. Conversions mirror [as_float]/[as_int]/[as_bool]: the
-   operand is always evaluated (with its charges) before any trap.      *)
+(* Lane views. A typed lane is read directly; any other view is [Walk]'s
+   coercion of the forced value, so the operand is always evaluated (with
+   its charges) before any trap. *)
 
 let force = function
   | Kf (f, k) ->
@@ -928,11 +849,9 @@ let force = function
 let fput = function
   | Kf (f, _) -> f
   | Ki f -> fun ct -> ct.scratch.fv <- float_of_int (f ct)
-  | Kb f ->
-    fun ct ->
-      ignore (f ct : bool);
-      trap_s "numeric value expected"
-  | Kv f -> fun ct -> ct.scratch.fv <- as_float (f ct)
+  | (Kb _ | Kv _) as c ->
+    let f = force c in
+    fun ct -> ct.scratch.fv <- Walk.as_float (f ct)
 
 let iview = function
   | Ki f -> f
@@ -940,23 +859,15 @@ let iview = function
     fun ct ->
       f ct;
       int_of_float ct.scratch.fv
-  | Kb f ->
-    fun ct ->
-      ignore (f ct : bool);
-      trap_s "integer value expected"
-  | Kv f -> fun ct -> as_int (f ct)
+  | (Kb _ | Kv _) as c ->
+    let f = force c in
+    fun ct -> Walk.as_int (f ct)
 
 let bview = function
   | Kb f -> f
-  | Kf (f, _) ->
-    fun ct ->
-      f ct;
-      trap_s "logical value expected"
-  | Ki f ->
-    fun ct ->
-      ignore (f ct : int);
-      trap_s "logical value expected"
-  | Kv f -> fun ct -> as_bool (f ct)
+  | c ->
+    let f = force c in
+    fun ct -> Walk.as_bool (f ct)
 
 (* evaluate for effect only *)
 let effect = function
@@ -1032,9 +943,9 @@ let read_var env name r : cexpr =
   | Va _ -> Kv (fun _ -> trap "whole array %s used as a value" name)
   | Vparam s -> (
     match env.pbase.(s) with
-    | Ast.Treal k -> Kf ((fun ct -> ct.scratch.fv <- as_float (force_param ct s)), k)
-    | Ast.Tinteger -> Ki (fun ct -> as_int (force_param ct s))
-    | Ast.Tlogical -> Kb (fun ct -> as_bool (force_param ct s)))
+    | Ast.Treal k -> Kf ((fun ct -> ct.scratch.fv <- Walk.as_float (force_param ct s)), k)
+    | Ast.Tinteger -> Ki (fun ct -> Walk.as_int (force_param ct s))
+    | Ast.Tlogical -> Kb (fun ct -> Walk.as_bool (force_param ct s)))
   | Vtrap m -> Kv (fun _ -> trap_s m)
   | Vunalloc -> assert false
 
@@ -1072,7 +983,7 @@ let rec compile_expr env (e : expr) : cexpr =
             Value.Vint (-i)
           | Value.Vreal (x, k) ->
             charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
-            mk_real k (-.x)
+            Walk.mk_real k (-.x)
           | Value.Vlog _ | Value.Vstr _ -> trap_s "negation of non-numeric value"))
   | Enot e1 ->
     let f = bview (compile_expr env e1) in
@@ -1313,16 +1224,13 @@ and compile_bin env op a b exempt costs powmul : cexpr =
           | Ast.Le -> x <= y
           | Ast.Gt -> x > y
           | _ -> x >= y)
-    | Kb fa, Kb fb ->
+    | Kb fa, Kb fb when op = Ast.Eq || op = Ast.Ne ->
       Kb
         (fun ct ->
           let x = fa ct in
           let y = fb ct in
           charge ct ci_flops ct.machine.Machine.compare_cost;
-          match op with
-          | Ast.Eq -> x = y
-          | Ast.Ne -> x <> y
-          | _ -> trap_s "ordering of logicals")
+          if op = Ast.Eq then x = y else x <> y)
     | _ -> gen_bin ())
 
 (* [Earr]: resolve the cell, evaluate subscripts (charging), then
@@ -1371,7 +1279,7 @@ and compile_load env name r idx mem : cexpr =
               ct.scratch.fv <- data.(offset1 ~name ~dims i)
             | _ ->
               ct.i0 <- i;
-              ct.scratch.fv <- as_float (load_v ct cell)),
+              ct.scratch.fv <- Walk.as_float (load_v ct cell)),
           k )
     | Ast.Treal k, [| c0; c1 |] ->
       Kf
@@ -1388,7 +1296,7 @@ and compile_load env name r idx mem : cexpr =
             | _ ->
               ct.i0 <- i;
               ct.i1 <- j;
-              ct.scratch.fv <- as_float (load_v ct cell)),
+              ct.scratch.fv <- Walk.as_float (load_v ct cell)),
           k )
     | Ast.Treal k, _ ->
       Kf
@@ -1399,7 +1307,7 @@ and compile_load env name r idx mem : cexpr =
             | Value.Real_array { kind; data; dims } ->
               charge ct ci_memory mem.((ct.vec * 2) + kind_idx kind);
               ct.scratch.fv <- data.(offset_arr ~name ~dims ct.ix)
-            | _ -> ct.scratch.fv <- as_float (load_v ct cell)),
+            | _ -> ct.scratch.fv <- Walk.as_float (load_v ct cell)),
           k )
     | Ast.Tinteger, [| c0 |] ->
       Ki
@@ -1413,7 +1321,7 @@ and compile_load env name r idx mem : cexpr =
             data.(offset1 ~name ~dims i)
           | _ ->
             ct.i0 <- i;
-            as_int (load_v ct cell))
+            Walk.as_int (load_v ct cell))
     | Ast.Tinteger, _ ->
       Ki
         (fun ct ->
@@ -1423,7 +1331,7 @@ and compile_load env name r idx mem : cexpr =
           | Value.Int_array { data; dims } ->
             charge ct ci_flops ct.machine.Machine.int_op;
             data.(sub_off ct name dims sub)
-          | _ -> as_int (load_v ct cell))
+          | _ -> Walk.as_int (load_v ct cell))
     | Ast.Tlogical, _ ->
       Kb
         (fun ct ->
@@ -1431,7 +1339,7 @@ and compile_load env name r idx mem : cexpr =
           eval_sub ct sub;
           match cell with
           | Value.Log_array { data; dims } -> data.(sub_off ct name dims sub)
-          | _ -> as_bool (load_v ct cell)))
+          | _ -> Walk.as_bool (load_v ct cell)))
 
 and compile_intr env (it : intr) : cexpr =
   match it with
@@ -1462,7 +1370,7 @@ and compile_intr env (it : intr) : cexpr =
             Value.Vint (abs i)
           | Value.Vreal (x, k) ->
             charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
-            mk_real k (Float.abs x)
+            Walk.mk_real k (Float.abs x)
           | Value.Vlog _ | Value.Vstr _ -> trap_s "abs of non-numeric value"))
   | Ielem { name; fn; e; costs } -> (
     match compile_expr env e with
@@ -1607,7 +1515,7 @@ and compile_intr env (it : intr) : cexpr =
           match f ct with
           | Value.Vreal (x, k) ->
             charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
-            mk_real k (fn x)
+            Walk.mk_real k (fn x)
           | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> trap "%s of non-real value" name))
   | Iminmax { name; args; costs } -> (
     let n = Array.length args in
@@ -1663,27 +1571,18 @@ and compile_intr env (it : intr) : cexpr =
           k )
     end
     else
-      let fs = Array.map force cs in
+      let fs = Array.to_list (Array.map force cs) in
       Kv
         (fun ct ->
-          let vs = Array.map (fun f -> f ct) fs in
+          let vs = List.map (fun f -> f ct) fs in
           if n < 2 then trap "%s needs at least two arguments" name;
-          let kind = Array.fold_left (fun acc v -> promote_kind acc (value_kind v)) None vs in
-          match kind with
+          match List.fold_left (fun acc v -> Walk.promote_kind acc (Walk.value_kind v)) None vs with
           | None ->
             charge ct ci_flops ct.machine.Machine.int_op;
-            let ints = Array.map as_int vs in
-            Value.Vint
-              (Array.fold_left (if is_min then min else max) ints.(0)
-                 (Array.sub ints 1 (n - 1)))
+            Value.Vint (Walk.int_extremum name (List.map Walk.as_int vs))
           | Some k ->
             charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
-            let fl = Array.map as_float vs in
-            mk_real k
-              (Array.fold_left
-                 (if is_min then Float.min else Float.max)
-                 fl.(0)
-                 (Array.sub fl 1 (n - 1)))))
+            Walk.mk_real k (Walk.extremum name (List.map Walk.as_float vs))))
   | Imod { a; b; costs } -> (
     match compile_expr env a, compile_expr env b with
     | Ki fa, Ki fb ->
@@ -1705,15 +1604,15 @@ and compile_intr env (it : intr) : cexpr =
           match va, vb with
           | Value.Vint x, Value.Vint y ->
             charge ct ci_flops ct.machine.Machine.int_op;
-            if y = 0 then trap_s "mod with zero divisor" else Value.Vint (x - (x / y * y))
+            Value.Vint (Walk.int_mod x y)
           | _ ->
             let k =
-              match promote_kind (value_kind va) (value_kind vb) with
+              match Walk.promote_kind (Walk.value_kind va) (Walk.value_kind vb) with
               | Some k -> k
               | None -> trap_s "mod of non-numeric"
             in
             charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
-            mk_real k (Float.rem (as_float va) (as_float vb))))
+            Walk.mk_real k (Float.rem (Walk.as_float va) (Walk.as_float vb))))
   | Iatan2 { a; b; costs } -> (
     match compile_expr env a, compile_expr env b with
     | (Kf (_, k1) as ca), (Kf (_, k2) as cb) ->
@@ -1727,10 +1626,10 @@ and compile_intr env (it : intr) : cexpr =
         (fun ct ->
           let va = fa ct in
           let vb = fb ct in
-          match promote_kind (value_kind va) (value_kind vb) with
+          match Walk.promote_kind (Walk.value_kind va) (Walk.value_kind vb) with
           | Some k ->
             charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
-            mk_real k (Float.atan2 (as_float va) (as_float vb))
+            Walk.mk_real k (Float.atan2 (Walk.as_float va) (Walk.as_float vb))
           | None -> trap_s "atan2 of non-real values"))
   | Isign { a; b; costs } -> (
     match compile_expr env a, compile_expr env b with
@@ -1751,15 +1650,14 @@ and compile_intr env (it : intr) : cexpr =
         (fun ct ->
           let x = fa ct in
           let y = fb ct in
-          match promote_kind (value_kind x) (value_kind y) with
+          match Walk.promote_kind (Walk.value_kind x) (Walk.value_kind y) with
           | Some k ->
             charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
-            let m = Float.abs (as_float x) in
-            mk_real k (if as_float y >= 0.0 then m else -.m)
+            Walk.mk_real k (Walk.real_sign (Walk.as_float x) (Walk.as_float y))
           | None ->
             charge ct ci_flops ct.machine.Machine.int_op;
-            let m = abs (as_int x) in
-            Value.Vint (if as_int y >= 0 then m else -m)))
+            let m = Walk.as_int x in
+            Value.Vint (Walk.int_sign m (Walk.as_int y))))
   | Ireal { e; kind = None } -> (
     match compile_expr env e with
     | Kf (f, Ast.K4) ->
@@ -1782,8 +1680,8 @@ and compile_intr env (it : intr) : cexpr =
       Kv
         (fun ct ->
           let v = f ct in
-          if value_kind v = Some Ast.K8 then charge ct ci_convert ct.conv.(ct.vec);
-          Value.Vreal (round32 (as_float v), Ast.K4)))
+          if Walk.value_kind v = Some Ast.K8 then charge ct ci_convert ct.conv.(ct.vec);
+          Value.Vreal (round32 (Walk.as_float v), Ast.K4)))
   | Ireal { e; kind = Some kk } -> (
     match compile_expr env e with
     | Kf (f, k) when k = kk ->
@@ -1806,9 +1704,9 @@ and compile_intr env (it : intr) : cexpr =
       Kv
         (fun ct ->
           let v = f ct in
-          if value_kind v <> Some kk && value_kind v <> None then
+          if Walk.value_kind v <> Some kk && Walk.value_kind v <> None then
             charge ct ci_convert ct.conv.(ct.vec);
-          Value.Vreal (cround kk (as_float v), kk)))
+          Value.Vreal (cround kk (Walk.as_float v), kk)))
   | Ireal_bad { e; k } ->
     let f = effect (compile_expr env e) in
     Kv
@@ -1830,8 +1728,8 @@ and compile_intr env (it : intr) : cexpr =
       Kv
         (fun ct ->
           let v = f ct in
-          if value_kind v = Some Ast.K4 then charge ct ci_convert ct.conv.(ct.vec);
-          Value.Vreal (as_float v, Ast.K8)))
+          if Walk.value_kind v = Some Ast.K4 then charge ct ci_convert ct.conv.(ct.vec);
+          Value.Vreal (Walk.as_float v, Ast.K8)))
   | Iicvt { which; e } ->
     (* int_op is charged before the operand evaluates *)
     let f = fput (compile_expr env e) in
@@ -1855,16 +1753,16 @@ and compile_intr env (it : intr) : cexpr =
         | Value.Real_array { kind = ka; data = da; _ }, Value.Real_array { kind = kb; data = db; _ }
           ->
           let n = min (Array.length da) (Array.length db) in
-          let kind = kmax ka kb in
+          let kind = Walk.dot_kind ka kb in
           let l = Machine.lanes ct.machine kind in
           charge ct ci_flops
             (2.0 *. float_of_int n *. Machine.op_cost ct.machine ~lanes:l kind Ast.Add);
           charge ct ci_memory (2.0 *. float_of_int n *. Machine.mem_cost ct.machine ~lanes:l kind);
           let s = ref 0.0 in
           for i = 0 to n - 1 do
-            s := Fp32.of_kind kind (!s +. Fp32.of_kind kind (da.(i) *. db.(i)))
+            s := Walk.dot_step kind !s da.(i) db.(i)
           done;
-          mk_real kind !s
+          Walk.mk_real kind !s
         | _ -> trap_s "dot_product expects two real arrays")
   | Ireduce { name; rn; r } ->
     let v = var_of env rn r in
@@ -1880,21 +1778,13 @@ and compile_intr env (it : intr) : cexpr =
           | "sum" ->
             let s = ref 0.0 in
             Array.iter (fun x -> s := Fp32.of_kind kind (!s +. x)) data;
-            mk_real kind !s
-          | "maxval" ->
-            if n = 0 then trap_s "maxval of empty array"
-            else mk_real kind (Array.fold_left Float.max data.(0) data)
-          | "minval" ->
-            if n = 0 then trap_s "minval of empty array"
-            else mk_real kind (Array.fold_left Float.min data.(0) data)
-          | _ -> assert false)
-        | Value.Int_array { data; _ } -> (
+            Walk.mk_real kind !s
+          | _ ->
+            if n = 0 then Walk.empty_reduction name
+            else Walk.mk_real kind (Array.fold_left (Walk.float_extremum name) data.(0) data))
+        | Value.Int_array { data; _ } ->
           charge ct ci_flops (float_of_int (Array.length data) *. ct.machine.Machine.int_op);
-          match name with
-          | "sum" -> Value.Vint (Array.fold_left ( + ) 0 data)
-          | "maxval" -> Value.Vint (Array.fold_left max min_int data)
-          | "minval" -> Value.Vint (Array.fold_left min max_int data)
-          | _ -> assert false)
+          Value.Vint (Walk.int_reduce name data)
         | Value.Scalar _ | Value.Log_array _ -> trap "%s of non-array" name)
   | Isize { rn; r; dim } -> (
     let v = var_of env rn r in
@@ -1915,19 +1805,9 @@ and compile_intr env (it : intr) : cexpr =
           if dim >= 1 && dim <= Array.length dims then dims.(dim - 1)
           else trap "size: dimension %d out of range" dim))
   | Iinq { name; e } -> (
-    let value k =
-      match name, k with
-      | "epsilon", Ast.K8 -> epsilon_float
-      | "epsilon", Ast.K4 -> 1.1920928955078125e-07
-      | "huge", Ast.K8 -> max_float
-      | "huge", Ast.K4 -> Fp32.max_finite
-      | "tiny", Ast.K8 -> min_float
-      | "tiny", Ast.K4 -> Fp32.min_positive_normal
-      | _ -> assert false
-    in
     match compile_expr env e with
     | Kf (f, k) ->
-      let v = value k in
+      let v = Walk.inquiry name k in
       Kf
         ( (fun ct ->
             f ct;
@@ -1938,7 +1818,7 @@ and compile_intr env (it : intr) : cexpr =
       Kv
         (fun ct ->
           match f ct with
-          | Value.Vreal (_, k) -> Value.Vreal (value k, k)
+          | Value.Vreal (_, k) -> Value.Vreal (Walk.inquiry name k, k)
           | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> trap "%s of non-real value" name))
 
 (* two typed operands (at least one real) into a rounded real of kind
@@ -2025,7 +1905,7 @@ let compile_store var ~lit (c : cexpr) : ctx -> unit =
         let x = ct.scratch.fv in
         if conv then charge ct ci_convert ct.conv.(ct.vec);
         let y = cround kind x in
-        if not (Float.is_finite y) then nonfinite_scalar kind;
+        if not (Float.is_finite y) then Walk.nonfinite_scalar kind;
         ct.fs.(ct.fb + o) <- y
     | _ ->
       fun ct ->
@@ -2033,13 +1913,13 @@ let compile_store var ~lit (c : cexpr) : ctx -> unit =
         let x = ct.scratch.fv in
         if conv then charge ct ci_convert ct.conv.(ct.vec);
         let y = cround kind x in
-        if not (Float.is_finite y) then nonfinite_scalar kind;
+        if not (Float.is_finite y) then Walk.nonfinite_scalar kind;
         ct.fs.(faddr ct l) <- y)
   | Vf (l, kind), Ki f ->
     fun ct ->
       let i = f ct in
       let y = cround kind (float_of_int i) in
-      if not (Float.is_finite y) then nonfinite_scalar kind;
+      if not (Float.is_finite y) then Walk.nonfinite_scalar kind;
       ct.fs.(faddr ct l) <- y
   | Vi (Own o), Ki f ->
     fun ct ->
@@ -2163,11 +2043,11 @@ let rec compile_stmt env (s : stmt) : ctx -> unit =
            set ct !i;
            charge ct ci_loop iter_overhead;
            check_budget ct;
-           (try exec_cblock ct cbody with Rcycle -> ());
+           (try exec_cblock ct cbody with Walk.Cycle_signal -> ());
            i := !i + stp
          done
        with
-      | Rexit -> ()
+      | Walk.Exit_signal -> ()
       | e ->
         ct.vec <- saved_vec;
         raise e);
@@ -2186,10 +2066,10 @@ let rec compile_stmt env (s : stmt) : ctx -> unit =
              ct.is.(ct.ib + o) <- i;
              charge ct ci_loop iter_overhead;
              check_budget ct;
-             try exec_cblock ct cbody with Rcycle -> ()
+             try exec_cblock ct cbody with Walk.Cycle_signal -> ()
            done
          with
-        | Rexit -> ()
+        | Walk.Exit_signal -> ()
         | e ->
           ct.vec <- saved_vec;
           raise e);
@@ -2217,9 +2097,9 @@ let rec compile_stmt env (s : stmt) : ctx -> unit =
         while fcond ct do
           charge ct ci_loop ct.machine.Machine.loop_overhead;
           check_budget ct;
-          try exec_cblock ct cbody with Rcycle -> ()
+          try exec_cblock ct cbody with Walk.Cycle_signal -> ()
         done
-      with Rexit -> ())
+      with Walk.Exit_signal -> ())
   | Sselect { selector; arms; default } ->
     let fsel = force (compile_expr env selector) in
     let carms =
@@ -2264,10 +2144,10 @@ let rec compile_stmt env (s : stmt) : ctx -> unit =
       let sel = fsel ct in
       charge ct ci_flops ct.machine.Machine.compare_cost;
       go ct sel 0
-  | Sexit -> fun _ -> raise Rexit
-  | Scycle -> fun _ -> raise Rcycle
-  | Sreturn -> fun _ -> raise Rreturn
-  | Sstop m -> fun _ -> raise (Rstop m)
+  | Sexit -> fun _ -> raise Walk.Exit_signal
+  | Scycle -> fun _ -> raise Walk.Cycle_signal
+  | Sreturn -> fun _ -> raise Walk.Return_signal
+  | Sstop m -> fun _ -> raise (Walk.Stop_signal m)
   | Sprint args ->
     let fs = Array.map (fun e -> force (compile_expr env e)) args in
     let n = Array.length fs in
@@ -2327,7 +2207,7 @@ and compile_elem_store env name r idx lit rhs : ctx -> unit =
           charge ct ci_memory ct.memtab.((ct.vec * 2) + kind_idx kind);
           if krhs <> kind && not lit then charge ct ci_convert ct.conv.(ct.vec);
           let x = cround kind xv in
-          if not (Float.is_finite x) then nonfinite_elem name kind;
+          if not (Float.is_finite x) then Walk.nonfinite_element name kind;
           data.(offset1 ~name ~dims i) <- x
         | _ ->
           ct.i0 <- i;
@@ -2347,7 +2227,7 @@ and compile_elem_store env name r idx lit rhs : ctx -> unit =
           charge ct ci_memory ct.memtab.((ct.vec * 2) + kind_idx kind);
           if krhs <> kind && not lit then charge ct ci_convert ct.conv.(ct.vec);
           let x = cround kind xv in
-          if not (Float.is_finite x) then nonfinite_elem name kind;
+          if not (Float.is_finite x) then Walk.nonfinite_element name kind;
           data.(offset2 ~name ~dims i j) <- x
         | _ ->
           ct.i0 <- i;
@@ -2694,25 +2574,16 @@ let run ?budget (t : t) : Interp.outcome =
     }
   in
   let status =
-    match
-      prepare_globals ct t;
-      if not p.has_main then trap_s "program has no main unit";
-      ct.flinks <- p.main_links;
-      Timers.enter_clock ct.timers (Timers.acc_of ct.timers "<main>") "<main>" ct.cost;
-      (try exec_cblock ct t.cmain
-       with e ->
-         Timers.exit_clock ct.timers ct.cost;
-         raise e);
-      Timers.exit_clock ct.timers ct.cost
-    with
-    | () -> Interp.Finished
-    | exception Rstop m -> Interp.Stopped m
-    | exception Rtrap m -> Interp.Runtime_error m
-    | exception Value.Bounds m -> Interp.Runtime_error m
-    | exception Rtimeout -> Interp.Timed_out
-    | exception Rreturn -> Interp.Finished
-    | exception Rexit -> Interp.Runtime_error "exit outside a loop"
-    | exception Rcycle -> Interp.Runtime_error "cycle outside a loop"
+    Walk.run_status (fun () ->
+        prepare_globals ct t;
+        if not p.has_main then trap_s "program has no main unit";
+        ct.flinks <- p.main_links;
+        Timers.enter_clock ct.timers (Timers.acc_of ct.timers "<main>") "<main>" ct.cost;
+        (try exec_cblock ct t.cmain
+         with e ->
+           Timers.exit_clock ct.timers ct.cost;
+           raise e);
+        Timers.exit_clock ct.timers ct.cost)
   in
   {
     Interp.status;

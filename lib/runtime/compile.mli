@@ -9,6 +9,15 @@
     [Interp.run]: same status, cost, timers, records, printed lines and
     breakdown, with every charge in the same order.
 
+    The value rules are {!Walk}'s, the ones [Interp] applies: a shape
+    without a typed lane runs on the generic [Value.v] lane, which
+    calls [Walk]'s coercions, rounding traps, operators and intrinsics
+    and charges from the compiled cost tables. In the registered models
+    that lane carries the reductions, [mpi_allreduce] stores and
+    by-value parameter actuals. The typed float, integer and logical
+    lanes keep their arithmetic inline and call [Walk] only to trap.
+    The control-flow signals and the run status are [Walk]'s too.
+
     Compiled procedures own their frame layout, fixed at compile time
     from their declarations: real scalars live unboxed in a per-run
     float stack, integers and logicals in an int stack, arrays by

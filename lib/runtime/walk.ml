@@ -6,9 +6,11 @@
    locals, the statements and the control-flow signals.  Every value it
    computes comes from the domain: {!Interp} instantiates it with plain
    values and the cost model, [Sensitivity.Absint] with values that carry
-   per-atom error vectors.  The concrete value rules both domains apply —
+   per-atom error vectors.  The concrete value rules — coercions,
    rounding and its trap texts, integer arithmetic, comparisons, the
-   intrinsic table — are the plain functions before the functor.
+   intrinsic table — and the signals with their mapping to a run's status
+   are the plain functions before the functor.  Both domains apply them,
+   and so does {!Compile}, whose generic lane calls them.
 
    A domain computes its own operators and intrinsics from operand
    values the traversal hands it, so it decides where its charges and
@@ -26,6 +28,19 @@ exception Trap of string
 exception Timeout_signal  (* the interpreter's cost budget is spent *)
 
 let trap fmt = Format.kasprintf (fun m -> raise (Trap m)) fmt
+
+(* the status of a run: [f] returned, or raised a signal, a trap or a
+   subscript out of range *)
+let run_status f =
+  match f () with
+  | () -> Finished
+  | exception Stop_signal m -> Stopped m
+  | exception Trap m -> Runtime_error m
+  | exception Value.Bounds m -> Runtime_error m
+  | exception Timeout_signal -> Timed_out
+  | exception Return_signal -> Finished
+  | exception Exit_signal -> Runtime_error "exit outside a loop"
+  | exception Cycle_signal -> Runtime_error "cycle outside a loop"
 
 (* ------------------------------------------------------------------ *)
 (* Concrete value rules                                                *)
@@ -1023,26 +1038,17 @@ end = struct
       }
     in
     let status =
-      match
-        prepare_globals ctx;
-        match Ast.main_of (Symtab.program st) with
-        | None -> trap "program has no main unit"
-        | Some m ->
-          D.enter_main dom;
-          (try exec_block ctx (scope_frame ctx None) m.Ast.main_body
-           with e ->
-             D.leave_main dom;
-             raise e);
-          D.leave_main dom
-      with
-      | () -> Finished
-      | exception Stop_signal m -> Stopped m
-      | exception Trap m -> Runtime_error m
-      | exception Value.Bounds m -> Runtime_error m
-      | exception Timeout_signal -> Timed_out
-      | exception Return_signal -> Finished
-      | exception Exit_signal -> Runtime_error "exit outside a loop"
-      | exception Cycle_signal -> Runtime_error "cycle outside a loop"
+      run_status (fun () ->
+          prepare_globals ctx;
+          match Ast.main_of (Symtab.program st) with
+          | None -> trap "program has no main unit"
+          | Some m ->
+            D.enter_main dom;
+            (try exec_block ctx (scope_frame ctx None) m.Ast.main_body
+             with e ->
+               D.leave_main dom;
+               raise e);
+            D.leave_main dom)
     in
     { status; records = List.rev ctx.records; printed = List.rev ctx.printed }
 end

@@ -411,6 +411,45 @@ let byref_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The generic value lane: a reduction's result has no typed lane, so
+   whatever consumes it runs on [Value.v] under [Walk]'s rules. Each
+   program pins the reference's status (a trap by its text), then the
+   compiled evaluator against the reference. *)
+
+let status_t = Alcotest.testable Runtime.Interp.pp_status ( = )
+
+let generic_case name ~decls ~body status =
+  t name (fun () ->
+      let src = Printf.sprintf "program p\n implicit none\n%s\n%s\nend program p\n" decls body in
+      let st = build src in
+      let ref_out = interp st in
+      Alcotest.check status_t "reference status" status ref_out.Runtime.Interp.status;
+      check_equiv "compiled agrees" ref_out (lower_run st))
+
+let arrays =
+  " real(kind=8), dimension(3) :: a\n real(kind=4), dimension(3) :: a4\n\
+  \ integer, dimension(3) :: ia\n real(kind=8), dimension(0) :: none\n\
+  \ real(kind=8) :: x\n integer :: i\n\
+  \ do i = 1, 3\n  a(i) = dble(i)\n  a4(i) = real(i)\n  ia(i) = 4 - i\n end do"
+
+let generic_tests =
+  let trap m = Runtime.Interp.Runtime_error m in
+  [
+    generic_case "huge(maxval(a)) finishes" ~decls:arrays
+      ~body:" x = huge(maxval(a))\n print *, 'x', x" Runtime.Interp.Finished;
+    generic_case "epsilon(sum(a4)) finishes" ~decls:arrays
+      ~body:" x = epsilon(sum(a4))\n print *, 'x', x" Runtime.Interp.Finished;
+    generic_case "a(maxval(ia)) finishes" ~decls:arrays
+      ~body:" x = a(maxval(ia))\n print *, 'x', x" Runtime.Interp.Finished;
+    generic_case "maxval of a zero-extent array traps" ~decls:arrays
+      ~body:" x = maxval(none)\n print *, 'x', x" (trap "maxval of empty array");
+    generic_case "mod(sum(ia), 0) traps" ~decls:arrays
+      ~body:" i = mod(sum(ia), 0)\n print *, 'i', i" (trap "mod with zero divisor");
+    generic_case "sum(ia) ** (-1) traps" ~decls:arrays
+      ~body:" i = sum(ia) ** (-1)\n print *, 'i', i" (trap "negative integer exponent");
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Allocation per loop iteration, host-speed independent: minor words
    of [Compile.run] at two trip counts, differenced so that the run's
    fixed set-up cancels. *)
@@ -460,5 +499,6 @@ let () =
   Alcotest.run "lower"
     [
       ("slots", slot_tests); ("equivalence", equiv_tests); ("cache", cache_tests);
-      ("backends", backend_tests); ("byref", byref_tests); ("alloc", alloc_tests);
+      ("backends", backend_tests); ("byref", byref_tests); ("generic", generic_tests);
+      ("alloc", alloc_tests);
     ]
