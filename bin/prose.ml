@@ -260,10 +260,7 @@ let tune_cmd =
         in
         try f () with
         | Sys_error m -> fail m
-        | Unix.Unix_error (e, fn, arg) ->
-          fail
-            (Printf.sprintf "%s%s: %s" fn (if arg = "" then "" else " " ^ arg)
-               (Unix.error_message e)))
+        | Unix.Unix_error (e, fn, arg) -> fail (Persist.Durable.unix_error_message e fn arg))
     in
     let campaign =
       journaled @@ fun () ->

@@ -41,8 +41,10 @@ dune exec bin/prose.exe -- fuzz --oracle compiled --cases 1000 --seed 7
 dune exec bin/prose.exe -- fuzz --oracle compiled --cases 1000 --seed 42
 
 # Exact-counter gate: one joint_solo, one joint_parallel (a few seconds
-# each) and one table2_rank repetition (about 10 s: the only workload
-# that runs the sensitivity scorer, at --predict rank), each checked
+# each), one table2_rank repetition (about 10 s: the only workload that
+# runs the sensitivity scorer, at --predict rank) and one service_fleet
+# repetition (about 5 s: the only workload that runs the service, its
+# slices and the fleet memo), each checked
 # against its committed BUDGET_<workload>.json. The counts do not follow timing noise, so this
 # catches allocation and work regressions that timing hides: fresh
 # evaluations, evaluations to the 1-minimal variant, live evaluations
@@ -52,7 +54,8 @@ dune exec bin/prose.exe -- fuzz --oracle compiled --cases 1000 --seed 42
 # ahead of what the search consumes. joint_solo's budget also holds
 # gc.minor_words, which may rise at most 2% above it (joint_parallel
 # has none: a second domain allocates there; table2_rank has none: its
-# count does not repeat to the word). gc.minor_words is exact
+# count does not repeat to the word; service_fleet has none: the server
+# child's count follows how many requests it answers). gc.minor_words is exact
 # for one build run from one place: DIR, its length and the working
 # directory do not move it, nor does an empty environment. It can follow
 # the path the executable resolves to: for one build, a byte-identical
@@ -60,7 +63,7 @@ dune exec bin/prose.exe -- fuzz --oracle compiled --cases 1000 --seed 42
 # for another the same; a symlink reads as its target. The cause is not
 # known; the 2% slack covers it.
 dune build ./perfbench/perfbench.exe
-for W in joint_solo joint_parallel table2_rank; do
+for W in joint_solo joint_parallel table2_rank service_fleet; do
 CDIR=$(mktemp -d)
 _build/default/perfbench/perfbench.exe run "$W" 42 "$CDIR" > "$CDIR/run.json"
 python3 - "$CDIR/run.json" "BUDGET_$W.json" "$(ocamlfind ocamlopt -version)" <<'PY'

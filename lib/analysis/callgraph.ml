@@ -1,96 +1,36 @@
 open Fortran
 
-let case_item_exprs items =
-  List.concat_map
-    (function
-      | Ast.Case_value v -> [ v ]
-      | Ast.Case_range (lo, hi) -> Option.to_list lo @ Option.to_list hi)
-    items
-
-
 type t = {
   edges : (string option, (string, int) Hashtbl.t) Hashtbl.t;
   redges : (string, (string option, int) Hashtbl.t) Hashtbl.t;
   procs : string list;
 }
 
-(* Function references share syntax with array indexing; a name is a call
-   iff it does not resolve to a variable and is not an intrinsic. *)
-let calls_in_block st ~caller blk =
-  let acc : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let bump name =
-    Hashtbl.replace acc name (1 + Option.value ~default:0 (Hashtbl.find_opt acc name))
-  in
-  let rec expr = function
-    | Ast.Index (name, args) ->
-      List.iter expr args;
-      if (not (Builtins.is_intrinsic_function name))
-         && Option.is_none (Symtab.lookup_var st ~in_proc:caller name)
-         && Option.is_some (Symtab.find_proc st name)
-      then bump name
-    | Ast.Unop (_, e) -> expr e
-    | Ast.Binop (_, a, b) ->
-      expr a;
-      expr b
-    | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ | Ast.Var _ -> ()
-  in
-  Ast.iter_stmts
-    (fun s ->
-      match s.Ast.node with
-      | Ast.Call (name, args) ->
-        List.iter expr args;
-        if (not (Builtins.is_intrinsic_subroutine name)) && Option.is_some (Symtab.find_proc st name)
-        then bump name
-      | Ast.Assign (lhs, rhs) ->
-        (match lhs with Ast.Lvar _ -> () | Ast.Lindex (_, idx) -> List.iter expr idx);
-        expr rhs
-      | Ast.If (arms, _) -> List.iter (fun (c, _) -> expr c) arms
-      | Ast.Select { selector; arms; _ } ->
-        expr selector;
-        List.iter (fun (items, _) -> List.iter expr (case_item_exprs items)) arms
-      | Ast.Do { from_; to_; step; _ } ->
-        expr from_;
-        expr to_;
-        Option.iter expr step
-      | Ast.Do_while { cond; _ } -> expr cond
-      | Ast.Print_stmt args -> List.iter expr args
-      | Ast.Exit_stmt | Ast.Cycle_stmt | Ast.Return_stmt | Ast.Stop_stmt _ -> ())
-    blk;
-  acc
-
 let build st : t =
-  let prog = Symtab.program st in
   let edges = Hashtbl.create 32 in
   let redges = Hashtbl.create 32 in
-  let procs = ref [] in
-  let record caller blk =
-    let cs = calls_in_block st ~caller blk in
-    Hashtbl.replace edges caller cs;
-    Hashtbl.iter
-      (fun callee n ->
-        let back =
-          match Hashtbl.find_opt redges callee with
-          | Some h -> h
-          | None ->
-            let h = Hashtbl.create 4 in
-            Hashtbl.add redges callee h;
-            h
-        in
-        Hashtbl.replace back caller (n + Option.value ~default:0 (Hashtbl.find_opt back caller)))
-      cs
+  let bump tbl key count =
+    let h =
+      match Hashtbl.find_opt tbl key with
+      | Some h -> h
+      | None ->
+        let h = Hashtbl.create 8 in
+        Hashtbl.add tbl key h;
+        h
+    in
+    Hashtbl.replace h count (1 + Option.value ~default:0 (Hashtbl.find_opt h count))
   in
-  List.iter
-    (fun u ->
-      (match u with
-      | Ast.Main m -> record None m.main_body
-      | Ast.Module _ -> ());
-      List.iter
-        (fun (p : Ast.proc) ->
-          procs := p.proc_name :: !procs;
-          record (Some p.proc_name) p.proc_body)
-        (Ast.procs_of_unit u))
-    prog;
-  { edges; redges; procs = List.rev !procs }
+  Symtab.iter_sites st (fun ~caller ~depth:_ ~loc:_ name _ callee ->
+      match callee with
+      | Symtab.Procedure _ ->
+        bump edges caller name;
+        bump redges name caller
+      | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Builtin_subroutine | Symtab.Unknown -> ());
+  {
+    edges;
+    redges;
+    procs = List.map (fun (p : Ast.proc) -> p.proc_name) (Ast.all_procs (Symtab.program st));
+  }
 
 let callees t caller =
   match Hashtbl.find_opt t.edges caller with

@@ -1,13 +1,5 @@
 open Fortran
 
-let case_item_exprs items =
-  List.concat_map
-    (function
-      | Ast.Case_value v -> [ v ]
-      | Ast.Case_range (lo, hi) -> Option.to_list lo @ Option.to_list hi)
-    items
-
-
 type occurrence = { o_loc : Loc.t; o_loop_depth : int; o_proc : string option }
 
 type summary = {
@@ -37,74 +29,26 @@ let analyze st : summary list =
       if def then a.adefs <- o :: a.adefs else a.auses <- o :: a.auses
     | Some _ | None -> ()
   in
-  let rec expr ~in_proc ~depth ~loc e =
-    match e with
-    | Ast.Var v -> note ~in_proc ~depth ~loc ~def:false v
-    | Ast.Index (name, args) ->
-      List.iter (expr ~in_proc ~depth ~loc) args;
-      note ~in_proc ~depth ~loc ~def:false name
-    | Ast.Unop (_, a) -> expr ~in_proc ~depth ~loc a
-    | Ast.Binop (_, a, b) ->
-      expr ~in_proc ~depth ~loc a;
-      expr ~in_proc ~depth ~loc b
-    | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ -> ()
-  in
-  let rec block ~in_proc ~depth blk =
-    List.iter
-      (fun (s : Ast.stmt) ->
-        let loc = s.loc in
-        match s.node with
-        | Ast.Assign (lhs, rhs) ->
-          expr ~in_proc ~depth ~loc rhs;
-          (match lhs with
-          | Ast.Lvar v -> note ~in_proc ~depth ~loc ~def:true v
-          | Ast.Lindex (v, idx) ->
-            List.iter (expr ~in_proc ~depth ~loc) idx;
-            note ~in_proc ~depth ~loc ~def:true v)
-        | Ast.Call (name, args) ->
-          ignore name;
-          (* a variable actual may be defined by the callee: count as both *)
-          List.iter
-            (fun a ->
-              expr ~in_proc ~depth ~loc a;
-              match a with
-              | Ast.Var v -> note ~in_proc ~depth ~loc ~def:true v
-              | _ -> ())
-            args
-        | Ast.If (arms, els) ->
-          List.iter
-            (fun (c, b) ->
-              expr ~in_proc ~depth ~loc c;
-              block ~in_proc ~depth b)
-            arms;
-          block ~in_proc ~depth els
-        | Ast.Select { selector; arms; default } ->
-          expr ~in_proc ~depth ~loc selector;
-          List.iter
-            (fun (items, b) ->
-              List.iter (expr ~in_proc ~depth ~loc) (case_item_exprs items);
-              block ~in_proc ~depth b)
-            arms;
-          block ~in_proc ~depth default
-        | Ast.Do { var; from_; to_; step; body; _ } ->
-          note ~in_proc ~depth ~loc ~def:true var;
-          List.iter (expr ~in_proc ~depth ~loc) (from_ :: to_ :: Option.to_list step);
-          block ~in_proc ~depth:(depth + 1) body
-        | Ast.Do_while { cond; body; _ } ->
-          expr ~in_proc ~depth ~loc cond;
-          block ~in_proc ~depth:(depth + 1) body
-        | Ast.Print_stmt args -> List.iter (expr ~in_proc ~depth ~loc) args
-        | Ast.Exit_stmt | Ast.Cycle_stmt | Ast.Return_stmt | Ast.Stop_stmt _ -> ())
-      blk
-  in
-  List.iter
-    (fun u ->
-      (match u with
-      | Ast.Main m -> block ~in_proc:None ~depth:0 m.main_body
-      | Ast.Module _ -> ());
-      List.iter
-        (fun (p : Ast.proc) -> block ~in_proc:(Some p.proc_name) ~depth:0 p.proc_body)
-        (Ast.procs_of_unit u))
+  Ast.iter_bodies
+    (fun owner body ->
+      let in_proc = Option.map (fun (p : Ast.proc) -> p.proc_name) owner in
+      let note ~def depth (s : Ast.stmt) name = note ~in_proc ~depth ~loc:s.loc ~def name in
+      let use depth s = function
+        | Ast.Var v | Ast.Index (v, _) -> note ~def:false depth s v
+        | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ | Ast.Unop _
+        | Ast.Binop _ ->
+          ()
+      in
+      Ast.iter_block body
+        ~expr:(fun depth s e -> Ast.iter_expr (use depth s) e)
+        ~stmt:(fun depth s ->
+          match s.node with
+          | Ast.Assign ((Ast.Lvar v | Ast.Lindex (v, _)), _) | Ast.Do { var = v; _ } ->
+            note ~def:true depth s v
+          | Ast.Call (_, args) ->
+            (* a variable actual may be defined by the callee: count as both *)
+            List.iter (function Ast.Var v -> note ~def:true depth s v | _ -> ()) args
+          | _ -> ()))
     (Symtab.program st);
   Hashtbl.fold
     (fun (scope, var) a l ->

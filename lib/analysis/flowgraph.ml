@@ -1,13 +1,5 @@
 open Fortran
 
-let case_item_exprs items =
-  List.concat_map
-    (function
-      | Ast.Case_value v -> [ v ]
-      | Ast.Case_range (lo, hi) -> Option.to_list lo @ Option.to_list hi)
-    items
-
-
 type node = {
   n_var : string;
   n_scope : Symtab.scope;
@@ -49,7 +41,6 @@ let mk_node st (info : Symtab.var_info) ~in_proc =
 
 let build st : t =
   let node_tbl = Hashtbl.create 64 in
-  let prog = Symtab.program st in
   (* nodes: every FP variable declaration in the program *)
   let add_scope scope ~in_proc =
     List.iter
@@ -62,102 +53,39 @@ let build st : t =
   in
   List.iter
     (fun u ->
-      let uname = Ast.unit_name u in
-      add_scope (Symtab.Unit_scope uname) ~in_proc:None;
+      add_scope (Symtab.Unit_scope (Ast.unit_name u)) ~in_proc:None;
       List.iter
         (fun (p : Ast.proc) ->
           add_scope (Symtab.Proc_scope p.proc_name) ~in_proc:(Some p.proc_name))
         (Ast.procs_of_unit u))
-    prog;
+    (Symtab.program st);
   (* edges: every parameter-passing instance with a real dummy *)
   let edges = ref [] in
-  let handle_call ~caller ~depth ~loc name args =
-    match Symtab.find_proc st name with
-    | None -> ()
-    | Some p ->
-      List.iteri
-        (fun i actual ->
-          match List.nth_opt p.Ast.params i with
-          | None -> ()
-          | Some dummy -> (
-            match Hashtbl.find_opt node_tbl (node_key (Symtab.Proc_scope name) dummy) with
-            | None -> ()  (* non-real dummy *)
-            | Some dnode ->
-              let anode =
-                match actual with
-                | Ast.Var v -> (
-                  match Symtab.lookup_var st ~in_proc:caller v with
-                  | Some info -> Hashtbl.find_opt node_tbl (node_key info.v_scope v)
-                  | None -> None)
-                | _ -> None
-              in
-              edges :=
-                { e_caller = caller; e_callee = name; e_actual = anode; e_actual_expr = actual;
-                  e_dummy = dnode; e_loop_depth = depth; e_loc = loc }
-                :: !edges))
-        args
-  in
-  let rec walk_expr ~caller ~depth ~loc e =
-    match e with
-    | Ast.Index (name, args) ->
-      List.iter (walk_expr ~caller ~depth ~loc) args;
-      if (not (Builtins.is_intrinsic_function name))
-         && Option.is_none (Symtab.lookup_var st ~in_proc:caller name)
-      then handle_call ~caller ~depth ~loc name args
-    | Ast.Unop (_, a) -> walk_expr ~caller ~depth ~loc a
-    | Ast.Binop (_, a, b) ->
-      walk_expr ~caller ~depth ~loc a;
-      walk_expr ~caller ~depth ~loc b
-    | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ | Ast.Var _ -> ()
-  in
-  let rec walk_block ~caller ~depth blk =
-    List.iter
-      (fun (s : Ast.stmt) ->
-        let loc = s.loc in
-        match s.node with
-        | Ast.Call (name, args) ->
-          List.iter (walk_expr ~caller ~depth ~loc) args;
-          if not (Builtins.is_intrinsic_subroutine name) then
-            handle_call ~caller ~depth ~loc name args
-        | Ast.Assign (lhs, rhs) ->
-          (match lhs with
-          | Ast.Lvar _ -> ()
-          | Ast.Lindex (_, idx) -> List.iter (walk_expr ~caller ~depth ~loc) idx);
-          walk_expr ~caller ~depth ~loc rhs
-        | Ast.If (arms, els) ->
-          List.iter
-            (fun (c, b) ->
-              walk_expr ~caller ~depth ~loc c;
-              walk_block ~caller ~depth b)
-            arms;
-          walk_block ~caller ~depth els
-        | Ast.Select { selector; arms; default } ->
-          walk_expr ~caller ~depth ~loc selector;
-          List.iter
-            (fun (items, b) ->
-              List.iter (walk_expr ~caller ~depth ~loc) (case_item_exprs items);
-              walk_block ~caller ~depth b)
-            arms;
-          walk_block ~caller ~depth default
-        | Ast.Do { from_; to_; step; body; _ } ->
-          List.iter (walk_expr ~caller ~depth ~loc) (from_ :: to_ :: Option.to_list step);
-          walk_block ~caller ~depth:(depth + 1) body
-        | Ast.Do_while { cond; body; _ } ->
-          walk_expr ~caller ~depth ~loc cond;
-          walk_block ~caller ~depth:(depth + 1) body
-        | Ast.Print_stmt args -> List.iter (walk_expr ~caller ~depth ~loc) args
-        | Ast.Exit_stmt | Ast.Cycle_stmt | Ast.Return_stmt | Ast.Stop_stmt _ -> ())
-      blk
-  in
-  List.iter
-    (fun u ->
-      (match u with
-      | Ast.Main m -> walk_block ~caller:None ~depth:0 m.main_body
-      | Ast.Module _ -> ());
-      List.iter
-        (fun (p : Ast.proc) -> walk_block ~caller:(Some p.proc_name) ~depth:0 p.proc_body)
-        (Ast.procs_of_unit u))
-    prog;
+  Symtab.iter_sites st (fun ~caller ~depth ~loc name args callee ->
+      match callee with
+      | Symtab.Procedure p ->
+        List.iteri
+          (fun i actual ->
+            match List.nth_opt p.Ast.params i with
+            | None -> ()
+            | Some dummy -> (
+              match Hashtbl.find_opt node_tbl (node_key (Symtab.Proc_scope name) dummy) with
+              | None -> ()  (* non-real dummy *)
+              | Some dnode ->
+                let anode =
+                  match actual with
+                  | Ast.Var v -> (
+                    match Symtab.lookup_var st ~in_proc:caller v with
+                    | Some info -> Hashtbl.find_opt node_tbl (node_key info.v_scope v)
+                    | None -> None)
+                  | _ -> None
+                in
+                edges :=
+                  { e_caller = caller; e_callee = name; e_actual = anode; e_actual_expr = actual;
+                    e_dummy = dnode; e_loop_depth = depth; e_loc = loc }
+                  :: !edges))
+          args
+      | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Builtin_subroutine | Symtab.Unknown -> ());
   { st; node_tbl; all_edges = List.rev !edges }
 
 let nodes t = Hashtbl.fold (fun _ n acc -> n :: acc) t.node_tbl []

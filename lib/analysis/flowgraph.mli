@@ -45,7 +45,4 @@ val violations : t -> edge list
 (** Edges whose endpoint kinds differ (non-variable actual arguments are
     compared by their inferred expression kind). *)
 
-val edge_kinds : t -> edge -> Fortran.Ast.real_kind option * Fortran.Ast.real_kind
-(** (actual kind if real, dummy kind) for an edge. *)
-
 val pp_edge : Format.formatter -> edge -> unit

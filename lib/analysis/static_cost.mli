@@ -27,8 +27,6 @@ type params = {
   unknown_elements : int;  (** assumed elements for arrays of unknown static size *)
 }
 
-val default_params : params
-
 type verdict = {
   penalty : float;  (** casting-overhead penalty of the variant *)
   vector_loops : int;  (** loops predicted to vectorize *)

@@ -29,49 +29,26 @@ let qualify st ~in_proc name : Key.t option =
 let stmt_refs st ~in_proc (s : Ast.stmt) =
   let vars = ref [] in
   let procs = ref [] in
-  let rec expr e =
-    match e with
-    | Ast.Var v -> vars := v :: !vars
-    | Ast.Index (name, args) ->
-      List.iter expr args;
-      if Option.is_some (Symtab.lookup_var st ~in_proc name) then vars := name :: !vars
-      else if not (Builtins.is_intrinsic_function name) then procs := name :: !procs
-    | Ast.Unop (_, a) -> expr a
-    | Ast.Binop (_, a, b) ->
-      expr a;
-      expr b
-    | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ -> ()
-  in
   (match s.node with
-  | Ast.Assign (lhs, rhs) ->
-    (match lhs with
-    | Ast.Lvar v -> vars := v :: !vars
-    | Ast.Lindex (v, idx) ->
-      vars := v :: !vars;
-      List.iter expr idx);
-    expr rhs
-  | Ast.Call (name, args) ->
-    if not (Builtins.is_intrinsic_subroutine name) then procs := name :: !procs;
-    List.iter expr args
-  | Ast.If (arms, _) -> List.iter (fun (c, _) -> expr c) arms
-  | Ast.Select { selector; arms; _ } ->
-    expr selector;
-    List.iter
-      (fun (items, _) ->
-        List.iter
-          (function
-            | Ast.Case_value v -> expr v
-            | Ast.Case_range (lo, hi) ->
-              Option.iter expr lo;
-              Option.iter expr hi)
-          items)
-      arms
-  | Ast.Do { var; from_; to_; step; _ } ->
-    vars := var :: !vars;
-    List.iter expr (from_ :: to_ :: Option.to_list step)
-  | Ast.Do_while { cond; _ } -> expr cond
-  | Ast.Print_stmt args -> List.iter expr args
-  | Ast.Exit_stmt | Ast.Cycle_stmt | Ast.Return_stmt | Ast.Stop_stmt _ -> ());
+  | Ast.Assign ((Ast.Lvar v | Ast.Lindex (v, _)), _) | Ast.Do { var = v; _ } -> vars := v :: !vars
+  | Ast.Call (name, _) -> (
+    match Symtab.classify_call st name with
+    | Symtab.Builtin_subroutine -> ()
+    | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Procedure _ | Symtab.Unknown ->
+      procs := name :: !procs)
+  | _ -> ());
+  Ast.iter_stmt_exprs
+    (Ast.iter_expr (function
+      | Ast.Var v -> vars := v :: !vars
+      | Ast.Index (name, _) -> (
+        match Symtab.classify_ref st ~in_proc name with
+        | Symtab.Variable _ -> vars := name :: !vars
+        | Symtab.Intrinsic | Symtab.Builtin_subroutine -> ()
+        | Symtab.Procedure _ | Symtab.Unknown -> procs := name :: !procs)
+      | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ | Ast.Unop _
+      | Ast.Binop _ ->
+        ()))
+    s;
   (List.filter_map (qualify st ~in_proc) !vars, !procs)
 
 (* Does this statement (not descending) reference a tainted symbol or call
@@ -80,11 +57,6 @@ let stmt_tainted st ~in_proc ~tvars ~tprocs s =
   let vars, procs = stmt_refs st ~in_proc s in
   List.exists (fun k -> KS.mem k tvars) vars
   || List.exists (fun p -> List.mem p tprocs) procs
-
-let count_stmts blk =
-  let n = ref 0 in
-  Ast.iter_stmts (fun _ -> incr n) blk;
-  !n
 
 let reduce st ~targets =
   let prog = Symtab.program st in
@@ -130,24 +102,19 @@ let reduce st ~targets =
           end)
         blk
     in
-    List.iter
-      (fun u ->
-        (match u with
-        | Ast.Main m -> scan ~in_proc:None m.main_body
-        | Ast.Module _ -> ());
-        List.iter
-          (fun (p : Ast.proc) ->
-            (* a tainted procedure taints its dummies and result *)
-            if List.mem p.proc_name !tprocs then begin
-              List.iter
-                (fun d -> add_var (Symtab.Proc_scope p.proc_name, d))
-                p.params;
-              match p.proc_kind with
-              | Ast.Function { result } -> add_var (Symtab.Proc_scope p.proc_name, result)
-              | Ast.Subroutine -> ()
-            end;
-            scan ~in_proc:(Some p.proc_name) p.proc_body)
-          (Ast.procs_of_unit u))
+    Ast.iter_bodies
+      (fun owner body ->
+        match owner with
+        | None -> scan ~in_proc:None body
+        | Some (p : Ast.proc) ->
+          (* a tainted procedure taints its dummies and result *)
+          if List.mem p.proc_name !tprocs then begin
+            List.iter (fun d -> add_var (Symtab.Proc_scope p.proc_name, d)) p.params;
+            match p.proc_kind with
+            | Ast.Function { result } -> add_var (Symtab.Proc_scope p.proc_name, result)
+            | Ast.Subroutine -> ()
+          end;
+          scan ~in_proc:(Some p.proc_name) body)
       prog
   done;
   let tvars = !tvars and tprocs = !tprocs in
@@ -214,7 +181,7 @@ let reduce st ~targets =
   let total = ref 0 in
   let reduce_proc (p : Ast.proc) =
     incr total_procs;
-    total := !total + count_stmts p.proc_body;
+    total := !total + Ast.count_stmts p.proc_body;
     if List.mem p.proc_name tprocs then begin
       incr kept_procs;
       Some
@@ -236,7 +203,7 @@ let reduce st ~targets =
           if procs = [] && decls = [] then None
           else Some (Ast.Module { m with mod_procs = procs; mod_decls = decls })
         | Ast.Main m ->
-          total := !total + count_stmts m.main_body;
+          total := !total + Ast.count_stmts m.main_body;
           let procs = List.filter_map reduce_proc m.main_procs in
           let body = filter_block ~in_proc:None m.main_body in
           let decls = filter_decls (Symtab.Unit_scope m.main_name) m.main_decls in

@@ -41,23 +41,6 @@ let pp_report ppf r =
 
 (* ------------------------------------------------------------------ *)
 
-let rec block_stmt_count blk =
-  List.fold_left
-    (fun n (s : Ast.stmt) ->
-      n
-      +
-      match s.node with
-      | Ast.If (arms, els) ->
-        1 + List.fold_left (fun m (_, b) -> m + block_stmt_count b) (block_stmt_count els) arms
-      | Ast.Select { arms; default; _ } ->
-        1
-        + List.fold_left (fun m (_, b) -> m + block_stmt_count b) (block_stmt_count default) arms
-      | Ast.Do { body; _ } | Ast.Do_while { body; _ } -> 1 + block_stmt_count body
-      | Ast.Assign _ | Ast.Call _ | Ast.Exit_stmt | Ast.Cycle_stmt | Ast.Return_stmt
-      | Ast.Stop_stmt _ | Ast.Print_stmt _ ->
-        1)
-    0 blk
-
 let has_loop blk =
   let found = ref false in
   Ast.iter_stmts
@@ -68,65 +51,21 @@ let has_loop blk =
     blk;
   !found
 
-(* user-procedure calls appearing anywhere in a block (no dedup) *)
-let user_calls st ~in_proc blk =
-  let acc = ref [] in
-  let rec expr = function
-    | Ast.Index (name, args) ->
-      List.iter expr args;
-      if (not (Builtins.is_intrinsic_function name))
-         && Option.is_none (Symtab.lookup_var st ~in_proc name)
-      then acc := (name, args) :: !acc
-    | Ast.Unop (_, e) -> expr e
-    | Ast.Binop (_, a, b) ->
-      expr a;
-      expr b
-    | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ | Ast.Var _ -> ()
-  in
-  Ast.iter_stmts
-    (fun s ->
-      match s.Ast.node with
-      | Ast.Call (name, args) ->
-        List.iter expr args;
-        if not (Builtins.is_intrinsic_subroutine name) then acc := (name, args) :: !acc
-      | Ast.Assign (lhs, rhs) ->
-        (match lhs with Ast.Lvar _ -> () | Ast.Lindex (_, idx) -> List.iter expr idx);
-        expr rhs
-      | Ast.If (arms, _) -> List.iter (fun (c, _) -> expr c) arms
-      | Ast.Select { selector; arms; _ } ->
-        expr selector;
-        List.iter
-          (fun (items, _) ->
-            List.iter
-              (function
-                | Ast.Case_value v -> expr v
-                | Ast.Case_range (lo, hi) ->
-                  Option.iter expr lo;
-                  Option.iter expr hi)
-              items)
-          arms
-      | Ast.Do { from_; to_; step; _ } ->
-        expr from_;
-        expr to_;
-        Option.iter expr step
-      | Ast.Do_while { cond; _ } -> expr cond
-      | Ast.Print_stmt args -> List.iter expr args
-      | Ast.Exit_stmt | Ast.Cycle_stmt | Ast.Return_stmt | Ast.Stop_stmt _ -> ())
-    blk;
-  List.rev !acc
-
 let rec inlinable_rec st ~inline_stmt_limit ~depth (p : Ast.proc) =
   depth < 3
   && (not (has_loop p.proc_body))
-  && block_stmt_count p.proc_body <= inline_stmt_limit
-  && List.for_all
-       (fun (name, _) ->
-         name <> p.proc_name
-         &&
-         match Symtab.find_proc st name with
-         | Some callee -> inlinable_rec st ~inline_stmt_limit ~depth:(depth + 1) callee
-         | None -> false)
-       (user_calls st ~in_proc:(Some p.proc_name) p.proc_body)
+  && Ast.count_stmts p.proc_body <= inline_stmt_limit
+  &&
+  let ok = ref true in
+  Symtab.iter_sites st ~body:(Some p.proc_name, p.proc_body)
+    (fun ~caller:_ ~depth:_ ~loc:_ name _ callee ->
+      if !ok then
+        match callee with
+        | Symtab.Procedure callee ->
+          ok := name <> p.proc_name && inlinable_rec st ~inline_stmt_limit ~depth:(depth + 1) callee
+        | Symtab.Unknown -> ok := false
+        | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Builtin_subroutine -> ());
+  !ok
 
 let inlinable st ~inline_stmt_limit p = inlinable_rec st ~inline_stmt_limit ~depth:0 p
 
@@ -137,24 +76,19 @@ let real_kind_of st ~in_proc e =
   | Typecheck.Integer | Typecheck.Logical | Typecheck.Str -> None
   | exception Typecheck.Error _ -> None
 
-let is_real_literal = function Ast.Real_lit _ -> true | _ -> false
-
 (* Call boundary is kind-uniform: every real actual matches its dummy. *)
-let kind_uniform_boundary st ~in_proc callee args =
-  match Symtab.find_proc st callee with
-  | None -> false
-  | Some p ->
-    List.length args = List.length p.Ast.params
-    && List.for_all2
-         (fun actual dummy ->
-           match Symtab.lookup_var st ~in_proc:(Some p.Ast.proc_name) dummy with
-           | Some { v_base = Ast.Treal dk; _ } -> (
-             match real_kind_of st ~in_proc actual with
-             | Some ak -> ak = dk
-             | None -> false)
-           | Some _ -> true
+let kind_uniform_boundary st ~in_proc (p : Ast.proc) args =
+  List.length args = List.length p.params
+  && List.for_all2
+       (fun actual dummy ->
+         match Symtab.lookup_var st ~in_proc:(Some p.proc_name) dummy with
+         | Some { v_base = Ast.Treal dk; _ } -> (
+           match real_kind_of st ~in_proc actual with
+           | Some ak -> ak = dk
            | None -> false)
-         args p.Ast.params
+         | Some _ -> true
+         | None -> false)
+       args p.params
 
 (* Count FP-arithmetic sites and mixed-kind (conversion) sites in a block.
    A conversion site is a binary operation whose real operands have
@@ -165,11 +99,8 @@ let kind_uniform_boundary st ~in_proc callee args =
 let count_sites st ~in_proc blk =
   let fp_ops = ref 0 in
   let conv = ref 0 in
-  let rec expr e =
-    match e with
+  let node = function
     | Ast.Binop (op, a, b) ->
-      expr a;
-      expr b;
       let ka = real_kind_of st ~in_proc a in
       let kb = real_kind_of st ~in_proc b in
       (match op with
@@ -178,52 +109,24 @@ let count_sites st ~in_proc blk =
       | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.And | Ast.Or -> ());
       (match ka, kb with
       | Some k1, Some k2 when k1 <> k2 ->
-        if not (is_real_literal a || is_real_literal b) then incr conv
+        if not (Ast.is_real_literal a || Ast.is_real_literal b) then incr conv
       | _ -> ())
-    | Ast.Unop (_, a) -> expr a
-    | Ast.Index (name, args) ->
-      List.iter expr args;
-      if Builtins.is_intrinsic_function name then
-        if Option.is_none (Symtab.lookup_var st ~in_proc name) then incr fp_ops
-    | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ | Ast.Var _ -> ()
+    | Ast.Index (name, _) -> (
+      match Symtab.classify_ref st ~in_proc name with
+      | Symtab.Intrinsic -> incr fp_ops
+      | Symtab.Variable _ | Symtab.Builtin_subroutine | Symtab.Procedure _ | Symtab.Unknown -> ())
+    | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ | Ast.Var _ | Ast.Unop _ ->
+      ()
   in
-  Ast.iter_stmts
-    (fun s ->
+  Ast.iter_block blk
+    ~expr:(fun _ _ e -> Ast.iter_expr node e)
+    ~stmt:(fun _ s ->
       match s.Ast.node with
-      | Ast.Assign (lhs, rhs) ->
-        expr rhs;
-        let lk =
-          match lhs with
-          | Ast.Lvar v -> real_kind_of st ~in_proc (Ast.Var v)
-          | Ast.Lindex (v, idx) ->
-            List.iter expr idx;
-            real_kind_of st ~in_proc (Ast.Var v)
-        in
-        (match lk, real_kind_of st ~in_proc rhs with
-        | Some k1, Some k2 when k1 <> k2 -> if not (is_real_literal rhs) then incr conv
+      | Ast.Assign ((Ast.Lvar v | Ast.Lindex (v, _)), rhs) -> (
+        match real_kind_of st ~in_proc (Ast.Var v), real_kind_of st ~in_proc rhs with
+        | Some k1, Some k2 when k1 <> k2 -> if not (Ast.is_real_literal rhs) then incr conv
         | _ -> ())
-      | Ast.Call (_, args) -> List.iter expr args
-      | Ast.If (arms, _) -> List.iter (fun (c, _) -> expr c) arms
-      | Ast.Select { selector; arms; _ } ->
-        expr selector;
-        List.iter
-          (fun (items, _) ->
-            List.iter
-              (function
-                | Ast.Case_value v -> expr v
-                | Ast.Case_range (lo, hi) ->
-                  Option.iter expr lo;
-                  Option.iter expr hi)
-              items)
-          arms
-      | Ast.Do { from_; to_; step; _ } ->
-        expr from_;
-        expr to_;
-        Option.iter expr step
-      | Ast.Do_while { cond; _ } -> expr cond
-      | Ast.Print_stmt args -> List.iter expr args
-      | Ast.Exit_stmt | Ast.Cycle_stmt | Ast.Return_stmt | Ast.Stop_stmt _ -> ())
-    blk;
+      | _ -> ());
   (!fp_ops, !conv)
 
 (* ------------------------------------------------------------------ *)
@@ -245,57 +148,23 @@ let array_dependences st ~in_proc body =
     | Some { v_dims = _ :: _; _ } -> true
     | Some _ | None -> false
   in
-  let rec expr = function
-    | Ast.Index (name, args) ->
-      List.iter expr args;
-      if is_array name then note reads name (subscript_key args)
+  let read = function
+    | Ast.Index (name, args) -> if is_array name then note reads name (subscript_key args)
     | Ast.Var name -> if is_array name then note reads name "<whole>"
-    | Ast.Unop (_, e) -> expr e
-    | Ast.Binop (_, a, b) ->
-      expr a;
-      expr b
-    | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ -> ()
+    | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ | Ast.Unop _
+    | Ast.Binop _ ->
+      ()
   in
-  Ast.iter_stmts
-    (fun s ->
+  Ast.iter_block body
+    ~expr:(fun _ _ e -> Ast.iter_expr read e)
+    ~stmt:(fun _ s ->
       match s.Ast.node with
-      | Ast.Assign (lhs, rhs) ->
-        expr rhs;
-        (match lhs with
-        | Ast.Lvar v -> if is_array v then note writes v "<whole>"
-        | Ast.Lindex (v, idx) ->
-          List.iter expr idx;
-          if is_array v then note writes v (subscript_key idx))
+      | Ast.Assign (Ast.Lvar v, _) -> if is_array v then note writes v "<whole>"
+      | Ast.Assign (Ast.Lindex (v, idx), _) -> if is_array v then note writes v (subscript_key idx)
       | Ast.Call (_, args) ->
         (* conservatively, array arguments may be written by the callee *)
-        List.iter
-          (fun a ->
-            expr a;
-            match a with
-            | Ast.Var v when is_array v -> note writes v "<whole>"
-            | _ -> ())
-          args
-      | Ast.If (arms, _) -> List.iter (fun (c, _) -> expr c) arms
-      | Ast.Select { selector; arms; _ } ->
-        expr selector;
-        List.iter
-          (fun (items, _) ->
-            List.iter
-              (function
-                | Ast.Case_value v -> expr v
-                | Ast.Case_range (lo, hi) ->
-                  Option.iter expr lo;
-                  Option.iter expr hi)
-              items)
-          arms
-      | Ast.Do { from_; to_; step; _ } ->
-        expr from_;
-        expr to_;
-        Option.iter expr step
-      | Ast.Do_while { cond; _ } -> expr cond
-      | Ast.Print_stmt args -> List.iter expr args
-      | Ast.Exit_stmt | Ast.Cycle_stmt | Ast.Return_stmt | Ast.Stop_stmt _ -> ())
-    body;
+        List.iter (function Ast.Var v when is_array v -> note writes v "<whole>" | _ -> ()) args
+      | _ -> ());
   Hashtbl.fold
     (fun name wkeys acc ->
       match Hashtbl.find_opt reads name with
@@ -362,36 +231,11 @@ let scalar_dependences st ~in_proc ~induction body =
             (fun r -> if r <> v then Hashtbl.replace disqualified r ())
             (Ast.expr_vars [] rhs)
         | _ -> ())
-      | None -> (
+      | None ->
         (* reads and non-reduction writes in this statement disqualify *)
         let note_var v = Hashtbl.replace disqualified v () in
-        (match s.Ast.node with
-        | Ast.Assign (lhs, rhs) ->
-          List.iter note_var (Ast.expr_vars [] rhs);
-          (match lhs with
-          | Ast.Lvar v -> note_var v
-          | Ast.Lindex (_, idx) -> List.iter (fun e -> List.iter note_var (Ast.expr_vars [] e)) idx)
-        | Ast.Call (_, args) -> List.iter (fun a -> List.iter note_var (Ast.expr_vars [] a)) args
-        | Ast.If (arms, _) -> List.iter (fun (c, _) -> List.iter note_var (Ast.expr_vars [] c)) arms
-        | Ast.Select { selector; arms; _ } ->
-          List.iter note_var (Ast.expr_vars [] selector);
-          List.iter
-            (fun (items, _) ->
-              List.iter
-                (function
-                  | Ast.Case_value v -> List.iter note_var (Ast.expr_vars [] v)
-                  | Ast.Case_range (lo, hi) ->
-                    Option.iter (fun e -> List.iter note_var (Ast.expr_vars [] e)) lo;
-                    Option.iter (fun e -> List.iter note_var (Ast.expr_vars [] e)) hi)
-                items)
-            arms
-        | Ast.Do { from_; to_; step; _ } ->
-          List.iter
-            (fun e -> List.iter note_var (Ast.expr_vars [] e))
-            (from_ :: to_ :: Option.to_list step)
-        | Ast.Do_while { cond; _ } -> List.iter note_var (Ast.expr_vars [] cond)
-        | Ast.Print_stmt args -> List.iter (fun a -> List.iter note_var (Ast.expr_vars [] a)) args
-        | Ast.Exit_stmt | Ast.Cycle_stmt | Ast.Return_stmt | Ast.Stop_stmt _ -> ())))
+        (match s.Ast.node with Ast.Assign (Ast.Lvar v, _) -> note_var v | _ -> ());
+        Ast.iter_stmt_exprs (fun e -> List.iter note_var (Ast.expr_vars [] e)) s)
     body;
   let valid_reduction v = Hashtbl.mem candidates v && not (Hashtbl.mem disqualified v) in
   let reductions = ref [] in
@@ -407,76 +251,49 @@ let scalar_dependences st ~in_proc ~induction body =
     then bad := v :: !bad
   in
   let reads_of_expr e = List.sort_uniq compare (Ast.expr_vars [] e) in
+  let read defined e = List.iter (note_read defined) (reads_of_expr e) in
+  let merge = function [] -> assert false | first :: rest -> List.fold_left SS.inter first rest in
   let rec stmt defined (s : Ast.stmt) =
-    match reduction_pattern s with
-    | Some v when valid_reduction v ->
+    match reduction_pattern s, s.node with
+    | Some v, Ast.Assign (_, rhs) when valid_reduction v ->
       if not (List.mem v !reductions) then reductions := v :: !reductions;
       (* operand reads still count *)
-      (match s.node with
-      | Ast.Assign (_, rhs) ->
-        List.iter (fun r -> if r <> v then note_read defined r) (reads_of_expr rhs)
-      | _ -> ());
+      List.iter (fun r -> if r <> v then note_read defined r) (reads_of_expr rhs);
       defined
-    | Some _ | None -> (
-      match s.node with
-      | Ast.Assign (lhs, rhs) ->
-        List.iter (note_read defined) (reads_of_expr rhs);
-        (match lhs with
-        | Ast.Lvar v when is_scalar v -> SS.add v defined
-        | Ast.Lvar _ -> defined
-        | Ast.Lindex (_, idx) ->
-          List.iter (fun e -> List.iter (note_read defined) (reads_of_expr e)) idx;
-          defined)
-      | Ast.Call (_, args) ->
-        (* scalar lvalue arguments may be defined by the callee; scalar
-           value reads count as reads *)
-        List.fold_left
-          (fun defined a ->
-            List.iter (note_read defined) (reads_of_expr a);
-            match a with
-            | Ast.Var v when is_scalar v -> SS.add v defined
-            | _ -> defined)
-          defined args
+    | _, Ast.Assign (lhs, rhs) -> (
+      read defined rhs;
+      match lhs with
+      | Ast.Lvar v when is_scalar v -> SS.add v defined
+      | Ast.Lvar _ -> defined
+      | Ast.Lindex (_, idx) ->
+        List.iter (read defined) idx;
+        defined)
+    | _, Ast.Call (_, args) ->
+      (* scalar lvalue arguments may be defined by the callee; scalar
+         value reads count as reads *)
+      List.fold_left
+        (fun defined a ->
+          read defined a;
+          match a with
+          | Ast.Var v when is_scalar v -> SS.add v defined
+          | _ -> defined)
+        defined args
+    | _, node -> (
+      Ast.iter_stmt_exprs (read defined) s;
+      match node with
       | Ast.If (arms, els) ->
-        List.iter (fun (c, _) -> List.iter (note_read defined) (reads_of_expr c)) arms;
-        let branch_out =
-          List.map (fun (_, blk) -> block defined blk) arms @ [ block defined els ]
-        in
-        (match branch_out with
-        | [] -> defined
-        | first :: rest -> List.fold_left SS.inter first rest)
-      | Ast.Select { selector; arms; default } ->
-        List.iter (note_read defined) (reads_of_expr selector);
-        List.iter
-          (fun (items, _) ->
-            List.iter
-              (function
-                | Ast.Case_value v -> List.iter (note_read defined) (reads_of_expr v)
-                | Ast.Case_range (lo, hi) ->
-                  Option.iter (fun e -> List.iter (note_read defined) (reads_of_expr e)) lo;
-                  Option.iter (fun e -> List.iter (note_read defined) (reads_of_expr e)) hi)
-              items)
-          arms;
-        let branch_out =
-          List.map (fun (_, blk) -> block defined blk) arms @ [ block defined default ]
-        in
-        (match branch_out with
-        | [] -> defined
-        | first :: rest -> List.fold_left SS.inter first rest)
-      | Ast.Do { body = b; from_; to_; step; var; _ } ->
-        List.iter
-          (fun e -> List.iter (note_read defined) (reads_of_expr e))
-          (from_ :: to_ :: Option.to_list step);
+        merge (List.map (fun (_, blk) -> block defined blk) arms @ [ block defined els ])
+      | Ast.Select { arms; default; _ } ->
+        merge (List.map (fun (_, blk) -> block defined blk) arms @ [ block defined default ])
+      | Ast.Do { body = b; var; _ } ->
         ignore (block (SS.add var defined) b);
         defined
-      | Ast.Do_while { cond; body = b; _ } ->
-        List.iter (note_read defined) (reads_of_expr cond);
+      | Ast.Do_while { body = b; _ } ->
         ignore (block defined b);
         defined
-      | Ast.Print_stmt args ->
-        List.iter (fun a -> List.iter (note_read defined) (reads_of_expr a)) args;
-        defined
-      | Ast.Exit_stmt | Ast.Cycle_stmt | Ast.Return_stmt | Ast.Stop_stmt _ -> defined)
+      | Ast.Assign _ | Ast.Call _ | Ast.Print_stmt _ | Ast.Exit_stmt | Ast.Cycle_stmt
+      | Ast.Return_stmt | Ast.Stop_stmt _ ->
+        defined)
   and block defined blk = List.fold_left stmt defined blk in
   ignore (block SS.empty body);
   (List.rev !bad, List.rev !reductions)
@@ -507,22 +324,16 @@ let analyze ?(inline_stmt_limit = 16) st : report list =
     let inlined = ref [] in
     let fp_extra = ref 0 in
     let conv_extra = ref 0 in
-    List.iter
-      (fun (callee, args) ->
-        match Symtab.find_proc st callee with
-        | None -> add (Non_inlinable_call callee)
-        | Some p ->
-          if
-            inlinable st ~inline_stmt_limit p
-            && kind_uniform_boundary st ~in_proc:proc callee args
-          then begin
-            inlined := callee :: !inlined;
-            let f, c = count_sites st ~in_proc:(Some p.Ast.proc_name) p.Ast.proc_body in
-            fp_extra := !fp_extra + f;
-            conv_extra := !conv_extra + c
-          end
-          else add (Non_inlinable_call callee))
-      (user_calls st ~in_proc:proc body);
+    Symtab.iter_sites st ~body:(proc, body) (fun ~caller:_ ~depth:_ ~loc:_ name args callee ->
+        match callee with
+        | Symtab.Procedure p
+          when inlinable st ~inline_stmt_limit p && kind_uniform_boundary st ~in_proc:proc p args ->
+          inlined := name :: !inlined;
+          let f, c = count_sites st ~in_proc:(Some p.Ast.proc_name) p.Ast.proc_body in
+          fp_extra := !fp_extra + f;
+          conv_extra := !conv_extra + c
+        | Symtab.Procedure _ | Symtab.Unknown -> add (Non_inlinable_call name)
+        | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Builtin_subroutine -> ());
     let fp_ops, conv_sites = count_sites st ~in_proc:proc body in
     reports :=
       { loop_id = id; proc; loc; blockers = List.rev !blockers; fp_ops = fp_ops + !fp_extra;
@@ -530,40 +341,21 @@ let analyze ?(inline_stmt_limit = 16) st : report list =
         inlined_calls = List.sort_uniq compare !inlined }
       :: !reports
   in
-  let rec walk ~proc blk =
-    List.iter
-      (fun (s : Ast.stmt) ->
-        match s.node with
-        | Ast.Do { id; var; body; _ } ->
-          analyze_loop ~proc ~loc:s.loc ~id ~induction:var body;
-          walk ~proc body
-        | Ast.Do_while { id; body; _ } ->
-          reports :=
-            { loop_id = id; proc; loc = s.loc; blockers = [ Do_while_loop ];
-              fp_ops = fst (count_sites st ~in_proc:proc body);
-              conv_sites = snd (count_sites st ~in_proc:proc body); reductions = [];
-              inlined_calls = [] }
-            :: !reports;
-          walk ~proc body
-        | Ast.If (arms, els) ->
-          List.iter (fun (_, b) -> walk ~proc b) arms;
-          walk ~proc els
-        | Ast.Select { arms; default; _ } ->
-          List.iter (fun (_, b) -> walk ~proc b) arms;
-          walk ~proc default
-        | Ast.Assign _ | Ast.Call _ | Ast.Exit_stmt | Ast.Cycle_stmt | Ast.Return_stmt
-        | Ast.Stop_stmt _ | Ast.Print_stmt _ ->
-          ())
-      blk
-  in
-  List.iter
-    (fun u ->
-      (match u with
-      | Ast.Main m -> walk ~proc:None m.main_body
-      | Ast.Module _ -> ());
-      List.iter
-        (fun (p : Ast.proc) -> walk ~proc:(Some p.proc_name) p.proc_body)
-        (Ast.procs_of_unit u))
+  Ast.iter_bodies
+    (fun owner body ->
+      let proc = Option.map (fun (p : Ast.proc) -> p.proc_name) owner in
+      Ast.iter_stmts
+        (fun s ->
+          match s.Ast.node with
+          | Ast.Do { id; var; body; _ } -> analyze_loop ~proc ~loc:s.loc ~id ~induction:var body
+          | Ast.Do_while { id; body; _ } ->
+            let fp_ops, conv_sites = count_sites st ~in_proc:proc body in
+            reports :=
+              { loop_id = id; proc; loc = s.loc; blockers = [ Do_while_loop ]; fp_ops; conv_sites;
+                reductions = []; inlined_calls = [] }
+              :: !reports
+          | _ -> ())
+        body)
     (Symtab.program st);
   List.sort (fun a b -> compare a.loop_id b.loop_id) !reports
 

@@ -49,7 +49,6 @@ type report = {
 
 val vectorizable : report -> bool
 
-val pp_blocker : Format.formatter -> blocker -> unit
 val pp_report : Format.formatter -> report -> unit
 
 val inlinable :

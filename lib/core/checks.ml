@@ -153,5 +153,3 @@ let render checks =
     (List.map
        (fun c -> Printf.sprintf "  [%s] %-68s %s\n" (if c.ok then "ok" else "!!") c.name c.value)
        checks)
-
-let all_ok checks = List.for_all (fun c -> c.ok) checks

@@ -40,4 +40,3 @@ val funarc : Tuner.campaign -> check list
     share of variants is worse than the original on both axes. *)
 
 val render : check list -> string
-val all_ok : check list -> bool

@@ -850,16 +850,6 @@ let run ?shard ?workers ?shards ?journal ?faults ?checkpoint ?memo ~algo p =
     Option.iter (fun h -> h.memo_publish ~signature m) memo;
     apply_faults faults ~signature m
   in
-  (* schedule effectively-identical candidates on one slot so the
-     batch-reuse table is hit instead of raced *)
-  let affinity =
-    Option.map
-      (fun _ asg ->
-        match share_key p asg with
-        | Some (_, key) -> key
-        | None -> Transform.Assignment.signature asg)
-      p.share
-  in
   (* simulated node-seconds of one evaluation, for the shard scheduler's
      cluster clock; statically filtered variants never leave the login
      node *)
@@ -914,34 +904,40 @@ let run ?shard ?workers ?shards ?journal ?faults ?checkpoint ?memo ~algo p =
   in
   let interrupted = ref false in
   let minimal =
-    try
-      (* a journaled prefix may already exhaust a caller's quota: give the
-         checkpoint one look before any fresh work is scheduled *)
-      (match (jctx, checkpoint) with
-      | Some jc, Some cp -> cp (progress_of jc)
-      | _ -> ());
-      match algo with
-      | Brute_force_algo ->
-        (* a budget truncates the enumeration rather than aborting the
-           campaign, mirroring the delta-debug searches *)
-        (try ignore (Brute_force.search ~atoms:p.atoms ~trace ~evaluate:eval ())
-         with Trace.Budget_exhausted -> ());
+    (* the writer is closed on every way out: an error that ends the
+       campaign must not leave its file open in a long-lived server *)
+    Fun.protect ~finally:(fun () -> Option.iter (fun jc -> Persist.Journal.close jc.jw) jctx)
+    @@ fun () ->
+    let minimal =
+      try
+        (* a journaled prefix may already exhaust a caller's quota: give
+           the checkpoint one look before any fresh work is scheduled *)
+        (match (jctx, checkpoint) with
+        | Some jc, Some cp -> cp (progress_of jc)
+        | _ -> ());
+        match algo with
+        | Brute_force_algo ->
+          (* a budget truncates the enumeration rather than aborting the
+             campaign, mirroring the delta-debug searches *)
+          (try ignore (Brute_force.search ~atoms:p.atoms ~trace ~evaluate:eval ())
+           with Trace.Budget_exhausted -> ());
+          None
+        | Delta_debug_algo | Hierarchical_algo ->
+          let groups = if algo = Hierarchical_algo then Some (flow_groups p) else None in
+          Some
+            (with_sched ?shard ?shards ~workers ~sched (fun shard ->
+                 Delta_debug.search ?shard ~cost ?ranker ?groups ~atoms:p.atoms ~trace
+                   ~evaluate:eval dd_config))
+      with Cluster.Faults.Preempted _ | Paused ->
+        interrupted := true;
         None
-      | Delta_debug_algo | Hierarchical_algo ->
-        let groups = if algo = Hierarchical_algo then Some (flow_groups p) else None in
-        Some
-          (with_sched ?shard ?shards ~workers ~sched (fun shard ->
-               Delta_debug.search ?shard ~cost ?affinity ?ranker ?groups ~atoms:p.atoms ~trace
-                 ~evaluate:eval dd_config))
-    with Cluster.Faults.Preempted _ | Paused ->
-      interrupted := true;
-      None
+    in
+    Option.iter
+      (fun jc ->
+        Persist.Snapshot.write ~dir:jc.jdir (snapshot_of_ctx jc ~finished:(not !interrupted)))
+      jctx;
+    minimal
   in
-  Option.iter
-    (fun jc ->
-      Persist.Snapshot.write ~dir:jc.jdir (snapshot_of_ctx jc ~finished:(not !interrupted));
-      Persist.Journal.close jc.jw)
-    jctx;
   finish_campaign
     ~preloaded:(List.length preloaded)
     ~interrupted:!interrupted

@@ -160,7 +160,105 @@ let find_module (p : program) name =
 let main_of (p : program) =
   List.find_map (function Main m -> Some m | Module _ -> None) p
 
-(** Fold over every statement of a block, descending into nested blocks. *)
+let is_real_literal = function Real_lit _ -> true | _ -> false
+
+(** The expressions of [case] items, in source order. *)
+let case_item_exprs items =
+  List.concat_map
+    (function Case_value v -> [ v ] | Case_range (lo, hi) -> Option.to_list lo @ Option.to_list hi)
+    items
+
+(** Apply [f] to every node of an expression, the arguments and operands
+    of a node before the node itself. *)
+let rec iter_expr f e =
+  (match e with
+  | Int_lit _ | Real_lit _ | Logical_lit _ | Str_lit _ | Var _ -> ()
+  | Index (_, args) -> iter_args f args
+  | Unop (_, a) -> iter_expr f a
+  | Binop (_, a, b) ->
+    iter_expr f a;
+    iter_expr f b);
+  f e
+
+(** {!iter_expr} on each expression of a list, in order. *)
+and iter_args f = function
+  | [] -> ()
+  | a :: rest ->
+    iter_expr f a;
+    iter_args f rest
+
+(* The one statement walk: [stmt depth s] on each statement, then its own
+   expressions to [expr depth s] in source order (an assignment's
+   subscripts before its right-hand side, a call's or print's arguments,
+   an [if]'s conditions, a [select]'s selector and then each arm's items,
+   a loop's bounds and step or its condition). With [nested], each nested
+   block is walked at its source place: an [if] arm's block right after
+   its condition, a [case] arm's block right after its items, a loop's
+   body one loop deeper after its bounds or condition. The visitor
+   closures are built once per walk. *)
+let walk ~nested ~stmt ~expr b =
+  let rec block depth = function
+    | [] -> ()
+    | s :: rest ->
+      one depth s;
+      block depth rest
+  and one depth s =
+    stmt depth s;
+    match s.node with
+    | Assign (lhs, rhs) ->
+      (match lhs with Lvar _ -> () | Lindex (_, idx) -> exprs depth s idx);
+      expr depth s rhs
+    | Call (_, args) | Print_stmt args -> exprs depth s args
+    | If (arms, els) ->
+      if_arms depth s arms;
+      if nested then block depth els
+    | Select { selector; arms; default } ->
+      expr depth s selector;
+      case_arms depth s arms;
+      if nested then block depth default
+    | Do { from_; to_; step; body; _ } ->
+      expr depth s from_;
+      expr depth s to_;
+      (match step with Some e -> expr depth s e | None -> ());
+      if nested then block (depth + 1) body
+    | Do_while { cond; body; _ } ->
+      expr depth s cond;
+      if nested then block (depth + 1) body
+    | Exit_stmt | Cycle_stmt | Return_stmt | Stop_stmt _ -> ()
+  and exprs depth s = function
+    | [] -> ()
+    | e :: rest ->
+      expr depth s e;
+      exprs depth s rest
+  and if_arms depth s = function
+    | [] -> ()
+    | (c, b) :: rest ->
+      expr depth s c;
+      if nested then block depth b;
+      if_arms depth s rest
+  and case_arms depth s = function
+    | [] -> ()
+    | (items, b) :: rest ->
+      exprs depth s (case_item_exprs items);
+      if nested then block depth b;
+      case_arms depth s rest
+  in
+  block 0 b
+
+(** Walk a block and every block nested in it, in source order: for each
+    statement [s], first [stmt depth s], then [expr depth s e] on each of
+    its own expressions, with each nested block at its source place — an
+    [if] arm's block right after its condition, a [case] arm's right
+    after its items, a loop's body after its bounds or condition.
+    [depth] counts the loops around [s]. *)
+let iter_block ~stmt ~expr b = walk ~nested:true ~stmt ~expr b
+
+(** A statement's own expressions, in the order {!iter_block} gives
+    them, without those of its nested blocks (an [if]'s conditions, but
+    not its arms' statements). *)
+let iter_stmt_exprs f s = walk ~nested:false ~stmt:(fun _ _ -> ()) ~expr:(fun _ _ e -> f e) [ s ]
+
+(** Every statement of a block, each before the statements nested in it. *)
 let rec iter_stmts f (b : block) =
   List.iter
     (fun s ->
@@ -177,49 +275,36 @@ let rec iter_stmts f (b : block) =
         ())
     b
 
-(** Fold over every expression occurring in a block (including index
-    expressions, bounds and call arguments). *)
-let iter_exprs f (b : block) =
-  let rec expr e =
-    f e;
-    match e with
-    | Int_lit _ | Real_lit _ | Logical_lit _ | Str_lit _ | Var _ -> ()
-    | Index (_, args) -> List.iter expr args
-    | Unop (_, e1) -> expr e1
-    | Binop (_, e1, e2) ->
-      expr e1;
-      expr e2
-  in
-  iter_stmts
-    (fun s ->
-      match s.node with
-      | Assign (lhs, rhs) ->
-        (match lhs with
-        | Lvar _ -> ()
-        | Lindex (_, idx) -> List.iter expr idx);
-        expr rhs
-      | Call (_, args) -> List.iter expr args
-      | If (arms, _) -> List.iter (fun (c, _) -> expr c) arms
-      | Select { selector; arms; _ } ->
-        expr selector;
-        List.iter
-          (fun (items, _) ->
-            List.iter
-              (function
-                | Case_value v -> expr v
-                | Case_range (lo, hi) ->
-                  Option.iter expr lo;
-                  Option.iter expr hi)
-              items)
-          arms
-      | Do { from_; to_; step; _ } ->
-        expr from_;
-        expr to_;
-        Option.iter expr step
-      | Do_while { cond; _ } -> expr cond
-      | Print_stmt args -> List.iter expr args
-      | Exit_stmt | Cycle_stmt | Return_stmt | Stop_stmt _ -> ())
-    b
+(** The number of statements of a block, nested ones included. *)
+let count_stmts b =
+  let n = ref 0 in
+  iter_stmts (fun _ -> incr n) b;
+  !n
+
+(** [iter_bodies f p] runs [f owner body] on each body of the program,
+    unit by unit: a main program's body ([owner = None]) and then each
+    procedure's ([Some proc]). *)
+let iter_bodies f (p : program) =
+  List.iter
+    (fun u ->
+      (match u with Main m -> f None m.main_body | Module _ -> ());
+      List.iter (fun pr -> f (Some pr) pr.proc_body) (procs_of_unit u))
+    p
+
+(** [map_bodies f p] replaces each body [b] of the program with
+    [f owner b], [owner] as in {!iter_bodies}. Units and procedures are
+    mapped in source order, but a main program's procedures before its
+    body: statement numbering in the test-case minimizer and the ids
+    that wrapper synthesis hands out follow this order. *)
+let map_bodies f (p : program) =
+  let map_proc pr = { pr with proc_body = f (Some pr) pr.proc_body } in
+  List.map
+    (function
+      | Module m -> Module { m with mod_procs = List.map map_proc m.mod_procs }
+      | Main m ->
+        let main_procs = List.map map_proc m.main_procs in
+        Main { m with main_body = f None m.main_body; main_procs })
+    p
 
 (** All variable names read anywhere in an expression. *)
 let rec expr_vars acc = function

@@ -16,8 +16,6 @@ val dummy : t
 (** A placeholder location used for synthesized nodes (e.g. generated
     wrapper procedures) that have no position in the user's source. *)
 
-val is_dummy : t -> bool
-
 val pp : Format.formatter -> t -> unit
 (** Prints as ["file:line:col"]. *)
 

@@ -26,5 +26,3 @@ val parse : ?file:string -> string -> Ast.program
 (** [parse ~file source] lexes and parses [source]. Raises {!Error} (or
     {!Lexer.Error}) on malformed input. Do-loop and procedure ids are
     assigned densely from 0 in source order. *)
-
-val parse_tokens : (Token.t * Loc.t) array -> Ast.program

@@ -17,10 +17,21 @@ and scope =
   | Proc_scope of string
   | Unit_scope of string
 
+type callee =
+  | Variable of var_info
+  | Intrinsic
+  | Builtin_subroutine
+  | Procedure of Ast.proc
+  | Unknown
+
 type t = {
   prog : Ast.program;
   procs : (string, Ast.proc * string) Hashtbl.t;  (* proc name -> (proc, owner unit) *)
+  callees : (string, callee) Hashtbl.t;  (* proc name -> [Procedure proc] *)
   scope_vars : (scope, (string, var_info) Hashtbl.t * var_info list ref) Hashtbl.t;
+  visible : (string option, (string, var_info) Hashtbl.t list) Hashtbl.t;
+      (* per procedure ([None]: the main body), the scopes a name is looked
+         up in: its own, its unit's, then its unit's used modules' *)
   uses : (string, string list) Hashtbl.t;  (* unit name -> transitively used modules *)
   units : (string, Ast.program_unit) Hashtbl.t;
 }
@@ -103,12 +114,24 @@ let build (prog : Ast.program) : t =
       Hashtbl.add scope_vars scope (vars_of_decls scope decls);
       List.iter (add_proc name) (Ast.procs_of_unit u))
     prog;
-  { prog; procs; scope_vars; uses; units }
-
-let find_in_scope t scope name =
-  match Hashtbl.find_opt t.scope_vars scope with
-  | None -> None
-  | Some (tbl, _) -> Hashtbl.find_opt tbl name
+  let callees = Hashtbl.create 32 in
+  Hashtbl.iter (fun name (p, _) -> Hashtbl.add callees name (Procedure p)) procs;
+  let visible = Hashtbl.create 32 in
+  let tables scopes = List.map (fun s -> fst (Hashtbl.find scope_vars s)) scopes in
+  let unit_scopes u = Unit_scope u :: List.map (fun m -> Unit_scope m) (Hashtbl.find uses u) in
+  List.iter
+    (fun u ->
+      let name = Ast.unit_name u in
+      (match u with
+      | Ast.Main _ -> Hashtbl.add visible None (tables (unit_scopes name))
+      | Ast.Module _ -> ());
+      List.iter
+        (fun (p : Ast.proc) ->
+          Hashtbl.add visible (Some p.proc_name)
+            (tables (Proc_scope p.proc_name :: unit_scopes name)))
+        (Ast.procs_of_unit u))
+    prog;
+  { prog; procs; callees; scope_vars; visible; uses; units }
 
 let proc_owner t name =
   match Hashtbl.find_opt t.procs name with
@@ -126,27 +149,68 @@ let unit_of_proc t name =
   | None -> None
   | Some (_, owner) -> Hashtbl.find_opt t.units owner
 
+(* [lookup_var] without the option: raises [Not_found] *)
+let find_var t ~in_proc name =
+  let rec search = function
+    | [] -> raise Not_found
+    | tbl :: rest -> (
+      match Hashtbl.find tbl name with v -> v | exception Not_found -> search rest)
+  in
+  search (Hashtbl.find t.visible in_proc)
+
 let lookup_var t ~in_proc name =
-  let unit_name =
-    match in_proc with
-    | Some p -> (match Hashtbl.find_opt t.procs p with Some (_, o) -> Some o | None -> None)
-    | None -> (
-      match Ast.main_of t.prog with Some m -> Some m.main_name | None -> None)
+  match find_var t ~in_proc name with v -> Some v | exception Not_found -> None
+
+let find_callee t name =
+  match Hashtbl.find t.callees name with c -> c | exception Not_found -> Unknown
+
+let classify_ref t ~in_proc name =
+  match find_var t ~in_proc name with
+  | v -> Variable v
+  | exception Not_found ->
+    if Builtins.is_intrinsic_function name then Intrinsic else find_callee t name
+
+let classify_call t name =
+  if Builtins.is_intrinsic_subroutine name then Builtin_subroutine else find_callee t name
+
+let iter_sites ?body t f =
+  let walk caller b =
+    (* where the expression being walked sits; the visitors below are
+       built once per body *)
+    let depth = ref 0 and loc = ref Loc.dummy in
+    let node = function
+      | Ast.Index (name, args) ->
+        f ~caller ~depth:!depth ~loc:!loc name args (classify_ref t ~in_proc:caller name)
+      | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ | Ast.Var _
+      | Ast.Unop _ | Ast.Binop _ ->
+        ()
+    in
+    let at d (s : Ast.stmt) =
+      depth := d;
+      loc := s.loc
+    in
+    Ast.iter_block b
+      ~stmt:(fun d s ->
+        match s.node with
+        | Ast.Call (name, args) ->
+          (* a call's arguments before the call, as for a function *)
+          at d s;
+          Ast.iter_args node args;
+          f ~caller ~depth:d ~loc:s.loc name args (classify_call t name)
+        | _ -> ())
+      ~expr:(fun d s e ->
+        match s.node with
+        | Ast.Call _ -> ()
+        | _ ->
+          at d s;
+          Ast.iter_expr node e)
   in
-  let in_local =
-    match in_proc with Some p -> find_in_scope t (Proc_scope p) name | None -> None
-  in
-  match in_local with
-  | Some _ as r -> r
-  | None -> (
-    match unit_name with
-    | None -> None
-    | Some u -> (
-      match find_in_scope t (Unit_scope u) name with
-      | Some _ as r -> r
-      | None ->
-        let used = Option.value ~default:[] (Hashtbl.find_opt t.uses u) in
-        List.find_map (fun m -> find_in_scope t (Unit_scope m) name) used))
+  match body with
+  | Some (caller, b) -> walk caller b
+  | None ->
+    Ast.iter_bodies
+      (fun owner b -> walk (Option.map (fun (p : Ast.proc) -> p.proc_name) owner) b)
+      t.prog
 
 let vars_of_scope t scope =
   match Hashtbl.find_opt t.scope_vars scope with

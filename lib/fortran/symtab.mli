@@ -49,6 +49,37 @@ val all_proc_names : t -> string list
 
 val unit_of_proc : t -> string -> Ast.program_unit option
 
+(** What [name(args)] or [call name(...)] denotes. *)
+type callee =
+  | Variable of var_info  (** [name(args)] is an array element *)
+  | Intrinsic  (** an intrinsic function of {!Builtins} *)
+  | Builtin_subroutine  (** [call] of an intrinsic subroutine of {!Builtins} *)
+  | Procedure of Ast.proc  (** a user function or subroutine *)
+  | Unknown
+
+val classify_ref : t -> in_proc:string option -> string -> callee
+(** What [name(args)] denotes inside [in_proc] (the main program body
+    when [None]): a visible variable, else an intrinsic function, else a
+    user procedure, else [Unknown]. Never [Builtin_subroutine]. *)
+
+val classify_call : t -> string -> callee
+(** What [call name(...)] denotes: an intrinsic subroutine, else a user
+    procedure, else [Unknown]. Never [Variable] or [Intrinsic]. *)
+
+val iter_sites :
+  ?body:string option * Ast.block ->
+  t ->
+  (caller:string option -> depth:int -> loc:Loc.t -> string -> Ast.expr list -> callee -> unit) ->
+  unit
+(** [iter_sites t f] runs [f ~caller ~depth ~loc name args callee] on
+    every [name(args)] and every [call name(args)] of the program, body
+    by body as {!Ast.iter_bodies} gives them, in the statement order of
+    {!Ast.iter_block} and with a site's arguments before the site.
+    [caller] owns the body, [depth] counts the loops around the
+    statement, [loc] is the statement's and [callee] is what the site
+    denotes ({!classify_ref}, {!classify_call}). With [~body:(caller, b)]
+    only the sites of [b] are visited, as seen from [caller]. *)
+
 val vars_of_scope : t -> scope -> var_info list
 (** All variables declared directly in the given scope, in source order. *)
 

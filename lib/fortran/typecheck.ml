@@ -74,8 +74,8 @@ and ctx = function
 
 and infer_index st ~in_proc name args =
   let loc = Loc.dummy in
-  match Symtab.lookup_var st ~in_proc name with
-  | Some info when info.v_dims <> [] ->
+  match Symtab.classify_ref st ~in_proc name with
+  | Symtab.Variable info when info.v_dims <> [] ->
     if List.length args <> List.length info.v_dims then
       error loc "array %S has rank %d but %d subscripts given" name
         (List.length info.v_dims) (List.length args);
@@ -86,26 +86,21 @@ and infer_index st ~in_proc name args =
         | Real _ | Logical | Str -> error loc "non-integer subscript of %S" name)
       args;
     ty_of_base info.v_base
-  | Some _ -> error loc "subscripting scalar variable %S" name
-  | None -> infer_call st ~in_proc name args
-
-and infer_call st ~in_proc name args =
-  let loc = Loc.dummy in
-  let arg_tys = List.map (infer st ~in_proc) args in
-  match Builtins.classify name with
-  | Some cat -> infer_intrinsic st ~in_proc name cat args arg_tys
-  | None -> (
-    match Symtab.find_proc st name with
-    | Some ({ proc_kind = Ast.Function { result }; _ } as p) ->
+  | Symtab.Variable _ -> error loc "subscripting scalar variable %S" name
+  | callee -> (
+    let arg_tys = List.map (infer st ~in_proc) args in
+    match callee, Builtins.classify name with
+    | Symtab.Intrinsic, Some cat -> infer_intrinsic st ~in_proc name cat args arg_tys
+    | Symtab.Procedure ({ proc_kind = Ast.Function { result }; _ } as p), _ ->
       if List.length args <> List.length p.params then
         error loc "function %S expects %d arguments, got %d" name (List.length p.params)
           (List.length args);
       (match Symtab.lookup_var st ~in_proc:(Some name) result with
       | Some info -> ty_of_base info.v_base
       | None -> error loc "function %S has no result declaration" name)
-    | Some { proc_kind = Ast.Subroutine; _ } ->
+    | Symtab.Procedure { proc_kind = Ast.Subroutine; _ }, _ ->
       error loc "subroutine %S used as a function" name
-    | None -> error loc "unknown function or array %S%s" name (ctx in_proc))
+    | _ -> error loc "unknown function or array %S%s" name (ctx in_proc))
 
 and infer_intrinsic st ~in_proc name cat args arg_tys =
   let loc = Loc.dummy in
@@ -215,14 +210,6 @@ let static_elements st ~in_proc (v : Symtab.var_info) =
 (* ------------------------------------------------------------------ *)
 (* Call-site kind compatibility (the wrapper obligation).               *)
 
-
-let case_item_exprs items =
-  List.concat_map
-    (function
-      | Ast.Case_value v -> [ v ]
-      | Ast.Case_range (lo, hi) -> Option.to_list lo @ Option.to_list hi)
-    items
-
 type mismatch = {
   mm_caller : string option;
   mm_callee : string;
@@ -235,90 +222,29 @@ type mismatch = {
   mm_loc : Loc.t;
 }
 
-(* Visit every call site (both [call] statements and function references
-   inside expressions) of every user procedure. *)
-let iter_call_sites st f =
-  let prog = Symtab.program st in
-  let visit_expr ~caller loc e0 =
-    let rec go e =
-      match e with
-      | Ast.Index (name, args) ->
-        List.iter go args;
-        if (not (Builtins.is_intrinsic_function name))
-           && Option.is_none (Symtab.lookup_var st ~in_proc:caller name)
-        then
-          (* a function call *)
-          (match Symtab.find_proc st name with
-          | Some p -> f ~caller ~callee:p ~args ~loc
-          | None -> ())
-      | Ast.Unop (_, a) -> go a
-      | Ast.Binop (_, a, b) ->
-        go a;
-        go b
-      | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ | Ast.Var _ -> ()
-    in
-    go e0
-  in
-  let visit_block ~caller blk =
-    Ast.iter_stmts
-      (fun s ->
-        match s.Ast.node with
-        | Ast.Call (name, args) ->
-          List.iter (visit_expr ~caller s.Ast.loc) args;
-          if not (Builtins.is_intrinsic_subroutine name) then (
-            match Symtab.find_proc st name with
-            | Some p -> f ~caller ~callee:p ~args ~loc:s.Ast.loc
-            | None -> ())
-        | Ast.Assign (lhs, rhs) ->
-          (match lhs with
-          | Ast.Lvar _ -> ()
-          | Ast.Lindex (_, idx) -> List.iter (visit_expr ~caller s.Ast.loc) idx);
-          visit_expr ~caller s.Ast.loc rhs
-        | Ast.If (arms, _) -> List.iter (fun (c, _) -> visit_expr ~caller s.Ast.loc c) arms
-        | Ast.Select { selector; arms; _ } ->
-          visit_expr ~caller s.Ast.loc selector;
-          List.iter
-            (fun (items, _) -> List.iter (visit_expr ~caller s.Ast.loc) (case_item_exprs items))
-            arms
-        | Ast.Do { from_; to_; step; _ } ->
-          visit_expr ~caller s.Ast.loc from_;
-          visit_expr ~caller s.Ast.loc to_;
-          Option.iter (visit_expr ~caller s.Ast.loc) step
-        | Ast.Do_while { cond; _ } -> visit_expr ~caller s.Ast.loc cond
-        | Ast.Print_stmt args -> List.iter (visit_expr ~caller s.Ast.loc) args
-        | Ast.Exit_stmt | Ast.Cycle_stmt | Ast.Return_stmt | Ast.Stop_stmt _ -> ())
-      blk
-  in
-  List.iter
-    (fun u ->
-      (match u with
-      | Ast.Main m -> visit_block ~caller:None m.main_body
-      | Ast.Module _ -> ());
-      List.iter
-        (fun (p : Ast.proc) -> visit_block ~caller:(Some p.proc_name) p.proc_body)
-        (Ast.procs_of_unit u))
-    prog
-
 let mismatches st : mismatch list =
   let acc = ref [] in
-  iter_call_sites st (fun ~caller ~callee ~args ~loc ->
-      List.iteri
-        (fun i actual ->
-          match List.nth_opt callee.Ast.params i with
-          | None -> ()
-          | Some dummy -> (
-            match Symtab.lookup_var st ~in_proc:(Some callee.Ast.proc_name) dummy with
-            | Some dinfo -> (
-              match dinfo.v_base, infer st ~in_proc:caller actual with
-              | Ast.Treal dk, Real ak when dk <> ak ->
-                acc :=
-                  { mm_caller = caller; mm_callee = callee.Ast.proc_name; mm_arg_index = i;
-                    mm_dummy = dummy; mm_actual = actual; mm_actual_kind = ak;
-                    mm_dummy_kind = dk; mm_is_array = dinfo.v_dims <> []; mm_loc = loc }
-                  :: !acc
-              | _ -> ())
-            | None -> ()))
-        args);
+  Symtab.iter_sites st (fun ~caller ~depth:_ ~loc _ args callee ->
+      match callee with
+      | Symtab.Procedure callee ->
+        List.iteri
+          (fun i actual ->
+            match List.nth_opt callee.Ast.params i with
+            | None -> ()
+            | Some dummy -> (
+              match Symtab.lookup_var st ~in_proc:(Some callee.Ast.proc_name) dummy with
+              | Some dinfo -> (
+                match dinfo.v_base, infer st ~in_proc:caller actual with
+                | Ast.Treal dk, Real ak when dk <> ak ->
+                  acc :=
+                    { mm_caller = caller; mm_callee = callee.Ast.proc_name; mm_arg_index = i;
+                      mm_dummy = dummy; mm_actual = actual; mm_actual_kind = ak;
+                      mm_dummy_kind = dk; mm_is_array = dinfo.v_dims <> []; mm_loc = loc }
+                    :: !acc
+                | _ -> ())
+              | None -> ()))
+          args
+      | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Builtin_subroutine | Symtab.Unknown -> ());
   List.rev !acc
 
 let check_block st ~in_proc blk =
@@ -342,16 +268,16 @@ let check_block st ~in_proc blk =
         | (Real _ | Integer), (Real _ | Integer) -> ()  (* implicit conversion via [=] *)
         | Logical, Logical | Str, Str -> ()
         | _ -> error s.Ast.loc "type clash in assignment")
-      | Ast.Call (name, args) ->
+      | Ast.Call (name, args) -> (
         List.iter infer_e args;
-        if Builtins.is_intrinsic_subroutine name then ()
-        else (
-          match Symtab.find_proc st name with
-          | Some p ->
-            if List.length args <> List.length p.Ast.params then
-              error s.Ast.loc "subroutine %S expects %d arguments, got %d" name
-                (List.length p.Ast.params) (List.length args)
-          | None -> error s.Ast.loc "call to unknown subroutine %S" name)
+        match Symtab.classify_call st name with
+        | Symtab.Procedure p ->
+          if List.length args <> List.length p.Ast.params then
+            error s.Ast.loc "subroutine %S expects %d arguments, got %d" name
+              (List.length p.Ast.params) (List.length args)
+        | Symtab.Builtin_subroutine -> ()
+        | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Unknown ->
+          error s.Ast.loc "call to unknown subroutine %S" name)
       | Ast.If (arms, _) ->
         List.iter
           (fun (c, _) ->
@@ -384,7 +310,7 @@ let check_block st ~in_proc blk =
               (fun e ->
                 if not (ty_equal (infer st ~in_proc e) sel_ty) then
                   error s.Ast.loc "case value type differs from the selector")
-              (case_item_exprs items))
+              (Ast.case_item_exprs items))
           arms
       | Ast.Print_stmt args -> List.iter infer_e args
       | Ast.Exit_stmt | Ast.Cycle_stmt | Ast.Return_stmt | Ast.Stop_stmt _ -> ())
@@ -393,40 +319,22 @@ let check_block st ~in_proc blk =
 (* [exit] and [cycle] must sit inside a [do] or [do while] of the same
    body: the evaluators would otherwise let one escape a called
    procedure into the caller's loop. *)
-let rec check_loop_escapes ~in_proc ~in_loop blk =
-  List.iter
-    (fun (s : Ast.stmt) ->
-      match s.Ast.node with
-      | Ast.Exit_stmt when not in_loop -> error s.Ast.loc "exit outside a do loop%s" (ctx in_proc)
-      | Ast.Cycle_stmt when not in_loop ->
-        error s.Ast.loc "cycle outside a do loop%s" (ctx in_proc)
-      | Ast.Do { body; _ } | Ast.Do_while { body; _ } ->
-        check_loop_escapes ~in_proc ~in_loop:true body
-      | Ast.If (arms, els) ->
-        List.iter (fun (_, b) -> check_loop_escapes ~in_proc ~in_loop b) arms;
-        check_loop_escapes ~in_proc ~in_loop els
-      | Ast.Select { arms; default; _ } ->
-        List.iter (fun (_, b) -> check_loop_escapes ~in_proc ~in_loop b) arms;
-        check_loop_escapes ~in_proc ~in_loop default
-      | Ast.Assign _ | Ast.Call _ | Ast.Print_stmt _ | Ast.Exit_stmt | Ast.Cycle_stmt
-      | Ast.Return_stmt | Ast.Stop_stmt _ -> ())
-    blk
+let check_loop_escapes ~in_proc blk =
+  Ast.iter_block blk
+    ~expr:(fun _ _ _ -> ())
+    ~stmt:(fun loops (s : Ast.stmt) ->
+      match s.node with
+      | Ast.Exit_stmt when loops = 0 -> error s.loc "exit outside a do loop%s" (ctx in_proc)
+      | Ast.Cycle_stmt when loops = 0 -> error s.loc "cycle outside a do loop%s" (ctx in_proc)
+      | _ -> ())
 
 let check_program st =
-  let prog = Symtab.program st in
-  let check_body ~in_proc body =
-    check_block st ~in_proc body;
-    check_loop_escapes ~in_proc ~in_loop:false body
-  in
-  List.iter
-    (fun u ->
-      (match u with
-      | Ast.Main m -> check_body ~in_proc:None m.main_body
-      | Ast.Module _ -> ());
-      List.iter
-        (fun (p : Ast.proc) -> check_body ~in_proc:(Some p.proc_name) p.proc_body)
-        (Ast.procs_of_unit u))
-    prog;
+  Ast.iter_bodies
+    (fun owner body ->
+      let in_proc = Option.map (fun (p : Ast.proc) -> p.proc_name) owner in
+      check_block st ~in_proc body;
+      check_loop_escapes ~in_proc body)
+    (Symtab.program st);
   match mismatches st with
   | [] -> ()
   | m :: _ ->

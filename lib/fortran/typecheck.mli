@@ -20,7 +20,6 @@ type ty =
   | Logical
   | Str
 
-val ty_equal : ty -> ty -> bool
 val pp_ty : Format.formatter -> ty -> unit
 
 val infer : Symtab.t -> in_proc:string option -> Ast.expr -> ty

@@ -311,5 +311,3 @@ let program (p : program) =
       emit_unit b u)
     p;
   Buffer.contents b
-
-let pp_program ppf p = Format.pp_print_string ppf (program p)

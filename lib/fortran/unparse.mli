@@ -14,5 +14,3 @@ val proc : Ast.proc -> string
 val stmt : Ast.stmt -> string
 val expr : Ast.expr -> string
 val decl : Ast.decl -> string
-
-val pp_program : Format.formatter -> Ast.program -> unit

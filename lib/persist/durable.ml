@@ -7,6 +7,9 @@
    contents were fsynced. Every create and rename here therefore ends
    with an fsync of the parent directory. *)
 
+let unix_error_message e fn arg =
+  Printf.sprintf "%s%s: %s" fn (if arg = "" then "" else " " ^ arg) (Unix.error_message e)
+
 let fsync_dir dir =
   let fd = Unix.openfile dir [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
   Fun.protect

@@ -6,6 +6,11 @@
     rename) survives a crash only once its parent directory is fsynced;
     every operation here ends with that fsync. *)
 
+val unix_error_message : Unix.error -> string -> string -> string
+(** [unix_error_message e fn arg] names a [Unix.Unix_error (e, fn, arg)]
+    the way a failed campaign reports it: ["fn arg: reason"], or
+    ["fn: reason"] when [arg] is empty (["fsync: Input/output error"]). *)
+
 val fsync_dir : string -> unit
 (** Fsync a directory, making the entries created or renamed in it
     durable. A file system that cannot sync directories ([EINVAL]) is

@@ -184,15 +184,19 @@ let create ?(fsync = true) ~dir h =
   Durable.mkdir_p dir;
   let oc = open_out_gen [ Open_wronly; Open_creat; Open_excl ] 0o644 (file ~dir) in
   let w = { oc; w_fsync = fsync } in
-  write_line w (header_json { h with version = current_version });
-  (* the new journal's directory entry must outlive a crash too *)
-  if fsync then Durable.fsync_dir dir;
+  (try
+     write_line w (header_json { h with version = current_version });
+     (* the new journal's directory entry must outlive a crash too *)
+     if fsync then Durable.fsync_dir dir
+   with e ->
+     close_out_noerr oc;
+     raise e);
   w
 
 let append w e = write_line w (entry_json e)
 let append_shared w sh = write_line w (shared_json sh)
 
-let close w = close_out w.oc
+let close w = close_out_noerr w.oc
 
 (* ------------------------------------------------------------------ *)
 (* Loader                                                              *)

@@ -90,6 +90,9 @@ val append_shared : writer -> shared -> unit
     capability. *)
 
 val close : writer -> unit
+(** Close the journal file. Every line was flushed by its own write, so
+    this cannot lose one, and it never raises: a campaign that stops on
+    an error closes its writer on the way out. *)
 
 type loaded = {
   l_header : header;

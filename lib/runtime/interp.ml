@@ -372,17 +372,6 @@ let run ?(machine = Machine.default) ?budget ?(wrapper_owner = fun _ -> None) st
 let series (outcome : outcome) key =
   List.filter_map (fun (k, v) -> if k = key then Some v else None) outcome.records
 
-let record_keys (outcome : outcome) =
-  let seen = Hashtbl.create 8 in
-  List.filter_map
-    (fun (k, _) ->
-      if Hashtbl.mem seen k then None
-      else begin
-        Hashtbl.add seen k ();
-        Some k
-      end)
-    outcome.records
-
 let casting_share (outcome : outcome) =
   if outcome.cost <= 0.0 then 0.0
   else

@@ -61,8 +61,5 @@ val run :
 val series : outcome -> string -> float list
 (** All recorded values for the given key, in execution order. *)
 
-val record_keys : outcome -> string list
-(** Distinct record keys in first-appearance order. *)
-
 val casting_share : outcome -> float
 (** Fraction of the run's modeled cost spent on kind conversions. *)

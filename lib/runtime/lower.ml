@@ -1,14 +1,15 @@
 (* Lowering of a typechecked program to the slot-resolved IR ([Ir]).
 
-   [Interp] resolves every variable, parameter and global by *string*
-   through per-frame [Hashtbl]s, re-derives vectorization modes, and
-   re-dispatches every intrinsic and cost-model call on each visit. This
-   pass lowers a typechecked program once: names become integer slots into
-   per-frame arrays, loop vectorization modes and per-operation SIMD cost
-   tables are baked into the nodes, and call/intrinsic dispatch is
-   pre-resolved. [Compile] turns the result into closures over its own
-   frame layout; [run] is exactly that, compile then run (see DESIGN.md
-   §6–§7).
+   [Interp] (the concrete instance of [Walk]) resolves each (procedure,
+   name) pair once, into a frame slot, but finds that resolution by name
+   on every visit, looks each loop's vectorization mode up on every
+   entry, and re-dispatches every intrinsic and cost-model call on each
+   visit. This pass lowers a typechecked program once: names become
+   integer slots into per-frame arrays, loop vectorization modes and
+   per-operation SIMD cost tables are baked into the nodes, and
+   call/intrinsic dispatch is pre-resolved. [Compile] turns the result
+   into closures over its own frame layout; [run] is exactly that,
+   compile then run (see DESIGN.md §6–§7).
 
    Procedures additionally carry a cache key derived from the precision
    signature of every declaration their lowered body can observe (their
@@ -84,7 +85,7 @@ let rec lower_expr env (e : Ast.expr) : expr =
         op;
         a = lower_expr env a;
         b = lower_expr env b;
-        exempt = Walk.is_real_literal a || Walk.is_real_literal b;
+        exempt = Ast.is_real_literal a || Ast.is_real_literal b;
         costs = (if arith then optab env op else [||]);
         powmul = (if op = Ast.Pow then optab env Ast.Mul else [||]);
       }
@@ -94,13 +95,13 @@ let rec lower_expr env (e : Ast.expr) : expr =
     | Some (i, _scalar) ->
       Earr { name; r = Rlocal i; idx = lower_indices env args; mem = memtab env }
     | None -> (
-      match Symtab.lookup_var env.st ~in_proc:env.in_proc name with
-      | Some info when info.v_dims <> [] ->
+      match Symtab.classify_ref env.st ~in_proc:env.in_proc name with
+      | Symtab.Variable info when info.v_dims <> [] ->
         Earr { name; r = resolve_ref env name; idx = lower_indices env args; mem = memtab env }
-      | Some _ -> Etrap (sp "scalar %s subscripted" name)
-      | None ->
-        if Builtins.is_intrinsic_function name then lower_intrinsic env name args
-        else Ecall (lower_call env name args)))
+      | Symtab.Variable _ -> Etrap (sp "scalar %s subscripted" name)
+      | Symtab.Intrinsic -> lower_intrinsic env name args
+      | (Symtab.Builtin_subroutine | Symtab.Procedure _ | Symtab.Unknown) as callee ->
+        Ecall (lower_call env name args callee)))
 
 and lower_indices env args = Array.of_list (List.map (lower_expr env) args)
 
@@ -164,13 +165,13 @@ and lower_intrinsic env name args : expr =
   | "epsilon" | "huge" | "tiny" -> unary (fun e -> Eintr (Iinq { name; e }))
   | _ -> Etrap (sp "unknown intrinsic %s" name)
 
-and lower_call env name args : call_site =
-  match Symtab.find_proc env.st name with
-  | None ->
+and lower_call env name args (callee : Symtab.callee) : call_site =
+  match callee with
+  | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Builtin_subroutine | Symtab.Unknown ->
     (* [Interp.call_user] traps before touching the arguments *)
     { cs_name = name; cs_callee = -1; cs_args = [||];
       cs_arity_trap = Some (sp "unknown procedure %s" name) }
-  | Some p ->
+  | Symtab.Procedure p ->
     let expected = List.length p.Ast.params in
     let got = List.length args in
     if expected <> got then
@@ -195,7 +196,7 @@ and lower_call env name args : call_site =
               | Some _ | None -> None)
             | _ -> None
           in
-          Aval { e = lower_expr env actual; lit = Walk.is_real_literal actual; co }
+          Aval { e = lower_expr env actual; lit = Ast.is_real_literal actual; co }
       in
       { cs_name = name; cs_callee = env.callee_idx name;
         cs_args = Array.of_list (List.map lower_arg args); cs_arity_trap = None }
@@ -203,7 +204,7 @@ and lower_call env name args : call_site =
 let rec lower_stmt env (s : Ast.stmt) : stmt =
   match s.Ast.node with
   | Ast.Assign (lhs, rhs) ->
-    let rhs_lit = Walk.is_real_literal rhs in
+    let rhs_lit = Ast.is_real_literal rhs in
     let tgt =
       match lhs with
       | Ast.Lvar name -> Lsc { name; r = resolve_ref env name; rhs_lit }
@@ -211,18 +212,19 @@ let rec lower_stmt env (s : Ast.stmt) : stmt =
         Larr { name; r = resolve_ref env name; idx = lower_indices env idx; rhs_lit }
     in
     Sassign { tgt; rhs = lower_expr env rhs }
-  | Ast.Call (name, args) ->
-    if Builtins.is_intrinsic_subroutine name then
-      (match name, args with
+  | Ast.Call (name, args) -> (
+    match Symtab.classify_call env.st name with
+    | Symtab.Builtin_subroutine -> (
+      match name, args with
       | "mpi_allreduce", [ send; Ast.Var recv; Ast.Str_lit op ] ->
         Sallreduce
-          { send = lower_expr env send; send_lit = Walk.is_real_literal send; rn = recv;
+          { send = lower_expr env send; send_lit = Ast.is_real_literal send; rn = recv;
             recv = resolve_ref env recv; op }
       | "mpi_allreduce", _ -> Strap "mpi_allreduce expects (send, recv, 'op')"
       | "mpi_barrier", [] -> Sbarrier
       | "mpi_barrier", _ -> Strap "mpi_barrier takes no arguments"
       | _, _ -> Strap (sp "unknown builtin subroutine %s" name))
-    else Scall (lower_call env name args)
+    | callee -> Scall (lower_call env name args callee))
   | Ast.If (arms, els) ->
     Sif
       {
@@ -359,7 +361,7 @@ let lower_proc ~st ~machine ~gslot ~pslot ~vec_mode_of ~is_wrapper ~is_inlinable
                  i_name = i.v_name;
                  i_slot = fst (Hashtbl.find slots i.v_name);
                  i_rhs = lower_expr env e;
-                 i_lit = Walk.is_real_literal e;
+                 i_lit = Ast.is_real_literal e;
                }
            | Some _ | None -> None)
     |> Array.of_list
@@ -625,7 +627,7 @@ let lower ?cache ?(wrapper_owner = fun _ -> None) ~machine st : program =
              g_extents = extents;
              g_init =
                Option.map
-                 (fun e -> (lower_expr (aux_env None) e, Walk.is_real_literal e))
+                 (fun e -> (lower_expr (aux_env None) e, Ast.is_real_literal e))
                  info.v_init;
            })
          unit_vars)

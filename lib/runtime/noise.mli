@@ -10,7 +10,3 @@
 val factor : seed:int -> run:int -> rel_std:float -> float
 (** Multiplicative noise factor, mean ≈ 1, relative standard deviation
     ≈ [rel_std], clamped to [0.5, 2.0]. [rel_std = 0.] returns [1.]. *)
-
-val gaussian : seed:int -> int -> float
-(** Standard normal deviate from a deterministic hash stream; [int] is the
-    draw index. *)

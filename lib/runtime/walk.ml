@@ -79,8 +79,6 @@ let value_kind = function
   | Value.Vreal (_, k) -> Some k
   | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> None
 
-let is_real_literal = function Ast.Real_lit _ -> true | _ -> false
-
 (* result kind of promoting two operands *)
 let promote_kind a b =
   match (a, b) with
@@ -378,13 +376,14 @@ end = struct
     match Names.find env.names name with
     | ni -> ni
     | exception Not_found ->
-      let decl = Symtab.lookup_var ctx.st ~in_proc:env.proc name in
+      let callee = Symtab.classify_ref ctx.st ~in_proc:env.proc name in
+      let decl = match callee with Symtab.Variable v -> Some v | _ -> None in
       let ni =
         {
           decl;
           b = D.binding ctx.dom decl;
           slot = Option.value ~default:(-1) (Hashtbl.find_opt env.slots name);
-          intrinsic = Option.is_none decl && Builtins.is_intrinsic_function name;
+          intrinsic = (match callee with Symtab.Intrinsic -> true | _ -> false);
           outer = None;
         }
       in
@@ -575,7 +574,7 @@ end = struct
     | Ast.Gt | Ast.Ge ->
       let va = eval_expr ctx frame a in
       let vb = eval_expr ctx frame b in
-      D.binop ctx.dom op ~literal:(is_real_literal a || is_real_literal b) va vb
+      D.binop ctx.dom op ~literal:(Ast.is_real_literal a || Ast.is_real_literal b) va vb
 
   and eval_indices ctx frame = function
     | [] -> []
@@ -792,7 +791,8 @@ end = struct
           let v = eval_expr ctx callee_frame e in
           match callee_frame.cells.(slot) with
           | Scalar r ->
-            scalar_store ctx (lookup ctx callee.c_env info.v_name) r ~literal:(is_real_literal e) v
+            scalar_store ctx (lookup ctx callee.c_env info.v_name) r
+              ~literal:(Ast.is_real_literal e) v
           | Real_array _ | Int_array _ | Log_array _ ->
             trap "initializer on array %s unsupported" info.v_name)
         | Some _ | None -> ())
@@ -835,7 +835,7 @@ end = struct
     match (dinfo.v_base, D.concrete v) with
     | Ast.Treal dk, Value.Vreal (_, ak) ->
       (* a real literal of the other kind folds at compile time *)
-      if ak <> dk && not (is_real_literal actual) then
+      if ak <> dk && not (Ast.is_real_literal actual) then
         trap "real(kind=%d) value passed to real(kind=%d) dummy %s of %s — wrapper required"
           (Token.int_of_kind ak) (Token.int_of_kind dk) dummy callee
       else Scalar (ref (D.by_value ctx.dom dinfo ~dummy:dni.b dk v))
@@ -862,20 +862,23 @@ end = struct
       | Ast.Lvar name -> (
         let ni = lookup ctx frame.env name in
         match frame_cell frame ni with
-        | Scalar r -> scalar_store ctx ni r ~literal:(is_real_literal rhs) v
+        | Scalar r -> scalar_store ctx ni r ~literal:(Ast.is_real_literal rhs) v
         | Real_array _ | Int_array _ | Log_array _ -> (
           match resolve ctx frame ni name with
-          | `Cell (Scalar r) -> scalar_store ctx ni r ~literal:(is_real_literal rhs) v
+          | `Cell (Scalar r) -> scalar_store ctx ni r ~literal:(Ast.is_real_literal rhs) v
           | `Cell _ -> trap "assignment to whole array %s unsupported" name
           | `Param _ -> trap "assignment to parameter %s" name))
       | Ast.Lindex (name, idx) -> (
         let ni = lookup ctx frame.env name in
         match resolve ctx frame ni name with
-        | `Cell cell -> array_store ctx frame ni name cell idx ~literal:(is_real_literal rhs) v
+        | `Cell cell ->
+          array_store ctx frame ni name cell idx ~literal:(Ast.is_real_literal rhs) v
         | `Param _ -> trap "assignment to parameter %s" name))
-    | Ast.Call (name, args) ->
-      if Builtins.is_intrinsic_subroutine name then exec_builtin_call ctx frame name args
-      else ignore (call_user ctx frame name args)
+    | Ast.Call (name, args) -> (
+      match Symtab.classify_call ctx.st name with
+      | Symtab.Builtin_subroutine -> exec_builtin_call ctx frame name args
+      | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Procedure _ | Symtab.Unknown ->
+        ignore (call_user ctx frame name args))
     | Ast.If (arms, els) ->
       let rec go = function
         | [] -> exec_block ctx frame els
@@ -973,7 +976,7 @@ end = struct
       | _ -> trap "mpi_allreduce: unknown op %s" op);
       let ni = lookup ctx frame.env recv in
       let r = scalar_ref ctx frame ni recv in
-      scalar_store ctx ni r ~literal:(is_real_literal send) v
+      scalar_store ctx ni r ~literal:(Ast.is_real_literal send) v
     | "mpi_allreduce", _ -> trap "mpi_allreduce expects (send, recv, 'op')"
     | "mpi_barrier", [] -> D.event ctx.dom Barrier
     | "mpi_barrier", _ -> trap "mpi_barrier takes no arguments"
@@ -1016,7 +1019,7 @@ end = struct
               match Hashtbl.find_opt ctx.globals (global_key uname info.v_name) with
               | Some (Scalar r) ->
                 scalar_store ctx (lookup ctx frame.env info.v_name) r
-                  ~literal:(is_real_literal e) v
+                  ~literal:(Ast.is_real_literal e) v
               | Some _ | None -> trap "initializer on module array %s unsupported" info.v_name)
             | Some _ | None -> ())
           (Symtab.vars_of_scope ctx.st (Symtab.Unit_scope uname)))

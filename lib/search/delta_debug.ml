@@ -37,7 +37,7 @@ let candidate_order ~variant_of ranker =
       keep @ demoted)
     ranker
 
-let search ?shard ?cost ?affinity ?ranker ?groups ~atoms ~trace ~evaluate cfg =
+let search ?shard ?cost ?ranker ?groups ~atoms ~trace ~evaluate cfg =
   let module A = Transform.Assignment in
   (* groups must partition the atom list *)
   (match groups with
@@ -49,7 +49,7 @@ let search ?shard ?cost ?affinity ?ranker ?groups ~atoms ~trace ~evaluate cfg =
   let diff big small = List.filter (fun a -> not (List.memq a small)) big in
   let variant_of high = A.of_lowered atoms ~lowered:(diff atoms high) in
   let order = candidate_order ~variant_of ranker in
-  let spec = Speculate.create ?shard ?cost ?affinity ~trace ~evaluate () in
+  let spec = Speculate.create ?shard ?cost ~trace ~evaluate () in
   (* best accepted assignment seen so far, for budget-exhausted returns *)
   let best_high = ref atoms in
   let test high =

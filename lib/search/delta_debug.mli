@@ -74,7 +74,6 @@ type ranker = {
 val search :
   ?shard:Shard.t ->
   ?cost:(Variant.measurement -> float) ->
-  ?affinity:(Transform.Assignment.t -> string) ->
   ?ranker:ranker ->
   ?groups:Transform.Assignment.atom list list ->
   atoms:Transform.Assignment.atom list ->

@@ -15,58 +15,32 @@
    run concurrently (the submitting domain among them); the table and
    the trace commits stay on the submitting domain.
 
-   Each affinity group of a wave becomes one shard task whose simulated
-   cost is the sum of its members' costs, and an evaluation that runs
-   alone (not announced, or nothing left to speculate beside it) is
-   accounted serially, so the cluster clock advances exactly as if each
-   wave had run on the simulated shards×workers grid. A scheduler with a
-   single slot disables speculation entirely: the classic sequential
-   trajectory, with every fresh evaluation accounted serially. *)
+   Each candidate of a wave is one shard task priced at its own cost, and
+   an evaluation that runs alone (not announced, or nothing left to
+   speculate beside it) is accounted serially, so the cluster clock
+   advances exactly as if each wave had run on the simulated
+   shards×workers grid. A scheduler with a single slot disables
+   speculation entirely: the classic sequential trajectory, with every
+   fresh evaluation accounted serially. *)
 
 type t = {
   shard : Shard.t option;
   cost : (Variant.measurement -> float) option;
   trace : Trace.t;
   evaluate : Transform.Assignment.t -> Variant.measurement;
-  affinity : (Transform.Assignment.t -> string) option;
   results : (string, Variant.measurement) Hashtbl.t;  (* parked: run, not committed *)
   mutable announced : (string * Transform.Assignment.t) list;
       (* the round's fresh candidates in announced order, past the one the
          last wave started at *)
 }
 
-let create ?shard ?cost ?affinity ~trace ~evaluate () =
-  { shard; cost; trace; evaluate; affinity; results = Hashtbl.create 64; announced = [] }
+let create ?shard ?cost ~trace ~evaluate () =
+  { shard; cost; trace; evaluate; results = Hashtbl.create 64; announced = [] }
 
 let cost_of t m = match t.cost with Some c -> c m | None -> 0.0
 
 let speculating t =
   match t.shard with Some sh when Shard.slots sh > 1 -> Some sh | Some _ | None -> None
-
-(* Partition a wave into same-affinity runs, preserving first-seen order
-   of groups and wave order within each. Candidates that share an
-   affinity key evaluate to the same raw outcome downstream, so running
-   them on one worker back to back lets the later ones reuse the first's
-   work instead of racing to recompute it on other workers. *)
-let affinity_groups aff todo =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun ((_, asg) as item) ->
-      let a = aff asg in
-      match Hashtbl.find_opt tbl a with
-      | Some r -> r := item :: !r
-      | None ->
-        let r = ref [ item ] in
-        Hashtbl.add tbl a r;
-        order := r :: !order)
-    todo;
-  List.rev_map (fun r -> List.rev !r) !order
-
-let groups_of t todo =
-  match t.affinity with
-  | None -> List.map (fun item -> [ item ]) todo
-  | Some aff -> affinity_groups aff todo
 
 (* neither parked nor committed *)
 let unknown t key asg =
@@ -101,16 +75,8 @@ let rec next_unknown t n = function
     if unknown t key asg then c :: next_unknown t (n - 1) rest else next_unknown t n rest
 
 let run_wave t sh wave =
-  let groups = groups_of t wave in
-  let evaluated =
-    Shard.map sh
-      ~cost:(fun ms -> List.fold_left (fun acc m -> acc +. cost_of t m) 0.0 ms)
-      (fun group -> List.map (fun (_, asg) -> t.evaluate asg) group)
-      groups
-  in
-  List.iter2
-    (List.iter2 (fun (key, _) m -> Hashtbl.replace t.results key m))
-    groups evaluated
+  let evaluated = Shard.map sh ~cost:(cost_of t) (fun (_, asg) -> t.evaluate asg) wave in
+  List.iter2 (fun (key, _) m -> Hashtbl.replace t.results key m) wave evaluated
 
 (* Start a wave at the announced candidate [key]: it and the next
    [slots - 1] announced candidates neither parked nor committed run as

@@ -17,22 +17,15 @@ type t
 val create :
   ?shard:Shard.t ->
   ?cost:(Variant.measurement -> float) ->
-  ?affinity:(Transform.Assignment.t -> string) ->
   trace:Trace.t ->
   evaluate:(Transform.Assignment.t -> Variant.measurement) ->
   unit ->
   t
-(** [affinity] labels assignments that evaluate to the same underlying
-    outcome (e.g. {!Core}'s batch-reuse signature); a wave schedules
-    same-label candidates back to back on one slot so the later ones
-    hit the evaluator's reuse table instead of racing to recompute it.
-    Purely a scheduling hint: results and records are unchanged.
-
-    [shard] is the execution engine: each wave is one {!Shard.map} batch
-    whose affinity groups are its work-stealing tasks, and the
-    scheduler's simulated cluster clock advances per wave, with [cost]
-    (simulated seconds per measurement, default 0) pricing the tasks. A
-    scheduler with a single simulated slot ([Shard.slots = 1]) disables
+(** [shard] is the execution engine: each wave is one {!Shard.map} batch
+    whose candidates are its work-stealing tasks, and the scheduler's
+    simulated cluster clock advances per wave, with [cost] (simulated
+    seconds per measurement, default 0) pricing the tasks. A scheduler
+    with a single simulated slot ([Shard.slots = 1]) disables
     speculation — the classic sequential trajectory — while still
     accounting every fresh evaluation serially. *)
 

@@ -44,28 +44,12 @@ let param_env st name =
 let mean_trip st =
   let env = param_env st in
   let counts = ref [] in
-  let rec walk_stmt (s : Ast.stmt) =
-    (match Analysis.Static_cost.trip_count ~env s.Ast.node with
-    | Some n -> counts := float_of_int n :: !counts
-    | None -> ());
-    match s.Ast.node with
-    | Ast.Do { body; _ } -> List.iter walk_stmt body
-    | Ast.Do_while { body; _ } -> List.iter walk_stmt body
-    | Ast.If (arms, els) ->
-      List.iter (fun (_, b) -> List.iter walk_stmt b) arms;
-      List.iter walk_stmt els
-    | Ast.Select { arms; default; _ } ->
-      List.iter (fun (_, b) -> List.iter walk_stmt b) arms;
-      List.iter walk_stmt default
-    | Ast.Assign _ | Ast.Call _ | Ast.Print_stmt _ | Ast.Exit_stmt | Ast.Cycle_stmt
-    | Ast.Return_stmt | Ast.Stop_stmt _ -> ()
-  in
-  List.iter
-    (fun u ->
-      (match u with
-      | Ast.Main { main_body; _ } -> List.iter walk_stmt main_body
-      | Ast.Module _ -> ());
-      List.iter (fun p -> List.iter walk_stmt p.Ast.proc_body) (Ast.procs_of_unit u))
+  Ast.iter_bodies
+    (fun _ ->
+      Ast.iter_stmts (fun s ->
+          match Analysis.Static_cost.trip_count ~env s.Ast.node with
+          | Some n -> counts := float_of_int n :: !counts
+          | None -> ()))
     (Symtab.program st);
   match !counts with
   | [] -> 10.0

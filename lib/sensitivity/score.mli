@@ -31,11 +31,6 @@ val static_bound : t -> Transform.Assignment.t -> float
     integer-conversion drift, overflow, divisor interval reaching zero —
     anything an interval cannot bound). *)
 
-val pass_probability : t -> Transform.Assignment.t -> float
-(** Predicted probability the variant's output error stays under the
-    campaign threshold, from the (ranking-grade) amplification model:
-    threshold / (threshold + bound), monotone decreasing in the bound. *)
-
 val payoff : t -> Transform.Assignment.t -> float
 (** Static speedup proxy: 1 + the lowered share of the def-use execution
     weight (1 for the empty assignment, 2 for everything lowered). *)

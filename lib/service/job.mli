@@ -76,9 +76,6 @@ val validate : find_model:(string -> Models.Registry.t) -> spec -> (unit, string
 
 val spec_json : spec -> Persist.Json.t
 val to_json : t -> Persist.Json.t
-val spec_of_json : Persist.Json.t -> spec
-(** Raises an internal exception on malformed input — use {!spec_result}
-    at trust boundaries. *)
 
 val spec_result : Persist.Json.t -> (spec, string) result
 val of_json : Persist.Json.t -> (t, string) result

@@ -201,6 +201,12 @@ let run_slice t (job0 : Job.t) =
       { si_job = id; si_state = job.Job.state; si_fresh = fresh; si_new_records = new_records;
         si_shared = slice_shared; si_prepared = !prepared_now }
   in
+  (* a slice that cannot go on (a disk error among them) fails its job,
+     not the server *)
+  let fail msg =
+    finish { job with Job.state = Job.Failed msg } ~detail:"error" ~fresh:0 ~new_records:0
+      ~slice_shared:0
+  in
   match
     let model =
       match t.find_model spec.Job.sp_model with
@@ -265,14 +271,13 @@ let run_slice t (job0 : Job.t) =
       }
       ~detail ~fresh ~new_records ~slice_shared
   | exception
-      (( Core.Tuner.Resume_mismatch msg
-       | Persist.Journal.Corrupt msg
-       | Failure msg
-       | Invalid_argument msg
-       | Sys_error msg ) as e) ->
-    ignore (e : exn);
-    finish { job with Job.state = Job.Failed msg } ~detail:"error" ~fresh:0 ~new_records:0
-      ~slice_shared:0
+      ( Core.Tuner.Resume_mismatch msg
+      | Persist.Journal.Corrupt msg
+      | Failure msg
+      | Invalid_argument msg
+      | Sys_error msg ) ->
+    fail msg
+  | exception Unix.Unix_error (e, fn, arg) -> fail (Persist.Durable.unix_error_message e fn arg)
 
 (* Drop every prepared value no runnable job maps to any more: a space's
    prepared lives from its first slice until its last job is terminal. *)

@@ -28,34 +28,14 @@ and filter_stmt ctr keep (s : Ast.stmt) =
   in
   if keep i then Some { s with Ast.node = node } else None
 
-let map_bodies f (prog : Ast.program) =
-  List.map
-    (function
-      | Ast.Module m ->
-        Ast.Module
-          {
-            m with
-            Ast.mod_procs =
-              List.map (fun p -> { p with Ast.proc_body = f p.Ast.proc_body }) m.Ast.mod_procs;
-          }
-      | Ast.Main m ->
-        Ast.Main
-          {
-            m with
-            Ast.main_body = f m.Ast.main_body;
-            main_procs =
-              List.map (fun p -> { p with Ast.proc_body = f p.Ast.proc_body }) m.Ast.main_procs;
-          })
-    prog
-
 let count_stmts prog =
   let ctr = ref 0 in
-  ignore (map_bodies (fun b -> filter_block ctr (fun _ -> true) b) prog);
+  ignore (Ast.map_bodies (fun _ b -> filter_block ctr (fun _ -> true) b) prog);
   !ctr
 
 let keep_stmts prog keep =
   let ctr = ref 0 in
-  map_bodies (fun b -> filter_block ctr keep b) prog
+  Ast.map_bodies (fun _ b -> filter_block ctr keep b) prog
 
 (* ------------------------------------------------------------------ *)
 (* Static reference scan, to rule out reductions that would only "fail"
@@ -64,44 +44,28 @@ let keep_stmts prog keep =
 let used_names prog =
   let used = Hashtbl.create 64 in
   let add n = Hashtbl.replace used n () in
-  let rec deep e =
-    (match e with Ast.Var n | Ast.Index (n, _) -> add n | _ -> ());
-    match e with
-    | Ast.Index (_, args) -> List.iter deep args
-    | Ast.Unop (_, e1) -> deep e1
-    | Ast.Binop (_, a, b) ->
-      deep a;
-      deep b
-    | _ -> ()
-  in
-  let block b =
-    Ast.iter_exprs (fun e -> match e with Ast.Var n | Ast.Index (n, _) -> add n | _ -> ()) b;
-    Ast.iter_stmts
-      (fun s ->
-        match s.Ast.node with
-        | Ast.Assign (Ast.Lvar n, _) | Ast.Assign (Ast.Lindex (n, _), _) -> add n
-        | Ast.Call (n, _) -> add n
-        | Ast.Do { var; _ } -> add var
-        | _ -> ())
-      b
-  in
-  let decl (d : Ast.decl) =
-    List.iter deep d.Ast.dims;
-    List.iter (fun (_, init) -> Option.iter deep init) d.Ast.names
-  in
-  let proc (p : Ast.proc) =
-    List.iter decl p.Ast.proc_decls;
-    block p.Ast.proc_body
+  let note = function Ast.Var n | Ast.Index (n, _) -> add n | _ -> () in
+  let decls =
+    List.iter (fun (d : Ast.decl) ->
+        List.iter (Ast.iter_expr note) d.Ast.dims;
+        List.iter (fun (_, init) -> Option.iter (Ast.iter_expr note) init) d.Ast.names)
   in
   List.iter
-    (function
-      | Ast.Module m ->
-        List.iter decl m.Ast.mod_decls;
-        List.iter proc m.Ast.mod_procs
-      | Ast.Main m ->
-        List.iter decl m.Ast.main_decls;
-        block m.Ast.main_body;
-        List.iter proc m.Ast.main_procs)
+    (fun u ->
+      decls (match u with Ast.Module m -> m.Ast.mod_decls | Ast.Main m -> m.Ast.main_decls);
+      List.iter (fun (p : Ast.proc) -> decls p.Ast.proc_decls) (Ast.procs_of_unit u))
+    prog;
+  Ast.iter_bodies
+    (fun _ b ->
+      Ast.iter_block b
+        ~expr:(fun _ _ e -> Ast.iter_expr note e)
+        ~stmt:(fun _ s ->
+          match s.Ast.node with
+          | Ast.Assign ((Ast.Lvar n | Ast.Lindex (n, _)), _)
+          | Ast.Call (n, _)
+          | Ast.Do { var = n; _ } ->
+            add n
+          | _ -> ()))
     prog;
   used
 

@@ -12,8 +12,6 @@ let atom_id a =
   | Symtab.Proc_scope p -> p ^ "/" ^ a.a_name
   | Symtab.Unit_scope u -> u ^ "::" ^ a.a_name
 
-let pp_atom ppf a = Format.pp_print_string ppf (atom_id a)
-
 let atoms_of_module ?(exclude = []) st mod_name =
   List.filter_map
     (fun (v : Symtab.var_info) ->

@@ -15,8 +15,6 @@ type atom = {
 val atom_id : atom -> string
 (** Stable printable identity, e.g. ["funarc/s1"] or ["m::xs"]. *)
 
-val pp_atom : Format.formatter -> atom -> unit
-
 val atoms_of_module :
   ?exclude:string list -> Fortran.Symtab.t -> string -> atom list
 (** The search space of Sec. III-A: every non-parameter FP variable

@@ -23,24 +23,17 @@ type gen_state = {
 
 let max_ids prog =
   let loop_id = ref (-1) in
-  let proc_id = ref (-1) in
-  List.iter
-    (fun u ->
-      List.iter
-        (fun (p : Ast.proc) -> proc_id := max !proc_id p.proc_id)
-        (Ast.procs_of_unit u);
-      let scan blk =
-        Ast.iter_stmts
-          (fun s ->
-            match s.Ast.node with
-            | Ast.Do { id; _ } | Ast.Do_while { id; _ } -> loop_id := max !loop_id id
-            | _ -> ())
-          blk
-      in
-      (match u with Ast.Main m -> scan m.main_body | Ast.Module _ -> ());
-      List.iter (fun (p : Ast.proc) -> scan p.proc_body) (Ast.procs_of_unit u))
+  Ast.iter_bodies
+    (fun _ ->
+      Ast.iter_stmts (fun s ->
+          match s.Ast.node with
+          | Ast.Do { id; _ } | Ast.Do_while { id; _ } -> loop_id := max !loop_id id
+          | _ -> ()))
     prog;
-  (!loop_id + 1, !proc_id + 1)
+  let proc_id =
+    List.fold_left (fun m (p : Ast.proc) -> max m p.proc_id) (-1) (Ast.all_procs prog)
+  in
+  (!loop_id + 1, proc_id + 1)
 
 let fresh_loop_id g =
   let id = g.next_loop_id in
@@ -48,33 +41,32 @@ let fresh_loop_id g =
   id
 
 (* The actual-kind signature of a call site; [None] where no conversion is
-   needed. Returns None overall when no position mismatches. *)
-let site_signature g ~caller callee args : site_sig option =
-  match Symtab.find_proc g.st callee with
-  | None -> None
-  | Some p ->
-    if List.length args <> List.length p.Ast.params then None
-    else begin
-      let any = ref false in
-      let s =
-        List.map2
-          (fun actual dummy ->
-            match Symtab.lookup_var g.st ~in_proc:(Some callee) dummy with
-            | Some { v_base = Ast.Treal dk; _ } -> (
-              match Typecheck.infer g.st ~in_proc:caller actual with
-              | Typecheck.Real ak when ak <> dk ->
-                any := true;
-                Some ak
-              | Typecheck.Real _ -> None
-              | Typecheck.Integer ->
-                None (* integer actuals bind with conversion in our runtime *)
-              | Typecheck.Logical | Typecheck.Str -> None
-              | exception Typecheck.Error _ -> None)
-            | Some _ | None -> None)
-          args p.Ast.params
-      in
-      if !any then Some s else None
-    end
+   needed. Returns None overall when no position mismatches. [args] are
+   the site's arguments as written: a wrapper a nested call is redirected
+   to is not in [g.st], and it returns its callee's kind anyway. *)
+let site_signature g ~caller (p : Ast.proc) args : site_sig option =
+  if List.length args <> List.length p.params then None
+  else begin
+    let any = ref false in
+    let s =
+      List.map2
+        (fun actual dummy ->
+          match Symtab.lookup_var g.st ~in_proc:(Some p.proc_name) dummy with
+          | Some { v_base = Ast.Treal dk; _ } -> (
+            match Typecheck.infer g.st ~in_proc:caller actual with
+            | Typecheck.Real ak when ak <> dk ->
+              any := true;
+              Some ak
+            | Typecheck.Real _ -> None
+            | Typecheck.Integer ->
+              None (* integer actuals bind with conversion in our runtime *)
+            | Typecheck.Logical | Typecheck.Str -> None
+            | exception Typecheck.Error _ -> None)
+          | Some _ | None -> None)
+        args p.params
+    in
+    if !any then Some s else None
+  end
 
 let mk_stmt node = { Ast.node; loc = Loc.dummy }
 
@@ -102,8 +94,8 @@ let get_dinfo g callee dummy =
   | None -> failwith ("wrapper generation: dummy " ^ dummy ^ " of " ^ callee ^ " undeclared")
 
 (* Build the wrapper procedure for (callee, signature). *)
-let build_wrapper g callee (s : site_sig) : Ast.proc =
-  let p = Option.get (Symtab.find_proc g.st callee) in
+let build_wrapper g (p : Ast.proc) (s : site_sig) : Ast.proc =
+  let callee = p.proc_name in
   let suffix = sig_suffix s in
   let wname = callee ^ "_w" ^ suffix in
   let decls = ref [] in
@@ -190,34 +182,33 @@ let build_wrapper g callee (s : site_sig) : Ast.proc =
     proc_loc = Loc.dummy;
   }
 
-let wrapper_for g ~caller callee args : string option =
-  match site_signature g ~caller callee args with
+let wrapper_for g ~caller (p : Ast.proc) args : string option =
+  match site_signature g ~caller p args with
   | None -> None
   | Some s ->
-    let suffix = sig_suffix s in
-    let key = (callee, suffix) in
+    let key = (p.proc_name, sig_suffix s) in
     (match Hashtbl.find_opt g.wrappers key with
     | Some (w, _) -> Some w.Ast.proc_name
     | None ->
-      let w = build_wrapper g callee s in
-      let owner = Symtab.proc_owner g.st callee in
+      let w = build_wrapper g p s in
+      let owner = Symtab.proc_owner g.st p.proc_name in
       Hashtbl.add g.wrappers key (w, owner);
-      g.map <- (w.Ast.proc_name, callee) :: g.map;
+      g.map <- (w.Ast.proc_name, p.proc_name) :: g.map;
       Some w.Ast.proc_name)
+
+(* The name a call site should use: its wrapper's when its kinds
+   mismatch the callee's dummies. *)
+let redirect g ~caller callee name args =
+  match callee with
+  | Symtab.Procedure p -> Option.value ~default:name (wrapper_for g ~caller p args)
+  | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Builtin_subroutine | Symtab.Unknown -> name
 
 (* Rewrite every call site of a block, redirecting mismatching sites. *)
 let rec rw_expr g ~caller e =
   match e with
   | Ast.Index (name, args) ->
-    let args = List.map (rw_expr g ~caller) args in
-    if (not (Builtins.is_intrinsic_function name))
-       && Option.is_none (Symtab.lookup_var g.st ~in_proc:caller name)
-       && Option.is_some (Symtab.find_proc g.st name)
-    then
-      match wrapper_for g ~caller name args with
-      | Some w -> Ast.Index (w, args)
-      | None -> Ast.Index (name, args)
-    else Ast.Index (name, args)
+    let args' = List.map (rw_expr g ~caller) args in
+    Ast.Index (redirect g ~caller (Symtab.classify_ref g.st ~in_proc:caller name) name args, args')
   | Ast.Unop (op, a) -> Ast.Unop (op, rw_expr g ~caller a)
   | Ast.Binop (op, a, b) -> Ast.Binop (op, rw_expr g ~caller a, rw_expr g ~caller b)
   | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ | Ast.Var _ -> e
@@ -233,12 +224,8 @@ let rec rw_stmt g ~caller (s : Ast.stmt) : Ast.stmt =
       in
       Ast.Assign (lhs, rw_expr g ~caller rhs)
     | Ast.Call (name, args) ->
-      let args = List.map (rw_expr g ~caller) args in
-      if Builtins.is_intrinsic_subroutine name then Ast.Call (name, args)
-      else (
-        match wrapper_for g ~caller name args with
-        | Some w -> Ast.Call (w, args)
-        | None -> Ast.Call (name, args))
+      let args' = List.map (rw_expr g ~caller) args in
+      Ast.Call (redirect g ~caller (Symtab.classify_call g.st name) name args, args')
     | Ast.If (arms, els) ->
       Ast.If
         ( List.map (fun (c, b) -> (rw_expr g ~caller c, rw_block g ~caller b)) arms,
@@ -284,30 +271,8 @@ let insert prog : result =
   let next_loop_id, next_proc_id = max_ids prog in
   let g = { st; next_loop_id; next_proc_id; wrappers = Hashtbl.create 8; map = [] } in
   let prog' =
-    List.map
-      (fun u ->
-        match u with
-        | Ast.Module m ->
-          Ast.Module
-            {
-              m with
-              mod_procs =
-                List.map
-                  (fun (p : Ast.proc) ->
-                    { p with proc_body = rw_block g ~caller:(Some p.proc_name) p.proc_body })
-                  m.mod_procs;
-            }
-        | Ast.Main m ->
-          Ast.Main
-            {
-              m with
-              main_body = rw_block g ~caller:None m.main_body;
-              main_procs =
-                List.map
-                  (fun (p : Ast.proc) ->
-                    { p with proc_body = rw_block g ~caller:(Some p.proc_name) p.proc_body })
-                  m.main_procs;
-            })
+    Ast.map_bodies
+      (fun owner b -> rw_block g ~caller:(Option.map (fun (p : Ast.proc) -> p.proc_name) owner) b)
       prog
   in
   (* append wrappers to their owners *)

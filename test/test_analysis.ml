@@ -433,6 +433,166 @@ let defuse_tests =
         Alcotest.(check bool) "buf has defs" true (buf.Analysis.Defuse.defs <> []));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Pinned outputs                                                      *)
+
+(* One md5 over every analysis output, in a fixed order, per registered
+   model and over 500 generated programs; each program is digested as
+   parsed and after its precision assignment is applied (the uniform
+   32-bit one for a model, the case's own for a generated program), so
+   call sites with mismatching kinds are covered. The md5s were recorded
+   before the analyses shared one statement walk and one classification
+   of [name(args)]; the site lines then came from a walker and a rule
+   written out here. On the generated programs, whose [if] statements
+   can have [else if] arms with calls in their conditions, two outputs
+   are digested sorted because the walks behind them used to visit all
+   of an [if]'s conditions before its blocks: the Typecheck.mismatches
+   list and each Vectorize report's blockers. *)
+
+let scope_s = function Symtab.Proc_scope p -> "p:" ^ p | Symtab.Unit_scope u -> "u:" ^ u
+let opt_s = function Some s -> s | None -> "-"
+
+let callee_s = function
+  | Symtab.Variable _ -> "variable"
+  | Symtab.Intrinsic -> "intrinsic"
+  | Symtab.Builtin_subroutine -> "builtin"
+  | Symtab.Procedure _ -> "procedure"
+  | Symtab.Unknown -> "unknown"
+
+let digest_analyses buf ~sorted ~targets st =
+  let pr fmt = Printf.bprintf buf fmt in
+  let prog = Symtab.program st in
+  let procs = Ast.all_procs prog in
+  let maybe_sort l = if sorted then List.sort compare l else l in
+  let loc = Loc.to_string in
+  (* call graph *)
+  let g = Analysis.Callgraph.build st in
+  List.iter
+    (fun caller ->
+      pr "callees %s:" (opt_s caller);
+      List.iter (fun (c, n) -> pr " %s*%d" c n) (Analysis.Callgraph.callees g caller);
+      pr "\n")
+    (None :: List.map (fun (p : Ast.proc) -> Some p.proc_name) procs);
+  List.iter
+    (fun (p : Ast.proc) ->
+      pr "callers %s:" p.proc_name;
+      List.iter (fun (c, n) -> pr " %s*%d" (opt_s c) n) (Analysis.Callgraph.callers g p.proc_name);
+      pr "\n")
+    procs;
+  (* def-use *)
+  let occ (o : Analysis.Defuse.occurrence) =
+    pr " %s@%d/%s" (loc o.o_loc) o.o_loop_depth (opt_s o.o_proc)
+  in
+  List.iter
+    (fun (s : Analysis.Defuse.summary) ->
+      pr "defuse %s %s defs" s.var (scope_s s.scope);
+      List.iter occ s.defs;
+      pr " uses";
+      List.iter occ s.uses;
+      pr "\n")
+    (Analysis.Defuse.analyze st);
+  (* flow graph *)
+  let fg = Analysis.Flowgraph.build st in
+  List.iter
+    (fun (e : Analysis.Flowgraph.edge) ->
+      pr "edge %s %s\n" (Format.asprintf "%a" Analysis.Flowgraph.pp_edge e) (loc e.e_loc))
+    (Analysis.Flowgraph.edges fg);
+  List.iter
+    (fun e -> pr "violation %s\n" (Format.asprintf "%a" Analysis.Flowgraph.pp_edge e))
+    (Analysis.Flowgraph.violations fg);
+  (* vectorization *)
+  List.iter
+    (fun (r : Analysis.Vectorize.report) ->
+      let r = { r with blockers = maybe_sort r.blockers } in
+      pr "loop %s %s reductions=%s inlined=%s\n"
+        (Format.asprintf "%a" Analysis.Vectorize.pp_report r)
+        (loc r.loc) (String.concat "," r.reductions) (String.concat "," r.inlined_calls))
+    (Analysis.Vectorize.analyze st);
+  List.iter
+    (fun (p : Ast.proc) ->
+      pr "inlinable %s %b\n" p.proc_name
+        (Analysis.Vectorize.inlinable st ~inline_stmt_limit:16 p))
+    procs;
+  (* taint reduction *)
+  let reduced, stats = Analysis.Taint.reduce st ~targets in
+  pr "taint %s\n%s" (Format.asprintf "%a" Analysis.Taint.pp_stats stats) (Unparse.program reduced);
+  (* call-site kind mismatches *)
+  List.iter (Buffer.add_string buf)
+    (maybe_sort
+       (List.map
+          (fun (m : Typecheck.mismatch) ->
+            Printf.sprintf "mismatch %s %s #%d %s %s %d->%d array=%b %s\n" (opt_s m.mm_caller)
+              m.mm_callee m.mm_arg_index m.mm_dummy (Unparse.expr m.mm_actual)
+              (Token.int_of_kind m.mm_actual_kind) (Token.int_of_kind m.mm_dummy_kind)
+              m.mm_is_array (loc m.mm_loc))
+          (Typecheck.mismatches st)));
+  (* static cost *)
+  let v = Analysis.Static_cost.evaluate st in
+  pr "static %h %d %d\n" v.penalty v.vector_loops v.mismatched_edges;
+  (* vectorization modes *)
+  let modes = Runtime.Ir.vec_modes Runtime.Machine.default st in
+  Ast.iter_bodies
+    (fun _ ->
+      Ast.iter_stmts (fun s ->
+          match s.Ast.node with
+          | Ast.Do { id; _ } | Ast.Do_while { id; _ } ->
+            pr "mode %d %d\n" id (Runtime.Ir.mode_idx (modes id))
+          | _ -> ()))
+    prog;
+  (* what every name(args) and call denotes *)
+  Symtab.iter_sites st (fun ~caller ~depth ~loc:l name args callee ->
+      pr "site %s %d %s %s/%d %s\n" (opt_s caller) depth (loc l) name (List.length args)
+        (callee_s callee))
+
+let model_digest (m : Models.Registry.t) =
+  let buf = Buffer.create 65536 in
+  let st = Symtab.build (Parser.parse ~file:(m.name ^ ".f90") m.source) in
+  let atoms =
+    Transform.Assignment.atoms_of_target st ~module_:m.target_module
+      ~procs:(Some m.target_procs) ~exclude:m.exclude_atoms
+  in
+  let targets =
+    List.map (fun (a : Transform.Assignment.atom) -> (a.a_scope, a.a_name)) atoms
+  in
+  digest_analyses buf ~sorted:false ~targets st;
+  let lowered = Transform.Rewrite.apply st (Transform.Assignment.uniform atoms Ast.K4) in
+  digest_analyses buf ~sorted:false ~targets (Symtab.build lowered);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let generated_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  for index = 0 to 499 do
+    let c = Testgen.Gen.case_at ~seed:42 ~index in
+    let st = Symtab.build (Parser.parse ~file:"fuzz.f90" c.source) in
+    let atoms = Transform.Assignment.atoms_of_module st Testgen.Gen.module_name in
+    let targets =
+      List.map (fun (a : Transform.Assignment.atom) -> (a.a_scope, a.a_name)) atoms
+    in
+    Printf.bprintf buf "case %d\n" index;
+    digest_analyses buf ~sorted:true ~targets st;
+    let lowered = Transform.Rewrite.apply st (Testgen.Gen.assignment_of st c.lowered) in
+    digest_analyses buf ~sorted:true ~targets (Symtab.build lowered)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pinned_tests =
+  List.map
+    (fun (m, want) ->
+      t (m.Models.Registry.name ^ " analyses") (fun () ->
+          Alcotest.(check string) "md5" want (model_digest m)))
+    [
+      (Models.Registry.funarc, "5409ef02841f3a90fe62cf907a545d6b");
+      (Models.Registry.mpas, "dac9c98982a12e509f619456970f1ae7");
+      (Models.Registry.mpas_joint, "59b1f2028d0765570f3b3c9db760eb2c");
+      (Models.Registry.adcirc, "8bd0f84389371908be5412a8fbc686b3");
+      (Models.Registry.mom6, "369be382058f5bf3f626895458c991a3");
+      (Models.Registry.lulesh, "a66f6943036011a57eaa03fc708b786b");
+    ]
+  @ [
+      t "500 generated programs" (fun () ->
+          Alcotest.(check string) "md5" "afe9468b660330e6dc1ea5bd6a8b5c97" (generated_digest ()));
+    ]
+
 let () =
   Alcotest.run "analysis"
     [
@@ -442,4 +602,5 @@ let () =
       ("static cost", static_cost_tests);
       ("trip count", trip_count_tests);
       ("defuse", defuse_tests);
+      ("pinned", pinned_tests);
     ]

@@ -562,6 +562,47 @@ let drain_test () =
     (String.equal (job_journal store "j001")
        (Harness.slurp (Persist.Journal.file ~dir:solo_dir)))
 
+(* A disk error inside a slice, here an fsync EIO raised from the event
+   stream at the third progress event, fails that job with the error
+   named and closes its journal, and the server goes on scheduling: the
+   other job still finishes byte-identically to its solo run. *)
+let disk_error_test () =
+  Harness.with_dir2 @@ fun root solo_dir ->
+  let store = Service.Store.open_ ~root in
+  ignore (submit_or_die store spec_dd);
+  ignore (submit_or_die store spec_dd);
+  let ticks = ref 0 in
+  let on_event (ev : Service.Sched.event) =
+    if ev.Service.Sched.ev_detail = "" then begin
+      incr ticks;
+      if !ticks = 3 then raise (Unix.Unix_error (Unix.EIO, "fsync", ""))
+    end
+  in
+  let open_fds () =
+    if Sys.file_exists "/proc/self/fd" then Some (Array.length (Sys.readdir "/proc/self/fd"))
+    else None
+  in
+  let sched = Service.Sched.create ~slice_records:10_000 ~find_model ~on_event store in
+  let fds = open_fds () in
+  let failed =
+    match Service.Sched.step sched with
+    | Service.Sched.Sliced { si_job; si_state = Service.Job.Failed msg; _ } ->
+      Alcotest.(check string) "named error" "fsync: Input/output error" msg;
+      si_job
+    | Service.Sched.Sliced { si_state; _ } ->
+      Alcotest.failf "faulted slice ended %s" (Service.Job.state_name si_state)
+    | Service.Sched.Idle -> Alcotest.fail "nothing ran"
+  in
+  Alcotest.(check (option int)) "no descriptor left open" fds (open_fds ());
+  Alcotest.(check bool) "failure is durable" true
+    (state_of store failed = Service.Job.Failed "fsync: Input/output error");
+  let other = if failed = "j001" then "j002" else "j001" in
+  ignore (drive sched);
+  Alcotest.(check bool) "other job done" true (state_of store other = Service.Job.Done);
+  let _ : Core.Tuner.campaign = solo_dd ~journal:solo_dir in
+  Alcotest.(check bool) "other journal byte-identical to solo" true
+    (String.equal (job_journal store other) (Harness.slurp (Persist.Journal.file ~dir:solo_dir)))
+
 let sigkill_test () =
   Harness.with_dir @@ fun root ->
   Harness.with_dir2 @@ fun d1 d2 ->
@@ -854,6 +895,7 @@ let sched_tests =
     t "SIGTERM + torn journal with memo on: restart re-evaluates nothing" memo_restart_test;
     t "quota exhaustion stops at the exact preemption record" quota_test;
     t "mid-slice drain pauses durably and resumes bit-identically" drain_test;
+    t "a disk error fails its job, not the server" disk_error_test;
     t "SIGKILL-torn journal: restart re-evaluates nothing, results identical" sigkill_test;
     t "cancel is terminal and unschedulable" cancel_test;
     t "one prepare per evaluation space across all slices" one_prepare_per_space_test;
