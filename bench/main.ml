@@ -28,10 +28,6 @@
                               per-evaluation mean against a committed
                               baseline JSON and exit non-zero on a >2x
                               regression of either (forces the campaigns)
-     main.exe --verify-roundtrip
-                              cross-check every evaluation's direct-AST
-                              fast path against the unparse->reparse
-                              pipeline (slow; aborts on any mismatch)
      main.exe --kill-resume   journal determinism check: run a campaign
                               uninterrupted, run it again with an
                               injected preemption ("kill"), resume from
@@ -82,7 +78,6 @@ type selection = {
   mutable seed : int;
   mutable json : string option;
   mutable check_against : string option;
-  mutable verify_roundtrip : bool;
   mutable kill_resume : bool;
   mutable shards : int option;
   mutable scaling : bool;
@@ -94,9 +89,8 @@ let parse_args () =
   let sel =
     { tables = []; figures = []; checks = false; ablation = false; bechamel = false; all = true;
       quick = false; workers = None; seed = Core.Config.default.Core.Config.seed;
-      json = None; check_against = None; verify_roundtrip = false;
-      kill_resume = false; shards = None; scaling = false; predict_check = false;
-      fleet = false }
+      json = None; check_against = None; kill_resume = false; shards = None; scaling = false;
+      predict_check = false; fleet = false }
   in
   let rec go = function
     | [] -> ()
@@ -136,9 +130,6 @@ let parse_args () =
     | "--check-against" :: path :: rest ->
       sel.check_against <- Some path;
       sel.all <- false;
-      go rest
-    | "--verify-roundtrip" :: rest ->
-      sel.verify_roundtrip <- true;
       go rest
     | "--kill-resume" :: rest ->
       sel.kill_resume <- true;
@@ -280,10 +271,7 @@ let rec main () =
       if sel.quick then { Core.Config.default with Core.Config.max_variants = Some 40 }
       else Core.Config.default
     in
-    { c with
-      Core.Config.verify_roundtrip = sel.verify_roundtrip;
-      seed = sel.seed;
-    }
+    { c with Core.Config.seed = sel.seed }
   in
   let workers = sel.workers in
   let funarc =

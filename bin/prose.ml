@@ -120,9 +120,13 @@ let verify_roundtrip_arg =
     value & flag
     & info [ "verify-roundtrip" ]
         ~doc:
-          "Cross-check every variant evaluation: run both the direct-AST fast path and the \
-           historical unparse->reparse pipeline and abort if any outcome differs. \
-           Slow; intended for CI and debugging the evaluation fast path.")
+          "Check the finished campaign against the historical unparse->reparse pipeline: \
+           every committed record must equal the tree-walking interpreter's measurement of \
+           the reparsed variant, and a fresh compiled run of it must reproduce the \
+           interpreter's whole outcome. Static-filter rejections and records lost to injected \
+           faults are skipped. The campaign, its CSV and summary are those of the same command \
+           without the flag; one closing line reports the check. On a mismatch, prints the \
+           model, record index, signature and both outcomes and exits 1.")
 
 let csv_arg =
   Arg.(
@@ -236,7 +240,6 @@ let tune_cmd =
         static_filter = static;
         predict;
         mode = (if whole then Core.Config.Whole_model_guided else Core.Config.Hotspot_guided);
-        verify_roundtrip = verify;
       }
     in
     (* fault bookkeeping and preemption happen in the journal's commit
@@ -302,6 +305,17 @@ let tune_cmd =
         Core.Tuner.run ?workers ?shards ?journal ?faults ~algo (Core.Tuner.prepare ~config m)
       end
     in
+    (* checked before anything is printed or written: a campaign that
+       fails the check reports the mismatch and nothing else *)
+    let verified =
+      if not verify then None
+      else
+        match Core.Tuner.verify campaign with
+        | Ok checked -> Some checked
+        | Error msg ->
+          prerr_endline ("prose tune: " ^ msg);
+          exit 1
+    in
     print_string (Core.Report.campaign_header campaign);
     print_newline ();
     print_string (Core.Report.table2 [ campaign ]);
@@ -355,12 +369,20 @@ let tune_cmd =
     Option.iter
       (fun path -> Core.Export.write_file ~path (Core.Export.summary_json campaign))
       json;
-    match campaign.Core.Tuner.minimal with
+    (match campaign.Core.Tuner.minimal with
     | Some r when r.Search.Delta_debug.high_set <> [] ->
       pf "\n1-minimal variant (declaration diff against the original):\n%s"
         (Transform.Diff.declarations campaign.Core.Tuner.prepared.Core.Tuner.st
            r.Search.Delta_debug.minimal)
-    | Some _ | None -> ()
+    | Some _ | None -> ());
+    Option.iter
+      (fun checked ->
+        pf
+          "verify-roundtrip: %d records match the unparse->reparse reference, %d skipped \
+           (static-filter or lost to faults)\n"
+          checked
+          (List.length campaign.Core.Tuner.records - checked))
+      verified
   in
   Cmd.v (Cmd.info "tune" ~doc)
     Term.(

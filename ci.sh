@@ -1,7 +1,7 @@
 #!/bin/sh
 # CI entry point: build everything, run the full test suite, then a quick
-# benchmark pass guarded against wall-clock regressions, plus one campaign
-# with the unparse->reparse cross-check enabled.
+# benchmark pass guarded against wall-clock regressions, plus two finished
+# campaigns checked against the unparse->reparse pipeline.
 set -eux
 
 dune build @all
@@ -17,10 +17,23 @@ dune runtest
 dune exec bench/main.exe -- --quick --workers 0 --scaling --json BENCH_ci_run.json \
   --check-against BENCH_ci.json
 
-# One campaign with every evaluation cross-checked against the historical
-# unparse->reparse pipeline; aborts on the first outcome mismatch.
+# Two finished campaigns checked against the historical unparse->reparse
+# pipeline (--verify-roundtrip): every committed record must equal the
+# tree-walking interpreter's measurement of the reparsed variant, and a
+# fresh compiled run of each must reproduce the interpreter's whole
+# outcome; the first mismatch exits 1 with the model, record index,
+# signature and both outcomes. mom6 --hierarchical is the registered run
+# in which the batch-reuse table serves variants (8 of 150, through the
+# never-used duc_w), so it checks table-served records against the
+# reference; the grep fails the step if its backend line reports no
+# batch-reuse hit, so it cannot pass vacuously (about 8 s).
 dune exec bin/prose.exe -- tune mpas --max-variants 15 --workers 0 \
   --verify-roundtrip > /dev/null
+MOUT=$(mktemp)
+dune exec bin/prose.exe -- tune mom6 --hierarchical --workers 0 \
+  --verify-roundtrip > "$MOUT"
+grep -E '^backend: .*, [1-9][0-9]* batch-reuse hits,' "$MOUT"
+rm -f "$MOUT"
 
 # Fuzz smoke gate: 300 random well-typed programs through all five
 # oracles (roundtrip, typecheck, rewrite, compiled, sensitivity) at a

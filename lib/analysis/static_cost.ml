@@ -1,12 +1,14 @@
-type params = {
-  loop_weight : float;
-  element_weight : float;
-  scalar_cast_cost : float;
-  unknown_elements : int;
-}
+(* call-volume proxy: assumed iterations per loop nesting level *)
+let loop_weight = 100.0
 
-let default_params =
-  { loop_weight = 100.0; element_weight = 1.0; scalar_cast_cost = 1.0; unknown_elements = 1000 }
+(* assumed elements of an array of unknown static size *)
+let unknown_elements = 1000
+
+(* the vector-loop rule: a loop counts when at most this share of its FP
+   operations are conversions. Stricter than the cost model's
+   [Machine.conv_ratio_threshold] (0.8 by default), above which the
+   evaluator runs a vectorizable loop scalar. *)
+let conv_ratio_threshold = 0.34
 
 type verdict = {
   penalty : float;
@@ -14,21 +16,21 @@ type verdict = {
   mismatched_edges : int;
 }
 
-let evaluate ?(params = default_params) ?(conv_ratio_threshold = 0.34) st =
+let evaluate st =
   let graph = Flowgraph.build st in
   let bad = Flowgraph.violations graph in
   let penalty =
     List.fold_left
       (fun acc (e : Flowgraph.edge) ->
-        let calls = params.loop_weight ** float_of_int e.Flowgraph.e_loop_depth in
+        let calls = loop_weight ** float_of_int e.Flowgraph.e_loop_depth in
         let size =
           match e.Flowgraph.e_dummy.Flowgraph.n_elements with
           | Some n when e.Flowgraph.e_dummy.Flowgraph.n_is_array -> float_of_int n
-          | None when e.Flowgraph.e_dummy.Flowgraph.n_is_array ->
-            float_of_int params.unknown_elements
+          | None when e.Flowgraph.e_dummy.Flowgraph.n_is_array -> float_of_int unknown_elements
           | Some _ | None -> 0.0
         in
-        acc +. (calls *. (params.scalar_cast_cost +. (params.element_weight *. size))))
+        (* one scalar cast, plus one per element *)
+        acc +. (calls *. (1.0 +. size)))
       0.0 bad
   in
   let reports = Vectorize.analyze st in

@@ -15,17 +15,11 @@
        reports".}}
 
     Call volume is not known statically; the standard proxy used here
-    weights each call site by [loop_weight ^ loop_depth]. The penalty of a
-    program is the weighted sum over the mismatching edges of its
-    {!Flowgraph}. The ablation benchmark measures how much search time
-    these filters save and what they cost in missed variants. *)
-
-type params = {
-  loop_weight : float;  (** assumed iterations per loop nesting level (default 100) *)
-  element_weight : float;  (** per-element cost of an array boundary cast (default 1) *)
-  scalar_cast_cost : float;  (** cost of one scalar boundary cast (default 1) *)
-  unknown_elements : int;  (** assumed elements for arrays of unknown static size *)
-}
+    weights each call site by [100 ^ loop_depth] (100 iterations per loop
+    nesting level). The penalty of a program is the weighted sum over the
+    mismatching edges of its {!Flowgraph}. The ablation benchmark
+    measures how much search time these filters save and what they cost
+    in missed variants. *)
 
 type verdict = {
   penalty : float;  (** casting-overhead penalty of the variant *)
@@ -33,11 +27,16 @@ type verdict = {
   mismatched_edges : int;
 }
 
-val evaluate : ?params:params -> ?conv_ratio_threshold:float -> Fortran.Symtab.t -> verdict
-(** Score a (transformed but not yet wrapped) program. Mismatching
-    flow-graph edges are priced by call volume × element count; vector
-    loops are counted under the same conversion-ratio rule the cost model
-    uses. *)
+val evaluate : Fortran.Symtab.t -> verdict
+(** Score a (transformed but not yet wrapped) program. Each mismatching
+    flow-graph edge costs its call volume × (one scalar cast + one per
+    array element; an array of unknown static size counts 1000). A loop
+    counts as vectorized when {!Vectorize} finds it vectorizable and at
+    most 0.34 of its FP operations are conversions. That is a stricter
+    rule than the cost model's: {!Runtime.Machine.default} compiles a
+    vectorizable loop scalar only above a ratio of 0.8
+    ([conv_ratio_threshold]), so the filter can count fewer vector loops
+    than the evaluator runs. *)
 
 val predicts_worse :
   baseline:verdict -> candidate:verdict -> penalty_budget:float -> bool

@@ -143,18 +143,14 @@ module Faults = struct
       *. variant_seconds cluster ~baseline_cost ~variant_cost:model_time
 
   (* Loss accounting at commit time, re-rolled deterministically from the
-     signature so the books never depend on speculative evaluations: each
-     failed attempt burns one variant's wall seconds on a node. Returns
-     the lost seconds so the caller can charge them to the job. *)
+     signature so the books never depend on speculative evaluations: the
+     seconds are [lost_seconds]'s, which the caller charges to the job. *)
   let note_commit t cluster ~baseline_cost ~signature ~model_time =
     let s = t.spec in
     let nt = transient_attempts s ~signature in
     let nn = node_failure_attempts s ~signature in
-    let failed = nt + nn in
-    if failed = 0 then 0.0
-    else begin
-      let per_attempt = variant_seconds cluster ~baseline_cost ~variant_cost:model_time in
-      let lost_s = float_of_int failed *. per_attempt in
+    let lost_s = lost_seconds s cluster ~baseline_cost ~signature ~model_time in
+    if nt + nn > 0 then begin
       (* a variant is lost at most once; when both kinds exhaust the retry
          budget the node failure wins, mirroring [perturb]'s precedence *)
       let node_lost = nn > s.max_retries in
@@ -163,15 +159,15 @@ module Faults = struct
       t.st <-
         {
           t.st with
-          retried_attempts = t.st.retried_attempts + failed;
+          retried_attempts = t.st.retried_attempts + nt + nn;
           transient_losses = t.st.transient_losses + (if transient_lost then 1 else 0);
           node_losses = t.st.node_losses + (if node_lost then 1 else 0);
           node_failures = t.st.node_failures + nn;
           lost_node_seconds = t.st.lost_node_seconds +. lost_s;
         };
-      Mutex.unlock t.lock;
-      lost_s
-    end
+      Mutex.unlock t.lock
+    end;
+    lost_s
 
   (* The 12-hour wall: once the campaign's simulated hours cross the
      boundary the batch scheduler kills the job. Raised from the journal

@@ -89,8 +89,8 @@ module Faults : sig
     signature:string ->
     model_time:float ->
     float
-  (** Pure form of the loss computation behind {!note_commit}: the
-      node-seconds this variant's failed attempts burn. Resume uses it to
+  (** The node-seconds this variant's failed attempts burn (each one a
+      {!variant_seconds} worth of wall clock). Pure: resume uses it to
       re-derive the hours a journaled prefix already consumed. *)
 
   val note_commit :
@@ -102,9 +102,9 @@ module Faults : sig
     float
   (** Commit-time loss accounting for one recorded variant: re-derives the
       variant's failed attempts deterministically, updates {!stats}, and
-      returns the node-seconds lost (each failed attempt burns one
-      {!variant_seconds} worth of wall clock). Called from the journal
-      sink so speculative evaluations never skew the books. *)
+      returns {!lost_seconds}, which the caller charges to the campaign.
+      Called from the journal sink so speculative evaluations never skew
+      the books. *)
 
   val check_preempt : state -> hours:float -> unit
   (** Raises {!Preempted} (after counting it) once the campaign's

@@ -17,7 +17,6 @@ type t = {
   max_variants : int option;
   predict : predict;
   predict_margin : float;
-  verify_roundtrip : bool;
 }
 
 let default =
@@ -32,13 +31,9 @@ let default =
     max_variants = None;
     predict = Predict_off;
     predict_margin = 1e6;
-    verify_roundtrip = false;
   }
 
 let digest t =
-  (* only fields that change campaign results; verify_roundtrip is an
-     execution strategy with identical outcomes, so a journaled campaign
-     may be resumed with either setting *)
   let canonical =
     String.concat "|"
       [

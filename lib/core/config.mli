@@ -39,11 +39,6 @@ type t = {
       (** no effect on the search: it only enters the [Predict_rank]
           digest (as [|margin:%h], 1e6 by default), which is kept byte for
           byte so existing rank journals keep resuming *)
-  verify_roundtrip : bool;
-      (** run every variant through both the direct-AST fast path and the
-          unparse→reparse slow path and fail loudly if any outcome bit
-          differs; the fast path's correctness oracle (off by default —
-          it restores the old per-variant cost, and then some) *)
 }
 
 val default : t
@@ -51,11 +46,11 @@ val default : t
     filter. *)
 
 val digest : t -> string
-(** Hex digest over the result-affecting fields (machine, mode, floor,
-    seed, baseline runs, static filter + budget, variant budget). The
-    campaign journal header stores it, and resume refuses a journal whose
-    digest disagrees with the offered configuration.
-    [verify_roundtrip] is excluded: it changes how variants are
-    evaluated, never what the results are. [predict]/[predict_margin]
-    are appended only when predict is [Predict_rank], so pre-PR-9
-    journals keep their digests. *)
+(** Hex digest over the configuration (machine, mode, floor, seed,
+    baseline runs, static filter + budget, variant budget, predict mode
+    and margin). The campaign journal header stores it, and resume
+    refuses a journal whose digest disagrees with the offered
+    configuration. Every field enters it, so two configurations with one
+    digest prepare the same evaluation space. [predict]/[predict_margin]
+    are appended only when predict is [Predict_rank], the one mode that
+    reads the margin, so pre-PR-9 journals keep their digests. *)

@@ -1,30 +1,5 @@
 open Search
 
-(* Per-campaign evaluation wall-clock accounting, shared by every domain
-   that evaluates a batch. *)
-type eval_stats = {
-  es_lock : Mutex.t;
-  mutable es_count : int;
-  mutable es_total : float;  (* seconds *)
-  mutable es_max : float;
-}
-
-let eval_stats_create () =
-  { es_lock = Mutex.create (); es_count = 0; es_total = 0.0; es_max = 0.0 }
-
-let eval_stats_note s dt =
-  Mutex.lock s.es_lock;
-  s.es_count <- s.es_count + 1;
-  s.es_total <- s.es_total +. dt;
-  if dt > s.es_max then s.es_max <- dt;
-  Mutex.unlock s.es_lock
-
-let eval_stats_read s =
-  Mutex.lock s.es_lock;
-  let r = (s.es_count, s.es_total, s.es_max) in
-  Mutex.unlock s.es_lock;
-  r
-
 type raw = {
   r_outcome : Runtime.Interp.outcome option;  (* None = transformation failed *)
   r_detail : string;
@@ -32,31 +7,6 @@ type raw = {
   r_model_time : float;
   r_rel_error : float;  (* infinity unless the run finished *)
 }
-
-(* Batch-reuse table: raw outcomes shared between variants of the
-   prepared search space whose masked signatures agree. Only atoms change
-   kind between such variants, so two of them transform into programs
-   whose reachable code is declaration-for-declaration identical exactly
-   when they agree on every atom the mask leaves in, and the raw outcome
-   — a pure function of that code under the fixed machine, budget and
-   wrapper redirection — is bit-identical whoever computes it first.
-   First-write-wins under the mutex, so records do not depend on the
-   worker count. *)
-type share = {
-  sh_lock : Mutex.t;
-  sh_tbl : (string, raw) Hashtbl.t;
-  sh_masked : int list;  (* signature positions of masked atoms *)
-}
-
-(* The mask is fixed by the baseline program: the atoms whose kind
-   cannot change the outcome or the charged cost (Assignment.inert). *)
-let share_create st atoms =
-  let inert = Transform.Assignment.inert st atoms in
-  {
-    sh_lock = Mutex.create ();
-    sh_tbl = Hashtbl.create 256;
-    sh_masked = List.filter (fun i -> inert.(i)) (List.init (Array.length inert) Fun.id);
-  }
 
 type prepared = {
   model : Models.Registry.t;
@@ -77,23 +27,53 @@ type prepared = {
       (* the error-amplification scorer steering rank; None when
          predict is off or the mirror analysis declined to vouch for
          itself (fell back to the unpredicted search) *)
-  cache : Runtime.Lower.Cache.t;  (* per-procedure lowering cache *)
-  ccache : Runtime.Compile.Cache.t;  (* compiled-procedure cache *)
-  share : share option;  (* batch-reuse table; None under verify_roundtrip *)
-  eval_stats : eval_stats;
+  reuse_mask : int list;  (* signature positions the batch-reuse key blanks *)
 }
 
+(* One campaign's evaluation state: the lowering and compile caches, the
+   batch-reuse table and the evaluation timer. [run] makes one per
+   campaign; [prepared] holds none of it, so any number of campaigns may
+   run over one prepared space.
+
+   The batch-reuse table shares raw outcomes between variants of the
+   space whose masked signatures agree. Only atoms change kind between
+   such variants, so two of them transform into programs whose reachable
+   code is declaration-for-declaration identical exactly when they agree
+   on every atom the mask leaves in, and the raw outcome — a pure
+   function of that code under the fixed machine, budget and wrapper
+   redirection — is bit-identical whoever computes it first. First write
+   wins under the lock, so records do not depend on the worker count. *)
+type state = {
+  lcache : Runtime.Lower.Cache.t;
+  ccache : Runtime.Compile.Cache.t;
+  lock : Mutex.t;  (* guards the table and the timer *)
+  table : (string, raw) Hashtbl.t;
+  mutable evals : int;
+  mutable eval_s : float;  (* total evaluation wall clock *)
+  mutable eval_max_s : float;
+}
+
+let state_create () =
+  {
+    lcache = Runtime.Lower.Cache.create ();
+    ccache = Runtime.Compile.Cache.create ();
+    lock = Mutex.create ();
+    table = Hashtbl.create 256;
+    evals = 0;
+    eval_s = 0.0;
+    eval_max_s = 0.0;
+  }
+
 (* The table's key for [asg]: its signature with every masked atom's
-   position blanked. [None] without a table, or off the prepared search
-   space (say, prepare's whole-program uniform-32 run): such variants
-   are evaluated directly. *)
+   position blanked. [None] off the prepared search space (say, prepare's
+   whole-program uniform-32 run): such variants are evaluated directly. *)
 let share_key p asg =
-  match p.share with
-  | Some sh when Transform.Assignment.atoms asg == p.atoms ->
+  if Transform.Assignment.atoms asg != p.atoms then None
+  else begin
     let key = Bytes.of_string (Transform.Assignment.signature asg) in
-    List.iter (fun i -> Bytes.set key i '-') sh.sh_masked;
-    Some (sh, Bytes.unsafe_to_string key)
-  | Some _ | None -> None
+    List.iter (fun i -> Bytes.set key i '-') p.reuse_mask;
+    Some (Bytes.unsafe_to_string key)
+  end
 
 let hotspot_time_of procs timers =
   List.fold_left (fun acc p -> acc +. Runtime.Timers.exclusive_of timers p) 0.0 procs
@@ -128,7 +108,7 @@ let failed_raw detail =
 
 (* The historical pipeline: unparse the transformed program, reparse the
    text, rebuild the symbol table, typecheck, tree-walk. Kept as the
-   [verify_roundtrip] oracle for the fast path. *)
+   reference [verify] holds finished campaigns to. *)
 let roundtrip_raw p asg : raw =
   match
     let prog' = Transform.Rewrite.apply p.st asg in
@@ -152,7 +132,7 @@ let roundtrip_raw p asg : raw =
    round trip — then compile the slot-resolved IR and run it, reusing
    lowered and compiled procedures whose precision signature is
    unchanged. *)
-let direct_raw p asg : raw =
+let direct_raw s p asg : raw =
   match
     let prog' = Transform.Rewrite.apply p.st asg in
     let w = Transform.Wrappers.insert prog' in
@@ -164,55 +144,38 @@ let direct_raw p asg : raw =
   | exception Fortran.Symtab.Error { message; _ } -> failed_raw ("symtab: " ^ message)
   | st', w ->
     let ir =
-      Runtime.Lower.lower ~cache:p.cache ~machine:p.config.Config.machine
+      Runtime.Lower.lower ~cache:s.lcache ~machine:p.config.Config.machine
         ~wrapper_owner:(Transform.Wrappers.owner_fn w) st'
     in
     score_outcome p
-      (Runtime.Compile.run ~budget:p.budget (Runtime.Compile.compile ~cache:p.ccache ir))
+      (Runtime.Compile.run ~budget:p.budget (Runtime.Compile.compile ~cache:s.ccache ir))
 
 (* Serve the raw outcome from the batch-reuse table when an
    effectively-identical variant already ran; otherwise run and publish,
    first write wins (a racing worker adopts the published outcome, so the
-   table's contents never depend on scheduling). *)
-let shared_raw p asg : raw =
-  match share_key p asg with
-  | None -> direct_raw p asg
-  | Some (sh, key) -> (
-    Mutex.lock sh.sh_lock;
-    match Hashtbl.find_opt sh.sh_tbl key with
-    | Some raw ->
-      Mutex.unlock sh.sh_lock;
-      raw
-    | None -> (
-      Mutex.unlock sh.sh_lock;
-      let raw = direct_raw p asg in
-      Mutex.lock sh.sh_lock;
-      match Hashtbl.find_opt sh.sh_tbl key with
-      | Some winner ->
-        Mutex.unlock sh.sh_lock;
-        winner
-      | None ->
-        Hashtbl.replace sh.sh_tbl key raw;
-        Mutex.unlock sh.sh_lock;
-        raw))
-
-let transform_and_run p asg : raw =
+   table's contents never depend on scheduling). Every call is timed. *)
+let shared_raw s p asg : raw =
   let t0 = Unix.gettimeofday () in
-  let raw = shared_raw p asg in
-  eval_stats_note p.eval_stats (Unix.gettimeofday () -. t0);
-  if p.config.Config.verify_roundtrip then begin
-    let slow = roundtrip_raw p asg in
-    if compare raw slow <> 0 then
-      failwith
-        (Printf.sprintf
-           "verify-roundtrip: direct and round-trip outcomes differ on %s variant %s\n\
-            direct:     %s cost %.17g hotspot %.17g err %.17g\n\
-            round-trip: %s cost %.17g hotspot %.17g err %.17g"
-           p.model.Models.Registry.name
-           (Transform.Assignment.signature asg)
-           raw.r_detail raw.r_model_time raw.r_hotspot raw.r_rel_error
-           slow.r_detail slow.r_model_time slow.r_hotspot slow.r_rel_error)
-  end;
+  let raw =
+    match share_key p asg with
+    | None -> direct_raw s p asg
+    | Some key -> (
+      match Mutex.protect s.lock (fun () -> Hashtbl.find_opt s.table key) with
+      | Some raw -> raw
+      | None ->
+        let raw = direct_raw s p asg in
+        Mutex.protect s.lock (fun () ->
+            match Hashtbl.find_opt s.table key with
+            | Some winner -> winner
+            | None ->
+              Hashtbl.replace s.table key raw;
+              raw))
+  in
+  let dt = Unix.gettimeofday () -. t0 in
+  Mutex.protect s.lock (fun () ->
+      s.evals <- s.evals + 1;
+      s.eval_s <- s.eval_s +. dt;
+      if dt > s.eval_max_s then s.eval_max_s <- dt);
   raw
 
 let noisy_times p ~seed time =
@@ -283,15 +246,13 @@ let prepare ?(config = Config.default) (model : Models.Registry.t) : prepared =
       ~procs:(Some model.target_procs) ~exclude:model.exclude_atoms
   in
   if atoms = [] then invalid_arg ("Tuner.prepare: no FP atoms in " ^ model.target_module);
-  let cache = Runtime.Lower.Cache.create () in
-  let ccache = Runtime.Compile.Cache.create () in
-  (* sharing is off under verify_roundtrip: the oracle's whole point is to
-     actually run both pipelines on every variant *)
-  let share = if config.Config.verify_roundtrip then None else Some (share_create st atoms) in
+  (* the baseline and threshold runs share caches of their own, which
+     die with this call: a campaign's state is [run]'s *)
+  let s = state_create () in
   let out =
     Runtime.Compile.run
-      (Runtime.Compile.compile ~cache:ccache
-         (Runtime.Lower.lower ~cache ~machine:config.Config.machine st))
+      (Runtime.Compile.compile ~cache:s.ccache
+         (Runtime.Lower.lower ~cache:s.lcache ~machine:config.Config.machine st))
   in
   (match out.Runtime.Interp.status with
   | Runtime.Interp.Finished -> ()
@@ -319,6 +280,10 @@ let prepare ?(config = Config.default) (model : Models.Registry.t) : prepared =
       (1.0 -. (3.0 *. model.noise_rel_std /. sqrt (float_of_int eq1_n)))
   in
   let baseline_static = Analysis.Static_cost.evaluate st in
+  (* the batch-reuse mask is fixed by the baseline program: the atoms
+     whose kind cannot change the outcome or the charged cost
+     (Assignment.inert) *)
+  let inert = Transform.Assignment.inert st atoms in
   let partial =
     {
       model;
@@ -336,10 +301,7 @@ let prepare ?(config = Config.default) (model : Models.Registry.t) : prepared =
       budget = model.timeout_factor *. baseline_cost;
       baseline_static;
       scorer = None;
-      cache;
-      ccache;
-      share;
-      eval_stats = eval_stats_create ();
+      reuse_mask = List.filter (fun i -> inert.(i)) (List.init (Array.length inert) Fun.id);
     }
   in
   let threshold =
@@ -358,7 +320,7 @@ let prepare ?(config = Config.default) (model : Models.Registry.t) : prepared =
           (Fortran.Symtab.program st)
       in
       let asg32 = Transform.Assignment.uniform whole_atoms Fortran.Ast.K4 in
-      let raw = transform_and_run partial asg32 in
+      let raw = direct_raw s partial asg32 in
       if Float.is_finite raw.r_rel_error && raw.r_rel_error > 0.0 then mult *. raw.r_rel_error
       else
         invalid_arg
@@ -388,7 +350,7 @@ let statically_filtered p asg =
       ~penalty_budget:p.config.Config.static_penalty_budget
   | exception Fortran.Symtab.Error _ -> false
 
-let evaluate p asg : Variant.measurement =
+let evaluate_in s p asg : Variant.measurement =
   if statically_filtered p asg then
     {
       Variant.status = Variant.Fail;
@@ -400,12 +362,13 @@ let evaluate p asg : Variant.measurement =
       casting_share = 0.0;
       detail = "static-filter";
     }
-  else measurement_of_raw p asg (transform_and_run p asg)
+  else measurement_of_raw p asg (shared_raw s p asg)
+
+let evaluate p asg = evaluate_in (state_create ()) p asg
 
 let uniform32_measurement p =
-  measurement_of_raw p
-    (Transform.Assignment.uniform p.atoms Fortran.Ast.K4)
-    (transform_and_run p (Transform.Assignment.uniform p.atoms Fortran.Ast.K4))
+  let asg = Transform.Assignment.uniform p.atoms Fortran.Ast.K4 in
+  measurement_of_raw p asg (direct_raw (state_create ()) p asg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -492,9 +455,9 @@ let backend_stats (c : campaign) =
     (fun (r : Variant.record) ->
       if not (off_cluster r.Variant.meas) then
         match share_key p r.Variant.asg with
-        | Some (_, cls) when Hashtbl.mem classes cls -> incr rh
+        | Some cls when Hashtbl.mem classes cls -> incr rh
         | key ->
-          Option.iter (fun (_, cls) -> Hashtbl.add classes cls ()) key;
+          Option.iter (fun cls -> Hashtbl.add classes cls ()) key;
           incr rm;
           List.iter
             (fun k ->
@@ -508,11 +471,11 @@ let backend_stats (c : campaign) =
   {
     compiled_procs = !compiled;
     compile_hits = !chits;
-    reuse_hits = (if p.share = None then 0 else !rh);
-    reuse_misses = (if p.share = None then 0 else !rm);
+    reuse_hits = !rh;
+    reuse_misses = !rm;
   }
 
-let finish_campaign ?(preloaded = 0) ?(interrupted = false) ?fault_stats ?sched p trace
+let finish_campaign ?(preloaded = 0) ?(interrupted = false) ?fault_stats ?sched s p trace
     minimal =
   let records = Trace.records trace in
   let cluster = Cluster.for_model p.model in
@@ -520,7 +483,7 @@ let finish_campaign ?(preloaded = 0) ?(interrupted = false) ?fault_stats ?sched 
     Cluster.campaign_hours cluster ~baseline_cost:p.baseline_cost
       ~variant_costs:(List.map (fun (r : Variant.record) -> r.Variant.meas.Variant.model_time) records)
   in
-  let count, total, max_s = eval_stats_read p.eval_stats in
+  let count, total, max_s = Mutex.protect s.lock (fun () -> (s.evals, s.eval_s, s.eval_max_s)) in
   {
     prepared = p;
     records;
@@ -642,20 +605,6 @@ let snapshot_every = 32
 
 let hours_of_seconds jc secs = secs /. float_of_int jc.jcluster.nodes /. 3600.0
 
-(* Simulated cluster seconds one committed record accounts for, including
-   the node time its injected-fault retries burned. *)
-let record_seconds jc ~signature (m : Variant.measurement) =
-  let model_time = m.Variant.model_time in
-  let run = Cluster.variant_seconds jc.jcluster ~baseline_cost:jc.jbaseline_cost ~variant_cost:model_time in
-  let lost =
-    match jc.jfaults with
-    | Some f when not (off_cluster m) ->
-      Cluster.Faults.lost_seconds (Cluster.Faults.spec f) jc.jcluster
-        ~baseline_cost:jc.jbaseline_cost ~signature ~model_time
-    | Some _ | None -> 0.0
-  in
-  run +. lost
-
 let snapshot_of_ctx jc ~finished =
   let fstats =
     match jc.jfaults with Some f -> Cluster.Faults.stats f | None -> Cluster.Faults.zero_stats
@@ -669,8 +618,15 @@ let snapshot_of_ctx jc ~finished =
     s_finished = finished;
   }
 
-let note_record jc ~signature (m : Variant.measurement) =
-  jc.jhours <- jc.jhours +. hours_of_seconds jc (record_seconds jc ~signature m);
+(* Charge one committed record to the books: the simulated cluster
+   seconds of its run plus [lost], the node time its injected-fault
+   retries burned. *)
+let note_record jc ~lost (m : Variant.measurement) =
+  let run =
+    Cluster.variant_seconds jc.jcluster ~baseline_cost:jc.jbaseline_cost
+      ~variant_cost:m.Variant.model_time
+  in
+  jc.jhours <- jc.jhours +. hours_of_seconds jc (run +. lost);
   jc.jrecords <- jc.jrecords + 1;
   if m.Variant.status = Variant.Pass && m.Variant.speedup > jc.jbest then
     jc.jbest <- m.Variant.speedup
@@ -701,13 +657,14 @@ let journal_sink ?checkpoint p jc ~donor (r : Variant.record) =
       Persist.Journal.append_shared jc.jw
         { Persist.Journal.sh_index = r.Variant.index; sh_signature = signature; sh_donor = donor })
     donor;
-  (match jc.jfaults with
-  | Some f when not (off_cluster r.Variant.meas) ->
-    ignore
-      (Cluster.Faults.note_commit f jc.jcluster ~baseline_cost:jc.jbaseline_cost ~signature
-         ~model_time:r.Variant.meas.Variant.model_time)
-  | Some _ | None -> ());
-  note_record jc ~signature r.Variant.meas;
+  let lost =
+    match jc.jfaults with
+    | Some f when not (off_cluster r.Variant.meas) ->
+      Cluster.Faults.note_commit f jc.jcluster ~baseline_cost:jc.jbaseline_cost ~signature
+        ~model_time:r.Variant.meas.Variant.model_time
+    | Some _ | None -> 0.0
+  in
+  note_record jc ~lost r.Variant.meas;
   if jc.jrecords mod snapshot_every = 0 then
     Persist.Snapshot.write ~dir:jc.jdir (snapshot_of_ctx jc ~finished:false);
   Option.iter (fun cp -> cp (progress_of jc)) checkpoint;
@@ -818,10 +775,19 @@ let run ?shard ?workers ?shards ?journal ?faults ?checkpoint ?memo ~algo p =
         }
       in
       (* the journaled prefix already consumed cluster hours: continue the
-         accounting (and the preemption clock) from there *)
+         accounting (and the preemption clock) from there, re-deriving its
+         fault losses without touching the fault stats *)
       List.iter
         (fun (r : Variant.record) ->
-          note_record jc ~signature:(Transform.Assignment.signature r.Variant.asg) r.Variant.meas)
+          let lost =
+            match faults with
+            | Some spec when not (off_cluster r.Variant.meas) ->
+              Cluster.Faults.lost_seconds spec jc.jcluster ~baseline_cost:jc.jbaseline_cost
+                ~signature:(Transform.Assignment.signature r.Variant.asg)
+                ~model_time:r.Variant.meas.Variant.model_time
+            | Some _ | None -> 0.0
+          in
+          note_record jc ~lost r.Variant.meas)
         preloaded;
       (Some jc, preloaded)
   in
@@ -841,12 +807,14 @@ let run ?shard ?workers ?shards ?journal ?faults ?checkpoint ?memo ~algo p =
   let sink = Option.map (fun jc -> journal_sink ?checkpoint p jc) jctx in
   let trace = Trace.create ?max_variants:(max_variants_of p) ?shared_lookup ?sink () in
   Trace.preload trace preloaded;
+  (* the campaign's own caches, batch-reuse table and timer *)
+  let s = state_create () in
   (* the memo gets the pre-fault measurement of every live evaluation;
      preloaded (journal-replayed) records are not republished — their
      stored values are post-fault *)
   let eval asg =
     let signature = Transform.Assignment.signature asg in
-    let m = evaluate p asg in
+    let m = evaluate_in s p asg in
     Option.iter (fun h -> h.memo_publish ~signature m) memo;
     apply_faults faults ~signature m
   in
@@ -942,20 +910,57 @@ let run ?shard ?workers ?shards ?journal ?faults ?checkpoint ?memo ~algo p =
     ~preloaded:(List.length preloaded)
     ~interrupted:!interrupted
     ?fault_stats:(Option.map Cluster.Faults.stats fstate)
-    ?sched:!sched p trace minimal
+    ?sched:!sched s p trace minimal
 
-(* The per-campaign state [prepare] allocated, afresh: caches, batch-reuse
-   table and eval timing. Everything else in [p] is read-only. *)
-let fresh_state p =
-  {
-    p with
-    cache = Runtime.Lower.Cache.create ();
-    ccache = Runtime.Compile.Cache.create ();
-    share =
-      Option.map (fun sh -> { sh with sh_lock = Mutex.create (); sh_tbl = Hashtbl.create 256 })
-        p.share;
-    eval_stats = eval_stats_create ();
-  }
+(* ------------------------------------------------------------------ *)
+(* The finished campaign against the historical pipeline.              *)
+
+let describe_measurement (m : Variant.measurement) =
+  Printf.sprintf "%s (%s) speedup %.17g err %.17g cost %.17g hotspot %.17g"
+    (Variant.status_to_string m.Variant.status) m.Variant.detail m.Variant.speedup
+    m.Variant.rel_error m.Variant.model_time m.Variant.hotspot_time
+
+let describe_raw (r : raw) =
+  Printf.sprintf "%s cost %.17g hotspot %.17g err %.17g" r.r_detail r.r_model_time r.r_hotspot
+    r.r_rel_error
+
+(* Every record a dynamic run produced must be the reference's
+   measurement, and a compiled run on verify's own caches — never the
+   batch-reuse table — must reproduce the reference's whole outcome.
+   Static-filter rejections and records lost to injected faults ran
+   nothing to compare. *)
+let verify (c : campaign) =
+  let p = c.prepared in
+  let s = state_create () in
+  let mismatch (r : Variant.record) what ours reference =
+    Error
+      (Printf.sprintf
+         "verify-roundtrip: %s record %d (signature %s): %s differs from the unparse->reparse \
+          reference\n  %s\n  reference: %s"
+         p.model.Models.Registry.name r.Variant.index
+         (Transform.Assignment.signature r.Variant.asg)
+         what ours reference)
+  in
+  let rec go checked = function
+    | [] -> Ok checked
+    | (r : Variant.record) :: rest ->
+      let m = r.Variant.meas in
+      if off_cluster m || String.starts_with ~prefix:"fault: " m.Variant.detail then
+        go checked rest
+      else
+        let reference = roundtrip_raw p r.Variant.asg in
+        let expected = measurement_of_raw p r.Variant.asg reference in
+        if compare m expected <> 0 then
+          mismatch r "the committed measurement" ("committed: " ^ describe_measurement m)
+            (describe_measurement expected)
+        else
+          let compiled = direct_raw s p r.Variant.asg in
+          if compare compiled reference <> 0 then
+            mismatch r "a fresh compiled evaluation" ("compiled: " ^ describe_raw compiled)
+              (describe_raw reference)
+          else go (checked + 1) rest
+  in
+  go 0 c.records
 
 (* ------------------------------------------------------------------ *)
 (* The runners: thin constructors over [run].                          *)
@@ -969,9 +974,6 @@ let run_hierarchical ?config ?workers ?journal model =
 
 let run_brute_force ?config ?journal ?faults model =
   run ?journal ?faults ~algo:Brute_force_algo (prepare ?config model)
-
-let run_prepared ?workers ?shard ?faults ?checkpoint ?memo ~algo ~journal p =
-  run ?workers ?shard ~journal ?faults ?checkpoint ?memo ~algo (fresh_state p)
 
 let resume ?(config = Config.default) ?algo ?seed ?workers ?shards ?faults ?model ~journal () =
   let h = Persist.Journal.read_header ~dir:journal in
@@ -1008,9 +1010,10 @@ let resume ?(config = Config.default) ?algo ?seed ?workers ?shards ?faults ?mode
 
 let run_random ?config ~samples model =
   let p = prepare ?config model in
+  let s = state_create () in
   let trace = Trace.create ?max_variants:(max_variants_of p) () in
   let _records =
-    Random_walk.search ~atoms:p.atoms ~trace ~evaluate:(evaluate p) ~samples
+    Random_walk.search ~atoms:p.atoms ~trace ~evaluate:(evaluate_in s p) ~samples
       ~seed:p.config.Config.seed ()
   in
-  finish_campaign p trace None
+  finish_campaign s p trace None

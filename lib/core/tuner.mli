@@ -1,28 +1,17 @@
 (** The Fig.-1 tuning cycle, assembled.
 
     [prepare] performs the one-time preprocessing ([T₀]: parse, search
-    space construction, baseline profiling, threshold resolution);
-    [evaluate] is one trip around the cycle for one precision assignment
-    ([T₂]–[T₄]: source-to-source transformation with wrapper insertion,
-    strict typecheck of the transformed AST, lowering to the
-    slot-resolved IR with per-procedure caching, execution under the
-    cost model with the 3× timeout budget, correctness and Eq.-1 speedup
-    scoring); the campaign runners drive the search algorithms over it.
-    The historical unparse → reparse pipeline survives as the
-    [verify_roundtrip] cross-check. *)
-
-type eval_stats
-(** Mutable per-campaign evaluation wall-clock accounting (count, total,
-    max); safe to update from every domain that evaluates a batch. *)
-
-type share
-(** The batch-reuse table: raw outcomes shared between variants of the
-    search space whose signatures agree once a per-atom mask, fixed by
-    the baseline program, blanks the atoms whose kind cannot influence
-    the run — those of procedures unreachable from the main program, and
-    inert reals (no def, no use, no initializer, neither a dummy nor a
-    function result). Mutex-guarded, first write wins, so the records a
-    campaign commits never depend on the worker count. *)
+    space construction, baseline profiling, threshold resolution) and
+    returns an immutable evaluation space; [evaluate] is one trip around
+    the cycle for one precision assignment ([T₂]–[T₄]: source-to-source
+    transformation with wrapper insertion, strict typecheck of the
+    transformed AST, lowering to the slot-resolved IR with per-procedure
+    caching, execution under the cost model with the 3× timeout budget,
+    correctness and Eq.-1 speedup scoring); {!run} drives a search over
+    it. Each campaign [run] starts owns its evaluation state: lowering
+    and compile caches, the batch-reuse table and an evaluation timer;
+    [prepared] holds none of it. The historical unparse → reparse
+    pipeline survives as {!verify}, the check of a finished campaign. *)
 
 type prepared = {
   model : Models.Registry.t;
@@ -47,19 +36,13 @@ type prepared = {
           declined to vouch for itself ({!Sensitivity.Score.create}
           returned [None]) and the campaign fell back to the unpredicted
           search *)
-  cache : Runtime.Lower.Cache.t;
-      (** the campaign's per-procedure lowering cache; domain-safe,
-          shared by every evaluating domain. This field, [ccache],
-          [share] and [eval_stats] are the per-campaign state
-          {!run_prepared} allocates afresh for every campaign it runs. *)
-  ccache : Runtime.Compile.Cache.t;
-      (** the campaign's compiled-procedure cache, keyed by the same
-          precision-signature scheme as [cache]; the baseline run in
-          {!prepare} fills it first *)
-  share : share option;
-      (** the batch-reuse table ([None] under [verify_roundtrip], whose
-          point is to really run every variant) *)
-  eval_stats : eval_stats;
+  reuse_mask : int list;
+      (** signature positions the batch-reuse key blanks, fixed by the
+          baseline program: the atoms whose kind cannot influence the run
+          — those of procedures unreachable from the main program, and
+          inert reals (no def, no use, no initializer, neither a dummy
+          nor a function result). Variants whose signatures agree outside
+          the mask share one raw outcome in a campaign's table. *)
 }
 
 val prepare : ?config:Config.t -> Models.Registry.t -> prepared
@@ -73,25 +56,20 @@ val hotspot_time : prepared -> Runtime.Timers.entry list -> float
 val evaluate : prepared -> Transform.Assignment.t -> Search.Variant.measurement
 (** One dynamic evaluation via the fast path: rewrite → wrapper insertion
     → symtab + typecheck on the transformed AST directly → {!Runtime.Lower}
-    slot-resolved IR (cached per procedure) → IR execution. Never raises
+    slot-resolved IR → closure compilation → execution. Never raises
     on variant failures: transformation or execution failures become
     [Error]-status measurements. When the static filter is enabled,
     statically-rejected variants return a zero-cost [Fail] measurement
-    with detail ["static-filter"].
+    with detail ["static-filter"]. No variant is judged by its static
+    error bound: a first-order upper bound cannot prove a failure.
 
-    When {!Config.t.verify_roundtrip} is set, every evaluation
-    additionally runs the historical unparse → reparse → tree-walk
-    pipeline and raises [Failure] if any outcome bit differs — the fast
-    path's correctness oracle.
-
-    Apart from the static filter, every variant runs, or is served from
-    the batch-reuse table an effectively identical variant filled. None
-    is judged by its static error bound: a first-order upper bound
-    cannot prove a failure.
-
-    Re-entrant: each call allocates its own transformation and execution
-    state and only reads the shared [prepared] value (the lowering cache
-    is mutex-guarded), so concurrent calls from several domains are safe. *)
+    Each call runs on fresh state: empty lowering and compile caches and
+    an empty batch-reuse table, so it lowers and compiles every
+    procedure. A campaign's evaluations instead share the state {!run}
+    makes for it, where a variant may be served from the table an
+    effectively identical variant filled; the measurement is the same.
+    Re-entrant: [prepared] is only read, so concurrent calls from
+    several domains are safe. *)
 
 type algo = Brute_force_algo | Delta_debug_algo | Hierarchical_algo
 (** The resumable search algorithms. Journals name them so [resume] can
@@ -112,9 +90,7 @@ type backend_stats = {
           running anything *)
   reuse_misses : int;  (** committed variants that run and publish their outcome *)
 }
-(** Evaluation-backend traffic; the reuse counters are zero under
-    {!Config.t.verify_roundtrip}, which runs without the table. Derived
-    by replaying the committed
+(** Evaluation-backend traffic. Derived by replaying the committed
     record stream in commit order (batch-reuse classes first, then the
     per-procedure cache keys of each fresh class), so the numbers are
     identical at every worker and shard count — speculative evaluations
@@ -273,7 +249,33 @@ val run :
     point. Both live in the journal's commit sink: either one without
     [journal] raises [Invalid_argument].
 
-    [memo] plugs in a fleet-wide evaluation memo ({!memo_hooks}). *)
+    [memo] plugs in a fleet-wide evaluation memo ({!memo_hooks}).
+
+    The campaign's evaluation state — lowering and compile caches, the
+    batch-reuse table, the timer behind [eval_ms_mean] — is made here
+    and dies with the call; [prepared] is only read. One [prepared]
+    therefore serves any number of campaigns of its space, in turn or
+    concurrently, each with records identical to a solo run's. A
+    campaign's space is its model source and {!Config.digest}, which
+    covers every configuration field {!prepare} reads; the header
+    check catches a journal of another model, digest or search-space
+    size. *)
+
+val verify : campaign -> (int, string) result
+(** The [--verify-roundtrip] check of a finished campaign, against the
+    historical pipeline: unparse the transformed program, reparse it,
+    rebuild the symbol table, typecheck and run the tree-walking
+    interpreter. Every committed record a dynamic run produced —
+    table-served, memo-served and journal-replayed ones included — must
+    equal the reference's measurement bit for bit, and a compiled
+    evaluation on [verify]'s own caches (never the batch-reuse table)
+    must reproduce the reference's whole outcome: status, cost, timers,
+    series and printed lines. Static-filter rejections and records lost
+    to injected faults (detail ["fault: ..."]) ran nothing and are
+    skipped. [Ok n] counts the records checked; [Error msg] names the
+    model, the first differing record's index and signature, and both
+    outcomes. Sequential: one reference and one compiled evaluation per
+    checked record. *)
 
 val run_delta_debug :
   ?config:Config.t ->
@@ -298,32 +300,6 @@ val run_brute_force :
   Models.Registry.t ->
   campaign
 (** [prepare ?config model], then {!run} [~algo:Brute_force_algo]. *)
-
-val run_prepared :
-  ?workers:int ->
-  ?shard:Search.Shard.t ->
-  ?faults:Cluster.Faults.spec ->
-  ?checkpoint:(progress -> unit) ->
-  ?memo:memo_hooks ->
-  algo:algo ->
-  journal:string ->
-  prepared ->
-  campaign
-(** {!run} on fresh per-campaign state — the one entry a multiplexing
-    caller needs for every slice of every job over an already prepared
-    evaluation space.
-
-    {b Sharing a [prepared].} Each call runs on empty lowering and
-    compile caches, an empty batch-reuse table and zeroed eval timing,
-    and only reads the rest of [prepared] (program, search space,
-    baseline books, threshold, scorer). One [prepared] may therefore
-    serve any number of campaigns, in turn or concurrently, with records
-    identical to solo runs (outcomes never depend on cache contents) and
-    no cache outliving its call. Hand it only campaigns of the space it
-    was built for: the same model source, the same {!Config.digest}, and
-    the same {!Config.t.verify_roundtrip} switch, which the digest leaves
-    out but {!prepare} reads. The header check catches a mismatched
-    model, digest or search-space size. *)
 
 val resume :
   ?config:Config.t ->

@@ -169,34 +169,30 @@ let entry_of_json j =
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
 
-type writer = { oc : out_channel; w_fsync : bool }
+type writer = out_channel
 
-let sync w =
-  flush w.oc;
-  if w.w_fsync then Unix.fsync (Unix.descr_of_out_channel w.oc)
+let write_line oc json =
+  output_string oc (Json.to_string json);
+  output_char oc '\n';
+  flush oc;
+  Unix.fsync (Unix.descr_of_out_channel oc)
 
-let write_line w json =
-  output_string w.oc (Json.to_string json);
-  output_char w.oc '\n';
-  sync w
-
-let create ?(fsync = true) ~dir h =
+let create ~dir h =
   Durable.mkdir_p dir;
   let oc = open_out_gen [ Open_wronly; Open_creat; Open_excl ] 0o644 (file ~dir) in
-  let w = { oc; w_fsync = fsync } in
   (try
-     write_line w (header_json { h with version = current_version });
+     write_line oc (header_json { h with version = current_version });
      (* the new journal's directory entry must outlive a crash too *)
-     if fsync then Durable.fsync_dir dir
+     Durable.fsync_dir dir
    with e ->
      close_out_noerr oc;
      raise e);
-  w
+  oc
 
 let append w e = write_line w (entry_json e)
 let append_shared w sh = write_line w (shared_json sh)
 
-let close w = close_out_noerr w.oc
+let close = close_out_noerr
 
 (* ------------------------------------------------------------------ *)
 (* Loader                                                              *)
@@ -303,11 +299,11 @@ let load ~dir =
    order. Foreign files, broken symlinks and unreadable directories are
    skipped silently — a service root interleaves job state files with
    campaign dirs, and listing must tolerate all of it. *)
-let find_campaigns ?(max_depth = 3) ~root () =
+let find_campaigns ~root () =
   let out = ref [] in
   let rec go depth dir =
     if Sys.file_exists (file ~dir) then out := dir :: !out
-    else if depth < max_depth then
+    else if depth < 3 then
       match Sys.readdir dir with
       | exception Sys_error _ -> ()
       | entries ->
@@ -322,7 +318,7 @@ let find_campaigns ?(max_depth = 3) ~root () =
   go 0 root;
   List.rev !out
 
-let reopen ?(fsync = true) ?(check = fun (_ : header) -> ()) ~dir () =
+let reopen ?(check = fun (_ : header) -> ()) ~dir () =
   let l = load ~dir in
   check l.l_header;
   let path = file ~dir in
@@ -332,5 +328,4 @@ let reopen ?(fsync = true) ?(check = fun (_ : header) -> ()) ~dir () =
       ~finally:(fun () -> Unix.close fd)
       (fun () -> Unix.ftruncate fd l.l_valid_bytes)
   end;
-  let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
-  (l, { oc; w_fsync = fsync })
+  (l, open_out_gen [ Open_wronly; Open_append ] 0o644 path)

@@ -7,7 +7,7 @@
     search-space size); every further line is one committed
     {!Search.Variant.record}, content-addressed by its
     {!Transform.Assignment.signature} and written {e before} the campaign
-    proceeds (flushed and fsynced by default), so a SIGKILL at any moment
+    proceeds (flushed and fsynced), so a SIGKILL at any moment
     loses at most the record being appended.
 
     Record lines are emitted in commit order by {!Search.Trace}'s append
@@ -74,15 +74,15 @@ val entry_of_record : Search.Variant.record -> entry
 
 type writer
 
-val create : ?fsync:bool -> dir:string -> header -> writer
+val create : dir:string -> header -> writer
 (** Creates [dir] (and parents) if needed and the journal file with the
     header line. Fails with [Sys_error] if a journal already exists there
-    — resuming must go through {!reopen}. [fsync] (default [true]) syncs
-    after every line, and syncs [dir] once the file exists so its
-    directory entry survives a crash ({!Durable.fsync_dir}). *)
+    — resuming must go through {!reopen}. Every line is fsynced, and
+    [dir] is synced once the file exists so its directory entry survives
+    a crash ({!Durable.fsync_dir}). *)
 
 val append : writer -> entry -> unit
-(** Write one record line, flush, and (by default) fsync. *)
+(** Write one record line, flush, and fsync. *)
 
 val append_shared : writer -> shared -> unit
 (** Write one provenance annotation line (immediately after the record it
@@ -110,16 +110,15 @@ val read_header : dir:string -> header
 (** The header alone, read without the records: {!load}'s [l_header],
     raising {!Corrupt} where {!load} would for the header. *)
 
-val reopen :
-  ?fsync:bool -> ?check:(header -> unit) -> dir:string -> unit -> loaded * writer
+val reopen : ?check:(header -> unit) -> dir:string -> unit -> loaded * writer
 (** {!load}, then truncate the file to [l_valid_bytes] (dropping any torn
     tail) and reopen it for appending. [check] sees the header before the
     file is touched; an exception it raises propagates with the journal
     unchanged, torn tail included. *)
 
-val find_campaigns : ?max_depth:int -> root:string -> unit -> string list
-(** Every directory at or below [root] (descending at most [max_depth]
-    levels, default 3) that holds a [journal.jsonl], in deterministic
+val find_campaigns : root:string -> unit -> string list
+(** Every directory at or below [root] (descending at most 3 levels)
+    that holds a [journal.jsonl], in deterministic
     depth-first lexicographic order; campaign directories are not
     descended into. Foreign files, broken symlinks and unreadable
     directories are skipped silently, so the scan is safe on a root that

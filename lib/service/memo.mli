@@ -5,8 +5,8 @@
     signature, where a space ({!space_key}) is the equivalence class of
     campaigns whose measurements are interchangeable — same model source
     (name + content digest) and same result-affecting configuration
-    ({!Core.Config.digest}: includes the seed, excludes fault specs,
-    worker counts and execution strategy). N concurrent jobs in one space
+    ({!Core.Config.digest}: includes the seed, excludes fault specs and
+    worker counts). N concurrent jobs in one space
     evaluate each variant once fleet-wide; jobs in different spaces never
     share. First write wins under the mutex. The memo is in-memory only —
     a restarted server starts empty and jobs resume from their own

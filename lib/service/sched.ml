@@ -15,8 +15,8 @@
    The one-time preprocessing (Tuner.prepare: parse, baseline profiling,
    threshold) is paid once per evaluation space, not once per slice: the
    scheduler keeps one prepared value per space while some runnable job
-   maps to it, and every slice runs on fresh per-campaign caches over
-   it (Tuner.run_prepared). *)
+   maps to it, and every slice is a Tuner.run over it, which makes the
+   slice's own caches. *)
 
 type event = {
   ev_job : string;
@@ -112,10 +112,8 @@ type t = {
   on_event : event -> unit;
   prepared : (string, Core.Tuner.prepared) Hashtbl.t;
       (* keyed by Memo.space_key (model name and source, Config.digest),
-         which fixes everything Tuner.prepare reads: jobs run
-         Job.config_of_spec, whose one switch outside the digest,
-         verify_roundtrip, is always off. At most one per space, kept
-         while some runnable job maps to it *)
+         which fixes everything Tuner.prepare reads. At most one per
+         space, kept while some runnable job maps to it *)
   mutable cursor : Fair.cursor;
   mutable draining : bool;
 }
@@ -235,8 +233,8 @@ let run_slice t (job0 : Job.t) =
     let memo =
       Option.map (fun m -> Memo.hooks m ~space ~job:id) t.memo
     in
-    Core.Tuner.run_prepared ~workers:spec.Job.sp_workers ?shard:t.shard ?faults ~checkpoint
-      ?memo ~algo ~journal:dir p
+    Core.Tuner.run ~workers:spec.Job.sp_workers ?shard:t.shard ?faults ~checkpoint ?memo ~algo
+      ~journal:dir p
   with
   | campaign ->
     let pg = !last in

@@ -17,12 +17,11 @@
     The one-time preprocessing ({!Core.Tuner.prepare}) runs once per
     evaluation space, not once per slice. The scheduler keeps one
     prepared value per space — keyed by {!Memo.space_key}, which fixes
-    everything [prepare] reads because jobs run {!Job.config_of_spec},
-    whose [verify_roundtrip] (the one switch {!Core.Config.digest} leaves
-    out) is always off — and runs every slice of every job in that space
-    on it through {!Core.Tuner.run_prepared}, which gives each slice
-    fresh caches. An entry is dropped at the first {!step} that finds no
-    runnable job mapping to it.
+    everything [prepare] reads — and runs every slice of every job in
+    that space on it through {!Core.Tuner.run}, which gives each slice
+    its own caches and leaves the prepared value untouched. An entry is
+    dropped at the first {!step} that finds no runnable job mapping to
+    it.
 
     Quota enforcement reuses the preemption arithmetic: a job whose
     accumulated simulated hours (the journal context's books, fault

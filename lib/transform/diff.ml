@@ -26,12 +26,12 @@ let lines a_text b_text : line list =
   in
   walk 0 0 []
 
-let hunks ?(context = 1) a_text b_text =
+let hunks a_text b_text =
   let d = Array.of_list (lines a_text b_text) in
   let n = Array.length d in
   let changed i = match d.(i) with Keep _ -> false | Remove _ | Add _ -> true in
   let near i =
-    let lo = max 0 (i - context) and hi = min (n - 1) (i + context) in
+    let lo = max 0 (i - 1) and hi = min (n - 1) (i + 1) in
     let rec any j = j <= hi && (changed j || any (j + 1)) in
     any lo
   in

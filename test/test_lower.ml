@@ -187,6 +187,17 @@ let equiv_tests =
 
 let small_mpas = model_fixture "mpas"
 
+(* [Tuner.verify] is the reference for whole campaigns: every committed
+   record, table-served ones included, against the tree-walker on the
+   unparse→reparse round trip, and a fresh compiled run of each against
+   the same reference. Without static filter or faults, every record is
+   checked. *)
+let check_verified (c : Core.Tuner.campaign) =
+  match Core.Tuner.verify c with
+  | Ok checked ->
+    Alcotest.(check int) "every record checked" (List.length c.Core.Tuner.records) checked
+  | Error msg -> Alcotest.fail msg
+
 let record_key (r : Search.Variant.record) =
   (r.Search.Variant.index, Transform.Assignment.signature r.Search.Variant.asg,
    r.Search.Variant.meas)
@@ -204,23 +215,18 @@ let cache_tests =
         Alcotest.(check bool) "every procedure hit" true (hits >= misses);
         check_equiv "identical outcomes" o1 o2);
     ts "verify-roundtrip campaign passes" (fun () ->
-        let config =
-          { Core.Config.default with
-            Core.Config.max_variants = Some 15;
-            verify_roundtrip = true;
-          }
-        in
+        let config = { Core.Config.default with Core.Config.max_variants = Some 15 } in
         let c = Core.Tuner.run_delta_debug ~config ~workers:0 small_mpas in
         Alcotest.(check bool) "explored variants" true
-          (c.Core.Tuner.summary.Search.Variant.total > 0));
+          (c.Core.Tuner.summary.Search.Variant.total > 0);
+        check_verified c);
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation backends: the compiled closures and the batch-reuse table
    must leave campaigns record-for-record identical at every worker
-   count. The reference is a verify_roundtrip campaign: it checks every
-   evaluation against the tree-walker on the unparse→reparse round trip
-   and runs without the table.                                         *)
+   count, and every record equal to the tree-walker's on the
+   unparse→reparse round trip ([check_verified]).                      *)
 
 let check_campaigns_equal (reference : Core.Tuner.campaign) (candidate : Core.Tuner.campaign) =
   Alcotest.(check int) "same variant count"
@@ -243,10 +249,9 @@ let check_campaigns_equal (reference : Core.Tuner.campaign) (candidate : Core.Tu
           candidate.Core.Tuner.minimal)
      = 0)
 
-let run_backend ?(verify_roundtrip = false) model ~workers ~max_variants =
+let run_backend model ~workers ~max_variants =
   Core.Tuner.run_delta_debug
-    ~config:
-      { Core.Config.default with Core.Config.max_variants = Some max_variants; verify_roundtrip }
+    ~config:{ Core.Config.default with Core.Config.max_variants = Some max_variants }
     ~workers model
 
 (* funarc with two never-referenced reals in the search space: variants
@@ -272,52 +277,45 @@ let funarc_spares =
       String.sub src 0 cut ^ insert ^ String.sub src cut (String.length src - cut);
   }
 
-(* the mpas reference and the compiled campaigns at workers 0 and 4,
-   shared by the two record-for-record tests below *)
-let mpas_reference =
-  lazy (run_backend ~verify_roundtrip:true small_mpas ~workers:0 ~max_variants:20)
-
+(* the compiled campaigns at workers 0 and 4, shared by the two
+   record-for-record tests below *)
 let mpas_compiled =
   lazy (List.map (fun workers -> run_backend small_mpas ~workers ~max_variants:20) [ 0; 4 ])
 
 let backend_tests =
   [
     ts "compiled backend == interpreter, record for record (workers 0 and 4)" (fun () ->
-        let reference = Lazy.force mpas_reference in
+        let campaigns = Lazy.force mpas_compiled in
         List.iter
           (fun c ->
             Alcotest.(check bool) "procedures were compiled" true
               ((Core.Tuner.backend_stats c).Core.Tuner.compiled_procs > 0);
-            check_campaigns_equal reference c)
-          (Lazy.force mpas_compiled));
+            check_verified c;
+            check_campaigns_equal (List.hd campaigns) c)
+          campaigns);
     ts "batched reuse == unbatched, record for record (workers 0 and 4)" (fun () ->
-        let reference = Lazy.force mpas_reference in
-        let rb = Core.Tuner.backend_stats reference in
-        Alcotest.(check int) "the unshared reference reports no reuse traffic" 0
-          (rb.Core.Tuner.reuse_hits + rb.Core.Tuner.reuse_misses);
+        let campaigns = Lazy.force mpas_compiled in
         List.iter
           (fun c ->
             Alcotest.(check bool) "variants went through the table" true
               ((Core.Tuner.backend_stats c).Core.Tuner.reuse_misses > 0);
-            check_campaigns_equal reference c)
-          (Lazy.force mpas_compiled));
+            check_verified c;
+            check_campaigns_equal (List.hd campaigns) c)
+          campaigns);
     ts "batch-reuse table hits on effectively-identical variants" (fun () ->
         (* brute force enumerates atom subsets by counter bits, so with
            the never-referenced spares as the two highest-order atoms,
            every mask >= 256 repeats an earlier variant's effective
            program — the reuse table must serve those without re-running,
            and the records must not change *)
-        let run verify_roundtrip =
+        let batched =
           Core.Tuner.run_brute_force
-            ~config:
-              { Core.Config.default with Core.Config.max_variants = Some 300; verify_roundtrip }
+            ~config:{ Core.Config.default with Core.Config.max_variants = Some 300 }
             funarc_spares
         in
-        let reference = run true in
-        let batched = run false in
         Alcotest.(check bool) "reuse table was hit" true
           ((Core.Tuner.backend_stats batched).Core.Tuner.reuse_hits > 0);
-        check_campaigns_equal reference batched);
+        check_verified batched);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -385,12 +385,10 @@ let resume_tests =
             match Core.Tuner.resume ~config:other ~model:small_funarc ~journal:dir () with
             | _ -> Alcotest.fail "resumed under a different configuration"
             | exception Core.Tuner.Resume_mismatch _ -> ()));
-    t "run_prepared refuses a journal of another space and commits nothing" (fun () ->
+    t "run refuses a journal of another space and commits nothing" (fun () ->
         with_dir (fun dir ->
             let p = Core.Tuner.prepare ~config:funarc_config small_funarc in
-            let brute q =
-              Core.Tuner.run_prepared ~algo:Core.Tuner.Brute_force_algo ~journal:dir q
-            in
+            let brute q = Core.Tuner.run ~algo:Core.Tuner.Brute_force_algo ~journal:dir q in
             let base = brute p in
             truncate_journal dir 0.5;
             let journal = Harness.slurp (Persist.Journal.file ~dir) in
@@ -422,7 +420,7 @@ let resume_tests =
                      :: small_funarc.Models.Registry.exclude_atoms;
                  });
             refuses "another algorithm" (fun () ->
-                Core.Tuner.run_prepared ~algo:Core.Tuner.Delta_debug_algo ~journal:dir p);
+                Core.Tuner.run ~algo:Core.Tuner.Delta_debug_algo ~journal:dir p);
             (* the prepared it was started over continues it *)
             let resumed = brute p in
             check_same_campaign "matching prepared" base resumed;
@@ -435,15 +433,12 @@ let resume_tests =
             let p = Core.Tuner.prepare ~config:funarc_config small_funarc in
             for i = 1 to 2 do
               let d = Filename.concat dir (string_of_int i) in
-              let c = Core.Tuner.run_prepared ~algo:Core.Tuner.Brute_force_algo ~journal:d p in
+              let c = Core.Tuner.run ~algo:Core.Tuner.Brute_force_algo ~journal:d p in
               Alcotest.(check string) "journal byte-identical to solo"
                 (Harness.slurp (Persist.Journal.file ~dir:solo_dir))
                 (Harness.slurp (Persist.Journal.file ~dir:d));
               Alcotest.(check string) "summary identical to solo"
-                (Core.Export.summary_json solo) (Core.Export.summary_json c);
-              Alcotest.(check bool) "caches are the campaign's own" true
-                (c.Core.Tuner.prepared.Core.Tuner.cache != p.Core.Tuner.cache
-                && c.Core.Tuner.prepared.Core.Tuner.ccache != p.Core.Tuner.ccache)
+                (Core.Export.summary_json solo) (Core.Export.summary_json c)
             done));
     t "resume refuses --hierarchical on a delta-debugging journal" (fun () ->
         refuses_on_dd_journal ~algo:Core.Tuner.Hierarchical_algo
