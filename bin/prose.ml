@@ -637,28 +637,15 @@ let serve_cmd =
       & info [ "slice" ] ~docv:"K"
           ~doc:"Fresh durable records per scheduler time slice (>= 1).")
   in
-  let no_memo_arg =
-    Arg.(
-      value & flag
-      & info [ "no-shared-memo" ]
-          ~doc:
-            "Disable the fleet-wide cross-campaign evaluation memo. With the memo on (the \
-             default), concurrent jobs in the same evaluation space evaluate each variant \
-             once fleet-wide; memo-served records are journaled normally plus a provenance \
-             line. Job results never depend on this flag.")
-  in
-  let run root slots slice no_memo =
-    match
-      Service.Server.run ~slice_records:slice ~shared_memo:(not no_memo)
-        ~log:(fun m -> pf "%s\n%!" m) ~root ~slots ()
-    with
+  let run root slots slice =
+    match Service.Server.run ~slice_records:slice ~log:(fun m -> pf "%s\n%!" m) ~root ~slots () with
     | Ok () -> ()
     | Error msg ->
       prerr_endline ("prose serve: " ^ msg);
       exit 1
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
-    Term.(const run $ root_arg $ slots_arg $ slice_arg $ no_memo_arg)
+    Term.(const run $ root_arg $ slots_arg $ slice_arg)
 
 let submit_cmd =
   let doc = "Submit a tuning campaign to the service queue" in
@@ -860,19 +847,11 @@ let jobs_cmd =
         prerr_endline ("prose jobs: " ^ msg);
         exit 1
       | None -> (
-        let store = open_store root in
-        match Service.Store.load store id with
-        | None ->
-          prerr_endline ("prose jobs: no such job " ^ id);
-          exit 1
-        | Some j when Service.Job.terminal j.Service.Job.state ->
-          prerr_endline
-            ("prose jobs: " ^ id ^ " is already " ^ Service.Job.state_name j.Service.Job.state);
-          exit 1
-        | Some j ->
-          Service.Store.update store
-            { j with Service.Job.state = Service.Job.Failed "cancelled" };
-          pf "cancelled %s (no server running)\n" id)
+        match Service.Store.cancel (open_store root) id with
+        | Ok _ -> pf "cancelled %s (no server running)\n" id
+        | Error msg ->
+          prerr_endline ("prose jobs: " ^ msg);
+          exit 1)
     in
     Cmd.v (Cmd.info "cancel" ~doc:"Terminal-state a runnable job")
       Term.(const run $ root_arg $ job_arg)

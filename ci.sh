@@ -53,6 +53,21 @@ dune exec bin/prose.exe -- fuzz --oracle sensitivity --cases 1000 --seed 7
 dune exec bin/prose.exe -- fuzz --oracle compiled --cases 1000 --seed 7
 dune exec bin/prose.exe -- fuzz --oracle compiled --cases 1000 --seed 42
 
+# Allocation gate: every statement shape of the compiled evaluator's
+# microbenchmark, calls and intrinsics included, must allocate 0.00
+# minor words per loop iteration (the budget its header states; the
+# counts do not depend on host speed). A probe that prints anything else
+# fails the run; an empty report fails too.
+AOUT=$(mktemp)
+dune exec bench/alloc/alloc.exe > "$AOUT"
+cat "$AOUT"
+test -s "$AOUT"
+if grep -v ' 0\.00 w/iter ' "$AOUT"; then
+  echo "alloc gate: the probe(s) above allocate" >&2
+  exit 1
+fi
+rm -f "$AOUT"
+
 # Exact-counter gate: one joint_solo, one joint_parallel (a few seconds
 # each), one table2_rank repetition (about 10 s: the only workload that
 # runs the sensitivity scorer, at --predict rank) and one service_fleet

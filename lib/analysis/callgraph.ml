@@ -25,7 +25,7 @@ let build st : t =
       | Symtab.Procedure _ ->
         bump edges caller name;
         bump redges name caller
-      | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Builtin_subroutine | Symtab.Unknown -> ());
+      | Symtab.Variable _ | Symtab.Intrinsic _ | Symtab.Builtin_subroutine | Symtab.Unknown -> ());
   {
     edges;
     redges;
@@ -52,19 +52,3 @@ let reachable t ~roots =
   in
   List.iter go roots;
   List.filter (Hashtbl.mem seen) t.procs
-
-let is_recursive t name =
-  let seen = Hashtbl.create 8 in
-  let rec go n =
-    List.exists
-      (fun (c, _) ->
-        c = name
-        ||
-        if Hashtbl.mem seen c then false
-        else begin
-          Hashtbl.add seen c ();
-          go c
-        end)
-      (callees t (Some n))
-  in
-  go name

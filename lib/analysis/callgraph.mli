@@ -20,6 +20,3 @@ val callers : t -> string -> (string option * int) list
 val reachable : t -> roots:string list -> string list
 (** All procedures reachable from the given roots (roots included),
     in a deterministic order. *)
-
-val is_recursive : t -> string -> bool
-(** Whether the procedure can reach itself through the call graph. *)

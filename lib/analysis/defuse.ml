@@ -57,4 +57,3 @@ let analyze st : summary list =
   |> List.sort compare
 
 let for_var summaries ~scope v = List.find_opt (fun s -> s.scope = scope && s.var = v) summaries
-let max_use_depth s = List.fold_left (fun m o -> max m o.o_loop_depth) 0 s.uses

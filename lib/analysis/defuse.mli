@@ -25,6 +25,3 @@ val analyze : Fortran.Symtab.t -> summary list
 (** Summaries for every non-parameter variable in the program. *)
 
 val for_var : summary list -> scope:Fortran.Symtab.scope -> string -> summary option
-
-val max_use_depth : summary -> int
-(** Deepest loop nesting among all uses (0 when never used). *)

@@ -85,7 +85,7 @@ let build st : t =
                     e_dummy = dnode; e_loop_depth = depth; e_loc = loc }
                   :: !edges))
           args
-      | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Builtin_subroutine | Symtab.Unknown -> ());
+      | Symtab.Variable _ | Symtab.Intrinsic _ | Symtab.Builtin_subroutine | Symtab.Unknown -> ());
   { st; node_tbl; all_edges = List.rev !edges }
 
 let nodes t = Hashtbl.fold (fun _ n acc -> n :: acc) t.node_tbl []

@@ -34,7 +34,7 @@ let stmt_refs st ~in_proc (s : Ast.stmt) =
   | Ast.Call (name, _) -> (
     match Symtab.classify_call st name with
     | Symtab.Builtin_subroutine -> ()
-    | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Procedure _ | Symtab.Unknown ->
+    | Symtab.Variable _ | Symtab.Intrinsic _ | Symtab.Procedure _ | Symtab.Unknown ->
       procs := name :: !procs)
   | _ -> ());
   Ast.iter_stmt_exprs
@@ -43,7 +43,7 @@ let stmt_refs st ~in_proc (s : Ast.stmt) =
       | Ast.Index (name, _) -> (
         match Symtab.classify_ref st ~in_proc name with
         | Symtab.Variable _ -> vars := name :: !vars
-        | Symtab.Intrinsic | Symtab.Builtin_subroutine -> ()
+        | Symtab.Intrinsic _ | Symtab.Builtin_subroutine -> ()
         | Symtab.Procedure _ | Symtab.Unknown -> procs := name :: !procs)
       | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ | Ast.Unop _
       | Ast.Binop _ ->

@@ -64,7 +64,7 @@ let rec inlinable_rec st ~inline_stmt_limit ~depth (p : Ast.proc) =
         | Symtab.Procedure callee ->
           ok := name <> p.proc_name && inlinable_rec st ~inline_stmt_limit ~depth:(depth + 1) callee
         | Symtab.Unknown -> ok := false
-        | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Builtin_subroutine -> ());
+        | Symtab.Variable _ | Symtab.Intrinsic _ | Symtab.Builtin_subroutine -> ());
   !ok
 
 let inlinable st ~inline_stmt_limit p = inlinable_rec st ~inline_stmt_limit ~depth:0 p
@@ -113,7 +113,7 @@ let count_sites st ~in_proc blk =
       | _ -> ())
     | Ast.Index (name, _) -> (
       match Symtab.classify_ref st ~in_proc name with
-      | Symtab.Intrinsic -> incr fp_ops
+      | Symtab.Intrinsic _ -> incr fp_ops
       | Symtab.Variable _ | Symtab.Builtin_subroutine | Symtab.Procedure _ | Symtab.Unknown -> ())
     | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ | Ast.Var _ | Ast.Unop _ ->
       ()
@@ -178,7 +178,14 @@ let array_dependences st ~in_proc body =
     writes []
 
 (* Recognize [s = s + e], [s = s * e], [s = min(s, e)], [s = max(s, e)]. *)
-let reduction_pattern (s : Ast.stmt) =
+let reduction_pattern st ~in_proc (s : Ast.stmt) =
+  let minmax name =
+    match Symtab.classify_ref st ~in_proc name with
+    | Symtab.Intrinsic (Builtins.Minmax _) -> true
+    | Symtab.Intrinsic _ | Symtab.Variable _ | Symtab.Builtin_subroutine | Symtab.Procedure _
+    | Symtab.Unknown ->
+      false
+  in
   match s.node with
   | Ast.Assign (Ast.Lvar v, rhs) -> (
     match rhs with
@@ -186,9 +193,9 @@ let reduction_pattern (s : Ast.stmt) =
       if List.mem v (Ast.expr_vars [] e) then None else Some v
     | Ast.Binop ((Ast.Add | Ast.Mul), e, Ast.Var v') when v' = v ->
       if List.mem v (Ast.expr_vars [] e) then None else Some v
-    | Ast.Index (("min" | "max"), [ Ast.Var v'; e ]) when v' = v ->
+    | Ast.Index (name, [ Ast.Var v'; e ]) when v' = v && minmax name ->
       if List.mem v (Ast.expr_vars [] e) then None else Some v
-    | Ast.Index (("min" | "max"), [ e; Ast.Var v' ]) when v' = v ->
+    | Ast.Index (name, [ e; Ast.Var v' ]) when v' = v && minmax name ->
       if List.mem v (Ast.expr_vars [] e) then None else Some v
     | _ -> None)
   | _ -> None
@@ -221,7 +228,7 @@ let scalar_dependences st ~in_proc ~induction body =
   let candidates = Hashtbl.create 8 in
   Ast.iter_stmts
     (fun s ->
-      match reduction_pattern s with
+      match reduction_pattern st ~in_proc s with
       | Some v ->
         Hashtbl.replace candidates v ();
         (* reads of the non-accumulator operand still disqualify others *)
@@ -254,7 +261,7 @@ let scalar_dependences st ~in_proc ~induction body =
   let read defined e = List.iter (note_read defined) (reads_of_expr e) in
   let merge = function [] -> assert false | first :: rest -> List.fold_left SS.inter first rest in
   let rec stmt defined (s : Ast.stmt) =
-    match reduction_pattern s, s.node with
+    match reduction_pattern st ~in_proc s, s.node with
     | Some v, Ast.Assign (_, rhs) when valid_reduction v ->
       if not (List.mem v !reductions) then reductions := v :: !reductions;
       (* operand reads still count *)
@@ -333,7 +340,7 @@ let analyze ?(inline_stmt_limit = 16) st : report list =
           fp_extra := !fp_extra + f;
           conv_extra := !conv_extra + c
         | Symtab.Procedure _ | Symtab.Unknown -> add (Non_inlinable_call name)
-        | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Builtin_subroutine -> ());
+        | Symtab.Variable _ | Symtab.Intrinsic _ | Symtab.Builtin_subroutine -> ());
     let fp_ops, conv_sites = count_sites st ~in_proc:proc body in
     reports :=
       { loop_id = id; proc; loc; blockers = List.rev !blockers; fp_ops = fp_ops + !fp_extra;

@@ -75,9 +75,6 @@ type algo = Brute_force_algo | Delta_debug_algo | Hierarchical_algo
 (** The resumable search algorithms. Journals name them so [resume] can
     continue the right search. *)
 
-val algo_name : algo -> string
-(** ["brute_force"], ["delta_debug"], ["hierarchical"]. *)
-
 val algo_of_name : string -> algo option
 
 type backend_stats = {

@@ -1,50 +1,78 @@
-type category =
-  | Elemental_math
-  | Minmax
-  | Mod_like
-  | Conversion
-  | Array_reduction
-  | Inquiry
+type elemental =
+  | Sqrt
+  | Exp
+  | Log
+  | Log10
+  | Sin
+  | Cos
+  | Tan
+  | Atan
+  | Asin
+  | Acos
+  | Sinh
+  | Cosh
+  | Tanh
+  | Aint
+  | Anint
+
+type extremum = Min | Max
+type reduction = Sum | Extreme of extremum
+type conversion = Int | Nint | Floor
+type inquiry = Epsilon | Huge | Tiny
+
+type t =
+  | Abs
+  | Elemental of elemental
+  | Minmax of extremum
+  | Mod
+  | Sign
+  | Atan2
+  | Real
+  | Dble
+  | Int_conv of conversion
+  | Dot_product
+  | Reduce of reduction
+  | Size
+  | Inquiry of inquiry
 
 let table =
   [
-    "abs", Elemental_math;
-    "sqrt", Elemental_math;
-    "exp", Elemental_math;
-    "log", Elemental_math;
-    "sin", Elemental_math;
-    "cos", Elemental_math;
-    "tan", Elemental_math;
-    "atan", Elemental_math;
-    "asin", Elemental_math;
-    "acos", Elemental_math;
-    "sinh", Elemental_math;
-    "cosh", Elemental_math;
-    "tanh", Elemental_math;
-    "log10", Elemental_math;
-    "aint", Elemental_math;
-    "anint", Elemental_math;
-    "min", Minmax;
-    "max", Minmax;
-    "mod", Mod_like;
-    "sign", Mod_like;
-    "atan2", Mod_like;
-    "real", Conversion;
-    "dble", Conversion;
-    "int", Conversion;
-    "nint", Conversion;
-    "floor", Conversion;
-    "sum", Array_reduction;
-    "maxval", Array_reduction;
-    "minval", Array_reduction;
-    "dot_product", Array_reduction;
-    "size", Inquiry;
-    "epsilon", Inquiry;
-    "huge", Inquiry;
-    "tiny", Inquiry;
+    ("abs", Abs);
+    ("sqrt", Elemental Sqrt);
+    ("exp", Elemental Exp);
+    ("log", Elemental Log);
+    ("sin", Elemental Sin);
+    ("cos", Elemental Cos);
+    ("tan", Elemental Tan);
+    ("atan", Elemental Atan);
+    ("asin", Elemental Asin);
+    ("acos", Elemental Acos);
+    ("sinh", Elemental Sinh);
+    ("cosh", Elemental Cosh);
+    ("tanh", Elemental Tanh);
+    ("log10", Elemental Log10);
+    ("aint", Elemental Aint);
+    ("anint", Elemental Anint);
+    ("min", Minmax Min);
+    ("max", Minmax Max);
+    ("mod", Mod);
+    ("sign", Sign);
+    ("atan2", Atan2);
+    ("real", Real);
+    ("dble", Dble);
+    ("int", Int_conv Int);
+    ("nint", Int_conv Nint);
+    ("floor", Int_conv Floor);
+    ("sum", Reduce Sum);
+    ("maxval", Reduce (Extreme Max));
+    ("minval", Reduce (Extreme Min));
+    ("dot_product", Dot_product);
+    ("size", Size);
+    ("epsilon", Inquiry Epsilon);
+    ("huge", Inquiry Huge);
+    ("tiny", Inquiry Tiny);
   ]
 
-let classify name = List.assoc_opt name table
-let is_intrinsic_function name = classify name <> None
+let all = List.map snd table
+let name b = fst (List.find (fun (_, b') -> b' = b) table)
 let is_intrinsic_subroutine name = name = "mpi_allreduce" || name = "mpi_barrier"
-let vectorizable name = is_intrinsic_function name

@@ -19,7 +19,7 @@ and scope =
 
 type callee =
   | Variable of var_info
-  | Intrinsic
+  | Intrinsic of Builtins.t
   | Builtin_subroutine
   | Procedure of Ast.proc
   | Unknown
@@ -141,14 +141,6 @@ let proc_owner t name =
 let find_proc t name =
   Option.map fst (Hashtbl.find_opt t.procs name)
 
-let all_proc_names t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.procs [] |> List.sort compare
-
-let unit_of_proc t name =
-  match Hashtbl.find_opt t.procs name with
-  | None -> None
-  | Some (_, owner) -> Hashtbl.find_opt t.units owner
-
 (* [lookup_var] without the option: raises [Not_found] *)
 let find_var t ~in_proc name =
   let rec search = function
@@ -164,11 +156,17 @@ let lookup_var t ~in_proc name =
 let find_callee t name =
   match Hashtbl.find t.callees name with c -> c | exception Not_found -> Unknown
 
+(* [Intrinsic b] for every intrinsic function, by name, built once *)
+let intrinsics =
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun b -> Hashtbl.replace tbl (Builtins.name b) (Intrinsic b)) Builtins.all;
+  tbl
+
 let classify_ref t ~in_proc name =
   match find_var t ~in_proc name with
   | v -> Variable v
-  | exception Not_found ->
-    if Builtins.is_intrinsic_function name then Intrinsic else find_callee t name
+  | exception Not_found -> (
+    match Hashtbl.find intrinsics name with c -> c | exception Not_found -> find_callee t name)
 
 let classify_call t name =
   if Builtins.is_intrinsic_subroutine name then Builtin_subroutine else find_callee t name
@@ -229,8 +227,3 @@ let fp_vars_of_module t mod_name =
     List.filter
       (fun v -> Ast.is_real v.v_base && not v.v_parameter)
       (unit_level @ proc_level)
-
-let module_of_var (v : var_info) t =
-  match v.v_scope with
-  | Unit_scope u -> u
-  | Proc_scope p -> proc_owner t p

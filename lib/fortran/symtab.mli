@@ -45,14 +45,11 @@ val proc_owner : t -> string -> string
 (** Name of the module/program unit containing the given procedure. *)
 
 val find_proc : t -> string -> Ast.proc option
-val all_proc_names : t -> string list
-
-val unit_of_proc : t -> string -> Ast.program_unit option
 
 (** What [name(args)] or [call name(...)] denotes. *)
 type callee =
   | Variable of var_info  (** [name(args)] is an array element *)
-  | Intrinsic  (** an intrinsic function of {!Builtins} *)
+  | Intrinsic of Builtins.t  (** an intrinsic function *)
   | Builtin_subroutine  (** [call] of an intrinsic subroutine of {!Builtins} *)
   | Procedure of Ast.proc  (** a user function or subroutine *)
   | Unknown
@@ -64,7 +61,7 @@ val classify_ref : t -> in_proc:string option -> string -> callee
 
 val classify_call : t -> string -> callee
 (** What [call name(...)] denotes: an intrinsic subroutine, else a user
-    procedure, else [Unknown]. Never [Variable] or [Intrinsic]. *)
+    procedure, else [Unknown]. Never [Variable] or [Intrinsic _]. *)
 
 val iter_sites :
   ?body:string option * Ast.block ->
@@ -87,6 +84,3 @@ val fp_vars_of_module : t -> string -> var_info list
 (** All non-parameter floating-point variable declarations contained in a
     module — module-level variables plus every contained procedure's locals
     and dummies. These are the search atoms of Sec. III-A. *)
-
-val module_of_var : var_info -> t -> string
-(** The module/program name whose source text declares this variable. *)

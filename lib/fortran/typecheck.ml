@@ -36,6 +36,10 @@ let promote loc a b =
   | (Logical | Str), _ | _, (Logical | Str) ->
     error loc "arithmetic on non-numeric operand"
 
+let arity_error b args n =
+  error Loc.dummy "intrinsic %S expects %d argument(s), got %d" (Builtins.name b) n
+    (List.length args)
+
 let rec infer (st : Symtab.t) ~in_proc (e : Ast.expr) : ty =
   let loc = Loc.dummy in
   match e with
@@ -89,84 +93,78 @@ and infer_index st ~in_proc name args =
   | Symtab.Variable _ -> error loc "subscripting scalar variable %S" name
   | callee -> (
     let arg_tys = List.map (infer st ~in_proc) args in
-    match callee, Builtins.classify name with
-    | Symtab.Intrinsic, Some cat -> infer_intrinsic st ~in_proc name cat args arg_tys
-    | Symtab.Procedure ({ proc_kind = Ast.Function { result }; _ } as p), _ ->
+    match callee with
+    | Symtab.Intrinsic b -> infer_intrinsic st ~in_proc b args arg_tys
+    | Symtab.Procedure ({ proc_kind = Ast.Function { result }; _ } as p) ->
       if List.length args <> List.length p.params then
         error loc "function %S expects %d arguments, got %d" name (List.length p.params)
           (List.length args);
       (match Symtab.lookup_var st ~in_proc:(Some name) result with
       | Some info -> ty_of_base info.v_base
       | None -> error loc "function %S has no result declaration" name)
-    | Symtab.Procedure { proc_kind = Ast.Subroutine; _ }, _ ->
+    | Symtab.Procedure { proc_kind = Ast.Subroutine; _ } ->
       error loc "subroutine %S used as a function" name
-    | _ -> error loc "unknown function or array %S%s" name (ctx in_proc))
+    | Symtab.Variable _ | Symtab.Builtin_subroutine | Symtab.Unknown ->
+      error loc "unknown function or array %S%s" name (ctx in_proc))
 
-and infer_intrinsic st ~in_proc name cat args arg_tys =
+and infer_intrinsic st ~in_proc (b : Builtins.t) args arg_tys =
   let loc = Loc.dummy in
-  let arity_exn n =
-    if List.length args <> n then
-      error loc "intrinsic %S expects %d argument(s), got %d" name n (List.length args)
-  in
-  match cat with
-  | Builtins.Elemental_math -> (
+  let arity_exn n = if List.length args <> n then arity_error b args n in
+  match b with
+  | Builtins.Abs -> (
+    arity_exn 1;
+    match arg_tys with
+    | [ ((Real _ | Integer) as ty) ] -> ty
+    | _ -> error loc "%S of non-numeric value" (Builtins.name b))
+  | Builtins.Elemental _ -> (
     arity_exn 1;
     match arg_tys with
     | [ Real k ] -> Real k
-    | [ Integer ] -> if name = "abs" then Integer else error loc "%S of integer" name
-    | _ -> error loc "%S of non-numeric value" name)
-  | Builtins.Minmax ->
-    if List.length args < 2 then error loc "%S needs at least 2 arguments" name;
+    | [ Integer ] -> error loc "%S of integer" (Builtins.name b)
+    | _ -> error loc "%S of non-numeric value" (Builtins.name b))
+  | Builtins.Minmax _ ->
+    if List.length args < 2 then error loc "%S needs at least 2 arguments" (Builtins.name b);
     List.fold_left (fun acc t -> promote loc acc t) Integer arg_tys
-  | Builtins.Mod_like -> (
-    arity_exn 2;
+  | Builtins.Mod | Builtins.Sign | Builtins.Atan2 -> (
     match arg_tys with
-    | [ a; b ] -> promote loc a b
-    | _ -> assert false)
-  | Builtins.Conversion -> (
-    match name with
-    | "dble" ->
-      arity_exn 1;
-      Real Ast.K8
-    | "real" -> (
-      match args, arg_tys with
-      | [ _ ], [ (Integer | Real _) ] -> Real Ast.K4
-      | [ _; Ast.Int_lit k ], [ (Integer | Real _); Integer ] -> (
-        match Token.kind_of_int k with
-        | Some k -> Real k
-        | None -> error loc "real(): unsupported kind %d" k)
-      | _ -> error loc "real() expects (x) or (x, kind)")
-    | "int" | "nint" | "floor" ->
-      arity_exn 1;
-      Integer
-    | _ -> assert false)
-  | Builtins.Array_reduction -> (
+    | [ ta; tb ] -> promote loc ta tb
+    | _ -> arity_error b args 2)
+  | Builtins.Dble ->
+    arity_exn 1;
+    Real Ast.K8
+  | Builtins.Real -> (
+    match args, arg_tys with
+    | [ _ ], [ (Integer | Real _) ] -> Real Ast.K4
+    | [ _; Ast.Int_lit k ], [ (Integer | Real _); Integer ] -> (
+      match Token.kind_of_int k with
+      | Some k -> Real k
+      | None -> error loc "real(): unsupported kind %d" k)
+    | _ -> error loc "real() expects (x) or (x, kind)")
+  | Builtins.Int_conv _ ->
+    arity_exn 1;
+    Integer
+  | Builtins.Dot_product | Builtins.Reduce _ -> (
     let array_ty arr =
       match Symtab.lookup_var st ~in_proc arr with
       | Some info when info.v_dims <> [] -> ty_of_base info.v_base
-      | Some _ -> error loc "%S of a scalar" name
-      | None -> error loc "%S of unknown array %S" name arr
+      | Some _ -> error loc "%S of a scalar" (Builtins.name b)
+      | None -> error loc "%S of unknown array %S" (Builtins.name b) arr
     in
-    match name, args with
-    | "dot_product", [ Ast.Var a; Ast.Var b ] -> (
-      match array_ty a, array_ty b with
+    match b, args with
+    | Builtins.Dot_product, [ Ast.Var x; Ast.Var y ] -> (
+      match array_ty x, array_ty y with
       | Real ka, Real kb -> Real (if ka = Ast.K8 || kb = Ast.K8 then Ast.K8 else Ast.K4)
       | Integer, Integer -> Integer
       | _ -> error loc "dot_product of mixed base types")
-    | "dot_product", _ -> error loc "dot_product expects two whole-array arguments"
-    | _, [ Ast.Var arr ] ->
-      arity_exn 1;
-      array_ty arr
-    | _, _ -> error loc "%S expects a whole-array argument" name)
-  | Builtins.Inquiry -> (
-    match name with
-    | "size" -> Integer
-    | "epsilon" | "huge" | "tiny" -> (
-      arity_exn 1;
-      match arg_tys with
-      | [ Real k ] -> Real k
-      | _ -> error loc "%S of non-real value" name)
-    | _ -> assert false)
+    | Builtins.Dot_product, _ -> error loc "dot_product expects two whole-array arguments"
+    | _, [ Ast.Var arr ] -> array_ty arr
+    | _, _ -> error loc "%S expects a whole-array argument" (Builtins.name b))
+  | Builtins.Size -> Integer
+  | Builtins.Inquiry _ -> (
+    arity_exn 1;
+    match arg_tys with
+    | [ Real k ] -> Real k
+    | _ -> error loc "%S of non-real value" (Builtins.name b))
 
 (* ------------------------------------------------------------------ *)
 (* Constant folding of integer expressions (array extents).            *)
@@ -244,7 +242,7 @@ let mismatches st : mismatch list =
                 | _ -> ())
               | None -> ()))
           args
-      | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Builtin_subroutine | Symtab.Unknown -> ());
+      | Symtab.Variable _ | Symtab.Intrinsic _ | Symtab.Builtin_subroutine | Symtab.Unknown -> ());
   List.rev !acc
 
 let check_block st ~in_proc blk =
@@ -276,7 +274,7 @@ let check_block st ~in_proc blk =
             error s.Ast.loc "subroutine %S expects %d arguments, got %d" name
               (List.length p.Ast.params) (List.length args)
         | Symtab.Builtin_subroutine -> ()
-        | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Unknown ->
+        | Symtab.Variable _ | Symtab.Intrinsic _ | Symtab.Unknown ->
           error s.Ast.loc "call to unknown subroutine %S" name)
       | Ast.If (arms, _) ->
         List.iter

@@ -38,8 +38,3 @@ let percentile p = function
       let frac = rank -. float_of_int lo in
       a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
     end
-
-let fraction_in pred = function
-  | [] -> 0.0
-  | xs ->
-    float_of_int (List.length (List.filter pred xs)) /. float_of_int (List.length xs)

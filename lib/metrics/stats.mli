@@ -19,8 +19,3 @@ val maximum : float list -> float
 
 val percentile : float -> float list -> float
 (** [percentile p xs] for [p] in [0,100], linear interpolation. *)
-
-val fraction_in : (float -> bool) -> float list -> float
-(** Fraction of elements satisfying the predicate; 0 on empty. Used by
-    the experiment-validation checks ("most variants that are >90 %
-    32-bit have ≥1.8× speedup"). *)

@@ -1372,142 +1372,37 @@ and compile_intr env (it : intr) : cexpr =
             charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
             Walk.mk_real k (Float.abs x)
           | Value.Vlog _ | Value.Vstr _ -> trap_s "abs of non-numeric value"))
-  | Ielem { name; fn; e; costs } -> (
+  | Ielem { fn; e; costs } -> (
     match compile_expr env e with
-    | Kf (f, k) -> (
+    | Kf (f, k) ->
       let sub = sub3 costs k in
-      (* dispatch on the name once, here: the branches call the very
-         functions [fn] is, but directly — an indirect [fn] application
-         boxes argument and result every time *)
-      match name with
-      | "sqrt" ->
-        Kf
-          ( (fun ct ->
-              f ct;
-              let x = ct.scratch.fv in
-              charge ct ci_flops sub.(ct.vec);
-              ct.scratch.fv <- cmk_realf k (sqrt x)),
-            k )
-      | "exp" ->
-        Kf
-          ( (fun ct ->
-              f ct;
-              let x = ct.scratch.fv in
-              charge ct ci_flops sub.(ct.vec);
-              ct.scratch.fv <- cmk_realf k (exp x)),
-            k )
-      | "log" ->
-        Kf
-          ( (fun ct ->
-              f ct;
-              let x = ct.scratch.fv in
-              charge ct ci_flops sub.(ct.vec);
-              ct.scratch.fv <- cmk_realf k (log x)),
-            k )
-      | "log10" ->
-        Kf
-          ( (fun ct ->
-              f ct;
-              let x = ct.scratch.fv in
-              charge ct ci_flops sub.(ct.vec);
-              ct.scratch.fv <- cmk_realf k (log10 x)),
-            k )
-      | "sin" ->
-        Kf
-          ( (fun ct ->
-              f ct;
-              let x = ct.scratch.fv in
-              charge ct ci_flops sub.(ct.vec);
-              ct.scratch.fv <- cmk_realf k (sin x)),
-            k )
-      | "cos" ->
-        Kf
-          ( (fun ct ->
-              f ct;
-              let x = ct.scratch.fv in
-              charge ct ci_flops sub.(ct.vec);
-              ct.scratch.fv <- cmk_realf k (cos x)),
-            k )
-      | "tan" ->
-        Kf
-          ( (fun ct ->
-              f ct;
-              let x = ct.scratch.fv in
-              charge ct ci_flops sub.(ct.vec);
-              ct.scratch.fv <- cmk_realf k (tan x)),
-            k )
-      | "atan" ->
-        Kf
-          ( (fun ct ->
-              f ct;
-              let x = ct.scratch.fv in
-              charge ct ci_flops sub.(ct.vec);
-              ct.scratch.fv <- cmk_realf k (atan x)),
-            k )
-      | "asin" ->
-        Kf
-          ( (fun ct ->
-              f ct;
-              let x = ct.scratch.fv in
-              charge ct ci_flops sub.(ct.vec);
-              ct.scratch.fv <- cmk_realf k (asin x)),
-            k )
-      | "acos" ->
-        Kf
-          ( (fun ct ->
-              f ct;
-              let x = ct.scratch.fv in
-              charge ct ci_flops sub.(ct.vec);
-              ct.scratch.fv <- cmk_realf k (acos x)),
-            k )
-      | "sinh" ->
-        Kf
-          ( (fun ct ->
-              f ct;
-              let x = ct.scratch.fv in
-              charge ct ci_flops sub.(ct.vec);
-              ct.scratch.fv <- cmk_realf k (sinh x)),
-            k )
-      | "cosh" ->
-        Kf
-          ( (fun ct ->
-              f ct;
-              let x = ct.scratch.fv in
-              charge ct ci_flops sub.(ct.vec);
-              ct.scratch.fv <- cmk_realf k (cosh x)),
-            k )
-      | "tanh" ->
-        Kf
-          ( (fun ct ->
-              f ct;
-              let x = ct.scratch.fv in
-              charge ct ci_flops sub.(ct.vec);
-              ct.scratch.fv <- cmk_realf k (tanh x)),
-            k )
-      | "aint" ->
-        Kf
-          ( (fun ct ->
-              f ct;
-              let x = ct.scratch.fv in
-              charge ct ci_flops sub.(ct.vec);
-              ct.scratch.fv <- cmk_realf k (Float.trunc x)),
-            k )
-      | "anint" ->
-        Kf
-          ( (fun ct ->
-              f ct;
-              let x = ct.scratch.fv in
-              charge ct ci_flops sub.(ct.vec);
-              ct.scratch.fv <- cmk_realf k (Float.round x)),
-            k )
-      | _ ->
-        Kf
-          ( (fun ct ->
-              f ct;
-              let x = ct.scratch.fv in
-              charge ct ci_flops sub.(ct.vec);
-              ct.scratch.fv <- cmk_realf k (fn x)),
-            k ))
+      (* the functions of [Walk.elemental], matched here so that each is
+         applied directly: an indirect application boxes argument and
+         result every time *)
+      Kf
+        ( (fun ct ->
+            f ct;
+            let x = ct.scratch.fv in
+            charge ct ci_flops sub.(ct.vec);
+            ct.scratch.fv <-
+              cmk_realf k
+                (match fn with
+                | Builtins.Sqrt -> sqrt x
+                | Exp -> exp x
+                | Log -> log x
+                | Log10 -> log10 x
+                | Sin -> sin x
+                | Cos -> cos x
+                | Tan -> tan x
+                | Atan -> atan x
+                | Asin -> asin x
+                | Acos -> acos x
+                | Sinh -> sinh x
+                | Cosh -> cosh x
+                | Tanh -> tanh x
+                | Aint -> Float.trunc x
+                | Anint -> Float.round x)),
+          k )
     | c ->
       let f = force c in
       Kv
@@ -1515,12 +1410,13 @@ and compile_intr env (it : intr) : cexpr =
           match f ct with
           | Value.Vreal (x, k) ->
             charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
-            Walk.mk_real k (fn x)
-          | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> trap "%s of non-real value" name))
-  | Iminmax { name; args; costs } -> (
+            Walk.mk_real k (Walk.elemental fn x)
+          | Value.Vint _ | Value.Vlog _ | Value.Vstr _ ->
+            trap "%s of non-real value" (Builtins.name (Builtins.Elemental fn))))
+  | Iminmax { m; args; costs } -> (
     let n = Array.length args in
     let cs = Array.map (compile_expr env) args in
-    let is_min = name = "min" in
+    let is_min = m = Builtins.Min in
     let all_int = Array.for_all (function Ki _ -> true | _ -> false) cs in
     let typed = Array.for_all (function Ki _ | Kf _ -> true | _ -> false) cs in
     if n >= 2 && all_int then begin
@@ -1575,14 +1471,14 @@ and compile_intr env (it : intr) : cexpr =
       Kv
         (fun ct ->
           let vs = List.map (fun f -> f ct) fs in
-          if n < 2 then trap "%s needs at least two arguments" name;
+          if n < 2 then trap "%s needs at least two arguments" (Builtins.name (Builtins.Minmax m));
           match List.fold_left (fun acc v -> Walk.promote_kind acc (Walk.value_kind v)) None vs with
           | None ->
             charge ct ci_flops ct.machine.Machine.int_op;
-            Value.Vint (Walk.int_extremum name (List.map Walk.as_int vs))
+            Value.Vint (Walk.int_extremum_of m (List.map Walk.as_int vs))
           | Some k ->
             charge ct ci_flops costs.((ct.vec * 2) + kind_idx k);
-            Walk.mk_real k (Walk.extremum name (List.map Walk.as_float vs))))
+            Walk.mk_real k (Walk.extremum m (List.map Walk.as_float vs))))
   | Imod { a; b; costs } -> (
     match compile_expr env a, compile_expr env b with
     | Ki fa, Ki fb ->
@@ -1730,7 +1626,7 @@ and compile_intr env (it : intr) : cexpr =
           let v = f ct in
           if Walk.value_kind v = Some Ast.K4 then charge ct ci_convert ct.conv.(ct.vec);
           Value.Vreal (Walk.as_float v, Ast.K8)))
-  | Iicvt { which; e } ->
+  | Iicvt { conv; e } ->
     (* int_op is charged before the operand evaluates *)
     let f = fput (compile_expr env e) in
     Ki
@@ -1738,10 +1634,10 @@ and compile_intr env (it : intr) : cexpr =
         charge ct ci_flops ct.machine.Machine.int_op;
         f ct;
         let x = ct.scratch.fv in
-        match which with
-        | 0 -> int_of_float x
-        | 1 -> int_of_float (Float.round x)
-        | _ -> int_of_float (Float.floor x))
+        match conv with
+        | Builtins.Int -> int_of_float x
+        | Nint -> int_of_float (Float.round x)
+        | Floor -> int_of_float (Float.floor x))
   | Idot { an; ar; bn; br } ->
     let va = var_of env an ar and vb = var_of env bn br in
     Kv
@@ -1764,7 +1660,7 @@ and compile_intr env (it : intr) : cexpr =
           done;
           Walk.mk_real kind !s
         | _ -> trap_s "dot_product expects two real arrays")
-  | Ireduce { name; rn; r } ->
+  | Ireduce { red; rn; r } ->
     let v = var_of env rn r in
     Kv
       (fun ct ->
@@ -1774,18 +1670,19 @@ and compile_intr env (it : intr) : cexpr =
           let l = Machine.lanes ct.machine kind in
           charge ct ci_flops (float_of_int n *. Machine.op_cost ct.machine ~lanes:l kind Ast.Add);
           charge ct ci_memory (float_of_int n *. Machine.mem_cost ct.machine ~lanes:l kind);
-          match name with
-          | "sum" ->
+          match red with
+          | Builtins.Sum ->
             let s = ref 0.0 in
             Array.iter (fun x -> s := Fp32.of_kind kind (!s +. x)) data;
             Walk.mk_real kind !s
-          | _ ->
-            if n = 0 then Walk.empty_reduction name
-            else Walk.mk_real kind (Array.fold_left (Walk.float_extremum name) data.(0) data))
+          | Extreme m ->
+            if n = 0 then Walk.empty_reduction m
+            else Walk.mk_real kind (Array.fold_left (Walk.float_extremum m) data.(0) data))
         | Value.Int_array { data; _ } ->
           charge ct ci_flops (float_of_int (Array.length data) *. ct.machine.Machine.int_op);
-          Value.Vint (Walk.int_reduce name data)
-        | Value.Scalar _ | Value.Log_array _ -> trap "%s of non-array" name)
+          Value.Vint (Walk.int_reduce red data)
+        | Value.Scalar _ | Value.Log_array _ ->
+          trap "%s of non-array" (Builtins.name (Builtins.Reduce red)))
   | Isize { rn; r; dim } -> (
     let v = var_of env rn r in
     let dims_of ct =
@@ -1804,10 +1701,10 @@ and compile_intr env (it : intr) : cexpr =
           let dims = dims_of ct in
           if dim >= 1 && dim <= Array.length dims then dims.(dim - 1)
           else trap "size: dimension %d out of range" dim))
-  | Iinq { name; e } -> (
+  | Iinq { q; e } -> (
     match compile_expr env e with
     | Kf (f, k) ->
-      let v = Walk.inquiry name k in
+      let v = Walk.inquiry q k in
       Kf
         ( (fun ct ->
             f ct;
@@ -1818,8 +1715,9 @@ and compile_intr env (it : intr) : cexpr =
       Kv
         (fun ct ->
           match f ct with
-          | Value.Vreal (_, k) -> Value.Vreal (Walk.inquiry name k, k)
-          | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> trap "%s of non-real value" name))
+          | Value.Vreal (_, k) -> Value.Vreal (Walk.inquiry q k, k)
+          | Value.Vint _ | Value.Vlog _ | Value.Vstr _ ->
+            trap "%s of non-real value" (Builtins.name (Builtins.Inquiry q))))
 
 (* two typed operands (at least one real) into a rounded real of kind
    [k]: mod, atan2 and sign *)

@@ -13,9 +13,6 @@ val round : float -> float
     returned as binary64. Overflow yields the appropriately signed
     infinity, exactly as binary32 arithmetic would. *)
 
-val is_representable : float -> bool
-(** Whether the value survives [round] unchanged. *)
-
 val max_finite : float
 (** Largest finite binary32 value, [(2 - 2{^-23}) * 2{^127}]. *)
 

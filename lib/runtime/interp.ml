@@ -70,8 +70,8 @@ let lanes_of d kind =
 let int_op d = charge d Machine.Cat_flops d.machine.Machine.int_op
 let op d k o = charge d Machine.Cat_flops (Machine.op_cost d.machine ~lanes:(lanes_of d k) k o)
 
-let elemental_op d k name =
-  charge d Machine.Cat_flops (Machine.intrinsic_cost d.machine ~lanes:(lanes_of d k) k name)
+let intrinsic_op d k b =
+  charge d Machine.Cat_flops (Machine.intrinsic_cost d.machine ~lanes:(lanes_of d k) k b)
 
 let memory d k =
   charge d Machine.Cat_memory (Machine.mem_cost d.machine ~lanes:(lanes_of d k) k)
@@ -176,7 +176,7 @@ module Concrete = struct
   let enter_main d = Timers.enter d.timers "<main>" ~now:d.cost
   let leave_main d = Timers.exit_ d.timers ~now:d.cost
   let to_int _ v = Walk.as_int v
-  let int_conv _ f v = f (Walk.as_float v)
+  let int_conv _ c v = Walk.int_conversion c (Walk.as_float v)
   let read _ () v = v
   let param _ _ k v = Value.Vreal (Fp32.of_kind k (Walk.as_float v), k)
 
@@ -245,24 +245,25 @@ module Concrete = struct
       int_op d;
       Value.Vint (abs i)
     | Value.Vreal (x, k) ->
-      elemental_op d k "abs";
+      intrinsic_op d k Builtins.Abs;
       Walk.mk_real k (Float.abs x)
     | Value.Vlog _ | Value.Vstr _ -> trap "abs of non-numeric value"
 
-  let elemental d name = function
+  let elemental d f = function
     | Value.Vreal (x, k) ->
-      elemental_op d k name;
-      Walk.mk_real k (Walk.elemental name x)
-    | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> trap "%s of non-real value" name
+      intrinsic_op d k (Builtins.Elemental f);
+      Walk.mk_real k (Walk.elemental f x)
+    | Value.Vint _ | Value.Vlog _ | Value.Vstr _ ->
+      trap "%s of non-real value" (Builtins.name (Builtins.Elemental f))
 
-  let minmax d name vs =
+  let minmax d m vs =
     match List.fold_left (fun acc v -> Walk.promote_kind acc (Walk.value_kind v)) None vs with
     | None ->
       int_op d;
-      Value.Vint (Walk.int_extremum name (List.map Walk.as_int vs))
+      Value.Vint (Walk.int_extremum_of m (List.map Walk.as_int vs))
     | Some k ->
-      elemental_op d k name;
-      Walk.mk_real k (Walk.extremum name (List.map Walk.as_float vs))
+      intrinsic_op d k (Builtins.Minmax m);
+      Walk.mk_real k (Walk.extremum m (List.map Walk.as_float vs))
 
   let modulo d va vb =
     match (va, vb) with
@@ -281,14 +282,14 @@ module Concrete = struct
   let atan2 d va vb =
     match Walk.promote_kind (Walk.value_kind va) (Walk.value_kind vb) with
     | Some k ->
-      elemental_op d k "atan2";
+      intrinsic_op d k Builtins.Atan2;
       Walk.mk_real k (Float.atan2 (Walk.as_float va) (Walk.as_float vb))
     | None -> trap "atan2 of non-real values"
 
   let sign d x y =
     match Walk.promote_kind (Walk.value_kind x) (Walk.value_kind y) with
     | Some k ->
-      elemental_op d k "sign";
+      intrinsic_op d k Builtins.Sign;
       Walk.mk_real k (Walk.real_sign (Walk.as_float x) (Walk.as_float y))
     | None ->
       int_op d;
@@ -316,28 +317,29 @@ module Concrete = struct
     done;
     Walk.mk_real kind !s
 
-  let reduce d name () ({ kind; data; _ } : shadow Walk.real_array) =
+  let reduce d r () ({ kind; data; _ } : shadow Walk.real_array) =
     let n = Array.length data in
     (* library reductions vectorize internally *)
     let l = Machine.lanes d.machine kind in
     charge d Machine.Cat_flops (float_of_int n *. Machine.op_cost d.machine ~lanes:l kind Ast.Add);
     charge d Machine.Cat_memory (float_of_int n *. Machine.mem_cost d.machine ~lanes:l kind);
-    match name with
-    | "sum" ->
+    match (r : Builtins.reduction) with
+    | Sum ->
       let s = ref 0.0 in
       Array.iter (fun x -> s := Fp32.of_kind kind (!s +. x)) data;
       Walk.mk_real kind !s
-    | _ ->
-      if n = 0 then Walk.empty_reduction name
-      else Walk.mk_real kind (Array.fold_left (Walk.float_extremum name) data.(0) data)
+    | Extreme m ->
+      if n = 0 then Walk.empty_reduction m
+      else Walk.mk_real kind (Array.fold_left (Walk.float_extremum m) data.(0) data)
 
-  let reduce_int d name data =
+  let reduce_int d r data =
     charge d Machine.Cat_flops (float_of_int (Array.length data) *. d.machine.Machine.int_op);
-    Value.Vint (Walk.int_reduce name data)
+    Value.Vint (Walk.int_reduce r data)
 
-  let inquiry _ name = function
-    | Value.Vreal (_, k) -> Value.Vreal (Walk.inquiry name k, k)
-    | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> trap "%s of non-real value" name
+  let inquiry _ q = function
+    | Value.Vreal (_, k) -> Value.Vreal (Walk.inquiry q k, k)
+    | Value.Vint _ | Value.Vlog _ | Value.Vstr _ ->
+      trap "%s of non-real value" (Builtins.name (Builtins.Inquiry q))
 end
 
 module W = Walk.Make (Concrete)

@@ -85,19 +85,19 @@ type expr =
 
 and intr =
   | Iabs of { e : expr; costs : float array }
-  | Ielem of { name : string; fn : float -> float; e : expr; costs : float array }
-  | Iminmax of { name : string; args : expr array; costs : float array }
+  | Ielem of { fn : Builtins.elemental; e : expr; costs : float array }
+  | Iminmax of { m : Builtins.extremum; args : expr array; costs : float array }
   | Imod of { a : expr; b : expr; costs : float array }  (* Div table *)
   | Iatan2 of { a : expr; b : expr; costs : float array }
   | Isign of { a : expr; b : expr; costs : float array }
   | Ireal of { e : expr; kind : Ast.real_kind option }  (* None = real(x) *)
   | Ireal_bad of { e : expr; k : int }  (* real(x, k) with unsupported k *)
   | Idble of expr
-  | Iicvt of { which : int; e : expr }  (* 0 = int, 1 = nint, 2 = floor *)
+  | Iicvt of { conv : Builtins.conversion; e : expr }
   | Idot of { an : string; ar : ref_; bn : string; br : ref_ }
-  | Ireduce of { name : string; rn : string; r : ref_ }  (* sum/maxval/minval *)
+  | Ireduce of { red : Builtins.reduction; rn : string; r : ref_ }
   | Isize of { rn : string; r : ref_; dim : expr option }
-  | Iinq of { name : string; e : expr }  (* epsilon/huge/tiny *)
+  | Iinq of { q : Builtins.inquiry; e : expr }
 
 and call_site = {
   cs_name : string;

@@ -62,8 +62,8 @@ let resolve_ref env name : ref_ =
         | Symtab.Proc_scope p -> Rerr (sp "variable %s local to %s referenced out of scope" name p)))
 
 let optab env op = table6 env.machine (fun lanes k -> Machine.op_cost env.machine ~lanes k op)
-let intrtab env name =
-  table6 env.machine (fun lanes k -> Machine.intrinsic_cost env.machine ~lanes k name)
+let intrtab env b =
+  table6 env.machine (fun lanes k -> Machine.intrinsic_cost env.machine ~lanes k b)
 let memtab env = table6 env.machine (fun lanes k -> Machine.mem_cost env.machine ~lanes k)
 
 let rec lower_expr env (e : Ast.expr) : expr =
@@ -99,42 +99,32 @@ let rec lower_expr env (e : Ast.expr) : expr =
       | Symtab.Variable info when info.v_dims <> [] ->
         Earr { name; r = resolve_ref env name; idx = lower_indices env args; mem = memtab env }
       | Symtab.Variable _ -> Etrap (sp "scalar %s subscripted" name)
-      | Symtab.Intrinsic -> lower_intrinsic env name args
+      | Symtab.Intrinsic b -> lower_intrinsic env b args
       | (Symtab.Builtin_subroutine | Symtab.Procedure _ | Symtab.Unknown) as callee ->
         Ecall (lower_call env name args callee)))
 
 and lower_indices env args = Array.of_list (List.map (lower_expr env) args)
 
-and lower_intrinsic env name args : expr =
+and lower_intrinsic env (bi : Builtins.t) args : expr =
   let unary k =
     match args with
     | [ a ] -> k (lower_expr env a)
-    | _ -> Etrap (sp "intrinsic %s expects one argument" name)
+    | _ -> Etrap (sp "intrinsic %s expects one argument" (Builtins.name bi))
   in
-  match name with
-  | "abs" -> unary (fun e -> Eintr (Iabs { e; costs = intrtab env name }))
-  | "sqrt" | "exp" | "log" | "log10" | "sin" | "cos" | "tan" | "atan" | "asin" | "acos"
-  | "sinh" | "cosh" | "tanh" | "aint" | "anint" ->
-    unary (fun e -> Eintr (Ielem { name; fn = Walk.elemental name; e; costs = intrtab env name }))
-  | "min" | "max" ->
-    Eintr
-      (Iminmax
-         { name; args = Array.of_list (List.map (lower_expr env) args); costs = intrtab env name })
-  | "mod" -> (
+  let binary k =
     match args with
-    | [ a; b ] -> Eintr (Imod { a = lower_expr env a; b = lower_expr env b; costs = optab env Ast.Div })
-    | _ -> Etrap "mod expects two arguments")
-  | "atan2" -> (
-    match args with
-    | [ a; b ] ->
-      Eintr (Iatan2 { a = lower_expr env a; b = lower_expr env b; costs = intrtab env name })
-    | _ -> Etrap "atan2 expects two arguments")
-  | "sign" -> (
-    match args with
-    | [ a; b ] ->
-      Eintr (Isign { a = lower_expr env a; b = lower_expr env b; costs = intrtab env name })
-    | _ -> Etrap "sign expects two arguments")
-  | "real" -> (
+    | [ x; y ] -> Eintr (k (lower_expr env x) (lower_expr env y))
+    | _ -> Etrap (sp "%s expects two arguments" (Builtins.name bi))
+  in
+  match bi with
+  | Abs -> unary (fun e -> Eintr (Iabs { e; costs = intrtab env bi }))
+  | Elemental fn -> unary (fun e -> Eintr (Ielem { fn; e; costs = intrtab env bi }))
+  | Minmax m ->
+    Eintr (Iminmax { m; args = Array.of_list (List.map (lower_expr env) args); costs = intrtab env bi })
+  | Mod -> binary (fun a b -> Imod { a; b; costs = optab env Ast.Div })
+  | Atan2 -> binary (fun a b -> Iatan2 { a; b; costs = intrtab env bi })
+  | Sign -> binary (fun a b -> Isign { a; b; costs = intrtab env bi })
+  | Real -> (
     match args with
     | [ a ] -> Eintr (Ireal { e = lower_expr env a; kind = None })
     | [ a; Ast.Int_lit k ] -> (
@@ -143,31 +133,28 @@ and lower_intrinsic env name args : expr =
       (* the reference evaluates the operand before rejecting the kind *)
       | None -> Eintr (Ireal_bad { e = lower_expr env a; k }))
     | _ -> Etrap "real() expects (x) or (x, kind)")
-  | "dble" -> unary (fun e -> Eintr (Idble e))
-  | "int" -> unary (fun e -> Eintr (Iicvt { which = 0; e }))
-  | "nint" -> unary (fun e -> Eintr (Iicvt { which = 1; e }))
-  | "floor" -> unary (fun e -> Eintr (Iicvt { which = 2; e }))
-  | "dot_product" -> (
+  | Dble -> unary (fun e -> Eintr (Idble e))
+  | Int_conv conv -> unary (fun e -> Eintr (Iicvt { conv; e }))
+  | Dot_product -> (
     match args with
     | [ Ast.Var a; Ast.Var b ] ->
       Eintr (Idot { an = a; ar = resolve_ref env a; bn = b; br = resolve_ref env b })
     | _ -> Etrap "dot_product expects two whole-array arguments")
-  | "sum" | "maxval" | "minval" -> (
+  | Reduce red -> (
     match args with
-    | [ Ast.Var arr ] -> Eintr (Ireduce { name; rn = arr; r = resolve_ref env arr })
-    | _ -> Etrap (sp "%s expects a whole-array argument" name))
-  | "size" -> (
+    | [ Ast.Var arr ] -> Eintr (Ireduce { red; rn = arr; r = resolve_ref env arr })
+    | _ -> Etrap (sp "%s expects a whole-array argument" (Builtins.name bi)))
+  | Size -> (
     match args with
     | [ Ast.Var arr ] -> Eintr (Isize { rn = arr; r = resolve_ref env arr; dim = None })
     | [ Ast.Var arr; d ] ->
       Eintr (Isize { rn = arr; r = resolve_ref env arr; dim = Some (lower_expr env d) })
     | _ -> Etrap "size expects an array argument")
-  | "epsilon" | "huge" | "tiny" -> unary (fun e -> Eintr (Iinq { name; e }))
-  | _ -> Etrap (sp "unknown intrinsic %s" name)
+  | Inquiry q -> unary (fun e -> Eintr (Iinq { q; e }))
 
 and lower_call env name args (callee : Symtab.callee) : call_site =
   match callee with
-  | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Builtin_subroutine | Symtab.Unknown ->
+  | Symtab.Variable _ | Symtab.Intrinsic _ | Symtab.Builtin_subroutine | Symtab.Unknown ->
     (* [Interp.call_user] traps before touching the arguments *)
     { cs_name = name; cs_callee = -1; cs_args = [||];
       cs_arity_trap = Some (sp "unknown procedure %s" name) }

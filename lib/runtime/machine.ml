@@ -90,24 +90,23 @@ let op_cost t ~lanes (kind : Fortran.Ast.real_kind) (op : Fortran.Ast.binop) =
   ignore kind;
   scale ~lanes raw
 
-let intrinsic_cost t ~lanes (kind : Fortran.Ast.real_kind) name =
+let intrinsic_cost t ~lanes (kind : Fortran.Ast.real_kind) (b : Fortran.Builtins.t) =
   let raw =
-    match name, kind with
-    | "sqrt", Fortran.Ast.K8 -> t.sqrt_f64
-    | "sqrt", Fortran.Ast.K4 -> t.sqrt_f32
-    | ( ("sin" | "cos" | "tan" | "exp" | "log" | "log10" | "atan" | "asin" | "acos" | "sinh"
-        | "cosh" | "tanh" | "atan2"),
+    match b, kind with
+    | Elemental Sqrt, Fortran.Ast.K8 -> t.sqrt_f64
+    | Elemental Sqrt, Fortran.Ast.K4 -> t.sqrt_f32
+    | ( ( Elemental (Sin | Cos | Tan | Exp | Log | Log10 | Atan | Asin | Acos | Sinh | Cosh | Tanh)
+        | Atan2 ),
         Fortran.Ast.K8 ) ->
       t.math_f64
-    | ( ("sin" | "cos" | "tan" | "exp" | "log" | "log10" | "atan" | "asin" | "acos" | "sinh"
-        | "cosh" | "tanh" | "atan2"),
+    | ( ( Elemental (Sin | Cos | Tan | Exp | Log | Log10 | Atan | Asin | Acos | Sinh | Cosh | Tanh)
+        | Atan2 ),
         Fortran.Ast.K4 ) ->
       t.math_f32
-    | ("abs" | "min" | "max" | "sign" | "mod" | "aint" | "anint"), Fortran.Ast.K8 -> t.flop_f64
-    | ("abs" | "min" | "max" | "sign" | "mod" | "aint" | "anint"), Fortran.Ast.K4 -> t.flop_f32
-    | _, _ -> t.flop_f64
+    | (Abs | Minmax _ | Sign | Mod | Elemental (Aint | Anint)), Fortran.Ast.K8 -> t.flop_f64
+    | (Abs | Minmax _ | Sign | Mod | Elemental (Aint | Anint)), Fortran.Ast.K4 -> t.flop_f32
+    | (Real | Dble | Int_conv _ | Dot_product | Reduce _ | Size | Inquiry _), _ -> t.flop_f64
   in
-  ignore kind;
   scale ~lanes raw
 
 let convert_cost t ~lanes = scale ~lanes:(min lanes t.lanes_f64) t.convert

@@ -74,8 +74,10 @@ val op_cost : t -> lanes:int -> Fortran.Ast.real_kind -> Fortran.Ast.binop -> fl
     vectorized loop runs every operation at the {e narrow} (binary64)
     width, as real compilers emit. *)
 
-val intrinsic_cost : t -> lanes:int -> Fortran.Ast.real_kind -> string -> float
-(** Cost of one elemental intrinsic evaluation ([sqrt], [sin], ...). *)
+val intrinsic_cost : t -> lanes:int -> Fortran.Ast.real_kind -> Fortran.Builtins.t -> float
+(** Cost of one evaluation of an intrinsic the cost model prices per
+    call ([abs], the elemental functions, [min], [max], [sign],
+    [atan2]). *)
 
 val convert_cost : t -> lanes:int -> float
 (** Packed conversions never exceed the binary64 width. *)

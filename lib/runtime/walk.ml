@@ -7,10 +7,11 @@
    computes comes from the domain: {!Interp} instantiates it with plain
    values and the cost model, [Sensitivity.Absint] with values that carry
    per-atom error vectors.  The concrete value rules — coercions,
-   rounding and its trap texts, integer arithmetic, comparisons, the
-   intrinsic table — and the signals with their mapping to a run's status
-   are the plain functions before the functor.  Both domains apply them,
-   and so does {!Compile}, whose generic lane calls them.
+   rounding and its trap texts, integer arithmetic, comparisons, each
+   [Builtins] intrinsic's function — and the signals with their mapping
+   to a run's status are the plain functions before the functor.  Both
+   domains apply them, and so does {!Compile}, whose generic lane calls
+   them.
 
    A domain computes its own operators and intrinsics from operand
    values the traversal hands it, so it decides where its charges and
@@ -131,23 +132,23 @@ let compare op a b =
     | _ -> assert false)
 
 (* the function of a one-argument real intrinsic *)
-let elemental = function
-  | "sqrt" -> sqrt
-  | "exp" -> exp
-  | "log" -> log
-  | "log10" -> log10
-  | "sin" -> sin
-  | "cos" -> cos
-  | "tan" -> tan
-  | "atan" -> atan
-  | "asin" -> asin
-  | "acos" -> acos
-  | "sinh" -> sinh
-  | "cosh" -> cosh
-  | "tanh" -> tanh
-  | "aint" -> Float.trunc
-  | "anint" -> Float.round
-  | _ -> assert false
+let elemental (f : Builtins.elemental) x =
+  match f with
+  | Sqrt -> sqrt x
+  | Exp -> exp x
+  | Log -> log x
+  | Log10 -> log10 x
+  | Sin -> sin x
+  | Cos -> cos x
+  | Tan -> tan x
+  | Atan -> atan x
+  | Asin -> asin x
+  | Acos -> acos x
+  | Sinh -> sinh x
+  | Cosh -> cosh x
+  | Tanh -> tanh x
+  | Aint -> Float.trunc x
+  | Anint -> Float.round x
 
 (* x ** n for an integer exponent |n| <= 4, strength-reduced to
    repeated multiplication *)
@@ -157,18 +158,18 @@ let small_pow x n =
   if n < 0 then 1.0 /. v else v
 
 (* the binary operation of min()/max() and minval()/maxval() *)
-let float_extremum = function
-  | "min" | "minval" -> Float.min
-  | "max" | "maxval" -> Float.max
-  | _ -> assert false
+let float_extremum : Builtins.extremum -> float -> float -> float = function
+  | Min -> Float.min
+  | Max -> Float.max
 
-let extremum name = function
-  | x :: xs -> List.fold_left (float_extremum name) x xs
-  | [] -> assert false
+let int_extremum : Builtins.extremum -> int -> int -> int = function Min -> min | Max -> max
+let int_identity : Builtins.extremum -> int = function Min -> max_int | Max -> min_int
 
-let int_extremum name = function
-  | x :: xs -> List.fold_left (if name = "min" then min else max) x xs
-  | [] -> assert false
+(* min()/max() of the operands, folded from the operation's identity *)
+let extremum m xs =
+  List.fold_left (float_extremum m) (match m with Min -> infinity | Max -> neg_infinity) xs
+
+let int_extremum_of m xs = List.fold_left (int_extremum m) (int_identity m) xs
 
 (* dot_product accumulates at the wider kind, rounding each product and
    each partial sum *)
@@ -186,29 +187,28 @@ let int_sign x y =
   let m = abs x in
   if y >= 0 then m else -m
 
-let inquiry name (k : Ast.real_kind) =
-  match (name, k) with
-  | "epsilon", Ast.K8 -> epsilon_float
-  | "epsilon", Ast.K4 -> 1.1920928955078125e-07
-  | "huge", Ast.K8 -> max_float
-  | "huge", Ast.K4 -> Fp32.max_finite
-  | "tiny", Ast.K8 -> min_float
-  | "tiny", Ast.K4 -> Fp32.min_positive_normal
-  | _ -> assert false
+let inquiry (q : Builtins.inquiry) (k : Ast.real_kind) =
+  match (q, k) with
+  | Epsilon, Ast.K8 -> epsilon_float
+  | Epsilon, Ast.K4 -> 1.1920928955078125e-07
+  | Huge, Ast.K8 -> max_float
+  | Huge, Ast.K4 -> Fp32.max_finite
+  | Tiny, Ast.K8 -> min_float
+  | Tiny, Ast.K4 -> Fp32.min_positive_normal
 
 (* the integer conversions of int(), nint() and floor() *)
-let truncate x = int_of_float x
-let nearest x = int_of_float (Float.round x)
-let floor_ x = int_of_float (Float.floor x)
+let int_conversion (c : Builtins.conversion) x =
+  match c with
+  | Int -> int_of_float x
+  | Nint -> int_of_float (Float.round x)
+  | Floor -> int_of_float (Float.floor x)
 
-let int_reduce name data =
-  match name with
-  | "sum" -> Array.fold_left ( + ) 0 data
-  | "maxval" -> Array.fold_left max min_int data
-  | "minval" -> Array.fold_left min max_int data
-  | _ -> assert false
+let int_reduce (r : Builtins.reduction) data =
+  match r with
+  | Sum -> Array.fold_left ( + ) 0 data
+  | Extreme m -> Array.fold_left (int_extremum m) (int_identity m) data
 
-let empty_reduction name = trap "%s of empty array" name
+let empty_reduction m = trap "%s of empty array" (Builtins.name (Builtins.Reduce (Extreme m)))
 
 (* ------------------------------------------------------------------ *)
 (* The domain                                                          *)
@@ -263,7 +263,7 @@ module type DOMAIN = sig
   (* Values.  [literal] says a real literal is an operand (the rhs of a
      store, either side of a binop): its kind conversion folds. *)
   val to_int : t -> v -> int  (* an index, a bound, an integer store *)
-  val int_conv : t -> (float -> int) -> v -> int  (* int(), nint(), floor() *)
+  val int_conv : t -> Builtins.conversion -> v -> int
   val read : t -> binding -> v -> v  (* a scalar read through a binding *)
   val param : t -> Symtab.var_info -> Ast.real_kind -> v -> v  (* a folded real parameter *)
   val store : t -> binding -> literal:bool -> Ast.real_kind -> v -> v  (* into a real scalar *)
@@ -285,17 +285,17 @@ module type DOMAIN = sig
   val neg : t -> v -> v
   val binop : t -> Ast.binop -> literal:bool -> v -> v -> v
   val abs : t -> v -> v
-  val elemental : t -> string -> v -> v  (* the one-argument real functions *)
-  val minmax : t -> string -> v list -> v
+  val elemental : t -> Builtins.elemental -> v -> v
+  val minmax : t -> Builtins.extremum -> v list -> v
   val modulo : t -> v -> v -> v
   val atan2 : t -> v -> v -> v
   val sign : t -> v -> v -> v
   val real : t -> Ast.real_kind -> v -> v
   val dble : t -> v -> v
   val dot_product : t -> binding -> shadow real_array -> binding -> shadow real_array -> v
-  val reduce : t -> string -> binding -> shadow real_array -> v  (* sum, maxval, minval *)
-  val reduce_int : t -> string -> int array -> v
-  val inquiry : t -> string -> v -> v  (* epsilon, huge, tiny *)
+  val reduce : t -> Builtins.reduction -> binding -> shadow real_array -> v
+  val reduce_int : t -> Builtins.reduction -> int array -> v
+  val inquiry : t -> Builtins.inquiry -> v -> v
 end
 
 (* ------------------------------------------------------------------ *)
@@ -334,7 +334,7 @@ end = struct
     decl : Symtab.var_info option;  (* Symtab.lookup_var from the procedure *)
     b : D.binding;
     slot : int;  (* index into the frame's cells, -1 when not a frame variable *)
-    intrinsic : bool;  (* undeclared, and an intrinsic function name *)
+    intrinsic : Builtins.t option;  (* undeclared, and an intrinsic function name *)
     mutable outer : [ `Cell of cell | `Param of D.v ] option;
         (* the resolution outside the frame, memoized once it succeeded
            (a trap is raised again on every use) *)
@@ -383,7 +383,7 @@ end = struct
           decl;
           b = D.binding ctx.dom decl;
           slot = Option.value ~default:(-1) (Hashtbl.find_opt env.slots name);
-          intrinsic = (match callee with Symtab.Intrinsic -> true | _ -> false);
+          intrinsic = (match callee with Symtab.Intrinsic b -> Some b | _ -> None);
           outer = None;
         }
       in
@@ -554,11 +554,12 @@ end = struct
           | `Param _ -> trap "array parameter %s unsupported" name)
         | Some _ -> trap "scalar %s subscripted" name
         | None -> (
-          if ni.intrinsic then eval_intrinsic ctx frame name args
-          else
+          match ni.intrinsic with
+          | Some b -> eval_intrinsic ctx frame b args
+          | None -> (
             match call_user ctx frame name args with
             | Some v -> v
-            | None -> trap "subroutine %s called as a function" name))
+            | None -> trap "subroutine %s called as a function" name)))
 
   and eval_binop ctx frame op a b =
     match op with
@@ -616,11 +617,11 @@ end = struct
   (* ---------------------------------------------------------------- *)
   (* Intrinsics                                                        *)
 
-  and eval_intrinsic ctx frame name args =
+  and eval_intrinsic ctx frame (bi : Builtins.t) args =
     let unary () =
       match args with
       | [ a ] -> eval_expr ctx frame a
-      | _ -> trap "intrinsic %s expects one argument" name
+      | _ -> trap "intrinsic %s expects one argument" (Builtins.name bi)
     in
     let binary f =
       match args with
@@ -628,21 +629,19 @@ end = struct
         let va = eval_expr ctx frame a in
         let vb = eval_expr ctx frame b in
         f ctx.dom va vb
-      | _ -> trap "%s expects two arguments" name
+      | _ -> trap "%s expects two arguments" (Builtins.name bi)
     in
-    match name with
-    | "abs" -> D.abs ctx.dom (unary ())
-    | "sqrt" | "exp" | "log" | "log10" | "sin" | "cos" | "tan" | "atan" | "asin" | "acos"
-    | "sinh" | "cosh" | "tanh" | "aint" | "anint" ->
-      D.elemental ctx.dom name (unary ())
-    | "min" | "max" ->
+    match bi with
+    | Abs -> D.abs ctx.dom (unary ())
+    | Elemental f -> D.elemental ctx.dom f (unary ())
+    | Minmax m ->
       let vs = List.map (eval_expr ctx frame) args in
-      if List.length vs < 2 then trap "%s needs at least two arguments" name;
-      D.minmax ctx.dom name vs
-    | "mod" -> binary D.modulo
-    | "atan2" -> binary D.atan2
-    | "sign" -> binary D.sign
-    | "real" -> (
+      if List.length vs < 2 then trap "%s needs at least two arguments" (Builtins.name bi);
+      D.minmax ctx.dom m vs
+    | Mod -> binary D.modulo
+    | Atan2 -> binary D.atan2
+    | Sign -> binary D.sign
+    | Real -> (
       match args with
       | [ a ] -> D.real ctx.dom Ast.K4 (eval_expr ctx frame a)
       | [ a; Ast.Int_lit k ] -> (
@@ -651,12 +650,11 @@ end = struct
         | Some kk -> D.real ctx.dom kk v
         | None -> trap "real(): unsupported kind %d" k)
       | _ -> trap "real() expects (x) or (x, kind)")
-    | "dble" -> D.dble ctx.dom (unary ())
-    | "int" | "nint" | "floor" ->
-      let conv = match name with "int" -> truncate | "nint" -> nearest | _ -> floor_ in
+    | Dble -> D.dble ctx.dom (unary ())
+    | Int_conv c ->
       D.event ctx.dom Int_op;
-      D.of_concrete (Value.Vint (D.int_conv ctx.dom conv (unary ())))
-    | "dot_product" -> (
+      D.of_concrete (Value.Vint (D.int_conv ctx.dom c (unary ())))
+    | Dot_product -> (
       match args with
       | [ Ast.Var a; Ast.Var b ] -> (
         let nia = lookup ctx frame.env a and nib = lookup ctx frame.env b in
@@ -664,16 +662,16 @@ end = struct
         | `Cell (Real_array a), `Cell (Real_array b) -> D.dot_product ctx.dom nia.b a nib.b b
         | _ -> trap "dot_product expects two real arrays")
       | _ -> trap "dot_product expects two whole-array arguments")
-    | "sum" | "maxval" | "minval" -> (
+    | Reduce r -> (
       match args with
       | [ Ast.Var arr ] -> (
         let ni = lookup ctx frame.env arr in
         match resolve ctx frame ni arr with
-        | `Cell (Real_array a) -> D.reduce ctx.dom name ni.b a
-        | `Cell (Int_array { data; _ }) -> D.reduce_int ctx.dom name data
-        | `Cell (Scalar _ | Log_array _) | `Param _ -> trap "%s of non-array" name)
-      | _ -> trap "%s expects a whole-array argument" name)
-    | "size" -> (
+        | `Cell (Real_array a) -> D.reduce ctx.dom r ni.b a
+        | `Cell (Int_array { data; _ }) -> D.reduce_int ctx.dom r data
+        | `Cell (Scalar _ | Log_array _) | `Param _ -> trap "%s of non-array" (Builtins.name bi))
+      | _ -> trap "%s expects a whole-array argument" (Builtins.name bi))
+    | Size -> (
       let dims_of arr =
         match resolve ctx frame (lookup ctx frame.env arr) arr with
         | `Cell (Real_array { dims; _ } | Int_array { dims; _ } | Log_array { dims; _ }) -> dims
@@ -687,8 +685,7 @@ end = struct
         if dim >= 1 && dim <= Array.length dims then D.of_concrete (Value.Vint dims.(dim - 1))
         else trap "size: dimension %d out of range" dim
       | _ -> trap "size expects an array argument")
-    | "epsilon" | "huge" | "tiny" -> D.inquiry ctx.dom name (unary ())
-    | _ -> trap "unknown intrinsic %s" name
+    | Inquiry q -> D.inquiry ctx.dom q (unary ())
 
   (* ---------------------------------------------------------------- *)
   (* Procedure calls                                                   *)
@@ -877,7 +874,7 @@ end = struct
     | Ast.Call (name, args) -> (
       match Symtab.classify_call ctx.st name with
       | Symtab.Builtin_subroutine -> exec_builtin_call ctx frame name args
-      | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Procedure _ | Symtab.Unknown ->
+      | Symtab.Variable _ | Symtab.Intrinsic _ | Symtab.Procedure _ | Symtab.Unknown ->
         ignore (call_user ctx frame name args))
     | Ast.If (arms, els) ->
       let rec go = function

@@ -2,27 +2,12 @@
 
    Real execution and the simulated schedule are deliberately decoupled:
    tasks run on the submitting domain plus up to [slots - 1] helpers, as
-   many as the machine has spare cores (all taking through the same
-   atomic deques, so the batch drains as fast as the hardware allows),
-   while the cluster clock comes from a pure list-scheduling
-   simulation over the caller-supplied costs. Results are collected in
+   many as the machine has spare cores, all taking from one shared queue
+   (so the batch drains as fast as the hardware allows), while the
+   cluster clock comes from a pure list-scheduling simulation of the
+   shard grid over the caller-supplied costs. Results are collected in
    submission order, so the commit stream the consumer produces is
    independent of both schedules. *)
-
-module Deque = struct
-  type 'a t = {
-    items : 'a array;
-    next : int Atomic.t;
-  }
-
-  let of_list xs = { items = Array.of_list xs; next = Atomic.make 0 }
-
-  let take t =
-    let i = Atomic.fetch_and_add t.next 1 in
-    if i < Array.length t.items then Some t.items.(i) else None
-
-  let remaining t = max 0 (Array.length t.items - Atomic.get t.next)
-end
 
 let partition ~shards xs =
   if shards < 1 then invalid_arg "Shard.partition: shards < 1";
@@ -96,13 +81,18 @@ type stats = {
   sim_seconds : float;
 }
 
+(* a posted batch: its tasks, handed out once each through an atomic
+   cursor (one [fetch_and_add] per take, exactly once under racing
+   domains) *)
+type batch = { tasks : (unit -> unit) array; next : int Atomic.t }
+
 type t = {
   n_shards : int;
   n_workers : int;
   lock : Mutex.t;
   work : Condition.t;  (* a batch was posted, or shutdown *)
   done_ : Condition.t;  (* the posted batch fully drained *)
-  mutable batch : (unit -> unit) Deque.t array option;
+  mutable batch : batch option;
   mutable left : int;  (* tasks of the current batch not yet finished *)
   mutable gen : int;  (* batch generation; bumps wake the runners *)
   mutable stop : bool;
@@ -121,27 +111,15 @@ let shards t = t.n_shards
 let workers t = t.n_workers
 let slots t = if t.n_workers = 0 then 1 else t.n_shards * t.n_workers
 
-(* Take the next task for a runner homed on [home]: own shard first,
-   then the neighbours in cyclic order. *)
-let take_any queues ~home ~shards =
-  let rec go k =
-    if k = shards then None
-    else
-      match Deque.take queues.((home + k) mod shards) with
-      | Some _ as task -> task
-      | None -> go (k + 1)
-  in
-  go 0
-
-let run_tasks t ~home queues =
+let run_tasks t { tasks; next } =
   let executed = ref 0 in
   let rec go () =
-    match take_any queues ~home ~shards:t.n_shards with
-    | Some task ->
-      task ();
+    let i = Atomic.fetch_and_add next 1 in
+    if i < Array.length tasks then begin
+      tasks.(i) ();
       incr executed;
       go ()
-    | None -> ()
+    end
   in
   go ();
   Mutex.lock t.lock;
@@ -149,7 +127,7 @@ let run_tasks t ~home queues =
   if t.left = 0 then Condition.broadcast t.done_;
   Mutex.unlock t.lock
 
-let rec runner_loop t ~home seen =
+let rec runner_loop t seen =
   Mutex.lock t.lock;
   while (not t.stop) && t.gen = seen do
     Condition.wait t.work t.lock
@@ -159,8 +137,8 @@ let rec runner_loop t ~home seen =
     let g = t.gen in
     let b = t.batch in
     Mutex.unlock t.lock;
-    (match b with Some queues -> run_tasks t ~home queues | None -> ());
-    runner_loop t ~home g
+    (match b with Some b -> run_tasks t b | None -> ());
+    runner_loop t g
   end
 
 let create ~shards:n_shards ~workers:n_workers () =
@@ -191,9 +169,7 @@ let create ~shards:n_shards ~workers:n_workers () =
      schedule, not real execution, and zero helpers (a single-core host)
      still drain every batch on the submitter. *)
   let helpers = min (slots t - 1) (default_workers ()) in
-  t.domains <-
-    Array.init helpers (fun d ->
-        Domain.spawn (fun () -> runner_loop t ~home:(d mod n_shards) 0));
+  t.domains <- Array.init helpers (fun _ -> Domain.spawn (fun () -> runner_loop t 0));
   t
 
 let shutdown t =
@@ -217,27 +193,26 @@ let map t ~cost f xs =
     let n = Array.length arr in
     let res_lock = Mutex.create () in
     let results = Array.make n None in
-    let idx_parts = partition ~shards:t.n_shards (List.init n Fun.id) in
     let thunk i () =
       let r = match f arr.(i) with v -> Ok v | exception e -> Error e in
       Mutex.lock res_lock;
       results.(i) <- Some r;
       Mutex.unlock res_lock
     in
-    let queues = Array.map (fun is -> Deque.of_list (List.map thunk is)) idx_parts in
+    let b = { tasks = Array.init n thunk; next = Atomic.make 0 } in
     if Array.length t.domains = 0 then begin
       (* no helpers: the driver is the single real runner *)
       t.left <- n;
-      run_tasks t ~home:0 queues
+      run_tasks t b
     end
     else begin
       Mutex.lock t.lock;
-      t.batch <- Some queues;
+      t.batch <- Some b;
       t.left <- n;
       t.gen <- t.gen + 1;
       Condition.broadcast t.work;
       Mutex.unlock t.lock;
-      run_tasks t ~home:0 queues;
+      run_tasks t b;
       Mutex.lock t.lock;
       while t.left > 0 do
         Condition.wait t.done_ t.lock
@@ -258,8 +233,10 @@ let map t ~cost f xs =
        accounted on the simulated clock *)
     Array.iter (function Error e -> raise e | Ok _ -> ()) collected;
     let ok = Array.map (function Ok v -> v | Error _ -> assert false) collected in
+    (* the simulated grid: the batch's costs, block-partitioned over the
+       shards *)
     let cost_queues =
-      Array.map (fun is -> Array.of_list (List.map (fun i -> cost ok.(i)) is)) idx_parts
+      Array.map Array.of_list (partition ~shards:t.n_shards (Array.to_list (Array.map cost ok)))
     in
     let out = Sim.schedule ~shards:t.n_shards ~workers:t.n_workers ~queues:cost_queues in
     t.s_rounds <- t.s_rounds + 1;

@@ -4,12 +4,10 @@
     The paper's campaigns evaluate every variant as an independent cluster
     job and fan each search round out over 20 dedicated nodes (Sec.
     IV-A). This module is the laptop analogue: each batch — one wave of
-    a round's candidates, under {!Speculate} — is block-partitioned over
-    [shards] simulated node-shards, each shard owning a deque of tasks
-    consumed by its [workers] slots, and a shard whose partition drains
-    early steals from its neighbours in cyclic order ("lock-free-ish":
-    deques are plain arrays with an atomic take cursor, so a steal is one
-    [Atomic.fetch_and_add] — no locks on the task path). One shard is a plain domain pool: a campaign at
+    a round's candidates, under {!Speculate} — is simulated as
+    block-partitioned over [shards] node-shards of [workers] slots each,
+    a shard whose partition drains early stealing from its neighbours in
+    cyclic order. One shard is a plain domain pool: a campaign at
     [workers w >= 1] without a shard grid runs on
     [create ~shards:1 ~workers:(w + 1)], the submitting domain being one
     of the [w + 1] slots.
@@ -18,8 +16,10 @@
 
     - {b real execution}: the submitting domain takes tasks alongside
       [min (slots t - 1) (default_workers ())] helper domains, all of
-      them through the same deques, so a batch runs on at most
-      [slots t] domains;
+      them from one shared queue of the batch in submission order (an
+      array with an atomic take cursor, so a take is one
+      [Atomic.fetch_and_add] and no lock sits on the task path); a batch
+      runs on at most [slots t] domains;
     - {b simulated schedule}: a deterministic event-driven list-scheduling
       simulation replays the batch over the full [shards × workers] slot
       grid using the caller-supplied per-task costs, yielding the
@@ -68,22 +68,6 @@ val partition : shards:int -> 'a list -> 'a list array
     every element is assigned to exactly one shard. Raises
     [Invalid_argument] when [shards < 1]. *)
 
-(** The steal target: an immutable task array consumed through one
-    atomic cursor. [take] is total-ordered across domains, so each
-    element is handed out exactly once no matter how many thieves
-    race. *)
-module Deque : sig
-  type 'a t
-
-  val of_list : 'a list -> 'a t
-  val take : 'a t -> 'a option
-  (** Next unconsumed element in submission order, or [None] when
-      drained. Safe from any domain. *)
-
-  val remaining : 'a t -> int
-  (** Elements not yet taken (a racing snapshot; exact once quiescent). *)
-end
-
 (** Pure deterministic schedule simulation, exposed for property
     tests. *)
 module Sim : sig
@@ -102,10 +86,10 @@ module Sim : sig
 end
 
 val map : t -> cost:('b -> float) -> ('a -> 'b) -> 'a list -> 'b list
-(** Evaluate one batch: block-partition the tasks over the shards, run
-    them work-stealingly, then advance the simulated clock by the
-    batch's simulated makespan under [cost] (per-result simulated
-    seconds). Results come back in submission order; if any task raised,
+(** Evaluate one batch: run the tasks from one shared queue, each exactly
+    once, then advance the simulated clock by the makespan of the
+    batch's costs block-partitioned over the shards ({!partition},
+    {!Sim.schedule}; [cost] gives per-result simulated seconds). Results come back in submission order; if any task raised,
     the first such exception (in submission order) is re-raised after
     the batch drains and the batch is not accounted. *)
 
@@ -116,7 +100,7 @@ val serial : t -> float -> unit
 
 type stats = {
   rounds : int;  (** batches scheduled (waves, under {!Speculate}) *)
-  batched : int;  (** tasks that went through the sharded deques *)
+  batched : int;  (** tasks that went through {!map} *)
   stolen : int;  (** batched tasks a non-home slot executed (simulated) *)
   serial_tasks : int;  (** on-demand evaluations accounted by {!serial} *)
   sim_seconds : float;  (** simulated cluster wall clock, both kinds *)

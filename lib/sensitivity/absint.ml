@@ -88,24 +88,26 @@ type dom = {
 
 let poison d a = d.poisoned.(a) <- true
 
-(* [f]-conversion stability: in run-a the value lives in [v-e, v+e]; if the
+(* [c]-conversion stability: in run-a the value lives in [v-e, v+e]; if the
    integer conversion agrees on both endpoints it agrees everywhere (the
    conversions are monotone), otherwise run-a's integer may differ from the
    baseline's — poison. *)
-let int_stable f v e = e = 0.0 || (Float.is_finite e && f (v -. e) = f (v +. e))
+let int_stable c v e =
+  e = 0.0
+  || (Float.is_finite e && Walk.int_conversion c (v -. e) = Walk.int_conversion c (v +. e))
 
-(* poison every atom whose error interval could change the integer [f]
+(* poison every atom whose error interval could change the integer [c]
    converts the value to *)
-let guard_int d f (v : av) =
+let guard_int d c (v : av) =
   match v.c with
   | Value.Vreal (x, _) ->
     for i = 0 to E.length v.err - 1 do
-      if not (int_stable f x v.err.E.vals.(i)) then poison d v.err.E.keys.(i)
+      if not (int_stable c x v.err.E.vals.(i)) then poison d v.err.E.keys.(i)
     done
   | Value.Vint _ | Value.Vlog _ | Value.Vstr _ -> ()
 
 let to_int d v =
-  guard_int d Walk.truncate v;
+  guard_int d Builtins.Int v;
   Walk.as_int v.c
 
 (* ------------------------------------------------------------------ *)
@@ -208,20 +210,19 @@ let stored_err d b kind x (v : av) =
   round_err d kind x v.err kt
 
 (* the propagation rule of an elemental intrinsic ({!Walk.elemental}) *)
-let elemental_rule : string -> E.elemental = function
-  | "sin" | "cos" -> Sin_cos
-  | "atan" -> Atan
-  | "tanh" -> Tanh
-  | "sqrt" -> Sqrt
-  | "exp" -> Exp
-  | "log" -> Log
-  | "log10" -> Log10
-  | "tan" -> Tan
-  | "asin" | "acos" -> Asin_acos
-  | "sinh" | "cosh" -> Sinh_cosh
-  | "aint" -> Aint
-  | "anint" -> Anint
-  | _ -> assert false
+let elemental_rule : Builtins.elemental -> E.elemental = function
+  | Sin | Cos -> Sin_cos
+  | Atan -> Atan
+  | Tanh -> Tanh
+  | Sqrt -> Sqrt
+  | Exp -> Exp
+  | Log -> Log
+  | Log10 -> Log10
+  | Tan -> Tan
+  | Asin | Acos -> Asin_acos
+  | Sinh | Cosh -> Sinh_cosh
+  | Aint -> Aint
+  | Anint -> Anint
 
 (* ------------------------------------------------------------------ *)
 (* The domain                                                          *)
@@ -270,9 +271,9 @@ module Abstract = struct
   let leave_main _ = ()
   let to_int = to_int
 
-  let int_conv d f v =
-    guard_int d f v;
-    f (as_float v.c)
+  let int_conv d c v =
+    guard_int d c v;
+    Walk.int_conversion c (as_float v.c)
 
   let read = read_view
 
@@ -411,23 +412,22 @@ module Abstract = struct
     | { c = Value.Vreal (x, k); err; kt } -> mk_areal d k (Float.abs x) err kt
     | _ -> trap "abs of non-numeric value"
 
-  let elemental d name v =
+  let elemental d fn v =
     match v with
     | { c = Value.Vreal (x, k); err; kt } ->
-      let fx = Walk.elemental name x in
+      let fx = Walk.elemental fn x in
       let v = Walk.round_real k fx in
       let err =
-        E.elemental ~poisoned:d.poisoned ~f32:(f32_of k) ~taint:kt (elemental_rule name) ~x ~fx v
-          err
+        E.elemental ~poisoned:d.poisoned ~f32:(f32_of k) ~taint:kt (elemental_rule fn) ~x ~fx v err
       in
       { c = Value.Vreal (v, k); err; kt }
-    | _ -> trap "%s of non-real value" name
+    | _ -> trap "%s of non-real value" (Builtins.name (Builtins.Elemental fn))
 
-  let minmax d name vs =
+  let minmax d m vs =
     match List.fold_left (fun acc v -> Walk.promote_kind acc (Walk.value_kind v.c)) None vs with
-    | None -> pure (Value.Vint (Walk.int_extremum name (List.map (to_int d) vs)))
+    | None -> pure (Value.Vint (Walk.int_extremum_of m (List.map (to_int d) vs)))
     | Some k ->
-      let f = Walk.extremum name (List.map (fun v -> as_float v.c) vs) in
+      let f = Walk.extremum m (List.map (fun v -> as_float v.c) vs) in
       (* |min_i x'_i - min_i x_i| <= max_i |x'_i - x_i| *)
       let err = List.fold_left (fun acc v -> E.union Float.max acc v.err) E.empty vs in
       let kt = List.fold_left (fun acc v -> E.atoms_union acc v.kt) E.no_atoms vs in
@@ -525,12 +525,12 @@ module Abstract = struct
     done;
     mk_areal d kind !s !serr kt
 
-  let reduce d name b ({ kind; data; shadow = errs; _ } : shadow Walk.real_array) =
+  let reduce d r b ({ kind; data; shadow = errs; _ } : shadow Walk.real_array) =
     let n = Array.length data in
     let kt = b.taint in
     let elem i = read_view d b { c = Value.Vreal (data.(i), kind); err = errs.(i); kt = E.no_atoms } in
-    match name with
-    | "sum" ->
+    match (r : Builtins.reduction) with
+    | Sum ->
       let poisoned = d.poisoned and f32 = f32_of kind in
       let s = ref 0.0 and serr = ref E.empty in
       for i = 0 to n - 1 do
@@ -540,10 +540,10 @@ module Abstract = struct
         s := s'
       done;
       mk_areal d kind !s !serr kt
-    | _ ->
-      if n = 0 then Walk.empty_reduction name
+    | Extreme m ->
+      if n = 0 then Walk.empty_reduction m
       else begin
-        let fold = Walk.float_extremum name in
+        let fold = Walk.float_extremum m in
         let v = ref data.(0) and err = ref (elem 0).err in
         for i = 1 to n - 1 do
           let x = elem i in
@@ -553,19 +553,19 @@ module Abstract = struct
         mk_areal d kind !v !err kt
       end
 
-  let reduce_int _ name data = pure (Value.Vint (Walk.int_reduce name data))
+  let reduce_int _ r data = pure (Value.Vint (Walk.int_reduce r data))
 
-  let inquiry _ name v =
+  let inquiry _ q v =
     match v with
     | { c = Value.Vreal (_, k); kt; _ } ->
       (* a kind-tainted argument flips the inquiry's answer outright in the
          demoted run: the error is the full distance between the kinds *)
-      let gap = Float.abs (Walk.inquiry name Ast.K4 -. Walk.inquiry name Ast.K8) in
+      let gap = Float.abs (Walk.inquiry q Ast.K4 -. Walk.inquiry q Ast.K8) in
       let err =
         if k = Ast.K8 then Array.fold_left (fun m a -> E.put a gap m) E.empty kt else E.empty
       in
-      { c = Value.Vreal (Walk.inquiry name k, k); err; kt }
-    | _ -> trap "%s of non-real value" name
+      { c = Value.Vreal (Walk.inquiry q k, k); err; kt }
+    | _ -> trap "%s of non-real value" (Builtins.name (Builtins.Inquiry q))
 end
 
 module W = Walk.Make (Abstract)

@@ -322,13 +322,6 @@ let pause_all t =
     (Store.list t.store)
 
 let cancel t id =
-  match Store.load t.store id with
-  | None -> Error ("no such job " ^ id)
-  | Some j ->
-    if Job.terminal j.Job.state then Error (id ^ " is already " ^ Job.state_name j.Job.state)
-    else begin
-      let j = { j with Job.state = Job.Failed "cancelled" } in
-      Store.update t.store j;
-      t.on_event (event_of_job j ~detail:"cancelled");
-      Ok j
-    end
+  let r = Store.cancel t.store id in
+  Result.iter (fun j -> t.on_event (event_of_job j ~detail:"cancelled")) r;
+  r

@@ -140,8 +140,7 @@ val pause_all : t -> unit
     the drain finalizer, after the last slice returned. *)
 
 val cancel : t -> string -> (Job.t, string) result
-(** Terminal-state a runnable job as [Failed "cancelled"]. Errors on
-    unknown ids and already-terminal jobs. *)
+(** {!Store.cancel}, then a ["cancelled"] event. *)
 
 val minimal_text : Core.Tuner.campaign -> Search.Delta_debug.result -> string
 (** The deterministic [minimal.txt] rendering (signature, 64-bit atom

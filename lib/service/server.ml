@@ -123,7 +123,7 @@ let wait_activity sock =
   | _ -> ()
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
-let run ?(slice_records = 8) ?(shared_memo = true) ?(find_model = Models.Registry.find)
+let run ?(slice_records = 8) ?(find_model = Models.Registry.find)
     ?(log = fun _ -> ()) ~root ~slots () =
   let store = Store.open_ ~root in
   let path = Proto.socket_file ~root in
@@ -151,10 +151,9 @@ let run ?(slice_records = 8) ?(shared_memo = true) ?(find_model = Models.Registr
     let shard =
       if slots > 0 then Some (Search.Shard.create ~shards:1 ~workers:(slots + 1) ()) else None
     in
-    let memo = if shared_memo then Some (Memo.create ()) else None in
     let sched =
-      Sched.create ~slice_records ?shard ?memo ~find_model ~on_event:(fun ev -> deliver t ev)
-        store
+      Sched.create ~slice_records ?shard ~memo:(Memo.create ()) ~find_model
+        ~on_event:(fun ev -> deliver t ev) store
     in
     t.sched <- Some sched;
     let on_signal =

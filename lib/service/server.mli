@@ -14,7 +14,6 @@
 
 val run :
   ?slice_records:int ->
-  ?shared_memo:bool ->
   ?find_model:(string -> Models.Registry.t) ->
   ?log:(string -> unit) ->
   root:string ->
@@ -27,11 +26,10 @@ val run :
     (capped by the machine's spare cores) beside the server's own
     domain, which evaluates too ([0] = strictly sequential evaluation);
     job results never depend on it. [slice_records] (default 8) is the per-slice fresh-record
-    budget. [shared_memo] (default [true]) enables the process-wide
-    cross-campaign evaluation memo ({!Memo}): concurrent jobs in the
-    same evaluation space evaluate each variant once fleet-wide, with
-    memo-served records journaled normally plus a provenance line; job
-    results never depend on it. [log] gets one line per slice,
+    budget. Every job shares one process-wide cross-campaign evaluation
+    memo ({!Memo}): concurrent jobs in the same evaluation space evaluate
+    each variant once fleet-wide, with memo-served records journaled
+    normally plus a provenance line; job results never depend on it. [log] gets one line per slice,
     [slice ID: +N records (F fresh, S memo-shared) -> STATE], with
     [", prepared"] appended when the slice ran {!Core.Tuner.prepare}
     (the first slice of an evaluation space; {!Sched}). A stale socket

@@ -81,3 +81,12 @@ let submit t ~find_model spec =
     let job = Job.make ~id spec in
     update t job;
     Ok job
+
+let cancel t id =
+  match load t id with
+  | None -> Error ("no such job " ^ id)
+  | Some j when Job.terminal j.Job.state -> Error (id ^ " is already " ^ Job.state_name j.Job.state)
+  | Some j ->
+    let j = { j with Job.state = Job.Failed "cancelled" } in
+    update t j;
+    Ok j

@@ -30,6 +30,10 @@ val list : t -> Job.t list
 val update : t -> Job.t -> unit
 (** Atomically rewrite the job's state file. *)
 
+val cancel : t -> string -> (Job.t, string) result
+(** Terminal-state a runnable job as [Failed "cancelled"] and persist it.
+    Errors on unknown ids and already-terminal jobs. *)
+
 val job_dir : t -> string -> string
 val campaign_dir : t -> string -> string
 val summary_file : t -> string -> string

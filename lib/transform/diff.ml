@@ -26,34 +26,6 @@ let lines a_text b_text : line list =
   in
   walk 0 0 []
 
-let hunks a_text b_text =
-  let d = Array.of_list (lines a_text b_text) in
-  let n = Array.length d in
-  let changed i = match d.(i) with Keep _ -> false | Remove _ | Add _ -> true in
-  let near i =
-    let lo = max 0 (i - 1) and hi = min (n - 1) (i + 1) in
-    let rec any j = j <= hi && (changed j || any (j + 1)) in
-    any lo
-  in
-  let buf = Buffer.create 256 in
-  let in_hunk = ref false in
-  Array.iteri
-    (fun i l ->
-      if near i then begin
-        if not !in_hunk then begin
-          if Buffer.length buf > 0 then Buffer.add_string buf "...\n";
-          in_hunk := true
-        end;
-        (match l with
-        | Keep s -> Buffer.add_string buf ("  " ^ s)
-        | Remove s -> Buffer.add_string buf ("- " ^ s)
-        | Add s -> Buffer.add_string buf ("+ " ^ s));
-        Buffer.add_char buf '\n'
-      end
-      else in_hunk := false)
-    d;
-  Buffer.contents buf
-
 let declarations st asg =
   let open Fortran in
   let buf = Buffer.create 256 in

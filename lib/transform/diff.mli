@@ -13,10 +13,6 @@ type line =
 val lines : string -> string -> line list
 (** LCS-based line diff between two texts. *)
 
-val hunks : string -> string -> string
-(** Unified-diff-style rendering showing only changed regions with one
-    line of context around them, using [-]/[+] prefixes. *)
-
 val declarations : Fortran.Symtab.t -> Assignment.t -> string
 (** The Fig.-3 view: only the declaration changes implied by an
     assignment, grouped by procedure/module. *)

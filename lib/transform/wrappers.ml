@@ -201,7 +201,7 @@ let wrapper_for g ~caller (p : Ast.proc) args : string option =
 let redirect g ~caller callee name args =
   match callee with
   | Symtab.Procedure p -> Option.value ~default:name (wrapper_for g ~caller p args)
-  | Symtab.Variable _ | Symtab.Intrinsic | Symtab.Builtin_subroutine | Symtab.Unknown -> name
+  | Symtab.Variable _ | Symtab.Intrinsic _ | Symtab.Builtin_subroutine | Symtab.Unknown -> name
 
 (* Rewrite every call site of a block, redirecting mismatching sites. *)
 let rec rw_expr g ~caller e =

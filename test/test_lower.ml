@@ -6,8 +6,8 @@
    under the worker pool. [Lower.run] is compile-then-run, uncached. The
    compiled evaluator's frames (unboxed scalar slots, dummies that hold
    the address of the caller's slot) are pinned on the by-reference
-   shapes they could get silently wrong, and its allocation is pinned
-   per loop iteration. *)
+   shapes they could get silently wrong, its allocation is pinned per
+   loop iteration, and every intrinsic runs on all three evaluators. *)
 
 open Fortran
 
@@ -491,6 +491,139 @@ let alloc_tests =
     alloc_case "integer store above 4096 allocates nothing" "   j = i + 5000" ~budget:0.0;
     alloc_case "flux4-shaped call allocates nothing"
       "   a(i) = flux4(b(im1), b(i), b(ip1), b(ip2), ue)" ~budget:0.0;
+    alloc_case "elemental sqrt allocates nothing" "   a(i) = sqrt(b(i))" ~budget:0.0;
+    alloc_case "elemental tanh allocates nothing" "   x = tanh(x * 0.5d0 + b(i))" ~budget:0.0;
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Every intrinsic of [Builtins], at both real kinds, as a scalar
+   statement and inside a vectorizable loop                             *)
+
+(* The calls of [bi] the program makes at kind [k] ("4" or "8"): real
+   operands [s] and [t] of that kind, integer operand [j], and the whole
+   arrays [a<k>], [b<k>] and [ia]; each with whether it is
+   integer-valued. *)
+let intrinsic_calls (bi : Builtins.t) ~k ~s ~t ~j =
+  let call args = Printf.sprintf "%s(%s)" (Builtins.name bi) (String.concat ", " args) in
+  let real args = (call args, false) and int args = (call args, true) in
+  let lit = if k = "4" then "0.5" else "0.5d0" in
+  match bi with
+  | Abs -> [ real [ s ]; int [ j ] ]
+  | Elemental _ | Inquiry _ -> [ real [ s ] ]
+  | Minmax _ -> [ real [ s; t ]; real [ s; t; lit ]; int [ j; "3" ] ]
+  | Mod -> [ real [ s; t ]; int [ j; "3" ] ]
+  | Sign -> [ real [ s; "-" ^ t ]; int [ j; "-1" ] ]
+  | Atan2 -> [ real [ s; t ] ]
+  | Real -> [ real [ s ]; real [ s; "4" ]; real [ s; "8" ]; real [ j ] ]
+  | Dble -> [ real [ s ]; real [ j ] ]
+  | Int_conv _ -> [ int [ s ^ " * 7.5" ]; int [ "-" ^ s ^ " * 7.5" ] ]
+  | Dot_product -> [ real [ "a" ^ k; "b" ^ k ] ]
+  | Reduce _ -> [ real [ "a" ^ k ]; int [ "ia" ] ]
+  | Size -> [ int [ "a" ^ k ]; int [ "a" ^ k; "1" ] ]
+
+(* Each call stored to a typed scalar and printed, then computed
+   elementwise in a loop of its own and printed element by element. *)
+let intrinsic_program () =
+  let b = Buffer.create 16384 in
+  let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') b fmt in
+  let each f =
+    List.iter
+      (fun bi ->
+        List.iter
+          (fun k ->
+            f k (intrinsic_calls bi ~k ~s:("x" ^ k) ~t:("y" ^ k) ~j:"j")
+              (intrinsic_calls bi ~k ~s:("a" ^ k ^ "(i)") ~t:("b" ^ k ^ "(i)") ~j:"ia(i)"))
+          [ "4"; "8" ])
+      Builtins.all
+  in
+  line "module m";
+  line " implicit none";
+  line " integer, parameter :: n = 8";
+  line " real(kind=4), dimension(n) :: a4, b4, c4";
+  line " real(kind=8), dimension(n) :: a8, b8, c8";
+  line " integer, dimension(n) :: ia, ic";
+  line " real(kind=4) :: x4 = 0.375, y4 = 0.625, r4";
+  line " real(kind=8) :: x8 = 0.375d0, y8 = 0.625d0, r8";
+  line " integer :: j = 7, jr";
+  line "contains";
+  line " subroutine init()";
+  line "  integer :: i";
+  line "  do i = 1, n";
+  line "   a4(i) = 0.1 * i";
+  line "   b4(i) = 0.95 - 0.1 * i";
+  line "   a8(i) = 0.1d0 * i";
+  line "   b8(i) = 0.95d0 - 0.1d0 * i";
+  line "   ia(i) = 3 * i - 10";
+  line "  end do";
+  line " end subroutine init";
+  line " subroutine scalars()";
+  each (fun k uses _ ->
+      List.iter
+        (fun (e, is_int) ->
+          let r = if is_int then "jr" else "r" ^ k in
+          line "  %s = %s" r e;
+          line "  print *, '%s', %s" e r)
+        uses);
+  line " end subroutine scalars";
+  line " subroutine loops()";
+  line "  integer :: i";
+  each (fun k _ uses ->
+      List.iter
+        (fun (e, is_int) ->
+          let c = if is_int then "ic" else "c" ^ k in
+          line "  do i = 1, n";
+          line "   %s(i) = %s" c e;
+          line "  end do";
+          line "  do i = 1, n";
+          line "   print *, '%s', %s(i)" e c;
+          line "  end do")
+        uses);
+  line " end subroutine loops";
+  line "end module m";
+  line "program p";
+  line " use m";
+  line " implicit none";
+  line " call init()";
+  line " call scalars()";
+  line " call loops()";
+  line "end program p";
+  Buffer.contents b
+
+let intrinsic_tests =
+  [
+    t "every intrinsic at kinds 4 and 8, scalar and vectorized: compiled and analysis match interp"
+      (fun () ->
+        let st = build (intrinsic_program ()) in
+        List.iter
+          (fun r ->
+            if not (Analysis.Vectorize.vectorizable r) then
+              Alcotest.failf "%a" Analysis.Vectorize.pp_report r)
+          (Analysis.Vectorize.analyze ~inline_stmt_limit:machine.Runtime.Machine.inline_stmt_limit st);
+        let ref_out = interp st in
+        Alcotest.(check bool) "finished" true (ref_out.Runtime.Interp.status = Runtime.Interp.Finished);
+        let scalar_calls =
+          List.fold_left
+            (fun n bi ->
+              n + (2 * List.length (intrinsic_calls bi ~k:"4" ~s:"" ~t:"" ~j:"")))
+            0 Builtins.all
+        in
+        (* one record per scalar call, n = 8 per loop *)
+        Alcotest.(check int) "records" (9 * scalar_calls) (List.length ref_out.records);
+        let bits records = List.map (fun (k, v) -> (k, Int64.bits_of_float v)) records in
+        let fast = lower_run st in
+        check_equiv "compiled" ref_out fast;
+        Alcotest.(check (list (pair string int64))) "compiled records, bit for bit"
+          (bits ref_out.records) (bits fast.records);
+        let r = Sensitivity.Absint.analyze ~atoms:(Transform.Assignment.atoms_of_module st "m") st in
+        Alcotest.(check bool) "analysis finished" true
+          (r.Sensitivity.Absint.r_status = Sensitivity.Absint.Finished);
+        Alcotest.(check (list (pair string int64))) "analysis series, bit for bit"
+          (bits ref_out.records)
+          (bits
+             (List.map
+                (fun (s : Sensitivity.Absint.sample) ->
+                  (s.Sensitivity.Absint.s_key, s.Sensitivity.Absint.s_value))
+                r.Sensitivity.Absint.r_samples)));
   ]
 
 let () =
@@ -498,5 +631,5 @@ let () =
     [
       ("slots", slot_tests); ("equivalence", equiv_tests); ("cache", cache_tests);
       ("backends", backend_tests); ("byref", byref_tests); ("generic", generic_tests);
-      ("alloc", alloc_tests);
+      ("alloc", alloc_tests); ("intrinsics", intrinsic_tests);
     ]

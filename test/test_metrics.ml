@@ -21,9 +21,6 @@ let stats_tests =
         Alcotest.(check feq) "p0" 10.0 (Metrics.Stats.percentile 0.0 xs);
         Alcotest.(check feq) "p100" 40.0 (Metrics.Stats.percentile 100.0 xs);
         Alcotest.(check feq) "p50" 25.0 (Metrics.Stats.percentile 50.0 xs));
-    t "fraction_in" (fun () ->
-        Alcotest.(check feq) "half" 0.5
-          (Metrics.Stats.fraction_in (fun x -> x > 2.0) [ 1.0; 2.0; 3.0; 4.0 ]));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"median lies within [min, max]" ~count:200
          QCheck.(list_of_size (QCheck.Gen.int_range 1 30) (float_bound_exclusive 100.0))

@@ -181,38 +181,37 @@ let r_pow poisoned x n e =
   let v, ea = go (1.0, R.empty) (abs n) in
   if n < 0 then r_div poisoned 1.0 v R.empty ea else ea
 
-(* the elemental intrinsics' rules, keyed by the intrinsic's name, as a
+(* the elemental intrinsics' rules, keyed by the intrinsic, as a
    per-entry closure answering [None] where the demoted run may trap: the
    formulation [Errvec.elemental] fuses *)
-let r_elemental poisoned name x err =
-  let f = Runtime.Walk.elemental name in
+let r_elemental poisoned (fn : Fortran.Builtins.elemental) x err =
+  let f = Runtime.Walk.elemental fn in
   let lip e =
     if e = 0.0 then Some 0.0
     else
-      match name with
-      | "sin" | "cos" -> Some (Float.min e 2.0)
-      | "atan" -> Some (Float.min e Float.pi)
-      | "tanh" -> Some (Float.min e 2.0)
-      | "sqrt" ->
+      match fn with
+      | Sin | Cos -> Some (Float.min e 2.0)
+      | Atan -> Some (Float.min e Float.pi)
+      | Tanh -> Some (Float.min e 2.0)
+      | Sqrt ->
         if x -. e < 0.0 then None
         else if x -. e = 0.0 then Some (sqrt e)
         else Some (Float.min (e /. (2.0 *. sqrt (x -. e))) (sqrt e))
-      | "exp" ->
+      | Exp ->
         let hi = exp (x +. e) in
         if Float.is_finite hi then Some (hi -. exp x) else None
-      | "log" -> if x -. e <= 0.0 then None else Some (log (x /. (x -. e)))
-      | "log10" -> if x -. e <= 0.0 then None else Some (log (x /. (x -. e)) /. log 10.0)
-      | "tan" ->
+      | Log -> if x -. e <= 0.0 then None else Some (log (x /. (x -. e)))
+      | Log10 -> if x -. e <= 0.0 then None else Some (log (x /. (x -. e)) /. log 10.0)
+      | Tan ->
         let m = Float.abs (cos x) -. e in
         if m <= 0.0 then None else Some (e /. (m *. m))
-      | "asin" | "acos" ->
+      | Asin | Acos ->
         let t = Float.abs x +. e in
         if t >= 1.0 then None else Some (Float.min (e /. sqrt (1.0 -. (t *. t))) Float.pi)
-      | "sinh" | "cosh" ->
+      | Sinh | Cosh ->
         let t = Float.abs x +. e in
         if t > 700.0 then None else Some (e *. cosh t)
-      | "aint" | "anint" -> if f (x -. e) = f (x +. e) then Some 0.0 else Some (e +. 1.0)
-      | _ -> assert false
+      | Aint | Anint -> if f (x -. e) = f (x +. e) then Some 0.0 else Some (e +. 1.0)
   in
   R.mapi
     (fun a e ->
@@ -223,13 +222,11 @@ let r_elemental poisoned name x err =
         Float.abs (f x) +. e +. 1.0)
     err
 
-let elementals =
-  let open Sensitivity.Errvec in
+let elementals : (Fortran.Builtins.elemental * Sensitivity.Errvec.elemental) list =
   [
-    ("sin", Sin_cos); ("cos", Sin_cos); ("atan", Atan); ("tanh", Tanh); ("sqrt", Sqrt);
-    ("exp", Exp); ("log", Log); ("log10", Log10); ("tan", Tan); ("asin", Asin_acos);
-    ("acos", Asin_acos); ("sinh", Sinh_cosh); ("cosh", Sinh_cosh); ("aint", Aint);
-    ("anint", Anint);
+    (Sin, Sin_cos); (Cos, Sin_cos); (Atan, Atan); (Tanh, Tanh); (Sqrt, Sqrt); (Exp, Exp);
+    (Log, Log); (Log10, Log10); (Tan, Tan); (Asin, Asin_acos); (Acos, Asin_acos);
+    (Sinh, Sinh_cosh); (Cosh, Sinh_cosh); (Aint, Aint); (Anint, Anint);
   ]
 
 (* the rounding update an operation ends with: baseline kind, result, and
@@ -241,7 +238,7 @@ type ev_op =
   | Mul of float * float * rounding
   | Div of float * float * rounding
   | Pow of float * int * rounding
-  | Elemental of string * float * rounding
+  | Elemental of Fortran.Builtins.elemental * float * rounding
   | Max
   | Map
   | Put of int * float

@@ -1,7 +1,8 @@
 (* Scheduler tests. The one-shard domain pool: submission-order
    preservation, exception propagation, reuse across batches, lifecycle
    edge cases, and the submitting domain as a slot. Then the sharded
-   grid: partitioner, deque, schedule simulation, determinism matrix. *)
+   grid: partitioner, exactly-once execution, schedule simulation,
+   determinism matrix. *)
 
 open Search
 
@@ -194,23 +195,25 @@ let shard_unit_tests =
             let st = Shard.stats sh in
             Alcotest.(check (float 1e-9)) "sum" 5.0 st.Shard.sim_seconds;
             Alcotest.(check int) "count" 2 st.Shard.serial_tasks));
-    t "deque hands out each element exactly once under racing takers" (fun () ->
+    t "map runs each task exactly once under racing domains" (fun () ->
         let n = 5000 in
-        let dq = Shard.Deque.of_list (List.init n Fun.id) in
-        let taken = Array.make n 0 in
-        let thief () =
-          let rec go acc =
-            match Shard.Deque.take dq with Some x -> go (x :: acc) | None -> acc
-          in
-          go []
-        in
-        let domains = List.init 4 (fun _ -> Domain.spawn thief) in
-        let batches = List.map Domain.join domains in
-        List.iter (List.iter (fun x -> taken.(x) <- taken.(x) + 1)) batches;
-        Array.iteri
-          (fun i c -> if c <> 1 then Alcotest.failf "element %d taken %d times" i c)
-          taken;
-        Alcotest.(check int) "drained" 0 (Shard.Deque.remaining dq));
+        let runs = Array.init n (fun _ -> Atomic.make 0) in
+        Shard.with_shards ~shards:4 ~workers:4 (fun sh ->
+            for round = 1 to 3 do
+              let ys =
+                run_batch sh
+                  (fun i ->
+                    Atomic.incr runs.(i);
+                    i)
+                  (List.init n Fun.id)
+              in
+              Alcotest.(check (list int)) "in order" (List.init n Fun.id) ys;
+              Array.iteri
+                (fun i r ->
+                  if Atomic.get r <> round then
+                    Alcotest.failf "task %d ran %d times in %d batches" i (Atomic.get r) round)
+                runs
+            done));
   ]
 
 let shard_partition_exactly_once =
@@ -384,7 +387,7 @@ let matrix_tests =
   ]
 
 let () =
-  Alcotest.run "pool"
+  Alcotest.run "shard"
     [
       ("lifecycle", lifecycle_tests);
       ("map", map_tests);

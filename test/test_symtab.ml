@@ -84,12 +84,6 @@ let proc_tests =
         let st = st () in
         Alcotest.(check bool) "step exists" true (Symtab.find_proc st "step" <> None);
         Alcotest.(check string) "owner" "phys" (Symtab.proc_owner st "step"));
-    t "all_proc_names sorted" (fun () ->
-        Alcotest.(check (list string)) "procs" [ "step"; "total" ] (Symtab.all_proc_names (st ())));
-    t "unit_of_proc" (fun () ->
-        match Symtab.unit_of_proc (st ()) "total" with
-        | Some (Ast.Module m) -> Alcotest.(check string) "phys" "phys" m.Ast.mod_name
-        | _ -> Alcotest.fail "expected module phys");
   ]
 
 let search_space_tests =
@@ -103,10 +97,6 @@ let search_space_tests =
         let vars = Symtab.fp_vars_of_module (st ()) "consts" in
         Alcotest.(check (list string)) "only gravity" [ "gravity" ]
           (List.map (fun v -> v.Symtab.v_name) vars));
-    t "module_of_var" (fun () ->
-        let st = st () in
-        let v = Option.get (Symtab.lookup_var st ~in_proc:(Some "step") "dt") in
-        Alcotest.(check string) "owner module" "phys" (Symtab.module_of_var v st));
     t "vars_of_scope preserves declaration order" (fun () ->
         let vars = Symtab.vars_of_scope (st ()) (Symtab.Proc_scope "step") in
         Alcotest.(check (list string)) "order" [ "dt"; "gravity"; "i" ]

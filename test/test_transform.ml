@@ -266,14 +266,6 @@ let diff_tests =
           (List.length (List.filter (function Transform.Diff.Remove _ -> true | _ -> false) d));
         Alcotest.(check int) "one added" 1
           (List.length (List.filter (function Transform.Diff.Add _ -> true | _ -> false) d)));
-    t "hunks show only changed regions" (fun () ->
-        let a = String.concat "\n" (List.init 30 (fun i -> "line" ^ string_of_int i)) in
-        let b =
-          String.concat "\n"
-            (List.init 30 (fun i -> if i = 15 then "LINE15" else "line" ^ string_of_int i))
-        in
-        let h = Transform.Diff.hunks a b in
-        Alcotest.(check bool) "mentions change" true (String.length h < String.length a));
     t "declarations diff lists retyped atoms by scope" (fun () ->
         let st = st () in
         let a = atoms () in
