@@ -538,14 +538,7 @@ let campaign_replay_cmd =
       exit 1
     end;
     let records =
-      List.map
-        (fun (e : Persist.Journal.entry) ->
-          {
-            Search.Variant.index = e.Persist.Journal.e_index;
-            asg = Transform.Assignment.of_signature atoms e.Persist.Journal.e_signature;
-            meas = e.Persist.Journal.e_meas;
-          })
-        loaded.Persist.Journal.l_entries
+      List.map (Persist.Journal.record_of_entry atoms) loaded.Persist.Journal.l_entries
     in
     (* journaled prediction fields ride along into the CSV; journals
        written before the columns existed yield empty cells *)

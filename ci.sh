@@ -303,12 +303,32 @@ _build/default/bin/prose.exe tune funarc --brute-force --workers 0 \
 test "$FAILED" -eq 1
 grep "prose tune: journal $JDIR/file/D: mkdir $JDIR/file/D: Not a directory" \
   "$JDIR/notdir.txt" > /dev/null
+# A fault-injected campaign cut by a --preempt-hours boundary (exit 0,
+# 108 of its 256 records durable) and resumed without the boundary. The
+# cluster books are re-derived over the whole committed stream, the
+# journaled prefix included, so the journal, snapshot.json and the
+# faults: line must equal an uninterrupted run's (the preemption count
+# in both is per run: the resumed run was not preempted).
+FAULTS="--fault-transient 0.2 --fault-node 0.1 --fault-seed 3"
+_build/default/bin/prose.exe tune funarc --brute-force --workers 0 $FAULTS \
+  --journal "$JDIR/fbase" > "$JDIR/fbase.txt"
+_build/default/bin/prose.exe tune funarc --brute-force --workers 0 $FAULTS \
+  --preempt-hours 0.3 --journal "$JDIR/fcut" > "$JDIR/fcut1.txt"
+grep '^campaign INTERRUPTED by preemption' "$JDIR/fcut1.txt" > /dev/null
+test "$(wc -l < "$JDIR/fcut/journal.jsonl")" -eq 109
+_build/default/bin/prose.exe tune funarc --brute-force --workers 0 $FAULTS \
+  --journal "$JDIR/fcut" --resume > "$JDIR/fcut2.txt"
+cmp "$JDIR/fbase/journal.jsonl" "$JDIR/fcut/journal.jsonl"
+cmp "$JDIR/fbase/snapshot.json" "$JDIR/fcut/snapshot.json"
+grep '^faults: ' "$JDIR/fbase.txt" > "$JDIR/fbase_faults.txt"
+grep '^faults: ' "$JDIR/fcut2.txt" > "$JDIR/fcut_faults.txt"
+diff "$JDIR/fbase_faults.txt" "$JDIR/fcut_faults.txt"
 rm -rf "$JDIR"
 
 # Service gate: serve two concurrent campaigns (one fault-injected) over a
 # shared pool, SIGTERM the server mid-run, restart it, watch both jobs to
-# completion, and byte-diff each job's journal and summary against the
-# same campaign run solo with `prose tune`. Slices are journaled
+# completion, and byte-diff each job's journal, snapshot and summary
+# against the same campaign run solo with `prose tune`. Slices are journaled
 # run/resume segments, so multiplexing and the drain/restart may only
 # move the summary's "trace" line (cache/replay counters, functions of
 # where the slice boundaries fell); journals must match byte for byte.
@@ -344,6 +364,10 @@ _build/default/bin/prose.exe tune funarc --seed 7 --workers 0 \
   --journal "$VDIR/solo2" --json "$VDIR/solo2.json" > /dev/null
 diff "$VDIR/solo1/journal.jsonl" "$VDIR/jobs/j001/campaign/journal.jsonl"
 diff "$VDIR/solo2/journal.jsonl" "$VDIR/jobs/j002/campaign/journal.jsonl"
+# each job's books are its whole journal's, so its snapshot is the solo
+# run's too, fault losses included
+cmp "$VDIR/solo1/snapshot.json" "$VDIR/jobs/j001/campaign/snapshot.json"
+cmp "$VDIR/solo2/snapshot.json" "$VDIR/jobs/j002/campaign/snapshot.json"
 grep -v -e '"trace"' "$VDIR/solo1.json" > "$VDIR/solo1_cmp.json"
 grep -v -e '"trace"' "$VDIR/jobs/j001/summary.json" > "$VDIR/j001_cmp.json"
 diff -u "$VDIR/solo1_cmp.json" "$VDIR/j001_cmp.json"
@@ -381,6 +405,8 @@ grep -v '"kind":"shared"' "$VDIR/jobs/j003/campaign/journal.jsonl" > "$VDIR/j003
 grep -v '"kind":"shared"' "$VDIR/jobs/j004/campaign/journal.jsonl" > "$VDIR/j004_j.jsonl"
 diff "$VDIR/solo3/journal.jsonl" "$VDIR/j003_j.jsonl"
 diff "$VDIR/solo3/journal.jsonl" "$VDIR/j004_j.jsonl"
+cmp "$VDIR/solo3/snapshot.json" "$VDIR/jobs/j003/campaign/snapshot.json"
+cmp "$VDIR/solo3/snapshot.json" "$VDIR/jobs/j004/campaign/snapshot.json"
 grep -v -e '"trace"' "$VDIR/solo3.json" > "$VDIR/solo3_cmp.json"
 grep -v -e '"trace"' "$VDIR/jobs/j003/summary.json" > "$VDIR/j003_cmp.json"
 grep -v -e '"trace"' "$VDIR/jobs/j004/summary.json" > "$VDIR/j004_cmp.json"

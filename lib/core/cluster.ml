@@ -1,34 +1,22 @@
 type t = {
   nodes : int;
-  job_hours : float;
   per_variant_overhead_s : float;
   baseline_wall_s : float;
 }
 
 let for_model (m : Models.Registry.t) =
   match m.name with
-  | "funarc" -> { nodes = 1; job_hours = 12.0; per_variant_overhead_s = 5.0; baseline_wall_s = 2.0 }
-  | "mpas" -> { nodes = 20; job_hours = 12.0; per_variant_overhead_s = 600.0; baseline_wall_s = 90.0 }
-  | "adcirc" ->
-    { nodes = 20; job_hours = 12.0; per_variant_overhead_s = 600.0; baseline_wall_s = 200.0 }
+  | "funarc" -> { nodes = 1; per_variant_overhead_s = 5.0; baseline_wall_s = 2.0 }
+  | "mpas" -> { nodes = 20; per_variant_overhead_s = 600.0; baseline_wall_s = 90.0 }
+  | "adcirc" -> { nodes = 20; per_variant_overhead_s = 600.0; baseline_wall_s = 200.0 }
   | "mom6" ->
     (* MOM6's larger search space keeps every node busy; heavier build *)
-    { nodes = 20; job_hours = 12.0; per_variant_overhead_s = 900.0; baseline_wall_s = 60.0 }
-  | _ -> { nodes = 20; job_hours = 12.0; per_variant_overhead_s = 600.0; baseline_wall_s = 60.0 }
+    { nodes = 20; per_variant_overhead_s = 900.0; baseline_wall_s = 60.0 }
+  | _ -> { nodes = 20; per_variant_overhead_s = 600.0; baseline_wall_s = 60.0 }
 
 let variant_seconds t ~baseline_cost ~variant_cost =
   let scale = if baseline_cost > 0.0 then t.baseline_wall_s /. baseline_cost else 0.0 in
   t.per_variant_overhead_s +. (variant_cost *. scale)
-
-let campaign_hours t ~baseline_cost ~variant_costs =
-  let total =
-    List.fold_left
-      (fun acc c -> acc +. variant_seconds t ~baseline_cost ~variant_cost:c)
-      0.0 variant_costs
-  in
-  total /. float_of_int t.nodes /. 3600.0
-
-let over_budget t hours = hours > t.job_hours
 
 (* ------------------------------------------------------------------ *)
 
@@ -69,18 +57,15 @@ module Faults = struct
       preemptions = 0;
     }
 
-  type state = { spec : spec; lock : Mutex.t; mutable st : stats }
-
-  exception Preempted of { at_hours : float; boundary : float }
-
-  let create spec = { spec; lock = Mutex.create (); st = zero_stats }
-  let spec t = t.spec
-
-  let stats t =
-    Mutex.lock t.lock;
-    let s = t.st in
-    Mutex.unlock t.lock;
-    s
+  let add a b =
+    {
+      retried_attempts = a.retried_attempts + b.retried_attempts;
+      transient_losses = a.transient_losses + b.transient_losses;
+      node_losses = a.node_losses + b.node_losses;
+      node_failures = a.node_failures + b.node_failures;
+      lost_node_seconds = a.lost_node_seconds +. b.lost_node_seconds;
+      preemptions = a.preemptions + b.preemptions;
+    }
 
   (* Deterministic coin: a pure function of (seed, fault kind, variant
      signature, attempt). Independent of evaluation order, worker count
@@ -133,55 +118,84 @@ module Faults = struct
       lost (Printf.sprintf "fault: transient error persisted after %d attempts" nt)
     else m
 
-  (* Node-seconds burned by this variant's failed attempts — pure, so the
-     resume path can re-derive the hours a journaled prefix consumed. *)
-  let lost_seconds spec cluster ~baseline_cost ~signature ~model_time =
-    let failed = transient_attempts spec ~signature + node_failure_attempts spec ~signature in
-    if failed = 0 then 0.0
+  (* What one variant's failed attempts cost, each a whole attempt of
+     [attempt_s] node-seconds. A variant is lost at most once; when both
+     kinds exhaust the retry budget the node failure wins, mirroring
+     [perturb]'s precedence. *)
+  let losses spec ~signature ~attempt_s =
+    let nt = transient_attempts spec ~signature in
+    let nn = node_failure_attempts spec ~signature in
+    let failed = nt + nn in
+    if failed = 0 then zero_stats
     else
-      float_of_int failed
-      *. variant_seconds cluster ~baseline_cost ~variant_cost:model_time
-
-  (* Loss accounting at commit time, re-rolled deterministically from the
-     signature so the books never depend on speculative evaluations: the
-     seconds are [lost_seconds]'s, which the caller charges to the job. *)
-  let note_commit t cluster ~baseline_cost ~signature ~model_time =
-    let s = t.spec in
-    let nt = transient_attempts s ~signature in
-    let nn = node_failure_attempts s ~signature in
-    let lost_s = lost_seconds s cluster ~baseline_cost ~signature ~model_time in
-    if nt + nn > 0 then begin
-      (* a variant is lost at most once; when both kinds exhaust the retry
-         budget the node failure wins, mirroring [perturb]'s precedence *)
-      let node_lost = nn > s.max_retries in
-      let transient_lost = (not node_lost) && nt > s.max_retries in
-      Mutex.lock t.lock;
-      t.st <-
-        {
-          t.st with
-          retried_attempts = t.st.retried_attempts + nt + nn;
-          transient_losses = t.st.transient_losses + (if transient_lost then 1 else 0);
-          node_losses = t.st.node_losses + (if node_lost then 1 else 0);
-          node_failures = t.st.node_failures + nn;
-          lost_node_seconds = t.st.lost_node_seconds +. lost_s;
-        };
-      Mutex.unlock t.lock
-    end;
-    lost_s
-
-  (* The 12-hour wall: once the campaign's simulated hours cross the
-     boundary the batch scheduler kills the job. Raised from the journal
-     sink, after the current record is durable — exactly the crash the
-     resume path is built for. *)
-  let check_preempt t ~hours =
-    match t.spec.preempt_at_hours with
-    | Some boundary when hours >= boundary ->
-      Mutex.lock t.lock;
-      t.st <- { t.st with preemptions = t.st.preemptions + 1 };
-      Mutex.unlock t.lock;
-      raise (Preempted { at_hours = hours; boundary })
-    | Some _ | None -> ()
+      let node_lost = nn > spec.max_retries in
+      {
+        retried_attempts = failed;
+        transient_losses = (if (not node_lost) && nt > spec.max_retries then 1 else 0);
+        node_losses = (if node_lost then 1 else 0);
+        node_failures = nn;
+        lost_node_seconds = float_of_int failed *. attempt_s;
+        preemptions = 0;
+      }
 
   let active spec =
     spec.transient_prob > 0.0 || spec.node_failure_prob > 0.0 || spec.preempt_at_hours <> None
 end
+
+(* ------------------------------------------------------------------ *)
+(* The books: one price per committed record, folded in commit order.  *)
+
+let off_cluster (m : Search.Variant.measurement) = m.Search.Variant.detail = "static-filter"
+
+let price t ~baseline_cost (m : Search.Variant.measurement) =
+  if off_cluster m then 0.0
+  else variant_seconds t ~baseline_cost ~variant_cost:m.Search.Variant.model_time
+
+type charge = { c_run_seconds : float; c_faults : Faults.stats }
+
+let charge t ~baseline_cost ?faults (r : Search.Variant.record) =
+  let run = price t ~baseline_cost r.Search.Variant.meas in
+  let losses =
+    match faults with
+    | Some spec when not (off_cluster r.Search.Variant.meas) ->
+      Faults.losses spec ~signature:(Transform.Assignment.signature r.Search.Variant.asg)
+        ~attempt_s:run
+    | Some _ | None -> Faults.zero_stats
+  in
+  { c_run_seconds = run; c_faults = losses }
+
+type books = {
+  b_records : int;
+  b_run_seconds : float;
+  b_hours : float;
+  b_best_speedup : float;
+  b_faults : Faults.stats;
+}
+
+let empty =
+  { b_records = 0; b_run_seconds = 0.0; b_hours = 0.0; b_best_speedup = 0.0;
+    b_faults = Faults.zero_stats }
+
+(* Two sums with their own float orders, both kept from the historical
+   books: run seconds in commit order, divided once for
+   [simulated_hours]; and each record's hours, losses included, for the
+   progress a checkpoint, the snapshot and a quota read. *)
+let post t ~baseline_cost ?faults b (r : Search.Variant.record) =
+  let c = charge t ~baseline_cost ?faults r in
+  let lost = c.c_faults.Faults.lost_node_seconds in
+  let m = r.Search.Variant.meas in
+  {
+    b_records = b.b_records + 1;
+    b_run_seconds = b.b_run_seconds +. c.c_run_seconds;
+    b_hours = b.b_hours +. ((c.c_run_seconds +. lost) /. float_of_int t.nodes /. 3600.0);
+    b_best_speedup =
+      (if m.Search.Variant.status = Search.Variant.Pass && m.Search.Variant.speedup > b.b_best_speedup
+       then m.Search.Variant.speedup
+       else b.b_best_speedup);
+    b_faults = Faults.add b.b_faults c.c_faults;
+  }
+
+let books t ~baseline_cost ?faults records =
+  List.fold_left (post t ~baseline_cost ?faults) empty records
+
+let simulated_hours t b = b.b_run_seconds /. float_of_int t.nodes /. 3600.0

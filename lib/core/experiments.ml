@@ -52,8 +52,9 @@ let ablation_static_filter ?(config = Config.default) () =
     narrative =
       "The Sec.-V recommendation: before dynamic evaluation, reject variants that \
        vectorize fewer loops than the baseline or whose flow-graph casting penalty \
-       exceeds a budget. Filtered variants cost no cluster time (they are counted \
-       as failures without execution).";
+       exceeds a budget. Filtered variants cost no cluster time: they are counted \
+       as failures without execution, and the simulated hours charge only the \
+       variants that ran.";
   }
 
 let ablation_no_simd ?(config = Config.default) () =

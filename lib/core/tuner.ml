@@ -418,11 +418,6 @@ type campaign = {
   fault_stats : Cluster.Faults.stats option;
 }
 
-(* Static-filter rejections never reach the cluster, so no fault can
-   touch them and they cost no simulated node time; every
-   fault-accounting site must agree with [apply_faults]. *)
-let off_cluster (m : Variant.measurement) = m.Variant.detail = "static-filter"
-
 (* The per-procedure cache keys evaluating [asg] requests from
    [Lower.Cache] and [Compile.Cache], derived statically (rewrite +
    wrapper insertion + symtab, nothing lowered or run). Empty when the
@@ -453,7 +448,7 @@ let backend_stats (c : campaign) =
   let rh = ref 0 and rm = ref 0 and compiled = ref 0 and chits = ref 0 in
   List.iter
     (fun (r : Variant.record) ->
-      if not (off_cluster r.Variant.meas) then
+      if not (Cluster.off_cluster r.Variant.meas) then
         match share_key p r.Variant.asg with
         | Some cls when Hashtbl.mem classes cls -> incr rh
         | key ->
@@ -475,28 +470,33 @@ let backend_stats (c : campaign) =
     reuse_misses = !rm;
   }
 
-let finish_campaign ?(preloaded = 0) ?(interrupted = false) ?fault_stats ?sched s p trace
-    minimal =
+(* The campaign's books are the cluster's charges folded over its
+   committed records, journaled prefix first; a fault-injected
+   campaign's loss accounting is theirs plus the preemption that cut
+   this run, if one did. *)
+let finish_campaign ?(preloaded = 0) ?(interrupted = false) ?faults ?(preempted = false) ?sched
+    s p trace minimal =
   let records = Trace.records trace in
   let cluster = Cluster.for_model p.model in
-  let simulated_hours =
-    Cluster.campaign_hours cluster ~baseline_cost:p.baseline_cost
-      ~variant_costs:(List.map (fun (r : Variant.record) -> r.Variant.meas.Variant.model_time) records)
-  in
+  let books = Cluster.books cluster ~baseline_cost:p.baseline_cost ?faults records in
   let count, total, max_s = Mutex.protect s.lock (fun () -> (s.evals, s.eval_s, s.eval_max_s)) in
   {
     prepared = p;
     records;
     summary = Variant.summarize records;
     minimal;
-    simulated_hours;
+    simulated_hours = Cluster.simulated_hours cluster books;
     eval_ms_mean = (if count = 0 then 0.0 else 1e3 *. total /. float_of_int count);
     eval_ms_max = 1e3 *. max_s;
     trace_stats = Trace.stats trace;
     sched;
     preloaded;
     interrupted;
-    fault_stats;
+    fault_stats =
+      Option.map
+        (fun _ ->
+          { books.Cluster.b_faults with Cluster.Faults.preemptions = (if preempted then 1 else 0) })
+        faults;
   }
 
 let max_variants_of p =
@@ -587,56 +587,43 @@ let flow_groups p =
 type journal_ctx = {
   jw : Persist.Journal.writer;
   jdir : string;
-  jcluster : Cluster.t;
-  jbaseline_cost : float;
-  jfaults : Cluster.Faults.state option;
-  mutable jhours : float;  (* simulated cluster hours, incl. fault losses *)
-  mutable jrecords : int;
-  mutable jbest : float;
+  mutable books : Cluster.books;  (* the committed records so far, journaled prefix first *)
 }
 
 type progress = { pg_records : int; pg_hours : float; pg_best : float }
 
 exception Paused
 
-let progress_of jc = { pg_records = jc.jrecords; pg_hours = jc.jhours; pg_best = jc.jbest }
+(* Raised from the journal sink once the books reach a fault spec's
+   preemption boundary: the batch scheduler kills the job after the
+   current record is durable, exactly the crash resume is built for. *)
+exception Preempted
+
+let progress_of (b : Cluster.books) =
+  {
+    pg_records = b.Cluster.b_records;
+    pg_hours = b.Cluster.b_hours;
+    pg_best = b.Cluster.b_best_speedup;
+  }
 
 let snapshot_every = 32
 
-let hours_of_seconds jc secs = secs /. float_of_int jc.jcluster.nodes /. 3600.0
-
-let snapshot_of_ctx jc ~finished =
-  let fstats =
-    match jc.jfaults with Some f -> Cluster.Faults.stats f | None -> Cluster.Faults.zero_stats
-  in
+let snapshot_of (b : Cluster.books) ~preempted ~finished =
   {
-    Persist.Snapshot.s_records = jc.jrecords;
-    s_hours = jc.jhours;
-    s_best_speedup = jc.jbest;
-    s_lost_seconds = fstats.Cluster.Faults.lost_node_seconds;
-    s_preemptions = fstats.Cluster.Faults.preemptions;
+    Persist.Snapshot.s_records = b.Cluster.b_records;
+    s_hours = b.Cluster.b_hours;
+    s_best_speedup = b.Cluster.b_best_speedup;
+    s_lost_seconds = b.Cluster.b_faults.Cluster.Faults.lost_node_seconds;
+    s_preemptions = (if preempted then 1 else 0);
     s_finished = finished;
   }
 
-(* Charge one committed record to the books: the simulated cluster
-   seconds of its run plus [lost], the node time its injected-fault
-   retries burned. *)
-let note_record jc ~lost (m : Variant.measurement) =
-  let run =
-    Cluster.variant_seconds jc.jcluster ~baseline_cost:jc.jbaseline_cost
-      ~variant_cost:m.Variant.model_time
-  in
-  jc.jhours <- jc.jhours +. hours_of_seconds jc (run +. lost);
-  jc.jrecords <- jc.jrecords + 1;
-  if m.Variant.status = Variant.Pass && m.Variant.speedup > jc.jbest then
-    jc.jbest <- m.Variant.speedup
-
 (* The trace's append sink: journal the record (write-ahead, fsynced),
-   settle the cluster books, checkpoint periodically, and only then let a
+   post it to the books, checkpoint periodically, and only then let a
    caller's checkpoint hook or a configured preemption kill the "job" —
    the record is already durable either way, so interrupting here is
    always resumable with zero re-evaluation. *)
-let journal_sink ?checkpoint p jc ~donor (r : Variant.record) =
+let journal_sink ?checkpoint ?faults ~post p jc ~donor (r : Variant.record) =
   let entry = Persist.Journal.entry_of_record r in
   let entry =
     match p.scorer with
@@ -649,28 +636,26 @@ let journal_sink ?checkpoint p jc ~donor (r : Variant.record) =
     | None -> entry
   in
   Persist.Journal.append jc.jw entry;
-  let signature = Transform.Assignment.signature r.Variant.asg in
   (* provenance of a memo-served record, written right after the record
      line so a crash between the two loses only the annotation *)
   Option.iter
     (fun donor ->
       Persist.Journal.append_shared jc.jw
-        { Persist.Journal.sh_index = r.Variant.index; sh_signature = signature; sh_donor = donor })
+        {
+          Persist.Journal.sh_index = r.Variant.index;
+          sh_signature = Transform.Assignment.signature r.Variant.asg;
+          sh_donor = donor;
+        })
     donor;
-  let lost =
-    match jc.jfaults with
-    | Some f when not (off_cluster r.Variant.meas) ->
-      Cluster.Faults.note_commit f jc.jcluster ~baseline_cost:jc.jbaseline_cost ~signature
-        ~model_time:r.Variant.meas.Variant.model_time
-    | Some _ | None -> 0.0
-  in
-  note_record jc ~lost r.Variant.meas;
-  if jc.jrecords mod snapshot_every = 0 then
-    Persist.Snapshot.write ~dir:jc.jdir (snapshot_of_ctx jc ~finished:false);
-  Option.iter (fun cp -> cp (progress_of jc)) checkpoint;
-  match jc.jfaults with
-  | Some f -> Cluster.Faults.check_preempt f ~hours:jc.jhours
-  | None -> ()
+  jc.books <- post jc.books r;
+  if jc.books.Cluster.b_records mod snapshot_every = 0 then
+    Persist.Snapshot.write ~dir:jc.jdir (snapshot_of jc.books ~preempted:false ~finished:false);
+  Option.iter (fun cp -> cp (progress_of jc.books)) checkpoint;
+  match faults with
+  | Some { Cluster.Faults.preempt_at_hours = Some boundary; _ }
+    when jc.books.Cluster.b_hours >= boundary ->
+    raise Preempted
+  | Some _ | None -> ()
 
 (* Variant evaluation with injected faults applied: what the search (and
    hence the trace and journal) observes. Static-filter rejections never
@@ -678,7 +663,7 @@ let journal_sink ?checkpoint p jc ~donor (r : Variant.record) =
 let apply_faults faults ~signature m =
   match faults with
   | None -> m
-  | Some fspec -> if off_cluster m then m else Cluster.Faults.perturb fspec ~signature m
+  | Some fspec -> if Cluster.off_cluster m then m else Cluster.Faults.perturb fspec ~signature m
 
 (* Fleet-wide evaluation memo hooks (the service's cross-campaign memo
    plugs in here; solo campaigns pass none). The memo stores {e pre-fault}
@@ -697,13 +682,6 @@ type memo_hooks = {
 exception Resume_mismatch of string
 
 let resume_fail fmt = Printf.ksprintf (fun s -> raise (Resume_mismatch s)) fmt
-
-let record_of_entry atoms (e : Persist.Journal.entry) : Variant.record =
-  {
-    Variant.index = e.Persist.Journal.e_index;
-    asg = Transform.Assignment.of_signature atoms e.Persist.Journal.e_signature;
-    meas = e.Persist.Journal.e_meas;
-  }
 
 (* The journal must describe the campaign [p] and [algo] would run: the
    same model, result-affecting configuration, search space and search. *)
@@ -751,7 +729,8 @@ let run ?shard ?workers ?shards ?journal ?faults ?checkpoint ?memo ~algo p =
     | _, Some w -> w
     | _, None -> default_workers ()
   in
-  let fstate = Option.map Cluster.Faults.create faults in
+  let cluster = Cluster.for_model p.model in
+  let post = Cluster.post cluster ~baseline_cost:p.baseline_cost ?faults in
   let jctx, preloaded =
     match journal with
     | None -> (None, [])
@@ -759,37 +738,12 @@ let run ?shard ?workers ?shards ?journal ?faults ?checkpoint ?memo ~algo p =
       let jw, preloaded =
         if Sys.file_exists (Persist.Journal.file ~dir:jdir) then
           let loaded, jw = Persist.Journal.reopen ~check:(check_header p ~algo) ~dir:jdir () in
-          (jw, List.map (record_of_entry p.atoms) loaded.Persist.Journal.l_entries)
+          (jw, List.map (Persist.Journal.record_of_entry p.atoms) loaded.Persist.Journal.l_entries)
         else (Persist.Journal.create ~dir:jdir (journal_header p ~algo ~workers), [])
       in
-      let jc =
-        {
-          jw;
-          jdir;
-          jcluster = Cluster.for_model p.model;
-          jbaseline_cost = p.baseline_cost;
-          jfaults = fstate;
-          jhours = 0.0;
-          jrecords = 0;
-          jbest = 0.0;
-        }
-      in
-      (* the journaled prefix already consumed cluster hours: continue the
-         accounting (and the preemption clock) from there, re-deriving its
-         fault losses without touching the fault stats *)
-      List.iter
-        (fun (r : Variant.record) ->
-          let lost =
-            match faults with
-            | Some spec when not (off_cluster r.Variant.meas) ->
-              Cluster.Faults.lost_seconds spec jc.jcluster ~baseline_cost:jc.jbaseline_cost
-                ~signature:(Transform.Assignment.signature r.Variant.asg)
-                ~model_time:r.Variant.meas.Variant.model_time
-            | Some _ | None -> 0.0
-          in
-          note_record jc ~lost r.Variant.meas)
-        preloaded;
-      (Some jc, preloaded)
+      (* the books open with the journaled prefix: its hours count
+         towards the preemption clock and its losses towards the stats *)
+      (Some { jw; jdir; books = List.fold_left post Cluster.empty preloaded }, preloaded)
   in
   (* fleet memo: the lookup runs outside the trace lock and applies this
      campaign's own fault perturbation to the pre-fault measurement, so
@@ -804,7 +758,7 @@ let run ?shard ?workers ?shards ?journal ?faults ?checkpoint ?memo ~algo p =
           (h.memo_find ~signature))
       memo
   in
-  let sink = Option.map (fun jc -> journal_sink ?checkpoint p jc) jctx in
+  let sink = Option.map (fun jc -> journal_sink ?checkpoint ?faults ~post p jc) jctx in
   let trace = Trace.create ?max_variants:(max_variants_of p) ?shared_lookup ?sink () in
   Trace.preload trace preloaded;
   (* the campaign's own caches, batch-reuse table and timer *)
@@ -817,16 +771,6 @@ let run ?shard ?workers ?shards ?journal ?faults ?checkpoint ?memo ~algo p =
     let m = evaluate_in s p asg in
     Option.iter (fun h -> h.memo_publish ~signature m) memo;
     apply_faults faults ~signature m
-  in
-  (* simulated node-seconds of one evaluation, for the shard scheduler's
-     cluster clock; statically filtered variants never leave the login
-     node *)
-  let sched_cluster = Cluster.for_model p.model in
-  let cost (m : Variant.measurement) =
-    if off_cluster m then 0.0
-    else
-      Cluster.variant_seconds sched_cluster ~baseline_cost:p.baseline_cost
-        ~variant_cost:m.Variant.model_time
   in
   let sched = ref None in
   let dd_config = { Delta_debug.error_threshold = p.threshold; perf_floor = p.perf_floor } in
@@ -870,7 +814,7 @@ let run ?shard ?workers ?shards ?journal ?faults ?checkpoint ?memo ~algo p =
         }
     | None -> None
   in
-  let interrupted = ref false in
+  let interrupted = ref false and preempted = ref false in
   let minimal =
     (* the writer is closed on every way out: an error that ends the
        campaign must not leave its file open in a long-lived server *)
@@ -881,7 +825,7 @@ let run ?shard ?workers ?shards ?journal ?faults ?checkpoint ?memo ~algo p =
         (* a journaled prefix may already exhaust a caller's quota: give
            the checkpoint one look before any fresh work is scheduled *)
         (match (jctx, checkpoint) with
-        | Some jc, Some cp -> cp (progress_of jc)
+        | Some jc, Some cp -> cp (progress_of jc.books)
         | _ -> ());
         match algo with
         | Brute_force_algo ->
@@ -894,23 +838,29 @@ let run ?shard ?workers ?shards ?journal ?faults ?checkpoint ?memo ~algo p =
           let groups = if algo = Hierarchical_algo then Some (flow_groups p) else None in
           Some
             (with_sched ?shard ?shards ~workers ~sched (fun shard ->
-                 Delta_debug.search ?shard ~cost ?ranker ?groups ~atoms:p.atoms ~trace
+                 Delta_debug.search ?shard
+                   ~cost:(Cluster.price cluster ~baseline_cost:p.baseline_cost)
+                   ?ranker ?groups ~atoms:p.atoms ~trace
                    ~evaluate:eval dd_config))
-      with Cluster.Faults.Preempted _ | Paused ->
+      with
+      | Paused ->
         interrupted := true;
+        None
+      | Preempted ->
+        interrupted := true;
+        preempted := true;
         None
     in
     Option.iter
       (fun jc ->
-        Persist.Snapshot.write ~dir:jc.jdir (snapshot_of_ctx jc ~finished:(not !interrupted)))
+        Persist.Snapshot.write ~dir:jc.jdir
+          (snapshot_of jc.books ~preempted:!preempted ~finished:(not !interrupted)))
       jctx;
     minimal
   in
   finish_campaign
     ~preloaded:(List.length preloaded)
-    ~interrupted:!interrupted
-    ?fault_stats:(Option.map Cluster.Faults.stats fstate)
-    ?sched:!sched s p trace minimal
+    ~interrupted:!interrupted ?faults ~preempted:!preempted ?sched:!sched s p trace minimal
 
 (* ------------------------------------------------------------------ *)
 (* The finished campaign against the historical pipeline.              *)
@@ -920,9 +870,14 @@ let describe_measurement (m : Variant.measurement) =
     (Variant.status_to_string m.Variant.status) m.Variant.detail m.Variant.speedup
     m.Variant.rel_error m.Variant.model_time m.Variant.hotspot_time
 
-let describe_raw (r : raw) =
-  Printf.sprintf "%s cost %.17g hotspot %.17g err %.17g" r.r_detail r.r_model_time r.r_hotspot
-    r.r_rel_error
+(* Both outcomes' first difference ([Runtime.Interp.diff]); a variant
+   that did not transform on one side differs by its detail. *)
+let diff_raw (reference : raw) (ours : raw) =
+  match (reference.r_outcome, ours.r_outcome) with
+  | Some a, Some b -> Runtime.Interp.diff a b
+  | _ ->
+    if compare reference ours = 0 then None
+    else Some (Printf.sprintf "%s vs %s" reference.r_detail ours.r_detail)
 
 (* Every record a dynamic run produced must be the reference's
    measurement, and a compiled run on verify's own caches — never the
@@ -932,33 +887,32 @@ let describe_raw (r : raw) =
 let verify (c : campaign) =
   let p = c.prepared in
   let s = state_create () in
-  let mismatch (r : Variant.record) what ours reference =
+  let mismatch (r : Variant.record) what detail =
     Error
       (Printf.sprintf
          "verify-roundtrip: %s record %d (signature %s): %s differs from the unparse->reparse \
-          reference\n  %s\n  reference: %s"
+          reference\n  %s"
          p.model.Models.Registry.name r.Variant.index
          (Transform.Assignment.signature r.Variant.asg)
-         what ours reference)
+         what detail)
   in
   let rec go checked = function
     | [] -> Ok checked
-    | (r : Variant.record) :: rest ->
+    | (r : Variant.record) :: rest -> (
       let m = r.Variant.meas in
-      if off_cluster m || String.starts_with ~prefix:"fault: " m.Variant.detail then
+      if Cluster.off_cluster m || String.starts_with ~prefix:"fault: " m.Variant.detail then
         go checked rest
       else
         let reference = roundtrip_raw p r.Variant.asg in
         let expected = measurement_of_raw p r.Variant.asg reference in
         if compare m expected <> 0 then
-          mismatch r "the committed measurement" ("committed: " ^ describe_measurement m)
-            (describe_measurement expected)
+          mismatch r "the committed measurement"
+            (Printf.sprintf "committed: %s\n  reference: %s" (describe_measurement m)
+               (describe_measurement expected))
         else
-          let compiled = direct_raw s p r.Variant.asg in
-          if compare compiled reference <> 0 then
-            mismatch r "a fresh compiled evaluation" ("compiled: " ^ describe_raw compiled)
-              (describe_raw reference)
-          else go (checked + 1) rest
+          match diff_raw reference (direct_raw s p r.Variant.asg) with
+          | Some d -> mismatch r "a fresh compiled evaluation" ("reference vs compiled: " ^ d)
+          | None -> go (checked + 1) rest)
   in
   go 0 c.records
 

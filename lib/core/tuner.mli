@@ -119,7 +119,10 @@ type campaign = {
   records : Search.Variant.record list;  (** every distinct variant, in order *)
   summary : Search.Variant.summary;  (** the Table-II row *)
   minimal : Search.Delta_debug.result option;  (** [None] for brute force *)
-  simulated_hours : float;  (** Sec.-IV-A cluster accounting *)
+  simulated_hours : float;
+      (** Sec.-IV-A cluster accounting: {!Cluster.simulated_hours} of the
+          campaign's books ({!Cluster.books} over [records]), so a
+          static-filter rejection adds nothing *)
   eval_ms_mean : float;  (** mean wall-clock milliseconds per dynamic evaluation *)
   eval_ms_max : float;  (** slowest single evaluation, milliseconds *)
   trace_stats : Search.Trace.stats;
@@ -133,7 +136,10 @@ type campaign = {
           journal holds everything measured so far and [resume] continues
           it *)
   fault_stats : Cluster.Faults.stats option;
-      (** loss accounting when fault injection was active *)
+      (** loss accounting when fault injection was active: the books'
+          losses over every committed record, a resumed journal's prefix
+          included, so a resumed campaign reports the uninterrupted
+          one's; [preemptions] is 1 iff this run was preempted *)
 }
 
 val backend_stats : campaign -> backend_stats
@@ -153,7 +159,9 @@ type progress = {
   pg_best : float;  (** best passing speedup committed so far *)
 }
 (** What a [?checkpoint] hook sees: the campaign's durable progress at a
-    moment when everything committed is already fsynced to the journal. *)
+    moment when everything committed is already fsynced to the journal —
+    its books so far ({!Cluster.books}: [b_records], [b_hours],
+    [b_best_speedup]), which [snapshot.json] also records. *)
 
 exception Paused
 (** Raised by a caller's [?checkpoint] hook to suspend the campaign at
@@ -239,7 +247,8 @@ val run :
     [faults] injects deterministic seeded cluster faults
     ({!Cluster.Faults}): lost variants are accounted as [Error] records,
     a preemption boundary interrupts the campaign gracefully
-    ([interrupted = true]) after the current record is durable.
+    ([interrupted = true]) after the first durable record whose books,
+    the journaled prefix's included, reach it.
     [checkpoint] is called with the campaign's {!progress} once before
     any fresh work is scheduled and after every durable record; it may
     raise {!Paused} to suspend the campaign gracefully at that durable

@@ -45,6 +45,13 @@ let entry_of_record (r : Search.Variant.record) =
     e_bound = None;
   }
 
+let record_of_entry atoms e =
+  {
+    Search.Variant.index = e.e_index;
+    asg = Transform.Assignment.of_signature atoms e.e_signature;
+    meas = e.e_meas;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Line codecs                                                         *)
 

@@ -72,6 +72,10 @@ val entry_of_record : Search.Variant.record -> entry
 (** [e_score]/[e_bound] are [None]; a predicting caller fills them in
     before {!append}. *)
 
+val record_of_entry : Transform.Assignment.atom list -> entry -> Search.Variant.record
+(** The committed record an entry journals, its assignment rebuilt over
+    [atoms] from the signature (the inverse of {!entry_of_record}). *)
+
 type writer
 
 val create : dir:string -> header -> writer

@@ -380,3 +380,38 @@ let casting_share (outcome : outcome) =
     match List.assoc_opt Machine.Cat_convert outcome.breakdown with
     | Some c -> c /. outcome.cost
     | None -> 0.0
+
+(* The first difference, in field order; element comparisons use
+   [compare], as a whole-outcome [compare] does, so [None] iff the two
+   are equal under it. *)
+let diff (a : outcome) (b : outcome) =
+  let rec first what show i xs ys =
+    match (xs, ys) with
+    | [], [] -> None
+    | x :: xs', y :: ys' ->
+      if compare x y = 0 then first what show (i + 1) xs' ys'
+      else Some (Printf.sprintf "%s %d: %s vs %s" what i (show x) (show y))
+    | x :: _, [] -> Some (Printf.sprintf "%s %d: %s vs none" what i (show x))
+    | [], y :: _ -> Some (Printf.sprintf "%s %d: none vs %s" what i (show y))
+  in
+  let timer (e : Timers.entry) =
+    Printf.sprintf "%s calls %d exclusive %h inclusive %h" e.Timers.name e.Timers.calls
+      e.Timers.exclusive e.Timers.inclusive
+  in
+  List.find_map
+    (fun d -> d ())
+    [
+      (fun () ->
+        if compare a.status b.status = 0 then None
+        else Some (Format.asprintf "status: %a vs %a" pp_status a.status pp_status b.status));
+      (fun () ->
+        if compare a.cost b.cost = 0 then None
+        else Some (Printf.sprintf "cost: %h vs %h" a.cost b.cost));
+      (fun () -> first "record" (fun (k, v) -> Printf.sprintf "%s = %h" k v) 0 a.records b.records);
+      (fun () -> first "printed line" (Printf.sprintf "%S") 0 a.printed b.printed);
+      (fun () -> first "timer" timer 0 a.timers b.timers);
+      (fun () ->
+        first "breakdown entry"
+          (fun (c, v) -> Printf.sprintf "%s %h" (Machine.category_name c) v)
+          0 a.breakdown b.breakdown);
+    ]

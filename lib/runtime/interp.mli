@@ -63,3 +63,9 @@ val series : outcome -> string -> float list
 
 val casting_share : outcome -> float
 (** Fraction of the run's modeled cost spent on kind conversions. *)
+
+val diff : outcome -> outcome -> string option
+(** The first difference between two outcomes, or [None] when [compare]
+    finds them equal: the status, the cost, the first differing record
+    (its index, then each side's key and value), printed line, timer or
+    breakdown entry, floats in [%h]. *)

@@ -68,9 +68,6 @@ module Fair = struct
         in
         Some (id, { c_id = Some id; c_credit = max 1 (weight id) - 1 }))
 
-  let next_after ~cursor ids =
-    Option.map fst (next ~weight:(fun _ -> 1) ~cursor:{ c_id = cursor; c_credit = 0 } ids)
-
   let simulate_weighted ~slices =
     let remaining = Hashtbl.create 16 in
     let weights = Hashtbl.create 16 in
@@ -99,8 +96,6 @@ module Fair = struct
     in
     go ();
     List.rev !order
-
-  let simulate ~slices = simulate_weighted ~slices:(List.map (fun (id, n) -> (id, n, 1)) slices)
 end
 
 type t = {

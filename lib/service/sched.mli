@@ -70,14 +70,9 @@ module Fair : sig
   (** Serve the cursor's id again while it has credit and is still
       runnable; otherwise advance to the first id strictly after it in
       the sorted runnable list (wrapping to the head) with fresh credit
-      [weight id - 1]. Weights below 1 are clamped to 1. [None] iff the
-      list is empty. *)
-
-  val next_after : cursor:string option -> string list -> string option
-  (** {!next} at uniform weight 1 (the plain round robin): the first id
-      strictly after [cursor] in the sorted runnable list, wrapping to
-      the head; [None] cursor (or no greater id) picks the head. [None]
-      iff the list is empty. *)
+      [weight id - 1]. Weights below 1 are clamped to 1, and weight 1
+      everywhere is the plain round robin. [None] iff the list is
+      empty. *)
 
   val simulate_weighted : slices:(string * int * int) list -> string list
   (** Pure replay of the scheduling loop: each [(id, slices, weight)] job
@@ -86,9 +81,6 @@ module Fair : sig
       the QCheck fairness bounds (burst length <= weight while others are
       runnable; between consecutive services of any job, each other job
       appears at most its weight times). *)
-
-  val simulate : slices:(string * int) list -> string list
-  (** {!simulate_weighted} at uniform weight 1. *)
 end
 
 val event_of_job : Job.t -> detail:string -> event

@@ -170,15 +170,24 @@ and gen_real env fuel k : Ast.expr =
     | 5 -> Ast.Unop (Ast.Neg, gen_real env (fuel - 1) k)
     | 6 -> Ast.Binop (Ast.Pow, gen_real env (fuel - 1) k, Ast.Int_lit (range st 0 2))
     | 7 -> (
-      match rint st 4 with
+      (* each argument kept inside the function's domain: |0.5*tanh(e)|
+         < 1/2 for tan, asin and acos, twice that for sinh and cosh *)
+      let half_tanh () =
+        Ast.Binop (Ast.Mul, half_lit k, Ast.Index ("tanh", [ gen_real env (fuel - 1) k ]))
+      in
+      let abs_plus_half () =
+        Ast.Binop (Ast.Add, Ast.Index ("abs", [ gen_real env (fuel - 1) k ]), half_lit k)
+      in
+      match rint st 8 with
       | 0 -> Ast.Index (pick st [ "sin"; "cos"; "tanh"; "atan" ], [ gen_real env (fuel - 1) k ])
       | 1 -> Ast.Index ("sqrt", [ Ast.Index ("abs", [ gen_real env (fuel - 1) k ]) ])
-      | 2 ->
-        Ast.Index
-          ( "log",
-            [ Ast.Binop (Ast.Add, Ast.Index ("abs", [ gen_real env (fuel - 1) k ]), half_lit k) ]
-          )
-      | _ -> Ast.Index ("exp", [ Ast.Index ("min", [ gen_real env (fuel - 1) k; two_lit k ]) ]))
+      | 2 -> Ast.Index ("log", [ abs_plus_half () ])
+      | 3 -> Ast.Index ("exp", [ Ast.Index ("min", [ gen_real env (fuel - 1) k; two_lit k ]) ])
+      | 4 -> Ast.Index (pick st [ "tan"; "asin"; "acos" ], [ half_tanh () ])
+      | 5 ->
+        Ast.Index (pick st [ "sinh"; "cosh" ], [ Ast.Binop (Ast.Mul, two_lit k, half_tanh ()) ])
+      | 6 -> Ast.Index (pick st [ "aint"; "anint" ], [ gen_real env (fuel - 1) k ])
+      | _ -> Ast.Index ("log10", [ abs_plus_half () ]))
     | 8 ->
       Ast.Index
         (pick st [ "min"; "max" ], [ gen_real env (fuel - 1) k; gen_real env (fuel - 1) k ])

@@ -144,13 +144,6 @@ let check_rewrite (c : Gen.case) =
   in
   decl_violations @ site_violations
 
-let pp_outcome (o : Runtime.Interp.outcome) =
-  Format.asprintf "%a cost=%.17g records=%d printed=%d timers=%d"
-    Runtime.Interp.pp_status o.Runtime.Interp.status o.Runtime.Interp.cost
-    (List.length o.Runtime.Interp.records)
-    (List.length o.Runtime.Interp.printed)
-    (List.length o.Runtime.Interp.timers)
-
 (* Two-way bit-identity: the tree-walker on the unparse→reparse round
    trip (the reference) and the compiled evaluator on the direct
    lowering of the same wrapped variant. *)
@@ -163,16 +156,9 @@ let check_compiled (c : Gen.case) =
   let st_d = Symtab.build w.Transform.Wrappers.program in
   let lowered = Runtime.Lower.lower ~wrapper_owner:owner ~machine st_d in
   let compiled_out = Runtime.Compile.run ~budget (Runtime.Compile.compile lowered) in
-  if compare ref_out compiled_out = 0 then []
-  else
-    [
-      {
-        oracle = Compiled;
-        detail =
-          Printf.sprintf "interp: %s / compiled: %s" (pp_outcome ref_out)
-            (pp_outcome compiled_out);
-      };
-    ]
+  match Runtime.Interp.diff ref_out compiled_out with
+  | None -> []
+  | Some d -> [ { oracle = Compiled; detail = "interp vs compiled: " ^ d } ]
 
 (* Soundness of the error-amplification analysis: for every demotable
    atom the analysis did NOT poison, the static per-atom bound must cover

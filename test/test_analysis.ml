@@ -442,7 +442,9 @@ let defuse_tests =
    can have [else if] arms with calls in their conditions, two outputs
    are digested sorted because the walks behind them used to visit all
    of an [if]'s conditions before its blocks: the Typecheck.mismatches
-   list and each Vectorize report's blockers. *)
+   list and each Vectorize report's blockers. The generated programs'
+   md5 was re-recorded when the generator began to draw tan, asin, acos,
+   sinh, cosh, aint, anint and log10, with the analyses unchanged. *)
 
 let scope_s = function Symtab.Proc_scope p -> "p:" ^ p | Symtab.Unit_scope u -> "u:" ^ u
 let opt_s = function Some s -> s | None -> "-"
@@ -585,7 +587,7 @@ let pinned_tests =
     ]
   @ [
       t "500 generated programs" (fun () ->
-          Alcotest.(check string) "md5" "afe9468b660330e6dc1ea5bd6a8b5c97" (generated_digest ()));
+          Alcotest.(check string) "md5" "e95a334933e588f57b8e450ebf08106b" (generated_digest ()));
     ]
 
 let () =

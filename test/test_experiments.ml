@@ -123,7 +123,25 @@ let report_tests =
           (fun (r : Search.Variant.record) ->
             Alcotest.(check (Alcotest.float 1e-9)) "zero dynamic cost" 0.0
               r.Search.Variant.meas.Search.Variant.model_time)
-          filtered);
+          filtered;
+        (* and the campaign's books charge them nothing either: its hours
+           are those of the dynamically evaluated records alone *)
+        let c = a.Core.Experiments.treated_campaign in
+        let p = c.Core.Tuner.prepared in
+        let cluster = Core.Cluster.for_model p.Core.Tuner.model in
+        let dynamic_seconds =
+          List.fold_left
+            (fun acc (r : Search.Variant.record) ->
+              if List.memq r filtered then acc
+              else
+                acc
+                +. Core.Cluster.variant_seconds cluster ~baseline_cost:p.Core.Tuner.baseline_cost
+                     ~variant_cost:r.Search.Variant.meas.Search.Variant.model_time)
+            0.0 c.Core.Tuner.records
+        in
+        Alcotest.(check (Alcotest.float 0.0)) "hours of the dynamic records alone"
+          (dynamic_seconds /. float_of_int cluster.Core.Cluster.nodes /. 3600.0)
+          c.Core.Tuner.simulated_hours);
     t "ablation: no-SIMD machine kills the MPAS speedup" (fun () ->
         let a =
           Core.Experiments.ablation_no_simd

@@ -26,15 +26,9 @@ let interp ?budget st = Runtime.Interp.run ~machine ?budget st
 let lower_run ?cache ?budget ?wrapper_owner st =
   Runtime.Lower.run ?budget (Runtime.Lower.lower ?cache ?wrapper_owner ~machine st)
 
-let pp_outcome ppf (o : Runtime.Interp.outcome) =
-  Format.fprintf ppf "%a cost=%.17g records=%d printed=%d timers=%d"
-    Runtime.Interp.pp_status o.status o.cost (List.length o.records)
-    (List.length o.printed) (List.length o.timers)
-
-let outcome_t =
-  Alcotest.testable pp_outcome (fun a b -> compare a b = 0)
-
-let check_equiv msg ref_out fast_out = Alcotest.check outcome_t msg ref_out fast_out
+(* Bit-identity of two outcomes; a failure names the first difference. *)
+let check_equiv msg ref_out fast_out =
+  Option.iter (Alcotest.failf "%s: %s" msg) (Runtime.Interp.diff ref_out fast_out)
 
 let first out key =
   match Runtime.Interp.series out key with

@@ -550,20 +550,76 @@ let fault_tests =
             Alcotest.(check bool) "finished" false finished.Core.Tuner.interrupted;
             check_same_campaign "preemption chain" base finished;
             check_no_reeval "final job" finished));
+    t "a preempted fault-injected campaign resumes to the uninterrupted books" (fun () ->
+        with_dir2 (fun da db ->
+            let run ?(faults = fault_spec) dir =
+              Core.Tuner.run_brute_force ~config:funarc_config ~journal:dir ~faults small_funarc
+            in
+            let base = run da in
+            let half =
+              match Persist.Snapshot.read ~dir:da with
+              | Some s -> s.Persist.Snapshot.s_hours /. 2.0
+              | None -> Alcotest.fail "no snapshot"
+            in
+            let killed =
+              run ~faults:{ fault_spec with Core.Cluster.Faults.preempt_at_hours = Some half } db
+            in
+            Alcotest.(check bool) "preempted mid-campaign" true
+              (killed.Core.Tuner.interrupted && killed.Core.Tuner.records <> []);
+            let resumed =
+              Core.Tuner.resume ~config:funarc_config ~faults:fault_spec ~model:small_funarc
+                ~journal:db ()
+            in
+            check_same_campaign "preempted fault campaign" base resumed;
+            check_no_reeval "resumed" resumed;
+            let losses (c : Core.Tuner.campaign) =
+              Option.map
+                (fun fs -> { fs with Core.Cluster.Faults.preemptions = 0 })
+                c.Core.Tuner.fault_stats
+            in
+            Alcotest.(check bool) "the prefix's losses count" true
+              (compare (losses base) (losses resumed) = 0);
+            Alcotest.(check string) "snapshot"
+              (Harness.slurp (Persist.Snapshot.file ~dir:da))
+              (Harness.slurp (Persist.Snapshot.file ~dir:db));
+            Alcotest.(check string) "journal"
+              (Harness.slurp (Persist.Journal.file ~dir:da))
+              (Harness.slurp (Persist.Journal.file ~dir:db))));
     t "campaign edge cases: empty hours, degenerate baseline, exact boundary" (fun () ->
         let c = Core.Cluster.for_model Models.Registry.mpas in
+        let empty = Core.Cluster.books c ~baseline_cost:1.0 [] in
         Alcotest.(check (Alcotest.float 1e-12)) "no variants, no hours" 0.0
-          (Core.Cluster.campaign_hours c ~baseline_cost:1.0 ~variant_costs:[]);
+          (Core.Cluster.simulated_hours c empty +. empty.Core.Cluster.b_hours);
         Alcotest.(check (Alcotest.float 1e-9)) "zero baseline: overhead only"
           c.Core.Cluster.per_variant_overhead_s
           (Core.Cluster.variant_seconds c ~baseline_cost:0.0 ~variant_cost:123.0);
         Alcotest.(check (Alcotest.float 1e-9)) "negative baseline: overhead only"
           c.Core.Cluster.per_variant_overhead_s
           (Core.Cluster.variant_seconds c ~baseline_cost:(-5.0) ~variant_cost:123.0);
-        Alcotest.(check bool) "exactly 12h is within budget" false
-          (Core.Cluster.over_budget c 12.0);
-        Alcotest.(check bool) "just over 12h is over" true
-          (Core.Cluster.over_budget c (12.0 +. 1e-9)));
+        (* a boundary exactly at the books' hours after five records
+           preempts at the fifth: the clock fires at [>=] *)
+        with_dir (fun dir ->
+            let base = Core.Tuner.run_brute_force ~config:funarc_config small_funarc in
+            let p = base.Core.Tuner.prepared in
+            let five = List.filteri (fun i _ -> i < 5) base.Core.Tuner.records in
+            let boundary =
+              (Core.Cluster.books
+                 (Core.Cluster.for_model p.Core.Tuner.model)
+                 ~baseline_cost:p.Core.Tuner.baseline_cost five)
+                .Core.Cluster.b_hours
+            in
+            let killed =
+              Core.Tuner.run_brute_force ~config:funarc_config ~journal:dir
+                ~faults:
+                  {
+                    Core.Cluster.Faults.none with
+                    Core.Cluster.Faults.preempt_at_hours = Some boundary;
+                  }
+                small_funarc
+            in
+            Alcotest.(check bool) "preempted" true killed.Core.Tuner.interrupted;
+            Alcotest.(check int) "exactly at the boundary" 5
+              (List.length killed.Core.Tuner.records)));
   ]
 
 let () =

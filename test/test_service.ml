@@ -246,8 +246,13 @@ let proto_tests =
 
 let fair_unit_tests =
   [
-    t "next_after walks the sorted ids and wraps" (fun () ->
-        let n cursor ids = Service.Sched.Fair.next_after ~cursor ids in
+    t "weight-1 next walks the sorted ids and wraps" (fun () ->
+        let n c_id ids =
+          Option.map fst
+            (Service.Sched.Fair.next ~weight:(fun _ -> 1)
+               ~cursor:{ Service.Sched.Fair.c_id; c_credit = 0 }
+               ids)
+        in
         Alcotest.(check (option string)) "empty" None (n None []);
         Alcotest.(check (option string)) "no cursor -> head" (Some "j001")
           (n None [ "j001"; "j002" ]);
@@ -279,11 +284,10 @@ let fair_unit_tests =
         let next_id, _ = step mid [ "j002" ] in
         Alcotest.(check string) "credit dies with the departure" "j002" next_id);
     t "simulate_weighted at weight 1 is the plain round robin" (fun () ->
-        let slices = [ ("j001", 3); ("j002", 1); ("j003", 2) ] in
-        Alcotest.(check (list string)) "identical order"
-          (Service.Sched.Fair.simulate ~slices)
+        Alcotest.(check (list string)) "one slice per job per round"
+          [ "j001"; "j002"; "j003"; "j001"; "j003"; "j001" ]
           (Service.Sched.Fair.simulate_weighted
-             ~slices:(List.map (fun (id, n) -> (id, n, 1)) slices)));
+             ~slices:[ ("j001", 3, 1); ("j002", 1, 1); ("j003", 2, 1) ]));
   ]
 
 (* Between two consecutive slices of any still-runnable job, every other
@@ -295,7 +299,9 @@ let fairness_prop =
     QCheck.(small_list (int_range 1 5))
     (fun counts ->
       let slices = List.mapi (fun i n -> (Printf.sprintf "j%03d" (i + 1), n)) counts in
-      let order = Service.Sched.Fair.simulate ~slices in
+      let order =
+        Service.Sched.Fair.simulate_weighted ~slices:(List.map (fun (id, n) -> (id, n, 1)) slices)
+      in
       let served id = List.length (List.filter (String.equal id) order) in
       List.for_all (fun (id, n) -> served id = n) slices
       &&

@@ -107,12 +107,30 @@ let eval_tests =
         Alcotest.(check (Alcotest.float 1e-9)) "no cluster cost" 0.0 m.Search.Variant.model_time);
   ]
 
+(* A committed record of modeled cost [model_time] over no atoms: all
+   the cluster's books read of it. *)
+let cost_record ?(detail = "") model_time =
+  {
+    Search.Variant.index = 1;
+    asg = Transform.Assignment.original [];
+    meas =
+      {
+        Search.Variant.status = Search.Variant.Pass;
+        speedup = 1.0;
+        rel_error = 0.0;
+        hotspot_time = 0.0;
+        model_time;
+        proc_stats = [];
+        casting_share = 0.0;
+        detail;
+      };
+  }
+
 let cluster_tests =
   [
     t "paper-faithful constants per model" (fun () ->
         let c = Core.Cluster.for_model Models.Registry.mpas in
         Alcotest.(check int) "20 nodes" 20 c.Core.Cluster.nodes;
-        Alcotest.(check (Alcotest.float 1e-9)) "12h" 12.0 c.Core.Cluster.job_hours;
         Alcotest.(check (Alcotest.float 1e-9)) "90s baseline" 90.0 c.Core.Cluster.baseline_wall_s);
     t "variant seconds scale with modeled cost" (fun () ->
         let c = Core.Cluster.for_model Models.Registry.mpas in
@@ -121,22 +139,36 @@ let cluster_tests =
         Alcotest.(check (Alcotest.float 1e-9)) "3x run part" 180.0 (slow -. fast));
     t "campaign hours split across nodes" (fun () ->
         let c = Core.Cluster.for_model Models.Registry.mpas in
-        let one = Core.Cluster.campaign_hours c ~baseline_cost:1.0 ~variant_costs:[ 1.0 ] in
-        let twenty =
-          Core.Cluster.campaign_hours c ~baseline_cost:1.0
-            ~variant_costs:(List.init 20 (fun _ -> 1.0))
+        let hours records =
+          Core.Cluster.simulated_hours c (Core.Cluster.books c ~baseline_cost:1.0 records)
         in
+        Alcotest.(check (Alcotest.float 0.0)) "a record is charged its variant seconds"
+          (Core.Cluster.variant_seconds c ~baseline_cost:1.0 ~variant_cost:1.0)
+          (Core.Cluster.charge c ~baseline_cost:1.0 (cost_record 1.0)).Core.Cluster.c_run_seconds;
+        let one = hours [ cost_record 1.0 ] in
+        let twenty = hours (List.init 20 (fun _ -> cost_record 1.0)) in
         Alcotest.(check (Alcotest.float 1e-9)) "20 variants = 20x one" (one *. 20.0) twenty);
-    t "over_budget" (fun () ->
-        let c = Core.Cluster.for_model Models.Registry.mom6 in
-        Alcotest.(check bool) "13h over" true (Core.Cluster.over_budget c 13.0);
-        Alcotest.(check bool) "11h under" false (Core.Cluster.over_budget c 11.0);
-        Alcotest.(check bool) "exactly 12h is within budget" false
-          (Core.Cluster.over_budget c c.Core.Cluster.job_hours));
+    t "a static-filter rejection costs nothing, faults included" (fun () ->
+        let c = Core.Cluster.for_model Models.Registry.mpas in
+        (* every attempt fails: a dynamically evaluated record loses all three *)
+        let faults =
+          { Core.Cluster.Faults.none with Core.Cluster.Faults.transient_prob = 1.0 }
+        in
+        let charge r = Core.Cluster.charge c ~baseline_cost:1.0 ~faults r in
+        let filtered = charge (cost_record ~detail:"static-filter" 0.0) in
+        Alcotest.(check (Alcotest.float 0.0)) "no run" 0.0 filtered.Core.Cluster.c_run_seconds;
+        Alcotest.(check bool) "no losses" true
+          (compare filtered.Core.Cluster.c_faults Core.Cluster.Faults.zero_stats = 0);
+        let run = charge (cost_record 0.0) in
+        Alcotest.(check int) "a dynamic record retries" 3
+          run.Core.Cluster.c_faults.Core.Cluster.Faults.retried_attempts;
+        Alcotest.(check (Alcotest.float 0.0)) "each failed attempt burns a run"
+          (3.0 *. run.Core.Cluster.c_run_seconds)
+          run.Core.Cluster.c_faults.Core.Cluster.Faults.lost_node_seconds);
     t "degenerate inputs: no variants, no baseline" (fun () ->
         let c = Core.Cluster.for_model Models.Registry.mpas in
         Alcotest.(check (Alcotest.float 1e-12)) "empty campaign costs nothing" 0.0
-          (Core.Cluster.campaign_hours c ~baseline_cost:2.0 ~variant_costs:[]);
+          (Core.Cluster.simulated_hours c (Core.Cluster.books c ~baseline_cost:2.0 []));
         (* a zero/negative baseline cost can't scale model time to wall
            seconds: only the fixed overhead remains *)
         Alcotest.(check (Alcotest.float 1e-9)) "zero baseline" c.Core.Cluster.per_variant_overhead_s
